@@ -12,12 +12,13 @@ test:
 ## workflow engine, the singleflight caching resolver + resilience guards,
 ## the streaming provenance pipeline, the storage layer under it, the
 ## shard router with its scatter-gather fan-out, the cluster layer — lease
-## store, fenced queues, HTTP gateway + remote worker — and the archival
-## store/scrubber), plus the core detection stack — including crash/resume,
+## store, fenced queues, HTTP gateway + remote worker — the archival
+## store/scrubber, and the curation ledger's ID allocation under concurrent
+## detections), plus the core detection stack — including crash/resume,
 ## orchestrator failover, and the sharded/unsharded equivalence suite —
 ## that drives them end to end.
 race:
-	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/core/...
+	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/...
 
 ## ci: the full hygiene gate — formatting, vet, the race-enabled tests, a
 ## short fuzz smoke over the archival WAV decoder (arbitrary bytes must
@@ -37,7 +38,10 @@ race:
 ## the bench-trajectory comparator (fails on a >10% ns/op or allocs/op
 ## regression between the two committed BENCH files), and the multi-tenant
 ## load smoke (sustained detect+query traffic at 1 and 4 shards; the >=2x
-## throughput gate runs only in the full non-short experiment).
+## throughput gate runs only in the full non-short experiment), and vet +
+## tests of the nested benchmark/ module (root `go test ./...` does not enter
+## it, and it compiles against core/web/cluster/provenance surfaces a
+## refactor here can break).
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -53,6 +57,7 @@ ci:
 	$(GO) run ./cmd/bench -smoke
 	$(GO) run ./cmd/bench -compare BENCH_9.json BENCH_10.json
 	$(GO) run ./cmd/experiments -run load -short
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 ## verify: the gate for engine/concurrency/persistence changes — the ci
 ## hygiene pass (gofmt, vet, race suite) plus the full test suite.

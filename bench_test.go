@@ -490,10 +490,9 @@ func BenchmarkAblation_CachedVsUncachedResolver(b *testing.B) {
 }
 
 // A6 — parallel implicit iteration: the Fig. 2 detection workflow against a
-// latency-injected authority, sequential (the historical engine) versus the
-// unified concurrency budget at several widths. Outputs and per-element
-// traces are asserted byte-identical to the sequential run before timing, so
-// the speedup is measured on provenance-equivalent executions.
+// latency-injected authority, one worker versus wider pools. Outputs and
+// per-element traces are asserted byte-identical to the one-worker run before
+// timing, so the speedup is measured on provenance-equivalent executions.
 func BenchmarkDetectionParallel(b *testing.B) {
 	w := getWorld(b)
 	remote := &slowResolver{inner: w.taxa.Checklist, delay: 200 * time.Microsecond}
@@ -521,13 +520,14 @@ func BenchmarkDetectionParallel(b *testing.B) {
 	}
 	in := map[string]workflow.Data{"names": workflow.List(items...)}
 
-	runOnce := func(parallel int) (string, string) {
+	runOnce := func(workers int) (string, string) {
 		var elems string
-		eng := workflow.NewEngine(reg)
-		eng.Parallel = parallel
+		var proj workflow.Projector
+		eng := workflow.NewEventEngine(reg)
+		eng.Workers = workers
 		res, err := eng.Run(context.Background(), def, in,
-			workflow.ListenerFunc(func(e workflow.Event) {
-				if e.Type == workflow.EventProcessorCompleted && e.Processor == "Catalog_of_life" {
+			workflow.HistoryListenerFunc(func(h workflow.HistoryEvent) {
+				if e, ok := proj.Apply(h); ok && e.Type == workflow.EventProcessorCompleted && e.Processor == "Catalog_of_life" {
 					elems = fmt.Sprintf("%+v", e.Elements)
 				}
 			}))
@@ -536,19 +536,15 @@ func BenchmarkDetectionParallel(b *testing.B) {
 		}
 		return res.Outputs["summary"].String(), elems
 	}
-	wantOut, wantElems := runOnce(0)
+	wantOut, wantElems := runOnce(1)
 
-	for _, workers := range []int{0, 1, 4, 16} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "sequential"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, workers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			if out, elems := runOnce(workers); out != wantOut || elems != wantElems {
-				b.Fatalf("workers=%d diverges from the sequential engine", workers)
+				b.Fatalf("workers=%d diverges from the one-worker run", workers)
 			}
-			eng := workflow.NewEngine(reg)
-			eng.Parallel = workers
+			eng := workflow.NewEventEngine(reg)
+			eng.Workers = workers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Run(context.Background(), def, in); err != nil {
@@ -564,8 +560,8 @@ func BenchmarkDetectionParallel(b *testing.B) {
 	// names/s against workers=4 for the observability layer's hot-path cost
 	// (TestTracingOverhead guards the 5% budget in ci).
 	b.Run("workers=4-traced", func(b *testing.B) {
-		eng := workflow.NewEngine(reg)
-		eng.Parallel = 4
+		eng := workflow.NewEventEngine(reg)
+		eng.Workers = 4
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(0))
@@ -655,7 +651,7 @@ func BenchmarkAblation_AdapterOverhead(b *testing.B) {
 	inputs := map[string]workflow.Data{"names": workflow.List(items...)}
 
 	b.Run("bare", func(b *testing.B) {
-		eng := workflow.NewEngine(reg)
+		eng := workflow.NewEventEngine(reg)
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Run(context.Background(), def, inputs); err != nil {
 				b.Fatal(err)
@@ -668,7 +664,7 @@ func BenchmarkAblation_AdapterOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := workflow.NewEngine(ireg)
+		eng := workflow.NewEventEngine(ireg)
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Run(context.Background(), def, inputs); err != nil {
 				b.Fatal(err)

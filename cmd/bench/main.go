@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -110,7 +111,7 @@ func main() {
 
 	file := benchFile{
 		Schema:    "bench.v1",
-		PR:        9,
+		PR:        prFromPath(path),
 		Generated: time.Now().UTC(),
 		Go:        runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -138,6 +139,17 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("bench: %d benchmarks -> %s\n", len(file.Benchmarks), path)
+}
+
+// prFromPath derives the "pr" stamp from a trajectory file name
+// (BENCH_<n>.json -> n); any other name, such as the smoke file, stamps 0.
+func prFromPath(path string) int {
+	num, ok := strings.CutPrefix(strings.TrimSuffix(filepath.Base(path), ".json"), "BENCH_")
+	if !ok {
+		return 0
+	}
+	n, _ := strconv.Atoi(num) // 0 for a non-numeric suffix (BENCH_smoke)
+	return n
 }
 
 // compareFiles diffs two bench.v1 trajectory files. Every benchmark present

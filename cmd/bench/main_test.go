@@ -1,0 +1,20 @@
+package main
+
+import "testing"
+
+func TestPRFromPath(t *testing.T) {
+	for path, want := range map[string]int{
+		"BENCH_10.json":          10,
+		"out/BENCH_12.json":      12,
+		"BENCH_smoke.json":       0,
+		"trajectory.json":        0,
+		"/tmp/x/BENCH_7.json":    7,
+		"BENCH_.json":            0,
+		"notBENCH_9.json":        0,
+		"BENCH_11.json.bak.json": 0,
+	} {
+		if got := prFromPath(path); got != want {
+			t.Errorf("prFromPath(%q) = %d, want %d", path, got, want)
+		}
+	}
+}

@@ -21,7 +21,7 @@ func main() {
 		records = flag.Int("records", 11898, "collection size (paper: 11898)")
 		species = flag.Int("species", 1929, "distinct species names (paper: 1929)")
 		seed    = flag.Int64("seed", 2014, "master PRNG seed")
-		par     = flag.Int("parallel", 0, "workflow engine concurrency budget (0 = sequential iteration)")
+		par     = flag.Int("parallel", 0, "workflow engine worker-pool size (0 or 1 = one worker, sequential)")
 		short   = flag.Bool("short", false, "smaller trial counts and substrates (CI smoke)")
 	)
 	flag.Parse()

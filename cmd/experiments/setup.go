@@ -21,8 +21,8 @@ type environment struct {
 	records int
 	species int
 	seed    int64
-	// parallel is the engine's unified concurrency budget for detection
-	// runs (0 keeps the historical sequential iteration).
+	// parallel is the engine's worker-pool size for detection runs (0 or 1
+	// is one worker: sequential execution).
 	parallel int
 	// short shrinks trial counts and substrates for CI smoke runs (chaos).
 	short bool

@@ -97,7 +97,7 @@ func TestProbeInstrumentation(t *testing.T) {
 	if len(ireg.Names()) != 2 {
 		t.Fatalf("instrumented registry names = %v", ireg.Names())
 	}
-	eng := workflow.NewEngine(ireg)
+	eng := workflow.NewEventEngine(ireg)
 	// A successful run over a 3-element list: 3 invocations.
 	if _, err := eng.Run(context.Background(), def, map[string]workflow.Data{
 		"in": workflow.List(workflow.Scalar("a"), workflow.Scalar("b"), workflow.Scalar("c")),

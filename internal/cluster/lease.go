@@ -124,28 +124,24 @@ func (s *Store) List() []Lease {
 // resource has no lease or only an expired one, bumping the fencing token by
 // exactly one; a live lease owned by anyone (including holder itself — a
 // holder extends via Renew, not re-Acquire) returns ErrLeaseHeld. Of N
-// concurrent acquirers of the same expired lease, exactly one wins: the token
-// bump is a storage-fence CAS.
+// concurrent acquirers of the same expired or never-leased resource, exactly
+// one wins: the token bump is a storage-fence CAS, and the lease row is
+// written in the same atomic batch, so row and fence never disagree.
 func (s *Store) Acquire(resource, holder string, ttl time.Duration) (Lease, error) {
 	now := s.now()
+	// Fence first, row second: a rival that completes its (atomic) bump+row
+	// after this read fails our CAS below, and one that completed before it
+	// shows up as a live row — there is no window in which both can win.
+	token := s.db.FenceToken(fenceName(resource)) + 1
 	prev, exists := s.Get(resource)
 	if exists && prev.Live(now) {
 		return Lease{}, fmt.Errorf("%w: %q held by %q until %s",
 			ErrLeaseHeld, resource, prev.Holder, prev.Expires.Format(time.RFC3339Nano))
 	}
-	token := s.db.FenceToken(fenceName(resource)) + 1
-	if err := s.db.AdvanceFence(fenceName(resource), token); err != nil {
-		if errors.Is(err, storage.ErrStaleFence) {
-			return Lease{}, fmt.Errorf("%w: %q lost the steal race", ErrLeaseHeld, resource)
-		}
-		return Lease{}, err
-	}
 	l := Lease{Resource: resource, Holder: holder, Token: token, Expires: now.Add(ttl)}
-	if err := s.putFenced(l, exists); err != nil {
+	if err := s.db.AdvanceFence(fenceName(resource), token, leaseOp(l, exists)); err != nil {
 		if errors.Is(err, storage.ErrStaleFence) {
-			// An even newer stealer advanced past us between the CAS and the
-			// row write; it owns the lease now.
-			return Lease{}, fmt.Errorf("%w: %q re-stolen at token %d", ErrLeaseHeld, resource, token)
+			return Lease{}, fmt.Errorf("%w: %q lost the claim race", ErrLeaseHeld, resource)
 		}
 		return Lease{}, err
 	}
@@ -160,7 +156,7 @@ func (s *Store) Renew(l Lease, ttl time.Duration) (Lease, error) {
 		return Lease{}, fmt.Errorf("%w: %q renewed at token %d", ErrLeaseLost, l.Resource, l.Token)
 	}
 	l.Expires = s.now().Add(ttl)
-	if err := s.putFenced(l, true); err != nil {
+	if err := s.putFenced(l); err != nil {
 		if errors.Is(err, storage.ErrStaleFence) {
 			return Lease{}, fmt.Errorf("%w: %q stolen during renew", ErrLeaseLost, l.Resource)
 		}
@@ -178,7 +174,7 @@ func (s *Store) Release(l Lease) error {
 		return nil
 	}
 	l.Expires = s.now().Add(-time.Nanosecond)
-	err := s.putFenced(l, true)
+	err := s.putFenced(l)
 	if errors.Is(err, storage.ErrStaleFence) {
 		return nil
 	}
@@ -194,23 +190,28 @@ func (s *Store) Expire(resource string) error {
 		return fmt.Errorf("cluster: expire of unknown lease %q", resource)
 	}
 	cur.Expires = s.now().Add(-time.Nanosecond)
-	err := s.putFenced(cur, true)
+	err := s.putFenced(cur)
 	if errors.Is(err, storage.ErrStaleFence) {
 		return nil
 	}
 	return err
 }
 
-// putFenced writes the lease row under its own token, so a row write racing
-// a newer steal loses at the storage layer.
-func (s *Store) putFenced(l Lease, update bool) error {
+// putFenced rewrites the existing lease row under its own token, so a row
+// write racing a newer steal loses at the storage layer.
+func (s *Store) putFenced(l Lease) error {
+	return s.db.ApplyFenced(fenceName(l.Resource), l.Token, leaseOp(l, true))
+}
+
+// leaseOp is the row write for l: an update of the existing row, or the
+// resource's first insert.
+func leaseOp(l Lease, update bool) storage.Op {
 	row := storage.Row{
 		storage.S(l.Resource), storage.S(l.Holder),
 		storage.I(l.Token), storage.I(l.Expires.UnixNano()),
 	}
-	op := storage.InsertOp(leaseTable, row)
 	if update {
-		op = storage.UpdateOp(leaseTable, row)
+		return storage.UpdateOp(leaseTable, row)
 	}
-	return s.db.ApplyFenced(fenceName(l.Resource), l.Token, op)
+	return storage.InsertOp(leaseTable, row)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +135,52 @@ func TestLeaseConcurrentStealers(t *testing.T) {
 	}
 	if won[0].Token != 2 {
 		t.Fatalf("winning token = %d, want 2", won[0].Token)
+	}
+}
+
+// TestLeaseConcurrentFreshAcquirers is the never-leased twin of the stealers
+// race: N acquirers of a resource with no lease row yet — exactly one wins,
+// and the winner's row and fence agree, so its first Renew succeeds (a fence
+// bumped past the row would read as a stolen lease and kill the holder).
+func TestLeaseConcurrentFreshAcquirers(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s, db := leaseStore(t)
+		s2, err := NewStore(db)
+		if err != nil {
+			t.Fatalf("second store: %v", err)
+		}
+		stores := []*Store{s, s2}
+		const racers = 8
+		var wg sync.WaitGroup
+		wins := make(chan Lease, racers)
+		for i := 0; i < racers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				l, err := stores[i%len(stores)].Acquire("run/fresh", fmt.Sprintf("orch-%d", i), time.Minute)
+				switch {
+				case err == nil:
+					wins <- l
+				case !errors.Is(err, ErrLeaseHeld):
+					t.Errorf("acquirer %d: unexpected error %v", i, err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		close(wins)
+		var won []Lease
+		for l := range wins {
+			won = append(won, l)
+		}
+		if len(won) != 1 {
+			t.Fatalf("round %d: winners = %d, want exactly 1", round, len(won))
+		}
+		if won[0].Token != 1 {
+			t.Fatalf("round %d: winning token = %d, want 1", round, won[0].Token)
+		}
+		if _, err := s.Renew(won[0], time.Minute); err != nil {
+			t.Fatalf("round %d: winner cannot renew: %v", round, err)
+		}
 	}
 }
 

@@ -81,18 +81,14 @@ func decodeRunOptions(blob string) RunOptions {
 // AdmitDetection records the intent to run detection for opts.Tenant and
 // returns the admission carrying the pre-minted run ID. The run does not
 // execute here: whichever scheduler claims the admission first runs it under
-// that ID (RunOptions.RunID). Orchestrator/RunID fields of opts are ignored —
-// ownership is the claiming scheduler's, not the admitter's.
+// that ID. opts.Orchestrator is ignored — ownership is the claiming
+// scheduler's, not the admitter's.
 func (s *System) AdmitDetection(opts RunOptions) (workflow.Admission, error) {
 	if s.Admissions == nil {
 		return workflow.Admission{}, ErrNoAdmissionQueue
 	}
-	prefix := ""
-	if opts.Tenant != "" {
-		prefix = opts.Tenant + shard.Sep
-	}
 	adm := workflow.Admission{
-		RunID:   workflow.MintRunID(prefix),
+		RunID:   workflow.MintRunID(shard.Qualify(opts.Tenant, "")),
 		Tenant:  opts.Tenant,
 		Options: encodeRunOptions(opts),
 	}
@@ -103,45 +99,22 @@ func (s *System) AdmitDetection(opts RunOptions) (workflow.Admission, error) {
 }
 
 // RunAdmitted claims and executes one admitted run under the orchestrator's
-// name: the lease claim happens before any run state is read
-// (claim-before-read), and what the state says decides the path — no run row
-// yet means fresh execution under the preset ID, an unfinished marker means
-// resume by history replay, a terminal row means a stale admission to drop.
-// ErrLeaseHeld means a peer owns the run right now.
+// name. What the run's persisted state says decides what executing means (see
+// execute): no run row yet is a fresh run under the admitted ID, an unfinished
+// marker — a previous owner died mid-run — is a resume by history replay, and
+// a terminal row (a peer finished it but died before clearing the admission
+// row) is ErrNotResumable: a stale admission, which the scheduler backend
+// settles. ErrLeaseHeld means a peer owns the run right now.
 func (s *System) RunAdmitted(ctx context.Context, resolver taxonomy.Resolver, adm workflow.Admission, orchestrator string) (*DetectionOutcome, error) {
 	opts := decodeRunOptions(adm.Options)
 	opts.Tenant = adm.Tenant
-	opts.RunID = adm.RunID
 	opts.Orchestrator = orchestrator
-	opts.defaults()
-	orch, err := s.claimRun(adm.RunID, opts)
-	if err != nil {
-		return nil, err
-	}
-	info, ierr := s.Provenance.Run(adm.RunID)
-	switch {
-	case ierr != nil:
-		// Never started: fresh execution under the admitted identity.
-		return s.runDetection(ctx, resolver, opts, orch)
-	case info.Status == provenance.RunRunning:
-		// A previous owner died mid-run: resuming IS executing the admission.
-		// A crash knob must not re-fire on replay — the cut already happened.
-		opts.CrashAfterDeltas = 0
-		return s.resumeDetection(ctx, resolver, adm.RunID, opts, orch)
-	default:
-		// Already terminal (a peer finished it but died before clearing the
-		// admission row): nothing to execute.
-		orch.finish()
-		if s.Admissions != nil {
-			_ = s.Admissions.Remove(adm.RunID)
-		}
-		return nil, nil
-	}
+	return s.execute(ctx, resolver, adm.RunID, opts)
 }
 
 // SchedulerBackend adapts this system to the cluster scheduler: admissions
 // come from the durable queue, execution goes through RunAdmitted /
-// resumeDetection, and rescue candidates are the unfinished runs whose lease
+// execute, and rescue candidates are the unfinished runs whose lease
 // lapsed. base supplies execution defaults (Parallel, LeaseTTL, quality
 // annotations) for runs admitted without their own; OnOutcome, when set,
 // observes every completed outcome (the web layer feeds its last-outcome
@@ -211,7 +184,10 @@ func (b *schedulerBackend) RescueCandidates() ([]string, error) {
 }
 
 // RescueRun implements cluster.SchedulerBackend: claim the lapsed run and
-// finish it by history replay under its original ID.
+// finish it by history replay under its original ID. A run a peer finished
+// between listing and claim settles like any terminal outcome; one that is
+// unreadable right now (owning shard down) keeps its admission — the run
+// still owes a terminal state.
 func (b *schedulerBackend) RescueRun(ctx context.Context, runID, orchestrator string) error {
 	opts := b.base
 	if b.sys.Admissions != nil {
@@ -219,25 +195,8 @@ func (b *schedulerBackend) RescueRun(ctx context.Context, runID, orchestrator st
 			opts = decodeRunOptions(b.withBase(adm).Options)
 		}
 	}
-	// The cut that interrupted this run already happened; replay must not
-	// re-fire it.
-	opts.CrashAfterDeltas = 0
-	opts.RunID = runID
 	opts.Orchestrator = orchestrator
 	out, err := b.sys.ResumeDetection(ctx, b.resolver, runID, opts)
-	if errors.Is(err, ErrNotResumable) {
-		// ErrNotResumable covers both "terminal already" (a peer finished it
-		// between listing and claim) and "unreadable right now" (owning shard
-		// down). Only a readable terminal row settles the admission; an
-		// outage keeps it — the run still owes a terminal state.
-		if info, ierr := b.sys.Provenance.Run(runID); ierr == nil && info.Status != provenance.RunRunning {
-			if b.sys.Admissions != nil {
-				_ = b.sys.Admissions.Remove(runID)
-			}
-			return nil
-		}
-		return err
-	}
 	return b.settle(runID, out, err)
 }
 

@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/curation"
 	"repro/internal/fnjv"
+	"repro/internal/opm"
 	"repro/internal/provenance"
 	"repro/internal/quality"
 	"repro/internal/shard"
@@ -105,22 +108,15 @@ type RunOptions struct {
 	// (group-commit size, flush interval, queue depth) for this run. Nil uses
 	// the defaults. The trace context is always taken from the run.
 	WriterOptions *provenance.BatchWriterOptions
-	// RunID, when set together with Orchestrator, executes under this
-	// pre-minted run identity instead of minting one — the admission handoff:
-	// AdmitDetection mints the ID and persists the intent durably, and
-	// whichever scheduler claims the admission executes it under that ID, so
-	// clients can watch a run resource that exists before any orchestrator
-	// picked the run up. Ignored for non-orchestrated runs.
-	RunID string
 	// Orchestrator, when non-empty, names the process running this run and
-	// turns on fenced ownership: the run ID is minted up front and claimed as
-	// a lease (System.Leases) before the first history append; the lease's
+	// turns on fenced ownership: the run ID is claimed as a lease
+	// (System.Leases) before the first history append; the lease's
 	// fencing token guards every history append and queue write; heartbeats
 	// renew the lease while the run executes. If the lease is stolen — this
 	// orchestrator was presumed dead — the run's context cancels and its
 	// writes are rejected at the storage layer, so a standby's takeover can
-	// never interleave with ours. Empty keeps the legacy single-process path
-	// with zero added overhead.
+	// never interleave with ours. Empty runs unowned — the single-process
+	// path, with zero added overhead.
 	Orchestrator string
 	// LeaseTTL is the run-lease time-to-live for orchestrated runs (default
 	// DefaultLeaseTTL). A standby can take over ~LeaseTTL after the holder
@@ -158,20 +154,87 @@ func (o *RunOptions) defaults() {
 // and then assesses quality (§IV.C): accuracy of species-name metadata plus
 // the authority's reputation and availability.
 func (s *System) RunDetection(ctx context.Context, resolver taxonomy.Resolver, opts RunOptions) (*DetectionOutcome, error) {
-	return s.runDetection(ctx, resolver, opts, nil)
+	return s.execute(ctx, resolver, "", opts)
 }
 
-// runDetection is RunDetection with an optional pre-claimed orchestration:
-// the admission path (RunAdmitted) claims the run lease before reading any
-// run state and passes the claim down, so claim and execution are one
-// ownership session. orch == nil claims here (or runs unorchestrated).
-func (s *System) runDetection(ctx context.Context, resolver taxonomy.Resolver, opts RunOptions, orch *orchestration) (*DetectionOutcome, error) {
+// execute is the one run path: every way a detection run gets carried out —
+// fresh, resumed, failed over, admitted, rescued, swept — is this function
+// with a different (runID, persisted state, lease) combination.
+//
+//   - runID == "" is a fresh run: the ID is minted here and no run state is
+//     read.
+//   - A caller-supplied runID is claimed first (when orchestrated) and read
+//     second — claim-before-read: a previous owner can no longer extend the
+//     prefix about to be replayed, and CAS losers never touch the run. What
+//     the read finds decides the rest: no run row yet (legal only for a
+//     durably admitted ID) starts fresh under that ID, an unfinished marker
+//     resumes, anything else is ErrNotResumable.
+//   - A fresh run is the empty history prefix: the engine is always entered
+//     through Resume(runID, history), and resuming IS replaying — completed
+//     activities are never re-invoked, unfinished iteration elements are
+//     re-enqueued, and the final graph is identical to an uninterrupted run's.
+//   - An unorchestrated run is the nil lease: opts.Orchestrator == "" skips
+//     the claim, the heartbeat, the fences and the durable dispatch queue.
+func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID string, opts RunOptions) (*DetectionOutcome, error) {
 	opts.defaults()
+	fresh := runID == ""
+	if fresh {
+		runID = workflow.MintRunID(shard.Qualify(opts.Tenant, ""))
+	} else if opts.Tenant == "" {
+		// The run ID carries its tenant; a resumed run must recompute the
+		// same tenant-scoped input the original run saw.
+		opts.Tenant, _ = shard.Split(runID)
+	}
 	start := time.Now()
 
+	var (
+		orch *orchestration
+		err  error
+	)
+	if opts.Orchestrator != "" {
+		if orch, err = s.claimRun(runID, opts); err != nil {
+			if fresh || errors.Is(err, cluster.ErrLeaseHeld) || errors.Is(err, cluster.ErrLeaseLost) {
+				// A live lease held by someone else: FailoverDetection waits
+				// the expiry out, the scheduler backs off.
+				return nil, err
+			}
+			// The lease was granted but the run's own fence is unreachable
+			// (e.g. its owning shard is down): the run cannot be read, let
+			// alone replayed — the same condition as an unreadable run row.
+			return nil, fmt.Errorf("%w: %v", ErrNotResumable, err)
+		}
+		defer orch.halt()
+	}
+	// bail releases the claim when the run never reaches the engine: holding
+	// it to expiry would only delay peers.
+	bail := func(err error) (*DetectionOutcome, error) {
+		if orch != nil {
+			orch.finish()
+		}
+		return nil, err
+	}
+
+	var info provenance.RunInfo
+	if !fresh {
+		info, err = s.Provenance.Run(runID)
+		switch {
+		case errors.Is(err, provenance.ErrRunNotFound) && s.admitted(runID):
+			fresh = true // admitted, never started
+		case err != nil:
+			return bail(fmt.Errorf("%w: %v", ErrNotResumable, err))
+		case info.Status != provenance.RunRunning:
+			return bail(fmt.Errorf("%w: run %s is %s", ErrNotResumable, runID, info.Status))
+		case info.WorkflowID != DetectionWorkflowID:
+			return bail(fmt.Errorf("%w: run %s executed workflow %q", ErrNotResumable, runID, info.WorkflowID))
+		}
+	}
+
 	// Trace context: reuse a tracer minted upstream (API boundary), else mint
-	// one here — this is the trace root for CLI and experiment runs. The run
-	// ID does not exist yet, so spans are stamped with it after the run.
+	// one here — this is the trace root for CLI and experiment runs. A resume
+	// session records the run's span tree under the original run ID: the
+	// crashed process took its in-memory spans with it, so this session's
+	// trace IS the run's persisted trace (appended after any spans an earlier
+	// session already stored).
 	tracer := telemetry.TracerFrom(ctx)
 	if tracer == nil && !opts.Untraced {
 		tracer = telemetry.NewTracer(0)
@@ -181,22 +244,36 @@ func (s *System) runDetection(ctx context.Context, resolver taxonomy.Resolver, o
 	if tracer != nil {
 		mark = tracer.Len()
 	}
-	ctx, rootSpan := telemetry.StartSpan(ctx, "run-detection", "core")
+	rootName := "run-detection"
+	if !fresh {
+		rootName = "resume-detection"
+	}
+	ctx, rootSpan := telemetry.StartSpan(ctx, rootName, "core")
+	rootSpan.SetAttr("run_id", runID)
 
-	// Step 1: instrument the specification.
+	// Step 1: instrument the specification. A resumed run rebuilds the same
+	// instrumented definition the original executed; the workflow was already
+	// published, and resuming must not mint a version.
 	def, err := AnnotatedDetectionWorkflow(opts.Reputation, opts.Availability, opts.Author, start)
 	if err != nil {
-		return nil, err
+		return bail(err)
 	}
-	version, err := s.Workflows.Publish(def)
-	if err != nil {
-		return nil, err
+	var version int
+	if fresh {
+		if version, err = s.Workflows.Publish(def); err != nil {
+			return bail(err)
+		}
+	} else if version, err = s.Workflows.LatestVersion(DetectionWorkflowID); err != nil {
+		version = 0 // prefix predates publication; resume anyway
 	}
 
-	// Step 2: gather the metadata (this tenant's distinct names).
+	// Step 2: gather the metadata (this tenant's distinct names). On resume
+	// the input is recomputed, not recovered: DistinctNames is a deterministic
+	// sorted scan of the collection, and the collection is not mutated by a
+	// detection run.
 	names, err := s.TenantDistinctNames(opts.Tenant)
 	if err != nil {
-		return nil, err
+		return bail(err)
 	}
 	items := make([]workflow.Data, len(names))
 	for i, n := range names {
@@ -207,52 +284,53 @@ func (s *System) runDetection(ctx context.Context, resolver taxonomy.Resolver, o
 	s.RegisterDetectionServices(resolver)
 	reg, err := s.Probe.Instrument(def, s.Registry)
 	if err != nil {
-		return nil, err
+		return bail(err)
 	}
-	collector := provenance.NewCollector(opts.Agent)
-	// Orchestrated runs claim ownership before the first history append: the
-	// run ID is minted here (or preset by the admission), leased under this
-	// orchestrator's name, and the lease's fencing token installed as the
-	// run's history fence — from this point only the token holder can append.
 	runCtx := ctx
-	if orch == nil && opts.Orchestrator != "" {
-		runID := opts.RunID
-		if runID == "" {
-			prefix := ""
-			if opts.Tenant != "" {
-				prefix = opts.Tenant + shard.Sep
-			}
-			runID = workflow.MintRunID(prefix)
-		}
-		orch, err = s.claimRun(runID, opts)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if orch != nil {
-		defer orch.halt()
 		runCtx = orch.watch(runCtx)
 	}
 	// Step 4 overlaps step 3: the Provenance Manager streams graph deltas
 	// into the repository while the workflow executes (write-behind,
 	// group-committed batches), so completed runs are already persisted when
 	// the engine returns and failed runs keep their partial provenance,
-	// finalized as failed.
+	// finalized as failed. An orchestrated run's writer commits under the
+	// lease token: from the claim on, only the token holder can append.
 	wopts := provenance.BatchWriterOptions{}
 	if opts.WriterOptions != nil {
 		wopts = *opts.WriterOptions
 	}
 	wopts.Trace = ctx
 	if orch != nil {
-		wopts.FenceName = provenance.RunFenceName(orch.runID)
+		wopts.FenceName = provenance.RunFenceName(runID)
 		wopts.FenceToken = orch.token()
 	}
-	writer, err := s.Provenance.RunWriter(wopts)
-	if err != nil {
-		return nil, err
+	var (
+		collector *provenance.Collector
+		writer    provenance.RunWriter
+		history   []workflow.HistoryEvent
+	)
+	if fresh {
+		collector = provenance.NewCollector(opts.Agent)
+		writer, err = s.Provenance.RunWriter(wopts)
+	} else {
+		var prefix *opm.Graph
+		if history, err = s.Provenance.History(runID); err != nil {
+			return bail(err)
+		}
+		if prefix, err = s.Provenance.Graph(runID); err != nil {
+			return bail(err)
+		}
+		collector = provenance.NewResumeCollector(opts.Agent, prefix, info)
+		writer, err = s.Provenance.ResumeRunWriter(runID, wopts)
 	}
+	if err != nil {
+		return bail(err)
+	}
+	// The crash knob cuts fresh runs only: a replayed run's cut already
+	// happened and must not re-fire.
 	var crash *provenance.CrashSink
-	if opts.CrashAfterDeltas > 0 {
+	if fresh && opts.CrashAfterDeltas > 0 {
 		var cancel context.CancelFunc
 		runCtx, cancel = context.WithCancel(runCtx)
 		defer cancel()
@@ -262,32 +340,23 @@ func (s *System) runDetection(ctx context.Context, resolver taxonomy.Resolver, o
 		collector.AddSink(writer)
 	}
 	engine := s.detectionEngine(reg, opts)
-	inputs := map[string]workflow.Data{"names": workflow.List(items...)}
-	var result *workflow.RunResult
-	var runErr error
 	if orch != nil {
-		// The run ID already exists (it is the leased resource), so execute
-		// under it explicitly — Resume with an empty prefix is a fresh run
-		// under a chosen identity — on a durable, fenced dispatch queue.
+		// A durable dispatch queue in the lease database, fenced like the
+		// history stream.
 		engine.NewQueue = orch.newQueue
-		result, runErr = engine.Resume(runCtx, def, inputs, orch.runID, nil, provenance.NewHistoryCapture(collector))
-	} else {
-		result, runErr = engine.Run(runCtx, def, inputs, provenance.NewHistoryCapture(collector))
 	}
+	inputs := map[string]workflow.Data{"names": workflow.List(items...)}
+	result, runErr := engine.Resume(runCtx, def, inputs, runID, history, provenance.NewHistoryCapture(collector))
 	werr := writer.Close()
-	runID := collector.Info().RunID
-	rootSpan.SetAttr("run_id", runID)
 	if crash != nil && crash.Crashed() {
 		// Even if the engine outran the cancellation and completed, the
 		// finish delta was dropped: the run row still reads running, exactly
 		// like a process death. Report the kill so the caller can resume.
 		// Spans are deliberately NOT persisted — a real process death loses
 		// its in-memory trace; the resume session records the run's tree.
-		// An orchestrated run's lease is NOT released: it ages out exactly as
-		// a dead process's would, and the standby steals it.
-		if orch != nil {
-			orch.abandon()
-		}
+		// An orchestrated run's lease is NOT released (the deferred halt only
+		// stops the heartbeat): it ages out exactly as a dead process's
+		// would, and the standby steals it.
 		return nil, &CrashError{RunID: runID, Deltas: crash.Forwarded()}
 	}
 	if orch != nil {
@@ -309,6 +378,9 @@ func (s *System) runDetection(ctx context.Context, resolver taxonomy.Resolver, o
 	if werr != nil {
 		return nil, fmt.Errorf("core: streaming provenance: %w", werr)
 	}
+	if !fresh {
+		recoveryStats.resumed.Add(1)
+	}
 
 	outcome, err := s.finishDetection(result, version, start, opts, engine.Metrics(), writer.Metrics())
 	rootSpan.Finish()
@@ -320,18 +392,22 @@ func (s *System) runDetection(ctx context.Context, resolver taxonomy.Resolver, o
 	return outcome, err
 }
 
+// admitted reports whether runID sits in the durable admission queue — the
+// only way a caller-supplied run ID may start from nothing.
+func (s *System) admitted(runID string) bool {
+	if s.Admissions == nil {
+		return false
+	}
+	_, ok := s.Admissions.Get(runID)
+	return ok
+}
+
 // detectionEngine builds the event-sourced engine for one detection run:
 // worker-pool size from opts.Parallel, worker stats into the system-wide
 // registry, and the worker-kill chaos hook when requested.
 func (s *System) detectionEngine(reg *workflow.Registry, opts RunOptions) *workflow.EventEngine {
 	engine := workflow.NewEventEngine(reg)
-	if opts.Tenant != "" {
-		engine.RunIDPrefix = opts.Tenant + shard.Sep
-	}
 	engine.Workers = opts.Parallel
-	if engine.Workers < 1 {
-		engine.Workers = 1
-	}
 	engine.Stats = s.Workers
 	engine.Gateway = s.Gateway
 	if opts.WorkerKills > 0 {

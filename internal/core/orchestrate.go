@@ -21,7 +21,7 @@ const DefaultLeaseTTL = 2 * time.Second
 // orchestration is the live ownership state of one fenced run: the lease this
 // process holds on the run ID, the heartbeat goroutine renewing it, and the
 // factory for the run's fenced dispatch queue. It exists only while
-// RunOptions.Orchestrator names this process; legacy runs never allocate one.
+// RunOptions.Orchestrator names this process; unowned runs never allocate one.
 type orchestration struct {
 	s     *System
 	runID string
@@ -120,8 +120,10 @@ func (o *orchestration) lostErr() error {
 }
 
 // halt stops the heartbeat without touching the lease. Idempotent; every
-// return path of an orchestrated run goes through it (directly or via
-// abandon/finish).
+// return path of an orchestrated run goes through it (deferred from the claim,
+// and via finish). On its own it is the crash path: the lease is deliberately
+// NOT released, so it ages out exactly as it would had the process died — a
+// standby must wait out (or force) the expiry and steal with a token bump.
 func (o *orchestration) halt() {
 	o.stopOnce.Do(func() { close(o.stop) })
 	o.hb.Wait()
@@ -129,11 +131,6 @@ func (o *orchestration) halt() {
 		o.cancel()
 	}
 }
-
-// abandon is the crash path: heartbeats stop and the lease is deliberately
-// NOT released, so it ages out exactly as it would had the process died —
-// a standby must wait out (or force) the expiry and steal with a token bump.
-func (o *orchestration) abandon() { o.halt() }
 
 // finish is the clean-completion path: heartbeats stop and the lease is
 // released (expired in place, token preserved). Releasing a stolen lease is

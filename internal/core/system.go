@@ -40,7 +40,6 @@ type System struct {
 	Records   fnjv.Records
 	Workflows *workflow.Repository
 	Registry  *workflow.Registry
-	Engine    *workflow.Engine
 	// Workers aggregates worker liveness and queue gauges across every
 	// event-engine run of this system; the web layer serves it live.
 	Workers    *workflow.WorkerRegistry
@@ -137,7 +136,6 @@ func Open(dir string, opts Options) (*System, error) {
 		return nil, err
 	}
 	s.TraceRing = telemetry.NewRing(0)
-	s.Engine = workflow.NewEngine(s.Registry)
 	s.Workers = workflow.NewWorkerRegistry()
 	s.Quality = quality.NewManager()
 	return s, nil
@@ -190,7 +188,6 @@ func openSharded(dir string, opts Options) (*System, error) {
 		return nil, err
 	}
 	s.TraceRing = telemetry.NewRing(0)
-	s.Engine = workflow.NewEngine(s.Registry)
 	s.Workers = workflow.NewWorkerRegistry()
 	s.Quality = quality.NewManager()
 	return s, nil

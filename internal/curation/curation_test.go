@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -607,5 +608,48 @@ func TestLedgerPersistence(t *testing.T) {
 	}
 	if u2.ID == u.ID {
 		t.Fatal("ID collision after reload")
+	}
+}
+
+// TestLedgerConcurrentAddUpdates: concurrent detections persist their updates
+// through one ledger; every update must get its own ID (a shared ID is a
+// duplicate-key insert failure for whichever batch commits second).
+func TestLedgerConcurrentAddUpdates(t *testing.T) {
+	db, err := storage.Open(t.TempDir(), storage.Options{Sync: storage.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	led, err := NewLedger(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 8, 40
+	batches := make([][]*NameUpdate, writers)
+	var wg sync.WaitGroup
+	for w := range batches {
+		for i := 0; i < each; i++ {
+			batches[w] = append(batches[w], &NameUpdate{RecordID: "FNJV-00001", OriginalName: "a", DetectedAt: time.Now()})
+		}
+		wg.Add(1)
+		go func(batch []*NameUpdate) {
+			defer wg.Done()
+			if err := led.AddUpdates(batch); err != nil {
+				t.Errorf("AddUpdates: %v", err)
+			}
+		}(batches[w])
+	}
+	wg.Wait()
+	ids := map[string]bool{}
+	for _, batch := range batches {
+		for _, u := range batch {
+			ids[u.ID] = true
+		}
+	}
+	if len(ids) != writers*each {
+		t.Fatalf("distinct update IDs = %d, want %d", len(ids), writers*each)
+	}
+	if got := led.CountUpdates(ReviewPending); got != writers*each {
+		t.Fatalf("persisted updates = %d, want %d", got, writers*each)
 	}
 }

@@ -11,6 +11,7 @@ package curation
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/storage"
@@ -84,9 +85,20 @@ var (
 
 // Ledger persists updates and history in the embedded database.
 type Ledger struct {
-	db      *storage.DB
+	db *storage.DB
+	// mu guards the ID counters: concurrent detections share one ledger, and
+	// two writers minting the same ID is a duplicate-key insert failure.
+	mu      sync.Mutex
 	nextUpd int
 	nextHis int
+}
+
+// nextID mints the next ID of one counter.
+func (l *Ledger) nextID(counter *int, format string) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	*counter++
+	return fmt.Sprintf(format, *counter)
 }
 
 // ErrUpdateNotFound is returned for unknown update IDs.
@@ -152,8 +164,7 @@ func (l *Ledger) AddUpdates(updates []*NameUpdate) error {
 		ops := make([]storage.Op, 0, end-start)
 		for _, u := range updates[start:end] {
 			if u.ID == "" {
-				l.nextUpd++
-				u.ID = fmt.Sprintf("UPD-%06d", l.nextUpd)
+				u.ID = l.nextID(&l.nextUpd, "UPD-%06d")
 			}
 			if u.Review == "" {
 				u.Review = ReviewPending
@@ -234,8 +245,7 @@ func (l *Ledger) Resolve(id, verdict, reviewer string, when time.Time) error {
 // LogChange appends one applied modification to the history log.
 func (l *Ledger) LogChange(e HistoryEntry) error {
 	if e.ID == "" {
-		l.nextHis++
-		e.ID = fmt.Sprintf("HIS-%06d", l.nextHis)
+		e.ID = l.nextID(&l.nextHis, "HIS-%06d")
 	}
 	if e.At.IsZero() {
 		e.At = time.Now()

@@ -59,9 +59,9 @@ func detectionRegistry() *workflow.Registry {
 func runCaptured(t *testing.T, input string) (*Collector, *workflow.RunResult) {
 	t.Helper()
 	col := NewCollector("curator")
-	res, err := workflow.NewEngine(detectionRegistry()).Run(
+	res, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar(input)}, col)
+		map[string]workflow.Data{"metadata": workflow.Scalar(input)}, NewHistoryCapture(col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func TestCollectorFailedRun(t *testing.T) {
 		return nil, errors.New("authority down")
 	})
 	col := NewCollector("")
-	_, err := workflow.NewEngine(reg).Run(context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar("X y")}, col)
+	_, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(),
+		map[string]workflow.Data{"metadata": workflow.Scalar("X y")}, NewHistoryCapture(col))
 	if err == nil {
 		t.Fatal("run succeeded")
 	}
@@ -327,9 +327,9 @@ func TestPerElementProvenance(t *testing.T) {
 		workflow.Scalar("Elachistocleis ovalis"),
 		workflow.Scalar("Hyla faber"),
 	)
-	_, err := workflow.NewEngine(detectionRegistry()).Run(
+	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": input}, col)
+		map[string]workflow.Data{"metadata": input}, NewHistoryCapture(col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +360,9 @@ func TestPerElementProvenanceCap(t *testing.T) {
 	for i := range items {
 		items[i] = workflow.Scalar(fmt.Sprintf("Generated name%d", i))
 	}
-	_, err := workflow.NewEngine(detectionRegistry()).Run(
+	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, NewHistoryCapture(col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,9 +378,9 @@ func TestPerElementProvenanceCap(t *testing.T) {
 	// Disabled entirely with negative cap.
 	col2 := NewCollector("x")
 	col2.MaxElements = -1
-	_, err = workflow.NewEngine(detectionRegistry()).Run(
+	_, err = workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, col2)
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, NewHistoryCapture(col2))
 	if err != nil {
 		t.Fatal(err)
 	}

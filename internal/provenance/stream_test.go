@@ -67,12 +67,12 @@ func TestGraphSinkMaterializesIdenticalGraph(t *testing.T) {
 	col := NewCollector("curator")
 	gs := NewGraphSink()
 	col.AddSink(gs)
-	res, err := workflow.NewEngine(detectionRegistry()).Run(
+	res, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
 		map[string]workflow.Data{"metadata": workflow.List(
 			workflow.Scalar("Elachistocleis ovalis"),
 			workflow.Scalar("Hyla faber"),
-		)}, col)
+		)}, NewHistoryCapture(col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,18 +109,18 @@ func TestCollectorGraphIsSnapshot(t *testing.T) {
 // TestStreamingMatchesLegacyStore is the tentpole equivalence check: one run
 // captured once, persisted through both paths — the live BatchWriter delta
 // stream and the legacy monolithic Store — must reconstruct identical graphs
-// and run records, sequentially and under the parallel engine.
+// and run records, on one worker and on a pool.
 func TestStreamingMatchesLegacyStore(t *testing.T) {
-	for _, parallel := range []int{0, 4} {
-		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			repoStream, _ := openRepo(t)
 			repoLegacy, _ := openRepo(t)
 
 			col := NewCollector("curator")
 			w := repoStream.NewBatchWriter(BatchWriterOptions{MaxBatch: 8, FlushInterval: time.Millisecond})
 			col.AddSink(w)
-			engine := workflow.NewEngine(detectionRegistry())
-			engine.Parallel = parallel
+			engine := workflow.NewEventEngine(detectionRegistry())
+			engine.Workers = workers
 			res, err := engine.Run(context.Background(), detectionDef(),
 				map[string]workflow.Data{"metadata": workflow.List(
 					workflow.Scalar("Elachistocleis ovalis"),
@@ -128,7 +128,7 @@ func TestStreamingMatchesLegacyStore(t *testing.T) {
 					workflow.Scalar("Scinax fuscomarginatus"),
 					workflow.Scalar("Physalaemus cuvieri"),
 					workflow.Scalar("Boana albopunctata"),
-				)}, col)
+				)}, NewHistoryCapture(col))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,8 +194,8 @@ func TestStreamingFailedRunKeepsPartialProvenance(t *testing.T) {
 	col := NewCollector("curator")
 	w := repo.NewBatchWriter(BatchWriterOptions{})
 	col.AddSink(w)
-	_, err := workflow.NewEngine(reg).Run(context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar("Hyla faber")}, col)
+	_, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(),
+		map[string]workflow.Data{"metadata": workflow.Scalar("Hyla faber")}, NewHistoryCapture(col))
 	if err == nil {
 		t.Fatal("run succeeded")
 	}
@@ -570,9 +570,9 @@ func TestWriterMetricsAndBackpressure(t *testing.T) {
 	for i := range items {
 		items[i] = workflow.Scalar(fmt.Sprintf("Generated name%d", i))
 	}
-	_, err := workflow.NewEngine(detectionRegistry()).Run(
+	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, NewHistoryCapture(col))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,11 @@ func (db *DB) ApplyFenced(name string, token int64, ops ...Op) error {
 // two stealers racing to the same token cannot both win. The write goes
 // through the normal op path (WAL + snapshot) and is fsynced immediately —
 // an acknowledged fence advance survives a crash even under SyncOnClose.
-func (db *DB) AdvanceFence(name string, token int64) error {
+//
+// with, when given, is applied in the same atomic batch as the advance: the
+// state the new token owner must establish (a lease row) can never lag the
+// fence, and an advance whose companion write is rejected does not happen.
+func (db *DB) AdvanceFence(name string, token int64, with ...Op) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -95,7 +99,7 @@ func (db *DB) AdvanceFence(name string, token int64) error {
 	} else {
 		ops = append(ops, InsertOp(fencesTable, row))
 	}
-	if err := db.applyLocked(ops); err != nil {
+	if err := db.applyLocked(append(ops, with...)); err != nil {
 		return err
 	}
 	return db.log.Sync()

@@ -378,9 +378,9 @@ type MetricsEntry struct {
 // by subsystem name.
 func (v *Service) Metrics(at time.Time) []MetricsEntry {
 	subsystems := map[string]map[string]float64{
-		// Idle until a detection run replaces it below: each run executes on
+		// Zero until a detection run replaces it below: each run executes on
 		// its own engine and reports that engine's snapshot in the outcome.
-		"engine": v.sys.Core.Engine.Metrics().Counters(),
+		"engine": workflow.MetricsSnapshot{}.Counters(),
 		// Crash-recovery activity: runs resumed, runs abandoned, sweeps.
 		"recovery": core.RecoveryCounters(),
 		// Worker-pool liveness and dispatch-queue gauges, live across runs.

@@ -145,8 +145,7 @@ func (d *DecayDetector) GoldenRun(ctx context.Context, def *Definition, inputs, 
 	if d.Registry == nil {
 		return []DecayFinding{{Kind: DecayExecutionFailure, Detail: "no registry to execute against"}}
 	}
-	eng := NewEngine(d.Registry)
-	res, err := eng.Run(ctx, def, inputs)
+	res, err := NewEventEngine(d.Registry).Run(ctx, def, inputs)
 	if err != nil {
 		return []DecayFinding{{Kind: DecayExecutionFailure, Detail: err.Error()}}
 	}

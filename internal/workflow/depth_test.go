@@ -109,7 +109,7 @@ func TestAnalyzeDepthsMatchesEngineBehaviour(t *testing.T) {
 		}
 		return out, nil
 	})
-	res, err := NewEngine(reg).Run(ctxBG(), d, map[string]Data{
+	res, err := NewEventEngine(reg).Run(ctxBG(), d, map[string]Data{
 		"names": List(Scalar("a"), Scalar("b"), Scalar("c")),
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,7 +108,8 @@ type ElementTrace struct {
 }
 
 // Event is one observation of workflow execution — the raw material the
-// Provenance Manager turns into OPM graphs.
+// Provenance Manager turns into OPM graphs. Events are projected from a run's
+// history stream (Projector).
 type Event struct {
 	Type         EventType
 	Time         time.Time
@@ -129,19 +129,6 @@ type Event struct {
 	Err      string
 }
 
-// Listener observes execution events. OnEvent is called synchronously from
-// the engine; implementations must be safe for concurrent calls (independent
-// processors complete in parallel).
-type Listener interface {
-	OnEvent(Event)
-}
-
-// ListenerFunc adapts a function to Listener.
-type ListenerFunc func(Event)
-
-// OnEvent implements Listener.
-func (f ListenerFunc) OnEvent(e Event) { f(e) }
-
 // RunResult summarizes one workflow execution.
 type RunResult struct {
 	RunID      string
@@ -157,41 +144,17 @@ type RunResult struct {
 	Replayed []string
 }
 
-// Engine executes workflow definitions against a service registry.
-type Engine struct {
-	registry *Registry
-	// Parallel is the engine-wide concurrency budget: the maximum number of
-	// service invocations in flight at once, shared by processor launches
-	// AND implicit-iteration elements. A slot is held only for the duration
-	// of one service call — never while a processor is blocked waiting on
-	// its iteration elements — so the budget cannot deadlock no matter how
-	// processors and iterations nest.
-	//
-	// 0 preserves the historical default: unbounded processor concurrency
-	// with strictly sequential iteration. With Parallel ≥ 1, iteration
-	// elements are dispatched concurrently under the budget (Parallel == 1
-	// is fully sequential execution). Nested workflows run on their own
-	// engine and do not consume the outer budget.
-	Parallel int
-
-	metrics engineMetrics
-}
-
-// NewEngine builds an engine over the given registry.
-func NewEngine(reg *Registry) *Engine { return &Engine{registry: reg} }
-
 // engineMetrics counts engine activity across runs. All fields are atomics:
 // the hot path never takes a lock to record them.
 type engineMetrics struct {
 	invocations        atomic.Int64 // service calls started
 	elementsDispatched atomic.Int64 // implicit-iteration elements dispatched
-	elementsCoalesced  atomic.Int64 // reserved: elements served from upstream coalescing
 	inFlight           atomic.Int64 // service calls currently executing
 	peakInFlight       atomic.Int64 // high-water mark of inFlight
 
-	// Latency distributions, split at the budget gate: queueWait is time a
-	// call spent blocked on a Parallel slot, exec is the service call itself
-	// (including per-processor retries).
+	// Latency distributions, split at the dispatch queue: queueWait is time a
+	// task spent enqueued before a worker picked it up, exec is the service
+	// call itself (including per-processor retries).
 	queueWait telemetry.Histogram
 	exec      telemetry.Histogram
 }
@@ -203,7 +166,7 @@ type MetricsSnapshot struct {
 	ElementsDispatched int64 // iteration elements dispatched to workers
 	InFlight           int64 // service calls executing right now
 	PeakInFlight       int64 // high-water mark of concurrent calls
-	// QueueWait and Exec are the latency distributions of the budget gate
+	// QueueWait and Exec are the latency distributions of the dispatch queue
 	// and the service calls themselves (p50/p95/p99 via Counters).
 	QueueWait telemetry.HistogramSnapshot
 	Exec      telemetry.HistogramSnapshot
@@ -224,360 +187,10 @@ func (m MetricsSnapshot) Counters() map[string]float64 {
 	return telemetry.MergeCounters(c, m.QueueWait.Counters("engine.queue_wait"))
 }
 
-// Metrics returns the engine's cumulative instrumentation counters.
-func (e *Engine) Metrics() MetricsSnapshot {
-	return MetricsSnapshot{
-		Invocations:        e.metrics.invocations.Load(),
-		ElementsDispatched: e.metrics.elementsDispatched.Load(),
-		InFlight:           e.metrics.inFlight.Load(),
-		PeakInFlight:       e.metrics.peakInFlight.Load(),
-		QueueWait:          e.metrics.queueWait.Snapshot(),
-		Exec:               e.metrics.exec.Snapshot(),
-	}
-}
-
 var runCounter int64
 
 // ErrMissingInput is returned when Run is not given a required workflow input.
 var ErrMissingInput = errors.New("workflow: missing workflow input")
-
-// Run validates and executes def with the given workflow inputs, notifying
-// every listener of each execution event. It returns when the run completes
-// or fails; on failure the partial result carries whatever completed.
-func (e *Engine) Run(ctx context.Context, def *Definition, inputs map[string]Data, listeners ...Listener) (*RunResult, error) {
-	return e.run(ctx, def, inputs, "", listeners)
-}
-
-// run executes def. A non-empty runID reuses an existing run identity
-// instead of minting one. Crash recovery lives in the event-sourced engine
-// (EventEngine.Resume) — this legacy path always executes from scratch.
-func (e *Engine) run(ctx context.Context, def *Definition, inputs map[string]Data, runID string, listeners []Listener) (*RunResult, error) {
-	if err := Validate(def); err != nil {
-		return nil, err
-	}
-	for _, in := range def.Inputs {
-		if _, ok := inputs[in.Name]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrMissingInput, in.Name)
-		}
-	}
-	for _, p := range def.Processors {
-		if _, ok := e.registry.Lookup(p.Service); !ok {
-			return nil, fmt.Errorf("workflow: processor %q needs unregistered service %q", p.Name, p.Service)
-		}
-	}
-	if runID == "" {
-		runID = fmt.Sprintf("run-%06d", atomic.AddInt64(&runCounter, 1))
-	}
-	st := &runState{
-		engine:    e,
-		def:       def,
-		runID:     runID,
-		listeners: listeners,
-		values:    map[string]Data{},
-		remaining: map[string]int{},
-		result: &RunResult{
-			RunID:       runID,
-			Outputs:     map[string]Data{},
-			StartedAt:   time.Now(),
-			Invocations: map[string]int{},
-		},
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	st.cancel = cancel
-
-	// The workflow span roots every processor and element span of this run.
-	// The engine mints run IDs after callers start tracing, so the span
-	// carries the run ID as an attribute; callers stamp TraceID afterwards.
-	ctx, wfSpan := telemetry.StartSpan(ctx, "workflow:"+def.Name, "engine")
-	defer wfSpan.Finish()
-	wfSpan.SetAttr("run_id", runID)
-	wfSpan.SetAttr("workflow_id", def.ID)
-	wfSpan.SetAttr("processors", strconv.Itoa(len(def.Processors)))
-
-	st.emit(Event{Type: EventWorkflowStarted, RunID: runID, WorkflowID: def.ID,
-		WorkflowName: def.Name, Annotations: def.Annotations, Inputs: inputs, Time: time.Now()})
-
-	// Seed workflow inputs.
-	st.mu.Lock()
-	for name, d := range inputs {
-		st.values[Endpoint{Port: name}.String()] = d
-	}
-	for _, p := range def.Processors {
-		st.remaining[p.Name] = len(p.Inputs)
-	}
-	// Deliver every link whose source is a workflow input; also find
-	// zero-input processors.
-	var ready []*Processor
-	for _, p := range def.Processors {
-		if len(p.Inputs) == 0 {
-			ready = append(ready, p)
-		}
-	}
-	for _, l := range def.Links {
-		if l.Source.Processor == "" {
-			if procs := st.deliverLocked(l, inputs[l.Source.Port]); procs != nil {
-				ready = append(ready, procs...)
-			}
-		}
-	}
-	st.mu.Unlock()
-
-	var sem chan struct{}
-	if e.Parallel > 0 {
-		sem = make(chan struct{}, e.Parallel)
-	}
-	st.sem = sem
-	for _, p := range ready {
-		st.launch(ctx, p)
-	}
-	st.wg.Wait()
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.result.FinishedAt = time.Now()
-	if st.err != nil {
-		wfSpan.SetAttr("error", st.err.Error())
-		st.emit(Event{Type: EventWorkflowFailed, RunID: runID, WorkflowID: def.ID,
-			WorkflowName: def.Name, Err: st.err.Error(), Time: time.Now()})
-		return st.result, st.err
-	}
-	// Collect workflow outputs.
-	for _, out := range def.Outputs {
-		v, ok := st.values[Endpoint{Port: out.Name}.String()]
-		if !ok {
-			st.err = fmt.Errorf("workflow: output %q was never produced", out.Name)
-			st.emit(Event{Type: EventWorkflowFailed, RunID: runID, WorkflowID: def.ID,
-				WorkflowName: def.Name, Err: st.err.Error(), Time: time.Now()})
-			return st.result, st.err
-		}
-		st.result.Outputs[out.Name] = v
-	}
-	st.emit(Event{Type: EventWorkflowCompleted, RunID: runID, WorkflowID: def.ID,
-		WorkflowName: def.Name, Outputs: st.result.Outputs, Time: time.Now()})
-	return st.result, nil
-}
-
-// runState is the mutable state of one execution.
-type runState struct {
-	engine    *Engine
-	def       *Definition
-	runID     string
-	listeners []Listener
-	// sem is the engine-wide slot budget (nil = unlimited). Slots are
-	// acquired around individual service calls only — see Engine.Parallel.
-	sem chan struct{}
-
-	mu        sync.Mutex
-	values    map[string]Data // endpoint -> datum
-	remaining map[string]int  // processor -> inputs not yet bound
-	err       error
-	result    *RunResult
-	wg        sync.WaitGroup
-	cancel    context.CancelFunc
-}
-
-func (st *runState) emit(ev Event) {
-	for _, l := range st.listeners {
-		l.OnEvent(ev)
-	}
-}
-
-// acquire takes one budget slot, or returns early when ctx is done. A nil
-// budget admits immediately.
-func (st *runState) acquire(ctx context.Context) error {
-	if st.sem == nil {
-		return ctx.Err()
-	}
-	select {
-	case st.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (st *runState) release() {
-	if st.sem != nil {
-		<-st.sem
-	}
-}
-
-// call runs one slot-gated service invocation: it blocks for a budget slot,
-// tracks the in-flight gauge, and invokes the service with retry. This is
-// the ONLY place execution holds a budget slot, which is what makes the
-// unified budget deadlock-free: nothing waits on other work while holding
-// a slot. Each call records its queue-wait (slot acquisition) and execute
-// time separately — into the engine histograms always, and onto a span
-// named name when the run is traced.
-func (st *runState) call(ctx context.Context, name string, fn ServiceFunc, p *Processor, c Call) (map[string]Data, error) {
-	ctx, sp := telemetry.StartSpan(ctx, name, "engine")
-	defer sp.Finish()
-	m := &st.engine.metrics
-	waitStart := time.Now()
-	if err := st.acquire(ctx); err != nil {
-		sp.SetAttr("error", err.Error())
-		return nil, err
-	}
-	defer st.release()
-	wait := time.Since(waitStart)
-	m.queueWait.Observe(wait)
-	m.invocations.Add(1)
-	cur := m.inFlight.Add(1)
-	for {
-		peak := m.peakInFlight.Load()
-		if cur <= peak || m.peakInFlight.CompareAndSwap(peak, cur) {
-			break
-		}
-	}
-	defer m.inFlight.Add(-1)
-	execStart := time.Now()
-	out, err := callWithRetry(ctx, fn, p, c)
-	exec := time.Since(execStart)
-	m.exec.Observe(exec)
-	if sp != nil {
-		sp.SetAttr("service", p.Service)
-		sp.SetAttr("queue_wait_us", strconv.FormatInt(wait.Microseconds(), 10))
-		sp.SetAttr("exec_us", strconv.FormatInt(exec.Microseconds(), 10))
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-	}
-	return out, err
-}
-
-// deliverLocked binds a datum to a link target, returning any processors
-// that became ready. Caller holds st.mu.
-func (st *runState) deliverLocked(l Link, d Data) []*Processor {
-	key := l.Target.String()
-	if _, dup := st.values[key]; dup {
-		return nil // validation guarantees single fan-in; defensive
-	}
-	st.values[key] = d
-	if l.Target.Processor == "" {
-		return nil
-	}
-	st.remaining[l.Target.Processor]--
-	if st.remaining[l.Target.Processor] == 0 {
-		if p, ok := st.def.Processor(l.Target.Processor); ok {
-			return []*Processor{p}
-		}
-	}
-	return nil
-}
-
-func (st *runState) launch(ctx context.Context, p *Processor) {
-	st.wg.Add(1)
-	go func() {
-		defer st.wg.Done()
-		st.runProcessor(ctx, p)
-	}()
-}
-
-func (st *runState) runProcessor(ctx context.Context, p *Processor) {
-	st.mu.Lock()
-	if st.err != nil {
-		st.mu.Unlock()
-		return
-	}
-	inputs := map[string]Data{}
-	for _, in := range p.Inputs {
-		inputs[in.Name] = st.values[Endpoint{Processor: p.Name, Port: in.Name}.String()]
-	}
-	st.mu.Unlock()
-
-	// The processor span parents this processor's invocation and element
-	// spans. Downstream launches reuse the incoming ctx so sibling processors
-	// all parent to the workflow span, not to whichever processor fired last.
-	pctx, psp := telemetry.StartSpan(ctx, "processor:"+p.Name, "engine")
-	psp.SetAttr("service", p.Service)
-
-	st.emit(Event{Type: EventProcessorStarted, RunID: st.runID, WorkflowID: st.def.ID,
-		WorkflowName: st.def.Name, Processor: p.Name, Service: p.Service,
-		Annotations: p.Annotations, Inputs: inputs, Time: time.Now()})
-
-	fn, _ := st.engine.registry.Lookup(p.Service)
-	start := time.Now()
-	outputs, iterations, elements, err := st.invoke(pctx, fn, p, inputs)
-	elapsed := time.Since(start)
-	psp.SetAttr("iterations", strconv.Itoa(iterations))
-
-	if err != nil {
-		psp.SetAttr("error", err.Error())
-		psp.Finish()
-		st.emit(Event{Type: EventProcessorFailed, RunID: st.runID, WorkflowID: st.def.ID,
-			WorkflowName: st.def.Name, Processor: p.Name, Service: p.Service,
-			Annotations: p.Annotations, Inputs: inputs, Iterations: iterations,
-			Duration: elapsed, Err: err.Error(), Time: time.Now()})
-		st.mu.Lock()
-		if st.err == nil {
-			st.err = fmt.Errorf("workflow: processor %q: %w", p.Name, err)
-			st.cancel()
-		}
-		st.mu.Unlock()
-		return
-	}
-	psp.Finish()
-
-	st.emit(Event{Type: EventProcessorCompleted, RunID: st.runID, WorkflowID: st.def.ID,
-		WorkflowName: st.def.Name, Processor: p.Name, Service: p.Service,
-		Annotations: p.Annotations, Inputs: inputs, Outputs: outputs,
-		Iterations: iterations, Elements: elements, Duration: elapsed, Time: time.Now()})
-
-	st.mu.Lock()
-	st.result.Invocations[p.Name] += iterations
-	var ready []*Processor
-	for _, l := range st.def.Links {
-		if l.Source.Processor != p.Name {
-			continue
-		}
-		d, ok := outputs[l.Source.Port]
-		if !ok {
-			if st.err == nil {
-				st.err = fmt.Errorf("workflow: processor %q did not produce output %q", p.Name, l.Source.Port)
-				st.cancel()
-			}
-			st.mu.Unlock()
-			return
-		}
-		ready = append(ready, st.deliverLocked(l, d)...)
-	}
-	st.mu.Unlock()
-	for _, next := range ready {
-		st.launch(ctx, next)
-	}
-}
-
-// callWithRetry invokes the service, retrying up to p.Retries extra times on
-// error. Retries back off exponentially with full jitter when the processor
-// configures RetryBase (see backoffDelay); the zero default retries
-// immediately, as the engine always has. Context cancellation is never
-// retried, and the backoff sleep aborts as soon as the context is done.
-func callWithRetry(ctx context.Context, fn ServiceFunc, p *Processor, call Call) (map[string]Data, error) {
-	var lastErr error
-	for attempt := 0; attempt <= p.Retries; attempt++ {
-		if attempt > 0 {
-			if err := sleepBackoff(ctx, backoffDelay(p, attempt)); err != nil {
-				return nil, err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out, err := fn(ctx, call)
-		if err == nil {
-			return out, nil
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		lastErr = err
-	}
-	if p.Retries > 0 {
-		return nil, fmt.Errorf("after %d attempts: %w", p.Retries+1, lastErr)
-	}
-	return nil, lastErr
-}
 
 // backoffDelay computes the pause before retry attempt n (n ≥ 1):
 // exponential growth from p.RetryBase, capped at p.RetryCap (default 30s

@@ -25,11 +25,22 @@ func upperReg() *Registry {
 	return reg
 }
 
+// projected adapts an observer of execution Events to the engine's history
+// stream, through the same Projector every downstream consumer uses.
+func projected(fn func(Event)) HistoryListener {
+	var proj Projector
+	return HistoryListenerFunc(func(h HistoryEvent) {
+		if ev, ok := proj.Apply(h); ok {
+			fn(ev)
+		}
+	})
+}
+
 func TestEngineLinear(t *testing.T) {
 	d := linearDef()
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
-	eng := NewEngine(upperReg())
+	eng := NewEventEngine(upperReg())
 	res, err := eng.Run(context.Background(), d, map[string]Data{"in": Scalar("hello")})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +75,7 @@ func TestEngineDiamond(t *testing.T) {
 			{Source: Endpoint{Processor: "C", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	res, err := NewEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("ab")})
+	res, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("ab")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +115,17 @@ func TestEngineParallelism(t *testing.T) {
 			Link{Source: Endpoint{Processor: name, Port: "y"}, Target: Endpoint{Port: out}},
 		)
 	}
-	if _, err := NewEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")}); err != nil {
+	eng := NewEventEngine(reg)
+	eng.Workers = n
+	if _, err := eng.Run(context.Background(), d, map[string]Data{"in": Scalar("v")}); err != nil {
 		t.Fatal(err)
 	}
 	if atomic.LoadInt32(&max) < 2 {
 		t.Fatalf("max concurrency = %d, want ≥2", max)
 	}
-	// With Parallel=1 concurrency must not exceed 1.
+	// With one worker concurrency must not exceed 1.
 	atomic.StoreInt32(&max, 0)
-	eng := NewEngine(reg)
-	eng.Parallel = 1
+	eng.Workers = 1
 	if _, err := eng.Run(context.Background(), d, map[string]Data{"in": Scalar("v")}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +140,7 @@ func TestEngineImplicitIteration(t *testing.T) {
 	d.Processors[1].Service = "exclaim"
 	// Feed a list into a scalar-port pipeline: both processors iterate.
 	in := List(Scalar("a"), Scalar("b"), Scalar("c"))
-	res, err := NewEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": in})
+	res, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +167,7 @@ func TestEngineIterationBroadcast(t *testing.T) {
 			{Source: Endpoint{Processor: "C", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	res, err := NewEngine(upperReg()).Run(context.Background(), d, map[string]Data{
+	res, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{
 		"many": List(Scalar("x"), Scalar("y")),
 		"one":  Scalar("-suffix"),
 	})
@@ -181,7 +193,7 @@ func TestEngineIterationLengthMismatch(t *testing.T) {
 			{Source: Endpoint{Processor: "C", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	_, err := NewEngine(upperReg()).Run(context.Background(), d, map[string]Data{
+	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{
 		"p": List(Scalar("x"), Scalar("y")),
 		"q": List(Scalar("1"), Scalar("2"), Scalar("3")),
 	})
@@ -194,7 +206,7 @@ func TestEngineDepthTooDeep(t *testing.T) {
 	d := linearDef()
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
-	_, err := NewEngine(upperReg()).Run(context.Background(), d, map[string]Data{
+	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{
 		"in": List(List(Scalar("a"))),
 	})
 	if err == nil || !strings.Contains(err.Error(), "depth") {
@@ -213,8 +225,8 @@ func TestEngineProcessorFailure(t *testing.T) {
 	d.Processors[1].Service = "exclaim"
 	var events []Event
 	var mu sync.Mutex
-	_, err := NewEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
-		ListenerFunc(func(e Event) { mu.Lock(); events = append(events, e); mu.Unlock() }))
+	_, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
+		projected(func(e Event) { mu.Lock(); events = append(events, e); mu.Unlock() }))
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("failure not propagated: %v", err)
 	}
@@ -252,7 +264,7 @@ func TestEngineMissingOutputDetected(t *testing.T) {
 			{Source: Endpoint{Processor: "A", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	_, err := NewEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("x")})
+	_, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("x")})
 	if err == nil || !strings.Contains(err.Error(), "omitted output") {
 		t.Fatalf("missing output not detected: %v", err)
 	}
@@ -264,8 +276,8 @@ func TestEngineEventOrder(t *testing.T) {
 	d.Processors[1].Service = "exclaim"
 	var mu sync.Mutex
 	var types []EventType
-	_, err := NewEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
-		ListenerFunc(func(e Event) { mu.Lock(); types = append(types, e.Type); mu.Unlock() }))
+	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
+		projected(func(e Event) { mu.Lock(); types = append(types, e.Type); mu.Unlock() }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +301,8 @@ func TestEngineEventCarriesAnnotations(t *testing.T) {
 	d.AnnotateProcessor("A", QualityKey("reputation"), "1", "expert", when)
 	var got map[string]string
 	var mu sync.Mutex
-	_, err := NewEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
-		ListenerFunc(func(e Event) {
+	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
+		projected(func(e Event) {
 			if e.Type == EventProcessorCompleted && e.Processor == "A" {
 				mu.Lock()
 				got = QualityAnnotations(e.Annotations)
@@ -306,7 +318,7 @@ func TestEngineEventCarriesAnnotations(t *testing.T) {
 }
 
 func TestEngineRejections(t *testing.T) {
-	eng := NewEngine(upperReg())
+	eng := NewEventEngine(upperReg())
 	d := linearDef()
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
@@ -353,7 +365,7 @@ func TestEngineContextCancellation(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	_, err := NewEngine(reg).Run(ctx, d, map[string]Data{"in": Scalar("x")})
+	_, err := NewEventEngine(reg).Run(ctx, d, map[string]Data{"in": Scalar("x")})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancellation: %v", err)
 	}
@@ -382,7 +394,7 @@ func TestProcessorRetries(t *testing.T) {
 			{Source: Endpoint{Processor: "A", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	res, err := NewEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
+	res, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
 	if err != nil {
 		t.Fatalf("retrying run failed: %v", err)
 	}
@@ -395,13 +407,13 @@ func TestProcessorRetries(t *testing.T) {
 	// With zero retries the same workflow fails.
 	atomic.StoreInt32(&calls, 0)
 	d.Processors[0].Retries = 0
-	if _, err := NewEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")}); err == nil {
+	if _, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")}); err == nil {
 		t.Fatal("fail-fast run succeeded")
 	}
 	// Retries exhausted -> error mentions attempts.
 	atomic.StoreInt32(&calls, 0)
 	d.Processors[0].Retries = 1
-	_, err = NewEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
+	_, err = NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
 	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Fatalf("exhausted retries error: %v", err)
 	}
@@ -452,7 +464,7 @@ func TestRetryPerIterationElement(t *testing.T) {
 			{Source: Endpoint{Processor: "A", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	res, err := NewEngine(reg).Run(context.Background(), d,
+	res, err := NewEventEngine(reg).Run(context.Background(), d,
 		map[string]Data{"in": List(Scalar("a"), Scalar("b"), Scalar("c"))})
 	if err != nil {
 		t.Fatal(err)
@@ -500,13 +512,13 @@ func TestParallelIterationMatchesSequential(t *testing.T) {
 		out      string
 		elements string
 	}
-	runWith := func(parallel int) capture {
+	runWith := func(workers int) capture {
 		var mu sync.Mutex
 		var elems string
-		eng := NewEngine(reg)
-		eng.Parallel = parallel
+		eng := NewEventEngine(reg)
+		eng.Workers = workers
 		res, err := eng.Run(context.Background(), iterDef(0), in,
-			ListenerFunc(func(e Event) {
+			projected(func(e Event) {
 				if e.Type == EventProcessorCompleted && e.Processor == "A" {
 					mu.Lock()
 					elems = fmt.Sprintf("%+v", e.Elements)
@@ -514,34 +526,34 @@ func TestParallelIterationMatchesSequential(t *testing.T) {
 				}
 			}))
 		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if res.Invocations["A"] != n {
-			t.Fatalf("parallel=%d: invocations = %d", parallel, res.Invocations["A"])
+			t.Fatalf("workers=%d: invocations = %d", workers, res.Invocations["A"])
 		}
 		return capture{out: res.Outputs["out"].String(), elements: elems}
 	}
 
-	want := runWith(0) // sequential reference
+	want := runWith(1) // one worker: the sequential reference
 	if want.elements == "" || !strings.Contains(want.elements, "Index:0") {
 		t.Fatalf("reference trace missing: %q", want.elements)
 	}
-	for _, parallel := range []int{1, 4, 32} {
-		got := runWith(parallel)
+	for _, workers := range []int{4, 32} {
+		got := runWith(workers)
 		if got.out != want.out {
-			t.Errorf("parallel=%d outputs diverge:\n got %s\nwant %s", parallel, got.out, want.out)
+			t.Errorf("workers=%d outputs diverge:\n got %s\nwant %s", workers, got.out, want.out)
 		}
 		if got.elements != want.elements {
-			t.Errorf("parallel=%d element traces diverge from sequential run", parallel)
+			t.Errorf("workers=%d element traces diverge from sequential run", workers)
 		}
 	}
 }
 
 func TestEngineUnifiedBudgetBoundsElements(t *testing.T) {
-	// Three iterating processors share one engine-wide budget of 2. The old
-	// processor-only semaphore design would either deadlock here (processors
-	// holding slots while their elements wait for slots) or let 3×budget
-	// elements run at once. The unified budget must (a) finish and (b) keep
+	// Three iterating processors share one worker pool of 2. A design that
+	// budgeted processors and elements separately would either deadlock here
+	// (processors holding slots while their elements wait for slots) or let
+	// 3×budget elements run at once. The pool must (a) finish and (b) keep
 	// total in-flight service calls ≤ 2.
 	const procs, elems, budget = 3, 8, 2
 	var cur, max int32
@@ -576,8 +588,8 @@ func TestEngineUnifiedBudgetBoundsElements(t *testing.T) {
 	for i := range items {
 		items[i] = Scalar(fmt.Sprintf("v%d", i))
 	}
-	eng := NewEngine(reg)
-	eng.Parallel = budget
+	eng := NewEventEngine(reg)
+	eng.Workers = budget
 	done := make(chan error, 1)
 	go func() {
 		_, err := eng.Run(context.Background(), d, map[string]Data{"in": List(items...)})
@@ -605,7 +617,7 @@ func TestEngineUnifiedBudgetBoundsElements(t *testing.T) {
 
 func TestParallelIterationFailFast(t *testing.T) {
 	// Element 5 fails; everything else blocks until cancelled. The run must
-	// report the sequential engine's error shape and cancel the stragglers.
+	// report the sequential error shape and cancel the stragglers.
 	const n, failAt = 12, 5
 	var started, cancelled int32
 	boom := errors.New("boom")
@@ -627,8 +639,8 @@ func TestParallelIterationFailFast(t *testing.T) {
 	for i := range items {
 		items[i] = Scalar(fmt.Sprintf("item%02d", i))
 	}
-	eng := NewEngine(reg)
-	eng.Parallel = 8
+	eng := NewEventEngine(reg)
+	eng.Workers = 8
 	start := time.Now()
 	_, err := eng.Run(context.Background(), iterDef(0), map[string]Data{"in": List(items...)})
 	if err == nil || !errors.Is(err, boom) {
@@ -688,7 +700,7 @@ func TestRetryBackoffSleepsAndHonorsCancel(t *testing.T) {
 	// Scalar input: single invocation with two backoff sleeps.
 	d.Inputs = []Port{{Name: "in"}}
 	d.Outputs = []Port{{Name: "out"}}
-	res, err := NewEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
+	res, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,7 +714,7 @@ func TestRetryBackoffSleepsAndHonorsCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = NewEngine(reg).Run(ctx, d, map[string]Data{"in": Scalar("v")})
+	_, err = NewEventEngine(reg).Run(ctx, d, map[string]Data{"in": Scalar("v")})
 	if err == nil {
 		t.Fatal("cancelled backoff run succeeded")
 	}

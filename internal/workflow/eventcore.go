@@ -13,17 +13,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// EventEngine is the event-sourced successor of Engine: every run appends an
-// ordered history of typed events (history.go) from a single orchestrator
-// goroutine, while N workers pull activity tasks from a TaskQueue and report
-// results back. Provenance, telemetry, and crash recovery are projections of
-// the history stream; resuming a killed run is Resume — replay the persisted
-// prefix, re-enqueue only the missing tasks, append after it.
+// EventEngine is the workflow engine: every run appends an ordered history of
+// typed events (history.go) from a single orchestrator goroutine, while N
+// workers pull activity tasks from a TaskQueue and report results back.
+// Provenance, telemetry, and crash recovery are projections of the history
+// stream; resuming a killed run is Resume — replay the persisted prefix,
+// re-enqueue only the missing tasks, append after it.
 type EventEngine struct {
 	registry *Registry
-	// Workers is the worker-pool size (minimum 1). With the in-memory queue
-	// this bounds concurrent service invocations exactly as Engine.Parallel
-	// bounds them in the legacy engine.
+	// Workers is the worker-pool size (minimum 1): the bound on concurrent
+	// service invocations of a run, shared by independent processors and
+	// implicit-iteration elements.
 	Workers int
 	// NewQueue supplies the dispatch backend per run; nil means an in-memory
 	// FIFO (NewMemoryQueue).
@@ -36,10 +36,6 @@ type EventEngine struct {
 	// Nack the task and exit (the last live worker always survives so the
 	// run can finish).
 	KillWorker func(workerID string, tasksDone int) bool
-	// RunIDPrefix is prepended to minted run IDs. Multi-tenant callers set it
-	// to "tenant:" so the run ID itself carries the routing key; explicit run
-	// IDs are used as-is.
-	RunIDPrefix string
 	// Gateway, when set, is told when runs start and finish so out-of-process
 	// workers can attach to the run's queue (cluster.Server implements it).
 	// Remote workers pull tasks through the RunHandle and report through the
@@ -58,9 +54,10 @@ type RunGateway interface {
 	RunFinished(runID string)
 }
 
-// MintRunID returns a fresh engine-unique run ID with the given prefix —
-// the same counter execute uses, exported so orchestrated callers can know
-// the run's identity (for lease acquisition and fence installation) before
+// MintRunID returns a fresh engine-unique run ID with the given prefix
+// (multi-tenant callers pass "tenant:" so the ID itself carries the routing
+// key) — the same counter Run uses, exported so callers can know the run's
+// identity (for admission, lease acquisition and fence installation) before
 // the run starts.
 func MintRunID(prefix string) string {
 	return prefix + fmt.Sprintf("run-%06d", atomic.AddInt64(&runCounter, 1))
@@ -344,7 +341,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 		return nil, err
 	}
 	if runID == "" {
-		runID = MintRunID(e.RunIDPrefix)
+		runID = MintRunID("")
 	}
 	if folded.finished != nil {
 		return finalizeFromHistory(def, runID, prefix, folded, listeners)
@@ -520,7 +517,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 // enqueues its tasks — only the elements the prefix does not already record.
 func (r *eventRun) schedule(p *Processor) {
 	if r.failErr != nil {
-		return // parity with the legacy engine: no events after a failure
+		return // no events after a failure
 	}
 	fa := r.folded.acts[p.Name]
 	inputs := map[string]Data{}
@@ -666,10 +663,10 @@ func (r *eventRun) handle(msg workerMsg) {
 	}
 }
 
-// settle closes an activity: failure precedence mirrors iterateParallel
-// (lowest real error index, then a bare run-cancellation, then the lowest
-// cancellation fallout), success collects outputs, appends the completed
-// event, and delivers downstream.
+// settle closes an activity: failure precedence is the lowest real error
+// index, then a bare run-cancellation, then the lowest cancellation fallout
+// (an aborted sibling never masks the root cause); success collects outputs,
+// appends the completed event, and delivers downstream.
 func (r *eventRun) settle(a *activity) {
 	if a.iterating {
 		switch {
@@ -735,7 +732,7 @@ func (r *eventRun) settle(a *activity) {
 }
 
 // failActivity closes an activity with an error and fails the run (first
-// failure wins, exactly like the legacy engine).
+// failure wins).
 func (r *eventRun) failActivity(a *activity, iterations int, err error) {
 	a.span.SetAttr("iterations", strconv.Itoa(iterations))
 	a.span.SetAttr("error", err.Error())
@@ -809,8 +806,8 @@ func (r *eventRun) worker(id string, alive *atomic.Int64) {
 			continue
 		}
 		if err := a.ctx.Err(); err != nil {
-			// Drained without a span or a service call, like the legacy
-			// parallel iterator after cancellation.
+			// The activity was cancelled (a sibling element failed, or the
+			// run did): drain without a span or a service call.
 			r.q.Ack(t.ID)
 			stats.TaskDone(id)
 			r.msgs <- workerMsg{task: t, worker: id, err: err}
@@ -866,9 +863,12 @@ func (r *eventRun) worker(id string, alive *atomic.Int64) {
 	}
 }
 
-// callWithRetryNotify is callWithRetry with a pre-backoff callback so the
-// orchestrator can append retry-backoff events. Semantics and error text are
-// identical to callWithRetry.
+// callWithRetryNotify invokes the service, retrying up to p.Retries extra
+// times on error. Retries back off exponentially with full jitter when the
+// processor configures RetryBase (see backoffDelay); the zero default retries
+// immediately. Context cancellation is never retried, and the backoff sleep
+// aborts as soon as the context is done. notify, when non-nil, is called
+// before each backoff so the orchestrator can append retry-backoff events.
 func callWithRetryNotify(ctx context.Context, fn ServiceFunc, p *Processor, call Call, notify func(attempt int)) (map[string]Data, error) {
 	var lastErr error
 	for attempt := 0; attempt <= p.Retries; attempt++ {

@@ -109,7 +109,7 @@ type HistoryPrefixer interface {
 	OnHistoryPrefix([]HistoryEvent)
 }
 
-// Projector folds a history stream into the legacy execution Events the
+// Projector folds a history stream into the execution Events the
 // Provenance Manager consumes. It is the deterministic bridge between the
 // event-sourced core and every downstream consumer of workflow.Event: the
 // same history prefix always projects to the same event sequence, which is
@@ -126,7 +126,7 @@ type projActivity struct {
 	elements  []ElementTrace
 }
 
-// Apply folds one history event. When the event projects to a legacy
+// Apply folds one history event. When the event projects to an
 // execution Event, it returns (event, true); bookkeeping events
 // (activity-started, iteration-element, sub-workflow, retry-backoff) fold
 // into state and return (Event{}, false).
@@ -197,6 +197,6 @@ func (p *Projector) Apply(ev HistoryEvent) (Event, bool) {
 		}, true
 	}
 	// activity-started, sub-workflow, retry-backoff: execution bookkeeping
-	// with no legacy-event projection.
+	// with no Event projection.
 	return Event{}, false
 }

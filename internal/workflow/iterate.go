@@ -1,67 +1,23 @@
 package workflow
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// This file implements service invocation with implicit iteration — the
-// Taverna dot-product semantics the detection workflow leans on: checking
-// 1 929 species names is ONE processor whose scalar input port receives a
-// depth-1 list, so the engine calls the service once per element.
-//
-// Two execution strategies share one contract:
-//
-//   - sequential (Engine.Parallel == 0): the historical element-by-element
-//     loop;
-//   - parallel (Engine.Parallel ≥ 1): elements are dispatched across a
-//     worker pool gated by the engine-wide slot budget.
-//
-// The contract, which keeps OPM provenance byte-identical between the two:
+// Implicit iteration — the Taverna dot-product semantics the detection
+// workflow leans on: checking 1 929 species names is ONE processor whose
+// scalar input port receives a depth-1 list, so the engine schedules one task
+// per element. The contract that keeps OPM provenance byte-identical at every
+// worker count:
 //
 //   1. element i's outputs land at index i of every collected output list;
-//   2. the ElementTrace slice is complete and index-ordered;
+//   2. the element traces are complete and index-ordered;
 //   3. the first (lowest-index) element failure cancels the remaining
-//      elements and is reported as the sequential engine reports it:
-//      "iteration %d: <cause>" with Iterations == index+1.
-
-// invoke runs the service, applying implicit iteration: any input whose
-// actual depth exceeds the declared port depth by one drives element-wise
-// (dot-product) iteration, with equal lengths required and non-iterated
-// inputs broadcast. Outputs of iterated invocations are collected into
-// lists, as in Taverna.
-func (st *runState) invoke(ctx context.Context, fn ServiceFunc, p *Processor, inputs map[string]Data) (map[string]Data, int, []ElementTrace, error) {
-	iterating, n, err := iterationShape(p, inputs)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, nil, err
-	}
-	if !iterating {
-		out, err := st.call(ctx, "invoke:"+p.Name, fn, p, Call{Inputs: inputs, Config: p.Config})
-		if err != nil {
-			return nil, 1, nil, err
-		}
-		if err := checkOutputs(p, out); err != nil {
-			return nil, 1, nil, err
-		}
-		return out, 1, nil, nil
-	}
-	if st.sem == nil {
-		return st.iterateSequential(ctx, fn, p, inputs, n)
-	}
-	return st.iterateParallel(ctx, fn, p, inputs, n)
-}
+//      elements and is reported as "iteration %d: <cause>" with
+//      Iterations == index+1.
 
 // iterationShape decides whether p's bound inputs drive implicit iteration
 // and, if so, over how many elements: any input whose actual depth exceeds
 // the declared port depth by one iterates, all iterated inputs must agree on
-// length, and anything else is a shape error. Both engines share this, so a
-// scheduled activity's planned element count always matches what the legacy
-// engine would have executed.
+// length, and anything else is a shape error.
 func iterationShape(p *Processor, inputs map[string]Data) (bool, int, error) {
 	iterating := false
 	n := -1
@@ -111,131 +67,4 @@ func collectOutputs(collected map[string][]Data) map[string]Data {
 		outputs[name] = List(items...)
 	}
 	return outputs
-}
-
-// iterateSequential is the historical element-by-element loop, used when no
-// concurrency budget is configured.
-func (st *runState) iterateSequential(ctx context.Context, fn ServiceFunc, p *Processor, inputs map[string]Data, n int) (map[string]Data, int, []ElementTrace, error) {
-	collected := map[string][]Data{}
-	for _, port := range p.Outputs {
-		collected[port.Name] = make([]Data, n)
-	}
-	elements := make([]ElementTrace, 0, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, i, nil, err
-		}
-		callIn := elementInputs(p, inputs, i)
-		st.engine.metrics.elementsDispatched.Add(1)
-		out, err := st.call(ctx, elementSpanName(p, i), fn, p, Call{Inputs: callIn, Config: p.Config})
-		if err != nil {
-			return nil, i + 1, nil, fmt.Errorf("iteration %d: %w", i, err)
-		}
-		if err := checkOutputs(p, out); err != nil {
-			return nil, i + 1, nil, fmt.Errorf("iteration %d: %w", i, err)
-		}
-		for _, port := range p.Outputs {
-			collected[port.Name][i] = out[port.Name]
-		}
-		elements = append(elements, ElementTrace{Index: i, Inputs: callIn, Outputs: out})
-	}
-	return collectOutputs(collected), n, elements, nil
-}
-
-// iterateParallel dispatches the n elements across min(n, Engine.Parallel)
-// workers. Each element's service call is slot-gated by runState.call, so
-// total in-flight invocations — across every processor and iteration of the
-// run — never exceed the engine budget. The parent processor goroutine holds
-// no slot while it waits here.
-//
-// Fail-fast: the first failure cancels the element context; workers drain
-// the remaining indices without calling the service. Among concurrent
-// failures, the lowest index wins so the reported error is the one the
-// sequential engine would have hit first. Cancellation fallout (elements
-// aborted because a sibling failed) never masks the root cause.
-func (st *runState) iterateParallel(ctx context.Context, fn ServiceFunc, p *Processor, inputs map[string]Data, n int) (map[string]Data, int, []ElementTrace, error) {
-	collected := map[string][]Data{}
-	for _, port := range p.Outputs {
-		collected[port.Name] = make([]Data, n)
-	}
-	elements := make([]ElementTrace, n)
-
-	elemCtx, cancelElems := context.WithCancel(ctx)
-	defer cancelElems()
-
-	var (
-		failMu    sync.Mutex
-		realIdx   = -1 // lowest index with a genuine service/output error
-		realErr   error
-		cancelIdx = -1 // lowest index aborted by cancellation
-		cancelErr error
-	)
-	fail := func(i int, err error) {
-		failMu.Lock()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if cancelIdx == -1 || i < cancelIdx {
-				cancelIdx, cancelErr = i, err
-			}
-		} else if realIdx == -1 || i < realIdx {
-			realIdx, realErr = i, err
-		}
-		failMu.Unlock()
-		cancelElems()
-	}
-
-	indices := make(chan int, n)
-	for i := 0; i < n; i++ {
-		indices <- i
-	}
-	close(indices)
-
-	workers := st.engine.Parallel
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				if err := elemCtx.Err(); err != nil {
-					fail(i, err)
-					continue // drain cheaply once cancelled
-				}
-				callIn := elementInputs(p, inputs, i)
-				st.engine.metrics.elementsDispatched.Add(1)
-				out, err := st.call(elemCtx, elementSpanName(p, i), fn, p, Call{Inputs: callIn, Config: p.Config})
-				if err == nil {
-					err = checkOutputs(p, out)
-				}
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				for _, port := range p.Outputs {
-					collected[port.Name][i] = out[port.Name]
-				}
-				elements[i] = ElementTrace{Index: i, Inputs: callIn, Outputs: out}
-			}
-		}()
-	}
-	wg.Wait()
-
-	switch {
-	case realIdx >= 0:
-		return nil, realIdx + 1, nil, fmt.Errorf("iteration %d: %w", realIdx, realErr)
-	case ctx.Err() != nil:
-		// The run itself was cancelled: report it bare, like the
-		// sequential pre-element check does.
-		done := cancelIdx
-		if done < 0 {
-			done = 0
-		}
-		return nil, done, nil, ctx.Err()
-	case cancelIdx >= 0:
-		// A service returned a cancellation error of its own accord.
-		return nil, cancelIdx + 1, nil, fmt.Errorf("iteration %d: %w", cancelIdx, cancelErr)
-	}
-	return collectOutputs(collected), n, elements, nil
 }

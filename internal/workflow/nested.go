@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Nested workflows, as in Taverna: a processor whose implementation is
@@ -31,10 +30,8 @@ func RegisterNested(reg *Registry, name string, def *Definition) (*Processor, er
 	}
 	cp := def.Clone()
 	service := NestedPrefix + name
-	var engOnce sync.Once
-	var eng *Engine
+	eng := NewEventEngine(reg)
 	reg.Register(service, func(ctx context.Context, call Call) (map[string]Data, error) {
-		engOnce.Do(func() { eng = NewEngine(reg) })
 		res, err := eng.Run(ctx, cp, call.Inputs)
 		if err != nil {
 			return nil, fmt.Errorf("nested workflow %q: %w", name, err)

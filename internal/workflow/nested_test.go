@@ -42,7 +42,7 @@ func TestNestedWorkflowExecution(t *testing.T) {
 			{Source: Endpoint{Processor: "Tail", Port: "y"}, Target: Endpoint{Port: "y"}},
 		},
 	}
-	res, err := NewEngine(reg).Run(context.Background(), outer, map[string]Data{"x": Scalar("hi")})
+	res, err := NewEventEngine(reg).Run(context.Background(), outer, map[string]Data{"x": Scalar("hi")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestNestedWorkflowIterates(t *testing.T) {
 			{Source: Endpoint{Processor: "shout", Port: "out"}, Target: Endpoint{Port: "y"}},
 		},
 	}
-	res, err := NewEngine(reg).Run(context.Background(), outer,
+	res, err := NewEventEngine(reg).Run(context.Background(), outer,
 		map[string]Data{"x": List(Scalar("a"), Scalar("b"))})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestNestedWorkflowFailurePropagates(t *testing.T) {
 			{Source: Endpoint{Processor: "broken", Port: "out"}, Target: Endpoint{Port: "y"}},
 		},
 	}
-	_, err = NewEngine(reg).Run(context.Background(), outer, map[string]Data{"x": Scalar("a")})
+	_, err = NewEventEngine(reg).Run(context.Background(), outer, map[string]Data{"x": Scalar("a")})
 	if err == nil || !strings.Contains(err.Error(), `nested workflow "broken"`) {
 		t.Fatalf("nested failure: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestRegisterNestedIsolatedFromMutation(t *testing.T) {
 			{Source: Endpoint{Processor: "shout", Port: "out"}, Target: Endpoint{Port: "y"}},
 		},
 	}
-	res, err := NewEngine(reg).Run(context.Background(), outer, map[string]Data{"x": Scalar("ok")})
+	res, err := NewEventEngine(reg).Run(context.Background(), outer, map[string]Data{"x": Scalar("ok")})
 	if err != nil {
 		t.Fatalf("mutation leaked into registered nested def: %v", err)
 	}

@@ -199,32 +199,32 @@ func TestEventEngineResumeRejectsBadHistory(t *testing.T) {
 	}
 }
 
-// TestEventEngineMatchesLegacy pins the bridge the whole refactor rests on:
-// the projector applied to the event engine's history stream yields the same
-// legacy execution events (up to timing) as the in-process engine, for both
-// scalar pipelines and implicit iteration, at several worker counts.
+// TestEventEngineMatchesLegacy pins the bridge every downstream consumer
+// rests on: the projector applied to the engine's history stream yields the
+// six execution events (up to timing) the in-process engine this one replaced
+// emitted for the linear pipeline, at several worker counts.
 func TestEventEngineMatchesLegacy(t *testing.T) {
 	d := linearDef()
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
 	in := map[string]Data{"in": Scalar("hello")}
 
-	legacyEng := NewEngine(upperReg())
-	var legacy []Event
-	if _, err := legacyEng.Run(context.Background(), d, in, ListenerFunc(func(ev Event) { legacy = append(legacy, ev) })); err != nil {
-		t.Fatal(err)
+	legacy := []Event{
+		{Type: EventWorkflowStarted},
+		{Type: EventProcessorStarted, Processor: "A", Service: "upper"},
+		{Type: EventProcessorCompleted, Processor: "A", Service: "upper", Iterations: 1,
+			Outputs: map[string]Data{"y": Scalar("HELLO")}},
+		{Type: EventProcessorStarted, Processor: "B", Service: "exclaim"},
+		{Type: EventProcessorCompleted, Processor: "B", Service: "exclaim", Iterations: 1,
+			Outputs: map[string]Data{"y": Scalar("HELLO!")}},
+		{Type: EventWorkflowCompleted, Outputs: map[string]Data{"out": Scalar("HELLO!")}},
 	}
 
 	for _, workers := range []int{1, 4, 16} {
 		eng := NewEventEngine(upperReg())
 		eng.Workers = workers
-		var proj Projector
 		var got []Event
-		res, err := eng.Run(context.Background(), d, in, HistoryListenerFunc(func(hev HistoryEvent) {
-			if ev, ok := proj.Apply(hev); ok {
-				got = append(got, ev)
-			}
-		}))
+		res, err := eng.Run(context.Background(), d, in, projected(func(ev Event) { got = append(got, ev) }))
 		if err != nil {
 			t.Fatal(err)
 		}

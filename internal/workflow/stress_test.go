@@ -53,13 +53,14 @@ func TestEngineWideFanOutStress(t *testing.T) {
 	for i := range items {
 		items[i] = Scalar(fmt.Sprintf("item%02d", i))
 	}
-	var listeners []Listener
 	var events int64
-	listeners = append(listeners, ListenerFunc(func(Event) { atomic.AddInt64(&events, 1) }))
+	eng := NewEventEngine(reg)
+	eng.Workers = 8
 
 	for round := 0; round < 5; round++ {
 		atomic.StoreInt64(&calls, 0)
-		res, err := NewEngine(reg).Run(context.Background(), d, map[string]Data{"in": List(items...)}, listeners...)
+		res, err := eng.Run(context.Background(), d, map[string]Data{"in": List(items...)},
+			projected(func(Event) { atomic.AddInt64(&events, 1) }))
 		if err != nil {
 			t.Fatal(err)
 		}

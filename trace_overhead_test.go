@@ -46,8 +46,8 @@ func TestTracingOverhead(t *testing.T) {
 	in := map[string]workflow.Data{"names": workflow.List(items...)}
 
 	run := func(traced bool) time.Duration {
-		eng := workflow.NewEngine(reg)
-		eng.Parallel = 4
+		eng := workflow.NewEventEngine(reg)
+		eng.Workers = 4
 		ctx := context.Background()
 		if traced {
 			ctx = telemetry.WithTracer(ctx, telemetry.NewTracer(0))
