@@ -2,6 +2,10 @@ GO ?= go
 
 .PHONY: build test race bench ci verify experiments
 
+# The two newest files of the committed perf trajectory, oldest first — what
+# the ci comparator gates on. BENCH_smoke.json never matches the glob.
+BENCH_NEWEST := $(shell ls BENCH_[0-9]*.json | sort -V | tail -2)
+
 build:
 	$(GO) build ./...
 
@@ -12,7 +16,7 @@ test:
 ## workflow engine, the singleflight caching resolver + resilience guards,
 ## the streaming provenance pipeline, the storage layer under it, the
 ## shard router with its scatter-gather fan-out, the cluster layer — lease
-## store, fenced queues, HTTP gateway + remote worker — the archival
+## store, scheduler pool, HTTP gateway + remote worker — the archival
 ## store/scrubber, and the curation ledger's ID allocation under concurrent
 ## detections), plus the core detection stack — including crash/resume,
 ## orchestrator failover, and the sharded/unsharded equivalence suite —
@@ -20,14 +24,15 @@ test:
 race:
 	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/...
 
-## ci: the full hygiene gate — formatting, vet, the race-enabled tests, a
-## short fuzz smoke over the archival WAV decoder (arbitrary bytes must
-## never panic the archive read path), the chaos smoke (randomized
-## kill/resume trials, degraded-authority assessment runs, shard-loss
-## traffic, orchestrator-failover trials — a standby steals the expired
-## lease and must finish byte-identically while the resurrected stale
-## orchestrator gets every fenced write rejected — and the scheduler-pool
-## trial: three peer orchestrators drain an admission queue while two are
+## ci: the full hygiene gate — formatting, vet, the race-enabled tests, two
+## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
+## panic the archive read path) and the history prefix resume replays
+## (arbitrary events must never panic or wedge the engine) — the chaos smoke
+## (randomized kill/resume trials, degraded-authority assessment runs,
+## shard-loss traffic, orchestrator-failover trials — a standby steals the
+## expired lease and must finish byte-identically while the resurrected stale
+## orchestrator gets every fenced history append rejected — and the
+## scheduler-pool trial: three peer orchestrators drain an admission queue while two are
 ## killed mid-run, and every queued run must still complete byte-identically
 ## exactly once), the /api/v1 contract smoke (including the /api/v1/cluster
 ## resources and the per-tenant quota contract), the tracing-overhead
@@ -36,8 +41,8 @@ race:
 ## bench-harness smoke proving every tracked benchmark still runs (numbers
 ## land in the gitignored BENCH_smoke.json, not the committed trajectory),
 ## the bench-trajectory comparator (fails on a >10% ns/op or allocs/op
-## regression between the two committed BENCH files), and the multi-tenant
-## load smoke (sustained detect+query traffic at 1 and 4 shards; the >=2x
+## regression between the two newest BENCH_<pr>.json files), and the
+## multi-tenant load smoke (sustained detect+query traffic at 1 and 4 shards; the >=2x
 ## throughput gate runs only in the full non-short experiment), and vet +
 ## tests of the nested benchmark/ module (root `go test ./...` does not enter
 ## it, and it compiles against core/web/cluster/provenance surfaces a
@@ -50,12 +55,13 @@ ci:
 	$(GO) vet ./...
 	$(MAKE) race
 	$(GO) test ./internal/audio/ -run='^$$' -fuzz=FuzzReadWAV -fuzztime=10s
+	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzResumeHistory -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run TestTracingOverhead .
 	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/
 	$(GO) run ./cmd/bench -smoke
-	$(GO) run ./cmd/bench -compare BENCH_9.json BENCH_10.json
+	$(GO) run ./cmd/bench -compare $(BENCH_NEWEST)
 	$(GO) run ./cmd/experiments -run load -short
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 

@@ -24,7 +24,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/taxonomy"
-	"repro/internal/workflow"
 )
 
 // runChaos is the failure-injection experiment behind the PR's robustness
@@ -139,6 +138,10 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 	execs := map[string]int{} // run → genuine executions
 	successTok := map[string]int64{}
 	staleTok := map[string]int64{} // run → fence token of the interrupted claim
+	// The first dead claim's history writer, opened at its token while the run
+	// is still marked running — what a partitioned orchestrator would hold.
+	var zombie provenance.RunWriter
+	var zombieRun string
 	killCh := make(chan string, 64)
 	hook := func(ev cluster.SchedulerEvent) {
 		mu.Lock()
@@ -150,6 +153,14 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 		case "interrupted":
 			if _, ok := staleTok[ev.Run]; !ok {
 				staleTok[ev.Run] = ev.Token
+			}
+			if zombie == nil {
+				w, err := sys.Provenance.ResumeRunWriter(ev.Run, provenance.BatchWriterOptions{
+					FenceName: provenance.RunFenceName(ev.Run), FenceToken: ev.Token,
+				})
+				if err == nil {
+					zombie, zombieRun = w, ev.Run
+				}
 			}
 			select {
 			case killCh <- ev.Orchestrator:
@@ -268,30 +279,13 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 		return fmt.Errorf("chaos gate: no run was ever interrupted and stolen")
 	}
 
-	// Resurrect one dead claim: a queue write at the pre-steal token must be
-	// rejected by the fence and leave the graph untouched.
-	for runID, stale := range staleTok {
-		g, err := sys.Provenance.Graph(runID)
-		if err != nil {
-			return err
-		}
-		nodes, edges := g.NodeCount(), g.EdgeCount()
-		q, err := workflow.NewStorageQueue(sys.DB, runID)
-		if err != nil {
-			return err
-		}
-		q.SetFence(cluster.FenceName(runID), stale)
-		if qerr := q.Enqueue(workflow.Task{ID: "zombie-task", RunID: runID, Activity: "A", Element: -1}); !errors.Is(qerr, storage.ErrStaleFence) {
-			return fmt.Errorf("chaos gate: stale queue write = %v, want ErrStaleFence", qerr)
-		}
-		g2, err := sys.Provenance.Graph(runID)
-		if err != nil {
-			return err
-		}
-		if g2.NodeCount() != nodes || g2.EdgeCount() != edges {
-			return fmt.Errorf("chaos gate: stale writer mutated run %s", runID)
-		}
-		break
+	// Resurrect one dead claim: a history append at the pre-steal token must
+	// be rejected by the fence and leave the graph untouched.
+	if zombie == nil {
+		return fmt.Errorf("chaos gate: no dead claim's writer could be opened")
+	}
+	if err := staleAppendRejected(sys, zombieRun, zombie); err != nil {
+		return err
 	}
 
 	fmt.Printf("  pool drained: %d/%d runs byte-identical under original IDs, %d rescued past dead claims, queue empty\n",
@@ -307,9 +301,9 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 // fencing token — and finishes the run under its original ID. The gates:
 // every trial's final graph is byte-identical to an uninterrupted run; and
 // when the dead orchestrator is resurrected with its stale token, every one
-// of its history appends and queue writes is rejected with ErrStaleFence and
-// zero of them reach the graph — split-brain is structurally impossible, not
-// just unlikely.
+// of its history appends is rejected with ErrStaleFence and zero of them
+// reach the graph — split-brain is structurally impossible, not just
+// unlikely.
 func chaosOrchestratorFailover(e *environment, trials, records, species int) error {
 	fmt.Printf("--- part E: orchestrator failover (%d trials, %d records, %d species) ---\n", trials, records, species)
 	sys, taxa, cleanup, err := chaosSystem(records, species, e.seed+509)
@@ -390,28 +384,8 @@ func chaosOrchestratorFailover(e *environment, trials, records, species int) err
 		identical++
 
 		if stale != nil {
-			nodes, edges := g.NodeCount(), g.EdgeCount()
-			if err := stale.Emit(provenance.Delta{Kind: provenance.DeltaAddNode,
-				Node: opm.Node{ID: "zombie", Kind: opm.KindArtifact, Label: "zombie"}}); err != nil {
-				return fmt.Errorf("trial %d: stale emit failed before flush: %v", trial, err)
-			}
-			if cerr := stale.Close(); !errors.Is(cerr, storage.ErrStaleFence) {
-				return fmt.Errorf("chaos gate: trial %d: stale orchestrator append = %v, want ErrStaleFence", trial, cerr)
-			}
-			q, err := workflow.NewStorageQueue(sys.DB, runID)
-			if err != nil {
-				return err
-			}
-			q.SetFence(cluster.FenceName(runID), staleToken)
-			if qerr := q.Enqueue(workflow.Task{ID: "zombie-task", RunID: runID, Activity: "A", Element: -1}); !errors.Is(qerr, storage.ErrStaleFence) {
-				return fmt.Errorf("chaos gate: trial %d: stale queue write = %v, want ErrStaleFence", trial, qerr)
-			}
-			g2, err := sys.Provenance.Graph(runID)
-			if err != nil {
-				return err
-			}
-			if g2.NodeCount() != nodes || g2.EdgeCount() != edges {
-				return fmt.Errorf("chaos gate: trial %d: stale orchestrator mutated the graph", trial)
+			if err := staleAppendRejected(sys, runID, stale); err != nil {
+				return fmt.Errorf("trial %d: %w", trial, err)
 			}
 			resurrections++
 		}
@@ -424,6 +398,32 @@ func chaosOrchestratorFailover(e *environment, trials, records, species int) err
 	}
 	fmt.Printf("  failover: %d/%d trials finished byte-identical under the original run ID\n", identical, trials)
 	fmt.Printf("  resurrected stale orchestrator: %d trials, 0 accepted writes (all fenced off)\n", resurrections)
+	return nil
+}
+
+// staleAppendRejected is the zero-accepted-stale-writes gate of Parts E and F:
+// stale is a history writer a dead orchestrator opened on runID at its
+// pre-steal token. Its append must bounce off the run's history fence with
+// ErrStaleFence and leave the stored graph exactly as the new owner left it.
+func staleAppendRejected(sys *core.System, runID string, stale provenance.RunWriter) error {
+	g, err := sys.Provenance.Graph(runID)
+	if err != nil {
+		return err
+	}
+	if err := stale.Emit(provenance.Delta{Kind: provenance.DeltaAddNode,
+		Node: opm.Node{ID: "zombie", Kind: opm.KindArtifact, Label: "zombie"}}); err != nil {
+		return fmt.Errorf("stale emit failed before flush: %v", err)
+	}
+	if cerr := stale.Close(); !errors.Is(cerr, storage.ErrStaleFence) {
+		return fmt.Errorf("chaos gate: stale orchestrator append on %s = %v, want ErrStaleFence", runID, cerr)
+	}
+	g2, err := sys.Provenance.Graph(runID)
+	if err != nil {
+		return err
+	}
+	if g2.NodeCount() != g.NodeCount() || g2.EdgeCount() != g.EdgeCount() {
+		return fmt.Errorf("chaos gate: stale orchestrator mutated run %s", runID)
+	}
 	return nil
 }
 

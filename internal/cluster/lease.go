@@ -75,14 +75,8 @@ func NewStore(db *storage.DB) (*Store, error) {
 // SetClock replaces the wall clock (tests and chaos harnesses only).
 func (s *Store) SetClock(now func() time.Time) { s.now = now }
 
-// FenceName is the storage-fence resource backing the lease on resource.
-// Exported so a lease holder can fence *other* state in the lease database
-// under the same token — e.g. a run's dispatch queue: once the lease is
-// stolen (this fence advanced), every fenced write from the old holder fails
-// with storage.ErrStaleFence at the same instant its lease dies.
-func FenceName(resource string) string { return "lease/" + resource }
-
-func fenceName(resource string) string { return FenceName(resource) }
+// fenceName is the storage-fence resource backing the lease on resource.
+func fenceName(resource string) string { return "lease/" + resource }
 
 func leaseFromRow(r storage.Row) Lease {
 	return Lease{

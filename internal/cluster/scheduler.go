@@ -369,7 +369,7 @@ func (s *Scheduler) rescueLapsed() {
 func (s *Scheduler) runOne(runID, successKind string, do func() error) {
 	s.count("claims")
 	err := do()
-	token := s.Leases.db.FenceToken(FenceName(runID))
+	token := s.Leases.db.FenceToken(fenceName(runID))
 	switch {
 	case err == nil:
 		s.count(successKind + "d")

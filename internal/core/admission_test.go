@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/provenance"
+	"repro/internal/storage"
+	"repro/internal/workflow"
 )
 
 // TestAdmittedRunLifecycle drives the full async path end to end on one
@@ -213,5 +216,76 @@ func TestSweepSchedulerClaimRace(t *testing.T) {
 	}
 	if info, err := sys.Provenance.Run(adm.RunID); err != nil || info.Status != provenance.RunCompleted {
 		t.Fatalf("contested run = %+v, %v; want finished exactly once", info, err)
+	}
+}
+
+// TestReopenSeedsRunCounter pins the restart half of run-ID minting: the mint
+// counter lives in process memory, so Open must raise it past every ID the
+// store already holds — stored runs and pending admissions, tenant qualifier
+// stripped — or a restarted process re-mints an ID that exists. The "earlier
+// process" here is a run stored five ordinals ahead of the counter and a
+// tenant admission six ahead; without the seeding the fifth fresh run collides
+// with the stored one.
+func TestReopenSeedsRunCounter(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *System {
+				sys, err := Open(dir, Options{Sync: storage.SyncNever, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			sys := open()
+			defer func() { sys.Close() }()
+			taxa := smallCollection(t, sys)
+			ctx := context.Background()
+			opts := RunOptions{SkipLedger: true, Untraced: true}
+
+			var counter int
+			if _, err := fmt.Sscanf(workflow.MintRunID(""), "run-%d", &counter); err != nil {
+				t.Fatal(err)
+			}
+			stored := workflow.Admission{RunID: fmt.Sprintf("run-%06d", counter+5), Options: encodeRunOptions(opts)}
+			if err := sys.Admissions.Add(stored); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.RunAdmitted(ctx, taxa.Checklist, stored, ""); err != nil {
+				t.Fatalf("storing the earlier process's run: %v", err)
+			}
+			if err := sys.Admissions.Remove(stored.RunID); err != nil {
+				t.Fatal(err)
+			}
+			pending := workflow.Admission{RunID: fmt.Sprintf("acme:run-%06d", counter+6), Tenant: "acme", Options: encodeRunOptions(opts)}
+			if err := sys.Admissions.Add(pending); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sys = open()
+
+			seen := map[string]bool{stored.RunID: true, "run-" + pending.RunID[len("acme:run-"):]: true}
+			for i := 0; i < 6; i++ {
+				out, err := sys.RunDetection(ctx, taxa.Checklist, opts)
+				if err != nil {
+					t.Fatalf("fresh run %d after reopen: %v", i+1, err)
+				}
+				if seen[out.RunID] {
+					t.Fatalf("fresh run %d re-minted existing ID %s", i+1, out.RunID)
+				}
+				seen[out.RunID] = true
+			}
+			adm, err := sys.AdmitDetection(RunOptions{Tenant: "acme", SkipLedger: true, Untraced: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if adm.RunID == pending.RunID {
+				t.Fatalf("admission re-minted the pending ID %s", adm.RunID)
+			}
+		})
 	}
 }

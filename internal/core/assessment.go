@@ -111,12 +111,12 @@ type RunOptions struct {
 	// Orchestrator, when non-empty, names the process running this run and
 	// turns on fenced ownership: the run ID is claimed as a lease
 	// (System.Leases) before the first history append; the lease's
-	// fencing token guards every history append and queue write; heartbeats
-	// renew the lease while the run executes. If the lease is stolen — this
-	// orchestrator was presumed dead — the run's context cancels and its
-	// writes are rejected at the storage layer, so a standby's takeover can
-	// never interleave with ours. Empty runs unowned — the single-process
-	// path, with zero added overhead.
+	// fencing token guards every history append; heartbeats renew the lease
+	// while the run executes. If the lease is stolen — this orchestrator was
+	// presumed dead — the run's context cancels and its writes are rejected
+	// at the storage layer, so a standby's takeover can never interleave with
+	// ours. Empty runs unowned — the single-process path, with zero added
+	// overhead.
 	Orchestrator string
 	// LeaseTTL is the run-lease time-to-live for orchestrated runs (default
 	// DefaultLeaseTTL). A standby can take over ~LeaseTTL after the holder
@@ -174,7 +174,7 @@ func (s *System) RunDetection(ctx context.Context, resolver taxonomy.Resolver, o
 //     activities are never re-invoked, unfinished iteration elements are
 //     re-enqueued, and the final graph is identical to an uninterrupted run's.
 //   - An unorchestrated run is the nil lease: opts.Orchestrator == "" skips
-//     the claim, the heartbeat, the fences and the durable dispatch queue.
+//     the claim, the heartbeat and the history fence.
 func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID string, opts RunOptions) (*DetectionOutcome, error) {
 	opts.defaults()
 	fresh := runID == ""
@@ -340,11 +340,6 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 		collector.AddSink(writer)
 	}
 	engine := s.detectionEngine(reg, opts)
-	if orch != nil {
-		// A durable dispatch queue in the lease database, fenced like the
-		// history stream.
-		engine.NewQueue = orch.newQueue
-	}
 	inputs := map[string]workflow.Data{"names": workflow.List(items...)}
 	result, runErr := engine.Resume(runCtx, def, inputs, runID, history, provenance.NewHistoryCapture(collector))
 	werr := writer.Close()

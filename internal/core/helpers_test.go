@@ -24,3 +24,20 @@ func generateClean(t *testing.T, taxa *taxonomy.Generated, records int) []*fnjv.
 	}
 	return col.Records
 }
+
+// smallCollection loads a 12-species, 60-record clean collection into sys —
+// enough for a detection run of a few dozen provenance deltas — and returns
+// the taxonomy whose checklist resolves it.
+func smallCollection(t *testing.T, sys *System) *taxonomy.Generated {
+	t.Helper()
+	taxa, err := taxonomy.Generate(taxonomy.GeneratorSpec{
+		Species: 12, OutdatedFraction: 0.07, ProvisionalFraction: 0.1, Seed: 77,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Records.PutAll(generateClean(t, taxa, 60)); err != nil {
+		t.Fatal(err)
+	}
+	return taxa
+}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/taxonomy"
-	"repro/internal/workflow"
 )
 
 // DefaultLeaseTTL is the run-lease time-to-live when RunOptions.LeaseTTL is
@@ -19,13 +18,12 @@ import (
 const DefaultLeaseTTL = 2 * time.Second
 
 // orchestration is the live ownership state of one fenced run: the lease this
-// process holds on the run ID, the heartbeat goroutine renewing it, and the
-// factory for the run's fenced dispatch queue. It exists only while
-// RunOptions.Orchestrator names this process; unowned runs never allocate one.
+// process holds on the run ID and the heartbeat goroutine renewing it. It
+// exists only while RunOptions.Orchestrator names this process; unowned runs
+// never allocate one.
 type orchestration struct {
-	s     *System
-	runID string
-	ttl   time.Duration
+	s   *System
+	ttl time.Duration
 
 	mu    sync.Mutex
 	lease cluster.Lease
@@ -39,8 +37,8 @@ type orchestration struct {
 
 // claimRun acquires the lease on runID for opts.Orchestrator and installs the
 // lease token as the run's history fence, in that order: after this returns,
-// any previous holder's history appends and queue writes are structurally
-// rejected (storage.ErrStaleFence) — they carry a smaller token.
+// any previous holder's history appends are structurally rejected
+// (storage.ErrStaleFence) — they carry a smaller token.
 func (s *System) claimRun(runID string, opts RunOptions) (*orchestration, error) {
 	if s.Leases == nil {
 		return nil, errors.New("core: orchestrated run without a lease store")
@@ -54,14 +52,14 @@ func (s *System) claimRun(runID string, opts RunOptions) (*orchestration, error)
 		return nil, err
 	}
 	// The history fence lives in the repository owning the run's rows (the
-	// owning shard when sharded); the lease fence lives in the lease/meta
-	// database. Both carry the same token number, so one lease steal stales
-	// both surfaces.
+	// owning shard when sharded); the lease lives in the lease/meta database.
+	// The fence carries the lease's token number, so the claim that steals the
+	// lease is the claim that stales the old holder's history writer.
 	if err := s.Provenance.AdvanceRunFence(runID, lease.Token); err != nil {
 		_ = s.Leases.Release(lease)
 		return nil, fmt.Errorf("core: fencing run %s at token %d: %w", runID, lease.Token, err)
 	}
-	return &orchestration{s: s, runID: runID, ttl: ttl, lease: lease, stop: make(chan struct{})}, nil
+	return &orchestration{s: s, ttl: ttl, lease: lease, stop: make(chan struct{})}, nil
 }
 
 // token returns the fencing token of the held lease.
@@ -142,36 +140,6 @@ func (o *orchestration) finish() {
 	o.mu.Unlock()
 	_ = o.s.Leases.Release(l)
 }
-
-// newQueue is the EventEngine.NewQueue factory for orchestrated runs: a
-// durable StorageQueue in the lease database, fenced under the lease token.
-// Every Enqueue/Ack/Nack/reclaim goes through storage.ApplyFenced, so a
-// stale orchestrator's queue traffic is rejected at the storage layer the
-// moment its lease is stolen.
-func (o *orchestration) newQueue(runID string) workflow.TaskQueue {
-	q, err := workflow.NewStorageQueue(o.s.DB, runID)
-	if err != nil {
-		return &failedQueue{err: err}
-	}
-	q.SetFence(cluster.FenceName(o.runID), o.token())
-	return q
-}
-
-// failedQueue surfaces a queue-construction error through the TaskQueue
-// surface: the first Enqueue fails the run visibly instead of panicking in
-// the engine or silently dropping the fence.
-type failedQueue struct{ err error }
-
-func (f *failedQueue) Enqueue(workflow.Task) error { return f.err }
-func (f *failedQueue) Dequeue(ctx context.Context) (workflow.Task, error) {
-	<-ctx.Done()
-	return workflow.Task{}, ctx.Err()
-}
-func (f *failedQueue) Ack(string) error  { return f.err }
-func (f *failedQueue) Nack(string) error { return f.err }
-func (f *failedQueue) Depth() int        { return 0 }
-func (f *failedQueue) InFlight() int     { return 0 }
-func (f *failedQueue) Close() error      { return nil }
 
 // FailoverDetection is the standby orchestrator's takeover path: wait (up to
 // wait) for the current holder's lease on runID to expire, steal it — which

@@ -107,37 +107,22 @@ func Open(dir string, opts Options) (*System, error) {
 		return nil, err
 	}
 	s.Records = records
-	if s.Workflows, err = workflow.NewRepository(db); err != nil {
-		db.Close()
-		return nil, err
-	}
 	prov, err := provenance.NewRepository(db)
 	if err != nil {
 		db.Close()
 		return nil, err
 	}
 	s.Provenance = prov
-	if s.Ledger, err = curation.NewLedger(db); err != nil {
-		db.Close()
-		return nil, err
-	}
 	traces, err := telemetry.NewSpanStore(db)
 	if err != nil {
 		db.Close()
 		return nil, err
 	}
 	s.Traces = traces
-	if s.Leases, err = cluster.NewStore(db); err != nil {
-		db.Close()
+	if err := s.openGlobal(); err != nil {
+		s.Close()
 		return nil, err
 	}
-	if s.Admissions, err = workflow.NewAdmissionQueue(db); err != nil {
-		db.Close()
-		return nil, err
-	}
-	s.TraceRing = telemetry.NewRing(0)
-	s.Workers = workflow.NewWorkerRegistry()
-	s.Quality = quality.NewManager()
 	return s, nil
 }
 
@@ -167,30 +152,51 @@ func openSharded(dir string, opts Options) (*System, error) {
 		Provenance: shards.Provenance(),
 		Traces:     shards.Traces(),
 	}
-	if s.Workflows, err = workflow.NewRepository(db); err != nil {
-		db.Close()
-		shards.Close()
+	if err := s.openGlobal(); err != nil {
+		s.Close()
 		return nil, err
 	}
-	if s.Ledger, err = curation.NewLedger(db); err != nil {
-		db.Close()
-		shards.Close()
-		return nil, err
+	return s, nil
+}
+
+// openGlobal opens what lives on s.DB in both layouts — workflow repository,
+// curation ledger, lease store, admission queue — plus the in-memory
+// registries, and seeds the run-ID counter from what the stores hold.
+func (s *System) openGlobal() (err error) {
+	if s.Workflows, err = workflow.NewRepository(s.DB); err != nil {
+		return err
 	}
-	if s.Leases, err = cluster.NewStore(db); err != nil {
-		db.Close()
-		shards.Close()
-		return nil, err
+	if s.Ledger, err = curation.NewLedger(s.DB); err != nil {
+		return err
 	}
-	if s.Admissions, err = workflow.NewAdmissionQueue(db); err != nil {
-		db.Close()
-		shards.Close()
-		return nil, err
+	if s.Leases, err = cluster.NewStore(s.DB); err != nil {
+		return err
+	}
+	if s.Admissions, err = workflow.NewAdmissionQueue(s.DB); err != nil {
+		return err
 	}
 	s.TraceRing = telemetry.NewRing(0)
 	s.Workers = workflow.NewWorkerRegistry()
 	s.Quality = quality.NewManager()
-	return s, nil
+	return s.seedRunCounter()
+}
+
+// seedRunCounter raises the process-wide run-ID counter past every ID this
+// store already holds — stored runs and pending admissions, tenant qualifier
+// stripped — so run IDs minted after a restart never collide with them.
+func (s *System) seedRunCounter() error {
+	raise := func(runID string) {
+		_, id := shard.Split(runID)
+		workflow.RaiseRunCounter(id)
+	}
+	for _, info := range s.Provenance.AllRuns() {
+		raise(info.RunID)
+	}
+	pending, err := s.Admissions.Pending()
+	for _, adm := range pending {
+		raise(adm.RunID)
+	}
+	return err
 }
 
 // saveTrace stamps, persists, and mirrors the spans of one run. Resumed runs

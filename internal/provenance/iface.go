@@ -78,7 +78,7 @@ func (r *Repository) ResumeRunWriter(runID string, opts BatchWriterOptions) (Run
 
 // RunFenceName is the storage-fence resource guarding a run's history
 // stream. Exported so orchestration can hand the same name to
-// BatchWriterOptions and the run's StorageQueue.
+// BatchWriterOptions.
 func RunFenceName(runID string) string { return "run/" + runID }
 
 // AdvanceRunFence implements Repo: a strictly-monotonic durable token bump

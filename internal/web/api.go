@@ -687,6 +687,11 @@ func (s *Server) apiQuality(w http.ResponseWriter, r *http.Request) {
 	}{a.Goal, a.Subject, a.At, a.Utility, a.Accepted, a.Dimensions, results, outcome.RunID})
 }
 
+// apiMetrics snapshots the runtime counters of every instrumented subsystem
+// — workflow engine (with queue-wait/exec latency quantiles), streaming
+// provenance writer, archive scrubber — as obs.FromRuntimeMetrics
+// observations, so audits and load are observable without reading experiment
+// output. Serves /api/v1/metrics and the legacy /metrics.
 func (s *Server) apiMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.svc.Metrics(timeNow()))
 }

@@ -8,7 +8,6 @@ package web
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"html/template"
@@ -90,7 +89,7 @@ func NewServer(sys *System) *Server {
 	s.mux.HandleFunc("/provenance/", s.handleProvenance)
 	s.mux.HandleFunc("/archive", s.handleArchive)
 	s.mux.HandleFunc("/archive/", s.handleArchiveObject)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/metrics", s.apiMetrics) // legacy path, same payload as /api/v1/metrics
 	s.mux.HandleFunc("/export/ntriples", s.handleNTriples)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -551,18 +550,6 @@ func (s *Server) handleArchiveObject(w http.ResponseWriter, r *http.Request) {
 	}
 	b.WriteString("</table>")
 	s.render(w, "Archived package "+id[:min(12, len(id))], b.String())
-}
-
-// handleMetrics snapshots the runtime counters of every instrumented
-// subsystem — workflow engine (with queue-wait/exec latency quantiles),
-// streaming provenance writer, archive scrubber — as obs.FromRuntimeMetrics
-// observations, serialized as JSON, so audits and load are observable
-// without reading experiment output.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.svc.Metrics(timeNow()))
 }
 
 func (s *Server) handleNTriples(w http.ResponseWriter, r *http.Request) {

@@ -20,7 +20,7 @@ type Admission struct {
 }
 
 // admissionTable holds one row per pending admission, FIFO-ordered by a
-// zero-padded sequence key (same scheme as StorageQueue rows).
+// zero-padded sequence key.
 const admissionTable = "wf_admissions"
 
 func admissionSchema() *storage.Schema {

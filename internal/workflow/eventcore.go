@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,19 +16,16 @@ import (
 
 // EventEngine is the workflow engine: every run appends an ordered history of
 // typed events (history.go) from a single orchestrator goroutine, while N
-// workers pull activity tasks from a TaskQueue and report results back.
-// Provenance, telemetry, and crash recovery are projections of the history
-// stream; resuming a killed run is Resume — replay the persisted prefix,
-// re-enqueue only the missing tasks, append after it.
+// workers pull activity tasks from the run's MemoryQueue and report results
+// back. Provenance, telemetry, and crash recovery are projections of the
+// history stream; resuming a killed run is Resume — replay the persisted
+// prefix, re-enqueue only the missing tasks, append after it.
 type EventEngine struct {
 	registry *Registry
 	// Workers is the worker-pool size (minimum 1): the bound on concurrent
 	// service invocations of a run, shared by independent processors and
 	// implicit-iteration elements.
 	Workers int
-	// NewQueue supplies the dispatch backend per run; nil means an in-memory
-	// FIFO (NewMemoryQueue).
-	NewQueue func(runID string) TaskQueue
 	// Stats, when set, receives worker liveness and queue gauges for the
 	// /metrics bridge. All WorkerRegistry methods are nil-safe.
 	Stats *WorkerRegistry
@@ -61,6 +59,27 @@ type RunGateway interface {
 // the run starts.
 func MintRunID(prefix string) string {
 	return prefix + fmt.Sprintf("run-%06d", atomic.AddInt64(&runCounter, 1))
+}
+
+// RaiseRunCounter makes MintRunID skip every ordinal up to that of id — an
+// unqualified "run-%06d" ID some earlier process minted — so a restarted
+// process never re-issues an ID its store already holds. IDs of any other
+// shape are ignored, and the counter only ever moves forward.
+func RaiseRunCounter(id string) {
+	digits, ok := strings.CutPrefix(id, "run-")
+	if !ok {
+		return
+	}
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil {
+		return
+	}
+	for {
+		cur := atomic.LoadInt64(&runCounter)
+		if n <= cur || atomic.CompareAndSwapInt64(&runCounter, cur, n) {
+			return
+		}
+	}
 }
 
 // NewEventEngine builds an event-sourced engine over the given registry.
@@ -255,7 +274,7 @@ type eventRun struct {
 	def       *Definition
 	runID     string
 	listeners []HistoryListener
-	q         TaskQueue
+	q         *MemoryQueue
 	runCtx    context.Context
 	cancelRun context.CancelFunc
 	folded    *foldedRun
@@ -279,21 +298,6 @@ type eventRun struct {
 	// done closes when the orchestration loop exits; remote reports select
 	// against it instead of blocking on msgs forever.
 	done chan struct{}
-}
-
-// prefixRecorded reports whether the replayed prefix already holds the
-// result this task would produce. The folded prefix is immutable once the
-// run starts, so workers may read it lock-free.
-func (r *eventRun) prefixRecorded(t Task) bool {
-	fa := r.folded.acts[t.Activity]
-	if fa == nil {
-		return false
-	}
-	if t.Element < 0 {
-		return fa.done
-	}
-	_, seen := fa.elements[t.Element]
-	return seen
 }
 
 func (r *eventRun) activity(name string) *activity {
@@ -347,13 +351,6 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 		return finalizeFromHistory(def, runID, prefix, folded, listeners)
 	}
 
-	var q TaskQueue
-	if e.NewQueue != nil {
-		q = e.NewQueue(runID)
-	} else {
-		q = NewMemoryQueue()
-	}
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	runCtx, wfSpan := telemetry.StartSpan(runCtx, "workflow:"+def.Name, "engine")
@@ -367,7 +364,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 		workers = 1
 	}
 	r := &eventRun{
-		e: e, def: def, runID: runID, listeners: listeners, q: q,
+		e: e, def: def, runID: runID, listeners: listeners, q: NewMemoryQueue(),
 		runCtx: runCtx, cancelRun: cancel, folded: folded,
 		acts:      map[string]*activity{},
 		values:    map[string]Data{},
@@ -381,19 +378,6 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 			StartedAt:   time.Now(),
 			Invocations: map[string]int{},
 		},
-	}
-
-	// A durable queue reopened across a crash can redeliver tasks whose
-	// results the prefix already records. Seed the report dedup with their
-	// task IDs so a late completion folds in nowhere; workers additionally
-	// drain them at dequeue without invoking the service.
-	for name, fa := range folded.acts {
-		if fa.done {
-			r.accepted[TaskID(runID, name, -1)] = true
-		}
-		for i := range fa.elements {
-			r.accepted[TaskID(runID, name, i)] = true
-		}
 	}
 
 	// Hand the replayed prefix to projections before any new event, then
@@ -504,7 +488,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 	} else {
 		r.append(HistoryEvent{Type: HistoryRunFinished, Status: "completed", Outputs: r.result.Outputs})
 	}
-	q.Close()
+	r.q.Close()
 	wg.Wait() // all worker spans recorded before the run returns
 	if e.Gateway != nil {
 		e.Gateway.RunFinished(runID)
@@ -593,13 +577,9 @@ func (r *eventRun) schedule(p *Processor) {
 
 func (r *eventRun) enqueue(t Task) {
 	t.EnqueuedAt = time.Now()
-	if err := r.q.Enqueue(t); err != nil {
-		if r.failErr == nil {
-			r.failErr = fmt.Errorf("workflow: enqueue %q: %w", t.ID, err)
-			r.cancelRun()
-		}
-		return
-	}
+	// Enqueue fails only on a closed queue, and execute closes the queue
+	// after the orchestration loop — the sole caller of enqueue — has exited.
+	_ = r.q.Enqueue(t)
 	r.e.Stats.TasksEnqueued(1)
 }
 
@@ -772,10 +752,10 @@ func (r *eventRun) deliver(l Link, d Data) []*Processor {
 	return nil
 }
 
-// worker is one pool goroutine: dequeue, (maybe die — chaos), drain or
-// invoke, ack, report. Every dequeued task produces exactly one eventual
-// done-report: a killed worker Nacks its task, so the queue redelivers it to
-// a surviving worker.
+// worker is one pool goroutine: dequeue, (maybe die — chaos), drain a
+// cancelled activity's task or invoke, ack, report. Every dequeued task
+// produces exactly one eventual done-report: a killed worker Nacks its task,
+// so the queue redelivers it to a surviving worker.
 func (r *eventRun) worker(id string, alive *atomic.Int64) {
 	stats := r.e.Stats
 	tasksDone := 0
@@ -795,16 +775,8 @@ func (r *eventRun) worker(id string, alive *atomic.Int64) {
 			}
 			alive.Add(1) // the last live worker shrugs the kill off
 		}
+		// schedule publishes the activity before it enqueues the first task.
 		a := r.activity(t.Activity)
-		if a == nil || r.prefixRecorded(t) {
-			// Stale content of a durable queue reopened across a crash: the
-			// activity (or this element) already completed in the replayed
-			// prefix. Drain it without a service call.
-			r.q.Ack(t.ID)
-			stats.TaskDone(id)
-			tasksDone++
-			continue
-		}
 		if err := a.ctx.Err(); err != nil {
 			// The activity was cancelled (a sibling element failed, or the
 			// run did): drain without a span or a service call.

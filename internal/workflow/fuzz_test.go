@@ -1,0 +1,70 @@
+package workflow
+
+import (
+	"context"
+	"encoding/json"
+	"testing"
+	"time"
+)
+
+// FuzzResumeHistory fuzzes the one thing resume trusts: the persisted history
+// prefix. Arbitrary bytes are decoded the way the provenance repository
+// decodes stored history rows (the HistoryEvent JSON codec) and handed to
+// EventEngine.Resume over the linear test pipeline. Whatever the prefix claims
+// — out-of-range elements, events past run-finished, unknown activities,
+// duplicate or negative sequence numbers, outputs of the wrong shape — Resume
+// must return a result or an error; it may never panic, and never sit in the
+// orchestration loop waiting for a task nobody was given.
+func FuzzResumeHistory(f *testing.F) {
+	def := linearDef()
+	def.Processors[0].Service = "upper"
+	def.Processors[1].Service = "exclaim"
+	// A list on the depth-0 input makes both processors iterate, so element
+	// events and partial iterations are part of every seed history.
+	inputs := map[string]Data{"in": List(Scalar("a"), Scalar("b"), Scalar("c"))}
+
+	evs, listener := recordHistory()
+	if _, err := NewEventEngine(upperReg()).Run(context.Background(), def, inputs, listener); err != nil {
+		f.Fatal(err)
+	}
+	for cut := 0; cut <= len(*evs); cut++ {
+		blob, err := json.Marshal((*evs)[:cut])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add([]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b"]},"elements":2},{"seq":2,"type":"iteration-element","activity":"A","element":7,"outputs":{"y":"Z"}},{"seq":3,"type":"iteration-element","activity":"A","element":-3}]`))
+	f.Add([]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"run-finished","status":"completed","outputs":{"out":"X"}},{"seq":2,"type":"activity-scheduled","activity":"A"}]`))
+	f.Add([]byte(`[{"seq":0,"type":"activity-completed","activity":"nope","outputs":{"y":"X"}}]`))
+	f.Add([]byte(`[{"seq":-5,"type":"run-started"},{"seq":-5,"type":"activity-completed","activity":"B","iterations":1,"outputs":{"y":[["deep"]]}},{"seq":-5,"type":"activity-failed","activity":"A"}]`))
+	f.Add([]byte(`[{"seq":1,"type":"activity-completed","activity":"A","outputs":{}}]`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var history []HistoryEvent
+		if err := json.Unmarshal(data, &history); err != nil {
+			return
+		}
+		eng := NewEventEngine(upperReg())
+		eng.Workers = 2
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		type outcome struct {
+			res *RunResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := eng.Resume(ctx, def, inputs, "run-fuzz", history, projected(func(Event) {}))
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.res == nil && o.err == nil {
+				t.Fatal("Resume returned neither a result nor an error")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Resume blocked on history %s", data)
+		}
+	})
+}

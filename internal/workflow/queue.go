@@ -32,9 +32,11 @@ func TaskID(runID, activity string, element int) string {
 	return fmt.Sprintf("%s/%s#%d", runID, activity, element)
 }
 
-// TaskQueue is the pluggable dispatch backend of the event-sourced engine.
-// Both implementations (MemoryQueue, StorageQueue) satisfy one contract,
-// pinned by RunQueueContract in queue_contract_test.go:
+// MemoryQueue is a run's dispatch queue: a mutex-guarded in-process FIFO with
+// a broadcast wake channel. It is deliberately not durable — a run's history
+// is its only durable record, and resume re-enqueues exactly the tasks the
+// history prefix does not hold. Its contract, pinned by
+// queue_contract_test.go:
 //
 //   - Enqueue appends to the tail; order of delivery is FIFO.
 //   - Dequeue blocks until a task is ready, the ctx is done, or the queue is
@@ -45,18 +47,6 @@ func TaskID(runID, activity string, element int) string {
 //   - Depth counts ready (not yet dequeued) tasks; InFlight counts leased.
 //   - Close stops new enqueues immediately but lets Dequeue drain what is
 //     already ready.
-type TaskQueue interface {
-	Enqueue(t Task) error
-	Dequeue(ctx context.Context) (Task, error)
-	Ack(id string) error
-	Nack(id string) error
-	Depth() int
-	InFlight() int
-	Close() error
-}
-
-// MemoryQueue is the in-process TaskQueue: a mutex-guarded FIFO with a
-// broadcast wake channel. It is the default backend of EventEngine.
 type MemoryQueue struct {
 	mu       sync.Mutex
 	ready    []Task
@@ -135,7 +125,7 @@ func (q *MemoryQueue) broadcastLocked() {
 	q.wake = make(chan struct{})
 }
 
-// Enqueue implements TaskQueue.
+// Enqueue appends t to the tail; ErrQueueClosed after Close.
 func (q *MemoryQueue) Enqueue(t Task) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -150,7 +140,7 @@ func (q *MemoryQueue) Enqueue(t Task) error {
 	return nil
 }
 
-// Dequeue implements TaskQueue.
+// Dequeue leases the FIFO head, blocking until one is ready.
 func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 	for {
 		q.mu.Lock()
@@ -197,41 +187,41 @@ func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 	}
 }
 
-// Ack implements TaskQueue. Acking a task this holder no longer leases — it
+// Ack completes a leased task. Acking a task this holder no longer leases — it
 // was never dequeued, already acked, or the lease expired and the task now
 // belongs to whoever reclaims it — is an idempotent no-op: the ownership
 // transfer already happened and completing the stolen copy here would race
 // the new holder. Redelivery of completed work is absorbed by the engine's
 // per-task report dedup, not prevented at the queue.
-func (q *MemoryQueue) Ack(id string) error {
+func (q *MemoryQueue) Ack(id string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l, ok := q.leased[id]
 	if !ok {
-		return nil
+		return
 	}
 	if !l.expires.IsZero() && !time.Now().Before(l.expires) {
-		return nil // expired: the task is reclaimable, not completable
+		return // expired: the task is reclaimable, not completable
 	}
 	delete(q.leased, id)
 	if !l.expires.IsZero() {
 		q.expiring--
 	}
-	return nil
 }
 
-// Nack implements TaskQueue. Like Ack, nacking an unleased or expired task is
-// an idempotent no-op — an expired lease is already on its way back to the
-// tail via reclaim, and re-enqueueing it here would duplicate the delivery.
-func (q *MemoryQueue) Nack(id string) error {
+// Nack returns a leased task to the tail with Attempt+1. Like Ack, nacking an
+// unleased or expired task is an idempotent no-op — an expired lease is
+// already on its way back to the tail via reclaim, and re-enqueueing it here
+// would duplicate the delivery.
+func (q *MemoryQueue) Nack(id string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l, ok := q.leased[id]
 	if !ok {
-		return nil
+		return
 	}
 	if !l.expires.IsZero() && !time.Now().Before(l.expires) {
-		return nil // expired: reclaim owns the redelivery
+		return // expired: reclaim owns the redelivery
 	}
 	delete(q.leased, id)
 	if !l.expires.IsZero() {
@@ -242,30 +232,28 @@ func (q *MemoryQueue) Nack(id string) error {
 	t.EnqueuedAt = time.Now()
 	q.ready = append(q.ready, t)
 	q.broadcastLocked()
-	return nil
 }
 
-// Depth implements TaskQueue.
+// Depth counts ready (not yet dequeued) tasks.
 func (q *MemoryQueue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.ready)
 }
 
-// InFlight implements TaskQueue.
+// InFlight counts leased tasks.
 func (q *MemoryQueue) InFlight() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.leased)
 }
 
-// Close implements TaskQueue.
-func (q *MemoryQueue) Close() error {
+// Close stops new enqueues; ready tasks still drain.
+func (q *MemoryQueue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if !q.closed {
 		q.closed = true
 		q.broadcastLocked()
 	}
-	return nil
 }

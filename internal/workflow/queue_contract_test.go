@@ -5,252 +5,181 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/storage"
 )
-
-// queueBackends enumerates the TaskQueue implementations under the shared
-// contract. Every behavioural guarantee the engine relies on is pinned here
-// once and asserted against both.
-func queueBackends(t *testing.T) map[string]func(t *testing.T) TaskQueue {
-	return map[string]func(t *testing.T) TaskQueue{
-		"memory": func(t *testing.T) TaskQueue { return NewMemoryQueue() },
-		"storage": func(t *testing.T) TaskQueue {
-			db, err := storage.Open(t.TempDir(), storage.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { db.Close() })
-			q, err := NewStorageQueue(db, "contract")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return q
-		},
-	}
-}
 
 func task(i int) Task {
 	return Task{ID: TaskID("run-q", "P", i), RunID: "run-q", Activity: "P", Element: i, EnqueuedAt: time.Now()}
 }
 
 func TestQueueContractFIFO(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			for i := 0; i < 5; i++ {
-				if err := q.Enqueue(task(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if d := q.Depth(); d != 5 {
-				t.Fatalf("depth = %d, want 5", d)
-			}
-			for i := 0; i < 5; i++ {
-				got, err := q.Dequeue(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Element != i {
-					t.Fatalf("dequeue %d: element %d, FIFO broken", i, got.Element)
-				}
-				if err := q.Ack(got.ID); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if q.Depth() != 0 || q.InFlight() != 0 {
-				t.Fatalf("drained queue: depth=%d inflight=%d", q.Depth(), q.InFlight())
-			}
-		})
+	q := NewMemoryQueue()
+	for i := 0; i < 5; i++ {
+		if err := q.Enqueue(task(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := q.Depth(); d != 5 {
+		t.Fatalf("depth = %d, want 5", d)
+	}
+	for i := 0; i < 5; i++ {
+		got, err := q.Dequeue(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Element != i {
+			t.Fatalf("dequeue %d: element %d, FIFO broken", i, got.Element)
+		}
+		q.Ack(got.ID)
+	}
+	if q.Depth() != 0 || q.InFlight() != 0 {
+		t.Fatalf("drained queue: depth=%d inflight=%d", q.Depth(), q.InFlight())
 	}
 }
 
 func TestQueueContractLeaseAccounting(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			q.Enqueue(task(0))
-			q.Enqueue(task(1))
-			got, err := q.Dequeue(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if q.Depth() != 1 || q.InFlight() != 1 {
-				t.Fatalf("after dequeue: depth=%d inflight=%d", q.Depth(), q.InFlight())
-			}
-			if err := q.Ack(got.ID); err != nil {
-				t.Fatal(err)
-			}
-			if q.InFlight() != 0 {
-				t.Fatalf("after ack: inflight=%d", q.InFlight())
-			}
-			// Pinned: a double Ack (or an Ack/Nack of anything unleased) is
-			// an idempotent no-op, not an error — and it must not disturb
-			// the still-queued task.
-			if err := q.Ack(got.ID); err != nil {
-				t.Fatalf("double ack: %v, want idempotent nil", err)
-			}
-			if err := q.Nack(got.ID); err != nil {
-				t.Fatalf("nack of acked task: %v, want idempotent nil", err)
-			}
-			if q.Depth() != 1 || q.InFlight() != 0 {
-				t.Fatalf("after idempotent no-ops: depth=%d inflight=%d, want 1/0", q.Depth(), q.InFlight())
-			}
-		})
+	q := NewMemoryQueue()
+	q.Enqueue(task(0))
+	q.Enqueue(task(1))
+	got, err := q.Dequeue(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Depth() != 1 || q.InFlight() != 1 {
+		t.Fatalf("after dequeue: depth=%d inflight=%d", q.Depth(), q.InFlight())
+	}
+	q.Ack(got.ID)
+	if q.InFlight() != 0 {
+		t.Fatalf("after ack: inflight=%d", q.InFlight())
+	}
+	// Pinned: a double Ack (or an Ack/Nack of anything unleased) is
+	// an idempotent no-op, not an error — and it must not disturb
+	// the still-queued task.
+	q.Ack(got.ID)
+	q.Nack(got.ID)
+	if q.Depth() != 1 || q.InFlight() != 0 {
+		t.Fatalf("after idempotent no-ops: depth=%d inflight=%d, want 1/0", q.Depth(), q.InFlight())
 	}
 }
 
 func TestQueueContractNackRedelivers(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			q.Enqueue(task(0))
-			q.Enqueue(task(1))
-			first, err := q.Dequeue(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := q.Nack(first.ID); err != nil {
-				t.Fatal(err)
-			}
-			// The nacked task moves to the tail with a bumped attempt.
-			second, _ := q.Dequeue(context.Background())
-			if second.Element != 1 {
-				t.Fatalf("nacked task did not yield the head: got element %d", second.Element)
-			}
-			redelivered, _ := q.Dequeue(context.Background())
-			if redelivered.ID != first.ID {
-				t.Fatalf("redelivered ID %q, want %q", redelivered.ID, first.ID)
-			}
-			if redelivered.Attempt != first.Attempt+1 {
-				t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt+1)
-			}
-		})
+	q := NewMemoryQueue()
+	q.Enqueue(task(0))
+	q.Enqueue(task(1))
+	first, err := q.Dequeue(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Nack(first.ID)
+	// The nacked task moves to the tail with a bumped attempt.
+	second, _ := q.Dequeue(context.Background())
+	if second.Element != 1 {
+		t.Fatalf("nacked task did not yield the head: got element %d", second.Element)
+	}
+	redelivered, _ := q.Dequeue(context.Background())
+	if redelivered.ID != first.ID {
+		t.Fatalf("redelivered ID %q, want %q", redelivered.ID, first.ID)
+	}
+	if redelivered.Attempt != first.Attempt+1 {
+		t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt+1)
 	}
 }
 
 func TestQueueContractBlockingDequeue(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			got := make(chan Task, 1)
-			go func() {
-				tk, err := q.Dequeue(context.Background())
-				if err == nil {
-					got <- tk
-				}
-			}()
-			time.Sleep(20 * time.Millisecond) // let the dequeuer block
-			if err := q.Enqueue(task(7)); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case tk := <-got:
-				if tk.Element != 7 {
-					t.Fatalf("woken dequeue got element %d", tk.Element)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("enqueue did not wake the blocked dequeue")
-			}
-		})
+	q := NewMemoryQueue()
+	got := make(chan Task, 1)
+	go func() {
+		tk, err := q.Dequeue(context.Background())
+		if err == nil {
+			got <- tk
+		}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the dequeuer block
+	if err := q.Enqueue(task(7)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case tk := <-got:
+		if tk.Element != 7 {
+			t.Fatalf("woken dequeue got element %d", tk.Element)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("enqueue did not wake the blocked dequeue")
 	}
 }
 
 func TestQueueContractDequeueHonoursContext(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-			defer cancel()
-			if _, err := q.Dequeue(ctx); !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want deadline exceeded", err)
-			}
-		})
+	q := NewMemoryQueue()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := q.Dequeue(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
 
 func TestQueueContractCloseDrains(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			q.Enqueue(task(0))
-			if err := q.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := q.Enqueue(task(1)); !errors.Is(err, ErrQueueClosed) {
-				t.Fatalf("enqueue after close: %v", err)
-			}
-			// Already-ready work still drains...
-			tk, err := q.Dequeue(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := q.Ack(tk.ID); err != nil {
-				t.Fatal(err)
-			}
-			// ...then dequeue reports closure.
-			if _, err := q.Dequeue(context.Background()); !errors.Is(err, ErrQueueClosed) {
-				t.Fatalf("dequeue on drained closed queue: %v", err)
-			}
-		})
+	q := NewMemoryQueue()
+	q.Enqueue(task(0))
+	q.Close()
+	if err := q.Enqueue(task(1)); !errors.Is(err, ErrQueueClosed) {
+		t.Fatalf("enqueue after close: %v", err)
+	}
+	// Already-ready work still drains...
+	tk, err := q.Dequeue(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Ack(tk.ID)
+	// ...then dequeue reports closure.
+	if _, err := q.Dequeue(context.Background()); !errors.Is(err, ErrQueueClosed) {
+		t.Fatalf("dequeue on drained closed queue: %v", err)
 	}
 }
 
-// TestQueueContractLeaseExpiry pins the lease-timeout contract on both
-// backends: a dequeued task that is never acknowledged is redelivered —
+// TestQueueContractLeaseExpiry pins the lease-timeout contract: a dequeued
+// task that is never acknowledged is redelivered —
 // exactly once — to another dequeuer after the TTL, with Attempt+1, and the
 // original holder's late Ack is an idempotent no-op that cannot
 // double-complete the stolen task.
 func TestQueueContractLeaseExpiry(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			q.(interface{ SetLeaseTTL(time.Duration) }).SetLeaseTTL(30 * time.Millisecond)
-			if err := q.Enqueue(task(0)); err != nil {
-				t.Fatal(err)
-			}
-			// Dequeuer A takes the task and dies without acking.
-			first, err := q.Dequeue(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if q.InFlight() != 1 {
-				t.Fatalf("inflight = %d, want 1", q.InFlight())
-			}
-			// Dequeuer B blocks; the expiry timer, not an enqueue, must wake
-			// it with the reclaimed task.
-			redelivered, err := q.Dequeue(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if redelivered.ID != first.ID {
-				t.Fatalf("redelivered ID %q, want %q", redelivered.ID, first.ID)
-			}
-			if redelivered.Attempt != first.Attempt+1 {
-				t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt+1)
-			}
-			if err := q.Ack(redelivered.ID); err != nil {
-				t.Fatalf("new holder's ack: %v", err)
-			}
-			// The original holder's lease is gone; its late ack and nack
-			// must be no-ops — in particular the nack must NOT resurrect
-			// the task the new holder already completed.
-			if err := q.Ack(first.ID); err != nil {
-				t.Fatalf("late ack after expiry: %v, want idempotent nil", err)
-			}
-			if err := q.Nack(first.ID); err != nil {
-				t.Fatalf("late nack after expiry: %v, want idempotent nil", err)
-			}
-			// Exactly once: nothing left to deliver.
-			if q.Depth() != 0 || q.InFlight() != 0 {
-				t.Fatalf("leftovers: depth=%d inflight=%d", q.Depth(), q.InFlight())
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-			defer cancel()
-			if _, err := q.Dequeue(ctx); !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("expired task delivered a second time: %v", err)
-			}
-		})
+	q := NewMemoryQueue()
+	q.SetLeaseTTL(30 * time.Millisecond)
+	if err := q.Enqueue(task(0)); err != nil {
+		t.Fatal(err)
+	}
+	// Dequeuer A takes the task and dies without acking.
+	first, err := q.Dequeue(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.InFlight() != 1 {
+		t.Fatalf("inflight = %d, want 1", q.InFlight())
+	}
+	// Dequeuer B blocks; the expiry timer, not an enqueue, must wake
+	// it with the reclaimed task.
+	redelivered, err := q.Dequeue(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if redelivered.ID != first.ID {
+		t.Fatalf("redelivered ID %q, want %q", redelivered.ID, first.ID)
+	}
+	if redelivered.Attempt != first.Attempt+1 {
+		t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt+1)
+	}
+	q.Ack(redelivered.ID)
+	// The original holder's lease is gone; its late ack and nack
+	// must be no-ops — in particular the nack must NOT resurrect
+	// the task the new holder already completed.
+	q.Ack(first.ID)
+	q.Nack(first.ID)
+	// Exactly once: nothing left to deliver.
+	if q.Depth() != 0 || q.InFlight() != 0 {
+		t.Fatalf("leftovers: depth=%d inflight=%d", q.Depth(), q.InFlight())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := q.Dequeue(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired task delivered a second time: %v", err)
 	}
 }
 
@@ -259,236 +188,143 @@ func TestQueueContractLeaseExpiry(t *testing.T) {
 // arrives too late to complete the task — it is a no-op, and the task is
 // still redelivered to the next dequeuer with a bumped attempt.
 func TestQueueContractExpiredAckCannotComplete(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			q.(interface{ SetLeaseTTL(time.Duration) }).SetLeaseTTL(20 * time.Millisecond)
-			if err := q.Enqueue(task(0)); err != nil {
-				t.Fatal(err)
-			}
-			first, err := q.Dequeue(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(40 * time.Millisecond) // lease expires, nothing reclaims yet
-			if err := q.Ack(first.ID); err != nil {
-				t.Fatalf("expired ack: %v, want idempotent nil", err)
-			}
-			// The ack must not have consumed the task: it comes back.
-			redelivered, err := q.Dequeue(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if redelivered.ID != first.ID || redelivered.Attempt != first.Attempt+1 {
-				t.Fatalf("redelivered = %+v, want ID %q attempt %d", redelivered, first.ID, first.Attempt+1)
-			}
-			if err := q.Ack(redelivered.ID); err != nil {
-				t.Fatalf("new holder's ack: %v", err)
-			}
-		})
+	q := NewMemoryQueue()
+	q.SetLeaseTTL(20 * time.Millisecond)
+	if err := q.Enqueue(task(0)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := q.Dequeue(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(40 * time.Millisecond) // lease expires, nothing reclaims yet
+	q.Ack(first.ID)
+	// The ack must not have consumed the task: it comes back.
+	redelivered, err := q.Dequeue(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if redelivered.ID != first.ID || redelivered.Attempt != first.Attempt+1 {
+		t.Fatalf("redelivered = %+v, want ID %q attempt %d", redelivered, first.ID, first.Attempt+1)
+	}
+	q.Ack(redelivered.ID)
+	if q.InFlight() != 0 {
+		t.Fatalf("new holder's ack did not complete the task: inflight=%d", q.InFlight())
 	}
 }
 
 // TestQueueContractConcurrentLeaseStealers races two dequeuers for one
-// expired lease on both backends: exactly one must win the reclaimed task,
-// the other must still be empty-handed at its deadline. Runs under -race via
-// the workflow package's slot in `make race`.
+// expired lease: exactly one must win the reclaimed task, the other must
+// still be empty-handed at its deadline. Runs under -race via the workflow
+// package's slot in `make race`.
 func TestQueueContractConcurrentLeaseStealers(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			q.(interface{ SetLeaseTTL(time.Duration) }).SetLeaseTTL(100 * time.Millisecond)
-			if err := q.Enqueue(task(0)); err != nil {
-				t.Fatal(err)
-			}
-			// The doomed holder takes the lease and never acks.
-			first, err := q.Dequeue(context.Background())
+	q := NewMemoryQueue()
+	q.SetLeaseTTL(100 * time.Millisecond)
+	if err := q.Enqueue(task(0)); err != nil {
+		t.Fatal(err)
+	}
+	// The doomed holder takes the lease and never acks.
+	first, err := q.Dequeue(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := make(chan Task, 2)
+	losses := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+			defer cancel()
+			tk, err := q.Dequeue(ctx)
 			if err != nil {
-				t.Fatal(err)
+				losses <- err
+				return
 			}
-			wins := make(chan Task, 2)
-			losses := make(chan error, 2)
-			for i := 0; i < 2; i++ {
-				go func() {
-					ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-					defer cancel()
-					tk, err := q.Dequeue(ctx)
-					if err != nil {
-						losses <- err
-						return
-					}
-					// Ack inside the goroutine: the stolen lease carries the
-					// TTL too, and it must not expire into the loser's hands
-					// while the test inspects the winner.
-					if err := q.Ack(tk.ID); err != nil {
-						t.Errorf("winner's ack: %v", err)
-					}
-					wins <- tk
-				}()
-			}
-			var stolen Task
-			select {
-			case stolen = <-wins:
-			case <-time.After(2 * time.Second):
-				t.Fatal("no stealer won the expired lease")
-			}
-			if stolen.ID != first.ID || stolen.Attempt != first.Attempt+1 {
-				t.Fatalf("stolen = %+v, want ID %q attempt %d", stolen, first.ID, first.Attempt+1)
-			}
-			select {
-			case dup := <-wins:
-				t.Fatalf("both stealers won: second got %+v", dup)
-			case err := <-losses:
-				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("loser error = %v, want deadline exceeded", err)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("losing stealer neither timed out nor returned")
-			}
-			if q.Depth() != 0 || q.InFlight() != 0 {
-				t.Fatalf("leftovers: depth=%d inflight=%d", q.Depth(), q.InFlight())
-			}
-		})
+			// Ack inside the goroutine: the stolen lease carries the
+			// TTL too, and it must not expire into the loser's hands
+			// while the test inspects the winner.
+			q.Ack(tk.ID)
+			wins <- tk
+		}()
+	}
+	var stolen Task
+	select {
+	case stolen = <-wins:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no stealer won the expired lease")
+	}
+	if stolen.ID != first.ID || stolen.Attempt != first.Attempt+1 {
+		t.Fatalf("stolen = %+v, want ID %q attempt %d", stolen, first.ID, first.Attempt+1)
+	}
+	select {
+	case dup := <-wins:
+		t.Fatalf("both stealers won: second got %+v", dup)
+	case err := <-losses:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("loser error = %v, want deadline exceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("losing stealer neither timed out nor returned")
+	}
+	if q.Depth() != 0 || q.InFlight() != 0 {
+		t.Fatalf("leftovers: depth=%d inflight=%d", q.Depth(), q.InFlight())
 	}
 }
 
 // TestQueueLeaseTTLZeroNeverExpires pins the default: without SetLeaseTTL a
 // lease outlives any wait, so a slow worker is never double-delivered.
 func TestQueueLeaseTTLZeroNeverExpires(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			q.Enqueue(task(0))
-			first, err := q.Dequeue(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-			defer cancel()
-			if _, err := q.Dequeue(ctx); !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("unexpired lease redelivered: %v", err)
-			}
-			if err := q.Ack(first.ID); err != nil {
-				t.Fatalf("slow ack rejected: %v", err)
-			}
-		})
-	}
-}
-
-// TestStorageQueueRecoversAcrossReopen is storage-only: a crashed process's
-// ready AND leased tasks must all come back ready on reopen.
-func TestStorageQueueRecoversAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	db, err := storage.Open(dir, storage.Options{})
+	q := NewMemoryQueue()
+	q.Enqueue(task(0))
+	first, err := q.Dequeue(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewStorageQueue(db, "crash")
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	if _, err := q.Dequeue(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("unexpired lease redelivered: %v", err)
 	}
-	for i := 0; i < 4; i++ {
-		if err := q.Enqueue(task(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Lease two (simulating workers mid-task at crash time), ack one.
-	t0, _ := q.Dequeue(context.Background())
-	t1, _ := q.Dequeue(context.Background())
-	if err := q.Ack(t0.ID); err != nil {
-		t.Fatal(err)
-	}
-	_ = t1 // leased, never acked — the "crash" strands it
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := storage.Open(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	q2, err := NewStorageQueue(db2, "crash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := q2.Depth(); d != 3 {
-		t.Fatalf("recovered depth = %d, want 3 (acked task must stay gone)", d)
-	}
-	seen := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		tk, err := q2.Dequeue(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[tk.ID] = true
-	}
-	if seen[t0.ID] {
-		t.Fatal("acked task resurrected after reopen")
-	}
-	if !seen[t1.ID] {
-		t.Fatal("stranded lease not redelivered after reopen")
-	}
-	// New tail ordinals must not collide with recovered rows.
-	if err := q2.Enqueue(Task{ID: TaskID("run-q", "P", 9), RunID: "run-q", Activity: "P", Element: 9}); err != nil {
-		t.Fatal(err)
-	}
-	ids := map[string]int{}
-	for i := 0; i < 1; i++ {
-		tk, err := q2.Dequeue(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[tk.ID]++
-	}
-	for id, n := range ids {
-		if n != 1 {
-			t.Fatalf("task %s delivered %d times", id, n)
-		}
+	q.Ack(first.ID)
+	if q.InFlight() != 0 {
+		t.Fatalf("slow ack rejected: inflight=%d", q.InFlight())
 	}
 }
 
 func TestQueueContractConcurrentWorkers(t *testing.T) {
-	for name, mk := range queueBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t)
-			const n = 64
-			for i := 0; i < n; i++ {
-				if err := q.Enqueue(task(i)); err != nil {
-					t.Fatal(err)
+	q := NewMemoryQueue()
+	const n = 64
+	for i := 0; i < n; i++ {
+		if err := q.Enqueue(task(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(chan int, n)
+	for w := 0; w < 8; w++ {
+		go func() {
+			for {
+				tk, err := q.Dequeue(context.Background())
+				if err != nil {
+					return
 				}
+				q.Ack(tk.ID)
+				got <- tk.Element
 			}
-			got := make(chan int, n)
-			for w := 0; w < 8; w++ {
-				go func() {
-					for {
-						tk, err := q.Dequeue(context.Background())
-						if err != nil {
-							return
-						}
-						if err := q.Ack(tk.ID); err != nil {
-							t.Errorf("ack: %v", err)
-						}
-						got <- tk.Element
-					}
-				}()
+		}()
+	}
+	seen := map[int]bool{}
+	for i := 0; i < n; i++ {
+		select {
+		case e := <-got:
+			if seen[e] {
+				t.Fatalf("element %d delivered twice", e)
 			}
-			seen := map[int]bool{}
-			for i := 0; i < n; i++ {
-				select {
-				case e := <-got:
-					if seen[e] {
-						t.Fatalf("element %d delivered twice", e)
-					}
-					seen[e] = true
-				case <-time.After(5 * time.Second):
-					t.Fatalf("stalled after %d deliveries", i)
-				}
-			}
-			q.Close()
-			if q.Depth() != 0 || q.InFlight() != 0 {
-				t.Fatalf("leftovers: depth=%d inflight=%d", q.Depth(), q.InFlight())
-			}
-		})
+			seen[e] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stalled after %d deliveries", i)
+		}
+	}
+	q.Close()
+	if q.Depth() != 0 || q.InFlight() != 0 {
+		t.Fatalf("leftovers: depth=%d inflight=%d", q.Depth(), q.InFlight())
 	}
 }

@@ -21,7 +21,7 @@ type RemoteTask struct {
 // engine hands one to its Gateway per run; it is valid until RunFinished.
 //
 // Remote workers are full peers of the in-process pool: they pull from the
-// same TaskQueue (FIFO, leases, redelivery) and their reports fold into
+// same queue (FIFO, leases, redelivery) and their reports fold into
 // history through the same orchestrator goroutine, so graph byte-identity
 // holds regardless of where an element executed.
 type RunHandle struct {
@@ -44,14 +44,6 @@ func (h *RunHandle) Dequeue(ctx context.Context, worker string) (RemoteTask, err
 		}
 		h.r.e.Stats.TaskStarted(worker)
 		a := h.r.activity(t.Activity)
-		if a == nil || h.r.prefixRecorded(t) {
-			// A task this orchestrator never scheduled, or whose result the
-			// replayed prefix already records — stale queue content from a
-			// previous owner; drain it without shipping it out.
-			h.r.q.Ack(t.ID)
-			h.r.e.Stats.TaskDone(worker)
-			continue
-		}
 		if err := a.ctx.Err(); err != nil {
 			h.r.q.Ack(t.ID)
 			h.r.e.Stats.TaskDone(worker)
