@@ -35,7 +35,9 @@ race:
 ## scheduler-pool trial: three peer orchestrators drain an admission queue while two are
 ## killed mid-run, and every queued run must still complete byte-identically
 ## exactly once), the /api/v1 contract smoke (including the /api/v1/cluster
-## resources and the per-tenant quota contract), the tracing-overhead
+## resources, the per-tenant quota contract, and the batch-path guard: one
+## POST /api/v1/detect over 16 cold names must reach a request-counting stub
+## authority as exactly one /resolve_batch and no /resolve), the tracing-overhead
 ## guard (traced detection within 5% of untraced), the zero-allocation
 ## guards over the provenance/telemetry/storage hot paths, a 1-iteration
 ## bench-harness smoke proving every tracked benchmark still runs (numbers

@@ -968,12 +968,16 @@ func chaosDegradedResolution(e *environment, runs, records, species int) error {
 			i, out.Degraded, out.Unavailable, out.Outdated)
 	}
 
-	// Phase 3: full outage plus a latency spike; the breaker opens and stale
-	// answers keep the runs completing.
+	// Phase 3: full outage plus a latency spike; stale answers keep the runs
+	// completing, and the breaker opens once it has seen enough failed calls.
+	// The engine hands the stack a run's names in one batch and a batch is
+	// one guarded call — one breaker sample, one request to the dead
+	// authority — so that takes several runs: the phase lasts until the
+	// breaker opens, at most one breaker window of runs.
 	svc.SetAvailability(0)
 	svc.SetLatency(5 * time.Millisecond)
 	time.Sleep(25 * time.Millisecond)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 20 && rr.BreakerState() != resilience.Open; i++ {
 		out, err := sys.RunDetection(ctx, rr, opts)
 		if err != nil {
 			hardFails++
@@ -982,6 +986,7 @@ func chaosDegradedResolution(e *environment, runs, records, species int) error {
 		}
 		fmt.Printf("  phase 3 (outage):    run %d  degraded %d, unavailable %d  breaker=%s\n",
 			i, out.Degraded, out.Unavailable, rr.BreakerState())
+		time.Sleep(25 * time.Millisecond) // let cache entries expire
 	}
 
 	// Phase 4: the authority recovers; the breaker probes its way closed.

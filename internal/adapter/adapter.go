@@ -98,27 +98,20 @@ type Probe struct {
 func NewProbe() *Probe { return &Probe{obs: make(map[string]*Observation)} }
 
 // Instrument returns a new registry in which every service referenced by def
-// is wrapped to report into the probe. Unreferenced services are passed
-// through untouched. The original registry is not modified.
+// is wrapped to report into the probe — its batch form too, when it has one.
+// Unreferenced services are passed through untouched. The original registry
+// is not modified.
 func (p *Probe) Instrument(def *workflow.Definition, reg *workflow.Registry) (*workflow.Registry, error) {
-	out := workflow.NewRegistry()
-	// Carry over everything, wrapping the services def actually uses.
-	wrapped := map[string]bool{}
+	out := reg.Clone()
 	for _, proc := range def.Processors {
-		if wrapped[proc.Service] {
-			continue
-		}
 		fn, ok := reg.Lookup(proc.Service)
 		if !ok {
 			return nil, fmt.Errorf("adapter: service %q not registered", proc.Service)
 		}
-		out.Register(proc.Service, p.wrap(proc.Service, fn))
-		wrapped[proc.Service] = true
-	}
-	for _, name := range reg.Names() {
-		if !wrapped[name] {
-			fn, _ := reg.Lookup(name)
-			out.Register(name, fn)
+		if batch, ok := reg.LookupBatch(proc.Service); ok {
+			out.RegisterBatch(proc.Service, p.wrap(proc.Service, fn), p.wrapBatch(proc.Service, batch))
+		} else {
+			out.Register(proc.Service, p.wrap(proc.Service, fn))
 		}
 	}
 	return out, nil
@@ -128,26 +121,47 @@ func (p *Probe) wrap(service string, fn workflow.ServiceFunc) workflow.ServiceFu
 	return func(ctx context.Context, call workflow.Call) (map[string]workflow.Data, error) {
 		start := time.Now()
 		outputs, err := fn(ctx, call)
-		elapsed := time.Since(start)
-		var outBytes int64
-		for _, d := range outputs {
-			outBytes += int64(len(d.String()))
-		}
-		p.mu.Lock()
-		o := p.obs[service]
-		if o == nil {
-			o = &Observation{}
-			p.obs[service] = o
-		}
-		o.Invocations++
-		if err != nil {
-			o.Failures++
-		}
-		o.TotalLatency += elapsed
-		o.OutputBytes += outBytes
-		p.mu.Unlock()
+		p.observe(service, time.Since(start), workflow.CallResult{Outputs: outputs, Err: err})
 		return outputs, err
 	}
+}
+
+// wrapBatch observes a batch call as the invocations it stands for: one per
+// slot, each succeeding or failing on its own, the call's latency counted
+// once.
+func (p *Probe) wrapBatch(service string, fn workflow.BatchServiceFunc) workflow.BatchServiceFunc {
+	return func(ctx context.Context, calls []workflow.Call) []workflow.CallResult {
+		start := time.Now()
+		results := fn(ctx, calls)
+		p.observe(service, time.Since(start), results...)
+		return results
+	}
+}
+
+// observe folds the results of one service call taking elapsed into the
+// service's observation.
+func (p *Probe) observe(service string, elapsed time.Duration, results ...workflow.CallResult) {
+	var failures int
+	var outBytes int64
+	for _, res := range results {
+		if res.Err != nil {
+			failures++
+		}
+		for _, d := range res.Outputs {
+			outBytes += int64(len(d.String()))
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	o := p.obs[service]
+	if o == nil {
+		o = &Observation{}
+		p.obs[service] = o
+	}
+	o.Invocations += len(results)
+	o.Failures += failures
+	o.TotalLatency += elapsed
+	o.OutputBytes += outBytes
 }
 
 // Snapshot returns a copy of all observations keyed by service name.

@@ -137,6 +137,50 @@ func TestProbeInstrumentation(t *testing.T) {
 	}
 }
 
+// TestProbeCountsBatchedInvocations: the probe's observations must not depend
+// on which form of a service the engine ran — a batch call over n elements is
+// n invocations, each slot succeeding or failing on its own.
+func TestProbeCountsBatchedInvocations(t *testing.T) {
+	resolve := func(_ context.Context, c workflow.Call) (map[string]workflow.Data, error) {
+		if c.Input("x").String() == "bad" {
+			return nil, errors.New("resolution failed")
+		}
+		return map[string]workflow.Data{"y": workflow.Scalar("ok:" + c.Input("x").String())}, nil
+	}
+	batches := 0
+	reg := workflow.NewRegistry()
+	reg.RegisterBatch("col.resolve", resolve, func(ctx context.Context, calls []workflow.Call) []workflow.CallResult {
+		batches++
+		out := make([]workflow.CallResult, len(calls))
+		for i, c := range calls {
+			out[i].Outputs, out[i].Err = resolve(ctx, c)
+		}
+		return out
+	})
+	probe := NewProbe()
+	def := testDef()
+	ireg, err := probe.Instrument(def, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ireg.LookupBatch("col.resolve"); !ok {
+		t.Fatal("instrumentation dropped the batch form")
+	}
+	_, err = workflow.NewEventEngine(ireg).Run(context.Background(), def, map[string]workflow.Data{
+		"in": workflow.List(workflow.Scalar("a"), workflow.Scalar("bad"), workflow.Scalar("c"), workflow.Scalar("d")),
+	})
+	if err == nil {
+		t.Fatal("run with a failing element succeeded")
+	}
+	if batches != 1 {
+		t.Fatalf("batch form ran %d times, want 1", batches)
+	}
+	o := probe.Snapshot()["col.resolve"]
+	if o.Invocations != 4 || o.Failures != 1 || o.OutputBytes != int64(len("ok:a")*3) {
+		t.Fatalf("observation = %+v, want 4 invocations, 1 failure", o)
+	}
+}
+
 func TestProbeInstrumentMissingService(t *testing.T) {
 	probe := NewProbe()
 	if _, err := probe.Instrument(testDef(), workflow.NewRegistry()); err == nil {

@@ -77,9 +77,12 @@ type RunOptions struct {
 	SkipLedger bool
 	// Parallel is the event engine's worker-pool size for the run: that many
 	// worker goroutines pull activity tasks off the run's dispatch queue, so
-	// at most Parallel service invocations are in flight at once. 0 or 1
-	// keeps a single worker (the historical sequential behaviour). With the
-	// Catalogue of Life hundreds of milliseconds away, this is the
+	// at most Parallel service calls are in flight at once. 0 or 1 keeps a
+	// single worker (the historical sequential behaviour, and what every
+	// production entry point runs with). A resolver that can batch is not
+	// helped by it: one worker already resolves an iteration's ready names in
+	// one round trip (DESIGN.md "Batched element dispatch"). Against a
+	// single-name resolver hundreds of milliseconds away it is the
 	// difference between n×latency and n×latency/Parallel per pass.
 	Parallel int
 	// CrashAfterDeltas > 0 kills the run after that many provenance deltas
@@ -280,9 +283,12 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 		items[i] = workflow.Scalar(n)
 	}
 
-	// Step 3: execute with provenance capture and adapter probing.
-	s.RegisterDetectionServices(resolver)
-	reg, err := s.Probe.Instrument(def, s.Registry)
+	// Step 3: execute with provenance capture and adapter probing. The run
+	// binds its resolver in a registry of its own: s.Registry is shared with
+	// every concurrent run and is only read.
+	reg := s.Registry.Clone()
+	RegisterDetectionServicesInto(reg, resolver)
+	reg, err = s.Probe.Instrument(def, reg)
 	if err != nil {
 		return bail(err)
 	}

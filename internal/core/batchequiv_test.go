@@ -2,18 +2,23 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/taxonomy"
+	"repro/internal/workflow"
 )
 
 // singleOnlyResolver strips every batch capability from a resolver, leaving
-// the bare one-name-per-round-trip protocol — the reference the batched
-// stack must be provenance-equivalent to.
+// the bare one-name-per-call protocol: handed to core it keeps col.resolve
+// without a batch form (per-element dispatch), wrapped around a client it
+// keeps the stack to one name per round trip — the reference the batched
+// path must be provenance-equivalent to.
 type singleOnlyResolver struct {
 	inner taxonomy.Resolver
 }
@@ -23,20 +28,40 @@ func (s singleOnlyResolver) Resolve(ctx context.Context, name string) (taxonomy.
 }
 
 // batchEquivShape is everything a detection run produces that batching must
-// not change: the summary numbers, the renames, and the canonical
-// provenance graph.
+// not change: the summary numbers, the renames, the canonical provenance
+// graph and the length of the run's history.
 type batchEquivShape struct {
 	summary string
 	graph   string
+	history int
 }
 
 func runShapeWith(t *testing.T, sys *System, resolver taxonomy.Resolver, parallel int) (batchEquivShape, *DetectionOutcome) {
 	t.Helper()
-	outcome, err := sys.RunDetection(context.Background(), resolver, RunOptions{
-		Parallel: parallel, SkipLedger: true,
-	})
+	return runShapeOpts(t, sys, resolver, RunOptions{Parallel: parallel, SkipLedger: true}, 0)
+}
+
+// runShapeOpts runs one detection under opts; with cut > 0 the run is first
+// crashed after that many persisted deltas and then resumed under opts.
+func runShapeOpts(t *testing.T, sys *System, resolver taxonomy.Resolver, opts RunOptions, cut int) (batchEquivShape, *DetectionOutcome) {
+	t.Helper()
+	parallel := opts.Parallel
+	var outcome *DetectionOutcome
+	var err error
+	if cut > 0 {
+		kill := opts
+		kill.CrashAfterDeltas = cut
+		_, err = sys.RunDetection(context.Background(), resolver, kill)
+		var crash *CrashError
+		if !errors.As(err, &crash) {
+			t.Fatalf("parallel=%d cut=%d: expected CrashError, got %v", parallel, cut, err)
+		}
+		outcome, err = sys.ResumeDetection(context.Background(), resolver, crash.RunID, opts)
+	} else {
+		outcome, err = sys.RunDetection(context.Background(), resolver, opts)
+	}
 	if err != nil {
-		t.Fatalf("parallel=%d: %v", parallel, err)
+		t.Fatalf("parallel=%d cut=%d: %v", parallel, cut, err)
 	}
 	renames := make([]string, 0, len(outcome.Renames))
 	for old, upd := range outcome.Renames {
@@ -50,49 +75,97 @@ func runShapeWith(t *testing.T, sys *System, resolver taxonomy.Resolver, paralle
 	if err != nil {
 		t.Fatalf("parallel=%d: graph: %v", parallel, err)
 	}
-	return batchEquivShape{summary: summary, graph: canonicalGraph(g, outcome.RunID)}, outcome
+	history, err := sys.Provenance.History(outcome.RunID)
+	if err != nil {
+		t.Fatalf("parallel=%d: history: %v", parallel, err)
+	}
+	return batchEquivShape{summary: summary, graph: canonicalGraph(g, outcome.RunID), history: len(history)}, outcome
 }
 
 // TestRunDetectionBatchEquivalence: the same detection over the same
-// authority must yield byte-identical canonical provenance and identical
-// fresh/degraded accounting whether names travel one-per-round-trip or
-// batched+coalesced — at engine parallelism 1 and 4.
+// authority must yield byte-identical canonical provenance, equal history
+// lengths and identical fresh/degraded accounting whether the engine
+// dispatches names one per service call and round trip, or leases the ready
+// names together and resolves them in one batch — at engine parallelism 1, 4
+// and 16, uninterrupted, with workers killed mid-run, and crashed at a random
+// cut and resumed.
 func TestRunDetectionBatchEquivalence(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 600, 120)
 	svc := taxonomy.NewService(taxa.Checklist, taxonomy.WithLatency(time.Millisecond))
 	srv := httptest.NewServer(svc)
 	defer srv.Close()
 
-	// Reference: the single-name protocol through the full resilient stack.
+	// Reference: per-element dispatch. The resolver offers no batch
+	// capability, so col.resolve has no batch form and every name is its own
+	// service call through the full resilient stack.
 	refStack := func() taxonomy.Resolver {
-		return taxonomy.NewResilientResolver(singleOnlyResolver{taxonomy.NewClient(srv.URL)}, taxonomy.ResilienceOptions{})
+		return singleOnlyResolver{taxonomy.NewResilientResolver(singleOnlyResolver{taxonomy.NewClient(srv.URL)}, taxonomy.ResilienceOptions{})}
 	}
-	// Candidate: the batch fast path end to end (client batch endpoint,
-	// cache miss coalescing, one guard admission per batch).
+	// Candidate: batched dispatch end to end (engine lease, cache miss
+	// coalescing, one guard admission and one client request per batch).
 	batchStack := func() taxonomy.Resolver {
 		return taxonomy.NewResilientResolver(taxonomy.NewClient(srv.URL), taxonomy.ResilienceOptions{})
 	}
 
-	for _, parallel := range []int{1, 4} {
-		want, wantOutcome := runShapeWith(t, sys, refStack(), parallel)
-		got, gotOutcome := runShapeWith(t, sys, batchStack(), parallel)
-		if got.summary != want.summary {
-			t.Errorf("parallel=%d summary diverges:\n batch  %s\n single %s", parallel, got.summary, want.summary)
+	clean, cleanOutcome := runShapeWith(t, sys, refStack(), 1)
+	total := int(cleanOutcome.ProvenanceWriter.Enqueued)
+	if total < 200 {
+		t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
+	}
+	rng := rand.New(rand.NewSource(11)) // deterministic cuts, reproducible failures
+	for _, parallel := range []int{1, 4, 16} {
+		// Two uninterrupted runs, one crash while the names are still being
+		// resolved (an element event is one delta, after ~30 of preamble: the
+		// resume has some names in its prefix and the rest to re-dispatch), and
+		// one crash anywhere in the run.
+		midIteration := 40 + rng.Intn(60)
+		for _, cut := range []int{0, 0, midIteration, 1 + rng.Intn(total-1)} {
+			opts := RunOptions{Parallel: parallel, SkipLedger: true, WorkerKills: parallel / 2}
+			want, wantOutcome := runShapeOpts(t, sys, refStack(), opts, cut)
+			got, gotOutcome := runShapeOpts(t, sys, batchStack(), opts, cut)
+			if got.summary != want.summary {
+				t.Errorf("parallel=%d cut=%d summary diverges:\n batch  %s\n single %s", parallel, cut, got.summary, want.summary)
+			}
+			if got.graph != want.graph || got.graph != clean.graph {
+				t.Errorf("parallel=%d cut=%d: batched provenance graph diverges from the per-element graph", parallel, cut)
+			}
+			if got.history != want.history {
+				t.Errorf("parallel=%d cut=%d: batched history has %d events, per-element %d", parallel, cut, got.history, want.history)
+			}
+			if wantOutcome.Degraded != 0 || gotOutcome.Degraded != 0 {
+				t.Errorf("parallel=%d cut=%d: healthy authority produced degraded answers (single %d, batch %d)",
+					parallel, cut, wantOutcome.Degraded, gotOutcome.Degraded)
+			}
+			switch m := gotOutcome.EngineMetrics; {
+			case cut == 0 && m.BatchedElements == 0:
+				t.Errorf("parallel=%d: the batch path never engaged: %+v", parallel, m)
+			case cut == midIteration && (m.BatchedElements == 0 || m.BatchedElements >= int64(gotOutcome.DistinctNames)):
+				t.Errorf("parallel=%d cut=%d: resume must re-batch the missing names and only those: %+v", parallel, cut, m)
+			}
+			if m := wantOutcome.EngineMetrics; m.Batches != 0 {
+				t.Errorf("parallel=%d cut=%d: the per-element reference batched: %+v", parallel, cut, m)
+			}
 		}
-		if got.graph != want.graph {
-			t.Errorf("parallel=%d: batched provenance graph diverges from single-name graph", parallel)
-		}
-		if wantOutcome.Degraded != 0 || gotOutcome.Degraded != 0 {
-			t.Errorf("parallel=%d: healthy authority produced degraded answers (single %d, batch %d)",
-				parallel, wantOutcome.Degraded, gotOutcome.Degraded)
-		}
+	}
+	if c := sys.Workers.Counters(); c["workers.killed"] < 1 {
+		t.Fatalf("chaos hook never killed a worker: %v", c)
+	}
+}
+
+// TestElementBatchFitsAuthorityLimit: the engine's per-batch constant must
+// stay within what one authority request may carry, or a full lease would be
+// answered with a non-retryable 400.
+func TestElementBatchFitsAuthorityLimit(t *testing.T) {
+	if workflow.MaxElementBatch > taxonomy.MaxBatch {
+		t.Fatalf("workflow.MaxElementBatch = %d exceeds taxonomy.MaxBatch = %d", workflow.MaxElementBatch, taxonomy.MaxBatch)
 	}
 }
 
 // TestRunDetectionBatchEquivalenceDuringOutage drops the authority dead
-// between a cache-warming run and the run under test: both protocols must
-// degrade identically — every name served stale, marked Degraded, with the
-// same renames and the same canonical graph as each other.
+// between a cache-warming run and the run under test: batched and
+// per-element dispatch must degrade identically — every name served stale,
+// marked Degraded, none unavailable, with the same renames, the same canonical
+// graph and the same history length as each other.
 func TestRunDetectionBatchEquivalenceDuringOutage(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 400, 80)
 	svc := taxonomy.NewService(taxa.Checklist)
@@ -100,8 +173,8 @@ func TestRunDetectionBatchEquivalenceDuringOutage(t *testing.T) {
 	defer srv.Close()
 
 	shortTTL := taxonomy.ResilienceOptions{TTL: 10 * time.Millisecond}
-	single := taxonomy.NewResilientResolver(singleOnlyResolver{taxonomy.NewClient(srv.URL)}, shortTTL)
-	batched := taxonomy.NewResilientResolver(taxonomy.NewClient(srv.URL), shortTTL)
+	var single taxonomy.Resolver = singleOnlyResolver{taxonomy.NewResilientResolver(singleOnlyResolver{taxonomy.NewClient(srv.URL)}, shortTTL)}
+	var batched taxonomy.Resolver = taxonomy.NewResilientResolver(taxonomy.NewClient(srv.URL), shortTTL)
 
 	// Warm both stacks' last-known-good caches while the authority is up.
 	if _, _, err := warmDetect(sys, single); err != nil {
@@ -114,20 +187,29 @@ func TestRunDetectionBatchEquivalenceDuringOutage(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // expire the TTLs
 	svc.SetAvailability(0)            // outage hits mid-campaign, before the next pass
 
-	want, wantOutcome := runShapeWith(t, sys, single, 4)
-	got, gotOutcome := runShapeWith(t, sys, batched, 4)
+	for _, parallel := range []int{1, 4, 16} {
+		want, wantOutcome := runShapeWith(t, sys, single, parallel)
+		got, gotOutcome := runShapeWith(t, sys, batched, parallel)
 
-	if wantOutcome.Degraded != wantOutcome.DistinctNames {
-		t.Fatalf("single stack degraded %d of %d names", wantOutcome.Degraded, wantOutcome.DistinctNames)
-	}
-	if gotOutcome.Degraded != gotOutcome.DistinctNames {
-		t.Fatalf("batch stack degraded %d of %d names", gotOutcome.Degraded, gotOutcome.DistinctNames)
-	}
-	if got.summary != want.summary {
-		t.Errorf("outage summaries diverge:\n batch  %s\n single %s", got.summary, want.summary)
-	}
-	if got.graph != want.graph {
-		t.Error("outage provenance graphs diverge between batch and single protocols")
+		if wantOutcome.Degraded != wantOutcome.DistinctNames {
+			t.Fatalf("parallel=%d: single stack degraded %d of %d names", parallel, wantOutcome.Degraded, wantOutcome.DistinctNames)
+		}
+		if gotOutcome.Degraded != gotOutcome.DistinctNames {
+			t.Fatalf("parallel=%d: batch stack degraded %d of %d names", parallel, gotOutcome.Degraded, gotOutcome.DistinctNames)
+		}
+		if gotOutcome.Unavailable != 0 || wantOutcome.Unavailable != 0 {
+			t.Errorf("parallel=%d: unavailable names with a warm last-known-good cache (single %d, batch %d)",
+				parallel, wantOutcome.Unavailable, gotOutcome.Unavailable)
+		}
+		if got.summary != want.summary {
+			t.Errorf("parallel=%d: outage summaries diverge:\n batch  %s\n single %s", parallel, got.summary, want.summary)
+		}
+		if got.graph != want.graph {
+			t.Errorf("parallel=%d: outage provenance graphs diverge between batched and per-element dispatch", parallel)
+		}
+		if got.history != want.history {
+			t.Errorf("parallel=%d: outage history has %d events batched, %d per-element", parallel, got.history, want.history)
+		}
 	}
 }
 

@@ -108,29 +108,45 @@ func TestRunDetectionParallelEquivalence(t *testing.T) {
 // TestRunDetectionParallelCancellation checks fail-fast at the system level:
 // cancelling the run context mid-detection aborts promptly instead of
 // draining the remaining authority round trips, and the failed run still
-// leaves provenance behind.
+// leaves provenance behind — whether the names travel one per round trip
+// (the work outlasts the deadline) or in one batch (the deadline falls while
+// the batch is in flight).
 func TestRunDetectionParallelCancellation(t *testing.T) {
-	sys, taxa, _ := testSystem(t, 400, 100)
-	svc := taxonomy.NewService(taxa.Checklist, taxonomy.WithLatency(5*time.Millisecond))
-	srv := httptest.NewServer(svc)
-	defer srv.Close()
-	client := taxonomy.NewClient(srv.URL)
+	for _, tc := range []struct {
+		name    string
+		latency time.Duration
+		strip   bool // hide the client's batch capability
+	}{
+		// 100 names × 5ms at parallelism 4 is ≥125ms of work.
+		{"per-element", 5 * time.Millisecond, true},
+		{"batched", 500 * time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, taxa, _ := testSystem(t, 400, 100)
+			svc := taxonomy.NewService(taxa.Checklist, taxonomy.WithLatency(tc.latency))
+			srv := httptest.NewServer(svc)
+			defer srv.Close()
+			var resolver taxonomy.Resolver = taxonomy.NewClient(srv.URL)
+			if tc.strip {
+				resolver = singleOnlyResolver{resolver}
+			}
 
-	before := len(sys.Provenance.AllRuns())
-	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := sys.RunDetection(ctx, client, RunOptions{Parallel: 4, SkipLedger: true})
-	if err == nil {
-		t.Fatal("cancelled detection succeeded")
-	}
-	// 100 names × 5ms at parallelism 4 is ≥125ms of work; a prompt abort
-	// finishes far sooner.
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancellation took %s", elapsed)
-	}
-	if after := len(sys.Provenance.AllRuns()); after != before+1 {
-		t.Fatalf("failed run left %d new provenance runs, want 1", after-before)
+			before := len(sys.Provenance.AllRuns())
+			ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err := sys.RunDetection(ctx, resolver, RunOptions{Parallel: 4, SkipLedger: true})
+			if err == nil {
+				t.Fatal("cancelled detection succeeded")
+			}
+			// A prompt abort finishes far sooner than the work would.
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("cancellation took %s", elapsed)
+			}
+			if after := len(sys.Provenance.AllRuns()); after != before+1 {
+				t.Fatalf("failed run left %d new provenance runs, want 1", after-before)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/provenance"
+	"repro/internal/taxonomy"
 )
 
 // TestCrashResumeEveryCut is the tentpole guarantee at the system level: a
@@ -88,7 +89,10 @@ func TestCrashResumeEveryCut(t *testing.T) {
 // event-sourced refactor: at every worker-pool size, with workers killed
 // mid-run AND the process crashed at a random history cut, resuming by pure
 // history replay converges on a provenance graph byte-identical (canonically)
-// to a clean single-worker run. Run under -race.
+// to a clean single-worker run — whether the engine dispatches the names one
+// by one (the checklist has no batch form) or leases them in batches (the
+// resilient stack over the same checklist has one), with equal history
+// lengths between the two at every (workers, cut). Run under -race.
 func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 60, 12)
 	ctx := context.Background()
@@ -106,6 +110,15 @@ func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 	if total < 20 {
 		t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
 	}
+	dispatches := []struct {
+		name     string
+		resolver func() taxonomy.Resolver
+	}{
+		{"per-element", func() taxonomy.Resolver { return taxa.Checklist }},
+		{"batched", func() taxonomy.Resolver {
+			return taxonomy.NewResilientResolver(taxa.Checklist, taxonomy.ResilienceOptions{})
+		}},
+	}
 
 	rng := rand.New(rand.NewSource(7)) // deterministic cuts, reproducible failures
 	for _, workers := range []int{1, 4, 16} {
@@ -115,28 +128,40 @@ func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 			opts := RunOptions{SkipLedger: true, Parallel: workers, WorkerKills: kills}
 			killRun := opts
 			killRun.CrashAfterDeltas = cut
-			_, err := sys.RunDetection(ctx, taxa.Checklist, killRun)
-			var crash *CrashError
-			if !errors.As(err, &crash) {
-				t.Fatalf("workers=%d cut=%d: expected CrashError, got %v", workers, cut, err)
+			events := map[string]int{}
+			for _, d := range dispatches {
+				resolver := d.resolver()
+				_, err := sys.RunDetection(ctx, resolver, killRun)
+				var crash *CrashError
+				if !errors.As(err, &crash) {
+					t.Fatalf("%s workers=%d cut=%d: expected CrashError, got %v", d.name, workers, cut, err)
+				}
+				outcome, err := sys.ResumeDetection(ctx, resolver, crash.RunID, opts)
+				if err != nil {
+					t.Fatalf("%s workers=%d cut=%d: resume: %v", d.name, workers, cut, err)
+				}
+				if outcome.RunID != crash.RunID {
+					t.Fatalf("%s workers=%d cut=%d: resumed under new ID %s", d.name, workers, cut, outcome.RunID)
+				}
+				if outcome.DistinctNames != base.DistinctNames || outcome.Outdated != base.Outdated {
+					t.Fatalf("%s workers=%d cut=%d: summary diverged: %d/%d names, %d/%d outdated", d.name, workers, cut,
+						outcome.DistinctNames, base.DistinctNames, outcome.Outdated, base.Outdated)
+				}
+				g, err := sys.Provenance.Graph(crash.RunID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := canonicalGraph(g, crash.RunID); got != want {
+					t.Fatalf("%s workers=%d cut=%d: resumed graph diverges from single-worker baseline", d.name, workers, cut)
+				}
+				history, err := sys.Provenance.History(crash.RunID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				events[d.name] = len(history)
 			}
-			outcome, err := sys.ResumeDetection(ctx, taxa.Checklist, crash.RunID, opts)
-			if err != nil {
-				t.Fatalf("workers=%d cut=%d: resume: %v", workers, cut, err)
-			}
-			if outcome.RunID != crash.RunID {
-				t.Fatalf("workers=%d cut=%d: resumed under new ID %s", workers, cut, outcome.RunID)
-			}
-			if outcome.DistinctNames != base.DistinctNames || outcome.Outdated != base.Outdated {
-				t.Fatalf("workers=%d cut=%d: summary diverged: %d/%d names, %d/%d outdated", workers, cut,
-					outcome.DistinctNames, base.DistinctNames, outcome.Outdated, base.Outdated)
-			}
-			g, err := sys.Provenance.Graph(crash.RunID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := canonicalGraph(g, crash.RunID); got != want {
-				t.Fatalf("workers=%d cut=%d: resumed graph diverges from single-worker baseline", workers, cut)
+			if events["batched"] != events["per-element"] {
+				t.Errorf("workers=%d cut=%d: history has %d events batched, %d per-element", workers, cut, events["batched"], events["per-element"])
 			}
 		}
 	}

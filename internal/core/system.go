@@ -255,49 +255,75 @@ type detectionSummary struct {
 }
 
 // RegisterDetectionServices binds the case-study services to the given
-// taxonomic authority. Call once before running the detection workflow.
+// taxonomic authority in the system's shared registry — for callers that
+// build engines of their own. Detection runs do not need it: each binds its
+// resolver in a registry of its own.
 func (s *System) RegisterDetectionServices(resolver taxonomy.Resolver) {
 	RegisterDetectionServicesInto(s.Registry, resolver)
 }
 
+// resolveDatum renders one name's resolution as the Catalog_of_life output —
+// the one place the single and the batch form of col.resolve classify an
+// answer. Unknown and unavailable are data, not workflow failures: the
+// pipeline must survive authority hiccups (availability 0.9). The error, not
+// the resolution, decides between them — a failed call's resolution is
+// whatever zero value its layer returned, and StatusAccepted is the zero
+// Status: an unknown name is ErrUnknownName, and any other error means the
+// authority gave no usable answer.
+func resolveDatum(name string, res taxonomy.Resolution, err error) (map[string]workflow.Data, error) {
+	rr := resolveResult{Name: name}
+	switch {
+	case err == nil:
+		rr.Status = res.Status.String()
+		rr.Accepted = res.AcceptedName
+		rr.Degraded = res.Degraded
+		if len(res.History) > 0 {
+			rr.Reference = res.History[len(res.History)-1].Reference
+		}
+	case errors.Is(err, taxonomy.ErrUnknownName):
+		rr.Status = "unknown"
+	default:
+		rr.Status = "unavailable"
+	}
+	blob, err := json.Marshal(rr)
+	if err != nil {
+		return nil, err
+	}
+	return map[string]workflow.Data{"result": workflow.Scalar(string(blob))}, nil
+}
+
 // RegisterDetectionServicesInto binds the case-study services to any service
-// registry — the system's own, or the private registry of an out-of-process
+// registry — a run's own, or the private registry of an out-of-process
 // worker (cmd/worker), which executes the same services against its own
-// resolver.
+// resolver. col.resolve gets a batch form exactly when the resolver can
+// answer many names in one round trip (taxonomy.DetailedBatch): the engine
+// then hands it an iteration's ready names together, under the activity's
+// context. The in-process Checklist cannot, and runs name by name.
 func RegisterDetectionServicesInto(registry *workflow.Registry, resolver taxonomy.Resolver) {
-	// Coalesce concurrent per-element resolutions into shared authority
-	// round trips: Parallel workers each resolve one name, and without this
-	// every worker pays its own round trip. A resolver with no batch
-	// capability comes back unchanged.
-	resolver = taxonomy.Coalesce(resolver, taxonomy.CoalescerOptions{})
-	registry.Register("col.resolve", func(ctx context.Context, call workflow.Call) (map[string]workflow.Data, error) {
+	resolve := func(ctx context.Context, call workflow.Call) (map[string]workflow.Data, error) {
 		name := call.Input("name").String()
 		res, err := resolver.Resolve(ctx, name)
-		rr := resolveResult{Name: name}
-		switch {
-		case err == nil:
-			rr.Status = res.Status.String()
-			rr.Accepted = res.AcceptedName
-			rr.Degraded = res.Degraded
-			if len(res.History) > 0 {
-				rr.Reference = res.History[len(res.History)-1].Reference
+		return resolveDatum(name, res, err)
+	}
+	if batch := taxonomy.DetailedBatch(resolver); batch != nil {
+		registry.RegisterBatch("col.resolve", resolve, func(ctx context.Context, calls []workflow.Call) []workflow.CallResult {
+			names := make([]string, len(calls))
+			for i, call := range calls {
+				names[i] = call.Input("name").String()
 			}
-		default:
-			// Unknown and unavailable are data, not workflow failures: the
-			// pipeline must survive authority hiccups (availability 0.9).
-			if res.Status == taxonomy.StatusUnknown && err != nil {
-				rr.Status = "unknown"
+			details := batch.BatchResolveDetail(ctx, names)
+			if len(details) != len(names) {
+				return nil // a misaligned answer answers nothing: the engine fails the lease
 			}
-			if errIsUnavailable(err) {
-				rr.Status = "unavailable"
+			out := make([]workflow.CallResult, len(details))
+			for i, d := range details {
+				out[i].Outputs, out[i].Err = resolveDatum(names[i], d.Resolution, d.Err)
 			}
-		}
-		blob, err := json.Marshal(rr)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]workflow.Data{"result": workflow.Scalar(string(blob))}, nil
-	})
+			return out
+		})
+	} else {
+		registry.Register("col.resolve", resolve)
+	}
 
 	registry.Register("detect.summarize", func(_ context.Context, call workflow.Call) (map[string]workflow.Data, error) {
 		sum := detectionSummary{Renames: map[string]string{}, References: map[string]string{}}
@@ -331,10 +357,6 @@ func RegisterDetectionServicesInto(registry *workflow.Registry, resolver taxonom
 		}
 		return map[string]workflow.Data{"summary": workflow.Scalar(string(blob))}, nil
 	})
-}
-
-func errIsUnavailable(err error) bool {
-	return errors.Is(err, taxonomy.ErrUnavailable)
 }
 
 // DetectionWorkflow builds the Fig. 3 workflow: FNJV sound metadata in,

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/taxonomy"
@@ -20,7 +22,7 @@ func kindSet(spans []telemetry.Span) map[string]int {
 
 // TestTracePropagation is the tentpole's end-to-end guarantee: a parallel
 // detection run yields ONE connected span tree — core root, engine workflow/
-// processor/element spans, taxonomy resolution spans, provenance-writer flush
+// processor/batch spans, taxonomy resolution spans, provenance-writer flush
 // spans — with no orphans, persisted under the run ID. Run under -race via
 // make race.
 func TestTracePropagation(t *testing.T) {
@@ -57,19 +59,31 @@ func TestTracePropagation(t *testing.T) {
 			t.Errorf("no %q spans in the run's tree (kinds: %v)", k, kinds)
 		}
 	}
-	// One element span per distinct name, at least.
-	if kinds["engine"] < outcome.DistinctNames {
-		t.Errorf("engine spans = %d, want >= %d element spans", kinds["engine"], outcome.DistinctNames)
-	}
-	// Element spans must carry the queue-wait/execute split.
-	split := 0
+	// Every dispatched name is covered by exactly one engine span carrying
+	// the queue-wait/execute split: its own element span, or the span of the
+	// batch that carried it (the resilient stack offers a batch form, so the
+	// engine dispatches ready names together).
+	covered := 0
 	for _, sp := range spans {
-		if sp.Kind == "engine" && sp.Attrs["queue_wait_us"] != "" && sp.Attrs["exec_us"] != "" {
-			split++
+		if sp.Kind != "engine" || sp.Attrs["queue_wait_us"] == "" || sp.Attrs["exec_us"] == "" || sp.Attrs["worker"] == "" {
+			continue
+		}
+		switch {
+		case strings.HasPrefix(sp.Name, "batch:"):
+			n, err := strconv.Atoi(sp.Attrs["elements"])
+			if err != nil || n < 2 {
+				t.Errorf("batch span %q carries elements=%q", sp.Name, sp.Attrs["elements"])
+			}
+			covered += n
+		case strings.HasPrefix(sp.Name, "element:"):
+			covered++
 		}
 	}
-	if split < outcome.DistinctNames {
-		t.Errorf("only %d engine spans carry the queue-wait/exec split", split)
+	if covered != outcome.DistinctNames {
+		t.Errorf("engine spans cover %d of %d dispatched names", covered, outcome.DistinctNames)
+	}
+	if kinds["engine"] > outcome.DistinctNames {
+		t.Errorf("engine spans = %d for %d names: batched dispatch must not add spans", kinds["engine"], outcome.DistinctNames)
 	}
 
 	// The ring mirrors the persisted spans.

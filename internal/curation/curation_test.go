@@ -364,10 +364,7 @@ func TestDetectBatchesThroughResilientStack(t *testing.T) {
 	srv := httptest.NewServer(taxonomy.NewService(f.taxa.Checklist))
 	defer srv.Close()
 	client := taxonomy.NewClient(srv.URL)
-	stack := taxonomy.Coalesce(
-		taxonomy.NewResilientResolver(client, taxonomy.ResilienceOptions{}),
-		taxonomy.CoalescerOptions{},
-	)
+	stack := taxonomy.NewResilientResolver(client, taxonomy.ResilienceOptions{})
 	report, err := (&Detector{Resolver: stack}).Detect(context.Background(), f.store)
 	if err != nil {
 		t.Fatal(err)

@@ -305,7 +305,7 @@ func (w *BatchWriter) syncWAL() {
 }
 
 // flush turns the buffered deltas into one atomic group commit: run insert
-// first, then edge inserts in sequence order interleaved with coalesced node
+// first, then edge inserts in sequence order interleaved with merged node
 // writes (one insert-or-update per touched node, however many annotation
 // deltas arrived), and the run-status finalize last. Returns the reusable
 // empty batch slice.

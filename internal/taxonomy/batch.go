@@ -13,9 +13,9 @@ import (
 // the authority was unreachable for every name.
 //
 // Every layer of the production stack implements it — Client (HTTP batch
-// endpoint), CachingResolver (miss coalescing), ResilientResolver (one guard
-// admission per batch) and CoalescingResolver — so curation.Detect's
-// capability probe sees the batch path through the full decorated stack, not
+// endpoint), CachingResolver (miss coalescing) and ResilientResolver (one
+// guard admission per batch) — so a capability probe (DetailedBatch,
+// curation.Detect) sees the batch path through the full decorated stack, not
 // just on a bare Client.
 type BatchResolver interface {
 	BatchResolve(ctx context.Context, names []string) ([]Resolution, error)
@@ -34,6 +34,21 @@ type BatchResult struct {
 // instead of the all-or-nothing error of BatchResolve.
 type DetailedBatchResolver interface {
 	BatchResolveDetail(ctx context.Context, names []string) []BatchResult
+}
+
+// DetailedBatch returns r's lossless batch form: r itself when it implements
+// DetailedBatchResolver, an adapter reconstructing the per-name errors when
+// it implements only BatchResolver, and nil when r resolves one name at a
+// time. It is how a caller holding a plain Resolver discovers whether
+// batching is on offer.
+func DetailedBatch(r Resolver) DetailedBatchResolver {
+	switch br := r.(type) {
+	case DetailedBatchResolver:
+		return br
+	case BatchResolver:
+		return detailFromBatch{br}
+	}
+	return nil
 }
 
 // unknownNameErr renders the same error the single-name paths produce

@@ -236,8 +236,9 @@ type batchResponse struct {
 	Results []wireResolution `json:"results"`
 }
 
-// maxBatch bounds one batch request.
-const maxBatch = 5000
+// MaxBatch bounds one batch request: the service answers a larger one with a
+// non-retryable 400, so Client.BatchResolve splits before it sends.
+const MaxBatch = 5000
 
 // handleResolveBatch resolves many names in one round trip (POST JSON
 // {"names": [...]}) — what makes frequent re-verification of 1 929 names
@@ -268,8 +269,8 @@ func (s *Service) handleResolveBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Names) == 0 || len(req.Names) > maxBatch {
-		http.Error(w, fmt.Sprintf("batch size must be 1..%d", maxBatch), http.StatusBadRequest)
+	if len(req.Names) == 0 || len(req.Names) > MaxBatch {
+		http.Error(w, fmt.Sprintf("batch size must be 1..%d", MaxBatch), http.StatusBadRequest)
 		return
 	}
 	resp := batchResponse{Results: make([]wireResolution, 0, len(req.Names))}
@@ -302,10 +303,22 @@ type Client struct {
 	// Backoff between retries (default 10ms).
 	Backoff time.Duration
 
-	mu       sync.Mutex
-	attempts int64
-	failures int64
+	mu        sync.Mutex
+	attempts  int64
+	failures  int64
+	spacing   time.Duration // BatchSpacing; 0 (a Client not built by NewClient) sends back to back
+	nextBatch time.Time     // earliest start of the next bulk request
 }
+
+// BatchSpacing is the least time between the starts of two /resolve_batch
+// requests of one client, retries and the chunks of a split call included. A
+// bulk request stands for up to MaxBatch lookups, and a caller that batches —
+// a detection run is one request now — would otherwise send the next as soon
+// as its own CPU is done with the work in between. Paced, the load on the
+// authority, and with it the rate of a closed loop of runs, is set by this
+// interval and not by how fast the host happens to be. Single-name requests
+// are not paced.
+const BatchSpacing = 20 * time.Millisecond
 
 // NewClient builds a client for the authority at baseURL.
 func NewClient(baseURL string) *Client {
@@ -314,6 +327,7 @@ func NewClient(baseURL string) *Client {
 		HTTP:    &http.Client{Timeout: 10 * time.Second},
 		Retries: 2,
 		Backoff: 10 * time.Millisecond,
+		spacing: BatchSpacing,
 	}
 }
 
@@ -338,13 +352,13 @@ func (c *Client) Attempts() int64 {
 // ErrUnavailable is returned when the authority refused every attempt.
 var ErrUnavailable = errors.New("taxonomy: authority unavailable")
 
-// backoff sleeps the retry delay for attempt, or returns false if ctx died
-// first — a cancelled run must not spend its remaining deadline sleeping.
-func (c *Client) backoff(ctx context.Context, attempt int) bool {
-	if attempt == 0 || c.Backoff <= 0 {
+// sleep waits d, or returns false if ctx died first — a cancelled run must
+// not spend its remaining deadline sleeping.
+func sleep(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
 		return ctx.Err() == nil
 	}
-	t := time.NewTimer(c.Backoff * time.Duration(attempt))
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -352,6 +366,29 @@ func (c *Client) backoff(ctx context.Context, attempt int) bool {
 	case <-ctx.Done():
 		return false
 	}
+}
+
+// backoff sleeps the retry delay for attempt.
+func (c *Client) backoff(ctx context.Context, attempt int) bool {
+	return sleep(ctx, c.Backoff*time.Duration(attempt))
+}
+
+// pace takes the next bulk-request slot, BatchSpacing after the one before
+// it, and sleeps until it comes (the slot stays taken if ctx dies first).
+// Concurrent callers get slots of their own, in the order they asked.
+func (c *Client) pace(ctx context.Context) bool {
+	if c.spacing <= 0 {
+		return ctx.Err() == nil
+	}
+	c.mu.Lock()
+	now := time.Now()
+	slot := c.nextBatch
+	if slot.Before(now) {
+		slot = now
+	}
+	c.nextBatch = slot.Add(c.spacing)
+	c.mu.Unlock()
+	return sleep(ctx, slot.Sub(now))
 }
 
 // Resolve implements Resolver over HTTP. Cancellation and deadlines on ctx
@@ -380,13 +417,33 @@ func (c *Client) Resolve(ctx context.Context, name string) (Resolution, error) {
 	return Resolution{Query: name, Status: StatusUnknown}, fmt.Errorf("%w after %d attempts: %v", ErrUnavailable, c.Retries+1, lastErr)
 }
 
-// BatchResolve resolves many names in one request (with the same retry
-// policy as Resolve). Results align with names; unknown names come back with
-// StatusUnknown rather than an error.
+// BatchResolve resolves many names in one request per MaxBatch names (with
+// the same retry policy as Resolve for each request). Results align with
+// names; unknown names come back with StatusUnknown rather than an error, and
+// a request that fails fails the whole call.
 func (c *Client) BatchResolve(ctx context.Context, names []string) ([]Resolution, error) {
+	if len(names) <= MaxBatch {
+		return c.batchRequest(ctx, names)
+	}
+	out := make([]Resolution, 0, len(names))
+	for len(names) > 0 {
+		chunk := names[:min(len(names), MaxBatch)]
+		names = names[len(chunk):]
+		res, err := c.batchRequest(ctx, chunk)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res...)
+	}
+	return out, nil
+}
+
+// batchRequest is one /resolve_batch exchange of at most MaxBatch names under
+// the retry policy, every attempt in a slot of its own (pace).
+func (c *Client) batchRequest(ctx context.Context, names []string) ([]Resolution, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.Retries; attempt++ {
-		if !c.backoff(ctx, attempt) {
+		if !c.backoff(ctx, attempt) || !c.pace(ctx) {
 			lastErr = ctx.Err()
 			break
 		}

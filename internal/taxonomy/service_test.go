@@ -1,11 +1,16 @@
 package taxonomy
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -221,6 +226,198 @@ func TestBatchEndpointValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: %d", resp.StatusCode)
+	}
+}
+
+// TestBatchResolveSplitsOversizeRequests: the service rejects more than
+// MaxBatch names with a non-retryable 400, so the client must never send
+// such a request — MaxBatch+1 names travel as two requests and come back as
+// one aligned answer.
+func TestBatchResolveSplitsOversizeRequests(t *testing.T) {
+	svc := NewService(demoChecklist(t))
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	client := NewClient(srv.URL)
+
+	names := make([]string, MaxBatch+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("Nomen nescio%d", i)
+	}
+	// Known names on both sides of the split.
+	names[0], names[MaxBatch-1], names[MaxBatch] = "Hyla faber", "Hyla faber", "Hyla faber"
+	results, err := client.BatchResolve(context.Background(), names)
+	if err != nil {
+		t.Fatalf("oversize batch: %v", err)
+	}
+	if len(results) != len(names) {
+		t.Fatalf("%d results for %d names", len(results), len(names))
+	}
+	for i, res := range results {
+		want := StatusUnknown
+		if names[i] == "Hyla faber" {
+			want = StatusAccepted
+		}
+		if res.Status != want || res.Query != names[i] {
+			t.Fatalf("result %d = %+v, want %v for %q", i, res, want, names[i])
+		}
+	}
+	if requests, _ := svc.Stats(); requests != 2 {
+		t.Fatalf("client sent %d requests for %d names, want 2", requests, len(names))
+	}
+
+	// At the limit it is still one request, and the raw endpoint still
+	// refuses what the client no longer sends.
+	if _, err := client.BatchResolve(context.Background(), names[:MaxBatch]); err != nil {
+		t.Fatal(err)
+	}
+	if requests, _ := svc.Stats(); requests != 3 {
+		t.Fatalf("a MaxBatch-name request was split: %d requests in total", requests)
+	}
+	body, _ := json.Marshal(batchRequest{Names: names})
+	resp, err := http.Post(srv.URL+"/resolve_batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversize raw request: %d", resp.StatusCode)
+	}
+}
+
+// TestBatchRequestsArePaced: bulk requests from one client — sequential,
+// concurrent, retried — start at least BatchSpacing apart, single-name
+// requests are never held, a caller whose context ends while it waits for
+// its slot is let go, and a Client not built by NewClient has no spacing.
+func TestBatchRequestsArePaced(t *testing.T) {
+	var mu sync.Mutex
+	var bulk []time.Time
+	refuse := 1 // the first bulk request is refused, so one start is a retry
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/resolve_batch" {
+			json.NewEncoder(w).Encode(wireResolution{Query: r.URL.Query().Get("name"), Status: "accepted"})
+			return
+		}
+		mu.Lock()
+		bulk = append(bulk, time.Now())
+		drop := refuse > 0
+		refuse--
+		mu.Unlock()
+		if drop {
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+			return
+		}
+		var req batchRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		resp := batchResponse{Results: make([]wireResolution, len(req.Names))}
+		for i, name := range req.Names {
+			resp.Results[i] = wireResolution{Query: name, Status: "accepted"}
+		}
+		json.NewEncoder(w).Encode(resp)
+	}))
+	defer stub.Close()
+	arrivals := func() []time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]time.Time(nil), bulk...)
+	}
+
+	const spacing = 40 * time.Millisecond
+	client := NewClient(stub.URL)
+	if client.spacing != BatchSpacing {
+		t.Fatal("NewClient does not pace bulk requests")
+	}
+	client.spacing, client.Backoff = spacing, time.Millisecond
+	ctx := context.Background()
+	names := []string{"Hyla faber", "Scinax ruber"}
+
+	for i := 0; i < 3; i++ {
+		if _, err := client.BatchResolve(ctx, names); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := client.BatchResolve(ctx, names); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	got := arrivals()
+	if len(got) != 7 {
+		t.Fatalf("%d bulk requests, want 3 sequential + 1 retry + 3 concurrent", len(got))
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i].Before(got[j]) })
+	for i := 1; i < len(got); i++ {
+		// Arrival times, not send times: a dial or a busy box delays one
+		// request and not the next. Unpaced, the gaps are a millisecond.
+		if gap := got[i].Sub(got[i-1]); gap < spacing/2 {
+			t.Errorf("bulk requests %d and %d arrived %v apart, want >= %v", i-1, i, gap, spacing)
+		}
+	}
+
+	// Single-name requests take no slot and wait for none.
+	before := client.nextBatch
+	for i := 0; i < 5; i++ {
+		if _, err := client.Resolve(ctx, "Hyla faber"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !client.nextBatch.Equal(before) {
+		t.Error("single-name requests moved the bulk-request schedule")
+	}
+
+	// A caller cancelled while it waits for its slot returns ErrUnavailable
+	// without sending.
+	client.spacing = time.Hour
+	if _, err := client.BatchResolve(ctx, names); err != nil { // takes the free slot; the next is an hour away
+		t.Fatal(err)
+	}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	sent := len(arrivals())
+	if _, err := client.BatchResolve(short, names); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("cancelled while waiting for a slot: %v", err)
+	}
+	if len(arrivals()) != sent {
+		t.Error("a cancelled caller still sent its request")
+	}
+
+	unpaced := &Client{BaseURL: stub.URL, HTTP: http.DefaultClient}
+	for i := 0; i < 3; i++ {
+		if _, err := unpaced.BatchResolve(ctx, names); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !unpaced.nextBatch.IsZero() {
+		t.Error("a client with no spacing keeps a schedule")
+	}
+}
+
+// TestDetailedBatchProbe pins the capability probe core registers the batch
+// form of col.resolve by: none for the in-process checklist, an adapter over a
+// plain BatchResolver, the resolver itself when it has per-name errors.
+func TestDetailedBatchProbe(t *testing.T) {
+	cl := demoChecklist(t)
+	if DetailedBatch(cl) != nil {
+		t.Error("the in-process checklist claims a batch form")
+	}
+	rr := NewResilientResolver(cl, ResilienceOptions{})
+	if got := DetailedBatch(rr); got != DetailedBatchResolver(rr) {
+		t.Errorf("resilient stack probed as %T", got)
+	}
+	srv := httptest.NewServer(NewService(cl))
+	defer srv.Close()
+	adapted := DetailedBatch(NewClient(srv.URL))
+	if adapted == nil {
+		t.Fatal("bare client lost its batch capability")
+	}
+	out := adapted.BatchResolveDetail(context.Background(), []string{"Hyla faber", "Unknown species"})
+	if len(out) != 2 || out[0].Err != nil || out[0].Resolution.Status != StatusAccepted || !errors.Is(out[1].Err, ErrUnknownName) {
+		t.Fatalf("adapted batch = %+v", out)
 	}
 }
 

@@ -1,0 +1,506 @@
+package workflow
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// batchRecorder builds the two forms of one service from a single per-call
+// function and records what the engine handed each: the sizes of the batch
+// invocations and the elements that went through the single form.
+type batchRecorder struct {
+	fn func(ctx context.Context, c Call, batched bool) (map[string]Data, error)
+
+	mu      sync.Mutex
+	batches []int
+	singles []string
+}
+
+func (b *batchRecorder) single(ctx context.Context, c Call) (map[string]Data, error) {
+	b.mu.Lock()
+	b.singles = append(b.singles, c.Input("x").String())
+	b.mu.Unlock()
+	return b.fn(ctx, c, false)
+}
+
+func (b *batchRecorder) batch(ctx context.Context, calls []Call) []CallResult {
+	b.mu.Lock()
+	b.batches = append(b.batches, len(calls))
+	b.mu.Unlock()
+	out := make([]CallResult, len(calls))
+	for i, c := range calls {
+		out[i].Outputs, out[i].Err = b.fn(ctx, c, true)
+	}
+	return out
+}
+
+func (b *batchRecorder) seen() (batches []int, singles []string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	singles = append([]string(nil), b.singles...)
+	sort.Strings(singles)
+	return append([]int(nil), b.batches...), singles
+}
+
+func upperCall(_ context.Context, c Call, _ bool) (map[string]Data, error) {
+	return map[string]Data{"y": Scalar(strings.ToUpper(c.Input("x").String()))}, nil
+}
+
+func itemList(n int) map[string]Data {
+	items := make([]Data, n)
+	for i := range items {
+		items[i] = Scalar(fmt.Sprintf("item%03d", i))
+	}
+	return map[string]Data{"in": List(items...)}
+}
+
+// elementHistory is what a run's history says about its elements, in a form
+// independent of the order workers finished them in.
+type elementHistory struct {
+	out      string
+	elements string // index-ordered "i:in->out" of every iteration-element event
+	retries  string // sorted "element@attempt" of every retry-backoff event
+	events   int
+	err      string
+}
+
+func runRecorded(t *testing.T, eng *EventEngine, def *Definition, in map[string]Data) elementHistory {
+	t.Helper()
+	evs, listener := recordHistory()
+	res, err := eng.Run(context.Background(), def, in, listener)
+	h := elementHistory{events: len(*evs)}
+	if err != nil {
+		h.err = err.Error()
+	} else {
+		h.out = res.Outputs["out"].String()
+	}
+	var elements, retries []string
+	for i, ev := range *evs {
+		if ev.Seq != i {
+			t.Fatalf("seq gap at %d: %+v", i, ev)
+		}
+		switch ev.Type {
+		case HistoryIterationElement:
+			elements = append(elements, fmt.Sprintf("%03d:%s->%s", ev.Element, ev.Inputs["x"], ev.Outputs["y"]))
+		case HistoryRetryBackoff:
+			retries = append(retries, fmt.Sprintf("%03d@%d", ev.Element, ev.Attempt))
+		}
+	}
+	sort.Strings(elements)
+	sort.Strings(retries)
+	h.elements, h.retries = strings.Join(elements, " "), strings.Join(retries, " ")
+	return h
+}
+
+// TestBatchDispatchMatchesPerElement is the engine-level equivalence: the same
+// iteration through a service with and without a batch form yields the same
+// outputs, the same per-element history and the same history length at every
+// pool size — and the batch form really carried the elements, MaxElementBatch
+// at most per invocation.
+func TestBatchDispatchMatchesPerElement(t *testing.T) {
+	const n = 2*MaxElementBatch + 37
+	in := itemList(n)
+
+	plain := NewRegistry()
+	plain.Register("work", func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) })
+	want := runRecorded(t, NewEventEngine(plain), iterDef(0), in)
+	if want.err != "" || !strings.Contains(want.elements, "000:item000->ITEM000") {
+		t.Fatalf("reference run: %+v", want)
+	}
+
+	for _, workers := range []int{1, 4, 16} {
+		rec := &batchRecorder{fn: upperCall}
+		reg := NewRegistry()
+		reg.RegisterBatch("work", rec.single, rec.batch)
+		eng := NewEventEngine(reg)
+		eng.Workers = workers
+		got := runRecorded(t, eng, iterDef(0), in)
+		if got != want {
+			t.Errorf("workers=%d: batched run diverges from per-element run\n got %d events, out %.40s, err %q\nwant %d events, out %.40s",
+				workers, got.events, got.out, got.err, want.events, want.out)
+		}
+		batches, singles := rec.seen()
+		carried := len(singles)
+		for _, size := range batches {
+			if size < 2 || size > MaxElementBatch {
+				t.Errorf("workers=%d: batch of %d elements (limit %d)", workers, size, MaxElementBatch)
+			}
+			carried += size
+		}
+		if carried != n || len(batches) == 0 {
+			t.Errorf("workers=%d: %d batches + %d singles carried %d of %d elements", workers, len(batches), len(singles), carried, n)
+		}
+		m := eng.Metrics()
+		if m.Invocations != n || m.ElementsDispatched != n || m.Batches != int64(len(batches)) || m.BatchedElements != int64(n-len(singles)) {
+			t.Errorf("workers=%d: metrics %+v for %d batches, %d singles", workers, m, len(batches), len(singles))
+		}
+		if m.InFlight != 0 || m.PeakInFlight > int64(workers) {
+			t.Errorf("workers=%d: in-flight gauge %+v", workers, m)
+		}
+	}
+}
+
+// TestBatchSlotErrorContinuesOnRetryPath: a slot the batch form failed is
+// attempt 0 of that element — it continues alone on the single-call
+// retry/backoff path from attempt 1, with the retry-backoff events, the
+// attempt budget and the error shape a per-element run has.
+func TestBatchSlotErrorContinuesOnRetryPath(t *testing.T) {
+	const n = 12
+	flaky := map[string]bool{"item003": true, "item007": true}
+	boom := errors.New("boom")
+	// The first attempt at a flaky element fails, in whichever form it runs;
+	// item007 never recovers.
+	newService := func() *batchRecorder {
+		var mu sync.Mutex
+		attempts := map[string]int{}
+		return &batchRecorder{fn: func(ctx context.Context, c Call, _ bool) (map[string]Data, error) {
+			v := c.Input("x").String()
+			mu.Lock()
+			attempts[v]++
+			first := attempts[v] == 1
+			mu.Unlock()
+			if flaky[v] && (first || v == "item007") {
+				return nil, boom
+			}
+			return upperCall(ctx, c, false)
+		}}
+	}
+	def := func(retries int) *Definition {
+		d := iterDef(retries)
+		d.Processors[0].RetryBase = 100 * time.Microsecond
+		return d
+	}
+	run := func(batched bool, retries int) (elementHistory, *batchRecorder) {
+		svc := newService()
+		reg := NewRegistry()
+		if batched {
+			reg.RegisterBatch("work", svc.single, svc.batch)
+		} else {
+			reg.Register("work", svc.single)
+		}
+		return runRecorded(t, NewEventEngine(reg), def(retries), itemList(n)), svc
+	}
+
+	want, _ := run(false, 2)
+	got, svc := run(true, 2)
+	if !strings.Contains(want.err, "iteration 7: after 3 attempts: boom") || want.retries != "003@1 007@1 007@2" {
+		t.Fatalf("per-element reference: err %q, retries %q", want.err, want.retries)
+	}
+	if got.err != want.err || got.retries != want.retries {
+		t.Errorf("batched run: err %q, retries %q\nper-element: err %q, retries %q", got.err, got.retries, want.err, want.retries)
+	}
+	batches, singles := svc.seen()
+	if len(batches) != 1 || batches[0] != n {
+		t.Errorf("batch invocations %v, want one of %d", batches, n)
+	}
+	// The single form saw only the failed slots: one retry of item003, two
+	// of item007.
+	if strings.Join(singles, " ") != "item003 item007 item007" {
+		t.Errorf("single form ran %v", singles)
+	}
+	// Ten elements settled in the batch; item003 on its retry.
+	if c := strings.Count(got.elements, "->"); c != n-1 {
+		t.Errorf("%d iteration-element events, want %d: %s", c, n-1, got.elements)
+	}
+
+	// Without a retry budget the slot's error is the element's last word.
+	want, _ = run(false, 0)
+	got, svc = run(true, 0)
+	if !strings.Contains(want.err, "iteration 3: boom") || got.err != want.err || got.retries != "" {
+		t.Errorf("no retries: batched err %q retries %q, per-element err %q", got.err, got.retries, want.err)
+	}
+	if _, singles := svc.seen(); len(singles) != 0 {
+		t.Errorf("no retries: single form ran %v", singles)
+	}
+}
+
+// TestBatchShortAnswerFailsEveryElement: a batch form that breaks its
+// contract (fewer results than calls) fails the elements it was handed
+// instead of panicking or leaving tasks unreported.
+func TestBatchShortAnswerFailsEveryElement(t *testing.T) {
+	reg := NewRegistry()
+	reg.RegisterBatch("work",
+		func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) },
+		func(_ context.Context, calls []Call) []CallResult { return make([]CallResult, len(calls)-1) })
+	_, err := NewEventEngine(reg).Run(context.Background(), iterDef(0), itemList(5))
+	if err == nil || !strings.Contains(err.Error(), "iteration 0:") || !strings.Contains(err.Error(), "returned 4 results for 5 calls") {
+		t.Fatalf("short batch answer: %v", err)
+	}
+}
+
+// TestBatchKilledWorkerNacksWholeLease: a worker killed after leasing a batch
+// returns every task of the lease, the survivor runs them, and nothing is
+// lost, duplicated or left on the gauges.
+func TestBatchKilledWorkerNacksWholeLease(t *testing.T) {
+	const n = 40
+	rec := &batchRecorder{fn: upperCall}
+	reg := NewRegistry()
+	reg.RegisterBatch("work", rec.single, rec.batch)
+	eng := NewEventEngine(reg)
+	eng.Workers = 2
+	eng.Stats = NewWorkerRegistry()
+	var mu sync.Mutex
+	victim := ""
+	eng.KillWorker = func(id string, _ int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if victim == "" {
+			victim = id
+		}
+		return id == victim
+	}
+	evs, listener := recordHistory()
+	res, err := eng.Run(context.Background(), iterDef(0), itemList(n), listener)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Invocations["A"] != n || res.Outputs["out"].Len() != n {
+		t.Fatalf("invocations %v, %d outputs", res.Invocations, res.Outputs["out"].Len())
+	}
+	elements := 0
+	for _, ev := range *evs {
+		if ev.Type == HistoryIterationElement {
+			elements++
+			if ev.Worker == victim {
+				t.Errorf("element %d reported by the killed worker %s", ev.Element, victim)
+			}
+		}
+	}
+	if elements != n {
+		t.Fatalf("%d iteration-element events, want %d", elements, n)
+	}
+	// The victim dequeued first and leased all n; only the survivor's lease
+	// reached the service.
+	if batches, singles := rec.seen(); len(batches) != 1 || batches[0] != n || len(singles) != 0 {
+		t.Errorf("service saw batches %v, singles %v; want one batch of %d", batches, singles, n)
+	}
+	c := eng.Stats.Counters()
+	if c["workers.killed"] != 1 || c["workers.tasks_total"] != n || c["queue.depth"] != 0 || c["queue.in_flight"] != 0 {
+		t.Errorf("worker stats after the kill: %v", c)
+	}
+}
+
+// TestBatchCancelledActivityDrains: once a slot's failure cancels the
+// activity, the elements still queued are drained without another service
+// call, and the run fails with the per-element error shape.
+func TestBatchCancelledActivityDrains(t *testing.T) {
+	const n = MaxElementBatch + 50
+	boom := errors.New("boom")
+	rec := &batchRecorder{fn: func(ctx context.Context, c Call, _ bool) (map[string]Data, error) {
+		if c.Input("x").String() == "item005" {
+			return nil, boom
+		}
+		return upperCall(ctx, c, false)
+	}}
+	reg := NewRegistry()
+	reg.RegisterBatch("work", rec.single, rec.batch)
+	eng := NewEventEngine(reg)
+	eng.Stats = NewWorkerRegistry()
+	got := runRecorded(t, eng, iterDef(0), itemList(n))
+	if !strings.Contains(got.err, "iteration 5: boom") {
+		t.Fatalf("run error %q", got.err)
+	}
+	if batches, singles := rec.seen(); len(batches) != 1 || batches[0] != MaxElementBatch || len(singles) != 0 {
+		t.Errorf("service saw batches %v, singles %v; the cancelled tail must not reach it", batches, singles)
+	}
+	if c := strings.Count(got.elements, "->"); c != MaxElementBatch-1 {
+		t.Errorf("%d iteration-element events, want the %d slots that succeeded", c, MaxElementBatch-1)
+	}
+	if c := eng.Stats.Counters(); c["workers.tasks_total"] != n || c["queue.depth"] != 0 || c["queue.in_flight"] != 0 {
+		t.Errorf("worker stats after the drain: %v", c)
+	}
+}
+
+// hookGateway runs test code against a live run's handle.
+type hookGateway struct {
+	started  func(h *RunHandle)
+	finished func()
+}
+
+func (g hookGateway) RunStarted(h *RunHandle) { g.started(h) }
+func (g hookGateway) RunFinished(string) {
+	if g.finished != nil {
+		g.finished()
+	}
+}
+
+// TestBatchDuplicateDeliveryDedup: a batch that outlives its leases is
+// redelivered and run again by another worker; both holders report every
+// element, exactly one report per element folds into history, and the slow
+// holder's late reports — more than the report channel buffers — do not wedge
+// the run's shutdown.
+func TestBatchDuplicateDeliveryDedup(t *testing.T) {
+	const n = 24 // more late reports than the msgs buffer (2*workers+4) holds
+	var mu sync.Mutex
+	calls := 0
+	release := make(chan struct{})
+	reg := NewRegistry()
+	reg.RegisterBatch("work",
+		func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) },
+		func(ctx context.Context, calls_ []Call) []CallResult {
+			mu.Lock()
+			calls++
+			first := calls == 1
+			mu.Unlock()
+			if first {
+				<-release // hold the lease past its TTL
+			}
+			out := make([]CallResult, len(calls_))
+			for i, c := range calls_ {
+				out[i].Outputs, out[i].Err = upperCall(ctx, c, true)
+			}
+			return out
+		})
+	eng := NewEventEngine(reg)
+	eng.Workers = 2
+	eng.Gateway = hookGateway{started: func(h *RunHandle) { h.r.q.SetLeaseTTL(5 * time.Millisecond) }}
+	evs, listener := recordHistory()
+	done := make(chan struct{})
+	var res *RunResult
+	var err error
+	go func() {
+		defer close(done)
+		res, err = eng.Run(context.Background(), iterDef(0), itemList(n), listener)
+	}()
+	// The second worker reclaims the expired lease and completes the
+	// activity; the run then waits for the first worker.
+	deadline := time.After(10 * time.Second)
+	for settled := false; !settled; {
+		select {
+		case <-deadline:
+			t.Fatal("redelivered batch never ran")
+		case <-time.After(time.Millisecond):
+			mu.Lock()
+			settled = calls >= 2
+			mu.Unlock()
+		}
+	}
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run wedged on the first holder's late reports")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Invocations["A"] != n {
+		t.Errorf("invocations = %v, want %d", res.Invocations, n)
+	}
+	seen := map[int]int{}
+	for _, ev := range *evs {
+		if ev.Type == HistoryIterationElement {
+			seen[ev.Element]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		if seen[i] != 1 {
+			t.Errorf("element %d has %d iteration-element events", i, seen[i])
+		}
+	}
+}
+
+// TestBatchRemoteWorkerCompetes: a remote worker pulling single tasks from
+// the same queue as a batching in-process worker — each element is executed
+// by exactly one of them and the result is the per-element result.
+func TestBatchRemoteWorkerCompetes(t *testing.T) {
+	const n = 6 * MaxElementBatch
+	rec := &batchRecorder{fn: func(ctx context.Context, c Call, batched bool) (map[string]Data, error) {
+		if batched && c.Input("x").String() == "item000" {
+			time.Sleep(2 * time.Millisecond) // leave the remote worker room between batches
+		}
+		return upperCall(ctx, c, batched)
+	}}
+	reg := NewRegistry()
+	reg.RegisterBatch("work", rec.single, rec.batch)
+	remoteReg := NewRegistry()
+	remoteDone := 0
+	remoteReg.Register("work", func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) })
+
+	var wg sync.WaitGroup
+	eng := NewEventEngine(reg)
+	eng.Gateway = hookGateway{
+		started: func(h *RunHandle) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					rt, err := h.Dequeue(context.Background(), "r-test")
+					if err != nil {
+						return // queue closed: the run is draining
+					}
+					out, err := InvokeRemote(context.Background(), remoteReg, rt, nil)
+					h.Complete(rt.Task, "r-test", rt.Inputs, out, err)
+					remoteDone++
+				}
+			}()
+		},
+		finished: wg.Wait,
+	}
+	evs, listener := recordHistory()
+	res, err := eng.Run(context.Background(), iterDef(0), itemList(n), listener)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := res.Outputs["out"].Items()
+	if len(items) != n || items[0].String() != "ITEM000" || items[n-1].String() != fmt.Sprintf("ITEM%03d", n-1) {
+		t.Fatalf("outputs: %d items, first %v", len(items), items[0])
+	}
+	seen := map[int]int{}
+	remote := 0
+	for _, ev := range *evs {
+		if ev.Type == HistoryIterationElement {
+			seen[ev.Element]++
+			if ev.Worker == "r-test" {
+				remote++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if seen[i] != 1 {
+			t.Errorf("element %d has %d iteration-element events", i, seen[i])
+		}
+	}
+	batches, singles := rec.seen()
+	carried := len(singles)
+	for _, size := range batches {
+		carried += size
+	}
+	if carried+remoteDone != n || remote != remoteDone {
+		t.Errorf("in-process carried %d, remote completed %d (history credits it %d), want %d in total", carried, remoteDone, remote, n)
+	}
+	t.Logf("in-process: %d batches + %d singles; remote: %d elements", len(batches), len(singles), remoteDone)
+}
+
+// TestRegistryBatchForms pins the registry's handling of the two forms.
+func TestRegistryBatchForms(t *testing.T) {
+	single := func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) }
+	reg := NewRegistry()
+	reg.RegisterBatch("work", single, (&batchRecorder{fn: upperCall}).batch)
+	reg.Register("plain", single)
+	if _, ok := reg.LookupBatch("work"); !ok {
+		t.Error("batch form not registered")
+	}
+	if _, ok := reg.LookupBatch("plain"); ok {
+		t.Error("single-only service has a batch form")
+	}
+	clone := reg.Clone()
+	// Re-registering the single form replaces the implementation: the batch
+	// form of the old one must not survive it.
+	reg.Register("work", single)
+	if _, ok := reg.LookupBatch("work"); ok {
+		t.Error("batch form survived re-registration of the single form")
+	}
+	if _, ok := clone.LookupBatch("work"); !ok {
+		t.Error("clone shares state with the registry it was cloned from")
+	}
+	if _, ok := clone.Lookup("plain"); !ok {
+		t.Error("clone lost a service")
+	}
+}

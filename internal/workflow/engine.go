@@ -27,22 +27,53 @@ func (c Call) Input(name string) Data { return c.Inputs[name] }
 // independent processors run in parallel).
 type ServiceFunc func(ctx context.Context, call Call) (map[string]Data, error)
 
+// CallResult is one call's outcome inside a batch: what the single form would
+// have returned for it.
+type CallResult struct {
+	Outputs map[string]Data
+	Err     error
+}
+
+// BatchServiceFunc is the optional batch form of a service: handed the calls
+// of several elements of one implicit iteration, it answers them in one
+// invocation — one result per call, aligned by index. Each slot must hold
+// exactly what the single form would have returned for that call; the engine
+// reports the slots element by element, so history and provenance cannot
+// tell which form ran. Like ServiceFunc it must be safe for concurrent use.
+type BatchServiceFunc func(ctx context.Context, calls []Call) []CallResult
+
 // Registry maps service names to implementations. Workflows reference
 // services by name, decoupling specifications from code — this is what lets
 // the Workflow Adapter rewrite specifications without touching the model.
 type Registry struct {
-	mu sync.RWMutex
-	m  map[string]ServiceFunc
+	mu    sync.RWMutex
+	m     map[string]ServiceFunc
+	batch map[string]BatchServiceFunc
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry() *Registry { return &Registry{m: make(map[string]ServiceFunc)} }
+func NewRegistry() *Registry {
+	return &Registry{m: make(map[string]ServiceFunc), batch: make(map[string]BatchServiceFunc)}
+}
 
-// Register binds a service name; re-registration replaces.
+// Register binds a service name; re-registration replaces, and drops a batch
+// form registered beside the previous implementation.
 func (r *Registry) Register(name string, fn ServiceFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.m[name] = fn
+	delete(r.batch, name)
+}
+
+// RegisterBatch binds a service name to a single form and a batch form of the
+// same implementation. The engine uses the batch form to dispatch the ready
+// elements of an implicit iteration in one invocation (see MaxElementBatch);
+// everything else — single calls, retries, remote workers — uses fn.
+func (r *Registry) RegisterBatch(name string, fn ServiceFunc, batch BatchServiceFunc) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.m[name] = fn
+	r.batch[name] = batch
 }
 
 // Lookup resolves a service name.
@@ -51,6 +82,30 @@ func (r *Registry) Lookup(name string) (ServiceFunc, bool) {
 	defer r.mu.RUnlock()
 	fn, ok := r.m[name]
 	return fn, ok
+}
+
+// LookupBatch resolves the batch form of a service, if it has one.
+func (r *Registry) LookupBatch(name string) (BatchServiceFunc, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fn, ok := r.batch[name]
+	return fn, ok
+}
+
+// Clone returns an independent copy of the registry: a run that binds
+// services of its own starts from one so it never rebinds a shared registry
+// under another run.
+func (r *Registry) Clone() *Registry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := NewRegistry()
+	for name, fn := range r.m {
+		out.m[name] = fn
+	}
+	for name, fn := range r.batch {
+		out.batch[name] = fn
+	}
+	return out
 }
 
 // Names returns the registered service names (unordered).
@@ -147,14 +202,17 @@ type RunResult struct {
 // engineMetrics counts engine activity across runs. All fields are atomics:
 // the hot path never takes a lock to record them.
 type engineMetrics struct {
-	invocations        atomic.Int64 // service calls started
+	invocations        atomic.Int64 // element and single invocations started
 	elementsDispatched atomic.Int64 // implicit-iteration elements dispatched
+	batches            atomic.Int64 // batch-form invocations
+	batchedElements    atomic.Int64 // elements those batches carried
 	inFlight           atomic.Int64 // service calls currently executing
 	peakInFlight       atomic.Int64 // high-water mark of inFlight
 
 	// Latency distributions, split at the dispatch queue: queueWait is time a
 	// task spent enqueued before a worker picked it up, exec is the service
-	// call itself (including per-processor retries).
+	// call itself (including per-processor retries). A batch is one sample
+	// of each.
 	queueWait telemetry.Histogram
 	exec      telemetry.Histogram
 }
@@ -162,8 +220,10 @@ type engineMetrics struct {
 // MetricsSnapshot is a point-in-time reading of the engine's counters,
 // cumulative over every run the engine has executed.
 type MetricsSnapshot struct {
-	Invocations        int64 // service calls started
+	Invocations        int64 // invocations started (each element of a batch counts)
 	ElementsDispatched int64 // iteration elements dispatched to workers
+	Batches            int64 // batch-form service calls
+	BatchedElements    int64 // iteration elements those batch calls carried
 	InFlight           int64 // service calls executing right now
 	PeakInFlight       int64 // high-water mark of concurrent calls
 	// QueueWait and Exec are the latency distributions of the dispatch queue
@@ -180,6 +240,8 @@ func (m MetricsSnapshot) Counters() map[string]float64 {
 	c := map[string]float64{
 		"engine.invocations":         float64(m.Invocations),
 		"engine.elements_dispatched": float64(m.ElementsDispatched),
+		"engine.batches":             float64(m.Batches),
+		"engine.batched_elements":    float64(m.BatchedElements),
 		"engine.in_flight":           float64(m.InFlight),
 		"engine.peak_in_flight":      float64(m.PeakInFlight),
 	}

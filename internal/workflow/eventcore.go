@@ -90,6 +90,8 @@ func (e *EventEngine) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
 		Invocations:        e.metrics.invocations.Load(),
 		ElementsDispatched: e.metrics.elementsDispatched.Load(),
+		Batches:            e.metrics.batches.Load(),
+		BatchedElements:    e.metrics.batchedElements.Load(),
 		InFlight:           e.metrics.inFlight.Load(),
 		PeakInFlight:       e.metrics.peakInFlight.Load(),
 		QueueWait:          e.metrics.queueWait.Snapshot(),
@@ -240,12 +242,13 @@ type workerMsg struct {
 }
 
 // activity is the orchestrator's live state for one scheduled processor.
-// Fields set before task enqueue (p, fn, inputs, iterating, ctx) are
+// Fields set before task enqueue (p, fn, batch, inputs, iterating, ctx) are
 // read-only afterwards and safe for workers to read; everything else is
 // orchestrator-only.
 type activity struct {
 	p         *Processor
 	fn        ServiceFunc
+	batch     BatchServiceFunc // nil: the service has no batch form
 	inputs    map[string]Data
 	iterating bool
 	n         int // element count when iterating
@@ -513,11 +516,12 @@ func (r *eventRun) schedule(p *Processor) {
 		}
 	}
 	fn, _ := r.e.registry.Lookup(p.Service)
+	batch, _ := r.e.registry.LookupBatch(p.Service)
 	sctx, span := telemetry.StartSpan(r.runCtx, "processor:"+p.Name, "engine")
 	span.SetAttr("service", p.Service)
 	actx, acancel := context.WithCancel(sctx)
 	a := &activity{
-		p: p, fn: fn, inputs: inputs, ctx: actx, cancelAct: acancel,
+		p: p, fn: fn, batch: batch, inputs: inputs, ctx: actx, cancelAct: acancel,
 		span: span, start: time.Now(), realIdx: -1, cancelIdx: -1,
 	}
 	r.setActivity(p.Name, a)
@@ -552,35 +556,44 @@ func (r *eventRun) schedule(p *Processor) {
 		a.collected[port.Name] = make([]Data, n)
 	}
 	a.seen = make([]bool, n)
+	missing := n
 	if fa != nil {
 		for i, el := range fa.elements {
 			if i < 0 || i >= n {
 				continue
 			}
 			a.seen[i] = true
+			missing--
 			for _, port := range p.Outputs {
 				a.collected[port.Name][i] = el.Outputs[port.Name]
 			}
 		}
 	}
+	// The missing elements go to the queue in one operation, so the worker
+	// that takes the first finds its companions already there.
+	tasks := make([]Task, 0, missing)
 	for i := 0; i < n; i++ {
-		if a.seen[i] {
-			continue
+		if !a.seen[i] {
+			tasks = append(tasks, Task{ID: TaskID(r.runID, p.Name, i), RunID: r.runID, Activity: p.Name, Element: i})
 		}
-		a.expected++
-		r.enqueue(Task{ID: TaskID(r.runID, p.Name, i), RunID: r.runID, Activity: p.Name, Element: i})
 	}
-	if a.expected == 0 {
+	if len(tasks) == 0 {
 		r.settle(a) // every element replayed from the prefix (or n == 0)
+		return
 	}
+	a.expected = len(tasks)
+	r.enqueue(tasks...)
 }
 
-func (r *eventRun) enqueue(t Task) {
-	t.EnqueuedAt = time.Now()
+func (r *eventRun) enqueue(ts ...Task) {
+	now := time.Now()
+	for i := range ts {
+		ts[i].EnqueuedAt = now
+	}
 	// Enqueue fails only on a closed queue, and execute closes the queue
 	// after the orchestration loop — the sole caller of enqueue — has exited.
-	_ = r.q.Enqueue(t)
-	r.e.Stats.TasksEnqueued(1)
+	_ = r.q.Enqueue(ts...)
+	r.e.Stats.TasksEnqueued(len(ts))
 }
 
 // handle folds one worker report into the owning activity.
@@ -752,10 +765,29 @@ func (r *eventRun) deliver(l Link, d Data) []*Processor {
 	return nil
 }
 
-// worker is one pool goroutine: dequeue, (maybe die — chaos), drain a
-// cancelled activity's task or invoke, ack, report. Every dequeued task
-// produces exactly one eventual done-report: a killed worker Nacks its task,
-// so the queue redelivers it to a surviving worker.
+// MaxElementBatch bounds how many iteration elements one batch-form
+// invocation carries: the element a worker dequeued plus the ready companions
+// it leases beside it. Large enough that a name list costs a handful of
+// authority round trips, small enough that a pool of workers still shares a
+// long iteration and one call stays well inside a batch budget.
+const MaxElementBatch = 256
+
+// report delivers a message to the orchestration loop, giving up once the
+// loop has exited: only a duplicate delivery can still be outstanding then
+// (a task whose redelivery already completed), and the dedup would discard
+// it anyway.
+func (r *eventRun) report(m workerMsg) {
+	select {
+	case r.msgs <- m:
+	case <-r.done:
+	}
+}
+
+// worker is one pool goroutine: dequeue, lease the ready companions when the
+// element's service has a batch form, (maybe die — chaos), drain a cancelled
+// activity's tasks or invoke, ack, report. Every dequeued task produces
+// exactly one eventual done-report: a killed worker Nacks every task it
+// leased, so the queue redelivers them to a surviving worker.
 func (r *eventRun) worker(id string, alive *atomic.Int64) {
 	stats := r.e.Stats
 	tasksDone := 0
@@ -765,85 +797,185 @@ func (r *eventRun) worker(id string, alive *atomic.Int64) {
 			stats.Exited(id, false)
 			return
 		}
-		stats.TaskStarted(id)
+		// schedule publishes the activity before it enqueues the first task.
+		a := r.activity(t.Activity)
+		one := [1]Task{t}
+		lease := one[:]
+		if a.batch != nil && t.Element >= 0 && a.ctx.Err() == nil {
+			lease = append(lease, r.q.DequeueElements(t.Activity, MaxElementBatch-1)...)
+		}
+		for range lease {
+			stats.TaskStarted(id)
+		}
 		if kill := r.e.KillWorker; kill != nil && kill(id, tasksDone) {
 			if alive.Add(-1) >= 1 {
-				r.q.Nack(t.ID)
-				stats.TaskRequeued(id)
+				ids := make([]string, len(lease))
+				for i, lt := range lease {
+					ids[i] = lt.ID
+					stats.TaskRequeued(id)
+				}
+				r.q.Nack(ids...)
 				stats.Exited(id, true)
 				return
 			}
 			alive.Add(1) // the last live worker shrugs the kill off
 		}
-		// schedule publishes the activity before it enqueues the first task.
-		a := r.activity(t.Activity)
-		if err := a.ctx.Err(); err != nil {
+		switch err := a.ctx.Err(); {
+		case err != nil:
 			// The activity was cancelled (a sibling element failed, or the
 			// run did): drain without a span or a service call.
-			r.q.Ack(t.ID)
-			stats.TaskDone(id)
-			r.msgs <- workerMsg{task: t, worker: id, err: err}
-			tasksDone++
-			continue
-		}
-		var callIn map[string]Data
-		var name string
-		if t.Element >= 0 {
-			callIn = elementInputs(a.p, a.inputs, t.Element)
-			name = elementSpanName(a.p, t.Element)
-			r.e.metrics.elementsDispatched.Add(1)
-		} else {
-			callIn = a.inputs
-			name = "invoke:" + a.p.Name
-		}
-		cctx, sp := telemetry.StartSpan(a.ctx, name, "engine")
-		m := &r.e.metrics
-		wait := time.Since(t.EnqueuedAt)
-		m.queueWait.Observe(wait)
-		m.invocations.Add(1)
-		cur := m.inFlight.Add(1)
-		for {
-			peak := m.peakInFlight.Load()
-			if cur <= peak || m.peakInFlight.CompareAndSwap(peak, cur) {
-				break
+			for _, lt := range lease {
+				r.q.Ack(lt.ID)
+				stats.TaskDone(id)
+				r.report(workerMsg{task: lt, worker: id, err: err})
 			}
+		case len(lease) > 1:
+			r.invokeBatch(id, a, lease)
+		default:
+			r.invoke(id, a, t, 0, nil)
 		}
-		execStart := time.Now()
-		out, err := callWithRetryNotify(cctx, a.fn, a.p, Call{Inputs: callIn, Config: a.p.Config}, func(attempt int) {
-			r.msgs <- workerMsg{retry: true, task: t, worker: id, attempt: attempt}
-		})
-		if err == nil {
-			err = checkOutputs(a.p, out)
-		}
-		exec := time.Since(execStart)
-		m.exec.Observe(exec)
-		m.inFlight.Add(-1)
-		if sp != nil {
-			sp.SetAttr("service", a.p.Service)
-			sp.SetAttr("queue_wait_us", strconv.FormatInt(wait.Microseconds(), 10))
-			sp.SetAttr("exec_us", strconv.FormatInt(exec.Microseconds(), 10))
-			sp.SetAttr("worker", id)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-		}
-		sp.Finish()
-		r.q.Ack(t.ID)
-		stats.TaskDone(id)
-		r.msgs <- workerMsg{task: t, worker: id, callIn: callIn, out: out, err: err}
-		tasksDone++
+		tasksDone += len(lease)
 	}
 }
 
-// callWithRetryNotify invokes the service, retrying up to p.Retries extra
-// times on error. Retries back off exponentially with full jitter when the
-// processor configures RetryBase (see backoffDelay); the zero default retries
+// enterFlight counts one service call in flight and tracks the peak.
+func (m *engineMetrics) enterFlight() {
+	cur := m.inFlight.Add(1)
+	for {
+		peak := m.peakInFlight.Load()
+		if cur <= peak || m.peakInFlight.CompareAndSwap(peak, cur) {
+			return
+		}
+	}
+}
+
+// invoke runs one task through the service's single form — retries, backoff,
+// declared-output check — then acks and reports it. A fresh task starts at
+// attempt 0; an element whose slot of a batch call errored continues here
+// from attempt 1 with that error as the previous attempt's.
+func (r *eventRun) invoke(id string, a *activity, t Task, attempt int, lastErr error) {
+	var callIn map[string]Data
+	var name string
+	m := &r.e.metrics
+	fresh := attempt == 0 // a batch slot falling back was counted with its batch
+	if t.Element >= 0 {
+		callIn = elementInputs(a.p, a.inputs, t.Element)
+		name = elementSpanName(a.p, t.Element)
+		if fresh {
+			m.elementsDispatched.Add(1)
+		}
+	} else {
+		callIn = a.inputs
+		name = "invoke:" + a.p.Name
+	}
+	if fresh {
+		m.invocations.Add(1)
+	}
+	cctx, sp := telemetry.StartSpan(a.ctx, name, "engine")
+	wait := time.Since(t.EnqueuedAt)
+	m.queueWait.Observe(wait)
+	m.enterFlight()
+	execStart := time.Now()
+	out, err := retryFrom(cctx, a.fn, a.p, Call{Inputs: callIn, Config: a.p.Config}, attempt, lastErr, func(attempt int) {
+		r.report(workerMsg{retry: true, task: t, worker: id, attempt: attempt})
+	})
+	if err == nil {
+		err = checkOutputs(a.p, out)
+	}
+	exec := time.Since(execStart)
+	m.exec.Observe(exec)
+	m.inFlight.Add(-1)
+	if sp != nil {
+		sp.SetAttr("service", a.p.Service)
+		sp.SetAttr("queue_wait_us", strconv.FormatInt(wait.Microseconds(), 10))
+		sp.SetAttr("exec_us", strconv.FormatInt(exec.Microseconds(), 10))
+		sp.SetAttr("worker", id)
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		}
+	}
+	sp.Finish()
+	r.q.Ack(t.ID)
+	r.e.Stats.TaskDone(id)
+	r.report(workerMsg{task: t, worker: id, callIn: callIn, out: out, err: err})
+}
+
+// invokeBatch runs the leased elements of one activity through the service's
+// batch form in a single invocation under the activity's context — one span,
+// one queue-wait and one exec sample for the lot — then acks and reports
+// every element on its own, exactly as if each had been invoked alone: the
+// orchestrator, and so history and provenance, see the same per-element
+// reports either way. A slot that errored is not the element's last word
+// when the processor allows retries: it continues on the single-call path
+// from attempt 1.
+func (r *eventRun) invokeBatch(id string, a *activity, lease []Task) {
+	n := len(lease)
+	calls := make([]Call, n)
+	for i, t := range lease {
+		calls[i] = Call{Inputs: elementInputs(a.p, a.inputs, t.Element), Config: a.p.Config}
+	}
+	m := &r.e.metrics
+	m.elementsDispatched.Add(int64(n))
+	m.invocations.Add(int64(n))
+	m.batches.Add(1)
+	m.batchedElements.Add(int64(n))
+	cctx, sp := telemetry.StartSpan(a.ctx, "batch:"+a.p.Name, "engine")
+	wait := time.Since(lease[0].EnqueuedAt)
+	m.queueWait.Observe(wait)
+	m.enterFlight()
+	execStart := time.Now()
+	results := a.batch(cctx, calls)
+	exec := time.Since(execStart)
+	m.exec.Observe(exec)
+	m.inFlight.Add(-1)
+	if sp != nil {
+		sp.SetAttr("service", a.p.Service)
+		sp.SetAttr("elements", strconv.Itoa(n))
+		sp.SetAttr("queue_wait_us", strconv.FormatInt(wait.Microseconds(), 10))
+		sp.SetAttr("exec_us", strconv.FormatInt(exec.Microseconds(), 10))
+		sp.SetAttr("worker", id)
+	}
+	sp.Finish()
+
+	if len(results) != n {
+		err := fmt.Errorf("service %q batch form returned %d results for %d calls", a.p.Service, len(results), n)
+		results = make([]CallResult, n)
+		for i := range results {
+			results[i].Err = err
+		}
+	}
+	// Settled slots report first; the slots still owed retries follow, so a
+	// backoff sleep never holds back a finished element.
+	var retry []int
+	for i, t := range lease {
+		res := results[i]
+		if res.Err != nil && a.p.Retries > 0 && a.ctx.Err() == nil {
+			retry = append(retry, i)
+			continue
+		}
+		if res.Err == nil {
+			res.Err = checkOutputs(a.p, res.Outputs)
+		}
+		r.q.Ack(t.ID)
+		r.e.Stats.TaskDone(id)
+		r.report(workerMsg{task: t, worker: id, callIn: calls[i].Inputs, out: res.Outputs, err: res.Err})
+	}
+	for _, i := range retry {
+		r.invoke(id, a, lease[i], 1, results[i].Err)
+	}
+}
+
+// retryFrom invokes the service, retrying up to p.Retries extra times on
+// error. Retries back off exponentially with full jitter when the processor
+// configures RetryBase (see backoffDelay); the zero default retries
 // immediately. Context cancellation is never retried, and the backoff sleep
 // aborts as soon as the context is done. notify, when non-nil, is called
 // before each backoff so the orchestrator can append retry-backoff events.
-func callWithRetryNotify(ctx context.Context, fn ServiceFunc, p *Processor, call Call, notify func(attempt int)) (map[string]Data, error) {
-	var lastErr error
-	for attempt := 0; attempt <= p.Retries; attempt++ {
+// A fresh call enters at attempt first = 0 with a nil lastErr; a call whose
+// attempt 0 already happened elsewhere (a batch slot) enters at 1 with the
+// error that attempt returned.
+func retryFrom(ctx context.Context, fn ServiceFunc, p *Processor, call Call, first int, lastErr error, notify func(attempt int)) (map[string]Data, error) {
+	for attempt := first; attempt <= p.Retries; attempt++ {
 		if attempt > 0 {
 			if notify != nil {
 				notify(attempt)

@@ -39,11 +39,13 @@ func TaskID(runID, activity string, element int) string {
 // queue_contract_test.go:
 //
 //   - Enqueue appends to the tail; order of delivery is FIFO.
+//   - DequeueElements leases the ready elements of one activity without
+//     blocking, leaving every other ready task in place and in order.
 //   - Dequeue blocks until a task is ready, the ctx is done, or the queue is
 //     closed and drained. A dequeued task is leased (counted by InFlight)
 //     until Ack or Nack.
-//   - Ack removes a leased task permanently; Nack returns it to the tail
-//     with Attempt+1 under the same ID.
+//   - Ack removes a leased task permanently; Nack returns leased tasks to the
+//     tail with Attempt+1 under the same IDs.
 //   - Depth counts ready (not yet dequeued) tasks; InFlight counts leased.
 //   - Close stops new enqueues immediately but lets Dequeue drain what is
 //     already ready.
@@ -125,19 +127,32 @@ func (q *MemoryQueue) broadcastLocked() {
 	q.wake = make(chan struct{})
 }
 
-// Enqueue appends t to the tail; ErrQueueClosed after Close.
-func (q *MemoryQueue) Enqueue(t Task) error {
+// Enqueue appends ts to the tail in one operation — one lock, one wake-up,
+// however many tasks; ErrQueueClosed after Close.
+func (q *MemoryQueue) Enqueue(ts ...Task) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrQueueClosed
 	}
-	if t.EnqueuedAt.IsZero() {
-		t.EnqueuedAt = time.Now()
+	for _, t := range ts {
+		if t.EnqueuedAt.IsZero() {
+			t.EnqueuedAt = time.Now()
+		}
+		q.ready = append(q.ready, t)
 	}
-	q.ready = append(q.ready, t)
 	q.broadcastLocked()
 	return nil
+}
+
+// leaseLocked records one delivery of t. Callers hold q.mu.
+func (q *MemoryQueue) leaseLocked(t Task) {
+	l := memLease{t: t}
+	if q.leaseTTL > 0 {
+		l.expires = time.Now().Add(q.leaseTTL)
+		q.expiring++
+	}
+	q.leased[t.ID] = l
 }
 
 // Dequeue leases the FIFO head, blocking until one is ready.
@@ -150,12 +165,7 @@ func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 		if len(q.ready) > 0 {
 			t := q.ready[0]
 			q.ready = q.ready[1:]
-			l := memLease{t: t}
-			if q.leaseTTL > 0 {
-				l.expires = time.Now().Add(q.leaseTTL)
-				q.expiring++
-			}
-			q.leased[t.ID] = l
+			q.leaseLocked(t)
 			q.mu.Unlock()
 			return t, nil
 		}
@@ -187,6 +197,28 @@ func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 	}
 }
 
+// DequeueElements leases, without blocking, up to max ready iteration
+// elements of one activity — the companions a worker batches with an element
+// it already holds. They leave the queue in FIFO order, each under its own
+// lease exactly as if Dequeue had delivered it, so Ack, Nack and lease expiry
+// stay per task; ready tasks of other activities keep their order.
+func (q *MemoryQueue) DequeueElements(activity string, max int) []Task {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var out []Task
+	rest := q.ready[:0]
+	for _, t := range q.ready {
+		if len(out) < max && t.Activity == activity && t.Element >= 0 {
+			q.leaseLocked(t)
+			out = append(out, t)
+			continue
+		}
+		rest = append(rest, t)
+	}
+	q.ready = rest
+	return out
+}
+
 // Ack completes a leased task. Acking a task this holder no longer leases — it
 // was never dequeued, already acked, or the lease expired and the task now
 // belongs to whoever reclaims it — is an idempotent no-op: the ownership
@@ -209,29 +241,37 @@ func (q *MemoryQueue) Ack(id string) {
 	}
 }
 
-// Nack returns a leased task to the tail with Attempt+1. Like Ack, nacking an
-// unleased or expired task is an idempotent no-op — an expired lease is
-// already on its way back to the tail via reclaim, and re-enqueueing it here
-// would duplicate the delivery.
-func (q *MemoryQueue) Nack(id string) {
+// Nack returns leased tasks to the tail with Attempt+1, in one operation — a
+// dying worker hands back its whole lease together, so whoever picks it up
+// finds it whole. Like Ack, nacking an unleased or expired task is an
+// idempotent no-op — an expired lease is already on its way back to the tail
+// via reclaim, and re-enqueueing it here would duplicate the delivery.
+func (q *MemoryQueue) Nack(ids ...string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	l, ok := q.leased[id]
-	if !ok {
-		return
+	now := time.Now()
+	returned := false
+	for _, id := range ids {
+		l, ok := q.leased[id]
+		if !ok {
+			continue
+		}
+		if !l.expires.IsZero() && !now.Before(l.expires) {
+			continue // expired: reclaim owns the redelivery
+		}
+		delete(q.leased, id)
+		if !l.expires.IsZero() {
+			q.expiring--
+		}
+		t := l.t
+		t.Attempt++
+		t.EnqueuedAt = now
+		q.ready = append(q.ready, t)
+		returned = true
 	}
-	if !l.expires.IsZero() && !time.Now().Before(l.expires) {
-		return // expired: reclaim owns the redelivery
+	if returned {
+		q.broadcastLocked()
 	}
-	delete(q.leased, id)
-	if !l.expires.IsZero() {
-		q.expiring--
-	}
-	t := l.t
-	t.Attempt++
-	t.EnqueuedAt = time.Now()
-	q.ready = append(q.ready, t)
-	q.broadcastLocked()
 }
 
 // Depth counts ready (not yet dequeued) tasks.

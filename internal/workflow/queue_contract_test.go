@@ -328,3 +328,78 @@ func TestQueueContractConcurrentWorkers(t *testing.T) {
 		t.Fatalf("leftovers: depth=%d inflight=%d", q.Depth(), q.InFlight())
 	}
 }
+
+// TestQueueContractDequeueElements: the batch lease takes the ready elements
+// of one activity, in FIFO order and up to the limit, each under its own
+// lease, and leaves everything else ready and in order.
+func TestQueueContractDequeueElements(t *testing.T) {
+	q := NewMemoryQueue()
+	other := Task{ID: TaskID("run-q", "Q", 0), RunID: "run-q", Activity: "Q", Element: 0}
+	whole := Task{ID: TaskID("run-q", "P", -1), RunID: "run-q", Activity: "P", Element: -1}
+	if err := q.Enqueue(task(0), other, task(1), whole, task(2), task(3)); err != nil {
+		t.Fatal(err)
+	}
+	head, err := q.Dequeue(context.Background())
+	if err != nil || head.Element != 0 {
+		t.Fatalf("head: %+v, %v", head, err)
+	}
+	got := q.DequeueElements("P", 2)
+	if len(got) != 2 || got[0].Element != 1 || got[1].Element != 2 {
+		t.Fatalf("leased %+v, want elements 1 and 2 of P", got)
+	}
+	if q.Depth() != 3 || q.InFlight() != 3 {
+		t.Fatalf("after the batch lease: depth=%d inflight=%d, want 3/3", q.Depth(), q.InFlight())
+	}
+	if more := q.DequeueElements("nope", 10); len(more) != 0 {
+		t.Fatalf("leased %+v for an activity with nothing ready", more)
+	}
+	// Leases are per task: ack one, hand the other two back together.
+	q.Ack(got[0].ID)
+	q.Nack(head.ID, got[1].ID)
+	var order []string
+	for q.Depth() > 0 {
+		next, err := q.Dequeue(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		order = append(order, next.ID)
+		if (next.ID == head.ID || next.ID == got[1].ID) && next.Attempt != 1 {
+			t.Errorf("nacked %s redelivered with attempt %d", next.ID, next.Attempt)
+		}
+		q.Ack(next.ID)
+	}
+	want := []string{other.ID, whole.ID, task(3).ID, head.ID, got[1].ID}
+	if len(order) != len(want) {
+		t.Fatalf("drained %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("drained %v, want %v", order, want)
+		}
+	}
+	if q.InFlight() != 0 {
+		t.Fatalf("inflight=%d after draining", q.InFlight())
+	}
+}
+
+// TestQueueContractBatchLeaseExpires: tasks leased through DequeueElements
+// carry the queue's lease TTL like any other delivery.
+func TestQueueContractBatchLeaseExpires(t *testing.T) {
+	q := NewMemoryQueue()
+	q.SetLeaseTTL(5 * time.Millisecond)
+	q.Enqueue(task(0), task(1))
+	if got := q.DequeueElements("P", 8); len(got) != 2 {
+		t.Fatalf("leased %d, want 2", len(got))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		redelivered, err := q.Dequeue(ctx)
+		if err != nil {
+			t.Fatalf("expired batch lease never redelivered: %v", err)
+		}
+		if redelivered.Attempt != 1 {
+			t.Fatalf("redelivered attempt = %d, want 1", redelivered.Attempt)
+		}
+	}
+}

@@ -47,7 +47,7 @@ func (h *RunHandle) Dequeue(ctx context.Context, worker string) (RemoteTask, err
 		if err := a.ctx.Err(); err != nil {
 			h.r.q.Ack(t.ID)
 			h.r.e.Stats.TaskDone(worker)
-			h.report(workerMsg{task: t, worker: worker, err: err})
+			h.r.report(workerMsg{task: t, worker: worker, err: err})
 			continue
 		}
 		callIn := a.inputs
@@ -70,7 +70,7 @@ func (h *RunHandle) Complete(t Task, worker string, callIn, out map[string]Data,
 	}
 	h.r.q.Ack(t.ID)
 	h.r.e.Stats.TaskDone(worker)
-	h.report(workerMsg{task: t, worker: worker, callIn: callIn, out: out, err: taskErr})
+	h.r.report(workerMsg{task: t, worker: worker, callIn: callIn, out: out, err: taskErr})
 }
 
 // Fail nacks the task back to the queue tail (a remote worker shutting down
@@ -83,17 +83,7 @@ func (h *RunHandle) Fail(t Task, worker string) {
 // RetryNotify appends a retry-backoff event for a remote attempt, mirroring
 // the in-process notify callback.
 func (h *RunHandle) RetryNotify(t Task, worker string, attempt int) {
-	h.report(workerMsg{retry: true, task: t, worker: worker, attempt: attempt})
-}
-
-// report delivers a message to the orchestration loop, giving up once the
-// loop has exited (a late report from a task whose redelivery already
-// completed — the dedup would discard it anyway).
-func (h *RunHandle) report(m workerMsg) {
-	select {
-	case h.r.msgs <- m:
-	case <-h.r.done:
-	}
+	h.r.report(workerMsg{retry: true, task: t, worker: worker, attempt: attempt})
 }
 
 // InvokeRemote executes one RemoteTask against a local registry — the worker
@@ -105,7 +95,7 @@ func InvokeRemote(ctx context.Context, reg *Registry, rt RemoteTask, notify func
 	if !ok {
 		return nil, fmt.Errorf("workflow: remote worker has no service %q", p.Service)
 	}
-	out, err := callWithRetryNotify(ctx, fn, p, Call{Inputs: rt.Inputs, Config: p.Config}, notify)
+	out, err := retryFrom(ctx, fn, p, Call{Inputs: rt.Inputs, Config: p.Config}, 0, nil, notify)
 	if err == nil {
 		err = checkOutputs(p, out)
 	}
