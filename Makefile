@@ -74,11 +74,13 @@ verify: ci
 
 ## bench: the paper-reproduction benchmarks at the repo root, then the
 ## hot-path suites via the bench harness, recording the perf trajectory to
-## BENCH_10.json (schema bench.v1, documented in EXPERIMENTS.md; min across
-## -count repetitions to resist shared-host noise).
+## BENCH_$(PR).json (schema bench.v1, documented in EXPERIMENTS.md; min across
+## -count repetitions to resist shared-host noise). PR is required, so a run
+## never overwrites another PR's committed trajectory point.
 bench:
+	@test -n "$(PR)" || { echo "make bench: set PR=<n> (writes BENCH_<n>.json)"; exit 1; }
 	$(GO) test -bench=. -benchmem .
-	$(GO) run ./cmd/bench -out BENCH_10.json
+	$(GO) run ./cmd/bench -out BENCH_$(PR).json
 
 experiments:
 	$(GO) run ./cmd/experiments

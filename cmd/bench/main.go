@@ -6,10 +6,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/bench                 # full run -> BENCH_10.json
-//	go run ./cmd/bench -smoke          # 1-iteration smoke -> BENCH_smoke.json
+//	go run ./cmd/bench -out BENCH_<pr>.json   # full run; "pr" is stamped from the name
+//	go run ./cmd/bench -smoke                 # 1-iteration smoke -> BENCH_smoke.json
 //	go run ./cmd/bench -out FILE -benchtime 2s -count 3
 //	go run ./cmd/bench -compare BENCH_9.json BENCH_10.json
+//
+// A full run has no default output file: the committed BENCH_<pr>.json files
+// are the trajectory, and a run must say which point it is recording rather
+// than overwrite one. `make bench PR=<n>` passes -out BENCH_<n>.json.
 //
 // -compare diffs two trajectory files and exits non-zero when any benchmark
 // tracked by both regressed more than 10% in ns/op or allocs/op — the CI
@@ -22,6 +26,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -73,7 +78,7 @@ type benchFile struct {
 }
 
 func main() {
-	out := flag.String("out", "", "output file (default BENCH_10.json, or BENCH_smoke.json with -smoke)")
+	out := flag.String("out", "", "output file, e.g. BENCH_<pr>.json (required unless -smoke, which defaults to BENCH_smoke.json)")
 	smoke := flag.Bool("smoke", false, "1-iteration smoke run: proves every benchmark still executes, records no stable numbers")
 	benchtime := flag.String("benchtime", "", "go test -benchtime value (default 1s, or 1x with -smoke)")
 	count := flag.Int("count", 3, "go test -count value; the recorded number is the min across repetitions")
@@ -100,13 +105,11 @@ func main() {
 			bt = "1s"
 		}
 	}
-	path := *out
-	if path == "" {
-		if *smoke {
-			path = "BENCH_smoke.json"
-		} else {
-			path = "BENCH_10.json"
-		}
+	path, err := outPath(*out, *smoke)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	file := benchFile{
@@ -139,6 +142,19 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("bench: %d benchmarks -> %s\n", len(file.Benchmarks), path)
+}
+
+// outPath resolves the output file. Only the smoke run has a default: a full
+// run without -out is a usage error, so it can never overwrite a committed
+// trajectory point.
+func outPath(out string, smoke bool) (string, error) {
+	if out == "" && !smoke {
+		return "", errors.New("a full run needs -out BENCH_<pr>.json")
+	}
+	if out == "" {
+		return "BENCH_smoke.json", nil
+	}
+	return out, nil
 }
 
 // prFromPath derives the "pr" stamp from a trajectory file name

@@ -2,6 +2,24 @@ package main
 
 import "testing"
 
+func TestOutPath(t *testing.T) {
+	for _, tc := range []struct {
+		out   string
+		smoke bool
+		want  string // "" = usage error
+	}{
+		{"", false, ""},
+		{"", true, "BENCH_smoke.json"},
+		{"BENCH_15.json", false, "BENCH_15.json"},
+		{"x.json", true, "x.json"},
+	} {
+		got, err := outPath(tc.out, tc.smoke)
+		if got != tc.want || (err != nil) != (tc.want == "") {
+			t.Errorf("outPath(%q, smoke=%v) = %q, %v; want %q", tc.out, tc.smoke, got, err, tc.want)
+		}
+	}
+}
+
 func TestPRFromPath(t *testing.T) {
 	for path, want := range map[string]int{
 		"BENCH_10.json":          10,

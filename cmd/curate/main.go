@@ -142,7 +142,11 @@ func main() {
 			fmt.Printf("ledger: %d updates (%d pending, %d approved), %d history entries\n",
 				sys.Ledger.CountUpdates(""), sys.Ledger.CountUpdates(curation.ReviewPending),
 				sys.Ledger.CountUpdates(curation.ReviewApproved), sys.Ledger.HistoryCount())
-			for _, info := range sys.Provenance.AllRuns() {
+			runs, err := sys.Provenance.AllRuns()
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, info := range runs {
 				fmt.Printf("run %s: %s %s (%s)\n", info.RunID, info.WorkflowName, info.Status,
 					info.FinishedAt.Sub(info.StartedAt).Round(time.Millisecond))
 			}

@@ -251,6 +251,12 @@ func TestTenantFailoverAcrossShardOutage(t *testing.T) {
 		t.Fatalf("failover during outage took %v, want fail-fast", d)
 	}
 
+	// Nor may the run-ID counter be seeded from the surviving shards alone:
+	// it could land below IDs the lost shard holds.
+	if serr := sys.seedRunCounter(); !errors.Is(serr, shard.ErrShardDown) {
+		t.Fatalf("seeding the run-ID counter during outage = %v, want ErrShardDown", serr)
+	}
+
 	// Rejoin (WAL replay) and fail over for real.
 	if err := sys.Cluster.RejoinShard(victim); err != nil {
 		t.Fatal(err)

@@ -131,7 +131,7 @@ func TestRunDetectionParallelCancellation(t *testing.T) {
 				resolver = singleOnlyResolver{resolver}
 			}
 
-			before := len(sys.Provenance.AllRuns())
+			before, _ := sys.Provenance.AllRuns()
 			ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 			defer cancel()
 			start := time.Now()
@@ -143,8 +143,8 @@ func TestRunDetectionParallelCancellation(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > 2*time.Second {
 				t.Fatalf("cancellation took %s", elapsed)
 			}
-			if after := len(sys.Provenance.AllRuns()); after != before+1 {
-				t.Fatalf("failed run left %d new provenance runs, want 1", after-before)
+			if after, _ := sys.Provenance.AllRuns(); len(after) != len(before)+1 {
+				t.Fatalf("failed run left %d new provenance runs, want 1", len(after)-len(before))
 			}
 		})
 	}

@@ -189,7 +189,11 @@ func (s *System) seedRunCounter() error {
 		_, id := shard.Split(runID)
 		workflow.RaiseRunCounter(id)
 	}
-	for _, info := range s.Provenance.AllRuns() {
+	runs, err := s.Provenance.AllRuns()
+	if err != nil {
+		return fmt.Errorf("core: seeding the run-ID counter: %w", err)
+	}
+	for _, info := range runs {
 		raise(info.RunID)
 	}
 	pending, err := s.Admissions.Pending()

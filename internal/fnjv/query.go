@@ -1,8 +1,9 @@
 package fnjv
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -173,41 +174,41 @@ func (s *Store) Query(pred Predicate, opts QueryOptions) ([]*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := SortRecords(out, opts.OrderBy); err != nil {
+	order, err := RecordOrder(opts.OrderBy)
+	if err != nil {
 		return nil, err
 	}
+	slices.SortFunc(out, order)
 	if opts.Limit > 0 && len(out) > opts.Limit {
 		out = out[:opts.Limit]
 	}
 	return out, nil
 }
 
-// SortRecords orders a result set the way Query does — "id" (default),
-// "date", or "species" — with the record ID as the final tiebreak, so the
-// ordering is total and identical however the records were collected
-// (single-store scan or a cross-shard merge).
-func SortRecords(out []*Record, orderBy string) error {
+// RecordOrder returns the comparator behind Query's OrderBy — "id"
+// (default), "date", or "species" — with the record ID as the final
+// tiebreak, so the ordering is total and identical however the records were
+// collected (single-store scan or a cross-shard merge).
+func RecordOrder(orderBy string) (func(a, b *Record) int, error) {
 	switch orderBy {
 	case "", "id":
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		return func(a, b *Record) int { return cmp.Compare(a.ID, b.ID) }, nil
 	case "date":
-		sort.Slice(out, func(i, j int) bool {
-			if !out[i].CollectDate.Equal(out[j].CollectDate) {
-				return out[i].CollectDate.Before(out[j].CollectDate)
+		return func(a, b *Record) int {
+			if c := a.CollectDate.Compare(b.CollectDate); c != 0 {
+				return c
 			}
-			return out[i].ID < out[j].ID
-		})
+			return cmp.Compare(a.ID, b.ID)
+		}, nil
 	case "species":
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Species != out[j].Species {
-				return out[i].Species < out[j].Species
+		return func(a, b *Record) int {
+			if c := cmp.Compare(a.Species, b.Species); c != 0 {
+				return c
 			}
-			return out[i].ID < out[j].ID
-		})
-	default:
-		return fmt.Errorf("fnjv: unknown OrderBy %q", orderBy)
+			return cmp.Compare(a.ID, b.ID)
+		}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("fnjv: unknown OrderBy %q", orderBy)
 }
 
 // QuerySpecies is the indexed fast path for an exact species name plus an

@@ -39,12 +39,11 @@ type Repo interface {
 
 	Run(runID string) (RunInfo, error)
 	Runs(workflowID string) ([]RunInfo, error)
-	AllRuns() []RunInfo
+	AllRuns() ([]RunInfo, error)
 	RunsPage(after string, limit int) ([]RunInfo, string, error)
 	NodesPage(runID, after string, limit int) ([]*opm.Node, string, error)
 	EdgesPage(runID string, after, limit int) ([]opm.Edge, int, error)
 	Graph(runID string) (*opm.Graph, error)
-	UnionGraph(runIDs ...string) (*opm.Graph, error)
 	QualityOfProcess(runID, processor string) (map[string]string, error)
 	RunsUsingArtifact(artifactID string) ([]string, error)
 	RunsGeneratingArtifact(artifactID string) ([]string, error)

@@ -260,8 +260,8 @@ func TestRepositoryQueries(t *testing.T) {
 	if len(runs) != 3 {
 		t.Fatalf("runs = %d", len(runs))
 	}
-	if len(repo.AllRuns()) != 3 {
-		t.Fatalf("AllRuns = %d", len(repo.AllRuns()))
+	if all, err := repo.AllRuns(); err != nil || len(all) != 3 {
+		t.Fatalf("AllRuns = %d, %v", len(all), err)
 	}
 	if _, err := repo.Run("run-does-not-exist"); !errors.Is(err, ErrRunNotFound) {
 		t.Fatalf("missing run: %v", err)

@@ -272,15 +272,22 @@ func (r *Repository) Runs(workflowID string) ([]RunInfo, error) {
 	return out, nil
 }
 
-// AllRuns lists every stored run in run-ID order.
-func (r *Repository) AllRuns() []RunInfo {
+// AllRuns lists every stored run in run-ID order. A single repository
+// cannot fail the scan; the error is the shard router's, which must never
+// answer a lost shard with a shorter list.
+func (r *Repository) AllRuns() ([]RunInfo, error) {
 	var out []RunInfo
 	r.src.Table(runsTable).Scan(func(row storage.Row) bool {
 		out = append(out, rowToInfo(row))
 		return true
 	})
-	return out
+	return out, nil
 }
+
+// DefaultRunsPage is the page size RunsPage applies when the caller's limit
+// is not positive. The shard router resolves the same size before it merges
+// per-shard pages, so sharded and unsharded cursor walks are identical.
+const DefaultRunsPage = 50
 
 // RunsPage returns up to limit runs with run ID strictly greater than after
 // ("" starts at the beginning), in run-ID order, plus the cursor to pass as
@@ -288,7 +295,7 @@ func (r *Repository) AllRuns() []RunInfo {
 // API dashboards page through instead of materializing every run at once.
 func (r *Repository) RunsPage(after string, limit int) ([]RunInfo, string, error) {
 	if limit <= 0 {
-		limit = 50
+		limit = DefaultRunsPage
 	}
 	out := make([]RunInfo, 0, limit)
 	more := false

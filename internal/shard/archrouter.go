@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/archive"
@@ -11,84 +11,59 @@ import (
 // routes by its content address (computed before routing, exactly as the
 // store computes it), listings merge across shards, and each shard's
 // scrubber audits only its own volumes.
-type ArchiveRouter struct {
-	c *Cluster
-}
+type ArchiveRouter struct{ router }
 
 var _ archive.Holdings = (*ArchiveRouter)(nil)
 
-func (a *ArchiveRouter) ownerOf(id string) (*archive.Store, *Shard, error) {
-	sh := a.c.owner(id)
-	st, err := sh.archStore()
-	return st, sh, err
-}
-
 // Put implements archive.Holdings: the content address decides the owning
 // shard, so re-archiving identical bytes stays idempotent on one shard.
-func (a *ArchiveRouter) Put(payload []byte, meta archive.Meta) (archive.Manifest, error) {
+func (a *ArchiveRouter) Put(payload []byte, meta archive.Meta) (m archive.Manifest, err error) {
 	id := archive.NewManifest(payload, meta, time.Time{}).ID
-	st, sh, err := a.ownerOf(id)
-	if err != nil {
-		sh.note(err)
-		return archive.Manifest{}, err
-	}
-	m, err := st.Put(payload, meta)
-	sh.note(err)
+	err = a.route(id, func(b backends) error {
+		m, err = b.arch.Put(payload, meta)
+		return err
+	})
 	return m, err
 }
 
 // Get implements archive.Holdings.
-func (a *ArchiveRouter) Get(id string) (archive.Manifest, []byte, error) {
-	st, sh, err := a.ownerOf(id)
-	if err != nil {
-		sh.note(err)
-		return archive.Manifest{}, nil, err
-	}
-	m, payload, err := st.Get(id)
-	sh.note(err)
+func (a *ArchiveRouter) Get(id string) (m archive.Manifest, payload []byte, err error) {
+	err = a.route(id, func(b backends) error {
+		m, payload, err = b.arch.Get(id)
+		return err
+	})
 	return m, payload, err
 }
 
 // Stat implements archive.Holdings. A down shard reports every replica
 // missing — the caller sees degraded status, not a hang.
 func (a *ArchiveRouter) Stat(id string) archive.ObjectStatus {
-	st, sh, err := a.ownerOf(id)
-	if err != nil {
-		sh.note(err)
-		return archive.ObjectStatus{ID: id}
-	}
-	status := st.Stat(id)
-	sh.note(nil)
+	status := archive.ObjectStatus{ID: id}
+	_ = a.route(id, func(b backends) error { // a down shard reads as no replica found
+		status = b.arch.Stat(id)
+		return nil
+	})
 	return status
+}
+
+// list scatters a holdings listing and merges it sorted.
+func (a *ArchiveRouter) list(op string, list func(*archive.Store) ([]string, error)) ([]string, error) {
+	lists, err := scatter(a.router, op, func(b backends) ([]string, error) { return list(b.arch) })
+	if err != nil {
+		return nil, err
+	}
+	ids, _ := merge(lists, strings.Compare, 0, false)
+	return ids, nil
 }
 
 // List implements archive.Holdings.
 func (a *ArchiveRouter) List() ([]string, error) {
-	return a.listFanOut("archive.List", (*archive.Store).List)
+	return a.list("archive.List", (*archive.Store).List)
 }
 
 // ListQuarantined implements archive.Holdings.
 func (a *ArchiveRouter) ListQuarantined() ([]string, error) {
-	return a.listFanOut("archive.ListQuarantined", (*archive.Store).ListQuarantined)
-}
-
-func (a *ArchiveRouter) listFanOut(op string, fn func(*archive.Store) ([]string, error)) ([]string, error) {
-	lists, err := gather(a.c, op, func(sh *Shard) ([]string, error) {
-		st, serr := sh.archStore()
-		if serr != nil {
-			return nil, serr
-		}
-		return fn(st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []string
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.Strings(all)
-	return all, nil
+	return a.list("archive.ListQuarantined", (*archive.Store).ListQuarantined)
 }
 
 // Scrubbers returns the per-shard scrubbers, in shard order — audits run

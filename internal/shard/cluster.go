@@ -63,12 +63,10 @@ type Shard struct {
 	arch     *archive.Store
 	scrubber *archive.Scrubber
 
-	mu    sync.RWMutex
-	down  bool
-	db    *storage.DB
-	recs  *fnjv.Store
-	prov  *provenance.Repository
-	spans *telemetry.SpanStore
+	mu     sync.RWMutex
+	down   bool
+	db     *storage.DB
+	stores backends
 
 	ops  atomic.Int64
 	errs atomic.Int64
@@ -110,10 +108,10 @@ func Open(dir string, opts Options) (*Cluster, error) {
 		}
 		c.shards = append(c.shards, sh)
 	}
-	c.records = &RecordRouter{c: c}
-	c.prov = &ProvenanceRouter{c: c}
-	c.traces = &TraceRouter{c: c}
-	c.archive = &ArchiveRouter{c: c}
+	c.records = &RecordRouter{router{c: c}}
+	c.prov = &ProvenanceRouter{router{c: c}}
+	c.traces = &TraceRouter{router{c: c}}
+	c.archive = &ArchiveRouter{router{c: c}}
 	// Audit runs route by their own run ID, so every shard's scrubber records
 	// through the router, not its local repository.
 	for _, sh := range c.shards {
@@ -145,7 +143,7 @@ func (s *Shard) open() error {
 		return fmt.Errorf("shard: open %s: %w", shardName(s.id), err)
 	}
 	s.mu.Lock()
-	s.db, s.recs, s.prov, s.spans = db, recs, prov, spans
+	s.db, s.stores = db, backends{shard: s.id, recs: recs, prov: prov, spans: spans, arch: s.arch}
 	s.down = false
 	s.mu.Unlock()
 	return nil
@@ -174,9 +172,6 @@ func (c *Cluster) N() int { return len(c.shards) }
 
 // OwnerIndex returns the index of the shard owning the given ID.
 func (c *Cluster) OwnerIndex(id string) int { return c.ring.Owner(RouteKey(id)) }
-
-// owner returns the shard owning the given ID.
-func (c *Cluster) owner(id string) *Shard { return c.shards[c.OwnerIndex(id)] }
 
 // Records returns the sharded collection store.
 func (c *Cluster) Records() *RecordRouter { return c.records }
@@ -262,58 +257,4 @@ func (c *Cluster) Counters() map[string]float64 {
 		out[name+".down"] = down
 	}
 	return out
-}
-
-// note records one routed operation against the shard's gauges.
-func (s *Shard) note(err error) {
-	s.ops.Add(1)
-	if err != nil {
-		s.errs.Add(1)
-	}
-}
-
-func (s *Shard) downErr() error {
-	return fmt.Errorf("%w: %s", ErrShardDown, shardName(s.id))
-}
-
-// provRepo returns the shard's live provenance repository, or ErrShardDown.
-func (s *Shard) provRepo() (*provenance.Repository, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.down {
-		return nil, s.downErr()
-	}
-	return s.prov, nil
-}
-
-// recordStore returns the shard's live record store, or ErrShardDown.
-func (s *Shard) recordStore() (*fnjv.Store, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.down {
-		return nil, s.downErr()
-	}
-	return s.recs, nil
-}
-
-// spanStore returns the shard's live span store, or ErrShardDown.
-func (s *Shard) spanStore() (*telemetry.SpanStore, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.down {
-		return nil, s.downErr()
-	}
-	return s.spans, nil
-}
-
-// archStore returns the shard's AIP store, or ErrShardDown. The store itself
-// survives Stop/Rejoin, but a down shard refuses archive traffic too: the
-// shard is the failure domain, not the individual backend.
-func (s *Shard) archStore() (*archive.Store, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.down {
-		return nil, s.downErr()
-	}
-	return s.arch, nil
 }

@@ -1,8 +1,8 @@
 package shard
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"strings"
 	"time"
 
 	"repro/internal/opm"
@@ -12,346 +12,195 @@ import (
 
 // ProvenanceRouter implements provenance.Repo across the cluster. A run's
 // entire state — run row, nodes, edges, history — lives on the shard that
-// owns its run ID, so every per-run operation is a single-shard call;
-// run listings and lineage fan-out scatter-gather and merge under the same
+// owns its run ID, so every per-run operation is a single-shard route;
+// run listings and lineage fan-out scatter and merge under the same
 // ordering and cursor contracts as the single Repository.
-type ProvenanceRouter struct {
-	c *Cluster
-	// views pins one read-only repository view per shard when this router is
-	// itself a snapshot (viewErrs holds the per-shard error for shards that
-	// were down at snapshot time). Nil on the live router.
-	views    []*provenance.Repository
-	viewErrs []error
-}
+type ProvenanceRouter struct{ router }
 
 var _ provenance.Repo = (*ProvenanceRouter)(nil)
 
-// repoAt resolves shard i's repository: the pinned view on snapshots, the
-// live repository otherwise.
-func (p *ProvenanceRouter) repoAt(i int) (*provenance.Repository, error) {
-	if p.views != nil {
-		if p.viewErrs[i] != nil {
-			return nil, p.viewErrs[i]
-		}
-		return p.views[i], nil
-	}
-	return p.c.shards[i].provRepo()
-}
+func byRunID(a, b provenance.RunInfo) int { return cmp.Compare(a.RunID, b.RunID) }
 
-// ownerRepo resolves the repository owning runID.
-func (p *ProvenanceRouter) ownerRepo(runID string) (*provenance.Repository, *Shard, error) {
-	sh := p.c.owner(runID)
-	repo, err := p.repoAt(sh.id)
-	return repo, sh, err
-}
-
-// Snapshot implements provenance.Repo: a router over one pinned view per
-// shard. Shards down at snapshot time stay erroring in the snapshot.
+// Snapshot implements provenance.Repo: a router over one pinned repository
+// view per shard.
 func (p *ProvenanceRouter) Snapshot() provenance.Repo {
-	n := len(p.c.shards)
-	s := &ProvenanceRouter{c: p.c, views: make([]*provenance.Repository, n), viewErrs: make([]error, n)}
-	for i := range p.c.shards {
-		repo, err := p.repoAt(i)
-		if err != nil {
-			s.viewErrs[i] = err
-			continue
-		}
-		s.views[i] = repo.View()
-	}
-	return s
+	return &ProvenanceRouter{p.pinned(func(b *backends) { b.prov = b.prov.View() })}
 }
 
 // RunWriter implements provenance.Repo with a lazily-routed writer: deltas
 // buffer until the first one names the run, then stream to the owning
 // shard's BatchWriter (see routedWriter).
 func (p *ProvenanceRouter) RunWriter(opts provenance.BatchWriterOptions) (provenance.RunWriter, error) {
-	return &routedWriter{router: p, opts: opts}, nil
+	return &routedWriter{router: p.router, opts: opts}, nil
 }
 
 // ResumeRunWriter implements provenance.Repo; the run ID is known, so the
 // writer routes immediately.
-func (p *ProvenanceRouter) ResumeRunWriter(runID string, opts provenance.BatchWriterOptions) (provenance.RunWriter, error) {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return nil, err
-	}
-	w, err := repo.NewResumeWriter(runID, opts)
-	sh.note(err)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
+func (p *ProvenanceRouter) ResumeRunWriter(runID string, opts provenance.BatchWriterOptions) (w provenance.RunWriter, err error) {
+	err = p.route(runID, func(b backends) error {
+		bw, err := b.prov.NewResumeWriter(runID, opts)
+		if err == nil {
+			w = bw
+		}
+		return err
+	})
+	return w, err
 }
 
 // Store implements provenance.Repo on the shard owning info.RunID.
 func (p *ProvenanceRouter) Store(info provenance.RunInfo, g *opm.Graph) error {
-	repo, sh, err := p.ownerRepo(info.RunID)
-	if err != nil {
-		sh.note(err)
-		return err
-	}
-	err = repo.Store(info, g)
-	sh.note(err)
-	return err
+	return p.route(info.RunID, func(b backends) error { return b.prov.Store(info, g) })
 }
 
 // Run implements provenance.Repo.
-func (p *ProvenanceRouter) Run(runID string) (provenance.RunInfo, error) {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return provenance.RunInfo{}, err
-	}
-	info, err := repo.Run(runID)
-	sh.note(err)
+func (p *ProvenanceRouter) Run(runID string) (info provenance.RunInfo, err error) {
+	err = p.route(runID, func(b backends) error {
+		info, err = b.prov.Run(runID)
+		return err
+	})
 	return info, err
 }
 
-// Runs implements provenance.Repo, merging per-shard answers in run-ID
-// order.
-func (p *ProvenanceRouter) Runs(workflowID string) ([]provenance.RunInfo, error) {
-	pages, err := gather(p.c, "provenance.Runs", func(sh *Shard) ([]provenance.RunInfo, error) {
-		repo, rerr := p.repoAt(sh.id)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return repo.Runs(workflowID)
-	})
+// runLists scatters a run listing and merges it into run-ID order.
+func (p *ProvenanceRouter) runLists(op string, list func(*provenance.Repository) ([]provenance.RunInfo, error)) ([]provenance.RunInfo, error) {
+	lists, err := scatter(p.router, op, func(b backends) ([]provenance.RunInfo, error) { return list(b.prov) })
 	if err != nil {
 		return nil, err
 	}
-	return mergeRuns(pages), nil
+	runs, _ := merge(lists, byRunID, 0, false)
+	return runs, nil
 }
 
-// AllRuns implements provenance.Repo. The interface carries no error, so
-// shards that fail mid-gather contribute nothing; use RunsPage for listings
-// that must surface shard loss.
-func (p *ProvenanceRouter) AllRuns() []provenance.RunInfo {
-	pages, _ := gather(p.c, "provenance.AllRuns", func(sh *Shard) ([]provenance.RunInfo, error) {
-		repo, rerr := p.repoAt(sh.id)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return repo.AllRuns(), nil
+// Runs implements provenance.Repo.
+func (p *ProvenanceRouter) Runs(workflowID string) ([]provenance.RunInfo, error) {
+	return p.runLists("provenance.Runs", func(repo *provenance.Repository) ([]provenance.RunInfo, error) {
+		return repo.Runs(workflowID)
 	})
-	return mergeRuns(pages)
 }
 
-// RunsPage implements provenance.Repo: every shard answers the same
-// (after, limit) page, the merge keeps run-ID order, and the next cursor is
-// the last emitted run ID — exactly the single-repository contract, so
-// cursors stay valid and non-duplicating while shards take writes.
+// AllRuns implements provenance.Repo. A lost shard is an error, never a
+// shorter list: core seeds the run-ID counter from this answer.
+func (p *ProvenanceRouter) AllRuns() ([]provenance.RunInfo, error) {
+	return p.runLists("provenance.AllRuns", (*provenance.Repository).AllRuns)
+}
+
+// UnfinishedRuns implements provenance.Repo.
+func (p *ProvenanceRouter) UnfinishedRuns() ([]provenance.RunInfo, error) {
+	return p.runLists("provenance.UnfinishedRuns", (*provenance.Repository).UnfinishedRuns)
+}
+
+// RunsPage implements provenance.Repo. Every shard is asked for one run more
+// than the page, so the union overflows the page exactly when another page
+// exists; merge keeps the first limit runs and the next cursor is the last
+// of them. That is the single repository's cursor sequence — valid and
+// non-duplicating while shards take writes.
 func (p *ProvenanceRouter) RunsPage(after string, limit int) ([]provenance.RunInfo, string, error) {
-	type page struct {
-		runs []provenance.RunInfo
-		next string
+	if limit <= 0 {
+		limit = provenance.DefaultRunsPage
 	}
-	pages, err := gather(p.c, "provenance.RunsPage", func(sh *Shard) (page, error) {
-		repo, rerr := p.repoAt(sh.id)
-		if rerr != nil {
-			return page{}, rerr
-		}
-		runs, next, perr := repo.RunsPage(after, limit)
-		return page{runs: runs, next: next}, perr
+	lists, err := scatter(p.router, "provenance.RunsPage", func(b backends) ([]provenance.RunInfo, error) {
+		runs, _, err := b.prov.RunsPage(after, limit+1)
+		return runs, err
 	})
 	if err != nil {
 		return nil, "", err
 	}
-	var all []provenance.RunInfo
-	more := false
-	for _, pg := range pages {
-		all = append(all, pg.runs...)
-		if pg.next != "" {
-			more = true
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].RunID < all[j].RunID })
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-		more = true
-	}
+	runs, more := merge(lists, byRunID, limit, false)
 	next := ""
-	if more && len(all) > 0 {
-		next = all[len(all)-1].RunID
+	if more {
+		next = runs[len(runs)-1].RunID
 	}
-	return all, next, nil
+	return runs, next, nil
 }
 
 // NodesPage implements provenance.Repo.
-func (p *ProvenanceRouter) NodesPage(runID, after string, limit int) ([]*opm.Node, string, error) {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return nil, "", err
-	}
-	nodes, next, err := repo.NodesPage(runID, after, limit)
-	sh.note(err)
+func (p *ProvenanceRouter) NodesPage(runID, after string, limit int) (nodes []*opm.Node, next string, err error) {
+	err = p.route(runID, func(b backends) error {
+		nodes, next, err = b.prov.NodesPage(runID, after, limit)
+		return err
+	})
 	return nodes, next, err
 }
 
 // EdgesPage implements provenance.Repo.
-func (p *ProvenanceRouter) EdgesPage(runID string, after, limit int) ([]opm.Edge, int, error) {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return nil, 0, err
-	}
-	edges, next, err := repo.EdgesPage(runID, after, limit)
-	sh.note(err)
+func (p *ProvenanceRouter) EdgesPage(runID string, after, limit int) (edges []opm.Edge, next int, err error) {
+	err = p.route(runID, func(b backends) error {
+		edges, next, err = b.prov.EdgesPage(runID, after, limit)
+		return err
+	})
 	return edges, next, err
 }
 
 // Graph implements provenance.Repo.
-func (p *ProvenanceRouter) Graph(runID string) (*opm.Graph, error) {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return nil, err
-	}
-	g, err := repo.Graph(runID)
-	sh.note(err)
+func (p *ProvenanceRouter) Graph(runID string) (g *opm.Graph, err error) {
+	err = p.route(runID, func(b backends) error {
+		g, err = b.prov.Graph(runID)
+		return err
+	})
 	return g, err
 }
 
-// UnionGraph implements provenance.Repo with the same merge semantics as the
-// single repository, fetching each run's graph from its owner.
-func (p *ProvenanceRouter) UnionGraph(runIDs ...string) (*opm.Graph, error) {
-	union := opm.NewGraph()
-	for _, id := range runIDs {
-		g, err := p.Graph(id)
-		if err != nil {
-			return nil, err
-		}
-		if err := union.Merge(g); err != nil {
-			return nil, fmt.Errorf("provenance: merging run %q: %w", id, err)
-		}
-	}
-	return union, nil
-}
-
 // QualityOfProcess implements provenance.Repo.
-func (p *ProvenanceRouter) QualityOfProcess(runID, processor string) (map[string]string, error) {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return nil, err
-	}
-	q, err := repo.QualityOfProcess(runID, processor)
-	sh.note(err)
+func (p *ProvenanceRouter) QualityOfProcess(runID, processor string) (q map[string]string, err error) {
+	err = p.route(runID, func(b backends) error {
+		q, err = b.prov.QualityOfProcess(runID, processor)
+		return err
+	})
 	return q, err
 }
 
-// RunsUsingArtifact implements provenance.Repo: lineage fan-out across every
-// shard, merged sorted and deduplicated.
+// lineage scatters an artifact-lineage lookup and merges the run IDs sorted
+// and deduplicated.
+func (p *ProvenanceRouter) lineage(op string, lookup func(*provenance.Repository) ([]string, error)) ([]string, error) {
+	lists, err := scatter(p.router, op, func(b backends) ([]string, error) { return lookup(b.prov) })
+	if err != nil {
+		return nil, err
+	}
+	ids, _ := merge(lists, strings.Compare, 0, true)
+	return ids, nil
+}
+
+// RunsUsingArtifact implements provenance.Repo.
 func (p *ProvenanceRouter) RunsUsingArtifact(artifactID string) ([]string, error) {
-	return p.lineageFanOut("provenance.RunsUsingArtifact", func(repo *provenance.Repository) ([]string, error) {
+	return p.lineage("provenance.RunsUsingArtifact", func(repo *provenance.Repository) ([]string, error) {
 		return repo.RunsUsingArtifact(artifactID)
 	})
 }
 
 // RunsGeneratingArtifact implements provenance.Repo.
 func (p *ProvenanceRouter) RunsGeneratingArtifact(artifactID string) ([]string, error) {
-	return p.lineageFanOut("provenance.RunsGeneratingArtifact", func(repo *provenance.Repository) ([]string, error) {
+	return p.lineage("provenance.RunsGeneratingArtifact", func(repo *provenance.Repository) ([]string, error) {
 		return repo.RunsGeneratingArtifact(artifactID)
 	})
 }
 
-func (p *ProvenanceRouter) lineageFanOut(op string, fn func(*provenance.Repository) ([]string, error)) ([]string, error) {
-	lists, err := gather(p.c, op, func(sh *Shard) ([]string, error) {
-		repo, rerr := p.repoAt(sh.id)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return fn(repo)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []string
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.Strings(all)
-	out := all[:0]
-	for i, id := range all {
-		if i == 0 || id != all[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}
-
 // History implements provenance.Repo.
-func (p *ProvenanceRouter) History(runID string) ([]workflow.HistoryEvent, error) {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return nil, err
-	}
-	evs, err := repo.History(runID)
-	sh.note(err)
-	return evs, err
-}
-
-// UnfinishedRuns implements provenance.Repo.
-func (p *ProvenanceRouter) UnfinishedRuns() ([]provenance.RunInfo, error) {
-	pages, err := gather(p.c, "provenance.UnfinishedRuns", func(sh *Shard) ([]provenance.RunInfo, error) {
-		repo, rerr := p.repoAt(sh.id)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return repo.UnfinishedRuns()
+func (p *ProvenanceRouter) History(runID string) (evs []workflow.HistoryEvent, err error) {
+	err = p.route(runID, func(b backends) error {
+		evs, err = b.prov.History(runID)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeRuns(pages), nil
+	return evs, err
 }
 
 // AdvanceRunFence implements provenance.Repo on the shard owning the run's
 // history rows, so the fence sits in the same storage the fenced writer
 // commits to.
 func (p *ProvenanceRouter) AdvanceRunFence(runID string, token int64) error {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return err
-	}
-	err = repo.AdvanceRunFence(runID, token)
-	sh.note(err)
-	return err
+	return p.route(runID, func(b backends) error { return b.prov.AdvanceRunFence(runID, token) })
 }
 
 // RunFenceToken implements provenance.Repo; 0 when the owning shard is down
 // (the caller cannot write there anyway).
-func (p *ProvenanceRouter) RunFenceToken(runID string) int64 {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return 0
-	}
-	return repo.RunFenceToken(runID)
+func (p *ProvenanceRouter) RunFenceToken(runID string) (token int64) {
+	_ = p.route(runID, func(b backends) error { // a down shard reads as token 0
+		token = b.prov.RunFenceToken(runID)
+		return nil
+	})
+	return token
 }
 
 // MarkAbandoned implements provenance.Repo.
 func (p *ProvenanceRouter) MarkAbandoned(runID, reason string, at time.Time) error {
-	repo, sh, err := p.ownerRepo(runID)
-	if err != nil {
-		sh.note(err)
-		return err
-	}
-	err = repo.MarkAbandoned(runID, reason, at)
-	sh.note(err)
-	return err
-}
-
-// mergeRuns flattens per-shard run lists into one run-ID-ordered list.
-func mergeRuns(pages [][]provenance.RunInfo) []provenance.RunInfo {
-	var all []provenance.RunInfo
-	for _, pg := range pages {
-		all = append(all, pg...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].RunID < all[j].RunID })
-	return all
+	return p.route(runID, func(b backends) error { return b.prov.MarkAbandoned(runID, reason, at) })
 }

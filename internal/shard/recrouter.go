@@ -1,87 +1,63 @@
 package shard
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/fnjv"
 )
 
 // RecordRouter implements fnjv.Records across the cluster: per-ID operations
-// go to the owning shard, collection-wide operations scatter-gather and
-// merge back into the store's ascending-ID contract.
-type RecordRouter struct {
-	c *Cluster
-}
+// route to the owning shard, collection-wide operations scatter and merge
+// back into the store's ascending-ID contract.
+type RecordRouter struct{ router }
 
 var _ fnjv.Records = (*RecordRouter)(nil)
 
 // Put implements fnjv.Records.
 func (r *RecordRouter) Put(rec *fnjv.Record) error {
-	sh := r.c.owner(rec.ID)
-	st, err := sh.recordStore()
-	if err == nil {
-		err = st.Put(rec)
-	}
-	sh.note(err)
-	return err
+	return r.route(rec.ID, func(b backends) error { return b.recs.Put(rec) })
 }
 
 // PutAll implements fnjv.Records, batching each shard's slice through its
-// own store so ingest keeps the per-shard batch-apply fast path.
+// own store so ingest keeps the per-shard batch-apply fast path. Only shards
+// that own part of the batch get a leg: ingest for one tenant does not fail
+// because an unrelated shard is down.
 func (r *RecordRouter) PutAll(records []*fnjv.Record) error {
-	byShard := make(map[int][]*fnjv.Record)
+	batches := make([][]*fnjv.Record, len(r.c.shards))
 	for _, rec := range records {
 		idx := r.c.OwnerIndex(rec.ID)
-		byShard[idx] = append(byShard[idx], rec)
+		batches[idx] = append(batches[idx], rec)
 	}
-	_, err := gather(r.c, "records.PutAll", func(sh *Shard) (struct{}, error) {
-		batch := byShard[sh.id]
-		if len(batch) == 0 {
-			return struct{}{}, nil
+	var owners []*Shard
+	for i, batch := range batches {
+		if len(batch) > 0 {
+			owners = append(owners, r.c.shards[i])
 		}
-		st, serr := sh.recordStore()
-		if serr != nil {
-			return struct{}{}, serr
-		}
-		return struct{}{}, st.PutAll(batch)
+	}
+	_, err := scatterOn(r.router, "records.PutAll", owners, func(b backends) (struct{}, error) {
+		return struct{}{}, b.recs.PutAll(batches[b.shard])
 	})
 	return err
 }
 
 // Get implements fnjv.Records.
-func (r *RecordRouter) Get(id string) (*fnjv.Record, error) {
-	sh := r.c.owner(id)
-	st, err := sh.recordStore()
-	if err != nil {
-		sh.note(err)
-		return nil, err
-	}
-	rec, err := st.Get(id)
-	sh.note(err)
+func (r *RecordRouter) Get(id string) (rec *fnjv.Record, err error) {
+	err = r.route(id, func(b backends) error {
+		rec, err = b.recs.Get(id)
+		return err
+	})
 	return rec, err
 }
 
 // Update implements fnjv.Records.
 func (r *RecordRouter) Update(rec *fnjv.Record) error {
-	sh := r.c.owner(rec.ID)
-	st, err := sh.recordStore()
-	if err == nil {
-		err = st.Update(rec)
-	}
-	sh.note(err)
-	return err
+	return r.route(rec.ID, func(b backends) error { return b.recs.Update(rec) })
 }
 
-// Len implements fnjv.Records.
+// Len implements fnjv.Records. The interface carries no error, so a shard
+// that fails mid-scatter counts as empty.
 func (r *RecordRouter) Len() int {
-	counts, _ := gather(r.c, "records.Len", func(sh *Shard) (int, error) {
-		st, err := sh.recordStore()
-		if err != nil {
-			return 0, err
-		}
-		return st.Len(), nil
-	})
+	counts, _ := scatter(r.router, "records.Len", func(b backends) (int, error) { return b.recs.Len(), nil })
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -89,36 +65,32 @@ func (r *RecordRouter) Len() int {
 	return total
 }
 
-// all gathers every shard's records merged into ascending-ID order.
-func (r *RecordRouter) all(op string) ([]*fnjv.Record, error) {
-	lists, err := gather(r.c, op, func(sh *Shard) ([]*fnjv.Record, error) {
-		st, serr := sh.recordStore()
-		if serr != nil {
-			return nil, serr
-		}
-		var out []*fnjv.Record
-		serr = st.Scan(func(rec *fnjv.Record) bool {
-			out = append(out, rec)
-			return true
-		})
-		return out, serr
-	})
+// lists scatters a record listing and merges it with the store's own
+// ordering ("" is ascending ID) and limit.
+func (r *RecordRouter) lists(op, orderBy string, limit int, list func(*fnjv.Store) ([]*fnjv.Record, error)) ([]*fnjv.Record, error) {
+	order, err := fnjv.RecordOrder(orderBy)
 	if err != nil {
 		return nil, err
 	}
-	var all []*fnjv.Record
-	for _, l := range lists {
-		all = append(all, l...)
+	lists, err := scatter(r.router, op, func(b backends) ([]*fnjv.Record, error) { return list(b.recs) })
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	return all, nil
+	recs, _ := merge(lists, order, limit, false)
+	return recs, nil
 }
 
 // Scan implements fnjv.Records. The merge materialises each shard's records
 // before visiting — the price of keeping the single-store ascending-ID
 // contract over hash-spread rows.
 func (r *RecordRouter) Scan(fn func(*fnjv.Record) bool) error {
-	all, err := r.all("records.Scan")
+	all, err := r.lists("records.Scan", "", 0, func(st *fnjv.Store) (out []*fnjv.Record, err error) {
+		err = st.Scan(func(rec *fnjv.Record) bool {
+			out = append(out, rec)
+			return true
+		})
+		return out, err
+	})
 	if err != nil {
 		return err
 	}
@@ -133,66 +105,37 @@ func (r *RecordRouter) Scan(fn func(*fnjv.Record) bool) error {
 // ScanTenant visits one tenant's records in ascending-ID order. Tenant
 // affinity pins every tenant-qualified ID to a single shard, so the scan
 // touches only that shard — a tenant keeps serving while unrelated shards
-// are down, and pays no scatter-gather for its own working set.
+// are down, and pays no scatter for its own working set.
 func (r *RecordRouter) ScanTenant(tenant string, fn func(*fnjv.Record) bool) error {
 	prefix := tenant + Sep
-	sh := r.c.owner(prefix)
-	st, err := sh.recordStore()
-	if err != nil {
-		sh.note(err)
-		return err
-	}
-	err = st.Scan(func(rec *fnjv.Record) bool {
-		if !strings.HasPrefix(rec.ID, prefix) {
-			return true
-		}
-		return fn(rec)
+	return r.route(prefix, func(b backends) error {
+		return b.recs.Scan(func(rec *fnjv.Record) bool {
+			if !strings.HasPrefix(rec.ID, prefix) {
+				return true
+			}
+			return fn(rec)
+		})
 	})
-	sh.note(err)
-	return err
 }
 
 // BySpecies implements fnjv.Records.
 func (r *RecordRouter) BySpecies(name string) ([]*fnjv.Record, error) {
-	return r.indexFanOut("records.BySpecies", func(st *fnjv.Store) ([]*fnjv.Record, error) {
+	return r.lists("records.BySpecies", "", 0, func(st *fnjv.Store) ([]*fnjv.Record, error) {
 		return st.BySpecies(name)
 	})
 }
 
 // ByState implements fnjv.Records.
 func (r *RecordRouter) ByState(state string) ([]*fnjv.Record, error) {
-	return r.indexFanOut("records.ByState", func(st *fnjv.Store) ([]*fnjv.Record, error) {
+	return r.lists("records.ByState", "", 0, func(st *fnjv.Store) ([]*fnjv.Record, error) {
 		return st.ByState(state)
 	})
 }
 
-func (r *RecordRouter) indexFanOut(op string, fn func(*fnjv.Store) ([]*fnjv.Record, error)) ([]*fnjv.Record, error) {
-	lists, err := gather(r.c, op, func(sh *Shard) ([]*fnjv.Record, error) {
-		st, serr := sh.recordStore()
-		if serr != nil {
-			return nil, serr
-		}
-		return fn(st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []*fnjv.Record
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	return all, nil
-}
-
 // DistinctSpecies implements fnjv.Records, summing per-shard counts.
 func (r *RecordRouter) DistinctSpecies() (map[string]int, error) {
-	maps, err := gather(r.c, "records.DistinctSpecies", func(sh *Shard) (map[string]int, error) {
-		st, serr := sh.recordStore()
-		if serr != nil {
-			return nil, serr
-		}
-		return st.DistinctSpecies()
+	maps, err := scatter(r.router, "records.DistinctSpecies", func(b backends) (map[string]int, error) {
+		return b.recs.DistinctSpecies()
 	})
 	if err != nil {
 		return nil, err
@@ -210,13 +153,7 @@ func (r *RecordRouter) DistinctSpecies() (map[string]int, error) {
 // distinct-species count needs the cross-shard union, since one species'
 // records can hash to several shards.
 func (r *RecordRouter) Stats() (fnjv.Stats, error) {
-	stats, err := gather(r.c, "records.Stats", func(sh *Shard) (fnjv.Stats, error) {
-		st, serr := sh.recordStore()
-		if serr != nil {
-			return fnjv.Stats{}, serr
-		}
-		return st.Stats()
-	})
+	stats, err := scatter(r.router, "records.Stats", func(b backends) (fnjv.Stats, error) { return b.recs.Stats() })
 	if err != nil {
 		return fnjv.Stats{}, err
 	}
@@ -235,30 +172,11 @@ func (r *RecordRouter) Stats() (fnjv.Stats, error) {
 	return out, nil
 }
 
-// Query implements fnjv.Records: each shard answers the same predicate and
-// ordering with the same limit (a global top-k is always contained in the
-// union of per-shard top-ks), then the merge re-sorts with the store's
-// comparators and truncates.
+// Query implements fnjv.Records: each shard answers the same predicate,
+// ordering and limit, and the merge re-sorts with the store's comparator and
+// truncates.
 func (r *RecordRouter) Query(pred fnjv.Predicate, opts fnjv.QueryOptions) ([]*fnjv.Record, error) {
-	lists, err := gather(r.c, "records.Query", func(sh *Shard) ([]*fnjv.Record, error) {
-		st, serr := sh.recordStore()
-		if serr != nil {
-			return nil, serr
-		}
+	return r.lists("records.Query", opts.OrderBy, opts.Limit, func(st *fnjv.Store) ([]*fnjv.Record, error) {
 		return st.Query(pred, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	var all []*fnjv.Record
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	if err := fnjv.SortRecords(all, opts.OrderBy); err != nil {
-		return nil, err
-	}
-	if opts.Limit > 0 && len(all) > opts.Limit {
-		all = all[:opts.Limit]
-	}
-	return all, nil
 }

@@ -14,10 +14,14 @@
 // implement the same interfaces the single-store types implement
 // (provenance.Repo, fnjv.Records, telemetry.TraceStore, archive.Holdings),
 // so core, the workflow engine, and the web service run unchanged on top.
-// Per-run/per-record operations go straight to the owning shard; cross-shard
-// operations (run listings, lineage fan-out, collection scans, stats)
-// scatter-gather with a per-shard deadline and merge under the same ordering
-// and cursor contracts as the unsharded stores.
+// They are thin typed callers of one core in route.go: route sends a
+// per-run/per-record operation to the owning shard's live stores (or fails
+// it with ErrShardDown) and counts it once; scatter runs one leg per shard
+// under a per-leg deadline for cross-shard operations (run listings, lineage
+// fan-out, collection scans, stats); merge re-sorts and truncates what
+// scatter brings back into the ordering and cursor contracts of the
+// unsharded stores; pinned builds the per-shard views behind Snapshot. A new
+// store is a field in backends plus a router of one-call methods.
 package shard
 
 import (

@@ -191,9 +191,9 @@ func TestProvenanceRouterRunLookupAndMerge(t *testing.T) {
 			t.Fatalf("Run(%s): %+v, %v", id, info, err)
 		}
 	}
-	all := prov.AllRuns()
-	if len(all) != 12 {
-		t.Fatalf("AllRuns = %d, want 12", len(all))
+	all, err := prov.AllRuns()
+	if err != nil || len(all) != 12 {
+		t.Fatalf("AllRuns = %d, %v, want 12", len(all), err)
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].RunID >= all[i].RunID {
@@ -207,11 +207,11 @@ func TestProvenanceRouterRunLookupAndMerge(t *testing.T) {
 	// Snapshot pins a point in time across all shards.
 	snap := prov.Snapshot()
 	storeRun(t, prov, "run-999999")
-	if got := len(snap.AllRuns()); got != 12 {
-		t.Fatalf("snapshot saw a later write: %d runs", got)
+	if got, err := snap.AllRuns(); err != nil || len(got) != 12 {
+		t.Fatalf("snapshot saw a later write: %d runs, %v", len(got), err)
 	}
-	if got := len(prov.AllRuns()); got != 13 {
-		t.Fatalf("live view = %d runs, want 13", got)
+	if got, err := prov.AllRuns(); err != nil || len(got) != 13 {
+		t.Fatalf("live view = %d runs, %v, want 13", len(got), err)
 	}
 }
 
@@ -236,12 +236,11 @@ func TestRoutedWriterRoutesByRunID(t *testing.T) {
 		t.Fatalf("routed run lookup: %+v, %v", got, err)
 	}
 	// The run physically lives on the tenant's shard.
-	sh := c.shards[c.OwnerIndex(runID)]
-	repo, err := sh.provRepo()
+	b, err := c.shards[c.OwnerIndex(runID)].live()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.Run(runID); err != nil {
+	if _, err := b.prov.Run(runID); err != nil {
 		t.Fatalf("run not on owning shard: %v", err)
 	}
 }

@@ -6,86 +6,44 @@ import (
 
 // TraceRouter implements telemetry.TraceStore across the cluster: a run's
 // span tree lives on the shard that owns the run ID, next to its provenance.
-type TraceRouter struct {
-	c *Cluster
-	// views/viewErrs pin per-shard snapshot views, as in ProvenanceRouter.
-	views    []*telemetry.SpanStore
-	viewErrs []error
-}
+type TraceRouter struct{ router }
 
 var _ telemetry.TraceStore = (*TraceRouter)(nil)
 
-func (t *TraceRouter) storeFor(runID string) (*telemetry.SpanStore, *Shard, error) {
-	sh := t.c.owner(runID)
-	if t.views != nil {
-		if t.viewErrs[sh.id] != nil {
-			return nil, sh, t.viewErrs[sh.id]
-		}
-		return t.views[sh.id], sh, nil
-	}
-	st, err := sh.spanStore()
-	return st, sh, err
-}
-
-// Snapshot implements telemetry.TraceStore.
+// Snapshot implements telemetry.TraceStore: a router over one pinned span
+// store view per shard.
 func (t *TraceRouter) Snapshot() telemetry.TraceStore {
-	n := len(t.c.shards)
-	s := &TraceRouter{c: t.c, views: make([]*telemetry.SpanStore, n), viewErrs: make([]error, n)}
-	for i, sh := range t.c.shards {
-		st, err := sh.spanStore()
-		if err != nil {
-			s.viewErrs[i] = err
-			continue
-		}
-		s.views[i] = st.View()
-	}
-	return s
+	return &TraceRouter{t.pinned(func(b *backends) { b.spans = b.spans.View() })}
 }
 
 // Count implements telemetry.TraceStore.
-func (t *TraceRouter) Count(runID string) (int, error) {
-	st, sh, err := t.storeFor(runID)
-	if err != nil {
-		sh.note(err)
-		return 0, err
-	}
-	n, err := st.Count(runID)
-	sh.note(err)
+func (t *TraceRouter) Count(runID string) (n int, err error) {
+	err = t.route(runID, func(b backends) error {
+		n, err = b.spans.Count(runID)
+		return err
+	})
 	return n, err
 }
 
 // Append implements telemetry.TraceStore.
 func (t *TraceRouter) Append(runID string, spans []telemetry.Span) error {
-	st, sh, err := t.storeFor(runID)
-	if err != nil {
-		sh.note(err)
-		return err
-	}
-	err = st.Append(runID, spans)
-	sh.note(err)
-	return err
+	return t.route(runID, func(b backends) error { return b.spans.Append(runID, spans) })
 }
 
 // Spans implements telemetry.TraceStore.
-func (t *TraceRouter) Spans(runID string) ([]telemetry.Span, error) {
-	st, sh, err := t.storeFor(runID)
-	if err != nil {
-		sh.note(err)
-		return nil, err
-	}
-	spans, err := st.Spans(runID)
-	sh.note(err)
+func (t *TraceRouter) Spans(runID string) (spans []telemetry.Span, err error) {
+	err = t.route(runID, func(b backends) error {
+		spans, err = b.spans.Spans(runID)
+		return err
+	})
 	return spans, err
 }
 
 // SpansPage implements telemetry.TraceStore.
-func (t *TraceRouter) SpansPage(runID string, after, limit int) ([]telemetry.Span, int, error) {
-	st, sh, err := t.storeFor(runID)
-	if err != nil {
-		sh.note(err)
-		return nil, 0, err
-	}
-	spans, next, err := st.SpansPage(runID, after, limit)
-	sh.note(err)
+func (t *TraceRouter) SpansPage(runID string, after, limit int) (spans []telemetry.Span, next int, err error) {
+	err = t.route(runID, func(b backends) error {
+		spans, next, err = b.spans.SpansPage(runID, after, limit)
+		return err
+	})
 	return spans, next, err
 }

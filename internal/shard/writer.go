@@ -18,7 +18,7 @@ var ErrUnroutedDeltas = errors.New("shard: writer closed with unroutable deltas"
 // order and replay into the real writer once it exists. After routing, every
 // call is a direct delegate to the owning shard's BatchWriter.
 type routedWriter struct {
-	router *ProvenanceRouter
+	router router
 	opts   provenance.BatchWriterOptions
 
 	mu    sync.Mutex
@@ -53,14 +53,13 @@ func (w *routedWriter) Emit(d provenance.Delta) error {
 			w.buf = append(w.buf, d)
 			return nil
 		}
-		repo, sh, err := w.router.ownerRepo(runID)
-		if err != nil {
-			sh.note(err)
-			w.err = err
-			return err
+		w.err = w.router.route(runID, func(b backends) error {
+			w.inner = b.prov.NewBatchWriter(w.opts)
+			return nil
+		})
+		if w.err != nil {
+			return w.err
 		}
-		w.inner = repo.NewBatchWriter(w.opts)
-		sh.note(nil)
 		for _, buffered := range w.buf {
 			if err := w.inner.Emit(buffered); err != nil {
 				w.err = err

@@ -322,8 +322,8 @@ func TestReviewQueueUI(t *testing.T) {
 func TestProvenanceExport(t *testing.T) {
 	srv, wsys, _ := testServer(t)
 	get(t, srv.URL+"/detect?run=1")
-	runs := wsys.Core.Provenance.AllRuns()
-	if len(runs) == 0 {
+	runs, err := wsys.Core.Provenance.AllRuns()
+	if err != nil || len(runs) == 0 {
 		t.Fatal("no runs")
 	}
 	code, body := get(t, srv.URL+"/provenance/"+runs[0].RunID)
