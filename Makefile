@@ -24,10 +24,12 @@ test:
 race:
 	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/...
 
-## ci: the full hygiene gate — formatting, vet, the race-enabled tests, two
+## ci: the full hygiene gate — formatting, vet, the race-enabled tests, three
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
-## panic the archive read path) and the history prefix resume replays
-## (arbitrary events must never panic or wedge the engine) — the chaos smoke
+## panic the archive read path), the history prefix resume replays (arbitrary
+## events must never panic or wedge the engine) and the history the provenance
+## Collector folds (arbitrary events, split anywhere into prefix and live
+## stream, must never panic it or make it emit a dangling edge) — the chaos smoke
 ## (randomized kill/resume trials, degraded-authority assessment runs,
 ## shard-loss traffic, orchestrator-failover trials — a standby steals the
 ## expired lease and must finish byte-identically while the resurrected stale
@@ -58,6 +60,7 @@ ci:
 	$(MAKE) race
 	$(GO) test ./internal/audio/ -run='^$$' -fuzz=FuzzReadWAV -fuzztime=10s
 	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzResumeHistory -fuzztime=10s
+	$(GO) test ./internal/provenance/ -run='^$$' -fuzz=FuzzCollectorHistory -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run TestTracingOverhead .

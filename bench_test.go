@@ -521,20 +521,20 @@ func BenchmarkDetectionParallel(b *testing.B) {
 	in := map[string]workflow.Data{"names": workflow.List(items...)}
 
 	runOnce := func(workers int) (string, string) {
-		var elems string
-		var proj workflow.Projector
+		// Elements finish in any order; their traces, by index, must not vary.
+		traces := make([]string, len(names))
 		eng := workflow.NewEventEngine(reg)
 		eng.Workers = workers
 		res, err := eng.Run(context.Background(), def, in,
 			workflow.HistoryListenerFunc(func(h workflow.HistoryEvent) {
-				if e, ok := proj.Apply(h); ok && e.Type == workflow.EventProcessorCompleted && e.Processor == "Catalog_of_life" {
-					elems = fmt.Sprintf("%+v", e.Elements)
+				if h.Type == workflow.HistoryIterationElement && h.Activity == "Catalog_of_life" {
+					traces[h.Element] = fmt.Sprintf("%v -> %v", h.Inputs, h.Outputs)
 				}
 			}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.Outputs["summary"].String(), elems
+		return res.Outputs["summary"].String(), fmt.Sprint(traces)
 	}
 	wantOut, wantElems := runOnce(1)
 

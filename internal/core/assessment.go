@@ -347,7 +347,7 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 	}
 	engine := s.detectionEngine(reg, opts)
 	inputs := map[string]workflow.Data{"names": workflow.List(items...)}
-	result, runErr := engine.Resume(runCtx, def, inputs, runID, history, provenance.NewHistoryCapture(collector))
+	result, runErr := engine.Resume(runCtx, def, inputs, runID, history, collector)
 	werr := writer.Close()
 	if crash != nil && crash.Crashed() {
 		// Even if the engine outran the cancellation and completed, the

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/provenance"
 	"repro/internal/taxonomy"
+	"repro/internal/workflow"
 )
 
 // TestCrashResumeEveryCut is the tentpole guarantee at the system level: a
@@ -164,10 +165,98 @@ func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 				t.Errorf("workers=%d cut=%d: history has %d events batched, %d per-element", workers, cut, events["batched"], events["per-element"])
 			}
 		}
+
+		// The failed-activity cut: the run is cancelled with three names on
+		// record, Catalog_of_life closes as failed, and the process dies
+		// before run-finished reaches storage. The resumed run re-executes
+		// the activity under its recorded schedule, and its graph is the
+		// baseline's plus the failed attempt's error annotation.
+		opts := RunOptions{SkipLedger: true, Parallel: workers}
+		failCtx, cancel := context.WithCancel(ctx)
+		repo := sys.Provenance
+		sys.Provenance = failedCut{Repo: repo, elements: 3, cancel: cancel}
+		_, err := sys.RunDetection(failCtx, taxa.Checklist, opts)
+		sys.Provenance = repo
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled run returned %v", workers, err)
+		}
+		unfinished, err := repo.UnfinishedRuns()
+		if err != nil || len(unfinished) != 1 {
+			t.Fatalf("workers=%d: unfinished runs after the failed-activity cut = %v, %v", workers, unfinished, err)
+		}
+		runID := unfinished[0].RunID
+		history, err := repo.History(runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := history[len(history)-1]; last.Type != workflow.HistoryActivityFailed {
+			t.Fatalf("workers=%d: persisted prefix ends at %s, want activity-failed", workers, last.Type)
+		}
+		outcome, err := sys.ResumeDetection(ctx, taxa.Checklist, runID, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: resume past the failed activity: %v", workers, err)
+		}
+		if outcome.DistinctNames != base.DistinctNames || outcome.Outdated != base.Outdated {
+			t.Fatalf("workers=%d: summary diverged past the failed activity", workers)
+		}
+		g, err := repo.Graph(runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proc, ok := g.Node("p:" + runID + "/Catalog_of_life")
+		if !ok || proc.Annotations["error"] == "" {
+			t.Fatalf("workers=%d: the failed attempt left no error annotation", workers)
+		}
+		delete(proc.Annotations, "error")
+		if got := canonicalGraph(g, runID); got != want {
+			t.Fatalf("workers=%d: graph resumed past the failed activity diverges from the baseline", workers)
+		}
 	}
 	if c := sys.Workers.Counters(); c["workers.killed"] < 1 {
 		t.Fatalf("chaos hook never killed a worker: %v", c)
 	}
+}
+
+// failedCut is a provenance repository whose run writers provoke and then cut
+// at a failed activity: the run's context is cancelled once `elements`
+// iteration elements are on record, and the stream goes silent behind the
+// first activity-failed event — what storage holds when the process dies
+// before run-finished is flushed.
+type failedCut struct {
+	provenance.Repo
+	elements int
+	cancel   context.CancelFunc
+}
+
+func (f failedCut) RunWriter(opts provenance.BatchWriterOptions) (provenance.RunWriter, error) {
+	w, err := f.Repo.RunWriter(opts)
+	return &failedCutWriter{RunWriter: w, elements: f.elements, cancel: f.cancel}, err
+}
+
+type failedCutWriter struct {
+	provenance.RunWriter
+	elements int
+	cancel   context.CancelFunc
+	cut      bool
+}
+
+// Emit runs under the Collector's lock, like every Sink.
+func (w *failedCutWriter) Emit(d provenance.Delta) error {
+	if w.cut {
+		return nil
+	}
+	if d.Kind == provenance.DeltaHistory {
+		switch d.History.Type {
+		case workflow.HistoryIterationElement:
+			if w.elements--; w.elements == 0 {
+				w.cancel()
+			}
+		case workflow.HistoryActivityFailed:
+			w.cut = true
+		}
+	}
+	return w.RunWriter.Emit(d)
 }
 
 func TestResumeDetectionGuards(t *testing.T) {

@@ -3,6 +3,8 @@ package curation
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -403,6 +405,47 @@ func TestDetectResolverOutage(t *testing.T) {
 	}
 	if report.OutdatedNames != 0 {
 		t.Fatal("outage produced detections")
+	}
+}
+
+// TestDetectCountsAuthorityErrorsAsUnchecked: an authority that answers with
+// an error status or an undecodable body has said nothing about any name, so
+// every name is a resolver error and none is "unknown to the authority" —
+// through the single-name path and through both batch-capable decorators.
+func TestDetectCountsAuthorityErrorsAsUnchecked(t *testing.T) {
+	f := newFixture(t, 300)
+	stubs := map[string]http.HandlerFunc{
+		"status-500": func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, "boom", http.StatusInternalServerError)
+		},
+		"garbage-json": func(w http.ResponseWriter, _ *http.Request) {
+			fmt.Fprint(w, "<html>not json</html>")
+		},
+	}
+	stacks := map[string]func(*taxonomy.Client) taxonomy.Resolver{
+		"single-name": func(c *taxonomy.Client) taxonomy.Resolver { return struct{ taxonomy.Resolver }{c} },
+		"caching":     func(c *taxonomy.Client) taxonomy.Resolver { return taxonomy.NewCachingResolver(c, 0) },
+		"resilient": func(c *taxonomy.Client) taxonomy.Resolver {
+			return taxonomy.NewResilientResolver(c, taxonomy.ResilienceOptions{})
+		},
+	}
+	for stubName, stub := range stubs {
+		for stackName, stack := range stacks {
+			t.Run(stubName+"/"+stackName, func(t *testing.T) {
+				srv := httptest.NewServer(stub)
+				defer srv.Close()
+				client := taxonomy.NewClient(srv.URL)
+				client.Retries = 0
+				report, err := (&Detector{Resolver: stack(client)}).Detect(context.Background(), f.store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if report.ResolverErrors != report.DistinctNames || report.UnknownNames != 0 || report.OutdatedNames != 0 {
+					t.Fatalf("of %d names: %d resolver errors, %d unknown, %d outdated",
+						report.DistinctNames, report.ResolverErrors, report.UnknownNames, report.OutdatedNames)
+				}
+			})
+		}
 	}
 }
 

@@ -26,8 +26,9 @@ type DetectReport struct {
 	Renames map[string]string
 	// Updates are the per-record repair proposals persisted to the ledger.
 	Updates []*NameUpdate
-	// ResolverErrors counts names that could not be checked because the
-	// authority was unavailable even after retries.
+	// ResolverErrors counts names that went unchecked because the authority
+	// gave no usable answer: unavailable even after retries, an error
+	// status, an undecodable reply.
 	ResolverErrors int
 	Elapsed        time.Duration
 }
@@ -38,21 +39,6 @@ func (r *DetectReport) OutdatedFraction() float64 {
 		return 0
 	}
 	return float64(r.OutdatedNames) / float64(r.DistinctNames)
-}
-
-// BatchResolver is implemented by authorities that support resolving many
-// names in one round trip (taxonomy.Client and the caching/resilient
-// wrappers all do).
-type BatchResolver interface {
-	BatchResolve(ctx context.Context, names []string) ([]taxonomy.Resolution, error)
-}
-
-// DetailedBatchResolver additionally reports per-name errors, letting batch
-// detection keep the exact ResolverErrors/UnknownNames split of the
-// sequential loop (BatchResolve collapses outages into one all-or-nothing
-// error). The resilient taxonomy stack implements it.
-type DetailedBatchResolver interface {
-	BatchResolveDetail(ctx context.Context, names []string) []taxonomy.BatchResult
 }
 
 // Detector runs outdated-name detection against a taxonomic authority.
@@ -93,16 +79,16 @@ func (d *Detector) Detect(ctx context.Context, store fnjv.Records) (*DetectRepor
 		Renames:       map[string]string{},
 	}
 	outdated := map[string]taxonomy.Resolution{}
+	// The error, not the resolution, classifies a name: ErrUnknownName means
+	// the authority answered and does not know it; any other error means the
+	// authority gave no usable answer, so the name went unchecked.
 	record := func(name string, res taxonomy.Resolution, err error) {
-		if err != nil {
-			if errors.Is(err, taxonomy.ErrUnavailable) {
-				report.ResolverErrors++
-			} else {
-				report.UnknownNames++
-			}
-			return
-		}
-		if res.Outdated() {
+		switch {
+		case errors.Is(err, taxonomy.ErrUnknownName):
+			report.UnknownNames++
+		case err != nil:
+			report.ResolverErrors++
+		case res.Outdated():
 			report.OutdatedNames++
 			outdated[name] = res
 			updated := res.AcceptedName
@@ -112,26 +98,12 @@ func (d *Detector) Detect(ctx context.Context, store fnjv.Records) (*DetectRepor
 			report.Renames[name] = updated
 		}
 	}
-	// Use the authority's batch API when available (one round trip for the
-	// whole name set), otherwise resolve name by name. The detailed form is
-	// preferred: its per-name errors preserve the sequential loop's exact
-	// accounting even when only part of the batch failed.
-	if dbr, ok := d.Resolver.(DetailedBatchResolver); ok {
-		for i, r := range dbr.BatchResolveDetail(ctx, names) {
+	// Use the authority's batch form when it has one (one round trip for the
+	// whole name set, per-name errors keeping the sequential loop's exact
+	// accounting), otherwise resolve name by name.
+	if batch := taxonomy.DetailedBatch(d.Resolver); batch != nil {
+		for i, r := range batch.BatchResolveDetail(ctx, names) {
 			record(names[i], r.Resolution, r.Err)
-		}
-	} else if br, ok := d.Resolver.(BatchResolver); ok {
-		results, err := br.BatchResolve(ctx, names)
-		if err != nil {
-			report.ResolverErrors = len(names)
-		} else {
-			for i, res := range results {
-				if res.Status == taxonomy.StatusUnknown {
-					record(names[i], res, taxonomy.ErrUnknownName)
-				} else {
-					record(names[i], res, nil)
-				}
-			}
 		}
 	} else {
 		for _, name := range names {

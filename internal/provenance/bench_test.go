@@ -28,7 +28,7 @@ func capturedRun(b *testing.B, n int) (*Collector, []Delta) {
 	}
 	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, NewHistoryCapture(col))
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func BenchmarkStoreStreamingOverlap(b *testing.B) {
 			col.AddSink(w)
 		}
 		_, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(),
-			map[string]workflow.Data{"metadata": workflow.List(items...)}, NewHistoryCapture(col))
+			map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func seedLineage(b *testing.B, repo *Repository, runs int) string {
 	rare := NewCollector("curator")
 	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar("Rare input")}, NewHistoryCapture(rare))
+		map[string]workflow.Data{"metadata": workflow.Scalar("Rare input")}, rare)
 	if err != nil {
 		b.Fatal(err)
 	}

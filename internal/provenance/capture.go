@@ -1,5 +1,5 @@
 // Package provenance implements the Provenance Manager of the architecture:
-// it listens to workflow execution events, builds an OPM graph per run
+// it listens to a run's history stream, builds an OPM graph per run
 // (artifacts for every datum, processes for every processor invocation,
 // agents for the controlling parties), merges the quality annotations that
 // the Workflow Adapter attached to the specification, and persists the
@@ -13,9 +13,11 @@
 package provenance
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -52,9 +54,10 @@ type RunInfo struct {
 	Error        string
 }
 
-// Collector is a workflow.Listener that accumulates the OPM graph of a
-// single run and streams every mutation to its attached Sinks. It is safe
-// for concurrent event delivery.
+// Collector is the workflow.HistoryListener (and HistoryPrefixer) that folds
+// one run's history stream into its OPM graph and streams every mutation,
+// followed by the history event that implied it, to its attached Sinks. It
+// is safe for concurrent use.
 type Collector struct {
 	// Agent identifies who controls the processors of this run (the paper's
 	// End User / Process Designer roles). Defaults to "workflow-engine".
@@ -72,9 +75,12 @@ type Collector struct {
 	sinks      []Sink
 	sinkErr    error
 	// resumed marks a collector preloaded with the crash-consistent prefix
-	// of an interrupted run; the next workflow-started event then keeps the
-	// original StartedAt instead of restamping it.
+	// of an interrupted run; a run-started event then keeps the original
+	// StartedAt instead of restamping it.
 	resumed bool
+	// fold is what the history so far says about each activity: the binding
+	// a closing event is recorded with and the elements finished before it.
+	fold workflow.HistoryFold
 }
 
 const defaultMaxElements = 4096
@@ -209,100 +215,173 @@ func (c *Collector) processID(processor string) string {
 	return "p:" + c.info.RunID + "/" + processor
 }
 
-// OnEvent implements workflow.Listener.
-func (c *Collector) OnEvent(ev workflow.Event) {
+// inKeyOrder calls fn for every entry of m in sorted key order, so one
+// history always yields one delta sequence (the order reaches storage as edge
+// seq numbers and page order). Port maps are small: the keys of all but the
+// widest sort in a stack buffer, so the order costs no allocation.
+func inKeyOrder[V any](m map[string]V, fn func(key string, v V)) {
+	var buf [8]string
+	keys := buf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		fn(k, m[k])
+	}
+}
+
+// OnHistoryEvent implements workflow.HistoryListener: the run's graph is a
+// function of its history alone. For every event the sinks see
+//
+//	[graph deltas the event implies...] [DeltaHistory]
+//
+// so any crash-consistent prefix of the stream that holds a history event
+// also holds everything the event implies, and resuming from the stored
+// history is always safe: the replayed prefix re-derives state already on
+// disk, and execution continues from the first missing event.
+//
+// The terminal event inverts the order, so DeltaRunFinished stays the very
+// last delta and a prefix can never show a finalized run record over an
+// unfinished history. A cut between the two leaves a finished history with an
+// un-finalized run record — the state the engine's finalize path repairs by
+// delivering the terminal event again, whose deltas (completion inference,
+// the terminal run record) are idempotent.
+func (c *Collector) OnHistoryEvent(ev workflow.HistoryEvent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	act := c.fold.Apply(ev)
+	history := Delta{Kind: DeltaHistory, History: &ev}
 	switch ev.Type {
-	case workflow.EventWorkflowStarted:
-		started := ev.Time
-		if c.resumed && !c.info.StartedAt.IsZero() {
-			started = c.info.StartedAt // the run began before the crash
-		}
-		c.info = RunInfo{
-			RunID:        ev.RunID,
-			WorkflowID:   ev.WorkflowID,
-			WorkflowName: ev.WorkflowName,
-			StartedAt:    started,
-			Status:       RunRunning,
-		}
-		c.emitLocked(Delta{Kind: DeltaRunStarted, Info: c.info})
-		c.addNodeLocked(opm.Node{ID: "ag:" + c.Agent, Kind: opm.KindAgent, Label: c.Agent})
-		for port, d := range ev.Inputs {
-			c.ensureArtifactLocked("workflow-input:"+port, d)
-		}
+	case workflow.HistoryRunStarted:
+		c.runStartedLocked(&ev)
+	case workflow.HistoryActivityCompleted, workflow.HistoryActivityFailed:
+		c.activityClosedLocked(&ev, act)
+	case workflow.HistoryRunFinished:
+		c.emitLocked(history)
+		c.runFinishedLocked(&ev)
+		return
+	}
+	c.emitLocked(history)
+}
 
-	case workflow.EventProcessorStarted:
-		// Nodes are created at completion, when outputs are known; nothing
-		// to record yet.
+// OnHistoryPrefix implements workflow.HistoryPrefixer: a resumed run's
+// replayed prefix folds WITHOUT emitting anything — the prefix property
+// guarantees what it implies is persisted, and the resume collector was
+// preloaded with that graph — so that completions after the prefix are
+// recorded with the bindings and elements the prefix holds.
+func (c *Collector) OnHistoryPrefix(prefix []workflow.HistoryEvent) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ev := range prefix {
+		c.fold.Apply(ev)
+	}
+}
 
-	case workflow.EventProcessorCompleted, workflow.EventProcessorFailed:
-		pid := c.processID(ev.Processor)
-		if _, exists := c.graph.Node(pid); !exists {
-			c.addNodeLocked(opm.Node{ID: pid, Kind: opm.KindProcess, Label: ev.Processor})
-		}
-		c.annotateLocked(pid, "service", ev.Service)
-		c.annotateLocked(pid, "iterations", fmt.Sprintf("%d", ev.Iterations))
-		c.annotateLocked(pid, "duration", ev.Duration.String())
-		if ev.Err != "" {
-			c.annotateLocked(pid, "error", ev.Err)
-		}
-		// Quality annotations from the (adapter-instrumented) specification.
-		for dim, val := range workflow.QualityAnnotations(ev.Annotations) {
-			c.annotateLocked(pid, QualityAnnotationPrefix+dim, val)
-		}
-		account := ev.RunID
-		for port, d := range ev.Inputs {
-			aid := c.ensureArtifactLocked(ev.Processor+"."+port, d)
-			c.addEdgeLocked(opm.Edge{
-				Kind: opm.Used, Effect: pid, Cause: aid,
-				Role: port, Account: account, Time: ev.Time,
-			})
-		}
-		for port, d := range ev.Outputs {
-			aid := c.ensureArtifactLocked(ev.Processor+"."+port, d)
-			c.addEdgeLocked(opm.Edge{
-				Kind: opm.WasGeneratedBy, Effect: aid, Cause: pid,
-				Role: port, Account: account, Time: ev.Time,
-			})
-		}
+func (c *Collector) runStartedLocked(ev *workflow.HistoryEvent) {
+	started := ev.Time
+	if c.resumed && !c.info.StartedAt.IsZero() {
+		started = c.info.StartedAt // the run began before the crash
+	}
+	c.info = RunInfo{
+		RunID:        ev.RunID,
+		WorkflowID:   ev.WorkflowID,
+		WorkflowName: ev.WorkflowName,
+		StartedAt:    started,
+		Status:       RunRunning,
+	}
+	c.emitLocked(Delta{Kind: DeltaRunStarted, Info: c.info})
+	c.addNodeLocked(opm.Node{ID: "ag:" + c.Agent, Kind: opm.KindAgent, Label: c.Agent})
+	inKeyOrder(ev.Inputs, func(port string, d workflow.Data) {
+		c.ensureArtifactLocked("workflow-input:"+port, d)
+	})
+}
+
+// activityClosedLocked records an activity-completed or activity-failed
+// event: the process node (created here, when the outcome is known), what it
+// used, and — for a completion — what it generated, element by element. act
+// holds the scheduled binding and the elements finished so far, including
+// those a failed earlier attempt left behind.
+func (c *Collector) activityClosedLocked(ev *workflow.HistoryEvent, act *workflow.ActivityFold) {
+	pid := c.processID(ev.Activity)
+	if _, exists := c.graph.Node(pid); !exists {
+		c.addNodeLocked(opm.Node{ID: pid, Kind: opm.KindProcess, Label: ev.Activity})
+	}
+	c.annotateLocked(pid, "service", act.Service)
+	c.annotateLocked(pid, "iterations", fmt.Sprintf("%d", ev.Iterations))
+	c.annotateLocked(pid, "duration", ev.Duration.String())
+	if ev.Err != "" {
+		c.annotateLocked(pid, "error", ev.Err)
+	}
+	// Quality annotations from the (adapter-instrumented) specification.
+	inKeyOrder(workflow.QualityAnnotations(act.Annotations), func(dim, val string) {
+		c.annotateLocked(pid, QualityAnnotationPrefix+dim, val)
+	})
+	account := ev.RunID
+	inKeyOrder(act.Inputs, func(port string, d workflow.Data) {
+		aid := c.ensureArtifactLocked(ev.Activity+"."+port, d)
 		c.addEdgeLocked(opm.Edge{
-			Kind: opm.WasControlledBy, Effect: pid, Cause: "ag:" + c.Agent,
-			Role: "executor", Account: account, Time: ev.Time,
+			Kind: opm.Used, Effect: pid, Cause: aid,
+			Role: port, Account: account, Time: ev.Time,
 		})
-		// Fine-grained provenance: per-element derivation edges so that an
-		// individual result traces back to the individual input (e.g. one
-		// rename to one queried name), not just list to list.
-		max := c.MaxElements
-		if max == 0 {
-			max = defaultMaxElements
+	})
+	outputs, elements := ev.Outputs, act.Elements
+	if ev.Type == workflow.HistoryActivityFailed {
+		// A failed attempt generated nothing; the elements it finished are
+		// recorded when the re-execution that reuses them completes.
+		outputs, elements = nil, nil
+	}
+	inKeyOrder(outputs, func(port string, d workflow.Data) {
+		aid := c.ensureArtifactLocked(ev.Activity+"."+port, d)
+		c.addEdgeLocked(opm.Edge{
+			Kind: opm.WasGeneratedBy, Effect: aid, Cause: pid,
+			Role: port, Account: account, Time: ev.Time,
+		})
+	})
+	c.addEdgeLocked(opm.Edge{
+		Kind: opm.WasControlledBy, Effect: pid, Cause: "ag:" + c.Agent,
+		Role: "executor", Account: account, Time: ev.Time,
+	})
+	// Fine-grained provenance: per-element derivation edges so that an
+	// individual result traces back to the individual input (e.g. one
+	// rename to one queried name), not just list to list.
+	max := c.MaxElements
+	if max == 0 {
+		max = defaultMaxElements
+	}
+	if max < 0 {
+		max = 0 // negative disables element-level provenance
+	}
+	slices.SortFunc(elements, func(a, b workflow.ElementTrace) int { return cmp.Compare(a.Index, b.Index) })
+	for _, el := range elements {
+		if el.Index >= max {
+			break
 		}
-		if max < 0 {
-			max = 0 // negative disables element-level provenance
-		}
-		for _, el := range ev.Elements {
-			if el.Index >= max {
-				break
-			}
-			var inIDs []string
-			for port, d := range el.Inputs {
-				inIDs = append(inIDs, c.ensureArtifactLocked(ev.Processor+"."+port+"[elem]", d))
-			}
-			for port, d := range el.Outputs {
-				outID := c.ensureArtifactLocked(ev.Processor+"."+port+"[elem]", d)
-				for _, inID := range inIDs {
-					if inID == outID {
-						continue
-					}
-					c.addEdgeLocked(opm.Edge{
-						Kind: opm.WasDerivedFrom, Effect: outID, Cause: inID,
-						Account: account, Time: ev.Time,
-					})
+		var inIDs []string
+		inKeyOrder(el.Inputs, func(port string, d workflow.Data) {
+			inIDs = append(inIDs, c.ensureArtifactLocked(ev.Activity+"."+port+"[elem]", d))
+		})
+		inKeyOrder(el.Outputs, func(port string, d workflow.Data) {
+			outID := c.ensureArtifactLocked(ev.Activity+"."+port+"[elem]", d)
+			for _, inID := range inIDs {
+				if inID == outID {
+					continue
 				}
+				c.addEdgeLocked(opm.Edge{
+					Kind: opm.WasDerivedFrom, Effect: outID, Cause: inID,
+					Account: account, Time: ev.Time,
+				})
 			}
-		}
-	case workflow.EventWorkflowCompleted:
-		c.info.FinishedAt = ev.Time
+		})
+	}
+}
+
+func (c *Collector) runFinishedLocked(ev *workflow.HistoryEvent) {
+	c.info.FinishedAt = ev.Time
+	if ev.Status == "failed" {
+		c.info.Status = RunFailed
+		c.info.Error = ev.Err
+	} else {
 		c.info.Status = RunCompleted
 		// Completion rules: derive artifact-to-artifact and
 		// process-to-process dependencies, then stream the inferred edges.
@@ -312,14 +391,8 @@ func (c *Collector) OnEvent(ev workflow.Event) {
 		for _, e := range c.graph.EdgesSince(before) {
 			c.emitLocked(Delta{Kind: DeltaAddEdge, Edge: e})
 		}
-		c.emitLocked(Delta{Kind: DeltaRunFinished, Info: c.info})
-
-	case workflow.EventWorkflowFailed:
-		c.info.FinishedAt = ev.Time
-		c.info.Status = RunFailed
-		c.info.Error = ev.Err
-		c.emitLocked(Delta{Kind: DeltaRunFinished, Info: c.info})
 	}
+	c.emitLocked(Delta{Kind: DeltaRunFinished, Info: c.info})
 }
 
 // OutputArtifacts maps each workflow output port of the completed run to its

@@ -28,12 +28,12 @@ const (
 	// (Status RunCompleted or RunFailed). It is the last delta of a run.
 	DeltaRunFinished
 	// DeltaHistory carries one engine history event. It is emitted AFTER
-	// the graph deltas its projection produced, so a persisted history
-	// event guarantees (by the stream's prefix property) that all of the
+	// the graph deltas the event implies, so a persisted history event
+	// guarantees (by the stream's prefix property) that all of the
 	// provenance it implies is persisted too — the invariant resume-as-
 	// replay relies on. The sole exception is the terminal run-finished
-	// event, which goes out BEFORE its projection so DeltaRunFinished stays
-	// the stream's last delta (see HistoryCapture.OnHistoryEvent). History
+	// event, which goes out BEFORE its graph deltas so DeltaRunFinished
+	// stays the stream's last delta (see Collector.OnHistoryEvent). History
 	// events are not part of the OPM graph.
 	DeltaHistory
 )

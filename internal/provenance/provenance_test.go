@@ -61,7 +61,7 @@ func runCaptured(t *testing.T, input string) (*Collector, *workflow.RunResult) {
 	col := NewCollector("curator")
 	res, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar(input)}, NewHistoryCapture(col))
+		map[string]workflow.Data{"metadata": workflow.Scalar(input)}, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCollectorFailedRun(t *testing.T) {
 	})
 	col := NewCollector("")
 	_, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar("X y")}, NewHistoryCapture(col))
+		map[string]workflow.Data{"metadata": workflow.Scalar("X y")}, col)
 	if err == nil {
 		t.Fatal("run succeeded")
 	}
@@ -179,7 +179,7 @@ func TestArtifactSharing(t *testing.T) {
 func TestTruncateLongValues(t *testing.T) {
 	long := strings.Repeat("x", 1000)
 	col := NewCollector("a")
-	col.OnEvent(workflow.Event{Type: workflow.EventWorkflowStarted, RunID: "r", Time: time.Now(),
+	col.OnHistoryEvent(workflow.HistoryEvent{Type: workflow.HistoryRunStarted, RunID: "r", Time: time.Now(),
 		Inputs: map[string]workflow.Data{"in": workflow.Scalar(long)}})
 	n, ok := col.Graph().Node(artifactID(workflow.Scalar(long)))
 	if !ok {
@@ -329,7 +329,7 @@ func TestPerElementProvenance(t *testing.T) {
 	)
 	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": input}, NewHistoryCapture(col))
+		map[string]workflow.Data{"metadata": input}, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestPerElementProvenanceCap(t *testing.T) {
 	}
 	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, NewHistoryCapture(col))
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestPerElementProvenanceCap(t *testing.T) {
 	col2.MaxElements = -1
 	_, err = workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, NewHistoryCapture(col2))
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, col2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestHistoryPersistsAndReloads(t *testing.T) {
 	col.AddSink(w)
 	eng := workflow.NewEventEngine(detectionRegistry())
 	eng.Workers = 4
-	res, err := eng.Run(context.Background(), detectionDef(), detectionInputs(), NewHistoryCapture(col))
+	res, err := eng.Run(context.Background(), detectionDef(), detectionInputs(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCrashResumeConvergesAtEveryCut(t *testing.T) {
 	baseW := baseRepo.NewBatchWriter(BatchWriterOptions{})
 	baseCol.AddSink(baseW)
 	baseRes, err := workflow.NewEventEngine(detectionRegistry()).Run(
-		context.Background(), detectionDef(), detectionInputs(), NewHistoryCapture(baseCol))
+		context.Background(), detectionDef(), detectionInputs(), baseCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCrashResumeConvergesAtEveryCut(t *testing.T) {
 			crash := NewCrashSink(w, cut, cancel)
 			col.AddSink(crash)
 			_, runErr := workflow.NewEventEngine(detectionRegistry()).Run(
-				ctx, detectionDef(), detectionInputs(), NewHistoryCapture(col))
+				ctx, detectionDef(), detectionInputs(), col)
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func TestCrashResumeConvergesAtEveryCut(t *testing.T) {
 			}
 			rcol.AddSink(rw)
 			if _, err := workflow.NewEventEngine(detectionRegistry()).Resume(
-				context.Background(), detectionDef(), detectionInputs(), runID, history, NewHistoryCapture(rcol)); err != nil {
+				context.Background(), detectionDef(), detectionInputs(), runID, history, rcol); err != nil {
 				t.Fatalf("resume after cut %d: %v", cut, err)
 			}
 			if err := rw.Close(); err != nil {

@@ -72,7 +72,7 @@ func TestGraphSinkMaterializesIdenticalGraph(t *testing.T) {
 		map[string]workflow.Data{"metadata": workflow.List(
 			workflow.Scalar("Elachistocleis ovalis"),
 			workflow.Scalar("Hyla faber"),
-		)}, NewHistoryCapture(col))
+		)}, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestStreamingMatchesLegacyStore(t *testing.T) {
 					workflow.Scalar("Scinax fuscomarginatus"),
 					workflow.Scalar("Physalaemus cuvieri"),
 					workflow.Scalar("Boana albopunctata"),
-				)}, NewHistoryCapture(col))
+				)}, col)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestStreamingFailedRunKeepsPartialProvenance(t *testing.T) {
 	w := repo.NewBatchWriter(BatchWriterOptions{})
 	col.AddSink(w)
 	_, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar("Hyla faber")}, NewHistoryCapture(col))
+		map[string]workflow.Data{"metadata": workflow.Scalar("Hyla faber")}, col)
 	if err == nil {
 		t.Fatal("run succeeded")
 	}
@@ -572,7 +572,7 @@ func TestWriterMetricsAndBackpressure(t *testing.T) {
 	}
 	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, NewHistoryCapture(col))
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
 	if err != nil {
 		t.Fatal(err)
 	}

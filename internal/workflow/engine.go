@@ -119,71 +119,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// EventType classifies execution events.
-type EventType uint8
-
-// Execution event types, emitted in causal order per run.
-const (
-	EventWorkflowStarted EventType = iota
-	EventProcessorStarted
-	EventProcessorCompleted
-	EventProcessorFailed
-	EventWorkflowCompleted
-	EventWorkflowFailed
-)
-
-// String names the event type.
-func (t EventType) String() string {
-	switch t {
-	case EventWorkflowStarted:
-		return "workflow-started"
-	case EventProcessorStarted:
-		return "processor-started"
-	case EventProcessorCompleted:
-		return "processor-completed"
-	case EventProcessorFailed:
-		return "processor-failed"
-	case EventWorkflowCompleted:
-		return "workflow-completed"
-	case EventWorkflowFailed:
-		return "workflow-failed"
-	default:
-		return fmt.Sprintf("event(%d)", uint8(t))
-	}
-}
-
-// ElementTrace records one element of an implicit iteration: the per-element
-// inputs and outputs of a single service invocation. It enables fine-grained
-// provenance — "which input name produced this particular result" — instead
-// of only list-to-list derivation.
-type ElementTrace struct {
-	Index   int
-	Inputs  map[string]Data
-	Outputs map[string]Data
-}
-
-// Event is one observation of workflow execution — the raw material the
-// Provenance Manager turns into OPM graphs. Events are projected from a run's
-// history stream (Projector).
-type Event struct {
-	Type         EventType
-	Time         time.Time
-	RunID        string
-	WorkflowID   string
-	WorkflowName string
-	Processor    string // "" for workflow-level events
-	Service      string
-	Annotations  []Annotation // processor (or workflow) annotations
-	Inputs       map[string]Data
-	Outputs      map[string]Data
-	Iterations   int // number of service invocations (≥1 once completed)
-	// Elements carries the per-element traces of an implicit iteration
-	// (nil for single invocations).
-	Elements []ElementTrace
-	Duration time.Duration
-	Err      string
-}
-
 // RunResult summarizes one workflow execution.
 type RunResult struct {
 	RunID      string

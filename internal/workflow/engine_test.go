@@ -25,17 +25,6 @@ func upperReg() *Registry {
 	return reg
 }
 
-// projected adapts an observer of execution Events to the engine's history
-// stream, through the same Projector every downstream consumer uses.
-func projected(fn func(Event)) HistoryListener {
-	var proj Projector
-	return HistoryListenerFunc(func(h HistoryEvent) {
-		if ev, ok := proj.Apply(h); ok {
-			fn(ev)
-		}
-	})
-}
-
 func TestEngineLinear(t *testing.T) {
 	d := linearDef()
 	d.Processors[0].Service = "upper"
@@ -223,27 +212,25 @@ func TestEngineProcessorFailure(t *testing.T) {
 	d := linearDef()
 	d.Processors[0].Service = "fail"
 	d.Processors[1].Service = "exclaim"
-	var events []Event
-	var mu sync.Mutex
-	_, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
-		projected(func(e Event) { mu.Lock(); events = append(events, e); mu.Unlock() }))
+	events, listener := recordHistory()
+	_, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("x")}, listener)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("failure not propagated: %v", err)
 	}
-	var sawFailed, sawWfFailed bool
-	for _, e := range events {
-		if e.Type == EventProcessorFailed && e.Processor == "A" && e.Err != "" {
+	var sawFailed, sawRunFailed bool
+	for _, e := range *events {
+		if e.Type == HistoryActivityFailed && e.Activity == "A" && e.Err != "" {
 			sawFailed = true
 		}
-		if e.Type == EventWorkflowFailed {
-			sawWfFailed = true
+		if e.Type == HistoryRunFinished && e.Status == "failed" {
+			sawRunFailed = true
 		}
-		if e.Type == EventProcessorStarted && e.Processor == "B" {
-			t.Fatal("downstream processor B started after upstream failure")
+		if e.Activity == "B" {
+			t.Fatalf("downstream processor B has history after upstream failure: %+v", e)
 		}
 	}
-	if !sawFailed || !sawWfFailed {
-		t.Fatalf("failure events missing: failed=%v wfFailed=%v", sawFailed, sawWfFailed)
+	if !sawFailed || !sawRunFailed {
+		t.Fatalf("failure events missing: failed=%v runFailed=%v", sawFailed, sawRunFailed)
 	}
 }
 
@@ -274,21 +261,21 @@ func TestEngineEventOrder(t *testing.T) {
 	d := linearDef()
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
-	var mu sync.Mutex
-	var types []EventType
-	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
-		projected(func(e Event) { mu.Lock(); types = append(types, e.Type); mu.Unlock() }))
+	events, listener := recordHistory()
+	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")}, listener)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []EventType{EventWorkflowStarted, EventProcessorStarted, EventProcessorCompleted,
-		EventProcessorStarted, EventProcessorCompleted, EventWorkflowCompleted}
-	if len(types) != len(want) {
-		t.Fatalf("got %d events, want %d: %v", len(types), len(want), types)
+	want := []HistoryEventType{HistoryRunStarted,
+		HistoryActivityScheduled, HistoryActivityStarted, HistoryActivityCompleted,
+		HistoryActivityScheduled, HistoryActivityStarted, HistoryActivityCompleted,
+		HistoryRunFinished}
+	if len(*events) != len(want) {
+		t.Fatalf("got %d events, want %d: %+v", len(*events), len(want), *events)
 	}
-	for i := range want {
-		if types[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, types[i], want[i])
+	for i, e := range *events {
+		if e.Type != want[i] {
+			t.Fatalf("event %d = %v, want %v", i, e.Type, want[i])
 		}
 	}
 }
@@ -300,13 +287,10 @@ func TestEngineEventCarriesAnnotations(t *testing.T) {
 	when := time.Date(2013, 11, 12, 19, 58, 9, 0, time.UTC)
 	d.AnnotateProcessor("A", QualityKey("reputation"), "1", "expert", when)
 	var got map[string]string
-	var mu sync.Mutex
 	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
-		projected(func(e Event) {
-			if e.Type == EventProcessorCompleted && e.Processor == "A" {
-				mu.Lock()
+		HistoryListenerFunc(func(e HistoryEvent) {
+			if e.Type == HistoryActivityScheduled && e.Activity == "A" {
 				got = QualityAnnotations(e.Annotations)
-				mu.Unlock()
 			}
 		}))
 	if err != nil {
@@ -513,21 +497,21 @@ func TestParallelIterationMatchesSequential(t *testing.T) {
 		elements string
 	}
 	runWith := func(workers int) capture {
-		var mu sync.Mutex
-		var elems string
 		eng := NewEventEngine(reg)
 		eng.Workers = workers
-		res, err := eng.Run(context.Background(), iterDef(0), in,
-			projected(func(e Event) {
-				if e.Type == EventProcessorCompleted && e.Processor == "A" {
-					mu.Lock()
-					elems = fmt.Sprintf("%+v", e.Elements)
-					mu.Unlock()
-				}
-			}))
+		events, listener := recordHistory()
+		res, err := eng.Run(context.Background(), iterDef(0), in, listener)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		// Elements finish in any order; their traces, by index, must not vary.
+		traces := make([]string, n)
+		for _, e := range *events {
+			if e.Type == HistoryIterationElement && e.Activity == "A" {
+				traces[e.Element] = fmt.Sprintf("{Index:%d Inputs:%v Outputs:%v}", e.Element, e.Inputs, e.Outputs)
+			}
+		}
+		elems := strings.Join(traces, " ")
 		if res.Invocations["A"] != n {
 			t.Fatalf("workers=%d: invocations = %d", workers, res.Invocations["A"])
 		}
@@ -754,14 +738,5 @@ func TestRegistry(t *testing.T) {
 	}
 	if len(reg.Names()) != 1 {
 		t.Fatalf("Names = %v", reg.Names())
-	}
-}
-
-func TestEventTypeString(t *testing.T) {
-	for _, tt := range []EventType{EventWorkflowStarted, EventProcessorStarted, EventProcessorCompleted,
-		EventProcessorFailed, EventWorkflowCompleted, EventWorkflowFailed} {
-		if strings.HasPrefix(tt.String(), "event(") {
-			t.Fatalf("missing name for %d", tt)
-		}
 	}
 }

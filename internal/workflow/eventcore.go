@@ -113,48 +113,15 @@ func (e *EventEngine) Resume(ctx context.Context, def *Definition, inputs map[st
 	return e.execute(ctx, def, inputs, runID, history, listeners)
 }
 
-// foldedActivity is the per-processor digest of a history prefix.
-type foldedActivity struct {
-	scheduled  bool
-	done       bool
-	inputs     map[string]Data
-	outputs    map[string]Data
-	iterations int
-	elements   map[int]ElementTrace
-}
-
-// foldedRun is the digest of a whole prefix.
-type foldedRun struct {
-	hasStart bool
-	acts     map[string]*foldedActivity
-	// finished is the prefix's run-finished event when the run already
-	// completed durably before the crash; resume degenerates to replaying it.
-	finished *HistoryEvent
-}
-
-func (f *foldedRun) act(name string) *foldedActivity {
-	a := f.acts[name]
-	if a == nil {
-		a = &foldedActivity{}
-		f.acts[name] = a
-	}
-	return a
-}
-
-// foldHistory digests a persisted prefix into resumable state, returning the
-// prefix in Seq order. An activity-failed event in the prefix un-does the
-// activity (it will re-execute, reusing any surviving elements); a
-// run-finished event means the run completed durably and resume degenerates
-// to replaying that terminal event.
-func foldHistory(def *Definition, history []HistoryEvent) ([]HistoryEvent, *foldedRun, error) {
-	f := &foldedRun{acts: map[string]*foldedActivity{}}
-	if len(history) == 0 {
-		return nil, f, nil
-	}
+// foldHistory folds a persisted prefix into resumable state, returning it in
+// Seq order, and rejects what only a corrupt store can hold: events for
+// processors the definition lacks and history past run-finished.
+func foldHistory(def *Definition, history []HistoryEvent) ([]HistoryEvent, *HistoryFold, error) {
+	f := &HistoryFold{}
 	evs := append([]HistoryEvent(nil), history...)
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 	for _, ev := range evs {
-		if f.finished != nil {
+		if f.Finished != nil {
 			return nil, nil, fmt.Errorf("workflow: run %q history continues past run-finished", ev.RunID)
 		}
 		if ev.Activity != "" {
@@ -162,30 +129,7 @@ func foldHistory(def *Definition, history []HistoryEvent) ([]HistoryEvent, *fold
 				return nil, nil, fmt.Errorf("workflow: history for unknown processor %q", ev.Activity)
 			}
 		}
-		switch ev.Type {
-		case HistoryRunStarted:
-			f.hasStart = true
-		case HistoryActivityScheduled:
-			a := f.act(ev.Activity)
-			a.scheduled = true
-			a.inputs = ev.Inputs
-		case HistoryIterationElement:
-			a := f.act(ev.Activity)
-			if a.elements == nil {
-				a.elements = map[int]ElementTrace{}
-			}
-			a.elements[ev.Element] = ElementTrace{Index: ev.Element, Inputs: ev.Inputs, Outputs: ev.Outputs}
-		case HistoryActivityCompleted:
-			a := f.act(ev.Activity)
-			a.done = true
-			a.outputs = ev.Outputs
-			a.iterations = ev.Iterations
-		case HistoryActivityFailed:
-			f.act(ev.Activity).done = false
-		case HistoryRunFinished:
-			ev := ev
-			f.finished = &ev
-		}
+		f.Apply(ev)
 	}
 	return evs, f, nil
 }
@@ -196,8 +140,8 @@ func foldHistory(def *Definition, history []HistoryEvent) ([]HistoryEvent, *fold
 // the rest of the prefix) so projections repair whatever finalization the
 // crash cut off — completion-rule inference, the run record's terminal status
 // — all of it idempotent against state already persisted.
-func finalizeFromHistory(def *Definition, runID string, prefix []HistoryEvent, folded *foldedRun, listeners []HistoryListener) (*RunResult, error) {
-	fin := folded.finished
+func finalizeFromHistory(def *Definition, runID string, prefix []HistoryEvent, folded *HistoryFold, listeners []HistoryListener) (*RunResult, error) {
+	fin := folded.Finished
 	for _, l := range listeners {
 		if pf, ok := l.(HistoryPrefixer); ok {
 			pf.OnHistoryPrefix(prefix[:len(prefix)-1])
@@ -223,7 +167,7 @@ func finalizeFromHistory(def *Definition, runID string, prefix []HistoryEvent, f
 		res.Outputs[out.Name] = d
 	}
 	for _, p := range def.Processors {
-		if a := folded.acts[p.Name]; a != nil && a.done {
+		if a := folded.Activity(p.Name); a != nil && a.Done {
 			res.Replayed = append(res.Replayed, p.Name)
 		}
 	}
@@ -280,7 +224,7 @@ type eventRun struct {
 	q         *MemoryQueue
 	runCtx    context.Context
 	cancelRun context.CancelFunc
-	folded    *foldedRun
+	folded    *HistoryFold
 
 	mu   sync.RWMutex
 	acts map[string]*activity
@@ -350,7 +294,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 	if runID == "" {
 		runID = MintRunID("")
 	}
-	if folded.finished != nil {
+	if folded.Finished != nil {
 		return finalizeFromHistory(def, runID, prefix, folded, listeners)
 	}
 
@@ -394,7 +338,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 		}
 		r.nextSeq = prefix[len(prefix)-1].Seq + 1
 	}
-	if !folded.hasStart {
+	if !folded.Started {
 		r.append(HistoryEvent{Type: HistoryRunStarted, Inputs: inputs, Annotations: def.Annotations})
 	}
 
@@ -420,8 +364,8 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 	}
 	replayed := 0
 	for _, p := range def.Processors {
-		fa := folded.acts[p.Name]
-		if fa == nil || !fa.done {
+		fa := folded.Activity(p.Name)
+		if fa == nil || !fa.Done {
 			continue
 		}
 		r.result.Replayed = append(r.result.Replayed, p.Name)
@@ -430,7 +374,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 			if l.Source.Processor != p.Name {
 				continue
 			}
-			d, ok := fa.outputs[l.Source.Port]
+			d, ok := fa.Outputs[l.Source.Port]
 			if !ok {
 				return nil, fmt.Errorf("workflow: history for %q lacks output %q", p.Name, l.Source.Port)
 			}
@@ -441,7 +385,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 		wfSpan.SetAttr("replayed", strconv.Itoa(replayed))
 		live := ready[:0]
 		for _, p := range ready {
-			if fa := folded.acts[p.Name]; fa == nil || !fa.done {
+			if fa := folded.Activity(p.Name); fa == nil || !fa.Done {
 				live = append(live, p)
 			}
 		}
@@ -506,10 +450,10 @@ func (r *eventRun) schedule(p *Processor) {
 	if r.failErr != nil {
 		return // no events after a failure
 	}
-	fa := r.folded.acts[p.Name]
+	fa := r.folded.Activity(p.Name)
 	inputs := map[string]Data{}
-	if fa != nil && fa.scheduled && fa.inputs != nil {
-		inputs = fa.inputs // event-sourced: the recorded binding is the truth
+	if fa != nil && fa.Scheduled && fa.Inputs != nil {
+		inputs = fa.Inputs // event-sourced: the recorded binding is the truth
 	} else {
 		for _, in := range p.Inputs {
 			inputs[in.Name] = r.values[Endpoint{Processor: p.Name, Port: in.Name}.String()]
@@ -528,7 +472,7 @@ func (r *eventRun) schedule(p *Processor) {
 	r.active++
 
 	iterating, n, shapeErr := iterationShape(p, inputs)
-	if fa == nil || !fa.scheduled {
+	if fa == nil || !fa.Scheduled {
 		ev := HistoryEvent{
 			Type: HistoryActivityScheduled, Activity: p.Name, Service: p.Service,
 			Inputs: inputs, Annotations: p.Annotations, Elements: -1,
@@ -558,8 +502,9 @@ func (r *eventRun) schedule(p *Processor) {
 	a.seen = make([]bool, n)
 	missing := n
 	if fa != nil {
-		for i, el := range fa.elements {
-			if i < 0 || i >= n {
+		for _, el := range fa.Elements {
+			i := el.Index
+			if i < 0 || i >= n || a.seen[i] {
 				continue
 			}
 			a.seen[i] = true
@@ -755,7 +700,7 @@ func (r *eventRun) deliver(l Link, d Data) []*Processor {
 	}
 	r.remaining[l.Target.Processor]--
 	if r.remaining[l.Target.Processor] == 0 {
-		if fa := r.folded.acts[l.Target.Processor]; fa != nil && fa.done {
+		if fa := r.folded.Activity(l.Target.Processor); fa != nil && fa.Done {
 			return nil
 		}
 		if p, ok := r.def.Processor(l.Target.Processor); ok {

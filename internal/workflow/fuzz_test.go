@@ -13,8 +13,9 @@ import (
 // EventEngine.Resume over the linear test pipeline. Whatever the prefix claims
 // — out-of-range elements, events past run-finished, unknown activities,
 // duplicate or negative sequence numbers, outputs of the wrong shape — Resume
-// must return a result or an error; it may never panic, and never sit in the
-// orchestration loop waiting for a task nobody was given.
+// must return a result or an error; it may never panic, never sit in the
+// orchestration loop waiting for a task nobody was given, and never append
+// events out of sequence.
 func FuzzResumeHistory(f *testing.F) {
 	def := linearDef()
 	def.Processors[0].Service = "upper"
@@ -54,14 +55,22 @@ func FuzzResumeHistory(f *testing.F) {
 			err error
 		}
 		done := make(chan outcome, 1)
+		appended, listener := recordHistory()
 		go func() {
-			res, err := eng.Resume(ctx, def, inputs, "run-fuzz", history, projected(func(Event) {}))
+			res, err := eng.Resume(ctx, def, inputs, "run-fuzz", history, listener)
 			done <- outcome{res, err}
 		}()
 		select {
 		case o := <-done:
 			if o.res == nil && o.err == nil {
 				t.Fatal("Resume returned neither a result nor an error")
+			}
+			// Whatever sequence numbers the prefix claims, what Resume appends
+			// after it is one totally ordered stream.
+			for i := 1; i < len(*appended); i++ {
+				if (*appended)[i].Seq <= (*appended)[i-1].Seq {
+					t.Fatalf("appended history out of order at %d: %+v", i, *appended)
+				}
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("Resume blocked on history %s", data)

@@ -1,9 +1,6 @@
 package workflow
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // This file defines the event-sourced core's source of truth: every run is an
 // append-only history of typed events, and everything else the system derives
@@ -109,94 +106,80 @@ type HistoryPrefixer interface {
 	OnHistoryPrefix([]HistoryEvent)
 }
 
-// Projector folds a history stream into the execution Events the
-// Provenance Manager consumes. It is the deterministic bridge between the
-// event-sourced core and every downstream consumer of workflow.Event: the
-// same history prefix always projects to the same event sequence, which is
-// what makes resume-as-replay byte-identical.
-//
-// A Projector is stateful (scheduled inputs and accumulated iteration
-// elements buffer between events) and not safe for concurrent use.
-type Projector struct {
-	acts map[string]*projActivity
+// ElementTrace records one element of an implicit iteration: the per-element
+// inputs and outputs of a single service invocation. It enables fine-grained
+// provenance — "which input name produced this particular result" — instead
+// of only list-to-list derivation.
+type ElementTrace struct {
+	Index   int
+	Inputs  map[string]Data
+	Outputs map[string]Data
 }
 
-type projActivity struct {
-	scheduled HistoryEvent
-	elements  []ElementTrace
+// ActivityFold is what a history says about one activity so far: what resume
+// re-schedules it from and what provenance closes its process node with.
+// Only activity-completed closes an activity. activity-failed clears Done and
+// keeps the rest, because the engine re-executes a failed activity under the
+// recorded binding — appending no second activity-scheduled — and reuses the
+// elements that finished.
+type ActivityFold struct {
+	Scheduled   bool // activity-scheduled seen; it recorded the next three
+	Service     string
+	Annotations []Annotation
+	Inputs      map[string]Data
+	Elements    []ElementTrace // finished iteration elements, in arrival order
+	Done        bool           // activity-completed seen; it recorded Outputs
+	Outputs     map[string]Data
 }
 
-// Apply folds one history event. When the event projects to an
-// execution Event, it returns (event, true); bookkeeping events
-// (activity-started, iteration-element, sub-workflow, retry-backoff) fold
-// into state and return (Event{}, false).
-func (p *Projector) Apply(ev HistoryEvent) (Event, bool) {
-	if p.acts == nil {
-		p.acts = make(map[string]*projActivity)
+// HistoryFold is the incremental fold of one run's history: the single place
+// that decides what a prefix means, for the engine, which resumes from it,
+// and for projections that need more than the event in hand (the provenance
+// Collector). The zero value is the empty history; not safe for concurrent use.
+type HistoryFold struct {
+	Started  bool          // run-started seen
+	Finished *HistoryEvent // the run-finished event; nil while the run is open
+	acts     map[string]*ActivityFold
+}
+
+// Activity returns the named activity's fold, nil when no event folded it.
+func (f *HistoryFold) Activity(name string) *ActivityFold { return f.acts[name] }
+
+func (f *HistoryFold) act(name string) *ActivityFold {
+	a := f.acts[name]
+	if a == nil {
+		if f.acts == nil {
+			f.acts = make(map[string]*ActivityFold)
+		}
+		a = &ActivityFold{}
+		f.acts[name] = a
 	}
+	return a
+}
+
+// Apply folds the next event and returns the activity it updated: nil for
+// run-level events and for bookkeeping (activity-started, sub-workflow,
+// retry-backoff), which changes nothing a resume or a projection reads.
+func (f *HistoryFold) Apply(ev HistoryEvent) *ActivityFold {
+	var a *ActivityFold
 	switch ev.Type {
 	case HistoryRunStarted:
-		return Event{
-			Type: EventWorkflowStarted, Time: ev.Time, RunID: ev.RunID,
-			WorkflowID: ev.WorkflowID, WorkflowName: ev.WorkflowName,
-			Annotations: ev.Annotations, Inputs: ev.Inputs,
-		}, true
-
+		f.Started = true
 	case HistoryActivityScheduled:
-		p.acts[ev.Activity] = &projActivity{scheduled: ev}
-		return Event{
-			Type: EventProcessorStarted, Time: ev.Time, RunID: ev.RunID,
-			WorkflowID: ev.WorkflowID, WorkflowName: ev.WorkflowName,
-			Processor: ev.Activity, Service: ev.Service,
-			Annotations: ev.Annotations, Inputs: ev.Inputs,
-		}, true
-
+		a = f.act(ev.Activity)
+		a.Scheduled, a.Service, a.Annotations, a.Inputs = true, ev.Service, ev.Annotations, ev.Inputs
 	case HistoryIterationElement:
-		if a := p.acts[ev.Activity]; a != nil {
-			a.elements = append(a.elements, ElementTrace{
-				Index: ev.Element, Inputs: ev.Inputs, Outputs: ev.Outputs,
-			})
-		}
-		return Event{}, false
-
-	case HistoryActivityCompleted, HistoryActivityFailed:
-		a := p.acts[ev.Activity]
-		if a == nil {
-			a = &projActivity{}
-		}
-		out := Event{
-			Type: EventProcessorCompleted, Time: ev.Time, RunID: ev.RunID,
-			WorkflowID: ev.WorkflowID, WorkflowName: ev.WorkflowName,
-			Processor: ev.Activity, Service: a.scheduled.Service,
-			Annotations: a.scheduled.Annotations, Inputs: a.scheduled.Inputs,
-			Outputs: ev.Outputs, Iterations: ev.Iterations, Duration: ev.Duration,
-		}
-		if len(a.elements) > 0 {
-			sort.Slice(a.elements, func(i, j int) bool { return a.elements[i].Index < a.elements[j].Index })
-			out.Elements = a.elements
-		}
-		if ev.Type == HistoryActivityFailed {
-			out.Type = EventProcessorFailed
-			out.Err = ev.Err
-			out.Outputs = nil
-			out.Elements = nil
-		}
-		delete(p.acts, ev.Activity)
-		return out, true
-
+		a = f.act(ev.Activity)
+		a.Elements = append(a.Elements, ElementTrace{Index: ev.Element, Inputs: ev.Inputs, Outputs: ev.Outputs})
+	case HistoryActivityCompleted:
+		a = f.act(ev.Activity)
+		a.Done, a.Outputs = true, ev.Outputs
+	case HistoryActivityFailed:
+		a = f.act(ev.Activity)
+		a.Done = false
 	case HistoryRunFinished:
-		if ev.Status == "failed" {
-			return Event{
-				Type: EventWorkflowFailed, Time: ev.Time, RunID: ev.RunID,
-				WorkflowID: ev.WorkflowID, WorkflowName: ev.WorkflowName, Err: ev.Err,
-			}, true
-		}
-		return Event{
-			Type: EventWorkflowCompleted, Time: ev.Time, RunID: ev.RunID,
-			WorkflowID: ev.WorkflowID, WorkflowName: ev.WorkflowName, Outputs: ev.Outputs,
-		}, true
+		fin := ev // copied here so only this case pays for the escape
+		f.Finished = &fin
 	}
-	// activity-started, sub-workflow, retry-backoff: execution bookkeeping
-	// with no Event projection.
-	return Event{}, false
+	return a
 }

@@ -199,46 +199,49 @@ func TestEventEngineResumeRejectsBadHistory(t *testing.T) {
 	}
 }
 
-// TestEventEngineMatchesLegacy pins the bridge every downstream consumer
-// rests on: the projector applied to the engine's history stream yields the
-// six execution events (up to timing) the in-process engine this one replaced
-// emitted for the linear pipeline, at several worker counts.
+// TestEventEngineMatchesLegacy pins what every projection rests on: the
+// history of the linear pipeline — which event, for which activity, carrying
+// which service, invocation count and outputs — is the same at every worker
+// count, and carries what the in-process engine this one replaced reported
+// for the same run.
 func TestEventEngineMatchesLegacy(t *testing.T) {
 	d := linearDef()
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
 	in := map[string]Data{"in": Scalar("hello")}
 
-	legacy := []Event{
-		{Type: EventWorkflowStarted},
-		{Type: EventProcessorStarted, Processor: "A", Service: "upper"},
-		{Type: EventProcessorCompleted, Processor: "A", Service: "upper", Iterations: 1,
+	want := []HistoryEvent{
+		{Type: HistoryRunStarted},
+		{Type: HistoryActivityScheduled, Activity: "A", Service: "upper"},
+		{Type: HistoryActivityStarted, Activity: "A", Service: "upper"},
+		{Type: HistoryActivityCompleted, Activity: "A", Iterations: 1,
 			Outputs: map[string]Data{"y": Scalar("HELLO")}},
-		{Type: EventProcessorStarted, Processor: "B", Service: "exclaim"},
-		{Type: EventProcessorCompleted, Processor: "B", Service: "exclaim", Iterations: 1,
+		{Type: HistoryActivityScheduled, Activity: "B", Service: "exclaim"},
+		{Type: HistoryActivityStarted, Activity: "B", Service: "exclaim"},
+		{Type: HistoryActivityCompleted, Activity: "B", Iterations: 1,
 			Outputs: map[string]Data{"y": Scalar("HELLO!")}},
-		{Type: EventWorkflowCompleted, Outputs: map[string]Data{"out": Scalar("HELLO!")}},
+		{Type: HistoryRunFinished, Status: "completed", Outputs: map[string]Data{"out": Scalar("HELLO!")}},
 	}
 
 	for _, workers := range []int{1, 4, 16} {
 		eng := NewEventEngine(upperReg())
 		eng.Workers = workers
-		var got []Event
-		res, err := eng.Run(context.Background(), d, in, projected(func(ev Event) { got = append(got, ev) }))
+		got, listener := recordHistory()
+		res, err := eng.Run(context.Background(), d, in, listener)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Outputs["out"].String() != "HELLO!" {
 			t.Fatalf("workers=%d: out = %q", workers, res.Outputs["out"])
 		}
-		if len(got) != len(legacy) {
-			t.Fatalf("workers=%d: %d projected events vs %d legacy", workers, len(got), len(legacy))
+		if len(*got) != len(want) {
+			t.Fatalf("workers=%d: %d history events, want %d", workers, len(*got), len(want))
 		}
-		for i := range got {
-			g, l := got[i], legacy[i]
-			if g.Type != l.Type || g.Processor != l.Processor || g.Service != l.Service ||
-				g.Iterations != l.Iterations || !reflect.DeepEqual(dataStrings(g.Outputs), dataStrings(l.Outputs)) {
-				t.Fatalf("workers=%d event %d:\n got %+v\nwant %+v", workers, i, g, l)
+		for i, g := range *got {
+			w := want[i]
+			if g.Type != w.Type || g.Activity != w.Activity || g.Service != w.Service || g.Status != w.Status ||
+				g.Iterations != w.Iterations || !reflect.DeepEqual(dataStrings(g.Outputs), dataStrings(w.Outputs)) {
+				t.Fatalf("workers=%d event %d:\n got %+v\nwant %+v", workers, i, g, w)
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func TestEngineWideFanOutStress(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		atomic.StoreInt64(&calls, 0)
 		res, err := eng.Run(context.Background(), d, map[string]Data{"in": List(items...)},
-			projected(func(Event) { atomic.AddInt64(&events, 1) }))
+			HistoryListenerFunc(func(HistoryEvent) { atomic.AddInt64(&events, 1) }))
 		if err != nil {
 			t.Fatal(err)
 		}
