@@ -16,11 +16,15 @@ test:
 ## workflow engine, the singleflight caching resolver + resilience guards,
 ## the streaming provenance pipeline, the storage layer under it, the
 ## shard router with its scatter-gather fan-out, the cluster layer — lease
-## store, scheduler pool, HTTP gateway + remote worker — the archival
+## store, scheduler pool and its wake contract (TestWake*: a pushed admission
+## executes with the poll timer an hour away, goes to an idle peer, never
+## strands Stop/Kill and cannot starve the timer path), HTTP gateway + remote
+## worker — the archival
 ## store/scrubber, and the curation ledger's ID allocation under concurrent
 ## detections), plus the core detection stack — including crash/resume,
-## orchestrator failover, and the sharded/unsharded equivalence suite —
-## that drives them end to end.
+## orchestrator failover, the sharded/unsharded equivalence suite, the wake
+## end to end (TestAdmissionWakesPool) and the pool's exactly-once accounting
+## (TestPoolCompletedMatchesOutcomes) — that drives them end to end.
 race:
 	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/...
 
@@ -37,7 +41,9 @@ race:
 ## scheduler-pool trial: three peer orchestrators drain an admission queue while two are
 ## killed mid-run, and every queued run must still complete byte-identically
 ## exactly once), the /api/v1 contract smoke (including the /api/v1/cluster
-## resources, the per-tenant quota contract, and the batch-path guard: one
+## resources, the per-tenant quota contract, asynchronous detect woken by the
+## admission's commit with the poll timer an hour away
+## (TestAsyncDetectWakesPool), and the batch-path guard: one
 ## POST /api/v1/detect over 16 cold names must reach a request-counting stub
 ## authority as exactly one /resolve_batch and no /resolve), the tracing-overhead
 ## guard (traced detection within 5% of untraced), the zero-allocation

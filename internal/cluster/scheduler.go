@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/workflow"
 )
 
@@ -16,6 +17,13 @@ import (
 // death, e.g. core's CrashError). The scheduler backs the run off until its
 // abandoned lease ages out, then any live peer rescues it.
 var ErrRunInterrupted = errors.New("cluster: run interrupted")
+
+// ErrAdmissionSettled is how a SchedulerBackend reports a claim attempt that
+// found nothing left to do: the admission row was already gone, or the claim
+// was won on a run a peer had already carried to a terminal state. Neither an
+// execution nor a failure — the scheduler counts it as settled, never as
+// completed or rescued.
+var ErrAdmissionSettled = errors.New("cluster: admission already settled")
 
 // SchedulerBackend is the execution surface a Scheduler drives. core.System
 // provides the canonical implementation; the interface exists because core
@@ -26,12 +34,19 @@ var ErrRunInterrupted = errors.New("cluster: run interrupted")
 // claim-before-read — so N schedulers calling concurrently resolve to
 // exactly one executor per run; the losers get ErrLeaseHeld.
 type SchedulerBackend interface {
+	// AdmissionHint returns a channel that becomes readable once an admission
+	// has been durably queued: the control loop then drains PendingAdmissions
+	// at once instead of at its next poll. The rows stay the truth — a hint may
+	// be lost or spurious, and the poll timer covers both. A nil channel means
+	// the backend has no hint; the loop then runs on the timer alone.
+	AdmissionHint() <-chan struct{}
 	// PendingAdmissions lists the admitted-but-unstarted runs, FIFO.
 	PendingAdmissions() ([]workflow.Admission, error)
 	// ExecuteAdmission claims the admitted run and carries it to a terminal
 	// state under the orchestrator's name, removing the admission row once
 	// the run can no longer need rescuing. Returns ErrLeaseHeld when a peer
-	// owns the run, ErrRunInterrupted when execution died resumably.
+	// owns the run, ErrRunInterrupted when execution died resumably, and
+	// ErrAdmissionSettled when a peer had already finished it.
 	ExecuteAdmission(ctx context.Context, adm workflow.Admission, orchestrator string) error
 	// RescueCandidates lists unfinished runs whose ownership lapsed: a lease
 	// row exists (the run was orchestrated) but is no longer live. Runs that
@@ -39,12 +54,13 @@ type SchedulerBackend interface {
 	RescueCandidates() ([]string, error)
 	// RescueRun claims the lapsed run and resumes it to completion under the
 	// orchestrator's name (pure history replay), clearing any admission row.
+	// Returns the same errors as ExecuteAdmission.
 	RescueRun(ctx context.Context, runID, orchestrator string) error
 }
 
 // SchedulerEvent is one observable scheduler action, for harnesses and logs.
 type SchedulerEvent struct {
-	// Kind is one of claim, complete, rescue, interrupted, lost, error.
+	// Kind is one of complete, rescue, settled, interrupted, lost, error.
 	Kind string
 	// Orchestrator is the emitting scheduler's name.
 	Orchestrator string
@@ -80,7 +96,8 @@ type Scheduler struct {
 	// TTL is the membership lease time-to-live (default 2s); run-lease TTLs
 	// are the backend's business.
 	TTL time.Duration
-	// Poll is the control-loop tick (default TTL/4).
+	// Poll is the control-loop tick (default TTL/4): how often the loop drains
+	// and sweeps for lapsed runs when no admission hint wakes it sooner.
 	Poll time.Duration
 	// Seed perturbs the jitter stream; the member name is mixed in, so peers
 	// sharing a seed still de-correlate.
@@ -95,6 +112,9 @@ type Scheduler struct {
 	counters map[string]int64
 	running  bool
 	dead     bool
+	// admissionWait is EnqueuedAt → drain pick-up of every admission this
+	// member went on to execute.
+	admissionWait telemetry.Histogram
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -138,7 +158,11 @@ func (s *Scheduler) Start() error {
 	s.rng = rand.New(rand.NewSource(s.Seed ^ int64(h.Sum64())))
 	s.backoff = map[string]*backoffState{}
 	if s.counters == nil {
+		// Listed from the start, so a scrape can tell zero from absent.
 		s.counters = map[string]int64{}
+		for _, k := range counterNames {
+			s.counters[k] = 0
+		}
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.die = make(chan struct{})
@@ -193,15 +217,22 @@ func (s *Scheduler) Kill() {
 	s.wg.Wait()
 }
 
-// Counters snapshots the scheduler's activity counters for metrics.
+// counterNames is every activity counter a scheduler keeps.
+var counterNames = []string{
+	"ticks", "wakes", "claims", "completed", "rescued", "settled",
+	"lost", "interrupted", "errors", "heartbeat_errors",
+}
+
+// Counters snapshots the scheduler's activity counters and its admission-wait
+// latency summary (scheduler.admission_wait.*) for metrics.
 func (s *Scheduler) Counters() map[string]float64 {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]float64, len(s.counters))
+	out := make(map[string]float64, len(s.counters)+6)
 	for k, v := range s.counters {
 		out["scheduler."+k] = float64(v)
 	}
-	return out
+	s.mu.Unlock()
+	return telemetry.MergeCounters(out, s.admissionWait.Snapshot().Counters("scheduler.admission_wait"))
 }
 
 func (s *Scheduler) count(k string) {
@@ -288,20 +319,37 @@ func (s *Scheduler) clearBackoff(resource string) {
 	s.mu.Unlock()
 }
 
+// controlLoop waits in one place for whichever comes first: death, the
+// backend's admission hint, or the jittered poll timer. A hint drains the
+// admission queue and nothing else. The timer is armed when the previous
+// tick's work ends and is never reset by a hint, so its cadence is that of a
+// loop with no hint at all; a tick drains too and then sweeps for lapsed runs.
+// That makes the timer the recovery for every way a hint gets lost: raised in
+// another process, taken by a member that died before draining, or coalesced
+// into a wake whose member is still busy with an earlier run.
 func (s *Scheduler) controlLoop() {
 	defer s.wg.Done()
+	hint := s.Backend.AdmissionHint()
+	tick := time.NewTimer(s.jittered(s.poll()))
+	defer tick.Stop()
 	for {
-		if !s.sleep(s.jittered(s.poll())) {
-			return
-		}
-		s.count("ticks")
-		s.drainAdmissions()
 		select {
 		case <-s.die:
 			return
-		default:
+		case <-hint:
+			s.count("wakes")
+			s.drainAdmissions()
+		case <-tick.C:
+			s.count("ticks")
+			s.drainAdmissions()
+			select {
+			case <-s.die:
+				return
+			default:
+			}
+			s.rescueLapsed()
+			tick.Reset(s.jittered(s.poll()))
 		}
-		s.rescueLapsed()
 	}
 }
 
@@ -334,9 +382,12 @@ func (s *Scheduler) drainAdmissions() {
 		if s.backingOff(adm.RunID, now) {
 			continue
 		}
-		s.runOne(adm.RunID, "complete", func() error {
+		wait := now.Sub(adm.EnqueuedAt)
+		if s.runOne(adm.RunID, "complete", func() error {
 			return s.Backend.ExecuteAdmission(s.ctx, adm, s.Name)
-		})
+		}) {
+			s.admissionWait.Observe(wait)
+		}
 		now = time.Now()
 	}
 }
@@ -365,8 +416,10 @@ func (s *Scheduler) rescueLapsed() {
 	}
 }
 
-// runOne executes one claim-and-run attempt and classifies the outcome.
-func (s *Scheduler) runOne(runID, successKind string, do func() error) {
+// runOne executes one claim-and-run attempt and classifies the outcome. It
+// reports whether this member executed the run: carried it to a terminal state
+// or was interrupted carrying it.
+func (s *Scheduler) runOne(runID, successKind string, do func() error) (executed bool) {
 	s.count("claims")
 	err := do()
 	token := s.Leases.db.FenceToken(fenceName(runID))
@@ -375,6 +428,14 @@ func (s *Scheduler) runOne(runID, successKind string, do func() error) {
 		s.count(successKind + "d")
 		s.clearBackoff(runID)
 		s.emit(SchedulerEvent{Kind: successKind, Run: runID, Token: token})
+		return true
+	case errors.Is(err, ErrAdmissionSettled):
+		// A peer finished the run before this attempt got to it (a pending
+		// list goes stale while its earlier entries execute): nothing ran
+		// here, so it is neither completed nor lost.
+		s.count("settled")
+		s.clearBackoff(runID)
+		s.emit(SchedulerEvent{Kind: "settled", Run: runID, Token: token})
 	case errors.Is(err, ErrLeaseHeld) || errors.Is(err, ErrLeaseLost):
 		// A peer owns the run (or stole it mid-flight): their success is the
 		// pool's success. Back off so the next look is staggered.
@@ -388,9 +449,11 @@ func (s *Scheduler) runOne(runID, successKind string, do func() error) {
 		s.count("interrupted")
 		s.armBackoff(runID, time.Now())
 		s.emit(SchedulerEvent{Kind: "interrupted", Run: runID, Token: token, Err: err})
+		return true
 	default:
 		s.count("errors")
 		s.armBackoff(runID, time.Now())
 		s.emit(SchedulerEvent{Kind: "error", Run: runID, Token: token, Err: err})
 	}
+	return false
 }

@@ -18,8 +18,15 @@ import (
 type fakeBackend struct {
 	leases *Store
 	ttl    time.Duration
+	// hint, when set, is raised by admit the way workflow.AdmissionQueue
+	// raises its own; nil is a backend with no hint (poll timer only).
+	hint chan struct{}
+	// entered, when set, receives the orchestrator of every execution that
+	// reaches a gated run, just before it blocks on the gate.
+	entered chan string
 
 	mu          sync.Mutex
+	gates       map[string]chan struct{} // run → executions block until closed
 	pending     map[string]workflow.Admission
 	crashOnce   map[string]bool // interrupted on first execution attempt
 	interrupted map[string]bool // lease abandoned, awaiting rescue
@@ -29,6 +36,7 @@ type fakeBackend struct {
 func newFakeBackend(leases *Store, ttl time.Duration) *fakeBackend {
 	return &fakeBackend{
 		leases: leases, ttl: ttl,
+		gates:       map[string]chan struct{}{},
 		pending:     map[string]workflow.Admission{},
 		crashOnce:   map[string]bool{},
 		interrupted: map[string]bool{},
@@ -38,12 +46,24 @@ func newFakeBackend(leases *Store, ttl time.Duration) *fakeBackend {
 
 func (b *fakeBackend) admit(runID string, crash bool) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.pending[runID] = workflow.Admission{RunID: runID}
+	b.pending[runID] = workflow.Admission{RunID: runID, EnqueuedAt: time.Now()}
 	if crash {
 		b.crashOnce[runID] = true
 	}
+	b.mu.Unlock()
+	b.raise()
 }
+
+// raise makes the hint readable, after the row is in place and without
+// blocking — the AdmissionQueue contract.
+func (b *fakeBackend) raise() {
+	select {
+	case b.hint <- struct{}{}:
+	default:
+	}
+}
+
+func (b *fakeBackend) AdmissionHint() <-chan struct{} { return b.hint }
 
 func (b *fakeBackend) PendingAdmissions() ([]workflow.Admission, error) {
 	b.mu.Lock()
@@ -66,7 +86,10 @@ func (b *fakeBackend) ExecuteAdmission(_ context.Context, adm workflow.Admission
 		// Claim-before-read: we won an expired lease on a run a peer already
 		// finished. Nothing to execute.
 		b.mu.Unlock()
-		return b.leases.Release(l)
+		if err := b.leases.Release(l); err != nil {
+			return err
+		}
+		return ErrAdmissionSettled
 	}
 	if b.interrupted[adm.RunID] {
 		// An earlier attempt died mid-run: executing the admission now IS the
@@ -83,6 +106,12 @@ func (b *fakeBackend) ExecuteAdmission(_ context.Context, adm workflow.Admission
 		b.mu.Unlock()
 		// Abandon: the lease ages out like a dead process's.
 		return fmt.Errorf("%w: chaos cut", ErrRunInterrupted)
+	}
+	if gate := b.gates[adm.RunID]; gate != nil {
+		b.mu.Unlock()
+		b.entered <- orch
+		<-gate
+		b.mu.Lock()
 	}
 	delete(b.pending, adm.RunID)
 	b.executed[adm.RunID] = append(b.executed[adm.RunID], orch)
@@ -112,7 +141,10 @@ func (b *fakeBackend) RescueRun(_ context.Context, runID, orch string) error {
 	b.mu.Lock()
 	if !b.interrupted[runID] {
 		b.mu.Unlock()
-		return b.leases.Release(l)
+		if err := b.leases.Release(l); err != nil {
+			return err
+		}
+		return ErrAdmissionSettled
 	}
 	delete(b.interrupted, runID)
 	delete(b.pending, runID)

@@ -144,6 +144,16 @@ func (b *schedulerBackend) withBase(adm workflow.Admission) workflow.Admission {
 	return adm
 }
 
+// AdmissionHint implements cluster.SchedulerBackend: the admission queue's
+// own wake signal, so every member built over this system listens to the one
+// hint and an idle member picks up what a busy peer cannot.
+func (b *schedulerBackend) AdmissionHint() <-chan struct{} {
+	if b.sys.Admissions == nil {
+		return nil
+	}
+	return b.sys.Admissions.Hint()
+}
+
 // PendingAdmissions implements cluster.SchedulerBackend.
 func (b *schedulerBackend) PendingAdmissions() ([]workflow.Admission, error) {
 	if b.sys.Admissions == nil {
@@ -152,8 +162,16 @@ func (b *schedulerBackend) PendingAdmissions() ([]workflow.Admission, error) {
 	return b.sys.Admissions.Pending()
 }
 
-// ExecuteAdmission implements cluster.SchedulerBackend.
+// ExecuteAdmission implements cluster.SchedulerBackend. The admission row is
+// re-read first: the scheduler walks a pending list that goes stale while its
+// earlier entries execute, and a row is removed only after a terminal outcome,
+// so a missing row means a peer finished the run — claiming its released lease
+// would bump the fence of a finished run for nothing. A row that is still
+// there is claimed before anything else is read, as ever.
 func (b *schedulerBackend) ExecuteAdmission(ctx context.Context, adm workflow.Admission, orchestrator string) error {
+	if !b.sys.admitted(adm.RunID) {
+		return cluster.ErrAdmissionSettled
+	}
 	out, err := b.sys.RunAdmitted(ctx, b.resolver, b.withBase(adm), orchestrator)
 	return b.settle(adm.RunID, out, err)
 }
@@ -185,9 +203,9 @@ func (b *schedulerBackend) RescueCandidates() ([]string, error) {
 
 // RescueRun implements cluster.SchedulerBackend: claim the lapsed run and
 // finish it by history replay under its original ID. A run a peer finished
-// between listing and claim settles like any terminal outcome; one that is
-// unreadable right now (owning shard down) keeps its admission — the run
-// still owes a terminal state.
+// between listing and claim is a no-op settle (cluster.ErrAdmissionSettled);
+// one that is unreadable right now (owning shard down) keeps its admission —
+// the run still owes a terminal state.
 func (b *schedulerBackend) RescueRun(ctx context.Context, runID, orchestrator string) error {
 	opts := b.base
 	if b.sys.Admissions != nil {
@@ -201,7 +219,10 @@ func (b *schedulerBackend) RescueRun(ctx context.Context, runID, orchestrator st
 }
 
 // settle translates an execution result into the scheduler's contract and
-// clears the admission row for every terminal outcome.
+// clears the admission row for every terminal outcome. nil means this call
+// executed the run to a terminal state; finding it already terminal is
+// cluster.ErrAdmissionSettled, so "my claim succeeded" is never reported as
+// "I executed".
 func (b *schedulerBackend) settle(runID string, out *DetectionOutcome, err error) error {
 	var crash *CrashError
 	switch {
@@ -221,11 +242,16 @@ func (b *schedulerBackend) settle(runID string, out *DetectionOutcome, err error
 	case errors.Is(err, cluster.ErrLeaseHeld) || errors.Is(err, cluster.ErrLeaseLost):
 		return err
 	default:
-		// Executed and failed terminally: the run row records the failure and
-		// cannot be re-run under the same ID, so the admission is settled.
+		// The run row is terminal and cannot be re-run under the same ID, so
+		// the admission is settled: either this call executed the run and it
+		// failed, or (ErrNotResumable) the claim was won on a run a peer had
+		// already finished and nothing was executed here.
 		if info, ierr := b.sys.Provenance.Run(runID); ierr == nil && info.Status != provenance.RunRunning {
 			if b.sys.Admissions != nil {
 				_ = b.sys.Admissions.Remove(runID)
+			}
+			if errors.Is(err, ErrNotResumable) {
+				return cluster.ErrAdmissionSettled
 			}
 			return nil
 		}

@@ -83,9 +83,25 @@ func TestAdmittedRunLifecycle(t *testing.T) {
 		t.Error("admitted run canonical graph diverges from the synchronous path")
 	}
 
-	// Re-executing a settled admission is a no-op, not a duplicate run.
-	if err := be.ExecuteAdmission(ctx, pending[0], "orch-2"); err != nil {
-		t.Fatalf("re-execute settled admission: %v", err)
+	// Re-executing a settled admission — a peer working through a pending
+	// list that went stale — is reported as settled, and claims nothing: the
+	// lease and the run's fence stay where the one real execution left them.
+	before, _ := sys.Leases.Get(adm.RunID)
+	if err := be.ExecuteAdmission(ctx, pending[0], "orch-2"); !errors.Is(err, cluster.ErrAdmissionSettled) {
+		t.Errorf("re-execute settled admission: %v, want ErrAdmissionSettled", err)
+	}
+	after, _ := sys.Leases.Get(adm.RunID)
+	if before.Token != 1 || after.Token != before.Token || after.Holder != before.Holder {
+		t.Errorf("lease after re-execution = %+v, want it untouched at %+v (token 1)", after, before)
+	}
+	if tok := sys.Provenance.RunFenceToken(adm.RunID); tok != 1 {
+		t.Errorf("run fence token after re-execution = %d, want 1", tok)
+	}
+	mu.Lock()
+	no = len(outcomes)
+	mu.Unlock()
+	if no != 1 {
+		t.Errorf("observer saw %d outcomes after re-execution, want still 1", no)
 	}
 }
 

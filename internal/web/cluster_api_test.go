@@ -281,6 +281,35 @@ func TestClusterQuota(t *testing.T) {
 	wantEnvelope(t, resp, http.StatusTooManyRequests, "rate_limited")
 }
 
+// awaitRunCompleted polls an admitted run's URL until it reads completed.
+// Until an orchestrator claims the run there is no run row yet — 404 means
+// "still queued", part of the documented admitted→claimed transition.
+func awaitRunCompleted(t *testing.T, url string, deadline time.Time) {
+	t.Helper()
+	for {
+		var run struct {
+			Status string `json:"status"`
+		}
+		poll := getResp(t, url, nil)
+		if poll.StatusCode == http.StatusNotFound {
+			poll.Body.Close()
+			run.Status = "admitted"
+		} else {
+			decodeJSON(t, poll, 200, &run)
+		}
+		if run.Status == "completed" {
+			return
+		}
+		if run.Status == "failed" || run.Status == "abandoned" {
+			t.Fatalf("admitted run ended %q", run.Status)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("admitted run still %q at the deadline", run.Status)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestAsyncDetect pins the redesigned POST /api/v1/detect: with a scheduler
 // attached the response is 202 Accepted + the run's URL, the scheduler
 // executes the admitted run to completion under its pre-minted ID, and
@@ -318,32 +347,9 @@ func TestAsyncDetect(t *testing.T) {
 		t.Fatalf("Location %q links %+v, want %q", loc, accepted.Links, want)
 	}
 
-	// The scheduler drains the admission; the run URL turns terminal. Until
-	// an orchestrator claims the run there is no run row yet — 404 means
-	// "still queued", part of the documented admitted→claimed transition.
+	// The scheduler drains the admission; the run URL turns terminal.
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var run struct {
-			Status string `json:"status"`
-		}
-		poll := getResp(t, srv.URL+loc, nil)
-		if poll.StatusCode == http.StatusNotFound {
-			poll.Body.Close()
-			run.Status = "admitted"
-		} else {
-			decodeJSON(t, poll, 200, &run)
-		}
-		if run.Status == "completed" {
-			break
-		}
-		if run.Status == "failed" || run.Status == "abandoned" {
-			t.Fatalf("admitted run ended %q", run.Status)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("admitted run still %q after 30s", run.Status)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	awaitRunCompleted(t, srv.URL+loc, deadline)
 	// The outcome callback fires on the scheduler goroutine after the run
 	// row turns terminal — give the settle a moment.
 	for outcomes.Load() == 0 && time.Now().Before(deadline) {
@@ -365,6 +371,64 @@ func TestAsyncDetect(t *testing.T) {
 	decodeJSON(t, resp, 200, &sync)
 	if sync.RunID == "" || sync.DistinctNames != 100 {
 		t.Fatalf("sync body: %+v", sync)
+	}
+}
+
+// TestAsyncDetectWakesPool is the request's view of event-driven admission:
+// the pool member's poll timer is an hour away, so POST /api/v1/detect → 202 →
+// the Location URL can only reach completed because the admission's commit
+// woke the member — and /api/v1/metrics then shows the wake and the queue wait
+// it measured, under cluster-scheduler.
+func TestAsyncDetectWakesPool(t *testing.T) {
+	srv, wsys, taxa := testServer(t)
+	sys := wsys.Core
+	sched := &cluster.Scheduler{
+		Name: "orch-web", Leases: sys.Leases, TTL: 3 * time.Hour, Poll: time.Hour,
+		Backend: sys.SchedulerBackend(taxa.Checklist, core.RunOptions{}, wsys.RecordOutcome),
+	}
+	if err := sched.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Stop)
+	wsys.Scheduler = sched
+
+	resp, err := http.Post(srv.URL+"/api/v1/detect", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := resp.Header.Get("Location")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || loc == "" {
+		t.Fatalf("POST detect: status %d, Location %q; want 202 and the run URL", resp.StatusCode, loc)
+	}
+	// Ten seconds against a poll timer an hour away: only the wake passes.
+	deadline := time.Now().Add(10 * time.Second)
+	awaitRunCompleted(t, srv.URL+loc, deadline)
+
+	// The wait is observed on the scheduler goroutine once the run has
+	// returned, just after the run row turned terminal.
+	var got map[string]float64
+	for got["scheduler.admission_wait.count"] != 1 && time.Now().Before(deadline) {
+		var ms []MetricsEntry
+		decodeJSON(t, getResp(t, srv.URL+"/api/v1/metrics", nil), 200, &ms)
+		for _, m := range ms {
+			if m.Entity == "subsystem:cluster-scheduler" {
+				got = m.Measurements
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got["scheduler.wakes"] < 1 || got["scheduler.admission_wait.count"] != 1 || got["scheduler.completed"] != 1 {
+		t.Fatalf("cluster-scheduler after one async detect: %v", got)
+	}
+	for _, k := range []string{"scheduler.settled", "scheduler.admission_wait.mean_us", "scheduler.admission_wait.max_us",
+		"scheduler.admission_wait.p50_us", "scheduler.admission_wait.p95_us", "scheduler.admission_wait.p99_us"} {
+		if _, ok := got[k]; !ok {
+			t.Errorf("cluster-scheduler metrics missing %s", k)
+		}
+	}
+	if got["scheduler.ticks"] != 0 {
+		t.Errorf("scheduler.ticks = %v with the poll timer an hour away", got["scheduler.ticks"])
 	}
 }
 

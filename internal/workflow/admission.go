@@ -39,9 +39,14 @@ func admissionSchema() *storage.Schema {
 // alive next drains it — and is removed only when its run has been carried to
 // a terminal state. Ordering is FIFO by admission time. Safe for concurrent
 // use; arbitration between orchestrators happens at the run lease, not here.
+//
+// Beside the rows the queue carries a wake hint for the in-process pool (see
+// Hint). The row is the truth and the hint only a hint: it says "look at
+// Pending now", never what is in it.
 type AdmissionQueue struct {
 	db     *storage.DB
 	schema *storage.Schema
+	hint   chan struct{}
 
 	mu  sync.Mutex
 	seq int64 // next tail key ordinal
@@ -56,7 +61,7 @@ func NewAdmissionQueue(db *storage.DB) (*AdmissionQueue, error) {
 			return nil, fmt.Errorf("workflow: create admission table: %w", err)
 		}
 	}
-	q := &AdmissionQueue{db: db, schema: schema}
+	q := &AdmissionQueue{db: db, schema: schema, hint: make(chan struct{}, 1)}
 	db.Table(admissionTable).Scan(func(r storage.Row) bool {
 		var ord int64
 		fmt.Sscanf(r.Get(schema, "key").Str(), "%012d", &ord)
@@ -65,7 +70,27 @@ func NewAdmissionQueue(db *storage.DB) (*AdmissionQueue, error) {
 		}
 		return true
 	})
+	if db.Table(admissionTable).Len() > 0 {
+		// Rows survived a restart: whoever listens first drains them at once.
+		q.raise()
+	}
 	return q, nil
+}
+
+// Hint is the queue's wake signal: it becomes readable after an admission has
+// committed (and on a queue opened over surviving rows), so whoever receives
+// from it finds the row in Pending. Raises coalesce — one receive may stand
+// for many admissions — and a receive takes the signal from every other
+// listener, so a listener that dies after receiving loses it: listeners keep a
+// timer beside it.
+func (q *AdmissionQueue) Hint() <-chan struct{} { return q.hint }
+
+// raise makes Hint readable without ever blocking the admitting caller.
+func (q *AdmissionQueue) raise() {
+	select {
+	case q.hint <- struct{}{}:
+	default:
+	}
 }
 
 // Add appends one admission to the tail. The run ID must be unique across
@@ -91,6 +116,7 @@ func (q *AdmissionQueue) Add(a Admission) error {
 		return fmt.Errorf("workflow: admit %s: %w", a.RunID, err)
 	}
 	q.seq++
+	q.raise()
 	return nil
 }
 

@@ -107,6 +107,58 @@ func TestAdmissionQueueDurability(t *testing.T) {
 	}
 }
 
+// TestAdmissionQueueHint pins the push side of event-driven admission: the
+// hint is down on an empty queue, up once an Add has committed — with the row
+// already in Pending for whoever receives it — coalesces any number of Adds
+// into one signal without blocking them, stays down after a refused Add, and
+// comes up raised on a queue opened over surviving rows.
+func TestAdmissionQueueHint(t *testing.T) {
+	db := admissionDB(t)
+	q, err := NewAdmissionQueue(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raised := func(q *AdmissionQueue) bool {
+		select {
+		case <-q.Hint():
+			return true
+		default:
+			return false
+		}
+	}
+	if raised(q) {
+		t.Fatal("hint raised on an empty, freshly created queue")
+	}
+	for i := 0; i < 3; i++ {
+		if err := q.Add(Admission{RunID: fmt.Sprintf("run-%06d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !raised(q) {
+		t.Fatal("hint not raised after committed admissions")
+	}
+	if pending, _ := q.Pending(); len(pending) != 3 {
+		t.Fatalf("receiver of the hint found %d pending, want 3", len(pending))
+	}
+	if raised(q) {
+		t.Fatal("three admissions left more than one signal: the hint must coalesce")
+	}
+	if err := q.Add(Admission{RunID: "run-000001"}); err == nil {
+		t.Fatal("duplicate admission accepted")
+	}
+	if raised(q) {
+		t.Fatal("hint raised by an admission that did not commit")
+	}
+
+	reopened, err := NewAdmissionQueue(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !raised(reopened) {
+		t.Fatal("queue opened over surviving rows did not start with its hint raised")
+	}
+}
+
 // BenchmarkAdmission measures the admit→claim→complete row lifecycle of the
 // durable admission queue — the fixed per-run overhead the scheduler path
 // adds on top of detection itself.
