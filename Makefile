@@ -28,12 +28,19 @@ test:
 race:
 	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/...
 
-## ci: the full hygiene gate — formatting, vet, the race-enabled tests, three
+## ci: the full hygiene gate — formatting, vet, the race-enabled tests (the
+## storage package's carry the commit path's contracts: live apply ≡ WAL replay
+## ≡ a map model (TestLiveApplyMatchesReplay), rejected batches leave no trace,
+## Apply retains no caller memory (TestApplyDoesNotRetainCallerMemory), the
+## on-disk bytes are pinned (TestWireFormatGolden), a torn length header is not
+## believed (TestReplayStopsAtOversizedRecord)), four
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
-## events must never panic or wedge the engine) and the history the provenance
+## events must never panic or wedge the engine), the history the provenance
 ## Collector folds (arbitrary events, split anywhere into prefix and live
-## stream, must never panic it or make it emit a dangling edge) — the chaos smoke
+## stream, must never panic it or make it emit a dangling edge) and storage op
+## scripts (arbitrary batches applied live must match the model and what a
+## reopen replays) — the chaos smoke
 ## (randomized kill/resume trials, degraded-authority assessment runs,
 ## shard-loss traffic, orchestrator-failover trials — a standby steals the
 ## expired lease and must finish byte-identically while the resurrected stale
@@ -46,8 +53,10 @@ race:
 ## (TestAsyncDetectWakesPool), and the batch-path guard: one
 ## POST /api/v1/detect over 16 cold names must reach a request-counting stub
 ## authority as exactly one /resolve_batch and no /resolve), the tracing-overhead
-## guard (traced detection within 5% of untraced), the zero-allocation
-## guards over the provenance/telemetry/storage hot paths, a 1-iteration
+## guard (traced detection within 5% of untraced), the allocation guards over
+## the provenance/telemetry/storage hot paths (zero on the encoders and point
+## reads; a 32-byte cell, TestValueSizeAllocs, and ≤ 3 allocations per inserted
+## row, TestApplyBatchAllocs, on the commit path), a 1-iteration
 ## bench-harness smoke proving every tracked benchmark still runs (numbers
 ## land in the gitignored BENCH_smoke.json, not the committed trajectory),
 ## the bench-trajectory comparator (fails on a >10% ns/op or allocs/op
@@ -67,6 +76,7 @@ ci:
 	$(GO) test ./internal/audio/ -run='^$$' -fuzz=FuzzReadWAV -fuzztime=10s
 	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzResumeHistory -fuzztime=10s
 	$(GO) test ./internal/provenance/ -run='^$$' -fuzz=FuzzCollectorHistory -fuzztime=10s
+	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzApplyReplay -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run TestTracingOverhead .

@@ -151,8 +151,9 @@ type BatchWriter struct {
 	// Flush scratch, reused across group commits so the steady-state write
 	// path stops allocating: the op list, a value arena the rows are carved
 	// from, and the annotation-blob encoder. All safe to reuse because Apply
-	// never retains caller memory — the WAL buffers the payload and the
-	// applied rows are decode copies.
+	// never retains caller memory — the WAL buffers its record, and a stored
+	// row is the commit's own copy of the cells and of every bytes payload
+	// (storage.Row.Clone; only immutable strings are shared).
 	ops    []storage.Op
 	vals   []storage.Value
 	annEnc annEncoder

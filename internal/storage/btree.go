@@ -9,29 +9,30 @@ import "bytes"
 // first copies it and the other side never observes the change.
 type cowCtx struct{ _ byte } // non-empty: distinct allocations must compare unequal
 
-// btree is an in-memory B-tree keyed by []byte with arbitrary values. It is
-// not safe for concurrent mutation; Table serializes access. clone gives a
-// point-in-time copy in O(1) via structural sharing — the basis of DB.View's
-// lock-free read snapshots.
-type btree struct {
-	root   *btreeNode
+// btreeOf is an in-memory B-tree keyed by []byte holding values of one type,
+// unboxed: a table's primary tree is a btreeOf[Row], its secondary trees are
+// btreeOf[Value] (the row's pk). It is not safe for concurrent mutation;
+// Table serializes access. clone gives a point-in-time copy in O(1) via
+// structural sharing — the basis of DB.View's lock-free read snapshots.
+type btreeOf[V any] struct {
+	root   *btreeNode[V]
 	degree int // minimum degree t: nodes hold t-1..2t-1 keys (root may hold fewer)
 	size   int
 	cow    *cowCtx
 }
 
-type btreeNode struct {
+type btreeNode[V any] struct {
 	keys     [][]byte
-	vals     []any
-	children []*btreeNode // nil for leaves
+	vals     []V
+	children []*btreeNode[V] // nil for leaves
 	cow      *cowCtx
 }
 
 const defaultBTreeDegree = 32
 
-func newBTree() *btree {
+func newBTreeOf[V any]() *btreeOf[V] {
 	cow := new(cowCtx)
-	return &btree{degree: defaultBTreeDegree, root: &btreeNode{cow: cow}, cow: cow}
+	return &btreeOf[V]{degree: defaultBTreeDegree, root: &btreeNode[V]{cow: cow}, cow: cow}
 }
 
 // clone returns a point-in-time copy sharing every current node. Both trees
@@ -39,7 +40,7 @@ func newBTree() *btree {
 // The caller must hold the tree's writer lock for the clone call itself;
 // afterwards reads of the clone need no coordination with writes to the
 // original (writers never mutate a node a snapshot can reach).
-func (t *btree) clone() *btree {
+func (t *btreeOf[V]) clone() *btreeOf[V] {
 	out := *t
 	t.cow = new(cowCtx)
 	out.cow = new(cowCtx)
@@ -50,32 +51,32 @@ func (t *btree) clone() *btree {
 // owned, else a copy with fresh backing arrays (key slices and child
 // pointers are shared — keys are never mutated in place, children are
 // copied on their own first write). The caller links the copy into place.
-func (n *btreeNode) mutableFor(cow *cowCtx) *btreeNode {
+func (n *btreeNode[V]) mutableFor(cow *cowCtx) *btreeNode[V] {
 	if n.cow == cow {
 		return n
 	}
-	out := &btreeNode{cow: cow}
+	out := &btreeNode[V]{cow: cow}
 	out.keys = append(make([][]byte, 0, cap(n.keys)), n.keys...)
-	out.vals = append(make([]any, 0, cap(n.vals)), n.vals...)
+	out.vals = append(make([]V, 0, cap(n.vals)), n.vals...)
 	if len(n.children) > 0 {
-		out.children = append(make([]*btreeNode, 0, cap(n.children)), n.children...)
+		out.children = append(make([]*btreeNode[V], 0, cap(n.children)), n.children...)
 	}
 	return out
 }
 
 // mutableChild makes children[i] writable under n's context and re-links it.
 // n itself must already be owned.
-func (n *btreeNode) mutableChild(i int) *btreeNode {
+func (n *btreeNode[V]) mutableChild(i int) *btreeNode[V] {
 	c := n.children[i].mutableFor(n.cow)
 	n.children[i] = c
 	return c
 }
 
-func (n *btreeNode) leaf() bool { return len(n.children) == 0 }
+func (n *btreeNode[V]) leaf() bool { return len(n.children) == 0 }
 
 // find returns the index of key in n.keys (or insertion point) and whether
 // it was an exact match.
-func (n *btreeNode) find(key []byte) (int, bool) {
+func (n *btreeNode[V]) find(key []byte) (int, bool) {
 	lo, hi := 0, len(n.keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -92,7 +93,7 @@ func (n *btreeNode) find(key []byte) (int, bool) {
 }
 
 // Get returns the value stored under key.
-func (t *btree) Get(key []byte) (any, bool) {
+func (t *btreeOf[V]) Get(key []byte) (V, bool) {
 	n := t.root
 	for {
 		i, ok := n.find(key)
@@ -100,42 +101,52 @@ func (t *btree) Get(key []byte) (any, bool) {
 			return n.vals[i], true
 		}
 		if n.leaf() {
-			return nil, false
+			var zero V
+			return zero, false
 		}
 		n = n.children[i]
 	}
 }
 
 // Len reports the number of keys in the tree.
-func (t *btree) Len() int { return t.size }
+func (t *btreeOf[V]) Len() int { return t.size }
 
 // Set inserts or replaces the value under key. It reports whether the key
-// was newly inserted.
-func (t *btree) Set(key []byte, val any) bool {
+// was newly inserted; see swap for who owns key afterwards.
+func (t *btreeOf[V]) Set(key []byte, val V) bool {
+	_, replaced := t.swap(key, val)
+	return !replaced
+}
+
+// swap is Set that also hands back what it replaced, in the same descent.
+// A newly inserted key is retained, not copied: the caller gives it up (a
+// commit carves it from its key arena) and must never write to it again. A
+// replaced key keeps the tree's own copy, so key may then be scratch.
+func (t *btreeOf[V]) swap(key []byte, val V) (old V, replaced bool) {
 	t.root = t.root.mutableFor(t.cow)
 	max := 2*t.degree - 1
 	if len(t.root.keys) == max {
-		old := t.root
-		t.root = &btreeNode{children: []*btreeNode{old}, cow: t.cow}
+		full := t.root
+		t.root = &btreeNode[V]{children: []*btreeNode[V]{full}, cow: t.cow}
 		t.root.splitChild(0, t.degree)
 	}
-	inserted := t.root.insertNonFull(key, val, t.degree)
-	if inserted {
+	old, replaced = t.root.insertNonFull(key, val, t.degree)
+	if !replaced {
 		t.size++
 	}
-	return inserted
+	return old, replaced
 }
 
-func (n *btreeNode) splitChild(i, degree int) {
+func (n *btreeNode[V]) splitChild(i, degree int) {
 	child := n.mutableChild(i)
 	mid := degree - 1
-	right := &btreeNode{
+	right := &btreeNode[V]{
 		cow:  n.cow,
 		keys: append([][]byte(nil), child.keys[mid+1:]...),
-		vals: append([]any(nil), child.vals[mid+1:]...),
+		vals: append([]V(nil), child.vals[mid+1:]...),
 	}
 	if !child.leaf() {
-		right.children = append([]*btreeNode(nil), child.children[mid+1:]...)
+		right.children = append([]*btreeNode[V](nil), child.children[mid+1:]...)
 		child.children = child.children[:mid+1]
 	}
 	upKey, upVal := child.keys[mid], child.vals[mid]
@@ -145,7 +156,7 @@ func (n *btreeNode) splitChild(i, degree int) {
 	n.keys = append(n.keys, nil)
 	copy(n.keys[i+1:], n.keys[i:])
 	n.keys[i] = upKey
-	n.vals = append(n.vals, nil)
+	n.vals = append(n.vals, upVal)
 	copy(n.vals[i+1:], n.vals[i:])
 	n.vals[i] = upVal
 	n.children = append(n.children, nil)
@@ -154,28 +165,28 @@ func (n *btreeNode) splitChild(i, degree int) {
 }
 
 // insertNonFull descends from an owned node, making each visited child
-// writable before stepping into it.
-func (n *btreeNode) insertNonFull(key []byte, val any, degree int) bool {
+// writable before stepping into it. It returns the value it replaced, if any.
+func (n *btreeNode[V]) insertNonFull(key []byte, val V, degree int) (old V, replaced bool) {
 	for {
 		i, ok := n.find(key)
 		if ok {
-			n.vals[i] = val
-			return false
+			old, n.vals[i] = n.vals[i], val
+			return old, true
 		}
 		if n.leaf() {
-			n.keys = append(n.keys, nil)
+			n.keys = append(n.keys, key)
 			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = append([]byte(nil), key...)
-			n.vals = append(n.vals, nil)
+			n.keys[i] = key
+			n.vals = append(n.vals, val)
 			copy(n.vals[i+1:], n.vals[i:])
 			n.vals[i] = val
-			return true
+			return old, false
 		}
 		if len(n.children[i].keys) == 2*degree-1 {
 			n.splitChild(i, degree)
 			if c := bytes.Compare(key, n.keys[i]); c == 0 {
-				n.vals[i] = val
-				return false
+				old, n.vals[i] = n.vals[i], val
+				return old, true
 			} else if c > 0 {
 				i++
 			}
@@ -185,26 +196,37 @@ func (n *btreeNode) insertNonFull(key []byte, val any, degree int) bool {
 }
 
 // Delete removes key from the tree, reporting whether it was present.
-func (t *btree) Delete(key []byte) bool {
+func (t *btreeOf[V]) Delete(key []byte) bool {
+	_, ok := t.remove(key)
+	return ok
+}
+
+// remove is Delete that also hands back the removed value, in the same
+// descent.
+func (t *btreeOf[V]) remove(key []byte) (old V, ok bool) {
 	root := t.root.mutableFor(t.cow)
 	t.root = root
-	if !root.delete(key, t.degree) {
-		return false
+	if !root.delete(key, t.degree, &old) {
+		return old, false
 	}
 	if len(root.keys) == 0 && !root.leaf() {
 		t.root = root.children[0]
 	}
 	t.size--
-	return true
+	return old, true
 }
 
 // delete runs on an owned node; every child it mutates or descends into is
-// made writable first.
-func (n *btreeNode) delete(key []byte, degree int) bool {
+// made writable first. The value stored under key is written to *old where
+// the key is found (old is nil for the internal predecessor/successor moves).
+func (n *btreeNode[V]) delete(key []byte, degree int, old *V) bool {
 	i, ok := n.find(key)
 	if n.leaf() {
 		if !ok {
 			return false
+		}
+		if old != nil {
+			*old = n.vals[i]
 		}
 		n.keys = append(n.keys[:i], n.keys[i+1:]...)
 		n.vals = append(n.vals[:i], n.vals[i+1:]...)
@@ -215,28 +237,34 @@ func (n *btreeNode) delete(key []byte, degree int) bool {
 		if len(n.children[i].keys) >= degree {
 			child := n.mutableChild(i)
 			pk, pv := child.max()
+			if old != nil {
+				*old = n.vals[i]
+			}
 			n.keys[i], n.vals[i] = pk, pv
-			return child.delete(pk, degree)
+			return child.delete(pk, degree, nil)
 		}
 		if len(n.children[i+1].keys) >= degree {
 			child := n.mutableChild(i + 1)
 			sk, sv := child.min()
+			if old != nil {
+				*old = n.vals[i]
+			}
 			n.keys[i], n.vals[i] = sk, sv
-			return child.delete(sk, degree)
+			return child.delete(sk, degree, nil)
 		}
 		n.merge(i)
-		return n.children[i].delete(key, degree)
+		return n.children[i].delete(key, degree, old)
 	}
 	// Descend, ensuring the child has ≥ degree keys first.
 	if len(n.children[i].keys) < degree {
 		i = n.fill(i, degree)
 	}
-	return n.mutableChild(i).delete(key, degree)
+	return n.mutableChild(i).delete(key, degree, old)
 }
 
 // fill ensures children[i] has at least degree keys, borrowing or merging.
 // It returns the (possibly shifted) child index to descend into.
-func (n *btreeNode) fill(i, degree int) int {
+func (n *btreeNode[V]) fill(i, degree int) int {
 	switch {
 	case i > 0 && len(n.children[i-1].keys) >= degree:
 		n.borrowFromLeft(i)
@@ -251,21 +279,21 @@ func (n *btreeNode) fill(i, degree int) int {
 	return i
 }
 
-func (n *btreeNode) borrowFromLeft(i int) {
+func (n *btreeNode[V]) borrowFromLeft(i int) {
 	child, left := n.mutableChild(i), n.mutableChild(i-1)
 	child.keys = append([][]byte{n.keys[i-1]}, child.keys...)
-	child.vals = append([]any{n.vals[i-1]}, child.vals...)
+	child.vals = append([]V{n.vals[i-1]}, child.vals...)
 	n.keys[i-1] = left.keys[len(left.keys)-1]
 	n.vals[i-1] = left.vals[len(left.vals)-1]
 	left.keys = left.keys[:len(left.keys)-1]
 	left.vals = left.vals[:len(left.vals)-1]
 	if !child.leaf() {
-		child.children = append([]*btreeNode{left.children[len(left.children)-1]}, child.children...)
+		child.children = append([]*btreeNode[V]{left.children[len(left.children)-1]}, child.children...)
 		left.children = left.children[:len(left.children)-1]
 	}
 }
 
-func (n *btreeNode) borrowFromRight(i int) {
+func (n *btreeNode[V]) borrowFromRight(i int) {
 	child, right := n.mutableChild(i), n.mutableChild(i+1)
 	child.keys = append(child.keys, n.keys[i])
 	child.vals = append(child.vals, n.vals[i])
@@ -280,7 +308,7 @@ func (n *btreeNode) borrowFromRight(i int) {
 }
 
 // merge folds children[i+1] and keys[i] into children[i].
-func (n *btreeNode) merge(i int) {
+func (n *btreeNode[V]) merge(i int) {
 	child := n.mutableChild(i)
 	right := n.children[i+1] // read-only: its contents are copied into child
 	child.keys = append(child.keys, n.keys[i])
@@ -293,14 +321,14 @@ func (n *btreeNode) merge(i int) {
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
 }
 
-func (n *btreeNode) min() ([]byte, any) {
+func (n *btreeNode[V]) min() ([]byte, V) {
 	for !n.leaf() {
 		n = n.children[0]
 	}
 	return n.keys[0], n.vals[0]
 }
 
-func (n *btreeNode) max() ([]byte, any) {
+func (n *btreeNode[V]) max() ([]byte, V) {
 	for !n.leaf() {
 		n = n.children[len(n.children)-1]
 	}
@@ -309,11 +337,11 @@ func (n *btreeNode) max() ([]byte, any) {
 
 // Ascend walks keys in [from, to) in order (nil bounds are open) calling fn;
 // fn returning false stops the walk.
-func (t *btree) Ascend(from, to []byte, fn func(key []byte, val any) bool) {
+func (t *btreeOf[V]) Ascend(from, to []byte, fn func(key []byte, val V) bool) {
 	t.root.ascend(from, to, fn)
 }
 
-func (n *btreeNode) ascend(from, to []byte, fn func([]byte, any) bool) bool {
+func (n *btreeNode[V]) ascend(from, to []byte, fn func([]byte, V) bool) bool {
 	start := 0
 	if from != nil {
 		start, _ = n.find(from)

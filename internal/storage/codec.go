@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Row wire format:
@@ -29,24 +28,15 @@ func EncodeRow(dst []byte, row Row) []byte {
 		dst = append(dst, byte(v.kind))
 		switch v.kind {
 		case KindNull:
-		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-			dst = append(dst, v.str...)
-		case KindInt:
-			dst = binary.AppendVarint(dst, v.i)
+		case KindString, KindBytes:
+			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
+			dst = append(dst, v.s...)
+		case KindInt, KindTime:
+			dst = binary.AppendVarint(dst, int64(v.w))
 		case KindFloat:
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
+			dst = binary.BigEndian.AppendUint64(dst, v.w)
 		case KindBool:
-			if v.b {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		case KindTime:
-			dst = binary.AppendVarint(dst, v.t.UnixMicro())
-		case KindBytes:
-			dst = binary.AppendUvarint(dst, uint64(len(v.raw)))
-			dst = append(dst, v.raw...)
+			dst = append(dst, byte(v.w))
 		}
 	}
 	return dst
@@ -80,15 +70,9 @@ func DecodeRow(buf []byte) (Row, int, error) {
 				return nil, 0, fmt.Errorf("storage: truncated %s at column %d", kind, c)
 			}
 			off += sz
-			payload := buf[off : off+int(l)]
+			// The one copy out of buf: the decoded row never aliases it.
+			v = Value{kind: kind, s: string(buf[off : off+int(l)])}
 			off += int(l)
-			if kind == KindString {
-				v = S(string(payload))
-			} else {
-				cp := make([]byte, len(payload))
-				copy(cp, payload)
-				v = Bytes(cp)
-			}
 		case KindInt:
 			x, sz := binary.Varint(buf[off:])
 			if sz <= 0 {
@@ -100,7 +84,7 @@ func DecodeRow(buf []byte) (Row, int, error) {
 			if len(buf)-off < 8 {
 				return nil, 0, fmt.Errorf("storage: truncated float at column %d", c)
 			}
-			v = F(math.Float64frombits(binary.BigEndian.Uint64(buf[off:])))
+			v = Value{kind: KindFloat, w: binary.BigEndian.Uint64(buf[off:])}
 			off += 8
 		case KindBool:
 			if off >= len(buf) {
@@ -114,7 +98,7 @@ func DecodeRow(buf []byte) (Row, int, error) {
 				return nil, 0, fmt.Errorf("storage: truncated time at column %d", c)
 			}
 			off += sz
-			v = T(time.UnixMicro(us).UTC())
+			v = Value{kind: KindTime, w: uint64(us)}
 		default:
 			return nil, 0, fmt.Errorf("storage: unknown kind %d at column %d", kind, c)
 		}
@@ -130,30 +114,36 @@ func EncodeKey(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
 	case KindNull:
-	case KindString:
-		dst = append(dst, v.str...)
+	case KindString, KindBytes:
+		dst = append(dst, v.s...)
 		dst = append(dst, 0)
-	case KindInt:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.i)^(1<<63))
+	case KindInt, KindTime:
+		dst = binary.BigEndian.AppendUint64(dst, v.w^(1<<63))
 	case KindFloat:
-		bits := math.Float64bits(v.f)
-		if v.f >= 0 {
+		bits := v.w
+		if math.Float64frombits(bits) >= 0 {
 			bits ^= 1 << 63
 		} else {
 			bits = ^bits
 		}
 		dst = binary.BigEndian.AppendUint64(dst, bits)
 	case KindBool:
-		if v.b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	case KindTime:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.t.UnixMicro())^(1<<63))
-	case KindBytes:
-		dst = append(dst, v.raw...)
-		dst = append(dst, 0)
+		dst = append(dst, byte(v.w))
 	}
 	return dst
+}
+
+// keyLen is len(EncodeKey(nil, v)) without encoding: a commit sizes its key
+// arena from it before anything is written.
+func keyLen(v Value) int {
+	switch v.kind {
+	case KindString, KindBytes:
+		return 1 + len(v.s) + 1
+	case KindInt, KindTime, KindFloat:
+		return 1 + 8
+	case KindBool:
+		return 1 + 1
+	default:
+		return 1
+	}
 }

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"path/filepath"
 	"sync"
@@ -39,11 +41,40 @@ type DB struct {
 	tables map[string]*Table
 	closed bool
 
-	// encBuf is the reusable Apply payload buffer. Guarded by mu (held
-	// exclusively for the whole Apply); safe to reuse because the WAL copies
-	// the payload into its write buffer and applyPayload's decode copies
-	// every string and byte slice into the stored rows.
-	encBuf []byte
+	// commit is the scratch of the one commit path, reused across commits.
+	// Guarded by mu (held exclusively for the whole Apply).
+	commit commitScratch
+}
+
+// commitScratch is what one Apply works in: the batch's plan (each row op's
+// table and encoded primary key, written once at validation and used again at
+// apply) and its WAL record. Nothing in it outlives the commit: the WAL
+// copies the record into its write buffer, and what the tables keep is cut
+// from the commit's own allocations (Row.Clone, the key arena), never from
+// here and never from the caller's slices.
+type commitScratch struct {
+	payload []byte       // the WAL record being built
+	keys    []byte       // every row op's encoded primary key, back to back
+	plan    []plannedOp  // one entry per op
+	tables  []batchTable // the distinct tables the batch touches
+	// slots is an open-addressing set over (table, primary key) holding, per
+	// key, the index+1 of the latest op seen on it: how a later op of the
+	// batch learns whether an earlier one inserted or deleted its row.
+	slots []int32
+}
+
+// keySeed seeds the hash of commitScratch.slots.
+var keySeed = maphash.MakeSeed()
+
+type plannedOp struct {
+	tid    int // index into commitScratch.tables
+	lo, hi int // the op's encoded primary key is commitScratch.keys[lo:hi]
+}
+
+type batchTable struct {
+	name   string
+	schema *Schema
+	t      *Table // nil until applied when the batch itself creates the table
 }
 
 const (
@@ -131,7 +162,7 @@ type schemaJSON struct {
 	} `json:"columns"`
 }
 
-func encodeOp(dst []byte, op Op) ([]byte, error) {
+func encodeOp(dst []byte, op *Op) ([]byte, error) {
 	dst = append(dst, op.code)
 	switch op.code {
 	case opCreateTable:
@@ -170,16 +201,21 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func readString(buf []byte) (string, int, error) {
+// readString returns the length-prefixed string at the head of buf, as a
+// view into buf, and the bytes consumed.
+func readString(buf []byte) ([]byte, int, error) {
 	l, sz := binary.Uvarint(buf)
 	if sz <= 0 || uint64(len(buf)-sz) < l {
-		return "", 0, fmt.Errorf("storage: truncated string in op")
+		return nil, 0, fmt.Errorf("storage: truncated string in op")
 	}
-	return string(buf[sz : sz+int(l)]), sz + int(l), nil
+	return buf[sz : sz+int(l)], sz + int(l), nil
 }
 
-// applyPayload decodes one WAL record (a batch of ops) and applies it to the
-// in-memory state. Used both for recovery replay and post-log application.
+// applyPayload decodes one WAL or snapshot record (a batch of ops) and
+// applies it to the in-memory state. Only Open's replay comes here: a live
+// commit applies the ops it validated (applyPlanned) and never re-reads its
+// own record. Everything kept is copied out of payload (DecodeRow, the
+// schema JSON, the index column name), so the caller may reuse the buffer.
 func (db *DB) applyPayload(payload []byte) error {
 	n, sz := binary.Uvarint(payload)
 	if sz <= 0 {
@@ -226,11 +262,11 @@ func (db *DB) applyPayload(payload []byte) error {
 				return err
 			}
 			off += n
-			t, ok := db.tables[table]
+			t, ok := db.tables[string(table)]
 			if !ok {
 				return fmt.Errorf("storage: create index on unknown table %q", table)
 			}
-			if err := t.applyCreateIndex(col); err != nil {
+			if err := t.applyCreateIndex(string(col)); err != nil {
 				return err
 			}
 		case opInsert, opUpdate, opDelete:
@@ -244,20 +280,30 @@ func (db *DB) applyPayload(payload []byte) error {
 				return err
 			}
 			off += n
-			t, ok := db.tables[table]
+			t, ok := db.tables[string(table)]
 			if !ok {
 				return fmt.Errorf("storage: op on unknown table %q", table)
 			}
+			if len(row) == 0 {
+				return fmt.Errorf("storage: op on table %q without a primary key", table)
+			}
+			// Replay validates nothing up front, so an op the state
+			// contradicts is an error (Open fails), and plans nothing, so
+			// every key a tree retains is its own allocation (no arena).
+			kb := getKeyBuf()
+			*kb = EncodeKey((*kb)[:0], row[0])
+			contradiction := ErrNotFound
 			switch code {
 			case opInsert:
-				err = t.applyInsert(row)
+				ok, contradiction = t.insert(*kb, row, &keyArena{}), ErrDuplicate
 			case opUpdate:
-				err = t.applyUpdate(row)
+				ok = t.update(*kb, row, &keyArena{})
 			case opDelete:
-				err = t.applyDelete(row[0])
+				ok = t.delete(*kb)
 			}
-			if err != nil {
-				return err
+			putKeyBuf(kb)
+			if !ok {
+				return fmt.Errorf("%w: table %q pk %s", contradiction, table, row[0])
 			}
 		default:
 			return fmt.Errorf("storage: unknown op code %d in batch", code)
@@ -266,94 +312,183 @@ func (db *DB) applyPayload(payload []byte) error {
 	return nil
 }
 
-// validateOps checks every op against current state before anything is
-// logged, so a batch either fully applies or is rejected up front.
-func (db *DB) validateOps(ops []Op) error {
-	// Track tables/rows created earlier in the same batch.
-	created := map[string]*Schema{}
-	pending := map[string]map[string]bool{} // table -> encoded pk -> exists after batch prefix
-	exists := func(table string, pk Value) bool {
-		if m := pending[table]; m != nil {
-			if v, ok := m[string(EncodeKey(nil, pk))]; ok {
-				return v
-			}
-		}
-		t := db.tables[table]
-		return t != nil && t.hasLocked(pk)
+// table resolves name for the batch being planned: one of the tables the
+// batch already touched (consecutive ops on one table hit the first test), a
+// table the batch itself creates, or a live one. It returns the index into
+// c.tables, or -1 when there is no such table.
+func (c *commitScratch) table(db *DB, name string) int {
+	if n := len(c.tables); n > 0 && c.tables[n-1].name == name {
+		return n - 1
 	}
-	mark := func(table string, pk Value, present bool) {
-		if pending[table] == nil {
-			pending[table] = map[string]bool{}
+	for i := range c.tables {
+		if c.tables[i].name == name {
+			return i
 		}
-		pending[table][string(EncodeKey(nil, pk))] = present
 	}
-	schemaOf := func(table string) *Schema {
-		if s := created[table]; s != nil {
-			return s
-		}
-		if t := db.tables[table]; t != nil {
-			return t.schema
-		}
-		return nil
+	t := db.tables[name]
+	if t == nil {
+		return -1
 	}
-	for _, op := range ops {
+	c.tables = append(c.tables, batchTable{name: name, schema: t.schema, t: t})
+	return len(c.tables) - 1
+}
+
+// resetSlots empties the key set and sizes it for a batch of n ops (a power
+// of two at least 2n, so probes stay short).
+func (c *commitScratch) resetSlots(n int) {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	if cap(c.slots) < size {
+		c.slots = make([]int32, size)
+		return
+	}
+	c.slots = c.slots[:size]
+	clear(c.slots)
+}
+
+// latest records op i as the latest on its (table, key) and returns the
+// index of the previous latest, or -1 when i is the batch's first op on it.
+func (c *commitScratch) latest(i int) int {
+	p := c.plan[i]
+	key := c.keys[p.lo:p.hi]
+	mask := uint64(len(c.slots) - 1)
+	for h := maphash.Bytes(keySeed, key) + uint64(p.tid); ; h++ {
+		slot := &c.slots[h&mask]
+		if *slot == 0 {
+			*slot = int32(i + 1)
+			return -1
+		}
+		q := c.plan[*slot-1]
+		if q.tid == p.tid && bytes.Equal(c.keys[q.lo:q.hi], key) {
+			prev := int(*slot - 1)
+			*slot = int32(i + 1)
+			return prev
+		}
+	}
+}
+
+// planOps checks every op against current state before anything is logged,
+// so a batch either fully applies or is rejected up front, and leaves in
+// db.commit what applyPlanned needs to apply it without looking anything up
+// twice. It returns the bytes of B-tree key the batch's inserts will retain.
+func (db *DB) planOps(ops []Op) (keyBytes int, err error) {
+	c := &db.commit
+	c.keys, c.plan, c.tables = c.keys[:0], c.plan[:0], c.tables[:0]
+	// A one-op batch has no earlier op to agree with.
+	track := len(ops) > 1
+	if track {
+		c.resetSlots(len(ops))
+	}
+	for i := range ops {
+		op := &ops[i]
 		switch op.code {
 		case opCreateTable:
 			if op.schema == nil {
-				return fmt.Errorf("storage: create table with nil schema")
+				return 0, fmt.Errorf("storage: create table with nil schema")
 			}
-			if schemaOf(op.schema.Table) != nil {
-				return fmt.Errorf("storage: table %q already exists", op.schema.Table)
+			if c.table(db, op.schema.Table) >= 0 {
+				return 0, fmt.Errorf("storage: table %q already exists", op.schema.Table)
 			}
-			created[op.schema.Table] = op.schema
+			// The table gets its own schema, as a replayed one does: the
+			// caller keeps the column slice it passed.
+			schema, err := NewSchema(op.schema.Table, append([]Column(nil), op.schema.Columns...)...)
+			if err != nil {
+				return 0, err
+			}
+			c.tables = append(c.tables, batchTable{name: schema.Table, schema: schema})
+			c.plan = append(c.plan, plannedOp{tid: len(c.tables) - 1})
 		case opCreateIndex:
-			s := schemaOf(op.table)
-			if s == nil {
-				return fmt.Errorf("storage: index on unknown table %q", op.table)
+			tid := c.table(db, op.table)
+			if tid < 0 {
+				return 0, fmt.Errorf("storage: index on unknown table %q", op.table)
 			}
-			if s.Index(op.column) < 0 {
-				return fmt.Errorf("storage: table %q has no column %q", op.table, op.column)
+			if c.tables[tid].schema.Index(op.column) < 0 {
+				return 0, fmt.Errorf("storage: table %q has no column %q", op.table, op.column)
 			}
-		case opInsert:
-			s := schemaOf(op.table)
-			if s == nil {
-				return fmt.Errorf("storage: insert into unknown table %q", op.table)
+			c.plan = append(c.plan, plannedOp{tid: tid})
+		case opInsert, opUpdate, opDelete:
+			tid := c.table(db, op.table)
+			if tid < 0 {
+				return 0, fmt.Errorf("storage: %s unknown table %q", opVerb[op.code], op.table)
 			}
-			if err := s.Validate(op.row); err != nil {
-				return err
+			bt := &c.tables[tid]
+			pk := op.pk
+			if op.code != opDelete {
+				if err := bt.schema.Validate(op.row); err != nil {
+					return 0, err
+				}
+				pk = op.row[0]
 			}
-			if exists(op.table, op.row[0]) {
-				return fmt.Errorf("%w: table %q pk %s", ErrDuplicate, op.table, op.row[0])
+			lo := len(c.keys)
+			c.keys = EncodeKey(c.keys, pk)
+			c.plan = append(c.plan, plannedOp{tid: tid, lo: lo, hi: len(c.keys)})
+			prev := -1
+			if track {
+				prev = c.latest(i)
 			}
-			mark(op.table, op.row[0], true)
-		case opUpdate:
-			s := schemaOf(op.table)
-			if s == nil {
-				return fmt.Errorf("storage: update on unknown table %q", op.table)
+			var exists bool
+			if prev >= 0 {
+				exists = ops[prev].code != opDelete
+			} else if bt.t != nil {
+				_, exists = bt.t.primary.Get(c.keys[lo:])
 			}
-			if err := s.Validate(op.row); err != nil {
-				return err
+			switch {
+			case op.code == opInsert && exists:
+				return 0, fmt.Errorf("%w: table %q pk %s", ErrDuplicate, op.table, pk)
+			case op.code != opInsert && !exists:
+				return 0, fmt.Errorf("%w: table %q pk %s", ErrNotFound, op.table, pk)
+			case op.code == opInsert && bt.t != nil:
+				keyBytes += bt.t.keyBytes(op.row, len(c.keys)-lo)
+			case op.code == opInsert:
+				keyBytes += len(c.keys) - lo
 			}
-			if !exists(op.table, op.row[0]) {
-				return fmt.Errorf("%w: table %q pk %s", ErrNotFound, op.table, op.row[0])
-			}
-		case opDelete:
-			if schemaOf(op.table) == nil {
-				return fmt.Errorf("storage: delete on unknown table %q", op.table)
-			}
-			if !exists(op.table, op.pk) {
-				return fmt.Errorf("%w: table %q pk %s", ErrNotFound, op.table, op.pk)
-			}
-			mark(op.table, op.pk, false)
 		default:
-			return fmt.Errorf("storage: unknown op code %d", op.code)
+			return 0, fmt.Errorf("storage: unknown op code %d", op.code)
 		}
 	}
-	return nil
+	return keyBytes, nil
+}
+
+// opVerb words the unknown-table error of each row op.
+var opVerb = [...]string{opInsert: "insert into", opUpdate: "update on", opDelete: "delete on"}
+
+// applyPlanned applies the batch planOps just validated to the in-memory
+// state: the ops themselves, not their WAL record. Each row is copied once
+// (Row.Clone: the cell array and any bytes payload; strings are immutable and
+// shared with the caller) and each retained key is cut from keys, so nothing
+// stored aliases memory the caller may reuse.
+func (db *DB) applyPlanned(ops []Op, keys *keyArena) {
+	c := &db.commit
+	for i := range ops {
+		op, p := &ops[i], c.plan[i]
+		bt := &c.tables[p.tid]
+		ok := true
+		switch op.code {
+		case opCreateTable:
+			bt.t = newTable(bt.schema, &db.mu)
+			db.tables[bt.name] = bt.t
+		case opCreateIndex:
+			ok = bt.t.applyCreateIndex(op.column) == nil
+		case opInsert:
+			ok = bt.t.insert(c.keys[p.lo:p.hi], op.row.Clone(), keys)
+		case opUpdate:
+			ok = bt.t.update(c.keys[p.lo:p.hi], op.row.Clone(), keys)
+		case opDelete:
+			ok = bt.t.delete(c.keys[p.lo:p.hi])
+		}
+		if !ok {
+			// planOps guarantees this cannot happen; if it does, state and
+			// log have diverged and continuing would corrupt the database.
+			panic(fmt.Sprintf("storage: post-log apply of op %d (code %d, table %q) contradicts its validation", i, op.code, bt.name))
+		}
+	}
 }
 
 // Apply validates, logs and applies a batch of operations atomically: either
-// every op is durable and applied, or none is.
+// every op is durable and applied, or none is. It retains none of the
+// caller's slices: rows and bytes payloads may be reused once it returns.
 func (db *DB) Apply(ops ...Op) error {
 	if len(ops) == 0 {
 		return nil
@@ -363,36 +498,46 @@ func (db *DB) Apply(ops ...Op) error {
 	return db.applyLocked(ops)
 }
 
-// applyLocked is the shared validate/log/apply body of Apply and ApplyFenced.
-// Callers hold db.mu exclusively.
+// applyLocked is the one commit path, shared by Apply, ApplyFenced and
+// AdvanceFence, DDL included: validate, encode, log, then apply the ops that
+// were validated. Callers hold db.mu exclusively.
 func (db *DB) applyLocked(ops []Op) error {
 	if db.closed {
 		return fmt.Errorf("storage: db is closed")
 	}
-	if err := db.validateOps(ops); err != nil {
+	keyBytes, err := db.planOps(ops)
+	if err != nil {
 		return err
 	}
-	payload := binary.AppendUvarint(db.encBuf[:0], uint64(len(ops)))
-	var err error
-	for _, op := range ops {
-		payload, err = encodeOp(payload, op)
-		if err != nil {
-			return err
-		}
+	payload, err := encodeBatch(db.commit.payload[:0], ops)
+	if err != nil {
+		return err
 	}
-	db.encBuf = payload
+	db.commit.payload = payload
 	if err := db.log.Append(payload); err != nil {
 		return err
 	}
-	if err := db.applyPayload(payload); err != nil {
-		// validateOps guarantees this cannot happen; if it does, state and
-		// log have diverged and continuing would corrupt the database.
-		panic(fmt.Sprintf("storage: post-log apply failed after validation: %v", err))
+	var keys keyArena
+	if keyBytes > 0 {
+		keys.buf = make([]byte, 0, keyBytes)
 	}
+	db.applyPlanned(ops, &keys)
 	if db.opts.SnapshotEvery > 0 && db.log.size >= db.opts.SnapshotEvery {
 		return db.snapshotLocked()
 	}
 	return nil
+}
+
+// encodeBatch appends the WAL record of ops to dst.
+func encodeBatch(dst []byte, ops []Op) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(ops)))
+	var err error
+	for i := range ops {
+		if dst, err = encodeOp(dst, &ops[i]); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // CreateTable creates a new table.
@@ -422,8 +567,7 @@ func (db *DB) Table(name string) *Table {
 	return db.tables[name]
 }
 
-// Tables returns the names of all tables in lexical order of creation
-// iteration (unordered).
+// Tables returns the names of all tables, in no particular order.
 func (db *DB) Tables() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -454,44 +598,42 @@ func (db *DB) Snapshot() error {
 	return db.snapshotLocked()
 }
 
-func (db *DB) snapshotLocked() error {
+func (db *DB) snapshotLocked() (err error) {
 	tmp := filepath.Join(db.dir, snapshotFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("storage: create snapshot: %w", err)
 	}
-	snap, err := openWALFromFile(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	writeBatch := func(ops ...Op) error {
-		payload := binary.AppendUvarint(nil, uint64(len(ops)))
-		for _, op := range ops {
-			payload, err = encodeOp(payload, op)
-			if err != nil {
-				return err
-			}
+	defer func() {
+		if err != nil {
+			f.Close() // a no-op error after snap.Close; the handle must not leak before it
+			os.Remove(tmp)
 		}
+	}()
+	// The snapshot reuses the WAL record format, one record per op.
+	snap := &wal{f: f, w: newBufWriter(f), policy: SyncOnClose, crcTab: Castagnoli}
+	writeOp := func(op Op) error {
+		payload, err := encodeBatch(db.commit.payload[:0], []Op{op})
+		if err != nil {
+			return err
+		}
+		db.commit.payload = payload
 		return snap.Append(payload)
 	}
 	for name, t := range db.tables {
-		if err := writeBatch(CreateTableOp(t.schema)); err != nil {
+		if err := writeOp(CreateTableOp(t.schema)); err != nil {
 			return err
 		}
 		var failed error
 		t.scanLocked(func(r Row) bool {
-			if err := writeBatch(InsertOp(name, r)); err != nil {
-				failed = err
-				return false
-			}
-			return true
+			failed = writeOp(InsertOp(name, r))
+			return failed == nil
 		})
 		if failed != nil {
 			return failed
 		}
-		for col := range t.secondary {
-			if err := writeBatch(CreateIndexOp(name, col)); err != nil {
+		for _, idx := range t.secondary {
+			if err := writeOp(CreateIndexOp(name, idx.col)); err != nil {
 				return err
 			}
 		}
@@ -503,17 +645,6 @@ func (db *DB) snapshotLocked() error {
 		return fmt.Errorf("storage: publish snapshot: %w", err)
 	}
 	return db.log.Truncate()
-}
-
-// openWALFromFile wraps an already-open file in the WAL framing writer; the
-// snapshot writer reuses the WAL record format.
-func openWALFromFile(f *os.File) (*wal, error) {
-	return &wal{
-		f:      f,
-		w:      newBufWriter(f),
-		policy: SyncOnClose,
-		crcTab: Castagnoli,
-	}, nil
 }
 
 // Close flushes and closes the database.

@@ -265,6 +265,78 @@ func TestDBRecoveryTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestReplayStopsAtOversizedRecord: a torn or corrupt tail whose length
+// header claims more bytes than the file holds (up to 4 GiB) is a torn tail
+// like any other — Open must not allocate what it claims, must keep every
+// record before it, and must truncate the log back to the last intact
+// boundary.
+func TestReplayStopsAtOversizedRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{
+		{"max length header", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}},
+		{"length larger than the file", []byte{0x00, 0x00, 0x10, 0x00, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}},
+		{"one byte short", []byte{0x04, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, Options{Sync: SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CreateTable(testSchema(t)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if err := db.Insert("recordings", Row{S(fmt.Sprintf("r%d", i)), S("sp"), I(int64(i)), Null()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.Close()
+			walPath := filepath.Join(dir, walFile)
+			intact, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(walPath, append(append([]byte(nil), intact...), tc.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			size := len(intact) + len(tc.tail)
+
+			// The replay loop alone: every record up to the tail, the intact
+			// offset, and a payload buffer that never outgrew the file.
+			records, maxCap := 0, 0
+			off, err := replayWAL(walPath, func(payload []byte) error {
+				records++
+				maxCap = max(maxCap, cap(payload))
+				return nil
+			})
+			if err != nil || off != int64(len(intact)) || records != 11 {
+				t.Fatalf("replayWAL = offset %d, %v after %d records; want %d, nil, 11", off, err, records, len(intact))
+			}
+			if maxCap > size {
+				t.Fatalf("payload buffer grew to %d bytes for a %d-byte file", maxCap, size)
+			}
+
+			db2, err := Open(dir, Options{Sync: SyncAlways})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db2.Close()
+			for i := 0; i < 10; i++ {
+				row, err := db2.Table("recordings").Get(S(fmt.Sprintf("r%d", i)))
+				if err != nil || row[2].Int() != int64(i) {
+					t.Fatalf("row r%d after reopen: %v, %v", i, row, err)
+				}
+			}
+			if st, err := os.Stat(walPath); err != nil || st.Size() != int64(len(intact)) {
+				t.Fatalf("wal is %d bytes after reopen (%v), want it truncated to %d", st.Size(), err, len(intact))
+			}
+		})
+	}
+}
+
 func TestDBSnapshotAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Sync: SyncOnClose})

@@ -45,15 +45,18 @@ func FuzzDecodeRow(f *testing.F) {
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x04, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}) // a 4 GiB claim
+	f.Add([]byte{0x00, 0x01, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}) // longer than the file
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := dir + "/wal.log"
 		if err := writeFile(path, data); err != nil {
 			t.Fatal(err)
 		}
-		n := 0
 		off, err := replayWAL(path, func(payload []byte) error {
-			n++
+			if cap(payload) > len(data) {
+				t.Fatalf("payload buffer of %d bytes for a %d-byte log", cap(payload), len(data))
+			}
 			return nil
 		})
 		if err != nil {

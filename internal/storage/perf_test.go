@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // perfRow mirrors the provenance node-row shape: a realistic mixed-kind row
@@ -70,8 +71,9 @@ func TestTableGetAllocs(t *testing.T) {
 	}
 	tbl := newTable(schema, nil)
 	for i := 0; i < 1000; i++ {
-		if err := tbl.applyInsert(Row{S(fmt.Sprintf("k%04d", i)), I(int64(i))}); err != nil {
-			t.Fatal(err)
+		row := Row{S(fmt.Sprintf("k%04d", i)), I(int64(i))}
+		if !tbl.insert(EncodeKey(nil, row[0]), row, &keyArena{}) {
+			t.Fatalf("insert %v: key already present", row[0])
 		}
 	}
 	pk := S("k0500")
@@ -83,6 +85,62 @@ func TestTableGetAllocs(t *testing.T) {
 		rowSink = row
 	}); allocs != 0 {
 		t.Fatalf("Table.Get allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestValueSizeAllocs pins the cell: every stored row of every table is made
+// of Values, so their size is live heap (96 bytes a cell before the word +
+// payload layout).
+func TestValueSizeAllocs(t *testing.T) {
+	if sz := unsafe.Sizeof(Value{}); sz > 32 {
+		t.Fatalf("Value is %d bytes, budget 32", sz)
+	}
+}
+
+// TestApplyBatchAllocs pins what a commit allocates per row: the row's cell
+// array, its bytes payload, and an amortised share of B-tree node growth and
+// the batch's one key arena. A commit that re-parsed its own WAL record,
+// boxed a value per tree entry and allocated each key reads 14.4 here.
+func TestApplyBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	db := openTestDB(t, Options{Sync: SyncNever})
+	schema, err := NewSchema("nodes",
+		Column{Name: "id", Kind: KindString},
+		Column{Name: "run_id", Kind: KindString},
+		Column{Name: "n", Kind: KindInt},
+		Column{Name: "ann", Kind: KindBytes},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Apply(CreateTableOp(schema), CreateIndexOp("nodes", "run_id")); err != nil {
+		t.Fatal(err)
+	}
+	const batch = 128
+	// Rows, pk strings and the ops slice are built outside the measured
+	// function, as the BatchWriter builds them in its reused arena.
+	const rounds = 21 // 1 warm-up + 20 measured
+	ops := make([][]Op, rounds)
+	ann := []byte("k1\x00v1\x00k2\x00v2")
+	for r := range ops {
+		vals := make([]Value, 0, 4*batch)
+		for i := 0; i < batch; i++ {
+			vals = append(vals, S(fmt.Sprintf("run-%06d/n%04d", r, i)), S(fmt.Sprintf("run-%06d", r)), I(int64(i)), Bytes(ann))
+			ops[r] = append(ops[r], InsertOp("nodes", Row(vals[4*i:4*i+4])))
+		}
+	}
+	round := 0
+	perBatch := testing.AllocsPerRun(rounds-1, func() {
+		if err := db.Apply(ops[round]...); err != nil {
+			t.Fatal(err)
+		}
+		round++
+	})
+	t.Logf("allocs/row %.2f", perBatch/batch)
+	if perRow := perBatch / batch; perRow > 3 {
+		t.Fatalf("Apply allocates %.2f per inserted row, budget 3", perRow)
 	}
 }
 

@@ -11,8 +11,8 @@ var ErrNotFound = errors.New("storage: not found")
 
 // keyBufs pools scratch buffers for EncodeKey on read and index-maintenance
 // paths, so steady-state point lookups and row application do not allocate a
-// fresh key per call. Safe because the B-tree copies keys on insert and
-// lookups never retain the probe key.
+// fresh key per call. Safe because lookups and deletes never retain the probe
+// key; the keys a tree does retain are cut from a keyArena.
 var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 128); return &b }}
 
 func getKeyBuf() *[]byte  { return keyBufs.Get().(*[]byte) }
@@ -27,17 +27,30 @@ var ErrDuplicate = errors.New("storage: duplicate key")
 type Table struct {
 	mu        *sync.RWMutex // the owning DB's lock; nil only in unit fixtures
 	schema    *Schema
-	primary   *btree            // encoded pk -> Row
-	secondary map[string]*btree // column name -> (encoded value ++ encoded pk) -> pk Value
+	primary   *btreeOf[Row] // encoded pk -> Row
+	secondary []secondaryIndex
+}
+
+// secondaryIndex maps (encoded column value ++ encoded pk) -> pk Value, so
+// duplicate column values coexist. The pk is the stored row's own cell.
+type secondaryIndex struct {
+	col  string
+	ci   int // the column's position in the schema
+	tree *btreeOf[Value]
 }
 
 func newTable(schema *Schema, mu *sync.RWMutex) *Table {
-	return &Table{
-		mu:        mu,
-		schema:    schema,
-		primary:   newBTree(),
-		secondary: make(map[string]*btree),
+	return &Table{mu: mu, schema: schema, primary: newBTreeOf[Row]()}
+}
+
+// index returns the secondary index on col, or nil.
+func (t *Table) index(col string) *btreeOf[Value] {
+	for i := range t.secondary {
+		if t.secondary[i].col == col {
+			return t.secondary[i].tree
+		}
 	}
+	return nil
 }
 
 func (t *Table) rlock() func() {
@@ -66,12 +79,12 @@ func (t *Table) Get(pk Value) (Row, error) {
 func (t *Table) getLocked(pk Value) (Row, error) {
 	kb := getKeyBuf()
 	*kb = EncodeKey((*kb)[:0], pk)
-	v, ok := t.primary.Get(*kb)
+	row, ok := t.primary.Get(*kb)
 	putKeyBuf(kb)
 	if !ok {
 		return nil, fmt.Errorf("%w: table %q pk %s", ErrNotFound, t.schema.Table, pk)
 	}
-	return v.(Row), nil
+	return row, nil
 }
 
 // Has reports whether a row with the given primary key exists.
@@ -89,63 +102,98 @@ func (t *Table) hasLocked(pk Value) bool {
 	return ok
 }
 
-// secondaryKey appends the composite (value, pk) key used in secondary trees
-// so that duplicate column values coexist.
-func secondaryKey(dst []byte, val, pk Value) []byte {
-	return EncodeKey(EncodeKey(dst, val), pk)
+// keyArena is the memory the B-tree keys of one commit are cut from: Apply
+// sizes it exactly from the validated batch (one allocation instead of one
+// per key), and the trees retain the slices. A key the plan did not count —
+// an update that moves an indexed column, any key of WAL replay, which plans
+// nothing — gets its own allocation.
+type keyArena struct{ buf []byte }
+
+// take returns an empty slice with room for n bytes that the caller appends
+// the key to and hands to a tree.
+func (a *keyArena) take(n int) []byte {
+	if cap(a.buf)-len(a.buf) < n {
+		return make([]byte, 0, n)
+	}
+	off := len(a.buf)
+	a.buf = a.buf[:off+n]
+	return a.buf[off : off : off+n]
 }
 
-func (t *Table) applyInsert(row Row) error {
-	kb := getKeyBuf()
-	defer putKeyBuf(kb)
-	pkKey := EncodeKey((*kb)[:0], row[0])
-	if _, exists := t.primary.Get(pkKey); exists {
-		return fmt.Errorf("%w: table %q pk %s", ErrDuplicate, t.schema.Table, row[0])
-	}
-	t.primary.Set(pkKey, row)
-	// pkKey was copied by Set; the buffer is free for the index keys.
-	for col, idx := range t.secondary {
-		ci := t.schema.Index(col)
-		idx.Set(secondaryKey((*kb)[:0], row[ci], row[0]), row[0])
-	}
-	return nil
+// secondaryKey appends the composite key of a secondary tree: the column
+// value's encoding, then the row's encoded primary key.
+func secondaryKey(dst []byte, val Value, pkKey []byte) []byte {
+	return append(EncodeKey(dst, val), pkKey...)
 }
 
-func (t *Table) applyUpdate(row Row) error {
-	kb := getKeyBuf()
-	defer putKeyBuf(kb)
-	pkKey := EncodeKey((*kb)[:0], row[0])
-	oldAny, exists := t.primary.Get(pkKey)
-	if !exists {
-		return fmt.Errorf("%w: table %q pk %s", ErrNotFound, t.schema.Table, row[0])
+// keyBytes is the arena room inserting row takes: its primary key (pkLen
+// encoded bytes) and one composite key per secondary index.
+func (t *Table) keyBytes(row Row, pkLen int) int {
+	n := pkLen
+	for i := range t.secondary {
+		n += keyLen(row[t.secondary[i].ci]) + pkLen
 	}
-	old := oldAny.(Row)
-	t.primary.Set(pkKey, row)
-	for col, idx := range t.secondary {
-		ci := t.schema.Index(col)
-		if !old[ci].Equal(row[ci]) {
-			idx.Delete(secondaryKey((*kb)[:0], old[ci], row[0]))
-			idx.Set(secondaryKey((*kb)[:0], row[ci], row[0]), row[0])
+	return n
+}
+
+// insert stores row under pkKey (the encoding of row[0]) and indexes it,
+// reporting false when the key was already there — the old row is then
+// already replaced, and the caller must treat the table as corrupt. The table
+// owns row from here on; pkKey is only read.
+func (t *Table) insert(pkKey []byte, row Row, keys *keyArena) bool {
+	if _, replaced := t.primary.swap(append(keys.take(len(pkKey)), pkKey...), row); replaced {
+		return false
+	}
+	for i := range t.secondary {
+		idx := &t.secondary[i]
+		key := keys.take(keyLen(row[idx.ci]) + len(pkKey))
+		idx.tree.Set(secondaryKey(key, row[idx.ci], pkKey), row[0])
+	}
+	return true
+}
+
+// update replaces the row stored under pkKey and moves the index entries of
+// the columns that changed, reporting false when there was no such row (row
+// is then already inserted: corrupt, as for insert). Ownership as for insert.
+func (t *Table) update(pkKey []byte, row Row, keys *keyArena) bool {
+	old, replaced := t.primary.swap(pkKey, row)
+	if !replaced {
+		return false
+	}
+	// Equal by construction (same encoded key). Keeping the old cell means
+	// the index entries of unchanged columns, which hold it, need no touch
+	// and the row does not carry a second copy of its key string.
+	row[0] = old[0]
+	for i := range t.secondary {
+		idx := &t.secondary[i]
+		if old[idx.ci].Equal(row[idx.ci]) {
+			continue
 		}
+		kb := getKeyBuf()
+		*kb = secondaryKey((*kb)[:0], old[idx.ci], pkKey)
+		idx.tree.Delete(*kb)
+		putKeyBuf(kb)
+		key := keys.take(keyLen(row[idx.ci]) + len(pkKey))
+		idx.tree.Set(secondaryKey(key, row[idx.ci], pkKey), row[0])
 	}
-	return nil
+	return true
 }
 
-func (t *Table) applyDelete(pk Value) error {
+// delete removes the row stored under pkKey and its index entries, reporting
+// whether it was there.
+func (t *Table) delete(pkKey []byte) bool {
+	old, ok := t.primary.remove(pkKey)
+	if !ok {
+		return false
+	}
 	kb := getKeyBuf()
-	defer putKeyBuf(kb)
-	pkKey := EncodeKey((*kb)[:0], pk)
-	oldAny, exists := t.primary.Get(pkKey)
-	if !exists {
-		return fmt.Errorf("%w: table %q pk %s", ErrNotFound, t.schema.Table, pk)
+	for i := range t.secondary {
+		idx := &t.secondary[i]
+		*kb = secondaryKey((*kb)[:0], old[idx.ci], pkKey)
+		idx.tree.Delete(*kb)
 	}
-	old := oldAny.(Row)
-	t.primary.Delete(pkKey)
-	for col, idx := range t.secondary {
-		ci := t.schema.Index(col)
-		idx.Delete(secondaryKey((*kb)[:0], old[ci], pk))
-	}
-	return nil
+	putKeyBuf(kb)
+	return true
 }
 
 func (t *Table) applyCreateIndex(col string) error {
@@ -153,26 +201,23 @@ func (t *Table) applyCreateIndex(col string) error {
 	if ci < 0 {
 		return fmt.Errorf("storage: table %q has no column %q", t.schema.Table, col)
 	}
-	if _, exists := t.secondary[col]; exists {
+	if t.index(col) != nil {
 		return nil // idempotent: replay may re-create
 	}
-	idx := newBTree()
-	kb := getKeyBuf()
-	defer putKeyBuf(kb)
-	t.primary.Ascend(nil, nil, func(_ []byte, v any) bool {
-		row := v.(Row)
-		idx.Set(secondaryKey((*kb)[:0], row[ci], row[0]), row[0])
+	tree := newBTreeOf[Value]()
+	t.primary.Ascend(nil, nil, func(pkKey []byte, row Row) bool {
+		key := make([]byte, 0, keyLen(row[ci])+len(pkKey))
+		tree.Set(secondaryKey(key, row[ci], pkKey), row[0])
 		return true
 	})
-	t.secondary[col] = idx
+	t.secondary = append(t.secondary, secondaryIndex{col: col, ci: ci, tree: tree})
 	return nil
 }
 
 // HasIndex reports whether a secondary index exists on col.
 func (t *Table) HasIndex(col string) bool {
 	defer t.rlock()()
-	_, ok := t.secondary[col]
-	return ok
+	return t.index(col) != nil
 }
 
 // Scan walks every row in primary-key order under the read lock; fn
@@ -191,14 +236,14 @@ func (t *Table) ScanFrom(from Value, fn func(Row) bool) {
 	defer t.rlock()()
 	kb := getKeyBuf()
 	defer putKeyBuf(kb)
-	t.primary.Ascend(EncodeKey((*kb)[:0], from), nil, func(_ []byte, v any) bool {
-		return fn(v.(Row))
+	t.primary.Ascend(EncodeKey((*kb)[:0], from), nil, func(_ []byte, row Row) bool {
+		return fn(row)
 	})
 }
 
 func (t *Table) scanLocked(fn func(Row) bool) {
-	t.primary.Ascend(nil, nil, func(_ []byte, v any) bool {
-		return fn(v.(Row))
+	t.primary.Ascend(nil, nil, func(_ []byte, row Row) bool {
+		return fn(row)
 	})
 }
 
@@ -218,8 +263,8 @@ func (t *Table) Select(pred func(Row) bool) []Row {
 // equals val. It returns ErrNotFound if no index exists on col.
 func (t *Table) Lookup(col string, val Value) ([]Row, error) {
 	defer t.rlock()()
-	idx, ok := t.secondary[col]
-	if !ok {
+	idx := t.index(col)
+	if idx == nil {
 		return nil, fmt.Errorf("%w: table %q has no index on %q", ErrNotFound, t.schema.Table, col)
 	}
 	kb, kb2 := getKeyBuf(), getKeyBuf()
@@ -228,8 +273,8 @@ func (t *Table) Lookup(col string, val Value) ([]Row, error) {
 	from := EncodeKey((*kb)[:0], val)
 	to := append(append((*kb2)[:0], from...), 0xFF)
 	var out []Row
-	idx.Ascend(from, to, func(_ []byte, pkAny any) bool {
-		row, err := t.getLocked(pkAny.(Value))
+	idx.Ascend(from, to, func(_ []byte, pk Value) bool {
+		row, err := t.getLocked(pk)
 		if err == nil {
 			out = append(out, row)
 		}
@@ -243,8 +288,8 @@ func (t *Table) Lookup(col string, val Value) ([]Row, error) {
 // ascending column order. It returns ErrNotFound if no index exists on col.
 func (t *Table) LookupRange(col string, lo, hi Value) ([]Row, error) {
 	defer t.rlock()()
-	idx, ok := t.secondary[col]
-	if !ok {
+	idx := t.index(col)
+	if idx == nil {
 		return nil, fmt.Errorf("%w: table %q has no index on %q", ErrNotFound, t.schema.Table, col)
 	}
 	if lo.IsNull() || hi.IsNull() {
@@ -256,8 +301,8 @@ func (t *Table) LookupRange(col string, lo, hi Value) ([]Row, error) {
 	from := EncodeKey((*kb)[:0], lo)
 	to := append(EncodeKey((*kb2)[:0], hi), 0xFF) // include all pk suffixes of hi
 	var out []Row
-	idx.Ascend(from, to, func(_ []byte, pkAny any) bool {
-		row, err := t.getLocked(pkAny.(Value))
+	idx.Ascend(from, to, func(_ []byte, pk Value) bool {
+		row, err := t.getLocked(pk)
 		if err == nil {
 			out = append(out, row)
 		}

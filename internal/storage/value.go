@@ -12,8 +12,11 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the column types supported by the engine.
@@ -53,36 +56,50 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed cell. The zero Value is NULL.
+//
+// A cell is 32 bytes whatever its kind: the kind tag, one 64-bit word that
+// holds an int, a float's IEEE-754 bits, a bool (0/1) or a time as UTC
+// microseconds since the Unix epoch (exactly what the wire format stores, so
+// a row applied live and the same row replayed from the WAL are the same
+// bits), and one string-shaped payload for strings and bytes. Every stored
+// row of every table is made of these, so the size is a live-heap budget
+// (TestValueSizeAllocs).
 type Value struct {
 	kind Kind
-	str  string
-	i    int64
-	f    float64
-	b    bool
-	t    time.Time
-	raw  []byte
+	w    uint64
+	// s is the string payload, or a bytes payload viewed as a string: Bytes
+	// and Raw convert without copying, so for KindBytes the "string" aliases
+	// memory its owner may mutate and must never escape as a Go string.
+	s string
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // S builds a string value.
-func S(v string) Value { return Value{kind: KindString, str: v} }
+func S(v string) Value { return Value{kind: KindString, s: v} }
 
 // I builds an int value.
-func I(v int64) Value { return Value{kind: KindInt, i: v} }
+func I(v int64) Value { return Value{kind: KindInt, w: uint64(v)} }
 
 // F builds a float value.
-func F(v float64) Value { return Value{kind: KindFloat, f: v} }
+func F(v float64) Value { return Value{kind: KindFloat, w: math.Float64bits(v)} }
 
 // B builds a bool value.
-func B(v bool) Value { return Value{kind: KindBool, b: v} }
+func B(v bool) Value {
+	if v {
+		return Value{kind: KindBool, w: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // T builds a time value (stored in UTC at microsecond precision).
-func T(v time.Time) Value { return Value{kind: KindTime, t: v.UTC().Truncate(time.Microsecond)} }
+func T(v time.Time) Value { return Value{kind: KindTime, w: uint64(v.UnixMicro())} }
 
 // Bytes builds a raw bytes value; the slice is not copied.
-func Bytes(v []byte) Value { return Value{kind: KindBytes, raw: v} }
+func Bytes(v []byte) Value {
+	return Value{kind: KindBytes, s: unsafe.String(unsafe.SliceData(v), len(v))}
+}
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -91,22 +108,47 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Str returns the string payload (zero value if not a string).
-func (v Value) Str() string { return v.str }
+func (v Value) Str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.s
+}
 
-// Int returns the int payload.
-func (v Value) Int() int64 { return v.i }
+// Int returns the int payload (zero value if not an int).
+func (v Value) Int() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.w)
+}
 
-// Float returns the float payload.
-func (v Value) Float() float64 { return v.f }
+// Float returns the float payload (zero value if not a float).
+func (v Value) Float() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.w)
+}
 
-// Bool returns the bool payload.
-func (v Value) Bool() bool { return v.b }
+// Bool returns the bool payload (false if not a bool).
+func (v Value) Bool() bool { return v.kind == KindBool && v.w != 0 }
 
-// Time returns the time payload.
-func (v Value) Time() time.Time { return v.t }
+// Time returns the time payload in UTC (the zero time if not a time).
+func (v Value) Time() time.Time {
+	if v.kind != KindTime {
+		return time.Time{}
+	}
+	return time.UnixMicro(int64(v.w)).UTC()
+}
 
-// Raw returns the bytes payload.
-func (v Value) Raw() []byte { return v.raw }
+// Raw returns the bytes payload without copying (nil if not bytes).
+func (v Value) Raw() []byte {
+	if v.kind != KindBytes {
+		return nil
+	}
+	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))
+}
 
 // String renders the value for display and debugging.
 func (v Value) String() string {
@@ -114,17 +156,17 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindString:
-		return v.str
+		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.w), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.w != 0)
 	case KindTime:
-		return v.t.Format(time.RFC3339Nano)
+		return v.Time().Format(time.RFC3339Nano)
 	case KindBytes:
-		return fmt.Sprintf("%x", v.raw)
+		return fmt.Sprintf("%x", v.s)
 	default:
 		return "?"
 	}
@@ -138,18 +180,12 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindNull:
 		return true
-	case KindString:
-		return v.str == o.str
-	case KindInt:
-		return v.i == o.i
+	case KindString, KindBytes:
+		return v.s == o.s
+	case KindInt, KindBool, KindTime:
+		return v.w == o.w
 	case KindFloat:
-		return v.f == o.f
-	case KindBool:
-		return v.b == o.b
-	case KindTime:
-		return v.t.Equal(o.t)
-	case KindBytes:
-		return string(v.raw) == string(o.raw)
+		return v.Float() == o.Float()
 	default:
 		return false
 	}
@@ -165,34 +201,12 @@ func (v Value) Compare(o Value) int {
 		return 1
 	}
 	switch v.kind {
-	case KindNull:
-		return 0
-	case KindString:
-		return compareOrdered(v.str, o.str)
-	case KindInt:
-		return compareOrdered(v.i, o.i)
+	case KindString, KindBytes:
+		return compareOrdered(v.s, o.s)
+	case KindInt, KindTime, KindBool:
+		return compareOrdered(int64(v.w), int64(o.w))
 	case KindFloat:
-		return compareOrdered(v.f, o.f)
-	case KindBool:
-		switch {
-		case v.b == o.b:
-			return 0
-		case !v.b:
-			return -1
-		default:
-			return 1
-		}
-	case KindTime:
-		switch {
-		case v.t.Before(o.t):
-			return -1
-		case v.t.After(o.t):
-			return 1
-		default:
-			return 0
-		}
-	case KindBytes:
-		return compareOrdered(string(v.raw), string(o.raw))
+		return compareOrdered(v.Float(), o.Float())
 	default:
 		return 0
 	}
@@ -292,16 +306,16 @@ func (s *Schema) Validate(row Row) error {
 // Row is one record, positional per the schema.
 type Row []Value
 
-// Clone returns a deep copy of the row (bytes payloads are copied).
+// Clone returns a deep copy of the row: one new cell array, bytes payloads
+// copied, strings (immutable) shared. It is the one copy a commit makes of a
+// caller's row before storing it.
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
-	for i, v := range r {
-		if v.kind == KindBytes {
-			cp := make([]byte, len(v.raw))
-			copy(cp, v.raw)
-			v.raw = cp
+	copy(out, r)
+	for i := range out {
+		if out[i].kind == KindBytes {
+			out[i].s = strings.Clone(out[i].s)
 		}
-		out[i] = v
 	}
 	return out
 }

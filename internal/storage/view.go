@@ -53,10 +53,11 @@ func (t *Table) snapshotLocked() *Table {
 	out := &Table{
 		schema:    t.schema,
 		primary:   t.primary.clone(),
-		secondary: make(map[string]*btree, len(t.secondary)),
+		secondary: make([]secondaryIndex, len(t.secondary)),
 	}
-	for col, idx := range t.secondary {
-		out.secondary[col] = idx.clone()
+	for i, idx := range t.secondary {
+		idx.tree = idx.tree.clone()
+		out.secondary[i] = idx
 	}
 	return out
 }

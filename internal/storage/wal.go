@@ -160,6 +160,11 @@ func newBufWriter(f *os.File) *bufio.Writer { return bufio.NewWriterSize(f, 1<<1
 // torn or corrupt record ends replay silently (it was never acknowledged);
 // replayWAL returns the byte offset of the last intact record boundary so the
 // caller can truncate garbage.
+//
+// Every record is read into one buffer, reused for the next: fn must copy
+// what it keeps (applyPayload does). A length header is believed only as far
+// as the file goes — a record claiming more bytes than remain is a torn tail,
+// not a reason to allocate them — so the buffer never outgrows the file.
 func replayWAL(path string, fn func(payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -169,19 +174,31 @@ func replayWAL(path string, fn func(payload []byte) error) (int64, error) {
 		return 0, fmt.Errorf("storage: open wal for replay: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("storage: stat wal for replay: %w", err)
+	}
+	size := st.Size()
 	tab := Castagnoli
 	r := bufio.NewReaderSize(f, 1<<16)
 	var off int64
 	var hdr [8]byte
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return off, nil // clean EOF or torn header: stop here
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
+		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		want := binary.LittleEndian.Uint32(hdr[4:8])
-		payload := make([]byte, n)
+		if n > size-off-8 {
+			return off, nil // torn payload: the header promises more than the file holds
+		}
+		if int64(cap(buf)) < n {
+			buf = make([]byte, min(max(n, 2*int64(cap(buf))), size))
+		}
+		payload := buf[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil // torn payload
+			return off, nil // torn payload (the file shrank under us)
 		}
 		if crc32.Checksum(payload, tab) != want {
 			return off, nil // corrupt tail
@@ -189,6 +206,6 @@ func replayWAL(path string, fn func(payload []byte) error) (int64, error) {
 		if err := fn(payload); err != nil {
 			return off, err
 		}
-		off += int64(8 + len(payload))
+		off += 8 + n
 	}
 }

@@ -17,7 +17,10 @@ import (
 // service-latency dominated (a 1ms simulated authority call per name, the
 // regime the tracer is built for) and both sides take the minimum of several
 // interleaved rounds, so scheduler noise cancels instead of failing the
-// build.
+// build. A measurement over budget is taken again, up to three in all: under
+// `go test ./...` the other packages' tests share the host, and one loaded
+// stretch (6.18% was seen once, against 6 of 6 passes alone) is not the
+// tracer's cost — three in a row is.
 func TestTracingOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive guard; skipped under -short")
@@ -63,20 +66,25 @@ func TestTracingOverhead(t *testing.T) {
 	run(false)
 	run(true)
 
-	const rounds = 7
-	base, traced := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < rounds; i++ {
-		if d := run(false); d < base {
-			base = d
+	const rounds, attempts = 7, 3
+	for attempt := 1; ; attempt++ {
+		base, traced := time.Duration(1<<62), time.Duration(1<<62)
+		for i := 0; i < rounds; i++ {
+			if d := run(false); d < base {
+				base = d
+			}
+			if d := run(true); d < traced {
+				traced = d
+			}
 		}
-		if d := run(true); d < traced {
-			traced = d
+		overhead := float64(traced)/float64(base) - 1
+		t.Logf("attempt %d: untraced min %v, traced min %v (%+.2f%% overhead)", attempt, base, traced, 100*overhead)
+		if traced <= base+base/20 {
+			return
 		}
-	}
-	overhead := float64(traced)/float64(base) - 1
-	t.Logf("untraced min %v, traced min %v (%+.2f%% overhead)", base, traced, 100*overhead)
-	if traced > base+base/20 {
-		t.Fatalf("tracing overhead %.2f%% exceeds the 5%% budget (untraced %v, traced %v)",
-			100*overhead, base, traced)
+		if attempt == attempts {
+			t.Fatalf("tracing overhead %.2f%% exceeds the 5%% budget on %d measurements in a row (untraced %v, traced %v)",
+				100*overhead, attempts, base, traced)
+		}
 	}
 }
