@@ -12,9 +12,10 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race-detector pass over the concurrent subsystems (the parallel
-## workflow engine, the singleflight caching resolver + resilience guards,
-## the streaming provenance pipeline, the storage layer under it, the
+## race: race-detector pass over the concurrent subsystems (the workflow
+## engine's driver — worker pool, retry timers, remote-task leases that
+## expire (TestVanishedRemoteWorkerRedelivers) — the singleflight caching
+## resolver + resilience guards, the streaming provenance pipeline, the storage layer under it, the
 ## shard router with its scatter-gather fan-out, the cluster layer — lease
 ## store, scheduler pool and its wake contract (TestWake*: a pushed admission
 ## executes with the poll timer an hour away, goes to an idle peer, never
@@ -33,10 +34,16 @@ race:
 ## ≡ a map model (TestLiveApplyMatchesReplay), rejected batches leave no trace,
 ## Apply retains no caller memory (TestApplyDoesNotRetainCallerMemory), the
 ## on-disk bytes are pinned (TestWireFormatGolden), a torn length header is not
-## believed (TestReplayStopsAtOversizedRecord)), four
+## believed (TestReplayStopsAtOversizedRecord); the workflow package's carry
+## the decider's: TestDecide, and TestDeciderIsPure — no clock, lock, context,
+## randomness, telemetry, goroutine or channel in decider.go), five
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
-## events must never panic or wedge the engine), the history the provenance
+## events must never panic or wedge the engine), the decider under byte-chosen
+## report orders, failures, duplicates and resume cuts (dense seqs, one
+## run-finished and last, one iteration-element per index, every cut before a
+## failure resumes to the same history, the Collector's graph legal OPM), the
+## history the provenance
 ## Collector folds (arbitrary events, split anywhere into prefix and live
 ## stream, must never panic it or make it emit a dangling edge) and storage op
 ## scripts (arbitrary batches applied live must match the model and what a
@@ -56,7 +63,8 @@ race:
 ## guard (traced detection within 5% of untraced), the allocation guards over
 ## the provenance/telemetry/storage hot paths (zero on the encoders and point
 ## reads; a 32-byte cell, TestValueSizeAllocs, and ≤ 3 allocations per inserted
-## row, TestApplyBatchAllocs, on the commit path), a 1-iteration
+## row, TestApplyBatchAllocs, on the commit path) and the decider (zero per
+## element report, TestDecideAllocs), a 1-iteration
 ## bench-harness smoke proving every tracked benchmark still runs (numbers
 ## land in the gitignored BENCH_smoke.json, not the committed trajectory),
 ## the bench-trajectory comparator (fails on a >10% ns/op or allocs/op
@@ -75,12 +83,13 @@ ci:
 	$(MAKE) race
 	$(GO) test ./internal/audio/ -run='^$$' -fuzz=FuzzReadWAV -fuzztime=10s
 	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzResumeHistory -fuzztime=10s
+	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzDecide -fuzztime=10s
 	$(GO) test ./internal/provenance/ -run='^$$' -fuzz=FuzzCollectorHistory -fuzztime=10s
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzApplyReplay -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run TestTracingOverhead .
-	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/
+	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/ ./internal/workflow/
 	$(GO) run ./cmd/bench -smoke
 	$(GO) run ./cmd/bench -compare $(BENCH_NEWEST)
 	$(GO) run ./cmd/experiments -run load -short

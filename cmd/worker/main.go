@@ -1,11 +1,11 @@
 // Command worker is an out-of-process task executor: it attaches to a
 // running orchestrator's cluster gateway (cmd/fnjvweb serves one under
 // /cluster/v1/) and pulls activity tasks from whatever detection runs the
-// orchestrator has live. Tasks execute against this process's own service
-// registry and resolver — the same retry/backoff/output-check pipeline the
-// in-process pool runs — and results fold into the run's history through
-// the orchestrator, so the provenance record is identical wherever an
-// element executed.
+// orchestrator has live. Each task is one attempt against this process's own
+// service registry and resolver; the result folds into the run's history
+// through the orchestrator, which checks the outputs and decides on retries
+// exactly as for its own pool, so the provenance record is identical
+// wherever an element executed.
 //
 // Usage:
 //

@@ -129,7 +129,6 @@ type (
 		Inputs  map[string]workflow.Data `json:"inputs,omitempty"`
 		Outputs map[string]workflow.Data `json:"outputs,omitempty"`
 		Error   string                   `json:"error,omitempty"`
-		Attempt int                      `json:"attempt,omitempty"`
 	}
 )
 
@@ -140,7 +139,6 @@ func (g *Server) Handler() http.Handler {
 	mux.HandleFunc("/cluster/v1/dequeue", g.handleDequeue)
 	mux.HandleFunc("/cluster/v1/complete", g.handleComplete)
 	mux.HandleFunc("/cluster/v1/fail", g.handleFail)
-	mux.HandleFunc("/cluster/v1/retry", g.handleRetry)
 	mux.HandleFunc("/cluster/v1/runs", g.handleRuns)
 	return mux
 }
@@ -227,17 +225,6 @@ func (g *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	}
 	if h := g.handle(req.RunID); h != nil {
 		h.Fail(req.Task, remoteID(req.Worker))
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func (g *Server) handleRetry(w http.ResponseWriter, r *http.Request) {
-	var req reportRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if h := g.handle(req.RunID); h != nil {
-		h.RetryNotify(req.Task, remoteID(req.Worker), req.Attempt)
 	}
 	w.WriteHeader(http.StatusOK)
 }

@@ -14,12 +14,13 @@ import (
 )
 
 // Worker is the out-of-process half of the gateway protocol: it long-polls
-// /cluster/v1/dequeue, invokes each task against its own service registry —
-// the same retry/backoff/output-check pipeline the in-process pool runs
-// (workflow.InvokeRemote) — and reports the result back. Run it from a
-// separate process (cmd/worker) pointed at an orchestrator's gateway; the
-// orchestrator folds its reports into history through the same channel as
-// the local pool, so where an element executed is invisible in the record.
+// /cluster/v1/dequeue, makes one attempt at each task against its own service
+// registry (workflow.InvokeRemote) and reports the result back; the
+// orchestrator checks the outputs and re-dispatches a retry as a new task.
+// Run it from a separate process (cmd/worker) pointed at an orchestrator's
+// gateway; the orchestrator folds its reports into history through the same
+// channel as the local pool, so where an element executed is invisible in
+// the record.
 type Worker struct {
 	// Gateway is the orchestrator's base URL (e.g. "http://host:8080").
 	Gateway string
@@ -114,11 +115,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // worker) so a live worker can pick it up.
 func (w *Worker) execute(ctx context.Context, task pullResponse) {
 	rt := workflow.RemoteTask{Task: task.Task, Processor: task.Processor, Inputs: task.Inputs}
-	out, err := workflow.InvokeRemote(ctx, w.Registry, rt, func(attempt int) {
-		_, _ = w.post(ctx, "/cluster/v1/retry", reportRequest{
-			Worker: w.Name, RunID: task.RunID, Task: task.Task, Attempt: attempt,
-		}, nil)
-	})
+	out, err := workflow.InvokeRemote(ctx, w.Registry, rt)
 	if err != nil && ctx.Err() != nil {
 		// Dying mid-task: hand it back instead of reporting a cancellation
 		// the orchestrator would treat as the task's real outcome.

@@ -147,9 +147,12 @@ func TestBatchDispatchMatchesPerElement(t *testing.T) {
 }
 
 // TestBatchSlotErrorContinuesOnRetryPath: a slot the batch form failed is
-// attempt 0 of that element — it continues alone on the single-call
-// retry/backoff path from attempt 1, with the retry-backoff events, the
-// attempt budget and the error shape a per-element run has.
+// attempt 0 of that element — its retries run alone through the single form
+// from attempt 1, with the retry-backoff events, the attempt budget and the
+// error shape a per-element run has. The backoff is zero so the one worker's
+// FIFO queue fixes the order: item003's retry runs before item007's last
+// attempt fails the activity and cancels it (with jittered backoff either may
+// come first).
 func TestBatchSlotErrorContinuesOnRetryPath(t *testing.T) {
 	const n = 12
 	flaky := map[string]bool{"item003": true, "item007": true}
@@ -171,11 +174,6 @@ func TestBatchSlotErrorContinuesOnRetryPath(t *testing.T) {
 			return upperCall(ctx, c, false)
 		}}
 	}
-	def := func(retries int) *Definition {
-		d := iterDef(retries)
-		d.Processors[0].RetryBase = 100 * time.Microsecond
-		return d
-	}
 	run := func(batched bool, retries int) (elementHistory, *batchRecorder) {
 		svc := newService()
 		reg := NewRegistry()
@@ -184,7 +182,7 @@ func TestBatchSlotErrorContinuesOnRetryPath(t *testing.T) {
 		} else {
 			reg.Register("work", svc.single)
 		}
-		return runRecorded(t, NewEventEngine(reg), def(retries), itemList(n)), svc
+		return runRecorded(t, NewEventEngine(reg), iterDef(retries), itemList(n)), svc
 	}
 
 	want, _ := run(false, 2)
@@ -359,7 +357,11 @@ func TestBatchDuplicateDeliveryDedup(t *testing.T) {
 		})
 	eng := NewEventEngine(reg)
 	eng.Workers = 2
-	eng.Gateway = hookGateway{started: func(h *RunHandle) { h.r.q.SetLeaseTTL(5 * time.Millisecond) }}
+	eng.Gateway = hookGateway{started: func(h *RunHandle) {
+		h.r.q.mu.Lock()
+		h.r.q.leaseTTL = 5 * time.Millisecond // in-process leases expire only here
+		h.r.q.mu.Unlock()
+	}}
 	evs, listener := recordHistory()
 	done := make(chan struct{})
 	var res *RunResult
@@ -435,7 +437,7 @@ func TestBatchRemoteWorkerCompetes(t *testing.T) {
 					if err != nil {
 						return // queue closed: the run is draining
 					}
-					out, err := InvokeRemote(context.Background(), remoteReg, rt, nil)
+					out, err := InvokeRemote(context.Background(), remoteReg, rt)
 					h.Complete(rt.Task, "r-test", rt.Inputs, out, err)
 					remoteDone++
 				}

@@ -54,21 +54,27 @@ func benchHistoryEvent(i int) HistoryEvent {
 }
 
 // BenchmarkHistoryAppend measures the two costs of the history stream: the
-// orchestrator's append (stamp sequence/time/run identity, fan out to
-// listeners) and the JSON encoding the provenance layer pays to persist each
-// event.
+// decider's append (stamp sequence/time/run identity, fold the event) plus the
+// driver's fan-out to listeners, and the JSON encoding the provenance layer
+// pays to persist each event.
 func BenchmarkHistoryAppend(b *testing.B) {
 	b.Run("stamp-fanout", func(b *testing.B) {
 		var last HistoryEvent
-		r := &eventRun{
-			def:       &Definition{ID: "wf-bench", Name: "Bench"},
-			runID:     "bench-run",
-			listeners: []HistoryListener{HistoryListenerFunc(func(ev HistoryEvent) { last = ev })},
-		}
+		def := &Definition{ID: "wf-bench", Name: "Bench", Processors: []*Processor{{Name: "Resolve"}}}
+		r := &eventRun{listeners: []HistoryListener{HistoryListenerFunc(func(ev HistoryEvent) { last = ev })}}
+		var d *decider
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.append(benchHistoryEvent(i))
+			if i%1024 == 0 {
+				// A fresh decider now and then keeps the fold's element
+				// traces from growing with b.N.
+				d = newDecider(def, "bench-run", nil)
+				d.nextSeq = i
+			}
+			d.evs = d.evs[:0]
+			d.emit(benchHistoryEvent(i))
+			r.perform(d.evs, nil)
 		}
 		if last.Seq != b.N-1 {
 			b.Fatalf("listener saw seq %d, want %d", last.Seq, b.N-1)

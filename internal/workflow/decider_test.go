@@ -1,0 +1,549 @@
+package workflow
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+)
+
+// decideNow is the clock of every decider test: a constant, so a history is
+// a function of the inputs alone.
+var decideNow = time.Date(2014, 3, 31, 12, 0, 0, 0, time.UTC)
+
+type outcome int
+
+const (
+	succeed outcome = iota // the fake service's outputs
+	fail                   // a service error
+	fallout                // the context's own error: cancellation fallout
+	missing                // success without the declared outputs
+	again                  // the slot's previous report, delivered once more
+)
+
+// step reports one outstanding task: element el of activity act (-1 for a
+// non-iterating call), at whatever attempt the decider dispatched.
+type step struct {
+	act string
+	el  int
+	do  outcome
+}
+
+// sim drives a decider by hand, without a goroutine or a clock: it records
+// every event and command as one line and keeps the tasks the commands put
+// out.
+type sim struct {
+	tb   testing.TB
+	d    *decider
+	hist []HistoryEvent
+	log  []string
+	out  map[string]Task   // dispatched or re-armed, not yet reported
+	sent map[string]report // the last report per task ID
+}
+
+func newSim(tb testing.TB, def *Definition, inputs map[string]Data, prefix []HistoryEvent) *sim {
+	s := &sim{tb: tb, d: newDecider(def, "run-t", inputs), out: map[string]Task{}, sent: map[string]report{}}
+	for _, ev := range prefix {
+		if err := s.d.apply(ev); err != nil {
+			tb.Fatalf("apply %+v: %v", ev, err)
+		}
+	}
+	s.hist = append(s.hist, prefix...)
+	s.decide(input{resume: true})
+	return s
+}
+
+func (s *sim) decide(in input) {
+	in.now = decideNow
+	evs, cmds := s.d.decide(in)
+	for _, ev := range evs {
+		s.hist = append(s.hist, ev)
+		s.log = append(s.log, renderEvent(ev))
+	}
+	for _, c := range cmds {
+		switch c.kind {
+		case cmdDispatch:
+			var els []string
+			for _, t := range c.tasks {
+				s.out[t.ID] = t
+				els = append(els, strconv.Itoa(t.Element))
+			}
+			s.log = append(s.log, fmt.Sprintf("dispatch %s [%s]", c.p.Name, strings.Join(els, " ")))
+		case cmdRetry:
+			s.out[c.task.ID] = c.task
+			s.log = append(s.log, fmt.Sprintf("retry %s#%d@%d", c.task.Activity, c.task.Element, c.task.Attempt))
+		case cmdCancel:
+			if c.p == nil {
+				s.log = append(s.log, "cancel run")
+			} else {
+				s.log = append(s.log, "cancel "+c.p.Name)
+			}
+		case cmdFinish:
+			s.log = append(s.log, "finish")
+		}
+	}
+}
+
+// fake is every test service: each declared output names the processor and
+// the inputs it was called with.
+func fake(p *Processor, in map[string]Data) map[string]Data {
+	vals := make([]string, 0, len(in))
+	for _, v := range in {
+		vals = append(vals, v.String())
+	}
+	sort.Strings(vals)
+	out := map[string]Data{}
+	for _, port := range p.Outputs {
+		out[port.Name] = Scalar(p.Name + ":" + strings.Join(vals, ","))
+	}
+	return out
+}
+
+func (s *sim) report(st step) {
+	id := TaskID(s.d.runID, st.act, st.el)
+	if st.do == again {
+		s.decide(input{report: s.sent[id]})
+		return
+	}
+	t, found := s.out[id]
+	if !found {
+		s.tb.Fatalf("no outstanding task %s", id)
+	}
+	delete(s.out, id)
+	a := s.d.acts[st.act]
+	r := report{task: t, worker: "w1", inputs: a.inputs}
+	if t.Element >= 0 {
+		r.inputs = elementInputs(a.p, a.inputs, t.Element)
+	}
+	switch st.do {
+	case succeed:
+		r.outputs = fake(a.p, r.inputs)
+	case fail:
+		r.err = errors.New("boom")
+	case fallout:
+		r.err, r.cancelled = context.Canceled, true
+	case missing:
+		r.outputs = map[string]Data{}
+	}
+	s.sent[id] = r
+	s.decide(input{report: r})
+}
+
+func renderEvent(ev HistoryEvent) string {
+	switch ev.Type {
+	case HistoryActivityScheduled:
+		if ev.Elements >= 0 {
+			return fmt.Sprintf("scheduled %s x%d", ev.Activity, ev.Elements)
+		}
+		return "scheduled " + ev.Activity
+	case HistoryActivityStarted:
+		return "started " + ev.Activity
+	case HistoryIterationElement:
+		return fmt.Sprintf("element %s#%d", ev.Activity, ev.Element)
+	case HistoryRetryBackoff:
+		return fmt.Sprintf("retry-backoff %s#%d@%d", ev.Activity, ev.Element, ev.Attempt)
+	case HistoryActivityCompleted:
+		return fmt.Sprintf("completed %s %s", ev.Activity, renderData(ev.Outputs))
+	case HistoryActivityFailed:
+		return fmt.Sprintf("failed %s (%d): %s", ev.Activity, ev.Iterations, ev.Err)
+	case HistoryRunFinished:
+		if ev.Status == "failed" {
+			return "finished failed: " + ev.Err
+		}
+		return "finished completed " + renderData(ev.Outputs)
+	}
+	return string(ev.Type)
+}
+
+func renderData(m map[string]Data) string {
+	var parts []string
+	for k, v := range m {
+		parts = append(parts, k+"="+v.String())
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
+}
+
+// gatherDef iterates Resolve over a name list and hands the collected list
+// to Summarize, which consumes it whole.
+func gatherDef() *Definition {
+	return &Definition{
+		ID: "wf-gather", Name: "gather",
+		Inputs:  []Port{{Name: "names", Depth: 1}},
+		Outputs: []Port{{Name: "summary"}},
+		Processors: []*Processor{
+			{Name: "Resolve", Service: "svc", Inputs: []Port{{Name: "name"}}, Outputs: []Port{{Name: "result"}}},
+			{Name: "Summarize", Service: "svc", Inputs: []Port{{Name: "results", Depth: 1}}, Outputs: []Port{{Name: "summary"}}},
+		},
+		Links: []Link{
+			{Source: Endpoint{Port: "names"}, Target: Endpoint{Processor: "Resolve", Port: "name"}},
+			{Source: Endpoint{Processor: "Resolve", Port: "result"}, Target: Endpoint{Processor: "Summarize", Port: "results"}},
+			{Source: Endpoint{Processor: "Summarize", Port: "summary"}, Target: Endpoint{Port: "summary"}},
+		},
+	}
+}
+
+func items(vals ...string) Data {
+	out := make([]Data, len(vals))
+	for i, v := range vals {
+		out[i] = Scalar(v)
+	}
+	return List(out...)
+}
+
+// TestDecide pins the decider's answers, input by input, with no worker,
+// goroutine or clock: which events a report appends, which commands it
+// issues, and how a resume continues from a stored prefix.
+func TestDecide(t *testing.T) {
+	linear := linearDef()
+	retrying := func(d *Definition, retries int) *Definition {
+		d.Processors[0].Retries = retries
+		return d
+	}
+	abc := map[string]Data{"in": items("a", "b", "c")}
+	prefix := func(evs ...HistoryEvent) []HistoryEvent {
+		for i := range evs {
+			evs[i].Seq, evs[i].RunID = i, "run-t"
+		}
+		return evs
+	}
+	started := HistoryEvent{Type: HistoryRunStarted}
+	schedA := HistoryEvent{Type: HistoryActivityScheduled, Activity: "A", Service: "work", Inputs: map[string]Data{"x": abc["in"]}, Elements: 3}
+	startA := HistoryEvent{Type: HistoryActivityStarted, Activity: "A", Element: -1}
+	elem := func(i int, v string) HistoryEvent {
+		return HistoryEvent{Type: HistoryIterationElement, Activity: "A", Element: i,
+			Inputs: map[string]Data{"x": Scalar(v)}, Outputs: map[string]Data{"y": Scalar("A:" + v)}}
+	}
+
+	cases := []struct {
+		name        string
+		def         *Definition
+		inputs      map[string]Data
+		prefix      []HistoryEvent
+		steps       []step
+		want        []string
+		err         string // substring of the run's error; "" = success
+		invocations map[string]int
+	}{{
+		name: "fresh linear run", def: linear, inputs: map[string]Data{"in": Scalar("hello")},
+		steps: []step{{"A", -1, succeed}, {"B", -1, succeed}},
+		want: []string{
+			"run-started", "scheduled A", "dispatch A [-1]",
+			"started A", "completed A y=A:hello", "scheduled B", "dispatch B [-1]",
+			"started B", "completed B y=B:A:hello", "finished completed out=B:A:hello", "finish",
+		},
+		invocations: map[string]int{"A": 1, "B": 1},
+	}, {
+		name: "out-of-order element reports", def: iterDef(0), inputs: abc,
+		steps: []step{{"A", 2, succeed}, {"A", 0, succeed}, {"A", 1, succeed}},
+		want: []string{
+			"run-started", "scheduled A x3", "dispatch A [0 1 2]",
+			"started A", "element A#2", "element A#0", "element A#1",
+			"completed A y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+		},
+		invocations: map[string]int{"A": 3},
+	}, {
+		name: "lowest real failure beside cancellation fallout", def: iterDef(0),
+		inputs: map[string]Data{"in": items("a", "b", "c", "d", "e", "f")},
+		steps:  []step{{"A", 4, fail}, {"A", 1, fallout}, {"A", 5, fail}, {"A", 0, succeed}, {"A", 2, fallout}, {"A", 3, fallout}},
+		want: []string{
+			"run-started", "scheduled A x6", "dispatch A [0 1 2 3 4 5]",
+			"started A", "cancel A",
+			"element A#0",
+			"failed A (5): iteration 4: boom", `finished failed: workflow: processor "A": iteration 4: boom`, "cancel run", "finish",
+		},
+		err: "iteration 4: boom",
+	}, {
+		name: "retry armed then succeeding", def: iterDef(2), inputs: map[string]Data{"in": items("a", "b")},
+		steps: []step{{"A", 0, fail}, {"A", 1, succeed}, {"A", 0, succeed}},
+		want: []string{
+			"run-started", "scheduled A x2", "dispatch A [0 1]",
+			"started A", "retry-backoff A#0@1", "retry A#0@1",
+			"element A#1",
+			"element A#0", "completed A y=[A:a, A:b]", "finished completed out=[A:a, A:b]", "finish",
+		},
+		invocations: map[string]int{"A": 2},
+	}, {
+		name: "retries exhausted", def: retrying(linearDef(), 1), inputs: map[string]Data{"in": Scalar("v")},
+		steps: []step{{"A", -1, fail}, {"A", -1, fail}},
+		want: []string{
+			"run-started", "scheduled A", "dispatch A [-1]",
+			"started A", "retry-backoff A#-1@1", "retry A#-1@1",
+			"failed A (1): after 2 attempts: boom", `finished failed: workflow: processor "A": after 2 attempts: boom`,
+			"cancel A", "cancel run", "finish",
+		},
+		err: "after 2 attempts: boom",
+	}, {
+		name: "stale and duplicate reports dropped", def: iterDef(1), inputs: map[string]Data{"in": items("a", "b")},
+		steps: []step{{"A", 0, succeed}, {"A", 0, again}, {"A", 1, fail}, {"A", 1, again}, {"A", 1, succeed}},
+		want: []string{
+			"run-started", "scheduled A x2", "dispatch A [0 1]",
+			"started A", "element A#0",
+			"retry-backoff A#1@1", "retry A#1@1",
+			"element A#1", "completed A y=[A:a, A:b]", "finished completed out=[A:a, A:b]", "finish",
+		},
+	}, {
+		name: "missing declared output", def: linear, inputs: map[string]Data{"in": Scalar("v")},
+		steps: []step{{"A", -1, missing}},
+		want: []string{
+			"run-started", "scheduled A", "dispatch A [-1]",
+			`started A`, `failed A (1): service "svcA" omitted output "y"`,
+			`finished failed: workflow: processor "A": service "svcA" omitted output "y"`,
+			"cancel A", "cancel run", "finish",
+		},
+		err: "omitted output",
+	}, {
+		name: "iterate then gather", def: gatherDef(), inputs: map[string]Data{"names": items("a", "b", "c")},
+		steps: []step{{"Resolve", 0, succeed}, {"Resolve", 1, succeed}, {"Resolve", 2, succeed}, {"Summarize", -1, succeed}},
+		want: []string{
+			"run-started", "scheduled Resolve x3", "dispatch Resolve [0 1 2]",
+			"started Resolve", "element Resolve#0", "element Resolve#1", "element Resolve#2",
+			"completed Resolve result=[Resolve:a, Resolve:b, Resolve:c]", "scheduled Summarize", "dispatch Summarize [-1]",
+			"started Summarize", "completed Summarize summary=Summarize:[Resolve:a, Resolve:b, Resolve:c]",
+			"finished completed summary=Summarize:[Resolve:a, Resolve:b, Resolve:c]", "finish",
+		},
+		invocations: map[string]int{"Resolve": 3, "Summarize": 1},
+	}, {
+		name: "resume mid-iteration", def: iterDef(0), inputs: abc,
+		prefix: prefix(started, schedA, startA, elem(1, "b")),
+		steps:  []step{{"A", 0, succeed}, {"A", 2, succeed}},
+		want: []string{
+			"dispatch A [0 2]",
+			"element A#0", "element A#2", "completed A y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+		},
+		invocations: map[string]int{"A": 2},
+	}, {
+		name: "resume just after activity-failed", def: iterDef(0), inputs: abc,
+		prefix: prefix(started, schedA, startA, elem(0, "a"),
+			HistoryEvent{Type: HistoryActivityFailed, Activity: "A", Iterations: 2, Err: "iteration 1: boom"}),
+		steps: []step{{"A", 2, succeed}, {"A", 1, succeed}},
+		want: []string{
+			"dispatch A [1 2]",
+			"element A#2", "element A#1", "completed A y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+		},
+	}, {
+		name: "resume at run-finished", def: iterDef(0), inputs: abc,
+		prefix: prefix(started, schedA, startA, elem(0, "a"), elem(1, "b"), elem(2, "c"),
+			HistoryEvent{Type: HistoryActivityCompleted, Activity: "A", Iterations: 3, Outputs: map[string]Data{"y": items("A:a", "A:b", "A:c")}},
+			HistoryEvent{Type: HistoryRunFinished, Status: "completed", Outputs: map[string]Data{"out": items("A:a", "A:b", "A:c")}}),
+		want:        nil,
+		invocations: map[string]int{},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSim(t, tc.def, tc.inputs, tc.prefix)
+			for _, st := range tc.steps {
+				s.report(st)
+			}
+			if !reflect.DeepEqual(s.log, tc.want) {
+				t.Fatalf("decisions:\n  %s\nwant:\n  %s", strings.Join(s.log, "\n  "), strings.Join(tc.want, "\n  "))
+			}
+			for i, ev := range s.hist {
+				if ev.Seq != i {
+					t.Fatalf("event %d has seq %d", i, ev.Seq)
+				}
+			}
+			if len(s.out) != 0 {
+				t.Errorf("tasks still outstanding: %v", s.out)
+			}
+			res, err := s.d.res, s.d.err
+			if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+				t.Fatalf("run error %v, want %q", err, tc.err)
+			}
+			if tc.err == "" && res.Outputs[tc.def.Outputs[0].Name].String() == "" {
+				t.Errorf("no output in %+v", res)
+			}
+			if tc.invocations != nil && !reflect.DeepEqual(res.Invocations, tc.invocations) {
+				t.Errorf("invocations %v, want %v", res.Invocations, tc.invocations)
+			}
+		})
+	}
+}
+
+// TestDeciderIsPure keeps decider.go free of what would make a decision
+// depend on anything but its inputs: the clock, locks, contexts, randomness,
+// telemetry, goroutines and channels.
+func TestDeciderIsPure(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "decider.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := map[string]bool{"time": true, "sync": true, "context": true, "math/rand": true, "repro/internal/telemetry": true}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		if banned[path] || strings.HasPrefix(path, "sync/") || strings.HasPrefix(path, "math/rand/") {
+			t.Errorf("decider.go imports %q", path)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.GoStmt:
+			t.Errorf("%s: go statement in the decider", fset.Position(n.Pos()))
+		case *ast.ChanType:
+			t.Errorf("%s: channel type in the decider", fset.Position(n.Pos()))
+		}
+		return true
+	})
+}
+
+// TestDecideAllocs pins what folding one element report costs the decider:
+// nothing, on average (AllocsPerRun's integer mean). The report's maps are the
+// worker's and the event is stamped into a reused buffer; what is left is the
+// fold's list of element traces, which grows by doubling.
+func TestDecideAllocs(t *testing.T) {
+	const n = 4096
+	in := make([]string, n)
+	for i := range in {
+		in[i] = "v" + strconv.Itoa(i)
+	}
+	s := newSim(t, iterDef(0), map[string]Data{"in": items(in...)}, nil)
+	a := s.d.acts["A"]
+	reports := make([]report, n)
+	for i := range reports {
+		x := elementInputs(a.p, a.inputs, i)
+		reports[i] = report{task: s.out[TaskID("run-t", "A", i)], worker: "w1", inputs: x, outputs: fake(a.p, x)}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(n-2, func() {
+		s.d.decide(input{now: decideNow, report: reports[next]})
+		next++
+	})
+	if next != n-1 {
+		t.Fatalf("ran %d reports", next)
+	}
+	if allocs > 0 {
+		t.Fatalf("%.0f allocations per element report, want 0", allocs)
+	}
+}
+
+// decideScript drives a decider over the iterating linear pipeline with every
+// choice read from data — the processors' retry budgets, which outstanding
+// task reports next, its outcome, duplicate deliveries of earlier reports —
+// and checks what must hold of any history it makes: dense sequence numbers,
+// one run-finished and last, at most one iteration-element per index, no wait
+// on nothing, and that resuming at every cut before the first activity-failed
+// and feeding the same reports again reproduces the rest of the history
+// (Time and Worker aside). A cut past activity-failed re-executes the failed
+// activity (TestResumePastFailedActivity), so it continues differently.
+func decideScript(tb testing.TB, data []byte) []HistoryEvent {
+	if len(data) > 512 {
+		data = data[:512] // the resume check is quadratic in the reports
+	}
+	next := func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
+	def := linearDef()
+	def.Processors[0].Retries, def.Processors[1].Retries = next(3), next(3)
+	inputs := map[string]Data{"in": items("a", "b", "c")}
+	s := &sim{tb: tb, d: newDecider(def, "run-fuzz", inputs), out: map[string]Task{}, sent: map[string]report{}}
+	s.decide(input{resume: true})
+	var reports []report
+	runCancelled := false
+	// A duplicate consumes a byte and changes nothing, so once data runs out
+	// every report advances the run.
+	limit := len(data) + 100
+	for len(s.hist) == 0 || s.hist[len(s.hist)-1].Type != HistoryRunFinished {
+		if len(reports) > limit {
+			tb.Fatalf("no run-finished after %d reports", len(reports))
+		}
+		ids := make([]string, 0, len(s.out))
+		for id := range s.out {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		var r report
+		if len(reports) > 0 && next(6) == 5 {
+			r = reports[next(len(reports))]
+		} else {
+			if len(ids) == 0 {
+				tb.Fatalf("decider waits with no task outstanding: %v", s.log)
+			}
+			t := s.out[ids[next(len(ids))]]
+			delete(s.out, t.ID)
+			a := s.d.acts[t.Activity]
+			r = report{task: t, worker: "w" + strconv.Itoa(next(3)), inputs: elementInputs(a.p, a.inputs, t.Element)}
+			switch next(8) { // exhausted data reads 0: success
+			case 5:
+				r.err = errors.New("boom")
+			case 6:
+				r.err, r.cancelled = context.Canceled, true
+			case 7:
+				r.outputs = map[string]Data{}
+			default:
+				r.outputs = fake(a.p, r.inputs)
+			}
+			if runCancelled {
+				r.ctxErr = context.Canceled
+			}
+		}
+		reports = append(reports, r)
+		s.decide(input{report: r})
+		runCancelled = runCancelled || strings.Contains(strings.Join(s.log, "\n"), "cancel run")
+	}
+
+	hist := s.hist
+	firstFailed := len(hist)
+	seen := map[string]bool{}
+	for i, ev := range hist {
+		if ev.Seq != i {
+			tb.Fatalf("event %d has seq %d", i, ev.Seq)
+		}
+		if ev.Type == HistoryRunFinished && i != len(hist)-1 {
+			tb.Fatalf("run-finished at %d of %d", i, len(hist))
+		}
+		if ev.Type == HistoryActivityFailed && firstFailed == len(hist) {
+			firstFailed = i
+		}
+		if ev.Type == HistoryIterationElement {
+			key := ev.Activity + "#" + strconv.Itoa(ev.Element)
+			if seen[key] {
+				tb.Fatalf("second iteration-element for %s", key)
+			}
+			seen[key] = true
+		}
+	}
+	if err := s.d.err; (err != nil) != (hist[len(hist)-1].Status == "failed") {
+		tb.Fatalf("result error %v beside %+v", err, hist[len(hist)-1])
+	}
+
+	for cut := 0; cut <= firstFailed; cut++ {
+		d := newDecider(def, "run-fuzz", inputs)
+		for _, ev := range hist[:cut] {
+			if err := d.apply(ev); err != nil {
+				tb.Fatalf("cut %d: %v", cut, err)
+			}
+		}
+		got := append([]HistoryEvent(nil), hist[:cut]...)
+		evs, _ := d.decide(input{now: decideNow, resume: true})
+		got = append(got, evs...)
+		for _, r := range reports {
+			evs, _ := d.decide(input{now: decideNow, report: r})
+			got = append(got, evs...)
+		}
+		if len(got) != len(hist) {
+			tb.Fatalf("cut %d: resumed history has %d events, want %d\n%s", cut, len(got), len(hist), strings.Join(s.log, "\n"))
+		}
+		for i := range got {
+			g, w := got[i], hist[i]
+			g.Worker, w.Worker = "", ""
+			if !reflect.DeepEqual(g, w) {
+				tb.Fatalf("cut %d: event %d\n got %+v\nwant %+v", cut, i, got[i], hist[i])
+			}
+		}
+	}
+	return hist
+}

@@ -67,8 +67,9 @@ func (r *Registry) Register(name string, fn ServiceFunc) {
 
 // RegisterBatch binds a service name to a single form and a batch form of the
 // same implementation. The engine uses the batch form to dispatch the ready
-// elements of an implicit iteration in one invocation (see MaxElementBatch);
-// everything else — single calls, retries, remote workers — uses fn.
+// first attempts of an implicit iteration's elements in one invocation (see
+// MaxElementBatch); everything else — single calls, retries, remote workers —
+// uses fn.
 func (r *Registry) RegisterBatch(name string, fn ServiceFunc, batch BatchServiceFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -146,8 +147,7 @@ type engineMetrics struct {
 
 	// Latency distributions, split at the dispatch queue: queueWait is time a
 	// task spent enqueued before a worker picked it up, exec is the service
-	// call itself (including per-processor retries). A batch is one sample
-	// of each.
+	// call itself. Each attempt is one sample of each, and so is a batch.
 	queueWait telemetry.Histogram
 	exec      telemetry.Histogram
 }
@@ -210,22 +210,6 @@ func backoffDelay(p *Processor, attempt int) time.Duration {
 		d = ceiling
 	}
 	return time.Duration(rand.Int63n(int64(d))) + 1
-}
-
-// sleepBackoff sleeps for d, returning early with the context error if ctx
-// finishes first. Zero and negative d return immediately.
-func sleepBackoff(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 func checkOutputs(p *Processor, out map[string]Data) error {

@@ -17,29 +17,10 @@ import (
 // orchestration loop waiting for a task nobody was given, and never append
 // events out of sequence.
 func FuzzResumeHistory(f *testing.F) {
-	def := linearDef()
-	def.Processors[0].Service = "upper"
-	def.Processors[1].Service = "exclaim"
-	// A list on the depth-0 input makes both processors iterate, so element
-	// events and partial iterations are part of every seed history.
-	inputs := map[string]Data{"in": List(Scalar("a"), Scalar("b"), Scalar("c"))}
-
-	evs, listener := recordHistory()
-	if _, err := NewEventEngine(upperReg()).Run(context.Background(), def, inputs, listener); err != nil {
-		f.Fatal(err)
+	def, inputs := fuzzPipeline()
+	for _, seed := range resumeHistorySeeds(f) {
+		f.Add(seed)
 	}
-	for cut := 0; cut <= len(*evs); cut++ {
-		blob, err := json.Marshal((*evs)[:cut])
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(blob)
-	}
-	f.Add([]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b"]},"elements":2},{"seq":2,"type":"iteration-element","activity":"A","element":7,"outputs":{"y":"Z"}},{"seq":3,"type":"iteration-element","activity":"A","element":-3}]`))
-	f.Add([]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"run-finished","status":"completed","outputs":{"out":"X"}},{"seq":2,"type":"activity-scheduled","activity":"A"}]`))
-	f.Add([]byte(`[{"seq":0,"type":"activity-completed","activity":"nope","outputs":{"y":"X"}}]`))
-	f.Add([]byte(`[{"seq":-5,"type":"run-started"},{"seq":-5,"type":"activity-completed","activity":"B","iterations":1,"outputs":{"y":[["deep"]]}},{"seq":-5,"type":"activity-failed","activity":"A"}]`))
-	f.Add([]byte(`[{"seq":1,"type":"activity-completed","activity":"A","outputs":{}}]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var history []HistoryEvent
@@ -76,4 +57,40 @@ func FuzzResumeHistory(f *testing.F) {
 			t.Fatalf("Resume blocked on history %s", data)
 		}
 	})
+}
+
+// fuzzPipeline is the linear test pipeline with a list on the depth-0 input,
+// so both processors iterate and element events and partial iterations are
+// part of every history it makes.
+func fuzzPipeline() (*Definition, map[string]Data) {
+	def := linearDef()
+	def.Processors[0].Service = "upper"
+	def.Processors[1].Service = "exclaim"
+	return def, map[string]Data{"in": List(Scalar("a"), Scalar("b"), Scalar("c"))}
+}
+
+// resumeHistorySeeds is the seed corpus of the history fuzzers: a real run
+// of fuzzPipeline cut at every event, plus hand-written prefixes no engine
+// makes — out-of-range elements, events past run-finished, unknown
+// activities, duplicate negative sequence numbers, outputs of the wrong shape.
+func resumeHistorySeeds(tb testing.TB) [][]byte {
+	def, inputs := fuzzPipeline()
+	evs, listener := recordHistory()
+	if _, err := NewEventEngine(upperReg()).Run(context.Background(), def, inputs, listener); err != nil {
+		tb.Fatal(err)
+	}
+	var seeds [][]byte
+	for cut := 0; cut <= len(*evs); cut++ {
+		blob, err := json.Marshal((*evs)[:cut])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, blob)
+	}
+	return append(seeds,
+		[]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b"]},"elements":2},{"seq":2,"type":"iteration-element","activity":"A","element":7,"outputs":{"y":"Z"}},{"seq":3,"type":"iteration-element","activity":"A","element":-3}]`),
+		[]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"run-finished","status":"completed","outputs":{"out":"X"}},{"seq":2,"type":"activity-scheduled","activity":"A"}]`),
+		[]byte(`[{"seq":0,"type":"activity-completed","activity":"nope","outputs":{"y":"X"}}]`),
+		[]byte(`[{"seq":-5,"type":"run-started"},{"seq":-5,"type":"activity-completed","activity":"B","iterations":1,"outputs":{"y":[["deep"]]}},{"seq":-5,"type":"activity-failed","activity":"A"}]`),
+		[]byte(`[{"seq":1,"type":"activity-completed","activity":"A","outputs":{}}]`))
 }

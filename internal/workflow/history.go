@@ -5,13 +5,16 @@ import "time"
 // This file defines the event-sourced core's source of truth: every run is an
 // append-only history of typed events, and everything else the system derives
 // from a run — OPM provenance deltas, telemetry spans, crash recovery — is a
-// deterministic projection of that stream. The engine (eventcore.go) appends
-// events from a single orchestrator goroutine, so a run's history is totally
+// deterministic projection of that stream. The engine's decider (decider.go)
+// makes every event, one input at a time, so a run's history is totally
 // ordered and its Seq numbers are dense from 0.
 //
-// Resume is replay: fold the persisted history prefix back into engine state,
-// re-enqueue only the activity tasks the prefix does not record as finished,
+// Resume is replay: fold the persisted history prefix back into the decider,
+// re-dispatch only the activity tasks the prefix does not record as finished,
 // and append new events after the prefix. No checkpoint side-channel exists.
+
+// instant is wall-clock time as the decider sees it: handed in, never read.
+type instant = time.Time
 
 // HistoryEventType classifies one history event. The values are the wire
 // format (JSON payloads store them verbatim), so they must never change.
@@ -85,7 +88,7 @@ type HistoryEvent struct {
 }
 
 // HistoryListener observes a run's history stream. OnHistoryEvent is called
-// synchronously from the engine's orchestrator goroutine, in Seq order, so
+// synchronously from the engine driver's loop goroutine, in Seq order, so
 // implementations observe a totally ordered stream and need no locking
 // against the engine (they must still be safe against their own readers).
 type HistoryListener interface {
@@ -159,7 +162,7 @@ func (f *HistoryFold) act(name string) *ActivityFold {
 
 // Apply folds the next event and returns the activity it updated: nil for
 // run-level events and for bookkeeping (activity-started, sub-workflow,
-// retry-backoff), which changes nothing a resume or a projection reads.
+// retry-backoff), which no projection reads; the decider folds those itself.
 func (f *HistoryFold) Apply(ev HistoryEvent) *ActivityFold {
 	var a *ActivityFold
 	switch ev.Type {

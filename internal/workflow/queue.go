@@ -21,8 +21,9 @@ type Task struct {
 	RunID    string
 	Activity string
 	Element  int // iteration index, or -1 for a single non-iterating call
-	// Attempt counts deliveries of this task (0 on first enqueue); a Nack
-	// re-enqueues the same ID with Attempt+1.
+	// Attempt is the retry ordinal the engine dispatched (0 for the first
+	// attempt). A redelivery — a Nack or an expired lease — hands the same
+	// attempt to another holder.
 	Attempt    int
 	EnqueuedAt time.Time
 }
@@ -45,16 +46,18 @@ func TaskID(runID, activity string, element int) string {
 //     closed and drained. A dequeued task is leased (counted by InFlight)
 //     until Ack or Nack.
 //   - Ack removes a leased task permanently; Nack returns leased tasks to the
-//     tail with Attempt+1 under the same IDs.
+//     tail, unchanged.
 //   - Depth counts ready (not yet dequeued) tasks; InFlight counts leased.
 //   - Close stops new enqueues immediately but lets Dequeue drain what is
 //     already ready.
 type MemoryQueue struct {
-	mu       sync.Mutex
-	ready    []Task
-	leased   map[string]memLease
-	leaseTTL time.Duration // 0 = leases never expire
-	expiring int           // leases with a non-zero deadline outstanding
+	mu     sync.Mutex
+	ready  []Task
+	leased map[string]memLease
+	// leaseTTL bounds the leases Dequeue and DequeueElements take; zero, the
+	// only value outside tests, means they never expire.
+	leaseTTL time.Duration
+	expiring int // leases with a non-zero deadline outstanding
 	closed   bool
 	wake     chan struct{} // closed-and-replaced to broadcast state changes
 }
@@ -70,19 +73,8 @@ func NewMemoryQueue() *MemoryQueue {
 	return &MemoryQueue{leased: make(map[string]memLease), wake: make(chan struct{})}
 }
 
-// SetLeaseTTL bounds how long a dequeued task may stay unacknowledged: a
-// lease older than ttl is reclaimed by the next Dequeue and the task is
-// redelivered at the tail with Attempt+1, exactly as a Nack would — the
-// original holder's late Ack is then an idempotent no-op. Zero (the default)
-// restores leases that never expire, adding no cost to the hot dispatch
-// path. Only leases taken after the call carry the new TTL.
-func (q *MemoryQueue) SetLeaseTTL(ttl time.Duration) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.leaseTTL = ttl
-}
-
-// reclaimLocked returns expired leases to the tail, bumping Attempt. Callers
+// reclaimLocked returns expired leases to the tail, exactly as a Nack would —
+// the original holder's late Ack is then an idempotent no-op. Callers
 // hold q.mu and have checked q.expiring > 0, keeping the no-TTL dispatch
 // path free of clock reads and map sweeps. Reports whether anything was
 // reclaimed.
@@ -95,7 +87,6 @@ func (q *MemoryQueue) reclaimLocked(now time.Time) bool {
 		delete(q.leased, id)
 		q.expiring--
 		t := l.t
-		t.Attempt++
 		t.EnqueuedAt = now
 		q.ready = append(q.ready, t)
 		reclaimed = true
@@ -145,18 +136,22 @@ func (q *MemoryQueue) Enqueue(ts ...Task) error {
 	return nil
 }
 
-// leaseLocked records one delivery of t. Callers hold q.mu.
-func (q *MemoryQueue) leaseLocked(t Task) {
+// leaseLocked records one delivery of t, expiring after ttl when ttl > 0.
+// Callers hold q.mu.
+func (q *MemoryQueue) leaseLocked(t Task, ttl time.Duration) {
 	l := memLease{t: t}
-	if q.leaseTTL > 0 {
-		l.expires = time.Now().Add(q.leaseTTL)
+	if ttl > 0 {
+		l.expires = time.Now().Add(ttl)
 		q.expiring++
 	}
 	q.leased[t.ID] = l
 }
 
 // Dequeue leases the FIFO head, blocking until one is ready.
-func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
+func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) { return q.dequeue(ctx, 0) }
+
+// dequeue is Dequeue under a lease of ttl; zero takes the queue's leaseTTL.
+func (q *MemoryQueue) dequeue(ctx context.Context, ttl time.Duration) (Task, error) {
 	for {
 		q.mu.Lock()
 		if q.expiring > 0 && q.reclaimLocked(time.Now()) {
@@ -165,7 +160,10 @@ func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 		if len(q.ready) > 0 {
 			t := q.ready[0]
 			q.ready = q.ready[1:]
-			q.leaseLocked(t)
+			if ttl == 0 {
+				ttl = q.leaseTTL
+			}
+			q.leaseLocked(t, ttl)
 			q.mu.Unlock()
 			return t, nil
 		}
@@ -198,18 +196,19 @@ func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 }
 
 // DequeueElements leases, without blocking, up to max ready iteration
-// elements of one activity — the companions a worker batches with an element
-// it already holds. They leave the queue in FIFO order, each under its own
-// lease exactly as if Dequeue had delivered it, so Ack, Nack and lease expiry
-// stay per task; ready tasks of other activities keep their order.
+// elements of one activity at their first attempt — the companions a worker
+// batches with an element it already holds (a retry runs alone). They leave
+// the queue in FIFO order, each under its own lease exactly as if Dequeue had
+// delivered it, so Ack, Nack and lease expiry stay per task; every other
+// ready task keeps its place.
 func (q *MemoryQueue) DequeueElements(activity string, max int) []Task {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var out []Task
 	rest := q.ready[:0]
 	for _, t := range q.ready {
-		if len(out) < max && t.Activity == activity && t.Element >= 0 {
-			q.leaseLocked(t)
+		if len(out) < max && t.Activity == activity && t.Element >= 0 && t.Attempt == 0 {
+			q.leaseLocked(t, q.leaseTTL)
 			out = append(out, t)
 			continue
 		}
@@ -241,7 +240,7 @@ func (q *MemoryQueue) Ack(id string) {
 	}
 }
 
-// Nack returns leased tasks to the tail with Attempt+1, in one operation — a
+// Nack returns leased tasks to the tail, in one operation — a
 // dying worker hands back its whole lease together, so whoever picks it up
 // finds it whole. Like Ack, nacking an unleased or expired task is an
 // idempotent no-op — an expired lease is already on its way back to the tail
@@ -264,7 +263,6 @@ func (q *MemoryQueue) Nack(ids ...string) {
 			q.expiring--
 		}
 		t := l.t
-		t.Attempt++
 		t.EnqueuedAt = now
 		q.ready = append(q.ready, t)
 		returned = true

@@ -70,7 +70,8 @@ func TestQueueContractNackRedelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Nack(first.ID)
-	// The nacked task moves to the tail with a bumped attempt.
+	// The nacked task moves to the tail under the same attempt: a redelivery
+	// is not a retry.
 	second, _ := q.Dequeue(context.Background())
 	if second.Element != 1 {
 		t.Fatalf("nacked task did not yield the head: got element %d", second.Element)
@@ -79,8 +80,8 @@ func TestQueueContractNackRedelivers(t *testing.T) {
 	if redelivered.ID != first.ID {
 		t.Fatalf("redelivered ID %q, want %q", redelivered.ID, first.ID)
 	}
-	if redelivered.Attempt != first.Attempt+1 {
-		t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt+1)
+	if redelivered.Attempt != first.Attempt {
+		t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt)
 	}
 }
 
@@ -137,12 +138,12 @@ func TestQueueContractCloseDrains(t *testing.T) {
 
 // TestQueueContractLeaseExpiry pins the lease-timeout contract: a dequeued
 // task that is never acknowledged is redelivered —
-// exactly once — to another dequeuer after the TTL, with Attempt+1, and the
+// exactly once — to another dequeuer after the TTL, under the same attempt, and the
 // original holder's late Ack is an idempotent no-op that cannot
 // double-complete the stolen task.
 func TestQueueContractLeaseExpiry(t *testing.T) {
 	q := NewMemoryQueue()
-	q.SetLeaseTTL(30 * time.Millisecond)
+	q.leaseTTL = 30 * time.Millisecond
 	if err := q.Enqueue(task(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +164,8 @@ func TestQueueContractLeaseExpiry(t *testing.T) {
 	if redelivered.ID != first.ID {
 		t.Fatalf("redelivered ID %q, want %q", redelivered.ID, first.ID)
 	}
-	if redelivered.Attempt != first.Attempt+1 {
-		t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt+1)
+	if redelivered.Attempt != first.Attempt {
+		t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt)
 	}
 	q.Ack(redelivered.ID)
 	// The original holder's lease is gone; its late ack and nack
@@ -186,10 +187,10 @@ func TestQueueContractLeaseExpiry(t *testing.T) {
 // TestQueueContractExpiredAckCannotComplete pins the stolen-task half of the
 // idempotency contract: once a lease has expired, the original holder's Ack
 // arrives too late to complete the task — it is a no-op, and the task is
-// still redelivered to the next dequeuer with a bumped attempt.
+// still redelivered to the next dequeuer.
 func TestQueueContractExpiredAckCannotComplete(t *testing.T) {
 	q := NewMemoryQueue()
-	q.SetLeaseTTL(20 * time.Millisecond)
+	q.leaseTTL = 20 * time.Millisecond
 	if err := q.Enqueue(task(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +205,8 @@ func TestQueueContractExpiredAckCannotComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if redelivered.ID != first.ID || redelivered.Attempt != first.Attempt+1 {
-		t.Fatalf("redelivered = %+v, want ID %q attempt %d", redelivered, first.ID, first.Attempt+1)
+	if redelivered.ID != first.ID || redelivered.Attempt != first.Attempt {
+		t.Fatalf("redelivered = %+v, want ID %q attempt %d", redelivered, first.ID, first.Attempt)
 	}
 	q.Ack(redelivered.ID)
 	if q.InFlight() != 0 {
@@ -219,7 +220,7 @@ func TestQueueContractExpiredAckCannotComplete(t *testing.T) {
 // package's slot in `make race`.
 func TestQueueContractConcurrentLeaseStealers(t *testing.T) {
 	q := NewMemoryQueue()
-	q.SetLeaseTTL(100 * time.Millisecond)
+	q.leaseTTL = 100 * time.Millisecond
 	if err := q.Enqueue(task(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +253,8 @@ func TestQueueContractConcurrentLeaseStealers(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no stealer won the expired lease")
 	}
-	if stolen.ID != first.ID || stolen.Attempt != first.Attempt+1 {
-		t.Fatalf("stolen = %+v, want ID %q attempt %d", stolen, first.ID, first.Attempt+1)
+	if stolen.ID != first.ID || stolen.Attempt != first.Attempt {
+		t.Fatalf("stolen = %+v, want ID %q attempt %d", stolen, first.ID, first.Attempt)
 	}
 	select {
 	case dup := <-wins:
@@ -270,7 +271,7 @@ func TestQueueContractConcurrentLeaseStealers(t *testing.T) {
 	}
 }
 
-// TestQueueLeaseTTLZeroNeverExpires pins the default: without SetLeaseTTL a
+// TestQueueLeaseTTLZeroNeverExpires pins the default: with a zero leaseTTL a
 // lease outlives any wait, so a slow worker is never double-delivered.
 func TestQueueLeaseTTLZeroNeverExpires(t *testing.T) {
 	q := NewMemoryQueue()
@@ -363,7 +364,7 @@ func TestQueueContractDequeueElements(t *testing.T) {
 			t.Fatal(err)
 		}
 		order = append(order, next.ID)
-		if (next.ID == head.ID || next.ID == got[1].ID) && next.Attempt != 1 {
+		if (next.ID == head.ID || next.ID == got[1].ID) && next.Attempt != 0 {
 			t.Errorf("nacked %s redelivered with attempt %d", next.ID, next.Attempt)
 		}
 		q.Ack(next.ID)
@@ -386,7 +387,7 @@ func TestQueueContractDequeueElements(t *testing.T) {
 // carry the queue's lease TTL like any other delivery.
 func TestQueueContractBatchLeaseExpires(t *testing.T) {
 	q := NewMemoryQueue()
-	q.SetLeaseTTL(5 * time.Millisecond)
+	q.leaseTTL = 5 * time.Millisecond
 	q.Enqueue(task(0), task(1))
 	if got := q.DequeueElements("P", 8); len(got) != 2 {
 		t.Fatalf("leased %d, want 2", len(got))
@@ -398,8 +399,8 @@ func TestQueueContractBatchLeaseExpires(t *testing.T) {
 		if err != nil {
 			t.Fatalf("expired batch lease never redelivered: %v", err)
 		}
-		if redelivered.Attempt != 1 {
-			t.Fatalf("redelivered attempt = %d, want 1", redelivered.Attempt)
+		if redelivered.Attempt != 0 {
+			t.Fatalf("redelivered attempt = %d, want 0", redelivered.Attempt)
 		}
 	}
 }

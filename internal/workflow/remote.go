@@ -6,10 +6,15 @@ import (
 	"time"
 )
 
+// remoteLeaseTTL is how long a task handed to a remote worker stays leased
+// before the queue redelivers it (DESIGN.md "Cross-process execution &
+// failover" gives the reason for the value).
+const remoteLeaseTTL = 30 * time.Second
+
 // RemoteTask is one unit of work handed to an out-of-process worker: the
-// queue task, the processor definition it belongs to (service name, config,
-// retry policy — everything the remote side needs to invoke its own
-// registered implementation), and the fully-bound element inputs.
+// queue task, the processor definition it belongs to (service name and
+// config — everything the remote side needs to invoke its own registered
+// implementation), and the fully-bound element inputs.
 type RemoteTask struct {
 	Task      Task            `json:"task"`
 	Processor *Processor      `json:"processor"`
@@ -17,60 +22,53 @@ type RemoteTask struct {
 }
 
 // RunHandle is the orchestrator-side attachment point for remote workers: a
-// live run's queue plus the report channel into the orchestration loop. The
-// engine hands one to its Gateway per run; it is valid until RunFinished.
-//
-// Remote workers are full peers of the in-process pool: they pull from the
-// same queue (FIFO, leases, redelivery) and their reports fold into
-// history through the same orchestrator goroutine, so graph byte-identity
-// holds regardless of where an element executed.
+// live run's queue plus the report channel into its decider, handed to the
+// engine's Gateway per run and valid until RunFinished. Remote workers are
+// full peers of the in-process pool, so graph byte-identity holds wherever an
+// element executed.
 type RunHandle struct {
 	r *eventRun
 }
 
 // RunID returns the run this handle serves.
-func (h *RunHandle) RunID() string { return h.r.runID }
+func (h *RunHandle) RunID() string { return h.r.d.runID }
 
 // Dequeue leases the next task for a remote worker, blocking until one is
 // ready, ctx is done, or the queue closes (ErrQueueClosed: the run is
-// draining — the worker should detach). Tasks whose activity was already
-// cancelled are drained inline, exactly as the in-process worker loop drains
-// them, and never reach the remote side.
+// draining — the worker should detach). The lease expires after
+// remoteLeaseTTL: a worker that vanishes without reporting costs the run
+// that long, and then the task is redelivered. Tasks whose activity was
+// already cancelled are drained inline, exactly as the in-process worker
+// loop drains them, and never reach the remote side.
 func (h *RunHandle) Dequeue(ctx context.Context, worker string) (RemoteTask, error) {
 	for {
-		t, err := h.r.q.Dequeue(ctx)
+		t, err := h.r.q.dequeue(ctx, h.r.e.remoteLease)
 		if err != nil {
 			return RemoteTask{}, err
 		}
 		h.r.e.Stats.TaskStarted(worker)
 		a := h.r.activity(t.Activity)
 		if err := a.ctx.Err(); err != nil {
-			h.r.q.Ack(t.ID)
-			h.r.e.Stats.TaskDone(worker)
-			h.r.report(workerMsg{task: t, worker: worker, err: err})
+			h.r.drain(worker, t, err)
 			continue
 		}
 		callIn := a.inputs
 		if t.Element >= 0 {
 			callIn = elementInputs(a.p, a.inputs, t.Element)
-			h.r.e.metrics.elementsDispatched.Add(1)
 		}
-		h.r.e.metrics.invocations.Add(1)
+		h.r.e.metrics.dispatched(t)
 		h.r.e.metrics.queueWait.Observe(time.Since(t.EnqueuedAt))
 		return RemoteTask{Task: t, Processor: a.p, Inputs: callIn}, nil
 	}
 }
 
-// Complete acks the task and folds the remote result into the run. A nil
-// taskErr still runs the declared-output check the in-process worker applies,
-// so a misbehaving remote service fails the activity identically.
+// Complete acks the task and reports the remote attempt's outcome to the
+// decider, which checks the declared outputs and decides on a retry exactly
+// as for the in-process pool.
 func (h *RunHandle) Complete(t Task, worker string, callIn, out map[string]Data, taskErr error) {
-	if a := h.r.activity(t.Activity); a != nil && taskErr == nil {
-		taskErr = checkOutputs(a.p, out)
-	}
 	h.r.q.Ack(t.ID)
 	h.r.e.Stats.TaskDone(worker)
-	h.r.report(workerMsg{task: t, worker: worker, callIn: callIn, out: out, err: taskErr})
+	h.r.report(report{task: t, worker: worker, inputs: callIn, outputs: out, err: taskErr})
 }
 
 // Fail nacks the task back to the queue tail (a remote worker shutting down
@@ -80,24 +78,15 @@ func (h *RunHandle) Fail(t Task, worker string) {
 	h.r.e.Stats.TaskRequeued(worker)
 }
 
-// RetryNotify appends a retry-backoff event for a remote attempt, mirroring
-// the in-process notify callback.
-func (h *RunHandle) RetryNotify(t Task, worker string, attempt int) {
-	h.r.report(workerMsg{retry: true, task: t, worker: worker, attempt: attempt})
-}
-
-// InvokeRemote executes one RemoteTask against a local registry — the worker
-// side of the remote protocol, shared by cluster.Worker and tests. It runs
-// the same retry/backoff/output-check pipeline as the in-process pool.
-func InvokeRemote(ctx context.Context, reg *Registry, rt RemoteTask, notify func(attempt int)) (map[string]Data, error) {
+// InvokeRemote makes one attempt at a RemoteTask against a local registry —
+// the worker side of the remote protocol, shared by cluster.Worker and
+// tests. Retries are the orchestrator's: a failed attempt is reported, and
+// the retry comes back as a task of its own.
+func InvokeRemote(ctx context.Context, reg *Registry, rt RemoteTask) (map[string]Data, error) {
 	p := rt.Processor
 	fn, ok := reg.Lookup(p.Service)
 	if !ok {
 		return nil, fmt.Errorf("workflow: remote worker has no service %q", p.Service)
 	}
-	out, err := retryFrom(ctx, fn, p, Call{Inputs: rt.Inputs, Config: p.Config}, 0, nil, notify)
-	if err == nil {
-		err = checkOutputs(p, out)
-	}
-	return out, err
+	return fn(ctx, Call{Inputs: rt.Inputs, Config: p.Config})
 }
