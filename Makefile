@@ -15,7 +15,9 @@ test:
 ## race: race-detector pass over the concurrent subsystems (the workflow
 ## engine's driver — worker pool, retry timers, remote-task leases that
 ## expire (TestVanishedRemoteWorkerRedelivers) — the singleflight caching
-## resolver + resilience guards, the streaming provenance pipeline, the storage layer under it, the
+## resolver + resilience guards, the streaming provenance pipeline with graph
+## reads racing its commits (TestGraphReadWhileRunStreams), the storage layer
+## under it (TestDBViewConcurrentWithWriter: one Scan sees one commit), the
 ## shard router with its scatter-gather fan-out, the cluster layer — lease
 ## store, scheduler pool and its wake contract (TestWake*: a pushed admission
 ## executes with the poll timer an hour away, goes to an idle peer, never
@@ -25,9 +27,11 @@ test:
 ## detections), plus the core detection stack — including crash/resume,
 ## orchestrator failover, the sharded/unsharded equivalence suite, the wake
 ## end to end (TestAdmissionWakesPool) and the pool's exactly-once accounting
-## (TestPoolCompletedMatchesOutcomes) — that drives them end to end.
+## (TestPoolCompletedMatchesOutcomes) — that drives them end to end, and the
+## span store and /api/v1 handlers, which read the live stores while runs
+## commit.
 race:
-	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/...
+	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/... ./internal/telemetry/... ./internal/web/...
 
 ## ci: the full hygiene gate — formatting, vet, the race-enabled tests (the
 ## storage package's carry the commit path's contracts: live apply ≡ WAL replay

@@ -30,9 +30,6 @@ func IRI(iri string) Term { return Term{value: iri} }
 // Literal builds a literal term.
 func Literal(v string) Term { return Term{value: v, literal: true} }
 
-// IsLiteral reports whether the term is a literal.
-func (t Term) IsLiteral() bool { return t.literal }
-
 // Value returns the raw IRI or literal text.
 func (t Term) Value() string { return t.value }
 

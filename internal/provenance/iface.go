@@ -60,8 +60,9 @@ type Repo interface {
 	AdvanceRunFence(runID string, token int64) error
 	RunFenceToken(runID string) int64
 
-	// Snapshot returns a read-only view pinned to the current state, for
-	// lock-free paginated reads (the COW snapshot of storage.DB.View).
+	// Snapshot returns the repository itself. It is kept only because the
+	// benchmark module's tracing decorator calls it; nothing else does, and
+	// every read is already one atomic call against the live repository.
 	Snapshot() Repo
 }
 
@@ -91,8 +92,8 @@ func (r *Repository) RunFenceToken(runID string) int64 {
 	return r.db.FenceToken(RunFenceName(runID))
 }
 
-// Snapshot implements Repo; it is View with an interface return type.
-func (r *Repository) Snapshot() Repo { return r.View() }
+// Snapshot implements Repo: the repository itself (see the interface).
+func (r *Repository) Snapshot() Repo { return r }
 
 var _ Repo = (*Repository)(nil)
 var _ RunWriter = (*BatchWriter)(nil)

@@ -14,13 +14,10 @@ import (
 // captured runs and their OPM graphs, following Malaverri's model — run
 // records plus node and edge relations keyed by run. Runs arrive either
 // monolithically (Store) or as a live delta stream (NewBatchWriter); both
-// paths produce identical rows.
+// paths produce identical rows. Every read method is one or more Table
+// calls, each atomic with respect to commits.
 type Repository struct {
 	db *storage.DB
-	// src is the read side: the live db for a primary repository, or an
-	// immutable storage.View for repositories produced by View(). All query
-	// methods go through src; writes always go through db.
-	src storage.TableSource
 }
 
 // Table names.
@@ -114,17 +111,7 @@ func NewRepository(db *storage.DB) (*Repository, error) {
 			return nil, err
 		}
 	}
-	return &Repository{db: db, src: db}, nil
-}
-
-// View returns a repository whose reads run against an immutable
-// point-in-time snapshot of the database: queries scan without touching the
-// writer lock, so graph reconstruction and paging never stall (or get
-// stalled by) an active run's provenance stream. Acquisition is O(tables).
-// Writes through the returned repository still reach the live database, but
-// a view is meant for reads — its queries will not see them.
-func (r *Repository) View() *Repository {
-	return &Repository{db: r.db, src: r.db.View()}
+	return &Repository{db: db}, nil
 }
 
 // --- row builders, shared by Store and the BatchWriter so both persistence
@@ -234,7 +221,7 @@ func timeOrNull(t time.Time) storage.Value {
 
 // Run loads the summary of one run.
 func (r *Repository) Run(runID string) (RunInfo, error) {
-	row, err := r.src.Table(runsTable).Get(storage.S(runID))
+	row, err := r.db.Table(runsTable).Get(storage.S(runID))
 	if err != nil {
 		if errors.Is(err, storage.ErrNotFound) {
 			return RunInfo{}, fmt.Errorf("%w: %q", ErrRunNotFound, runID)
@@ -261,7 +248,7 @@ func rowToInfo(row storage.Row) RunInfo {
 
 // Runs lists every run of a workflow, ordered by run ID.
 func (r *Repository) Runs(workflowID string) ([]RunInfo, error) {
-	rows, err := r.src.Table(runsTable).Lookup("workflow_id", storage.S(workflowID))
+	rows, err := r.db.Table(runsTable).Lookup("workflow_id", storage.S(workflowID))
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +264,7 @@ func (r *Repository) Runs(workflowID string) ([]RunInfo, error) {
 // answer a lost shard with a shorter list.
 func (r *Repository) AllRuns() ([]RunInfo, error) {
 	var out []RunInfo
-	r.src.Table(runsTable).Scan(func(row storage.Row) bool {
+	r.db.Table(runsTable).Scan(func(row storage.Row) bool {
 		out = append(out, rowToInfo(row))
 		return true
 	})
@@ -299,7 +286,7 @@ func (r *Repository) RunsPage(after string, limit int) ([]RunInfo, string, error
 	}
 	out := make([]RunInfo, 0, limit)
 	more := false
-	r.src.Table(runsTable).ScanFrom(storage.S(after), func(row storage.Row) bool {
+	r.db.Table(runsTable).ScanFrom(storage.S(after), func(row storage.Row) bool {
 		info := rowToInfo(row)
 		if info.RunID == after {
 			return true // ScanFrom is inclusive; pagination resumes after
@@ -331,7 +318,7 @@ func (r *Repository) NodesPage(runID, after string, limit int) ([]*opm.Node, str
 	out := make([]*opm.Node, 0, limit)
 	more := false
 	var scanErr error
-	r.src.Table(nodesTable).ScanFrom(storage.S(nodeKey(runID, after)), func(row storage.Row) bool {
+	r.db.Table(nodesTable).ScanFrom(storage.S(nodeKey(runID, after)), func(row storage.Row) bool {
 		if row.Get(nodesSchema, "run_id").Str() != runID {
 			return false // walked past the run's key range
 		}
@@ -373,7 +360,7 @@ func (r *Repository) EdgesPage(runID string, after, limit int) ([]opm.Edge, int,
 	out := make([]opm.Edge, 0, limit)
 	next := -1
 	seq := after
-	r.src.Table(edgesTable).ScanFrom(storage.S(edgeKey(runID, after+1)), func(row storage.Row) bool {
+	r.db.Table(edgesTable).ScanFrom(storage.S(edgeKey(runID, after+1)), func(row storage.Row) bool {
 		if row.Get(edgesSchema, "run_id").Str() != runID {
 			return false
 		}
@@ -416,16 +403,23 @@ func rowToEdge(row storage.Row) opm.Edge {
 	return e
 }
 
-// Graph reconstructs the OPM graph of a run.
+// Graph reconstructs the OPM graph of a run. Edges are read before nodes:
+// every edge commits in the same batch as its endpoints or a later one, so
+// while the run is still streaming, the node read that follows always holds
+// every endpoint of the edges already read.
 func (r *Repository) Graph(runID string) (*opm.Graph, error) {
 	if _, err := r.Run(runID); err != nil {
 		return nil, err
 	}
-	g := opm.NewGraph()
-	nodeRows, err := r.src.Table(nodesTable).Lookup("run_id", storage.S(runID))
+	edgeRows, err := r.db.Table(edgesTable).Lookup("run_id", storage.S(runID))
 	if err != nil {
 		return nil, err
 	}
+	nodeRows, err := r.db.Table(nodesTable).Lookup("run_id", storage.S(runID))
+	if err != nil {
+		return nil, err
+	}
+	g := opm.NewGraph()
 	for _, row := range nodeRows {
 		n, err := rowToNode(row)
 		if err != nil {
@@ -434,10 +428,6 @@ func (r *Repository) Graph(runID string) (*opm.Graph, error) {
 		if err := g.AddNode(*n); err != nil {
 			return nil, err
 		}
-	}
-	edgeRows, err := r.src.Table(edgesTable).Lookup("run_id", storage.S(runID))
-	if err != nil {
-		return nil, err
 	}
 	for _, row := range edgeRows {
 		if err := g.AddEdge(rowToEdge(row)); err != nil {
@@ -452,7 +442,7 @@ func (r *Repository) Graph(runID string) (*opm.Graph, error) {
 // directly instead of reconstructing the run's whole graph.
 func (r *Repository) QualityOfProcess(runID, processor string) (map[string]string, error) {
 	nid := "p:" + runID + "/" + processor
-	row, err := r.src.Table(nodesTable).Get(storage.S(nodeKey(runID, nid)))
+	row, err := r.db.Table(nodesTable).Get(storage.S(nodeKey(runID, nid)))
 	if err != nil {
 		if !errors.Is(err, storage.ErrNotFound) {
 			return nil, err
@@ -497,7 +487,7 @@ func (r *Repository) UnionGraph(runIDs ...string) (*opm.Graph, error) {
 // runsWithEdge resolves run IDs via the secondary index on the given edge
 // column, keeping only edges of the wanted kind.
 func (r *Repository) runsWithEdge(column, nodeID string, kind opm.EdgeKind) ([]string, error) {
-	rows, err := r.src.Table(edgesTable).Lookup(column, storage.S(nodeID))
+	rows, err := r.db.Table(edgesTable).Lookup(column, storage.S(nodeID))
 	if err != nil {
 		return nil, err
 	}

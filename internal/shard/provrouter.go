@@ -21,11 +21,9 @@ var _ provenance.Repo = (*ProvenanceRouter)(nil)
 
 func byRunID(a, b provenance.RunInfo) int { return cmp.Compare(a.RunID, b.RunID) }
 
-// Snapshot implements provenance.Repo: a router over one pinned repository
-// view per shard.
-func (p *ProvenanceRouter) Snapshot() provenance.Repo {
-	return &ProvenanceRouter{p.pinned(func(b *backends) { b.prov = b.prov.View() })}
-}
+// Snapshot implements provenance.Repo: the router itself (see the
+// interface).
+func (p *ProvenanceRouter) Snapshot() provenance.Repo { return p }
 
 // RunWriter implements provenance.Repo with a lazily-routed writer: deltas
 // buffer until the first one names the run, then stream to the owning

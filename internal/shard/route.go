@@ -34,49 +34,17 @@ func (s *Shard) live() (backends, error) {
 }
 
 // router is the core the four typed routers embed: it resolves a shard's
-// backends (live, or pinned on a snapshot) and owns the three ways a call
-// reaches them — route, scatter, and the merge of what scatter brings back.
+// live backends and owns the three ways a call reaches them — route,
+// scatter, and the merge of what scatter brings back.
 type router struct {
 	c *Cluster
-	// pins holds one pinned view per shard when this router is a snapshot;
-	// nil on the live router.
-	pins []pin
 }
 
-// pin is one shard's slot in a snapshot: its read-only views, or the error
-// it had when the snapshot was taken.
-type pin struct {
-	b   backends
-	err error
-}
-
-// pinned returns a snapshot router: view swaps the stores the snapshot reads
-// for their copy-on-write views, and a shard that is down now stays erroring
-// in the snapshot. It always pins the live shards' current state, so a
-// snapshot of a snapshot is a fresh snapshot — what Repository.View and
-// SpanStore.View of a view are.
-func (r router) pinned(view func(*backends)) router {
-	pins := make([]pin, len(r.c.shards))
-	for i, sh := range r.c.shards {
-		pins[i].b, pins[i].err = sh.live()
-		if pins[i].err == nil {
-			view(&pins[i].b)
-		}
-	}
-	return router{c: r.c, pins: pins}
-}
-
-// call is the one place a routed operation touches a shard: its pinned or
-// live backends or ErrShardDown, then fn, then exactly one count against the
+// call is the one place a routed operation touches a shard: its live
+// backends or ErrShardDown, then fn, then exactly one count against the
 // shard's ops/errors gauges.
 func (r router) call(sh *Shard, fn func(backends) error) error {
-	var b backends
-	var err error
-	if r.pins != nil {
-		b, err = r.pins[sh.id].b, r.pins[sh.id].err
-	} else {
-		b, err = sh.live()
-	}
+	b, err := sh.live()
 	if err == nil {
 		err = fn(b)
 	}

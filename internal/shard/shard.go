@@ -20,8 +20,8 @@
 // under a per-leg deadline for cross-shard operations (run listings, lineage
 // fan-out, collection scans, stats); merge re-sorts and truncates what
 // scatter brings back into the ordering and cursor contracts of the
-// unsharded stores; pinned builds the per-shard views behind Snapshot. A new
-// store is a field in backends plus a router of one-call methods.
+// unsharded stores. A new store is a field in backends plus a router of
+// one-call methods.
 package shard
 
 import (

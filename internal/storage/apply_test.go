@@ -285,7 +285,7 @@ func scanAll(tbl *Table) []Row {
 // path: Len, Scan, Get, ScanFrom at each key, and per index Lookup of each
 // value present (NULL included) and LookupRange over the whole value range
 // and from each value up.
-func sameTables(t testing.TB, what string, got, want TableSource) {
+func sameTables(t testing.TB, what string, got, want *DB) {
 	t.Helper()
 	for _, s := range diffSchemas(t) {
 		name := s.Table
@@ -521,7 +521,7 @@ func TestApplyDoesNotRetainCallerMemory(t *testing.T) {
 	want := func(id string, gen int64) Row {
 		return Row{S(id), S("sp-1"), I(gen), F(0.5), B(true), T(time.UnixMicro(gen)), Bytes([]byte("k1\x00v1"))}
 	}
-	check := func(what string, src TableSource, rows ...Row) {
+	check := func(what string, src *DB, rows ...Row) {
 		t.Helper()
 		sameRows(t, what, scanAll(src.Table("a")), rows)
 		for _, r := range rows {

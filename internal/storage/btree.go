@@ -2,74 +2,26 @@ package storage
 
 import "bytes"
 
-// cowCtx is a copy-on-write ownership token. A node whose cow field points at
-// a tree's current context may be mutated in place by that tree; any other
-// node must be copied (adopting the context) before mutation. Cloning a tree
-// hands BOTH trees fresh contexts, so whichever side writes a shared node
-// first copies it and the other side never observes the change.
-type cowCtx struct{ _ byte } // non-empty: distinct allocations must compare unequal
-
 // btreeOf is an in-memory B-tree keyed by []byte holding values of one type,
 // unboxed: a table's primary tree is a btreeOf[Row], its secondary trees are
 // btreeOf[Value] (the row's pk). It is not safe for concurrent mutation;
-// Table serializes access. clone gives a point-in-time copy in O(1) via
-// structural sharing — the basis of DB.View's lock-free read snapshots.
+// Table serializes access under the owning DB's lock.
 type btreeOf[V any] struct {
 	root   *btreeNode[V]
 	degree int // minimum degree t: nodes hold t-1..2t-1 keys (root may hold fewer)
 	size   int
-	cow    *cowCtx
 }
 
 type btreeNode[V any] struct {
 	keys     [][]byte
 	vals     []V
 	children []*btreeNode[V] // nil for leaves
-	cow      *cowCtx
 }
 
 const defaultBTreeDegree = 32
 
 func newBTreeOf[V any]() *btreeOf[V] {
-	cow := new(cowCtx)
-	return &btreeOf[V]{degree: defaultBTreeDegree, root: &btreeNode[V]{cow: cow}, cow: cow}
-}
-
-// clone returns a point-in-time copy sharing every current node. Both trees
-// get fresh ownership contexts, so each copies shared nodes on first write.
-// The caller must hold the tree's writer lock for the clone call itself;
-// afterwards reads of the clone need no coordination with writes to the
-// original (writers never mutate a node a snapshot can reach).
-func (t *btreeOf[V]) clone() *btreeOf[V] {
-	out := *t
-	t.cow = new(cowCtx)
-	out.cow = new(cowCtx)
-	return &out
-}
-
-// mutableFor returns a node the cow context owns: n itself when already
-// owned, else a copy with fresh backing arrays (key slices and child
-// pointers are shared — keys are never mutated in place, children are
-// copied on their own first write). The caller links the copy into place.
-func (n *btreeNode[V]) mutableFor(cow *cowCtx) *btreeNode[V] {
-	if n.cow == cow {
-		return n
-	}
-	out := &btreeNode[V]{cow: cow}
-	out.keys = append(make([][]byte, 0, cap(n.keys)), n.keys...)
-	out.vals = append(make([]V, 0, cap(n.vals)), n.vals...)
-	if len(n.children) > 0 {
-		out.children = append(make([]*btreeNode[V], 0, cap(n.children)), n.children...)
-	}
-	return out
-}
-
-// mutableChild makes children[i] writable under n's context and re-links it.
-// n itself must already be owned.
-func (n *btreeNode[V]) mutableChild(i int) *btreeNode[V] {
-	c := n.children[i].mutableFor(n.cow)
-	n.children[i] = c
-	return c
+	return &btreeOf[V]{degree: defaultBTreeDegree, root: &btreeNode[V]{}}
 }
 
 func (n *btreeNode[V]) leaf() bool { return len(n.children) == 0 }
@@ -123,11 +75,10 @@ func (t *btreeOf[V]) Set(key []byte, val V) bool {
 // commit carves it from its key arena) and must never write to it again. A
 // replaced key keeps the tree's own copy, so key may then be scratch.
 func (t *btreeOf[V]) swap(key []byte, val V) (old V, replaced bool) {
-	t.root = t.root.mutableFor(t.cow)
 	max := 2*t.degree - 1
 	if len(t.root.keys) == max {
 		full := t.root
-		t.root = &btreeNode[V]{children: []*btreeNode[V]{full}, cow: t.cow}
+		t.root = &btreeNode[V]{children: []*btreeNode[V]{full}}
 		t.root.splitChild(0, t.degree)
 	}
 	old, replaced = t.root.insertNonFull(key, val, t.degree)
@@ -138,10 +89,9 @@ func (t *btreeOf[V]) swap(key []byte, val V) (old V, replaced bool) {
 }
 
 func (n *btreeNode[V]) splitChild(i, degree int) {
-	child := n.mutableChild(i)
+	child := n.children[i]
 	mid := degree - 1
 	right := &btreeNode[V]{
-		cow:  n.cow,
 		keys: append([][]byte(nil), child.keys[mid+1:]...),
 		vals: append([]V(nil), child.vals[mid+1:]...),
 	}
@@ -164,8 +114,8 @@ func (n *btreeNode[V]) splitChild(i, degree int) {
 	n.children[i+1] = right
 }
 
-// insertNonFull descends from an owned node, making each visited child
-// writable before stepping into it. It returns the value it replaced, if any.
+// insertNonFull descends from n, splitting each full child before stepping
+// into it. It returns the value it replaced, if any.
 func (n *btreeNode[V]) insertNonFull(key []byte, val V, degree int) (old V, replaced bool) {
 	for {
 		i, ok := n.find(key)
@@ -191,7 +141,7 @@ func (n *btreeNode[V]) insertNonFull(key []byte, val V, degree int) (old V, repl
 				i++
 			}
 		}
-		n = n.mutableChild(i)
+		n = n.children[i]
 	}
 }
 
@@ -204,8 +154,7 @@ func (t *btreeOf[V]) Delete(key []byte) bool {
 // remove is Delete that also hands back the removed value, in the same
 // descent.
 func (t *btreeOf[V]) remove(key []byte) (old V, ok bool) {
-	root := t.root.mutableFor(t.cow)
-	t.root = root
+	root := t.root
 	if !root.delete(key, t.degree, &old) {
 		return old, false
 	}
@@ -216,9 +165,10 @@ func (t *btreeOf[V]) remove(key []byte) (old V, ok bool) {
 	return old, true
 }
 
-// delete runs on an owned node; every child it mutates or descends into is
-// made writable first. The value stored under key is written to *old where
-// the key is found (old is nil for the internal predecessor/successor moves).
+// delete removes key from the subtree under n, topping up each child to at
+// least degree keys before descending into it. The value stored under key is
+// written to *old where the key is found (old is nil for the internal
+// predecessor/successor moves).
 func (n *btreeNode[V]) delete(key []byte, degree int, old *V) bool {
 	i, ok := n.find(key)
 	if n.leaf() {
@@ -235,7 +185,7 @@ func (n *btreeNode[V]) delete(key []byte, degree int, old *V) bool {
 	if ok {
 		// Replace with predecessor or successor, or merge.
 		if len(n.children[i].keys) >= degree {
-			child := n.mutableChild(i)
+			child := n.children[i]
 			pk, pv := child.max()
 			if old != nil {
 				*old = n.vals[i]
@@ -244,7 +194,7 @@ func (n *btreeNode[V]) delete(key []byte, degree int, old *V) bool {
 			return child.delete(pk, degree, nil)
 		}
 		if len(n.children[i+1].keys) >= degree {
-			child := n.mutableChild(i + 1)
+			child := n.children[i+1]
 			sk, sv := child.min()
 			if old != nil {
 				*old = n.vals[i]
@@ -259,7 +209,7 @@ func (n *btreeNode[V]) delete(key []byte, degree int, old *V) bool {
 	if len(n.children[i].keys) < degree {
 		i = n.fill(i, degree)
 	}
-	return n.mutableChild(i).delete(key, degree, old)
+	return n.children[i].delete(key, degree, old)
 }
 
 // fill ensures children[i] has at least degree keys, borrowing or merging.
@@ -280,7 +230,7 @@ func (n *btreeNode[V]) fill(i, degree int) int {
 }
 
 func (n *btreeNode[V]) borrowFromLeft(i int) {
-	child, left := n.mutableChild(i), n.mutableChild(i-1)
+	child, left := n.children[i], n.children[i-1]
 	child.keys = append([][]byte{n.keys[i-1]}, child.keys...)
 	child.vals = append([]V{n.vals[i-1]}, child.vals...)
 	n.keys[i-1] = left.keys[len(left.keys)-1]
@@ -294,7 +244,7 @@ func (n *btreeNode[V]) borrowFromLeft(i int) {
 }
 
 func (n *btreeNode[V]) borrowFromRight(i int) {
-	child, right := n.mutableChild(i), n.mutableChild(i+1)
+	child, right := n.children[i], n.children[i+1]
 	child.keys = append(child.keys, n.keys[i])
 	child.vals = append(child.vals, n.vals[i])
 	n.keys[i] = right.keys[0]
@@ -309,8 +259,7 @@ func (n *btreeNode[V]) borrowFromRight(i int) {
 
 // merge folds children[i+1] and keys[i] into children[i].
 func (n *btreeNode[V]) merge(i int) {
-	child := n.mutableChild(i)
-	right := n.children[i+1] // read-only: its contents are copied into child
+	child, right := n.children[i], n.children[i+1]
 	child.keys = append(child.keys, n.keys[i])
 	child.vals = append(child.vals, n.vals[i])
 	child.keys = append(child.keys, right.keys...)

@@ -176,75 +176,66 @@ func openBenchDB(b *testing.B) *DB {
 	return db
 }
 
-// BenchmarkReadUnderWrite measures a full-table scan while a writer commits
-// concurrently: "locked" scans through the live handle (shares the RWMutex
-// with the writer), "snapshot" scans a View (lock-free after the O(tables)
-// acquisition). The gap between the two is the read/write contention the
-// snapshot path removes from the /api/v1 endpoints. The writer is paced at
+// BenchmarkReadUnderWrite measures a full-table scan through the live handle
+// while a writer commits concurrently: the scan shares the RWMutex with the
+// writer, which is how every /api/v1 read runs. The writer is paced at
 // exactly one 50-update batch per scan (handed off through an unbuffered
 // channel, applied while the scan runs) — a free-running writer would make
 // ns/op and allocs/op measure the host's goroutine-scheduling ratio instead
-// of the storage layer.
+// of the storage layer. The sub-benchmark keeps its "locked" name so the
+// BENCH_<pr>.json trajectory continues.
 func BenchmarkReadUnderWrite(b *testing.B) {
 	const rows = 2000
-	for _, mode := range []string{"locked", "snapshot"} {
-		b.Run(mode, func(b *testing.B) {
-			db := openBenchDB(b)
-			schema, err := NewSchema("recordings",
-				Column{Name: "id", Kind: KindString},
-				Column{Name: "species", Kind: KindString, Nullable: true},
-				Column{Name: "year", Kind: KindInt, Nullable: true},
-			)
-			if err != nil {
+	b.Run("locked", func(b *testing.B) {
+		db := openBenchDB(b)
+		schema, err := NewSchema("recordings",
+			Column{Name: "id", Kind: KindString},
+			Column{Name: "species", Kind: KindString, Nullable: true},
+			Column{Name: "year", Kind: KindInt, Nullable: true},
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := db.CreateTable(schema); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := db.Insert("recordings", Row{S(fmt.Sprintf("r%05d", i)), S("sp"), I(0)}); err != nil {
 				b.Fatal(err)
 			}
-			if err := db.CreateTable(schema); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < rows; i++ {
-				if err := db.Insert("recordings", Row{S(fmt.Sprintf("r%05d", i)), S("sp"), I(0)}); err != nil {
-					b.Fatal(err)
+		}
+		work := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gen := int64(1)
+			for range work {
+				ops := make([]Op, 0, 50)
+				for i := 0; i < 50; i++ {
+					ops = append(ops, UpdateOp("recordings",
+						Row{S(fmt.Sprintf("r%05d", int(gen)*53%rows)), S("sp"), I(gen)}))
+					gen++
+				}
+				if err := db.Apply(ops...); err != nil {
+					return
 				}
 			}
-			work := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				gen := int64(1)
-				for range work {
-					ops := make([]Op, 0, 50)
-					for i := 0; i < 50; i++ {
-						ops = append(ops, UpdateOp("recordings",
-							Row{S(fmt.Sprintf("r%05d", int(gen)*53%rows)), S("sp"), I(gen)}))
-						gen++
-					}
-					if err := db.Apply(ops...); err != nil {
-						return
-					}
-				}
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			n := 0
-			for i := 0; i < b.N; i++ {
-				work <- struct{}{} // writer applies one batch while we scan
-				var tbl *Table
-				if mode == "snapshot" {
-					tbl = db.View().Table("recordings")
-				} else {
-					tbl = db.Table("recordings")
-				}
-				n = 0
-				tbl.Scan(func(Row) bool { n++; return true })
-				if n != rows {
-					b.Fatalf("scan saw %d rows, want %d", n, rows)
-				}
+		}()
+		b.ReportAllocs()
+		b.ResetTimer()
+		n := 0
+		for i := 0; i < b.N; i++ {
+			work <- struct{}{} // writer applies one batch while we scan
+			n = 0
+			db.Table("recordings").Scan(func(Row) bool { n++; return true })
+			if n != rows {
+				b.Fatalf("scan saw %d rows, want %d", n, rows)
 			}
-			b.StopTimer()
-			close(work)
-			wg.Wait()
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
+		}
+		b.StopTimer()
+		close(work)
+		wg.Wait()
+		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
 }

@@ -220,9 +220,12 @@ func (t *Table) HasIndex(col string) bool {
 	return t.index(col) != nil
 }
 
-// Scan walks every row in primary-key order under the read lock; fn
-// returning false stops the scan. Rows must not be mutated by fn, and fn
-// must not call DB write methods (the read lock is held).
+// Scan walks every row in primary-key order under the read lock, so the walk
+// sees one committed state; fn returning false stops the scan. Rows must not
+// be mutated by fn, and fn must not call into the same DB at all: not its
+// write methods, and not its reads either, because a nested read lock waits
+// behind any writer queued since the scan began, and that writer waits for
+// the scan.
 func (t *Table) Scan(fn func(Row) bool) {
 	defer t.rlock()()
 	t.scanLocked(fn)
@@ -231,7 +234,8 @@ func (t *Table) Scan(fn func(Row) bool) {
 // ScanFrom walks rows in primary-key order starting at the first key >= from
 // (inclusive); fn returning false stops the scan. It is the primitive behind
 // paginated reads: resume from the last key of the previous page without
-// re-walking the prefix. The same locking rules as Scan apply.
+// re-walking the prefix. The same locking rules as Scan apply: fn must not
+// call into the same DB.
 func (t *Table) ScanFrom(from Value, fn func(Row) bool) {
 	defer t.rlock()()
 	kb := getKeyBuf()

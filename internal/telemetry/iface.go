@@ -8,11 +8,13 @@ type TraceStore interface {
 	Append(runID string, spans []Span) error
 	Spans(runID string) ([]Span, error)
 	SpansPage(runID string, after, limit int) ([]Span, int, error)
-	// Snapshot returns a read-only view pinned to the current state.
+	// Snapshot returns the store itself. It is kept only because the
+	// benchmark module's tracing decorator calls it; nothing else does, and
+	// every read is already one atomic call against the live store.
 	Snapshot() TraceStore
 }
 
-// Snapshot implements TraceStore; it is View with an interface return type.
-func (s *SpanStore) Snapshot() TraceStore { return s.View() }
+// Snapshot implements TraceStore: the store itself (see the interface).
+func (s *SpanStore) Snapshot() TraceStore { return s }
 
 var _ TraceStore = (*SpanStore)(nil)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/storage"
 )
@@ -16,9 +15,6 @@ import (
 // continue after the crash-session prefix.
 type SpanStore struct {
 	db *storage.DB
-	// src is the read side: the live db, or an immutable storage.View for
-	// stores produced by View(). Queries go through src; Append through db.
-	src storage.TableSource
 }
 
 const spansTable = "trace_spans"
@@ -48,13 +44,7 @@ func NewSpanStore(db *storage.DB) (*SpanStore, error) {
 			return nil, err
 		}
 	}
-	return &SpanStore{db: db, src: db}, nil
-}
-
-// View returns a span store reading from an immutable point-in-time snapshot
-// of the database, so trace pages never contend with a run's span appends.
-func (s *SpanStore) View() *SpanStore {
-	return &SpanStore{db: s.db, src: s.db.View()}
+	return &SpanStore{db: db}, nil
 }
 
 // spanKeyOf renders "runID/seq" with the sequence zero-padded to eight
@@ -75,7 +65,7 @@ func spanKeyOf(runID string, seq int) string {
 
 // Count reports how many spans are persisted for the run.
 func (s *SpanStore) Count(runID string) (int, error) {
-	rows, err := s.src.Table(spansTable).Lookup("run_id", storage.S(runID))
+	rows, err := s.db.Table(spansTable).Lookup("run_id", storage.S(runID))
 	if err != nil {
 		return 0, err
 	}
@@ -166,7 +156,7 @@ func (s *SpanStore) SpansPage(runID string, after, limit int) ([]Span, int, erro
 	next := -1
 	seq := after
 	var scanErr error
-	s.src.Table(spansTable).ScanFrom(storage.S(spanKeyOf(runID, after+1)), func(row storage.Row) bool {
+	s.db.Table(spansTable).ScanFrom(storage.S(spanKeyOf(runID, after+1)), func(row storage.Row) bool {
 		if row.Get(spansSchema, "run_id").Str() != runID {
 			return false // walked past the run's key range
 		}
@@ -311,7 +301,3 @@ func TreeComplete(spans []Span) error {
 	}
 	return nil
 }
-
-// SpanSince is a convenience for attributing elapsed time without a span:
-// microseconds since t, for attrs.
-func SpanSince(t time.Time) string { return fmt.Sprintf("%d", time.Since(t).Microseconds()) }

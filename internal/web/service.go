@@ -139,24 +139,17 @@ func (v *Service) Admit(ctx context.Context) (workflow.Admission, error) {
 	return v.sys.Core.AdmitDetection(core.RunOptions{Tenant: TenantFrom(ctx)})
 }
 
-// API reads run against immutable point-in-time snapshots
-// (provenance.Repository.View / telemetry.SpanStore.View): dashboard scans
-// never hold the storage read lock against a live run's provenance flushes,
-// and multi-part responses (info + graph) are internally consistent because
-// they come from one snapshot.
+// API reads go to the live stores while runs keep committing: each store
+// call is atomic with respect to commits (DESIGN.md "Reads").
 
 // RunsPage pages provenance runs through the repository cursor.
 func (v *Service) RunsPage(after string, limit int) ([]provenance.RunInfo, string, error) {
-	return v.sys.Core.Provenance.Snapshot().RunsPage(after, limit)
+	return v.sys.Core.Provenance.RunsPage(after, limit)
 }
 
 // Run loads one run's info; errNotFound when the ID is unknown.
 func (v *Service) Run(runID string) (provenance.RunInfo, error) {
-	return runInfoFrom(v.sys.Core.Provenance.Snapshot(), runID)
-}
-
-func runInfoFrom(repo provenance.Repo, runID string) (provenance.RunInfo, error) {
-	info, err := repo.Run(runID)
+	info, err := v.sys.Core.Provenance.Run(runID)
 	if err != nil {
 		return provenance.RunInfo{}, fmt.Errorf("%w: run %q", errNotFound, runID)
 	}
@@ -171,14 +164,15 @@ func RunFinished(info provenance.RunInfo) bool {
 }
 
 // RunGraphXML serializes the run's OPM graph, returning the run info so the
-// caller can decide cacheability.
+// caller can decide cacheability. Info and graph are two reads, yet a
+// finished info always comes with the final graph: a run reads terminal only
+// once its last rows have committed.
 func (v *Service) RunGraphXML(runID string) ([]byte, provenance.RunInfo, error) {
-	repo := v.sys.Core.Provenance.Snapshot() // one snapshot: info and graph agree
-	info, err := runInfoFrom(repo, runID)
+	info, err := v.Run(runID)
 	if err != nil {
 		return nil, info, err
 	}
-	g, err := repo.Graph(runID)
+	g, err := v.sys.Core.Provenance.Graph(runID)
 	if err != nil {
 		return nil, info, fmt.Errorf("%w: graph of run %q", errNotFound, runID)
 	}
@@ -188,20 +182,18 @@ func (v *Service) RunGraphXML(runID string) ([]byte, provenance.RunInfo, error) 
 
 // RunNodesPage pages the run's provenance nodes.
 func (v *Service) RunNodesPage(runID, after string, limit int) ([]*opm.Node, string, error) {
-	repo := v.sys.Core.Provenance.Snapshot()
-	if _, err := runInfoFrom(repo, runID); err != nil {
+	if _, err := v.Run(runID); err != nil {
 		return nil, "", err
 	}
-	return repo.NodesPage(runID, after, limit)
+	return v.sys.Core.Provenance.NodesPage(runID, after, limit)
 }
 
 // RunEdgesPage pages the run's dependency edges.
 func (v *Service) RunEdgesPage(runID string, after, limit int) ([]opm.Edge, int, error) {
-	repo := v.sys.Core.Provenance.Snapshot()
-	if _, err := runInfoFrom(repo, runID); err != nil {
+	if _, err := v.Run(runID); err != nil {
 		return nil, -1, err
 	}
-	return repo.EdgesPage(runID, after, limit)
+	return v.sys.Core.Provenance.EdgesPage(runID, after, limit)
 }
 
 // Trace is a run's persisted span tree plus the facts the API reports about
@@ -220,7 +212,7 @@ func (v *Service) RunTrace(runID string) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	spans, err := v.sys.Core.Traces.Snapshot().Spans(runID)
+	spans, err := v.sys.Core.Traces.Spans(runID)
 	if errors.Is(err, telemetry.ErrTraceNotFound) {
 		return nil, fmt.Errorf("%w: no trace recorded for run %q", errNotFound, runID)
 	}
@@ -241,7 +233,7 @@ func (v *Service) RunSpansPage(runID string, after, limit int) ([]telemetry.Span
 	if _, err := v.Run(runID); err != nil {
 		return nil, -1, err
 	}
-	spans, next, err := v.sys.Core.Traces.Snapshot().SpansPage(runID, after, limit)
+	spans, next, err := v.sys.Core.Traces.SpansPage(runID, after, limit)
 	if err != nil {
 		return nil, -1, err
 	}
