@@ -13,25 +13,25 @@ test:
 	$(GO) test ./...
 
 ## race: race-detector pass over the concurrent subsystems (the workflow
-## engine's driver — worker pool, retry timers, remote-task leases that
-## expire (TestVanishedRemoteWorkerRedelivers) — the singleflight caching
-## resolver + resilience guards, the streaming provenance pipeline with graph
-## reads racing its commits (TestGraphReadWhileRunStreams), the storage layer
-## under it (TestDBViewConcurrentWithWriter: one Scan sees one commit), the
-## shard router with its scatter-gather fan-out, the cluster layer — lease
-## store, scheduler pool and its wake contract (TestWake*: a pushed admission
-## executes with the poll timer an hour away, goes to an idle peer, never
-## strands Stop/Kill and cannot starve the timer path), HTTP gateway + remote
-## worker — the archival
-## store/scrubber, and the curation ledger's ID allocation under concurrent
-## detections), plus the core detection stack — including crash/resume,
-## orchestrator failover, the sharded/unsharded equivalence suite, the wake
-## end to end (TestAdmissionWakesPool) and the pool's exactly-once accounting
-## (TestPoolCompletedMatchesOutcomes) — that drives them end to end, and the
-## span store and /api/v1 handlers, which read the live stores while runs
-## commit.
+## engine's driver — worker pool, retry timers, remote-task leases that expire
+## (TestVanishedRemoteWorkerRedelivers) — the singleflight caching resolver +
+## resilience guards, the streaming provenance pipeline with graph reads racing
+## its commits (TestGraphReadWhileRunStreams), the storage layer under it
+## (TestDBViewConcurrentWithWriter: one Scan sees one commit), the shard router
+## with its scatter-gather fan-out, the collection store under it (the record
+## projection name detection reads, TestScanSpecies*), the cluster layer —
+## lease store, scheduler pool and its wake contract (TestWake*: a pushed
+## admission executes with the poll timer an hour away, goes to an idle peer,
+## never strands Stop/Kill and cannot starve the timer path), HTTP gateway +
+## remote worker — the archival store/scrubber, and the curation ledger's ID
+## allocation under concurrent detections), plus the core detection stack —
+## including crash/resume, orchestrator failover, the sharded/unsharded
+## equivalence suite, the wake end to end (TestAdmissionWakesPool) and the
+## pool's exactly-once accounting (TestPoolCompletedMatchesOutcomes) — that
+## drives them end to end, and the span store and /api/v1 handlers, which read
+## the live stores while runs commit.
 race:
-	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/... ./internal/telemetry/... ./internal/web/...
+	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/fnjv/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/... ./internal/telemetry/... ./internal/web/...
 
 ## ci: the full hygiene gate — formatting, vet, the race-enabled tests (the
 ## storage package's carry the commit path's contracts: live apply ≡ WAL replay
@@ -40,10 +40,13 @@ race:
 ## on-disk bytes are pinned (TestWireFormatGolden), a torn length header is not
 ## believed (TestReplayStopsAtOversizedRecord); the workflow package's carry
 ## the decider's: TestDecide, and TestDeciderIsPure — no clock, lock, context,
-## randomness, telemetry, goroutine or channel in decider.go), five
+## randomness, telemetry, goroutine or channel in decider.go), six
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
-## events must never panic or wedge the engine), the decider under byte-chosen
+## events must never panic or wedge the engine), the history-row payload
+## encoder (AppendJSON equals json.Marshal byte for byte, errors included, over
+## nested lists, nil and empty maps, HTML and control characters, U+2028,
+## invalid UTF-8 and out-of-range years), the decider under byte-chosen
 ## report orders, failures, duplicates and resume cuts (dense seqs, one
 ## run-finished and last, one iteration-element per index, every cut before a
 ## failure resumes to the same history, the Collector's graph legal OPM), the
@@ -66,8 +69,9 @@ race:
 ## authority as exactly one /resolve_batch and no /resolve), the tracing-overhead
 ## guard (traced detection within 5% of untraced), the allocation guards over
 ## the provenance/telemetry/storage hot paths (zero on the encoders and point
-## reads; a 32-byte cell, TestValueSizeAllocs, and ≤ 3 allocations per inserted
-## row, TestApplyBatchAllocs, on the commit path) and the decider (zero per
+## reads; one per history row, its key, TestHistoryRowAllocs; a 32-byte
+## cell, TestValueSizeAllocs, and ≤ 3 allocations per inserted row,
+## TestApplyBatchAllocs, on the commit path) and the decider (zero per
 ## element report, TestDecideAllocs), a 1-iteration
 ## bench-harness smoke proving every tracked benchmark still runs (numbers
 ## land in the gitignored BENCH_smoke.json, not the committed trajectory),
@@ -88,6 +92,7 @@ ci:
 	$(GO) test ./internal/audio/ -run='^$$' -fuzz=FuzzReadWAV -fuzztime=10s
 	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzResumeHistory -fuzztime=10s
 	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzDecide -fuzztime=10s
+	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzHistoryJSON -fuzztime=10s
 	$(GO) test ./internal/provenance/ -run='^$$' -fuzz=FuzzCollectorHistory -fuzztime=10s
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzApplyReplay -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short

@@ -997,7 +997,7 @@ func chaosDegradedResolution(e *environment, runs, records, species int) error {
 	svc.SetAvailability(1)
 	svc.SetLatency(0)
 	time.Sleep(300 * time.Millisecond) // past the cooldown
-	names, err := sys.DistinctNames()
+	names, err := sys.TenantDistinctNames("")
 	if err != nil {
 		return err
 	}

@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/curation"
-	"repro/internal/fnjv"
 	"repro/internal/opm"
 	"repro/internal/provenance"
 	"repro/internal/quality"
@@ -446,18 +444,12 @@ func (s *System) finishDetection(result *workflow.RunResult, version int, start 
 	}
 
 	// Persist per-record updates referencing (not modifying) the originals,
-	// scoped to the run's tenant.
-	tenantPrefix := ""
-	if opts.Tenant != "" {
-		tenantPrefix = opts.Tenant + shard.Sep
-	}
+	// scoped to the run's tenant: a tenant run reads only the tenant's shard,
+	// the same fault-isolation contract as TenantDistinctNames.
 	var updates []*curation.NameUpdate
-	visit := func(rec *fnjv.Record) bool {
-		if tenantPrefix != "" && !strings.HasPrefix(rec.ID, tenantPrefix) {
-			return true
-		}
+	err := s.Records.ScanSpecies(opts.Tenant, func(id, species string) bool {
 		outcome.RecordsProcessed++
-		updated, bad := sum.Renames[rec.Species]
+		updated, bad := sum.Renames[species]
 		if !bad {
 			return true
 		}
@@ -468,26 +460,16 @@ func (s *System) finishDetection(result *workflow.RunResult, version int, start 
 			name = ""
 		}
 		updates = append(updates, &curation.NameUpdate{
-			RecordID:     rec.ID,
-			OriginalName: rec.Species,
+			RecordID:     id,
+			OriginalName: species,
 			UpdatedName:  name,
 			Status:       status,
-			Reference:    sum.References[rec.Species],
+			Reference:    sum.References[species],
 			DetectedAt:   start,
 			Review:       curation.ReviewPending,
 		})
 		return true
-	}
-	// Tenant runs scan only the tenant's shard (same fault-isolation
-	// contract as TenantDistinctNames).
-	var err error
-	if ts, ok := s.Records.(interface {
-		ScanTenant(string, func(*fnjv.Record) bool) error
-	}); ok && opts.Tenant != "" {
-		err = ts.ScanTenant(opts.Tenant, visit)
-	} else {
-		err = s.Records.Scan(visit)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -150,3 +150,52 @@ func TestShardedTenantRunsAreScoped(t *testing.T) {
 		t.Fatalf("tenant split across shards: run on %d, records on %d", want, got)
 	}
 }
+
+// TestTenantDistinctNamesSkipsBlankSpecies: a record with a blank species
+// carries no name, for a tenant's run exactly as for the whole collection. A
+// blank counted as a distinct name would reach the authority as an "unknown"
+// name and lower the tenant's accuracy score.
+func TestTenantDistinctNamesSkipsBlankSpecies(t *testing.T) {
+	taxa, err := taxonomy.Generate(taxonomy.GeneratorSpec{Species: 8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := taxa.HistoricalNames[:3]
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sys, err := Open(t.TempDir(), Options{Sync: storage.SyncNever, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sys.Close() })
+			var recs []*fnjv.Record
+			for i, species := range append([]string{""}, named...) {
+				recs = append(recs,
+					&fnjv.Record{ID: shard.Qualify("acme", fmt.Sprintf("xc-%d", i)), Species: species},
+					&fnjv.Record{ID: fmt.Sprintf("xc-%d", i), Species: species})
+			}
+			if err := sys.Records.PutAll(recs); err != nil {
+				t.Fatal(err)
+			}
+			want := append([]string(nil), named...)
+			sort.Strings(want)
+			for _, tenant := range []string{"", "acme"} {
+				names, err := sys.TenantDistinctNames(tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(names) != fmt.Sprint(want) {
+					t.Errorf("tenant %q: distinct names %q, want %q", tenant, names, want)
+				}
+			}
+			outcome, err := sys.RunDetection(context.Background(), taxa.Checklist, RunOptions{Tenant: "acme", SkipLedger: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if outcome.DistinctNames != len(named) || outcome.Unknown != 0 || outcome.RecordsProcessed != len(recs)/2 {
+				t.Errorf("tenant run: %d distinct names, %d unknown, %d records; want %d, 0, %d",
+					outcome.DistinctNames, outcome.Unknown, outcome.RecordsProcessed, len(named), len(recs)/2)
+			}
+		})
+	}
+}

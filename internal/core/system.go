@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/adapter"
@@ -300,9 +299,11 @@ func resolveDatum(name string, res taxonomy.Resolution, err error) (map[string]w
 // registry — a run's own, or the private registry of an out-of-process
 // worker (cmd/worker), which executes the same services against its own
 // resolver. col.resolve gets a batch form exactly when the resolver can
-// answer many names in one round trip (taxonomy.DetailedBatch): the engine
-// then hands it an iteration's ready names together, under the activity's
-// context. The in-process Checklist cannot, and runs name by name.
+// answer many names in one call (taxonomy.DetailedBatch) — the in-process
+// Checklist and every layer of the HTTP client stack can: the engine then
+// leases an iteration's ready names together and resolves them in one
+// invocation under the activity's context. Only a resolver with no batch
+// capability runs name by name.
 func RegisterDetectionServicesInto(registry *workflow.Registry, resolver taxonomy.Resolver) {
 	resolve := func(ctx context.Context, call workflow.Call) (map[string]workflow.Data, error) {
 		name := call.Input("name").String()
@@ -400,46 +401,20 @@ func AnnotatedDetectionWorkflow(reputation, availability string, author string, 
 		author, when)
 }
 
-// DistinctNames returns the sorted distinct species names of the collection
-// as workflow input data.
-func (s *System) DistinctNames() ([]string, error) {
-	distinct, err := s.Records.DistinctSpecies()
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(distinct))
-	for n := range distinct {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// TenantDistinctNames scopes DistinctNames to one tenant's records — the
-// records whose IDs carry the tenant qualifier. The default tenant ""
-// keeps the legacy whole-collection behaviour.
+// TenantDistinctNames returns the sorted distinct species names of one
+// tenant's records — the records whose IDs carry the tenant qualifier; the
+// default tenant "" is the whole collection — as workflow input data. A
+// blank species is not a name. A sharded store reads only the tenant's own
+// shard (tenant affinity): the tenant keeps serving while unrelated shards
+// are down.
 func (s *System) TenantDistinctNames(tenant string) ([]string, error) {
-	if tenant == "" {
-		return s.DistinctNames()
-	}
-	prefix := tenant + shard.Sep
 	set := map[string]struct{}{}
-	collect := func(r *fnjv.Record) bool {
-		if strings.HasPrefix(r.ID, prefix) {
-			set[r.Species] = struct{}{}
+	err := s.Records.ScanSpecies(tenant, func(_, species string) bool {
+		if species != "" {
+			set[species] = struct{}{}
 		}
 		return true
-	}
-	// A sharded store scans only the tenant's own shard (tenant affinity):
-	// the tenant keeps serving while unrelated shards are down.
-	var err error
-	if ts, ok := s.Records.(interface {
-		ScanTenant(string, func(*fnjv.Record) bool) error
-	}); ok {
-		err = ts.ScanTenant(tenant, collect)
-	} else {
-		err = s.Records.Scan(collect)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}

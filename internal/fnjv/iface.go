@@ -12,6 +12,11 @@ type Records interface {
 	Len() int
 	// Scan visits every record in ascending ID order until fn returns false.
 	Scan(fn func(*Record) bool) error
+	// ScanSpecies visits the ID and raw species of tenant's records — every
+	// record for the default tenant "" — in ascending ID order until fn
+	// returns false. It reads those two cells of each record and decodes
+	// nothing else: the projection name detection needs.
+	ScanSpecies(tenant string, fn func(id, species string) bool) error
 	BySpecies(name string) ([]*Record, error)
 	ByState(state string) ([]*Record, error)
 	DistinctSpecies() (map[string]int, error)

@@ -3,9 +3,18 @@ package fnjv
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/storage"
 )
+
+// TenantSep separates a record ID's tenant qualifier from the rest
+// ("<tenant>:<id>"); package shard routes tenant-qualified IDs by the same
+// qualifier (shard.Sep).
+const TenantSep = ":"
+
+// speciesCol is the species cell's position in a stored row.
+var speciesCol = Schema.Index("species")
 
 // Store is the durable FNJV collection on the embedded database, indexed by
 // species name and state for the retrieval patterns the paper describes
@@ -129,13 +138,37 @@ func (s *Store) ByState(state string) ([]*Record, error) {
 	return out, nil
 }
 
+// ScanSpecies implements Records over the raw rows: it reads the id and
+// species cells and decodes nothing else. A tenant's scan walks only its own
+// key range — the IDs "<tenant>:…" are contiguous in primary-key order.
+func (s *Store) ScanSpecies(tenant string, fn func(id, species string) bool) error {
+	prefix := ""
+	if tenant != "" {
+		prefix = tenant + TenantSep
+	}
+	var err error
+	s.db.Table(Schema.Table).ScanFrom(storage.S(prefix), func(row storage.Row) bool {
+		if len(row) != len(Schema.Columns) {
+			err = fmt.Errorf("fnjv: row has %d values, want %d", len(row), len(Schema.Columns))
+			return false
+		}
+		id := row[0].Str()
+		if !strings.HasPrefix(id, prefix) {
+			return false // past the tenant's range
+		}
+		return fn(id, row[speciesCol].Str())
+	})
+	return err
+}
+
 // DistinctSpecies returns the distinct raw species strings with their record
 // counts — the "1929 distinct species names analyzed" population of Fig. 2.
+// Blank species are not names and are skipped.
 func (s *Store) DistinctSpecies() (map[string]int, error) {
 	out := map[string]int{}
-	err := s.Scan(func(r *Record) bool {
-		if r.Species != "" {
-			out[r.Species]++
+	err := s.ScanSpecies("", func(_, species string) bool {
+		if species != "" {
+			out[species]++
 		}
 		return true
 	})

@@ -150,13 +150,15 @@ type BatchWriter struct {
 
 	// Flush scratch, reused across group commits so the steady-state write
 	// path stops allocating: the op list, a value arena the rows are carved
-	// from, and the annotation-blob encoder. All safe to reuse because Apply
-	// never retains caller memory — the WAL buffers its record, and a stored
-	// row is the commit's own copy of the cells and of every bytes payload
-	// (storage.Row.Clone; only immutable strings are shared).
-	ops    []storage.Op
-	vals   []storage.Value
-	annEnc annEncoder
+	// from, the annotation-blob encoder and the history payload arena. All
+	// safe to reuse because Apply never retains caller memory — the WAL
+	// buffers its record, and a stored row is the commit's own copy of the
+	// cells and of every bytes payload (storage.Row.Clone; only immutable
+	// strings are shared).
+	ops      []storage.Op
+	vals     []storage.Value
+	annEnc   annEncoder
+	payloads []byte
 }
 
 // ErrWriterClosed is returned by Emit after Close.
@@ -316,6 +318,7 @@ func (w *BatchWriter) flush(batch []Delta, trigger string) []Delta {
 	}
 	ops := w.ops[:0]
 	w.vals = w.vals[:0]
+	w.payloads = w.payloads[:0]
 	w.annEnc.Reset()
 	defer func() {
 		for i := range batch {
@@ -397,13 +400,14 @@ func (w *BatchWriter) flush(batch []Delta, trigger string) []Delta {
 			if d.History.Seq <= w.historySeq {
 				break // persisted before the crash; never duplicated
 			}
-			row, err := historyRow(w.runID, d.History)
-			if err != nil {
+			start := len(w.vals)
+			var err error
+			if w.vals, w.payloads, err = appendHistoryRow(w.vals, w.payloads, w.runID, d.History); err != nil {
 				w.fail(err)
 				return batch[:0]
 			}
 			w.historySeq = d.History.Seq
-			ops = append(ops, storage.InsertOp(historyTable, row))
+			ops = append(ops, storage.InsertOp(historyTable, arenaRow(start)))
 		default:
 			w.fail(fmt.Errorf("provenance: unknown delta kind %d", d.Kind))
 			return batch[:0]

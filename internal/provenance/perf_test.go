@@ -3,11 +3,13 @@ package provenance
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/opm"
 	"repro/internal/storage"
+	"repro/internal/workflow"
 )
 
 func perfNode() opm.Node {
@@ -99,6 +101,92 @@ func TestEdgeKeyFormat(t *testing.T) {
 		if got, viaFmt := edgeKey("r1", seq), fmt.Sprintf("r1/%06d", seq); got != viaFmt || got != want {
 			t.Errorf("edgeKey(r1, %d) = %q, want %q (fmt renders %q)", seq, got, want, viaFmt)
 		}
+	}
+}
+
+// TestHistoryKeyFormat pins the history-key renderer to fmt's "%s/%08d".
+func TestHistoryKeyFormat(t *testing.T) {
+	for _, seq := range []int{0, 7, 207, 12345678, 99999999, 100000000, -1, -3, -1234567, -12345678,
+		math.MaxInt64, math.MinInt64} {
+		if got, want := historyKey("run-000042", seq), fmt.Sprintf("run-000042/%08d", seq); got != want {
+			t.Errorf("historyKey(run-000042, %d) = %q, want %q", seq, got, want)
+		}
+	}
+}
+
+// completedEvent is an activity-completed event of a detection run, as the
+// engine records it: the collected per-name results of Catalog_of_life, each
+// a JSON datum — quotes, and an HTML-significant character, to escape.
+func completedEvent() workflow.HistoryEvent {
+	return workflow.HistoryEvent{
+		Seq:        205,
+		Type:       workflow.HistoryActivityCompleted,
+		Time:       time.Date(2014, 3, 31, 14, 2, 7, 123456789, time.UTC),
+		RunID:      "run-000042",
+		Activity:   "Catalog_of_life",
+		Service:    "col.resolve",
+		Worker:     "w0",
+		Iterations: 2,
+		Outputs: map[string]workflow.Data{"result": workflow.List(
+			workflow.Scalar(`{"name":"Hyla faber","status":"accepted"}`),
+			workflow.Scalar(`{"name":"Elachistocleis ovalis","status":"provisionally accepted","reference":"Caramaschi <2010>"}`),
+		)},
+		Duration: 3 * time.Millisecond,
+	}
+}
+
+// TestHistoryRowGolden pins one real history row's stored payload to its
+// literal bytes: the format every stored history is read back in.
+func TestHistoryRowGolden(t *testing.T) {
+	ev := completedEvent()
+	vals, _, err := appendHistoryRow(nil, []byte("stale"), "run-000042", &ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"seq":205,"type":"activity-completed","time":"2014-03-31T14:02:07.123456789Z","run_id":"run-000042",` +
+		`"activity":"Catalog_of_life","service":"col.resolve","worker":"w0","iterations":2,` +
+		`"outputs":{"result":["{\"name\":\"Hyla faber\",\"status\":\"accepted\"}",` +
+		`"{\"name\":\"Elachistocleis ovalis\",\"status\":\"provisionally accepted\",\"reference\":\"Caramaschi \u003c2010\u003e\"}"]},` +
+		`"duration":3000000}`
+	row := storage.Row(vals)
+	if got := string(row.Get(historySchema, "payload").Raw()); got != want {
+		t.Errorf("payload\n got %s\nwant %s", got, want)
+	}
+	if key := row.Get(historySchema, "key").Str(); key != "run-000042/00000205" {
+		t.Errorf("key %q", key)
+	}
+	back, err := rowToHistoryEvent(row)
+	if err != nil || back.Outputs["result"].String() != ev.Outputs["result"].String() || !back.Time.Equal(ev.Time) {
+		t.Errorf("payload does not read back: %+v, %v", back, err)
+	}
+}
+
+// TestHistoryRowAllocs guards the history half of the flush: with the
+// writer's value and payload arenas warm, a history row costs one
+// allocation, its key string, which the stored row keeps.
+func TestHistoryRowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ev := completedEvent()
+	const perRun = 16
+	var (
+		vals  []storage.Value
+		arena []byte
+		err   error
+	)
+	fill := func() {
+		vals, arena = vals[:0], arena[:0]
+		for i := 0; i < perRun; i++ {
+			ev.Seq = i
+			if vals, arena, err = appendHistoryRow(vals, arena, "run-000042", &ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill() // warm both arenas
+	if allocs := testing.AllocsPerRun(100, fill) / perRun; allocs > 1 {
+		t.Fatalf("history row encode allocates %.2f per event, want <= 1", allocs)
 	}
 }
 

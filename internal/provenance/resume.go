@@ -19,21 +19,45 @@ import (
 
 // historyKey renders "runID/seq" with the sequence zero-padded to eight
 // digits, so a primary-key range scan yields a run's history in seq order.
+// It is the persisted key format, so the rendering must never change: it is
+// fmt's "%s/%08d" (TestHistoryKeyFormat), built at the cost of the one
+// string allocation.
 func historyKey(runID string, seq int) string {
-	return fmt.Sprintf("%s/%08d", runID, seq)
+	var d [24]byte
+	i, v, width := len(d), uint64(seq), 8
+	if seq < 0 {
+		v, width = -v, 7 // the sign takes one column of the width
+	}
+	for v > 0 || len(d)-i < width {
+		i--
+		d[i] = byte('0' + v%10)
+		v /= 10
+	}
+	if seq < 0 {
+		i--
+		d[i] = '-'
+	}
+	i--
+	d[i] = '/'
+	return runID + string(d[i:])
 }
 
-func historyRow(runID string, ev *workflow.HistoryEvent) (storage.Row, error) {
-	payload, err := json.Marshal(ev)
+// appendHistoryRow appends a history row's cells to vals and its payload —
+// the event's JSON (workflow.HistoryEvent.AppendJSON, byte-identical to
+// json.Marshal) — to arena. The row aliases arena until the commit copies it
+// (Apply retains no caller memory), so the writer reuses both across flushes.
+func appendHistoryRow(vals []storage.Value, arena []byte, runID string, ev *workflow.HistoryEvent) ([]storage.Value, []byte, error) {
+	start := len(arena)
+	arena, err := ev.AppendJSON(arena)
 	if err != nil {
-		return nil, fmt.Errorf("provenance: encode history event %d: %w", ev.Seq, err)
+		return vals, arena, fmt.Errorf("provenance: encode history event %d: %w", ev.Seq, err)
 	}
-	return storage.Row{
+	return append(vals,
 		storage.S(historyKey(runID, ev.Seq)),
 		storage.S(runID),
 		storage.I(int64(ev.Seq)),
-		storage.Bytes(payload),
-	}, nil
+		storage.Bytes(arena[start:len(arena):len(arena)]),
+	), arena, nil
 }
 
 func rowToHistoryEvent(row storage.Row) (workflow.HistoryEvent, error) {

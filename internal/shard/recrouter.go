@@ -102,20 +102,33 @@ func (r *RecordRouter) Scan(fn func(*fnjv.Record) bool) error {
 	return nil
 }
 
-// ScanTenant visits one tenant's records in ascending-ID order. Tenant
-// affinity pins every tenant-qualified ID to a single shard, so the scan
-// touches only that shard — a tenant keeps serving while unrelated shards
-// are down, and pays no scatter for its own working set.
-func (r *RecordRouter) ScanTenant(tenant string, fn func(*fnjv.Record) bool) error {
-	prefix := tenant + Sep
-	return r.route(prefix, func(b backends) error {
-		return b.recs.Scan(func(rec *fnjv.Record) bool {
-			if !strings.HasPrefix(rec.ID, prefix) {
-				return true
-			}
-			return fn(rec)
+// ScanSpecies implements fnjv.Records. Tenant affinity pins every
+// tenant-qualified ID to a single shard, so a tenant's scan touches only that
+// shard — a tenant keeps serving while unrelated shards are down, and pays no
+// scatter for its own working set. The default tenant scatters, and the merge
+// restores the single store's ascending-ID order.
+func (r *RecordRouter) ScanSpecies(tenant string, fn func(id, species string) bool) error {
+	if tenant != "" {
+		return r.route(tenant+Sep, func(b backends) error { return b.recs.ScanSpecies(tenant, fn) })
+	}
+	type pair struct{ id, species string }
+	lists, err := scatter(r.router, "records.ScanSpecies", func(b backends) (out []pair, err error) {
+		err = b.recs.ScanSpecies("", func(id, species string) bool {
+			out = append(out, pair{id, species})
+			return true
 		})
+		return out, err
 	})
+	if err != nil {
+		return err
+	}
+	all, _ := merge(lists, func(a, b pair) int { return strings.Compare(a.id, b.id) }, 0, false)
+	for _, p := range all {
+		if !fn(p.id, p.species) {
+			break
+		}
+	}
+	return nil
 }
 
 // BySpecies implements fnjv.Records.

@@ -157,8 +157,8 @@ func TestRouterContract(t *testing.T) {
 		{"records.Put", false, func(k routeKeys) error { return recs.Put(&fnjv.Record{ID: k.id("xc-2"), Species: "Boana b"}) }},
 		{"records.Get", false, func(k routeKeys) error { _, err := recs.Get(k.id("xc-1")); return err }},
 		{"records.Update", false, func(k routeKeys) error { return recs.Update(&fnjv.Record{ID: k.id("xc-1"), Species: "Boana c"}) }},
-		{"records.ScanTenant", false, func(k routeKeys) error {
-			return recs.ScanTenant(k.tenant, func(*fnjv.Record) bool { return true })
+		{"records.ScanSpecies", false, func(k routeKeys) error {
+			return recs.ScanSpecies(k.tenant, func(string, string) bool { return true })
 		}},
 		{"traces.Append", false, func(k routeKeys) error { return traces.Append(k.id("run-1"), span) }},
 		{"traces.Count", false, func(k routeKeys) error { _, err := traces.Count(k.id("run-1")); return err }},
@@ -188,6 +188,7 @@ func TestRouterContract(t *testing.T) {
 			return recs.PutAll([]*fnjv.Record{{ID: downKeys.id(id)}, {ID: upKeys.id(id)}})
 		}},
 		{"records.Scan", func() error { return recs.Scan(func(*fnjv.Record) bool { return true }) }},
+		{"records.ScanSpecies", func() error { return recs.ScanSpecies("", func(string, string) bool { return true }) }},
 		{"records.BySpecies", func() error { _, err := recs.BySpecies("Boana a"); return err }},
 		{"records.ByState", func() error { _, err := recs.ByState("SP"); return err }},
 		{"records.DistinctSpecies", func() error { _, err := recs.DistinctSpecies(); return err }},

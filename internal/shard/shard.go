@@ -28,6 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"repro/internal/fnjv"
 )
 
 // ErrShardDown marks an operation that touched a shard currently marked
@@ -40,8 +42,10 @@ var ErrShardDown = errors.New("shard: shard unavailable")
 var ErrShardTimeout = errors.New("shard: deadline exceeded")
 
 // Sep separates the tenant qualifier from the rest of an ID. ":" is safe in
-// URL path segments and cannot appear in legacy run/record IDs.
-const Sep = ":"
+// URL path segments and cannot appear in legacy run/record IDs. It is the
+// collection store's own qualifier, so a tenant's record scan there walks
+// exactly the IDs this package routes to the tenant.
+const Sep = fnjv.TenantSep
 
 // Split breaks a possibly tenant-qualified ID into its tenant and the
 // unqualified rest. IDs without a qualifier belong to the default tenant "".

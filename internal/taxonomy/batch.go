@@ -13,10 +13,10 @@ import (
 // the authority was unreachable for every name.
 //
 // Every layer of the production stack implements it — Client (HTTP batch
-// endpoint), CachingResolver (miss coalescing) and ResilientResolver (one
-// guard admission per batch) — so a capability probe (DetailedBatch,
-// curation.Detect) sees the batch path through the full decorated stack, not
-// just on a bare Client.
+// endpoint), CachingResolver (miss coalescing), ResilientResolver (one guard
+// admission per batch) and the in-process Checklist — so a capability probe
+// (DetailedBatch, curation.Detect) sees the batch path through the full
+// decorated stack, not just on a bare Client.
 type BatchResolver interface {
 	BatchResolve(ctx context.Context, names []string) ([]Resolution, error)
 }
@@ -192,31 +192,24 @@ func (c *CachingResolver) BatchResolveDetail(ctx context.Context, names []string
 
 	// Pass 4: dispatch the remaining leads — one upstream batch when the
 	// inner resolver supports it and there is more than one name, otherwise
-	// the single-name path per lead.
+	// the single-name path per lead. The lossless form keeps each name's own
+	// error (an unparseable name stays unparseable).
 	if len(pending) > 0 {
-		br, batchCapable := c.Inner.(BatchResolver)
-		if batchCapable && len(pending) > 1 {
-			batch := make([]string, len(pending))
+		if batch := DetailedBatch(c.Inner); batch != nil && len(pending) > 1 {
+			batchNames := make([]string, len(pending))
 			for j, ld := range pending {
-				batch[j] = names[ld.idx]
+				batchNames[j] = names[ld.idx]
 			}
-			results, err := br.BatchResolve(ctx, batch)
-			if err != nil || len(results) != len(pending) {
-				if err == nil {
-					err = fmt.Errorf("taxonomy: batch returned %d results for %d names", len(results), len(pending))
+			results := batch.BatchResolveDetail(ctx, batchNames)
+			if len(results) != len(pending) {
+				err := fmt.Errorf("taxonomy: batch returned %d results for %d names", len(results), len(pending))
+				results = make([]BatchResult, len(pending))
+				for j := range results {
+					results[j] = BatchResult{Resolution: Resolution{Query: batchNames[j], Status: StatusUnknown}, Err: err}
 				}
-				for _, ld := range pending {
-					c.settle(keys[ld.idx], ld.f, Resolution{Query: names[ld.idx], Status: StatusUnknown}, err, now)
-				}
-			} else {
-				for j, ld := range pending {
-					res := results[j]
-					var rerr error
-					if res.Status == StatusUnknown {
-						rerr = unknownNameErr(names[ld.idx])
-					}
-					c.settle(keys[ld.idx], ld.f, res, rerr, now)
-				}
+			}
+			for j, ld := range pending {
+				c.settle(keys[ld.idx], ld.f, results[j].Resolution, results[j].Err, now)
 			}
 		} else {
 			for _, ld := range pending {

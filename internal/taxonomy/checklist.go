@@ -184,6 +184,24 @@ func (c *Checklist) Resolve(_ context.Context, name string) (Resolution, error) 
 	return c.resolution(name, t, false, 0), nil
 }
 
+// BatchResolveDetail implements DetailedBatchResolver: each slot is exactly
+// what Resolve returns for that name, error included. An in-process lookup
+// costs nothing per round trip, so the batch form exists for the engine's
+// element lease — one service call, one span and one report pass for an
+// iteration's ready names instead of one of each per name.
+func (c *Checklist) BatchResolveDetail(ctx context.Context, names []string) []BatchResult {
+	out := make([]BatchResult, len(names))
+	for i, name := range names {
+		out[i].Resolution, out[i].Err = c.Resolve(ctx, name)
+	}
+	return out
+}
+
+// BatchResolve implements BatchResolver: unknown names are StatusUnknown data.
+func (c *Checklist) BatchResolve(ctx context.Context, names []string) ([]Resolution, error) {
+	return resolutionsFromDetail(names, c.BatchResolveDetail(ctx, names))
+}
+
 // ResolveFuzzy resolves with approximate matching: if no exact match exists,
 // the closest checklist name within maxDist edits is used.
 func (c *Checklist) ResolveFuzzy(name string, maxDist int) (Resolution, error) {

@@ -3,6 +3,7 @@ package taxonomy
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -230,5 +231,51 @@ func TestStatusString(t *testing.T) {
 	if StatusAccepted.String() != "accepted" || StatusSynonym.String() != "synonym" ||
 		StatusProvisional.String() != "provisionally accepted" || StatusUnknown.String() != "unknown" {
 		t.Fatal("status strings wrong")
+	}
+}
+
+// TestChecklistBatchMatchesResolve: the checklist's batch forms answer every
+// name exactly as Resolve does — resolution and error string — for every name
+// of a generated checklist (accepted, synonym, provisional), the names field
+// biologists used, and names it does not know or cannot parse.
+func TestChecklistBatchMatchesResolve(t *testing.T) {
+	gen, err := Generate(GeneratorSpec{Species: 300, OutdatedFraction: 0.1, ProvisionalFraction: 0.05, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := gen.Checklist
+	names := append(cl.Names(), gen.HistoricalNames...)
+	names = append(names, "Nomen nescio", "  hyla   FABER ", "not even parseable!", "", "Hyla")
+	ctx := context.Background()
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	details := cl.BatchResolveDetail(ctx, names)
+	plain, err := cl.BatchResolve(ctx, names)
+	if err != nil || len(details) != len(names) || len(plain) != len(names) {
+		t.Fatalf("batch of %d names: %d details, %d resolutions, %v", len(names), len(details), len(plain), err)
+	}
+	for i, name := range names {
+		want, wantErr := cl.Resolve(ctx, name)
+		if !reflect.DeepEqual(details[i].Resolution, want) || errText(details[i].Err) != errText(wantErr) {
+			t.Errorf("%q: detail %+v (%v), Resolve %+v (%v)", name, details[i].Resolution, details[i].Err, want, wantErr)
+		}
+		if !reflect.DeepEqual(plain[i], want) {
+			t.Errorf("%q: BatchResolve %+v, Resolve %+v", name, plain[i], want)
+		}
+	}
+	if got := DetailedBatch(cl); got != DetailedBatchResolver(cl) {
+		t.Errorf("the checklist probes as %T, want itself", got)
+	}
+	// A cache over the checklist keeps each name's own error on its batch path.
+	cached := NewCachingResolver(cl, 0).BatchResolveDetail(ctx, names)
+	for i, name := range names {
+		_, wantErr := cl.Resolve(ctx, name)
+		if errText(cached[i].Err) != errText(wantErr) {
+			t.Errorf("%q: cached batch error %q, Resolve %q", name, errText(cached[i].Err), errText(wantErr))
+		}
 	}
 }

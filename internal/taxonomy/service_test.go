@@ -398,12 +398,16 @@ func TestBatchRequestsArePaced(t *testing.T) {
 }
 
 // TestDetailedBatchProbe pins the capability probe core registers the batch
-// form of col.resolve by: none for the in-process checklist, an adapter over a
-// plain BatchResolver, the resolver itself when it has per-name errors.
+// form of col.resolve by: the in-process checklist and the resilient stack
+// are their own lossless batch form, a plain BatchResolver gets an adapter,
+// and a resolver with no batch capability gets none.
 func TestDetailedBatchProbe(t *testing.T) {
 	cl := demoChecklist(t)
-	if DetailedBatch(cl) != nil {
-		t.Error("the in-process checklist claims a batch form")
+	if got := DetailedBatch(cl); got != DetailedBatchResolver(cl) {
+		t.Errorf("the in-process checklist probed as %T, want itself", got)
+	}
+	if DetailedBatch(&countResolver{inner: cl}) != nil {
+		t.Error("a single-name resolver claims a batch form")
 	}
 	rr := NewResilientResolver(cl, ResilienceOptions{})
 	if got := DetailedBatch(rr); got != DetailedBatchResolver(rr) {

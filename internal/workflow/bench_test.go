@@ -2,7 +2,6 @@ package workflow
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -56,7 +55,7 @@ func benchHistoryEvent(i int) HistoryEvent {
 // BenchmarkHistoryAppend measures the two costs of the history stream: the
 // decider's append (stamp sequence/time/run identity, fold the event) plus the
 // driver's fan-out to listeners, and the JSON encoding the provenance layer
-// pays to persist each event.
+// pays to persist each event (AppendJSON into a reused payload buffer).
 func BenchmarkHistoryAppend(b *testing.B) {
 	b.Run("stamp-fanout", func(b *testing.B) {
 		var last HistoryEvent
@@ -83,10 +82,12 @@ func BenchmarkHistoryAppend(b *testing.B) {
 	b.Run("json-encode", func(b *testing.B) {
 		ev := benchHistoryEvent(0)
 		ev.Seq, ev.RunID, ev.WorkflowID, ev.WorkflowName = 7, "bench-run", "wf-bench", "Bench"
+		var buf []byte
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(&ev); err != nil {
+			var err error
+			if buf, err = ev.AppendJSON(buf[:0]); err != nil {
 				b.Fatal(err)
 			}
 		}
