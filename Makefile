@@ -16,7 +16,8 @@ test:
 ## engine's driver — worker pool, retry timers, remote-task leases that expire
 ## (TestVanishedRemoteWorkerRedelivers) — the singleflight caching resolver +
 ## resilience guards, the streaming provenance pipeline with graph reads racing
-## its commits (TestGraphReadWhileRunStreams), the storage layer under it
+## its commits — each read sees no graph or the whole final one, which commits
+## with the run's end (TestGraphReadWhileRunStreams), the storage layer under it
 ## (TestDBViewConcurrentWithWriter: one Scan sees one commit), the shard router
 ## with its scatter-gather fan-out, the collection store under it (the record
 ## projection name detection reads, TestScanSpecies*), the cluster layer —
@@ -52,13 +53,15 @@ race:
 ## failure resumes to the same history, the Collector's graph legal OPM), the
 ## history the provenance
 ## Collector folds (arbitrary events, split anywhere into prefix and live
-## stream, must never panic it or make it emit a dangling edge) and storage op
+## stream, must never panic it, make it emit anything but one delta per live
+## event with the graph on the terminal one, or leave a dangling edge in
+## Collector.Graph()) and storage op
 ## scripts (arbitrary batches applied live must match the model and what a
 ## reopen replays) — the chaos smoke
 ## (randomized kill/resume trials, degraded-authority assessment runs,
 ## shard-loss traffic, orchestrator-failover trials — a standby steals the
 ## expired lease and must finish byte-identically while the resurrected stale
-## orchestrator gets every fenced history append rejected — and the
+## orchestrator gets its fenced attempt to end the run rejected — and the
 ## scheduler-pool trial: three peer orchestrators drain an admission queue while two are
 ## killed mid-run, and every queued run must still complete byte-identically
 ## exactly once), the /api/v1 contract smoke (including the /api/v1/cluster
@@ -69,7 +72,8 @@ race:
 ## authority as exactly one /resolve_batch and no /resolve), the tracing-overhead
 ## guard (traced detection within 5% of untraced), the allocation guards over
 ## the provenance/telemetry/storage hot paths (zero on the encoders and point
-## reads; one per history row, its key, TestHistoryRowAllocs; a 32-byte
+## reads; one per history row, its key, TestHistoryRowAllocs; one per row of
+## the commit that ends a run and writes its graph, TestDeltaEncodeAllocs; a 32-byte
 ## cell, TestValueSizeAllocs, and ≤ 3 allocations per inserted row,
 ## TestApplyBatchAllocs, on the commit path) and the decider (zero per
 ## element report, TestDecideAllocs), a 1-iteration

@@ -403,15 +403,20 @@ func chaosOrchestratorFailover(e *environment, trials, records, species int) err
 
 // staleAppendRejected is the zero-accepted-stale-writes gate of Parts E and F:
 // stale is a history writer a dead orchestrator opened on runID at its
-// pre-steal token. Its append must bounce off the run's history fence with
-// ErrStaleFence and leave the stored graph exactly as the new owner left it.
+// pre-steal token. Its attempt to end the run — a run-status update and a
+// graph — must bounce off the run's fence with ErrStaleFence and leave the
+// stored graph exactly as the new owner left it.
 func staleAppendRejected(sys *core.System, runID string, stale provenance.RunWriter) error {
 	g, err := sys.Provenance.Graph(runID)
 	if err != nil {
 		return err
 	}
-	if err := stale.Emit(provenance.Delta{Kind: provenance.DeltaAddNode,
-		Node: opm.Node{ID: "zombie", Kind: opm.KindArtifact, Label: "zombie"}}); err != nil {
+	zombie := opm.NewGraph()
+	if err := zombie.Artifact("zombie", "zombie", ""); err != nil {
+		return err
+	}
+	if err := stale.Emit(provenance.Delta{Kind: provenance.DeltaRunFinished,
+		Info: provenance.RunInfo{RunID: runID, Status: provenance.RunFailed}, Graph: zombie}); err != nil {
 		return fmt.Errorf("stale emit failed before flush: %v", err)
 	}
 	if cerr := stale.Close(); !errors.Is(cerr, storage.ErrStaleFence) {

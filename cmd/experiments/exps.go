@@ -109,7 +109,6 @@ func runFigure3(e *environment) error {
 		Reputation:           "1",
 		Availability:         "0.9",
 		Author:               "expert",
-		Agent:                "end-user",
 		MeasuredAvailability: -1, // patched below after the run
 		Parallel:             e.parallel,
 	})

@@ -33,7 +33,6 @@ type admittedOptions struct {
 	Reputation           string  `json:"reputation,omitempty"`
 	Availability         string  `json:"availability,omitempty"`
 	Author               string  `json:"author,omitempty"`
-	Agent                string  `json:"agent,omitempty"`
 	MeasuredAvailability float64 `json:"measured_availability,omitempty"`
 	SkipLedger           bool    `json:"skip_ledger,omitempty"`
 	Parallel             int     `json:"parallel,omitempty"`
@@ -48,7 +47,6 @@ func encodeRunOptions(opts RunOptions) string {
 		Reputation:           opts.Reputation,
 		Availability:         opts.Availability,
 		Author:               opts.Author,
-		Agent:                opts.Agent,
 		MeasuredAvailability: opts.MeasuredAvailability,
 		SkipLedger:           opts.SkipLedger,
 		Parallel:             opts.Parallel,
@@ -67,7 +65,6 @@ func decodeRunOptions(blob string) RunOptions {
 		Reputation:           a.Reputation,
 		Availability:         a.Availability,
 		Author:               a.Author,
-		Agent:                a.Agent,
 		MeasuredAvailability: a.MeasuredAvailability,
 		SkipLedger:           a.SkipLedger,
 		Parallel:             a.Parallel,

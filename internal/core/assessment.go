@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/curation"
-	"repro/internal/opm"
 	"repro/internal/provenance"
 	"repro/internal/quality"
 	"repro/internal/shard"
@@ -64,9 +63,8 @@ type RunOptions struct {
 	// the Catalogue of Life (Listing 1: 1 and 0.9).
 	Reputation   string
 	Availability string
-	// Author/Agent identify the annotating expert and the controlling agent.
+	// Author identifies the annotating expert.
 	Author string
-	Agent  string
 	// MeasuredAvailability, when ≥0, is fed to the quality manager as the
 	// *observed* authority availability (e.g. Client.ObservedAvailability).
 	// Negative means unavailable.
@@ -83,11 +81,11 @@ type RunOptions struct {
 	// single-name resolver hundreds of milliseconds away it is the
 	// difference between n×latency and n×latency/Parallel per pass.
 	Parallel int
-	// CrashAfterDeltas > 0 kills the run after that many provenance deltas
-	// have been persisted, leaving the unfinished marker and crash-consistent
-	// prefix a real process death would: the run's context is cancelled and
-	// RunDetection returns a *CrashError carrying the run ID. Chaos-testing
-	// hook; zero in production.
+	// CrashAfterDeltas > 0 kills the run after that many provenance deltas —
+	// history events, the run row riding on the first — have reached the
+	// writer, leaving the unfinished marker and history prefix a real process
+	// death would: the run's context is cancelled and RunDetection returns a
+	// *CrashError carrying the run ID. Chaos-testing hook; zero in production.
 	CrashAfterDeltas int
 	// WorkerKills > 0 asks up to that many workers of the run's pool to die
 	// right after dequeuing a task (the task is returned to the queue and
@@ -125,6 +123,10 @@ type RunOptions struct {
 	LeaseTTL time.Duration
 }
 
+// detectionAgent labels the agent that controls a detection run's processes
+// in its provenance graph: the paper's End User.
+const detectionAgent = "end-user"
+
 func (o *RunOptions) defaults() {
 	if o.Reputation == "" {
 		o.Reputation = "1"
@@ -134,9 +136,6 @@ func (o *RunOptions) defaults() {
 	}
 	if o.Author == "" {
 		o.Author = "expert"
-	}
-	if o.Agent == "" {
-		o.Agent = "end-user"
 	}
 	if o.MeasuredAvailability == 0 {
 		o.MeasuredAvailability = -1
@@ -294,12 +293,15 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 	if orch != nil {
 		runCtx = orch.watch(runCtx)
 	}
-	// Step 4 overlaps step 3: the Provenance Manager streams graph deltas
-	// into the repository while the workflow executes (write-behind,
-	// group-committed batches), so completed runs are already persisted when
-	// the engine returns and failed runs keep their partial provenance,
-	// finalized as failed. An orchestrated run's writer commits under the
-	// lease token: from the claim on, only the token holder can append.
+	// Step 4 overlaps step 3: the Provenance Manager streams the run's
+	// history into the repository while the workflow executes (write-behind,
+	// group-committed batches) and writes the graph in the commit that ends
+	// the run, so completed runs are persisted when the engine returns and
+	// failed runs keep their partial provenance, finalized as failed. A
+	// resumed run's collector folds the stored prefix (the engine hands it
+	// over), so its graph is rebuilt from history, not read back. An
+	// orchestrated run's writer commits under the lease token: from the claim
+	// on, only the token holder can append.
 	wopts := provenance.BatchWriterOptions{}
 	if opts.WriterOptions != nil {
 		wopts = *opts.WriterOptions
@@ -310,27 +312,21 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 		wopts.FenceToken = orch.token()
 	}
 	var (
-		collector *provenance.Collector
-		writer    provenance.RunWriter
-		history   []workflow.HistoryEvent
+		writer  provenance.RunWriter
+		history []workflow.HistoryEvent
 	)
 	if fresh {
-		collector = provenance.NewCollector(opts.Agent)
 		writer, err = s.Provenance.RunWriter(wopts)
 	} else {
-		var prefix *opm.Graph
 		if history, err = s.Provenance.History(runID); err != nil {
 			return bail(err)
 		}
-		if prefix, err = s.Provenance.Graph(runID); err != nil {
-			return bail(err)
-		}
-		collector = provenance.NewResumeCollector(opts.Agent, prefix, info)
 		writer, err = s.Provenance.ResumeRunWriter(runID, wopts)
 	}
 	if err != nil {
 		return bail(err)
 	}
+	collector := provenance.NewCollector(detectionAgent)
 	// The crash knob cuts fresh runs only: a replayed run's cut already
 	// happened and must not re-fire.
 	var crash *provenance.CrashSink
@@ -349,7 +345,7 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 	werr := writer.Close()
 	if crash != nil && crash.Crashed() {
 		// Even if the engine outran the cancellation and completed, the
-		// finish delta was dropped: the run row still reads running, exactly
+		// run's end was dropped: the run row still reads running, exactly
 		// like a process death. Report the kill so the caller can resume.
 		// Spans are deliberately NOT persisted — a real process death loses
 		// its in-memory trace; the resume session records the run's tree.

@@ -113,12 +113,12 @@ func TestRunDetectionBatchEquivalence(t *testing.T) {
 		}
 		clean, cleanOutcome := runShapeWith(t, sys, refStack(), 1)
 		total := int(cleanOutcome.ProvenanceWriter.Enqueued)
-		if total < 200 {
+		if total < 100 {
 			t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
 		}
 		for _, parallel := range []int{1, 4, 16} {
 			// Two uninterrupted runs, one crash while the names are still
-			// being resolved (an element event is one delta, after ~30 of
+			// being resolved (an element event is one delta, after three of
 			// preamble: the resume has some names in its prefix and the rest
 			// to re-dispatch), and one crash anywhere in the run.
 			midIteration := 40 + rng.Intn(60)

@@ -147,10 +147,15 @@ func TestOrchestratorFailoverByteIdentical(t *testing.T) {
 	}
 	nodes, edges := len(g.Nodes()), len(g.Edges())
 
-	// The stale orchestrator wakes up and tries to append history: every
-	// write carries token 1 against a fence at 2 and must bounce.
-	if err := staleWriter.Emit(provenance.Delta{Kind: provenance.DeltaAddNode,
-		Node: opm.Node{ID: "stale-node", Kind: opm.KindArtifact, Label: "stale"}}); err != nil {
+	// The stale orchestrator wakes up and tries to end the run with a graph
+	// of its own: the commit carries token 1 against a fence at 2 and must
+	// bounce.
+	stale := opm.NewGraph()
+	if err := stale.Artifact("stale-node", "stale", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := staleWriter.Emit(provenance.Delta{Kind: provenance.DeltaRunFinished,
+		Info: provenance.RunInfo{RunID: runID, Status: provenance.RunFailed}, Graph: stale}); err != nil {
 		t.Fatalf("stale emit failed before flush: %v", err)
 	}
 	if err := staleWriter.Close(); !errors.Is(err, storage.ErrStaleFence) {
@@ -379,7 +384,7 @@ func TestOrchestratedRunLeavesNoQueueState(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := orchOpts("orch-1", time.Second)
-			opts.CrashAfterDeltas = 25
+			opts.CrashAfterDeltas = 8
 			_, err = sys.RunDetection(ctx, taxa.Checklist, opts)
 			var crash *CrashError
 			if !errors.As(err, &crash) {

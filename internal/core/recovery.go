@@ -14,12 +14,13 @@ import (
 
 // CrashError reports a detection run killed mid-flight (by the
 // CrashAfterDeltas chaos knob, standing in for a process death). The run's
-// provenance prefix and history stream are durable; ResumeDetection picks
-// the run back up by its ID.
+// history prefix is durable; ResumeDetection picks the run back up by its
+// ID.
 type CrashError struct {
 	// RunID of the interrupted run — the key for ResumeDetection.
 	RunID string
-	// Deltas is how many provenance deltas were persisted before the kill.
+	// Deltas is how many provenance deltas — history events — reached the
+	// writer before the kill.
 	Deltas int
 }
 
@@ -50,12 +51,12 @@ func RecoveryCounters() map[string]float64 {
 }
 
 // ResumeDetection picks up an interrupted detection run: it reloads the
-// crash-consistent provenance prefix and the persisted history stream,
-// replays the history prefix through the event engine (completed activities
-// are never re-invoked; unfinished iteration elements are re-enqueued), and
-// finalizes the run under its original ID. Resume IS replay — there is no
-// separate recovery path (see execute). The final provenance graph is
-// identical to what an uninterrupted run would have produced.
+// persisted history stream, replays it through the event engine (completed
+// activities are never re-invoked; unfinished iteration elements are
+// re-enqueued) and the provenance Collector, and finalizes the run under its
+// original ID. Resume IS replay — there is no separate recovery path (see
+// execute). The final provenance graph is identical to what an uninterrupted
+// run would have produced.
 //
 // The run must still be marked running (the unfinished marker) and must be a
 // detection-workflow run; anything else fails with ErrNotResumable. With
@@ -86,8 +87,9 @@ type SweepReport struct {
 // previous process left marked running is either resumed to completion
 // (detection runs, when a resolver is supplied) or finalized as abandoned
 // with a reason — so failed runs never hold their unfinished marker forever.
-// Call it before starting new runs; a live in-flight run would match the
-// marker too.
+// An abandoned run ends like any other, through its writer's terminal delta,
+// and keeps the graph its stored history folds to. Call it before starting
+// new runs; a live in-flight run would match the marker too.
 func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Resolver, opts RunOptions) (*SweepReport, error) {
 	unfinished, err := s.Provenance.UnfinishedRuns()
 	if err != nil {
@@ -95,18 +97,18 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 	}
 	recoveryStats.swept.Add(1)
 	report := &SweepReport{Found: len(unfinished), Abandoned: map[string]string{}}
-	abandon := func(runID, reason string) error {
-		if err := s.Provenance.MarkAbandoned(runID, reason, time.Now()); err != nil {
-			if info, ierr := s.Provenance.Run(runID); ierr == nil && info.Status != provenance.RunRunning {
+	abandon := func(info provenance.RunInfo, reason string) error {
+		if err := s.abandonRun(info, reason); err != nil {
+			if now, ierr := s.Provenance.Run(info.RunID); ierr == nil && now.Status != provenance.RunRunning {
 				// A failed resume already finalized the run (e.g. as failed);
 				// the unfinished marker is gone either way.
-				report.Abandoned[runID] = reason
+				report.Abandoned[info.RunID] = reason
 				return nil
 			}
 			return err
 		}
 		recoveryStats.abandoned.Add(1)
-		report.Abandoned[runID] = reason
+		report.Abandoned[info.RunID] = reason
 		return nil
 	}
 	for _, info := range unfinished {
@@ -120,11 +122,11 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 		}
 		switch {
 		case info.WorkflowID != DetectionWorkflowID:
-			if err := abandon(info.RunID, fmt.Sprintf("no resume path for workflow %q", info.WorkflowID)); err != nil {
+			if err := abandon(info, fmt.Sprintf("no resume path for workflow %q", info.WorkflowID)); err != nil {
 				return report, err
 			}
 		case resolver == nil:
-			if err := abandon(info.RunID, "no resolver available at sweep"); err != nil {
+			if err := abandon(info, "no resolver available at sweep"); err != nil {
 				return report, err
 			}
 		default:
@@ -138,7 +140,7 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 					report.Skipped = append(report.Skipped, info.RunID)
 					continue
 				}
-				if err := abandon(info.RunID, fmt.Sprintf("resume failed: %v", rerr)); err != nil {
+				if err := abandon(info, fmt.Sprintf("resume failed: %v", rerr)); err != nil {
 					return report, err
 				}
 				continue
@@ -147,4 +149,24 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 		}
 	}
 	return report, nil
+}
+
+// abandonRun ends an unfinished run as RunAbandoned with the given reason:
+// one terminal delta through the run's resume writer, carrying the fold of
+// the history the run stored.
+func (s *System) abandonRun(info provenance.RunInfo, reason string) error {
+	history, err := s.Provenance.History(info.RunID)
+	if err != nil {
+		return err
+	}
+	w, err := s.Provenance.ResumeRunWriter(info.RunID, provenance.BatchWriterOptions{})
+	if err != nil {
+		return err
+	}
+	col := provenance.NewCollector(detectionAgent)
+	col.OnHistoryPrefix(history)
+	info.Status, info.Error, info.FinishedAt = provenance.RunAbandoned, reason, time.Now()
+	// An Emit error is the writer's sticky one, which Close returns.
+	_ = w.Emit(provenance.Delta{Kind: provenance.DeltaRunFinished, Info: info, Graph: col.Graph()})
+	return w.Close()
 }

@@ -278,8 +278,8 @@ func TestResumeDetectionGuards(t *testing.T) {
 
 // TestSweepUnfinishedRuns verifies the startup reconciliation: interrupted
 // detection runs are resumed to completion when a resolver is available and
-// finalized as abandoned (with a reason) when none is — so no run holds its
-// unfinished marker forever.
+// finalized as abandoned (with a reason and the graph of their stored
+// history) when none is — so no run holds its unfinished marker forever.
 func TestSweepUnfinishedRuns(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 60, 12)
 	ctx := context.Background()
@@ -323,6 +323,20 @@ func TestSweepUnfinishedRuns(t *testing.T) {
 	}
 	if info.Error == "" {
 		t.Fatal("abandoned run lacks a reason")
+	}
+	// It ended like any run, with the graph its stored history folds to.
+	history, err := sys.Provenance.History(crash.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := provenance.NewCollector(detectionAgent)
+	fold.OnHistoryPrefix(history)
+	g, err := sys.Provenance.Graph(crash.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodeCount() == 0 || canonicalGraph(g, crash.RunID) != canonicalGraph(fold.Graph(), crash.RunID) {
+		t.Fatalf("abandoned run's graph (%d nodes) is not the fold of its %d history events", g.NodeCount(), len(history))
 	}
 
 	// The sweep converged: nothing unfinished remains.

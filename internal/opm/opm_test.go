@@ -237,75 +237,6 @@ func TestAccountsAndViews(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	g1 := NewGraph()
-	g1.Artifact("a:shared", "input", "data")
-	g1.Process("p:run1", "run 1")
-	g1.Annotate("a:shared", "origin", "field")
-	g1.AddEdge(Edge{Kind: Used, Effect: "p:run1", Cause: "a:shared", Role: "in", Account: "run1"})
-
-	g2 := NewGraph()
-	g2.Artifact("a:shared", "input", "data")
-	g2.Artifact("a:out2", "output 2", "")
-	g2.Process("p:run2", "run 2")
-	g2.Annotate("a:shared", "origin", "ignored-duplicate")
-	g2.Annotate("a:shared", "extra", "kept")
-	g2.AddEdge(Edge{Kind: Used, Effect: "p:run2", Cause: "a:shared", Role: "in", Account: "run2"})
-	g2.AddEdge(Edge{Kind: WasGeneratedBy, Effect: "a:out2", Cause: "p:run2", Role: "out", Account: "run2"})
-
-	if err := g1.Merge(g2); err != nil {
-		t.Fatal(err)
-	}
-	if g1.NodeCount() != 4 {
-		t.Fatalf("merged nodes = %d", g1.NodeCount())
-	}
-	if g1.EdgeCount() != 3 {
-		t.Fatalf("merged edges = %d", g1.EdgeCount())
-	}
-	// Annotation merge: first writer wins, gaps filled.
-	n, _ := g1.Node("a:shared")
-	if n.Annotations["origin"] != "field" || n.Annotations["extra"] != "kept" {
-		t.Fatalf("merged annotations = %v", n.Annotations)
-	}
-	// Shared artifact now used by both runs.
-	if got := g1.ProcessesUsing("a:shared"); len(got) != 2 {
-		t.Fatalf("users after merge = %v", got)
-	}
-	// Accounts kept distinct.
-	if len(g1.Accounts()) != 2 {
-		t.Fatalf("accounts = %v", g1.Accounts())
-	}
-	// Merging the same graph again is a no-op (dedup).
-	if err := g1.Merge(g2); err != nil {
-		t.Fatal(err)
-	}
-	if g1.EdgeCount() != 3 {
-		t.Fatalf("re-merge changed edges: %d", g1.EdgeCount())
-	}
-	// Kind conflicts are rejected.
-	g3 := NewGraph()
-	g3.Process("a:shared", "impostor")
-	if err := g1.Merge(g3); err == nil {
-		t.Fatal("kind conflict accepted")
-	}
-	// Merged graphs of distinct accounts are still legal even if both
-	// generate the same artifact.
-	gA := NewGraph()
-	gA.Artifact("a", "", "")
-	gA.Process("p1", "")
-	gA.AddEdge(Edge{Kind: WasGeneratedBy, Effect: "a", Cause: "p1", Role: "out", Account: "r1"})
-	gB := NewGraph()
-	gB.Artifact("a", "", "")
-	gB.Process("p2", "")
-	gB.AddEdge(Edge{Kind: WasGeneratedBy, Effect: "a", Cause: "p2", Role: "out", Account: "r2"})
-	if err := gA.Merge(gB); err != nil {
-		t.Fatal(err)
-	}
-	if probs := gA.CheckLegality(); len(probs) != 0 {
-		t.Fatalf("multi-account generation flagged: %v", probs)
-	}
-}
-
 func TestCheckLegality(t *testing.T) {
 	g := NewGraph()
 	g.Artifact("a", "", "")

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/opm"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
@@ -98,23 +97,14 @@ func (m WriterMetrics) Counters() map[string]float64 {
 	return telemetry.MergeCounters(c, m.Flush.Counters("provenance.writer.flush"))
 }
 
-// wnode is the writer's materialized view of one node: the immutable node
-// fields plus the annotations accumulated so far, and whether the node's row
-// already exists in storage.
-type wnode struct {
-	node      opm.Node
-	ann       map[string]string
-	persisted bool
-	dirty     bool
-}
-
-// BatchWriter is a Sink that streams a run's deltas into the repository
-// while the run executes: write-behind, group-committed batches (size- or
-// interval-triggered), bounded queue with backpressure, and a final fsync'd
-// flush plus run-status finalize when the run completes or fails. If the
-// process dies mid-run, recovery replays the WAL to a consistent prefix of
-// the stream and the run row still reads Status == RunRunning — the
-// "unfinished" marker. Failed runs keep their partial provenance.
+// BatchWriter is a Sink that streams a run's history into the repository
+// while the run executes — write-behind, group-committed batches (size- or
+// interval-triggered), a bounded queue with backpressure — and ends the run
+// in one fsync'd commit: the last history rows, every node and edge row of
+// the final graph, and the run-status update. If the process dies mid-run,
+// recovery replays the WAL to a prefix of the history, the run row still
+// reads Status == RunRunning — the "unfinished" marker — and no graph row
+// exists. Failed runs end the same way and keep their partial provenance.
 //
 // A BatchWriter persists exactly one run. Emit is safe for the Collector's
 // serialized delivery; Close must be called after the run's last event (and
@@ -139,26 +129,16 @@ type BatchWriter struct {
 	// Writer-goroutine state (single goroutine, no locking needed).
 	runID       string
 	runInserted bool
-	finalized   bool
-	nodes       map[string]*wnode
-	dirtyOrder  []string
-	edgeSeq     int
 	historySeq  int // highest history event seq already persisted (-1 none)
 	// resume marks a writer re-opened on an interrupted run (NewResumeWriter):
 	// the run row already exists, so run-started becomes an update.
 	resume bool
-
-	// Flush scratch, reused across group commits so the steady-state write
-	// path stops allocating: the op list, a value arena the rows are carved
-	// from, the annotation-blob encoder and the history payload arena. All
-	// safe to reuse because Apply never retains caller memory — the WAL
-	// buffers its record, and a stored row is the commit's own copy of the
-	// cells and of every bytes payload (storage.Row.Clone; only immutable
-	// strings are shared).
-	ops      []storage.Op
-	vals     []storage.Value
-	annEnc   annEncoder
-	payloads []byte
+	// stale deletes the graph rows an older version of this writer streamed
+	// for the run before it was interrupted; the final commit applies them
+	// ahead of the graph it writes.
+	stale []storage.Op
+	// rows is the flush scratch, reused across group commits.
+	rows rowBuilder
 }
 
 // ErrWriterClosed is returned by Emit after Close.
@@ -168,20 +148,24 @@ var ErrWriterClosed = errors.New("provenance: batch writer closed")
 // and starts its flusher goroutine. Attach it to a Collector before the run
 // and Close it after the run returns.
 func (r *Repository) NewBatchWriter(opts BatchWriterOptions) *BatchWriter {
+	w := r.newWriter(opts)
+	go w.loop()
+	return w
+}
+
+func (r *Repository) newWriter(opts BatchWriterOptions) *BatchWriter {
 	opts.defaults()
 	w := &BatchWriter{
 		repo:       r,
 		opts:       opts,
 		ch:         make(chan Delta, opts.Queue),
 		done:       make(chan struct{}),
-		nodes:      make(map[string]*wnode),
 		historySeq: -1,
 		trace:      opts.Trace,
 	}
 	if w.trace == nil {
 		w.trace = context.Background()
 	}
-	go w.loop()
 	return w
 }
 
@@ -272,8 +256,8 @@ func (w *BatchWriter) loop() {
 			batch = append(batch, d)
 			switch {
 			case d.Kind == DeltaRunFinished:
-				// The terminal delta: flush everything and make it durable
-				// together with the run-status finalize.
+				// The terminal delta: the graph and the run-status update
+				// commit with everything still buffered, then fsync.
 				batch = w.flush(batch, "final")
 				w.syncWAL()
 			case len(batch) >= w.opts.MaxBatch:
@@ -307,142 +291,72 @@ func (w *BatchWriter) syncWAL() {
 	}
 }
 
-// flush turns the buffered deltas into one atomic group commit: run insert
-// first, then edge inserts in sequence order interleaved with merged node
-// writes (one insert-or-update per touched node, however many annotation
-// deltas arrived), and the run-status finalize last. Returns the reusable
-// empty batch slice.
+// flush turns the buffered deltas into one atomic group commit, in stream
+// order: the run row, history rows (an event at or below the stored
+// high-water mark is skipped, never duplicated) and, for the terminal delta,
+// the stale graph rows' deletes, the final graph's rows and the run-status
+// update. Returns the reusable empty batch slice.
 func (w *BatchWriter) flush(batch []Delta, trigger string) []Delta {
 	if len(batch) == 0 {
 		return batch
 	}
-	ops := w.ops[:0]
-	w.vals = w.vals[:0]
-	w.payloads = w.payloads[:0]
-	w.annEnc.Reset()
+	b := &w.rows
 	defer func() {
-		for i := range batch {
-			batch[i] = Delta{}
-		}
-		for i := range ops {
-			ops[i] = storage.Op{} // drop row references; the arena is reused next flush
-		}
-		w.ops = ops[:0]
+		clear(batch)
+		b.reset()
 	}()
 	if w.Err() != nil {
 		return batch[:0] // sticky failure: drain and discard
 	}
-	// arenaRow seals the values appended to the arena since start as one row.
-	arenaRow := func(start int) storage.Row {
-		return storage.Row(w.vals[start:len(w.vals):len(w.vals)])
-	}
-	var finishRow storage.Row
-	markDirty := func(id string, ns *wnode) {
-		if !ns.dirty {
-			ns.dirty = true
-			w.dirtyOrder = append(w.dirtyOrder, id)
-		}
-	}
 	for _, d := range batch {
 		switch d.Kind {
 		case DeltaRunStarted:
-			if d.Info.RunID == "" {
+			switch {
+			case d.Info.RunID == "":
 				w.fail(fmt.Errorf("provenance: run has no ID"))
 				return batch[:0]
-			}
-			if w.resume {
-				if d.Info.RunID != w.runID {
-					w.fail(fmt.Errorf("provenance: resume writer for %q got run %q", w.runID, d.Info.RunID))
-					return batch[:0]
-				}
+			case !w.resume:
+				w.runID, w.runInserted = d.Info.RunID, true
+				b.run(storage.InsertOp, d.Info)
+			case d.Info.RunID != w.runID:
+				w.fail(fmt.Errorf("provenance: resume writer for %q got run %q", w.runID, d.Info.RunID))
+				return batch[:0]
+			default:
 				// The row already exists from before the crash; the resumed
 				// execution refreshes it (same identity, still running).
-				start := len(w.vals)
-				w.vals = appendRunRow(w.vals, d.Info)
-				ops = append(ops, storage.UpdateOp(runsTable, arenaRow(start)))
-				break
+				b.run(storage.UpdateOp, d.Info)
 			}
-			w.runID = d.Info.RunID
-			w.runInserted = true
-			start := len(w.vals)
-			w.vals = appendRunRow(w.vals, d.Info)
-			ops = append(ops, storage.InsertOp(runsTable, arenaRow(start)))
-		case DeltaAddNode:
-			if _, exists := w.nodes[d.Node.ID]; exists {
-				break // already persisted by the pre-crash prefix
-			}
-			ns := &wnode{node: d.Node, ann: map[string]string{}}
-			w.nodes[d.Node.ID] = ns
-			markDirty(d.Node.ID, ns)
-		case DeltaAnnotate:
-			ns, ok := w.nodes[d.NodeID]
-			if !ok {
-				w.fail(fmt.Errorf("provenance: annotate on unknown node %q", d.NodeID))
-				return batch[:0]
-			}
-			ns.ann[d.Key] = d.Value
-			markDirty(d.NodeID, ns)
-		case DeltaAddEdge:
-			start := len(w.vals)
-			w.vals = appendEdgeRow(w.vals, w.runID, w.edgeSeq, d.Edge)
-			ops = append(ops, storage.InsertOp(edgesTable, arenaRow(start)))
-			w.edgeSeq++
-		case DeltaRunFinished:
-			w.finalized = true
-			start := len(w.vals)
-			w.vals = appendRunRow(w.vals, d.Info)
-			finishRow = arenaRow(start)
-		case DeltaHistory:
-			if d.History == nil {
-				w.fail(fmt.Errorf("provenance: history delta without payload"))
-				return batch[:0]
-			}
-			if d.History.Seq <= w.historySeq {
-				break // persisted before the crash; never duplicated
-			}
-			start := len(w.vals)
-			var err error
-			if w.vals, w.payloads, err = appendHistoryRow(w.vals, w.payloads, w.runID, d.History); err != nil {
-				w.fail(err)
-				return batch[:0]
-			}
-			w.historySeq = d.History.Seq
-			ops = append(ops, storage.InsertOp(historyTable, arenaRow(start)))
+		case DeltaHistory, DeltaRunFinished:
 		default:
 			w.fail(fmt.Errorf("provenance: unknown delta kind %d", d.Kind))
 			return batch[:0]
 		}
-	}
-	for _, id := range w.dirtyOrder {
-		ns := w.nodes[id]
-		ann := w.annEnc.Encode(ns.ann)
-		start := len(w.vals)
-		w.vals = appendNodeRow(w.vals, w.runID, ns.node, ann)
-		row := arenaRow(start)
-		if ns.persisted {
-			ops = append(ops, storage.UpdateOp(nodesTable, row))
-		} else {
-			ops = append(ops, storage.InsertOp(nodesTable, row))
-			ns.persisted = true
+		if ev := d.History; ev != nil && ev.Seq > w.historySeq {
+			if err := b.history(w.runID, ev); err != nil {
+				w.fail(err)
+				return batch[:0]
+			}
+			w.historySeq = ev.Seq
 		}
-		ns.dirty = false
-	}
-	w.dirtyOrder = w.dirtyOrder[:0]
-	if finishRow != nil {
-		ops = append(ops, storage.UpdateOp(runsTable, finishRow))
+		if d.Kind == DeltaRunFinished {
+			b.ops = append(b.ops, w.stale...)
+			w.stale = nil
+			b.graph(w.runID, d.Graph)
+			b.run(storage.UpdateOp, d.Info)
+		}
 	}
 	_, sp := telemetry.StartSpan(w.trace, "flush", "provenance-writer")
 	start := time.Now()
 	var err error
 	if w.opts.FenceName != "" {
-		err = w.repo.db.ApplyFenced(w.opts.FenceName, w.opts.FenceToken, ops...)
+		err = w.repo.db.ApplyFenced(w.opts.FenceName, w.opts.FenceToken, b.ops...)
 	} else {
-		err = w.repo.db.Apply(ops...)
+		err = w.repo.db.Apply(b.ops...)
 	}
 	lat := time.Since(start)
 	if sp != nil {
 		sp.SetAttr("deltas", strconv.Itoa(len(batch)))
-		sp.SetAttr("ops", strconv.Itoa(len(ops)))
+		sp.SetAttr("ops", strconv.Itoa(len(b.ops)))
 		sp.SetAttr("trigger", trigger)
 		if err != nil {
 			sp.SetAttr("error", err.Error())

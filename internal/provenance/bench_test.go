@@ -14,7 +14,7 @@ import (
 
 // capturedRun executes one detection run over n names and returns the
 // collector (graph + info) plus the recorded delta stream.
-func capturedRun(b *testing.B, n int) (*Collector, []Delta) {
+func capturedRun(b testing.TB, n int) (*Collector, []Delta) {
 	b.Helper()
 	col := NewCollector("curator")
 	var deltas []Delta
@@ -77,8 +77,8 @@ func BenchmarkStoreLegacy(b *testing.B) {
 }
 
 // BenchmarkStoreStreaming measures the write-behind path: the same run's
-// delta stream replayed through a BatchWriter (queueing, batching and group
-// commit included).
+// delta stream — its history, then the graph with the run's end — replayed
+// through a BatchWriter (queueing, batching and group commit included).
 func BenchmarkStoreStreaming(b *testing.B) {
 	col, deltas := capturedRun(b, 32)
 	repo := benchRepo(b)

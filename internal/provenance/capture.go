@@ -5,11 +5,12 @@
 // the Workflow Adapter attached to the specification, and persists the
 // result in the Data Provenance Repository.
 //
-// Capture is incremental: every graph mutation is also emitted as a Delta to
-// any attached Sinks, in causal order, while the run executes. The
-// Repository's BatchWriter sink streams those deltas into storage behind the
-// run (write-behind, group-committed), so provenance is durable shortly
-// after it happens instead of in one monolithic store after the run ends.
+// A run's graph is a function of its history, so history is all a run
+// persists while it executes: the Collector folds every event into its
+// in-memory graph and emits the event, as a Delta, to any attached Sinks. The
+// run's end is one delta carrying the terminal event and the final graph, and
+// the Repository's BatchWriter sink commits both together. A reader therefore
+// sees either no graph or the whole final one.
 package provenance
 
 import (
@@ -38,8 +39,8 @@ const (
 	RunCompleted RunStatus = "completed"
 	RunFailed    RunStatus = "failed"
 	// RunAbandoned marks an unfinished run the startup sweep could not (or
-	// chose not to) resume; the run row's Error records why. Its partial
-	// provenance stays readable.
+	// chose not to) resume; the run row's Error records why. Its graph is the
+	// fold of the history it stored.
 	RunAbandoned RunStatus = "abandoned"
 )
 
@@ -55,9 +56,8 @@ type RunInfo struct {
 }
 
 // Collector is the workflow.HistoryListener (and HistoryPrefixer) that folds
-// one run's history stream into its OPM graph and streams every mutation,
-// followed by the history event that implied it, to its attached Sinks. It
-// is safe for concurrent use.
+// one run's history stream into its OPM graph and streams the history to its
+// attached Sinks. It is safe for concurrent use.
 type Collector struct {
 	// Agent identifies who controls the processors of this run (the paper's
 	// End User / Process Designer roles). Defaults to "workflow-engine".
@@ -67,17 +67,15 @@ type Collector struct {
 	// derivation edges (default 4096; 0 uses the default, negative disables).
 	MaxElements int
 
-	mu    sync.Mutex
-	graph *opm.Graph
-	info  RunInfo
-	// artifactOf remembers the artifact ID assigned to each distinct datum.
-	artifactOf map[string]string
-	sinks      []Sink
-	sinkErr    error
-	// resumed marks a collector preloaded with the crash-consistent prefix
-	// of an interrupted run; a run-started event then keeps the original
-	// StartedAt instead of restamping it.
-	resumed bool
+	mu      sync.Mutex
+	graph   *opm.Graph
+	info    RunInfo
+	sinks   []Sink
+	sinkErr error
+	// finished is set by run-finished. The graph then belongs to the sinks,
+	// and a later event — the terminal one delivered again, or the tail of a
+	// corrupt history — changes and emits nothing.
+	finished bool
 	// fold is what the history so far says about each activity: the binding
 	// a closing event is recorded with and the elements finished before it.
 	fold workflow.HistoryFold
@@ -85,33 +83,14 @@ type Collector struct {
 
 const defaultMaxElements = 4096
 
-// NewCollector builds a collector with the given controlling agent label.
+// NewCollector builds a collector with the given controlling agent label. A
+// resumed run's collector is a new one handed the stored prefix
+// (OnHistoryPrefix).
 func NewCollector(agent string) *Collector {
 	if agent == "" {
 		agent = "workflow-engine"
 	}
-	return &Collector{
-		Agent:      agent,
-		graph:      opm.NewGraph(),
-		artifactOf: make(map[string]string),
-	}
-}
-
-// NewResumeCollector rebuilds a collector around the crash-consistent prefix
-// of an interrupted run: g is the graph recovered from storage (the collector
-// takes ownership) and info its persisted RunInfo. Nodes and edges already in
-// the prefix are transparently deduplicated, so re-executed processors whose
-// provenance was partially persisted re-emit only what is missing, and the
-// resumed stream converges on the graph an uninterrupted run would produce.
-func NewResumeCollector(agent string, g *opm.Graph, info RunInfo) *Collector {
-	c := NewCollector(agent)
-	c.graph = g
-	c.info = info
-	c.resumed = true
-	for _, n := range g.NodesOfKind(opm.KindArtifact) {
-		c.artifactOf[n.ID] = n.Label
-	}
-	return c
+	return &Collector{Agent: agent, graph: opm.NewGraph()}
 }
 
 // AddSink attaches a delta consumer. Attach sinks before the run starts;
@@ -127,15 +106,6 @@ func (c *Collector) SinkErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sinkErr
-}
-
-// emitLocked delivers one delta to every sink. Caller holds c.mu.
-func (c *Collector) emitLocked(d Delta) {
-	for _, s := range c.sinks {
-		if err := s.Emit(d); err != nil && c.sinkErr == nil {
-			c.sinkErr = err
-		}
-	}
 }
 
 // Graph returns a snapshot of the accumulated OPM graph. The snapshot is
@@ -170,43 +140,13 @@ func truncate(s string) string {
 	return s
 }
 
-// addNodeLocked inserts a node into the graph and emits the matching delta
-// when the insert actually happened. Caller holds c.mu.
-func (c *Collector) addNodeLocked(n opm.Node) {
-	if err := c.graph.AddNode(n); err != nil {
-		return
-	}
-	n.Annotations = nil // annotations flow as DeltaAnnotate ops
-	c.emitLocked(Delta{Kind: DeltaAddNode, Node: n})
-}
-
-// addEdgeLocked inserts an edge and emits the delta when it was new (the
-// graph deduplicates repeats). Caller holds c.mu.
-func (c *Collector) addEdgeLocked(e opm.Edge) {
-	added, err := c.graph.InsertEdge(e)
-	if err != nil || !added {
-		return
-	}
-	c.emitLocked(Delta{Kind: DeltaAddEdge, Edge: e})
-}
-
-// annotateLocked sets one node annotation and emits the delta. Caller holds
-// c.mu.
-func (c *Collector) annotateLocked(id, key, value string) {
-	if err := c.graph.Annotate(id, key, value); err != nil {
-		return
-	}
-	c.emitLocked(Delta{Kind: DeltaAnnotate, NodeID: id, Key: key, Value: value})
-}
-
 // ensureArtifactLocked registers the artifact for d (if new) and returns its
 // ID. Caller holds c.mu.
 func (c *Collector) ensureArtifactLocked(label string, d workflow.Data) string {
 	id := artifactID(d)
-	if _, ok := c.artifactOf[id]; !ok {
+	if _, ok := c.graph.Node(id); !ok {
 		// Label records the first port the datum was seen at.
-		c.addNodeLocked(opm.Node{ID: id, Kind: opm.KindArtifact, Label: label, Value: truncate(d.String())})
-		c.artifactOf[id] = label
+		c.graph.AddNode(opm.Node{ID: id, Kind: opm.KindArtifact, Label: label, Value: truncate(d.String())})
 	}
 	return id
 }
@@ -216,9 +156,10 @@ func (c *Collector) processID(processor string) string {
 }
 
 // inKeyOrder calls fn for every entry of m in sorted key order, so one
-// history always yields one delta sequence (the order reaches storage as edge
-// seq numbers and page order). Port maps are small: the keys of all but the
-// widest sort in a stack buffer, so the order costs no allocation.
+// history always yields one graph, edges in one order (the order reaches
+// storage as edge seq numbers and page order). Port maps are small: the keys
+// of all but the widest sort in a stack buffer, so the order costs no
+// allocation.
 func inKeyOrder[V any](m map[string]V, fn func(key string, v V)) {
 	var buf [8]string
 	keys := buf[:0]
@@ -231,70 +172,80 @@ func inKeyOrder[V any](m map[string]V, fn func(key string, v V)) {
 	}
 }
 
-// OnHistoryEvent implements workflow.HistoryListener: the run's graph is a
-// function of its history alone. For every event the sinks see
-//
-//	[graph deltas the event implies...] [DeltaHistory]
-//
-// so any crash-consistent prefix of the stream that holds a history event
-// also holds everything the event implies, and resuming from the stored
-// history is always safe: the replayed prefix re-derives state already on
-// disk, and execution continues from the first missing event.
-//
-// The terminal event inverts the order, so DeltaRunFinished stays the very
-// last delta and a prefix can never show a finalized run record over an
-// unfinished history. A cut between the two leaves a finished history with an
-// un-finalized run record — the state the engine's finalize path repairs by
-// delivering the terminal event again, whose deltas (completion inference,
-// the terminal run record) are idempotent.
+// OnHistoryEvent implements workflow.HistoryListener: the event is folded
+// into the graph and emitted to the sinks — as DeltaRunStarted for
+// run-started, as DeltaRunFinished with the final graph for run-finished,
+// and as DeltaHistory otherwise.
 func (c *Collector) OnHistoryEvent(ev workflow.HistoryEvent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	act := c.fold.Apply(ev)
-	history := Delta{Kind: DeltaHistory, History: &ev}
-	switch ev.Type {
-	case workflow.HistoryRunStarted:
-		c.runStartedLocked(&ev)
-	case workflow.HistoryActivityCompleted, workflow.HistoryActivityFailed:
-		c.activityClosedLocked(&ev, act)
-	case workflow.HistoryRunFinished:
-		c.emitLocked(history)
-		c.runFinishedLocked(&ev)
+	if !c.applyLocked(&ev) {
 		return
 	}
-	c.emitLocked(history)
+	d := Delta{Kind: DeltaHistory, History: &ev}
+	switch ev.Type {
+	case workflow.HistoryRunStarted:
+		d.Kind, d.Info = DeltaRunStarted, c.info
+	case workflow.HistoryRunFinished:
+		d.Kind, d.Info, d.Graph = DeltaRunFinished, c.info, c.graph
+	}
+	for _, s := range c.sinks {
+		if err := s.Emit(d); err != nil && c.sinkErr == nil {
+			c.sinkErr = err
+		}
+	}
 }
 
-// OnHistoryPrefix implements workflow.HistoryPrefixer: a resumed run's
-// replayed prefix folds WITHOUT emitting anything — the prefix property
-// guarantees what it implies is persisted, and the resume collector was
-// preloaded with that graph — so that completions after the prefix are
-// recorded with the bindings and elements the prefix holds.
+// OnHistoryPrefix implements workflow.HistoryPrefixer: a resumed run's stored
+// prefix folds into the graph exactly as a live run's events do, and emits
+// nothing — it is stored already.
 func (c *Collector) OnHistoryPrefix(prefix []workflow.HistoryEvent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, ev := range prefix {
-		c.fold.Apply(ev)
+	for i := range prefix {
+		c.applyLocked(&prefix[i])
 	}
 }
 
-func (c *Collector) runStartedLocked(ev *workflow.HistoryEvent) {
-	started := ev.Time
-	if c.resumed && !c.info.StartedAt.IsZero() {
-		started = c.info.StartedAt // the run began before the crash
+// applyLocked folds one event into the graph; false once the run finished.
+// Graph mutations a corrupt history makes illegal (an edge naming a missing
+// node, a duplicate node) are refused by the graph and skipped. Caller holds
+// c.mu.
+func (c *Collector) applyLocked(ev *workflow.HistoryEvent) bool {
+	if c.finished {
+		return false
 	}
-	c.info = RunInfo{
-		RunID:        ev.RunID,
-		WorkflowID:   ev.WorkflowID,
-		WorkflowName: ev.WorkflowName,
-		StartedAt:    started,
-		Status:       RunRunning,
+	act := c.fold.Apply(*ev)
+	switch ev.Type {
+	case workflow.HistoryRunStarted:
+		c.info = RunInfo{
+			RunID:        ev.RunID,
+			WorkflowID:   ev.WorkflowID,
+			WorkflowName: ev.WorkflowName,
+			StartedAt:    ev.Time,
+			Status:       RunRunning,
+		}
+		c.graph.AddNode(opm.Node{ID: "ag:" + c.Agent, Kind: opm.KindAgent, Label: c.Agent})
+		inKeyOrder(ev.Inputs, func(port string, d workflow.Data) {
+			c.ensureArtifactLocked("workflow-input:"+port, d)
+		})
+	case workflow.HistoryActivityCompleted, workflow.HistoryActivityFailed:
+		c.activityClosedLocked(ev, act)
+	case workflow.HistoryRunFinished:
+		c.finished = true
+		c.info.FinishedAt = ev.Time
+		if ev.Status == "failed" {
+			c.info.Status = RunFailed
+			c.info.Error = ev.Err
+			break
+		}
+		// Completion rules: derive artifact-to-artifact and
+		// process-to-process dependencies.
+		c.info.Status = RunCompleted
+		c.graph.InferDerivations()
+		c.graph.InferTriggers()
 	}
-	c.emitLocked(Delta{Kind: DeltaRunStarted, Info: c.info})
-	c.addNodeLocked(opm.Node{ID: "ag:" + c.Agent, Kind: opm.KindAgent, Label: c.Agent})
-	inKeyOrder(ev.Inputs, func(port string, d workflow.Data) {
-		c.ensureArtifactLocked("workflow-input:"+port, d)
-	})
+	return true
 }
 
 // activityClosedLocked records an activity-completed or activity-failed
@@ -305,22 +256,22 @@ func (c *Collector) runStartedLocked(ev *workflow.HistoryEvent) {
 func (c *Collector) activityClosedLocked(ev *workflow.HistoryEvent, act *workflow.ActivityFold) {
 	pid := c.processID(ev.Activity)
 	if _, exists := c.graph.Node(pid); !exists {
-		c.addNodeLocked(opm.Node{ID: pid, Kind: opm.KindProcess, Label: ev.Activity})
+		c.graph.AddNode(opm.Node{ID: pid, Kind: opm.KindProcess, Label: ev.Activity})
 	}
-	c.annotateLocked(pid, "service", act.Service)
-	c.annotateLocked(pid, "iterations", fmt.Sprintf("%d", ev.Iterations))
-	c.annotateLocked(pid, "duration", ev.Duration.String())
+	c.graph.Annotate(pid, "service", act.Service)
+	c.graph.Annotate(pid, "iterations", fmt.Sprintf("%d", ev.Iterations))
+	c.graph.Annotate(pid, "duration", ev.Duration.String())
 	if ev.Err != "" {
-		c.annotateLocked(pid, "error", ev.Err)
+		c.graph.Annotate(pid, "error", ev.Err)
 	}
 	// Quality annotations from the (adapter-instrumented) specification.
 	inKeyOrder(workflow.QualityAnnotations(act.Annotations), func(dim, val string) {
-		c.annotateLocked(pid, QualityAnnotationPrefix+dim, val)
+		c.graph.Annotate(pid, QualityAnnotationPrefix+dim, val)
 	})
 	account := ev.RunID
 	inKeyOrder(act.Inputs, func(port string, d workflow.Data) {
 		aid := c.ensureArtifactLocked(ev.Activity+"."+port, d)
-		c.addEdgeLocked(opm.Edge{
+		c.graph.AddEdge(opm.Edge{
 			Kind: opm.Used, Effect: pid, Cause: aid,
 			Role: port, Account: account, Time: ev.Time,
 		})
@@ -333,12 +284,12 @@ func (c *Collector) activityClosedLocked(ev *workflow.HistoryEvent, act *workflo
 	}
 	inKeyOrder(outputs, func(port string, d workflow.Data) {
 		aid := c.ensureArtifactLocked(ev.Activity+"."+port, d)
-		c.addEdgeLocked(opm.Edge{
+		c.graph.AddEdge(opm.Edge{
 			Kind: opm.WasGeneratedBy, Effect: aid, Cause: pid,
 			Role: port, Account: account, Time: ev.Time,
 		})
 	})
-	c.addEdgeLocked(opm.Edge{
+	c.graph.AddEdge(opm.Edge{
 		Kind: opm.WasControlledBy, Effect: pid, Cause: "ag:" + c.Agent,
 		Role: "executor", Account: account, Time: ev.Time,
 	})
@@ -367,32 +318,13 @@ func (c *Collector) activityClosedLocked(ev *workflow.HistoryEvent, act *workflo
 				if inID == outID {
 					continue
 				}
-				c.addEdgeLocked(opm.Edge{
+				c.graph.AddEdge(opm.Edge{
 					Kind: opm.WasDerivedFrom, Effect: outID, Cause: inID,
 					Account: account, Time: ev.Time,
 				})
 			}
 		})
 	}
-}
-
-func (c *Collector) runFinishedLocked(ev *workflow.HistoryEvent) {
-	c.info.FinishedAt = ev.Time
-	if ev.Status == "failed" {
-		c.info.Status = RunFailed
-		c.info.Error = ev.Err
-	} else {
-		c.info.Status = RunCompleted
-		// Completion rules: derive artifact-to-artifact and
-		// process-to-process dependencies, then stream the inferred edges.
-		before := c.graph.EdgeCount()
-		c.graph.InferDerivations()
-		c.graph.InferTriggers()
-		for _, e := range c.graph.EdgesSince(before) {
-			c.emitLocked(Delta{Kind: DeltaAddEdge, Edge: e})
-		}
-	}
-	c.emitLocked(Delta{Kind: DeltaRunFinished, Info: c.info})
 }
 
 // OutputArtifacts maps each workflow output port of the completed run to its

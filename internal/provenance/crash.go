@@ -3,11 +3,12 @@ package provenance
 import "sync"
 
 // CrashSink simulates a process crash for fault-injection tests and the
-// chaos experiment: it forwards the first `after` deltas to the wrapped sink,
-// then fires the onCrash callback once and silently discards every later
-// delta — including the run finalize. What the inner sink received is exactly
-// the crash-consistent prefix a real kill would leave behind, so a run cut
-// this way reads back Status == RunRunning with partial provenance.
+// chaos experiment: it forwards the first `after` deltas — history events,
+// the first carrying the run row — to the wrapped sink, then fires the
+// onCrash callback once and silently discards every later delta, including
+// the run's end. What the inner sink received is exactly the history prefix
+// a real kill would leave behind, so a run cut this way reads back Status ==
+// RunRunning, with its history up to the cut and no graph.
 //
 // onCrash is called from inside Emit (under the Collector's lock); it must
 // not call back into the collector. Cancelling the run's context is the

@@ -1,82 +1,41 @@
 package provenance
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/opm"
 	"repro/internal/workflow"
 )
 
-// DeltaKind classifies one incremental provenance operation.
+// DeltaKind classifies one entry of a run's persistence stream.
 type DeltaKind uint8
 
-// Delta kinds, emitted in causal order per run.
+// Delta kinds. A run's stream is RunStarted → History… → RunFinished: while
+// the run executes only its history is persisted, and its graph is written
+// once, by the delta that ends it.
 const (
-	// DeltaRunStarted opens a run; Info carries the initial RunInfo
-	// (Status == RunRunning).
+	// DeltaRunStarted opens a run: Info carries the initial RunInfo (Status ==
+	// RunRunning) and History the run-started event, so a run row is never
+	// stored without the first event of its history.
 	DeltaRunStarted DeltaKind = iota
-	// DeltaAddNode adds one OPM node (annotations arrive separately).
-	DeltaAddNode
-	// DeltaAddEdge adds one OPM edge. Edges are pre-deduplicated: a sink
-	// never sees the same (kind, endpoints, role, account) twice per run.
-	DeltaAddEdge
-	// DeltaAnnotate sets one key=value annotation on an existing node;
-	// later values for the same key overwrite earlier ones.
-	DeltaAnnotate
-	// DeltaRunFinished closes a run; Info carries the terminal RunInfo
-	// (Status RunCompleted or RunFailed). It is the last delta of a run.
-	DeltaRunFinished
-	// DeltaHistory carries one engine history event. It is emitted AFTER
-	// the graph deltas the event implies, so a persisted history event
-	// guarantees (by the stream's prefix property) that all of the
-	// provenance it implies is persisted too — the invariant resume-as-
-	// replay relies on. The sole exception is the terminal run-finished
-	// event, which goes out BEFORE its graph deltas so DeltaRunFinished
-	// stays the stream's last delta (see Collector.OnHistoryEvent). History
-	// events are not part of the OPM graph.
+	// DeltaHistory carries one engine history event.
 	DeltaHistory
+	// DeltaRunFinished ends a run: Info carries the terminal RunInfo
+	// (completed, failed or abandoned), History the run-finished event (nil
+	// for an abandoned run, whose history stops where it was cut) and Graph
+	// the run's final OPM graph, the fold of its history. It is the run's
+	// last delta, and the graph belongs to the sink from then on: nothing
+	// mutates it again.
+	DeltaRunFinished
 )
 
-// String names the delta kind.
-func (k DeltaKind) String() string {
-	switch k {
-	case DeltaRunStarted:
-		return "run-started"
-	case DeltaAddNode:
-		return "add-node"
-	case DeltaAddEdge:
-		return "add-edge"
-	case DeltaAnnotate:
-		return "annotate"
-	case DeltaRunFinished:
-		return "run-finished"
-	case DeltaHistory:
-		return "history"
-	default:
-		return fmt.Sprintf("delta(%d)", uint8(k))
-	}
-}
-
-// Delta is one incremental graph operation of a captured run. Replaying a
-// run's delta stream in order reconstructs exactly the OPM graph (and
-// RunInfo) the Collector accumulated — the invariant the streaming
-// persistence path is built on.
+// Delta is one entry of a run's persistence stream.
 type Delta struct {
 	Kind DeltaKind
 	// Info is set for DeltaRunStarted and DeltaRunFinished.
 	Info RunInfo
-	// Node is set for DeltaAddNode. Its Annotations map is always nil:
-	// annotations flow as separate DeltaAnnotate ops.
-	Node opm.Node
-	// Edge is set for DeltaAddEdge.
-	Edge opm.Edge
-	// NodeID, Key, Value are set for DeltaAnnotate.
-	NodeID string
-	Key    string
-	Value  string
-	// History is set for DeltaHistory.
+	// History is the event the delta persists.
 	History *workflow.HistoryEvent
+	// Graph is set for DeltaRunFinished.
+	Graph *opm.Graph
 }
 
 // Sink consumes the delta stream of one run. Emit is called in causal order
@@ -86,51 +45,4 @@ type Delta struct {
 // so a slow or failed sink never aborts the run it observes.
 type Sink interface {
 	Emit(Delta) error
-}
-
-// GraphSink materializes the delta stream back into an in-memory OPM graph —
-// the reference consumer: byte-compatible with the Collector's own graph and
-// the baseline other sinks are tested against.
-type GraphSink struct {
-	mu   sync.Mutex
-	g    *opm.Graph
-	info RunInfo
-}
-
-// NewGraphSink builds an empty in-memory sink.
-func NewGraphSink() *GraphSink { return &GraphSink{g: opm.NewGraph()} }
-
-// Emit implements Sink.
-func (s *GraphSink) Emit(d Delta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch d.Kind {
-	case DeltaRunStarted, DeltaRunFinished:
-		s.info = d.Info
-		return nil
-	case DeltaAddNode:
-		return s.g.AddNode(d.Node)
-	case DeltaAddEdge:
-		return s.g.AddEdge(d.Edge)
-	case DeltaAnnotate:
-		return s.g.Annotate(d.NodeID, d.Key, d.Value)
-	case DeltaHistory:
-		return nil // execution bookkeeping, not part of the graph
-	default:
-		return fmt.Errorf("provenance: unknown delta kind %d", d.Kind)
-	}
-}
-
-// Graph returns a snapshot of the materialized graph.
-func (s *GraphSink) Graph() *opm.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.g.Clone()
-}
-
-// Info returns the latest run info seen on the stream.
-func (s *GraphSink) Info() RunInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.info
 }

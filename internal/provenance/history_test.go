@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/opm"
+	"repro/internal/storage"
 	"repro/internal/workflow"
 )
 
@@ -55,25 +57,17 @@ func captureRun(t *testing.T, repo *Repository, def *workflow.Definition, inputs
 	return col.Info().RunID, int(w.Metrics().Enqueued), runErr
 }
 
-// resumeRun resumes an interrupted run the way core does: the persisted
-// history replays through the engine, the persisted graph preloads the
-// collector, and a resume writer appends what is missing.
+// resumeRun resumes an interrupted run the way core does: the stored history
+// replays through the engine and a fresh Collector, and a resume writer
+// appends what is missing and ends the run with its graph.
 func resumeRun(t *testing.T, repo *Repository, runID string, def *workflow.Definition,
 	inputs map[string]workflow.Data, reg *workflow.Registry, workers int) error {
 	t.Helper()
-	info, err := repo.Run(runID)
-	if err != nil {
-		t.Fatal(err)
-	}
 	history, err := repo.History(runID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix, err := repo.Graph(runID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewResumeCollector("curator", prefix, info)
+	col := NewCollector("curator")
 	w, err := repo.ResumeRunWriter(runID, BatchWriterOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,9 +82,139 @@ func resumeRun(t *testing.T, repo *Repository, runID string, def *workflow.Defin
 	return runErr
 }
 
+// parentStep is one delta of the stream the previous version persisted
+// while a run executed: a history event, or a graph delta (nil for the run
+// row, which carried no graph).
+type parentStep struct {
+	event bool
+	graph func(*opm.Graph)
+}
+
+// parentStream rebuilds, from a run's history, the stream the previous
+// version's Collector emitted for it: the run row; per event, the graph
+// deltas the event implied — its new nodes, the annotations it set, its new
+// edges — and then the event, except that run-finished went out ahead of the
+// edges its completion rules inferred; and the run's end. A crash after any
+// proper prefix of it left a directory this version must resume from.
+func parentStream(t *testing.T, history []workflow.HistoryEvent) []parentStep {
+	t.Helper()
+	col := NewCollector("curator")
+	steps := []parentStep{{}}
+	for _, ev := range history {
+		before := col.Graph()
+		col.OnHistoryPrefix([]workflow.HistoryEvent{ev})
+		after := col.Graph()
+		var implied []parentStep
+		for _, n := range after.Nodes() {
+			old, existed := before.Node(n.ID)
+			if !existed {
+				bare := *n
+				bare.Annotations = nil
+				implied = append(implied, parentStep{graph: func(g *opm.Graph) { g.AddNode(bare) }})
+			}
+			inKeyOrder(n.Annotations, func(k, v string) {
+				if !existed || old.Annotations[k] != v {
+					id := n.ID
+					implied = append(implied, parentStep{graph: func(g *opm.Graph) { g.Annotate(id, k, v) }})
+				}
+			})
+		}
+		for _, e := range after.Edges()[before.EdgeCount():] {
+			implied = append(implied, parentStep{graph: func(g *opm.Graph) { g.AddEdge(e) }})
+		}
+		if ev.Type == workflow.HistoryRunFinished {
+			steps = append(append(steps, parentStep{event: true}), implied...)
+		} else {
+			steps = append(append(steps, implied...), parentStep{event: true})
+		}
+	}
+	return append(steps, parentStep{})
+}
+
+// writeParentCut writes into repo, with storage ops, what the previous
+// version had committed for a run when it died after the first cut deltas of
+// its stream: the run row, still running; the history events among them; and
+// the graph rows they had streamed — nodes with the annotations set so far,
+// edges sequenced in stream order. It returns the run ID.
+func writeParentCut(t *testing.T, repo *Repository, history []workflow.HistoryEvent, stream []parentStep, cut int) string {
+	t.Helper()
+	partial, stored := opm.NewGraph(), 0
+	for _, step := range stream[:cut] {
+		switch {
+		case step.event:
+			stored++
+		case step.graph != nil:
+			step.graph(partial)
+		}
+	}
+	start := history[0]
+	info := RunInfo{RunID: start.RunID, WorkflowID: start.WorkflowID, WorkflowName: start.WorkflowName,
+		StartedAt: start.Time, Status: RunRunning}
+	var b rowBuilder
+	b.run(storage.InsertOp, info)
+	for i := range history[:stored] {
+		if err := b.history(info.RunID, &history[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.graph(info.RunID, partial)
+	if err := repo.db.Apply(b.ops...); err != nil {
+		t.Fatal(err)
+	}
+	return info.RunID
+}
+
+// storedEvents counts the history events among the first cut deltas of
+// stream.
+func storedEvents(stream []parentStep, cut int) int {
+	n := 0
+	for _, step := range stream[:min(cut, len(stream))] {
+		if step.event {
+			n++
+		}
+	}
+	return n
+}
+
+// resumeCut is the crash contract at one cut of the previous version's
+// stream, for both directories a crash there can leave: this version's —
+// the same history stored, killed through a CrashSink, no graph — and the
+// previous version's — that history plus the graph rows it had streamed,
+// written with storage ops. Each unfinished run is resumed, and check judges
+// what each directory ends up storing. stream is the previous version's
+// stream of one uninterrupted run on these workers (history its events); a
+// cut at or past its end left a finished run: there is no previous-version
+// directory to resume.
+func resumeCut(t *testing.T, def *workflow.Definition, inputs map[string]workflow.Data,
+	reg func() *workflow.Registry, workers int, history []workflow.HistoryEvent, stream []parentStep, cut int,
+	wantErr bool, check func(t *testing.T, repo *Repository, runID string)) {
+	t.Helper()
+	resume := func(repo *Repository, runID string) {
+		if info, err := repo.Run(runID); err != nil {
+			t.Fatal(err)
+		} else if info.Status == RunRunning {
+			if err := resumeRun(t, repo, runID, def, inputs, reg(), workers); (err != nil) != wantErr {
+				t.Fatalf("resume error = %v", err)
+			}
+		}
+		check(t, repo, runID)
+	}
+	if k := storedEvents(stream, cut); k > 0 {
+		// (A run cut inside its last event finishes: only check applies.)
+		repo, _ := openRepo(t)
+		runID, _, _ := captureRun(t, repo, def, inputs, reg(), workers,
+			func(w Sink, cancel context.CancelFunc) Sink { return NewCrashSink(w, k, cancel) })
+		resume(repo, runID)
+	}
+	if cut < len(stream) {
+		repo, _ := openRepo(t)
+		resume(repo, writeParentCut(t, repo, history, stream, cut))
+	}
+}
+
 // withoutClock copies g minus what the wall clock stamps — edge times and the
-// "duration" annotation — keeping edge order. A crash cut inside one event's
-// deltas legitimately re-stamps those when the event is re-derived.
+// "duration" annotation — keeping edge order, so a stored graph (its times
+// cut to the microsecond) compares with a fresh fold of its history.
 func withoutClock(t *testing.T, g *opm.Graph) *opm.Graph {
 	t.Helper()
 	out := opm.NewGraph()
@@ -130,15 +254,8 @@ func assertGraphIsFoldOfHistory(t *testing.T, repo *Repository, runID string) *o
 		t.Fatal(err)
 	}
 	col := NewCollector("curator")
-	gs := NewGraphSink()
-	col.AddSink(gs)
-	for _, ev := range history {
-		col.OnHistoryEvent(ev)
-	}
-	if err := col.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, withoutClock(t, gs.Graph()), withoutClock(t, stored))
+	col.OnHistoryPrefix(history)
+	assertSameGraph(t, withoutClock(t, col.Graph()), withoutClock(t, stored))
 	if problems := stored.CheckLegality(); len(problems) > 0 {
 		t.Fatalf("stored graph is illegal OPM: %v", problems)
 	}
@@ -260,47 +377,55 @@ func pairRegistry(failing bool) *workflow.Registry {
 
 // TestGraphIsAFunctionOfHistory is the property the Collector exists for: a
 // run's stored graph is the fold of its stored history and of nothing else —
-// not of how often the run was interrupted, at which delta, on how many
-// workers, or in which order Go ranges over a port map. Every cut of the
-// delta stream is resumed through a resume writer, then the stored graph is
-// compared, edge for edge in stored order, with a fresh fold of the stored
-// history, and canonically with the uninterrupted run. The failing case cuts
-// and resumes a run whose two-input processor fails on one element, so every
-// prefix that ends past an activity-failed event is covered too.
+// not of how often the run was interrupted, where, on how many workers, in
+// which order Go ranges over a port map, or which version wrote the
+// directory it resumed from. The cuts are those of the previous version's
+// stream (history and graph deltas interleaved, parentStream): at each, this
+// version killed with the same history stored, and the previous version's
+// directory, are resumed, and each stored graph is compared, edge for edge in
+// stored order, with a fresh fold of the stored history, and canonically
+// with the uninterrupted run. The failing case cuts and resumes a run whose
+// two-input processor fails on one element, so every prefix that ends past
+// an activity-failed event is covered too.
 func TestGraphIsAFunctionOfHistory(t *testing.T) {
 	def, inputs := pairDef(), detectionInputs()
 	for _, failing := range []bool{false, true} {
+		reg := func() *workflow.Registry { return pairRegistry(failing) }
 		baseRepo, _ := openRepo(t)
-		baseID, total, err := captureRun(t, baseRepo, def, inputs, pairRegistry(failing), 1, nil)
+		baseID, _, err := captureRun(t, baseRepo, def, inputs, reg(), 1, nil)
 		if (err != nil) != failing {
 			t.Fatalf("uninterrupted run error = %v", err)
 		}
 		want := canonicalRun(assertGraphIsFoldOfHistory(t, baseRepo, baseID), baseID)
+		baseHistory, err := baseRepo.History(baseID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := len(parentStream(t, baseHistory))
 		if total < 40 {
 			t.Fatalf("suspiciously short stream: %d deltas", total)
 		}
+		check := func(t *testing.T, repo *Repository, runID string) {
+			g := assertGraphIsFoldOfHistory(t, repo, runID)
+			if got := canonicalRun(g, runID); got != want {
+				t.Errorf("graph differs from the uninterrupted run\nwant:\n%s\ngot:\n%s", want, got)
+			}
+		}
 
 		for _, workers := range []int{1, 4} {
+			// The previous version's directories come from one uninterrupted
+			// run on these workers. (A failing run on several workers can
+			// close in fewer deltas than the cut: then it finished there.)
+			repo, _ := openRepo(t)
+			runID, _, _ := captureRun(t, repo, def, inputs, reg(), workers, nil)
+			history, err := repo.History(runID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := parentStream(t, history)
 			for cut := 1; cut < total; cut++ {
 				t.Run(fmt.Sprintf("failing=%v/workers=%d/cut=%d", failing, workers, cut), func(t *testing.T) {
-					repo, _ := openRepo(t)
-					// (A cut run may fail or — cut inside its last event — finish.)
-					runID, _, _ := captureRun(t, repo, def, inputs, pairRegistry(failing), workers,
-						func(w Sink, cancel context.CancelFunc) Sink { return NewCrashSink(w, cut, cancel) })
-					if info, err := repo.Run(runID); err != nil {
-						t.Fatal(err)
-					} else if info.Status == RunRunning {
-						if err := resumeRun(t, repo, runID, def, inputs, pairRegistry(failing), workers); (err != nil) != failing {
-							t.Fatalf("resume error = %v", err)
-						}
-					}
-					// (A failing run on several workers can close in fewer
-					// deltas than the cut: then it finished, and only the
-					// comparisons apply.)
-					g := assertGraphIsFoldOfHistory(t, repo, runID)
-					if got := canonicalRun(g, runID); got != want {
-						t.Errorf("graph differs from the uninterrupted run\nwant:\n%s\ngot:\n%s", want, got)
-					}
+					resumeCut(t, def, inputs, reg, workers, history, stream, cut, failing, check)
 				})
 			}
 		}
@@ -312,12 +437,13 @@ func TestGraphIsAFunctionOfHistory(t *testing.T) {
 // folded silently as a resumed run's prefix and the rest delivered live.
 // Whatever the history claims — unknown activities, elements before their
 // schedule, negative indices, events past run-finished, duplicate
-// completions — the Collector never panics and never emits an edge or an
-// annotation naming a node it has not emitted (GraphSink refuses those). For
-// a split of a real run's history the split is a resume, and it must arrive
-// at exactly the graph of the unsplit fold, a legal one. (A hostile history
-// can make two activities generate one content-addressed artifact; that
-// illegality is the input's.)
+// completions — the Collector never panics, emits one delta per live event
+// until the run finishes (a terminal event delivered again writes no second
+// graph), hands over its own graph with the run's end, and that graph has no
+// dangling edge. For a split of a real run's history the split is a resume,
+// and it must arrive at exactly the graph of the unsplit fold, a legal one.
+// (A hostile history can make two activities generate one content-addressed
+// artifact; that illegality is the input's.)
 func FuzzCollectorHistory(f *testing.F) {
 	var real []workflow.HistoryEvent
 	if _, err := workflow.NewEventEngine(detectionRegistry()).Run(context.Background(), detectionDef(), detectionInputs(),
@@ -352,27 +478,51 @@ func FuzzCollectorHistory(f *testing.F) {
 			return
 		}
 		split := int(k) % (len(history) + 1)
-		isReal := bytes.Equal(data, realBlob)
 		col := NewCollector("curator")
-		if isReal {
-			// A resume: the collector starts from the graph the prefix implies.
-			pre := NewCollector("curator")
-			for _, ev := range history[:split] {
-				pre.OnHistoryEvent(ev)
-			}
-			col = NewResumeCollector("curator", pre.Graph(), pre.Info())
-		} else {
-			col.AddSink(NewGraphSink())
-		}
+		var stream []Delta
+		col.AddSink(sinkFunc(func(d Delta) error {
+			stream = append(stream, d)
+			return nil
+		}))
 		col.OnHistoryPrefix(history[:split])
 		for _, ev := range history[split:] {
 			col.OnHistoryEvent(ev)
 		}
-		if err := col.SinkErr(); err != nil {
-			t.Fatalf("emitted a delta its own stream does not support: %v", err)
+		// One delta per live event until the run finishes; the last
+		// run-finished one carries the collector's graph.
+		finished := slices.ContainsFunc(history[:split], func(ev workflow.HistoryEvent) bool {
+			return ev.Type == workflow.HistoryRunFinished
+		})
+		live := 0
+		for _, ev := range history[split:] {
+			if finished {
+				break
+			}
+			live++
+			finished = ev.Type == workflow.HistoryRunFinished
 		}
-		if isReal {
-			g := col.Graph()
+		if len(stream) != live {
+			t.Fatalf("%d deltas for %d live events", len(stream), live)
+		}
+		g := col.Graph()
+		for i, d := range stream {
+			if d.History == nil || (d.Kind == DeltaRunFinished) != (d.History.Type == workflow.HistoryRunFinished) {
+				t.Fatalf("delta %d: kind %d carries %+v", i, d.Kind, d.History)
+			}
+			if d.Kind == DeltaRunFinished {
+				assertSameGraph(t, g, d.Graph)
+			}
+		}
+		for _, e := range g.Edges() {
+			_, effect := g.Node(e.Effect)
+			_, cause := g.Node(e.Cause)
+			if !effect || !cause {
+				t.Fatalf("dangling edge %+v", e)
+			}
+		}
+		if bytes.Equal(data, realBlob) {
+			// A split of a real history is a resume: it must arrive at
+			// exactly the graph of the unsplit fold, a legal one.
 			assertSameGraph(t, whole.Graph(), g)
 			if problems := g.CheckLegality(); len(problems) > 0 {
 				t.Fatalf("split %d of a real history folds to an illegal graph: %v", split, problems)

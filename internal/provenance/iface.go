@@ -1,8 +1,6 @@
 package provenance
 
 import (
-	"time"
-
 	"repro/internal/opm"
 	"repro/internal/workflow"
 )
@@ -31,10 +29,11 @@ type RunWriter interface {
 type Repo interface {
 	// RunWriter opens a streaming writer for a new run.
 	RunWriter(opts BatchWriterOptions) (RunWriter, error)
-	// ResumeRunWriter opens a streaming writer preloaded with the persisted
-	// prefix of an interrupted run.
+	// ResumeRunWriter opens a streaming writer that continues the stored
+	// history of an interrupted run. Ending it with DeltaRunFinished is also
+	// how an unfinished run is abandoned.
 	ResumeRunWriter(runID string, opts BatchWriterOptions) (RunWriter, error)
-	// Store persists a complete run monolithically.
+	// Store persists a finished run and its graph in one commit.
 	Store(info RunInfo, g *opm.Graph) error
 
 	Run(runID string) (RunInfo, error)
@@ -50,7 +49,6 @@ type Repo interface {
 
 	History(runID string) ([]workflow.HistoryEvent, error)
 	UnfinishedRuns() ([]RunInfo, error)
-	MarkAbandoned(runID, reason string, at time.Time) error
 
 	// AdvanceRunFence durably moves the run's fencing token forward in the
 	// repository that owns the run's history rows. Strictly monotonic

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -39,33 +40,39 @@ func perfAnnotations() map[string]string {
 	}
 }
 
-// TestDeltaEncodeAllocs guards the streaming flush hot path: with the
-// writer's scratch buffers warm, encoding one node delta — annotation blob
-// plus row bytes — must not allocate. This is the steady-state cost of every
-// dirty node per flush.
+// TestDeltaEncodeAllocs guards the encoding of the delta that ends a run, the
+// one commit that writes its graph: with the writer's scratch warm, building
+// a real run's final rows — the terminal history row, every node and edge row
+// of its graph, the run-status update — costs at most one allocation per row,
+// its key string, which the stored row keeps. The bound is on the marginal
+// row: two run sizes share the commit's constant cost (the graph's sorted
+// node list and edge copy), so their difference is what the rows themselves
+// cost.
 func TestDeltaEncodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	n := perfNode()
-	ann := perfAnnotations()
-	var enc annEncoder
-	vals := make([]storage.Value, 0, 16)
-	var rowBuf []byte
-	// Warm every buffer once so steady state is measured.
-	enc.Reset()
-	vals = appendNodeRow(vals[:0], "run-000001", n, enc.Encode(ann))
-	rowBuf = storage.EncodeRow(rowBuf[:0], storage.Row(vals))
-
-	if allocs := testing.AllocsPerRun(100, func() {
-		enc.Reset()
-		blob := enc.Encode(ann)
-		vals = appendNodeRow(vals[:0], "run-000001", n, blob)
-		rowBuf = storage.EncodeRow(rowBuf[:0], storage.Row(vals))
-	}); allocs > 1 {
-		// One allocation is permitted: the node-key string itself
-		// (runID + "/" + nodeID), which must escape into the row.
-		t.Fatalf("node delta encode allocates %.1f/op, want <= 1", allocs)
+	build := func(names int) (allocs float64, rows int) {
+		col, _ := capturedRun(t, names)
+		g, info := col.Graph(), col.Info()
+		end := workflow.HistoryEvent{Seq: 999, Type: workflow.HistoryRunFinished, RunID: info.RunID, Status: "completed"}
+		var b rowBuilder
+		commit := func() {
+			b.reset()
+			if err := b.history(info.RunID, &end); err != nil {
+				t.Fatal(err)
+			}
+			b.graph(info.RunID, g)
+			b.run(storage.UpdateOp, info)
+		}
+		commit() // warm every arena once so steady state is measured
+		return testing.AllocsPerRun(20, commit), len(b.ops)
+	}
+	small, smallRows := build(8)
+	large, largeRows := build(64)
+	if perRow := (large - small) / float64(largeRows-smallRows); perRow > 1 {
+		t.Fatalf("final commit allocates %.2f per row (%.0f for %d rows, %.0f for %d), want <= 1",
+			perRow, small, smallRows, large, largeRows)
 	}
 }
 
@@ -75,10 +82,10 @@ func TestRowEncodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	row := runRow(RunInfo{
+	row := storage.Row(appendRunRow(nil, RunInfo{
 		RunID: "run-000001", WorkflowID: "wf-1", WorkflowName: "perf",
 		StartedAt: time.Unix(1700000000, 0), Status: RunRunning,
-	})
+	}))
 	buf := storage.EncodeRow(nil, row)
 	if allocs := testing.AllocsPerRun(100, func() {
 		buf = storage.EncodeRow(buf[:0], row)
@@ -190,9 +197,25 @@ func TestHistoryRowAllocs(t *testing.T) {
 	}
 }
 
+// encodeAnnotations is the reference annotation encoding every stored blob
+// is in: the pairs in sorted key order, length-prefixed through the row
+// codec.
+func encodeAnnotations(m map[string]string) []byte {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	row := make(storage.Row, 0, len(m)*2)
+	for _, k := range keys {
+		row = append(row, storage.S(k), storage.S(m[k]))
+	}
+	return storage.EncodeRow(nil, row)
+}
+
 // TestAnnEncoderMatchesEncodeAnnotations proves the pooled encoder is
-// byte-identical to the monolithic path's encoder for every shape of map,
-// including reuse across differently-sized maps.
+// byte-identical to the reference encoding for every shape of map, including
+// reuse across differently-sized maps.
 func TestAnnEncoderMatchesEncodeAnnotations(t *testing.T) {
 	var enc annEncoder
 	maps := []map[string]string{
@@ -205,10 +228,7 @@ func TestAnnEncoderMatchesEncodeAnnotations(t *testing.T) {
 	for round := 0; round < 2; round++ { // second round exercises buffer reuse
 		enc.Reset()
 		for i, m := range maps {
-			want, err := encodeAnnotations(m)
-			if err != nil {
-				t.Fatalf("encodeAnnotations(%d): %v", i, err)
-			}
+			want := encodeAnnotations(m)
 			if got := enc.Encode(m); !bytes.Equal(got, want) {
 				t.Errorf("round %d map %d: annEncoder %x, encodeAnnotations %x", round, i, got, want)
 			}
@@ -216,8 +236,8 @@ func TestAnnEncoderMatchesEncodeAnnotations(t *testing.T) {
 	}
 }
 
-// BenchmarkDeltaEncode measures the full per-node delta cost on the
-// streaming flush path: annotation blob, arena row, encoded bytes.
+// BenchmarkDeltaEncode measures the per-node cost of the commit that ends a
+// run: annotation blob, arena row, encoded bytes.
 func BenchmarkDeltaEncode(b *testing.B) {
 	n := perfNode()
 	ann := perfAnnotations()
@@ -235,8 +255,8 @@ func BenchmarkDeltaEncode(b *testing.B) {
 	_ = rowBuf
 }
 
-// BenchmarkEdgeRowEncode measures the per-edge delta cost (key render, arena
-// row, encoded bytes).
+// BenchmarkEdgeRowEncode measures the per-edge cost of the same commit (key
+// render, arena row, encoded bytes).
 func BenchmarkEdgeRowEncode(b *testing.B) {
 	e := perfEdge()
 	vals := make([]storage.Value, 0, 16)

@@ -389,53 +389,6 @@ func TestPerElementProvenanceCap(t *testing.T) {
 	}
 }
 
-func TestUnionGraph(t *testing.T) {
-	repo, _ := openRepo(t)
-	col1, _ := runCaptured(t, "Hyla faber")
-	col2, _ := runCaptured(t, "Hyla faber")
-	if err := repo.Store(col1.Info(), col1.Graph()); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Store(col2.Info(), col2.Graph()); err != nil {
-		t.Fatal(err)
-	}
-	union, err := repo.UnionGraph(col1.Info().RunID, col2.Info().RunID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shared input artifact, two per-run process chains.
-	shared := artifactID(workflow.Scalar("Hyla faber"))
-	users := union.ProcessesUsing(shared)
-	if len(users) != 4 { // Normalize + Catalog_of_life, per run
-		t.Fatalf("union users = %v", users)
-	}
-	if len(union.Accounts()) != 2 {
-		t.Fatalf("union accounts = %v", union.Accounts())
-	}
-	if probs := union.CheckLegality(); len(probs) != 0 {
-		t.Fatalf("union illegal: %v", probs)
-	}
-	// Cross-run lineage: descendants of the shared input span both runs.
-	desc, err := union.Descendants(shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runsSeen := map[string]bool{}
-	for _, d := range desc {
-		for _, run := range []string{col1.Info().RunID, col2.Info().RunID} {
-			if strings.Contains(d, run) {
-				runsSeen[run] = true
-			}
-		}
-	}
-	if len(runsSeen) != 2 {
-		t.Fatalf("descendants span %d runs: %v", len(runsSeen), desc)
-	}
-	if _, err := repo.UnionGraph("run-nope"); !errors.Is(err, ErrRunNotFound) {
-		t.Fatalf("missing run union: %v", err)
-	}
-}
-
 func TestRunsUsingArtifact(t *testing.T) {
 	repo, _ := openRepo(t)
 	// Two runs over the same input datum share the input artifact.
@@ -481,11 +434,8 @@ func TestRunsUsingArtifact(t *testing.T) {
 
 func TestAnnotationCodec(t *testing.T) {
 	m := map[string]string{"b": "2", "a": "1", "quality.accuracy": "0.93"}
-	blob, err := encodeAnnotations(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeAnnotations(blob)
+	var enc annEncoder
+	got, err := decodeAnnotations(enc.Encode(m))
 	if err != nil {
 		t.Fatal(err)
 	}

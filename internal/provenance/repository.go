@@ -8,14 +8,16 @@ import (
 
 	"repro/internal/opm"
 	"repro/internal/storage"
+	"repro/internal/workflow"
 )
 
 // Repository is the Data Provenance Repository (Fig. 1): durable storage of
 // captured runs and their OPM graphs, following Malaverri's model — run
 // records plus node and edge relations keyed by run. Runs arrive either
-// monolithically (Store) or as a live delta stream (NewBatchWriter); both
-// paths produce identical rows. Every read method is one or more Table
-// calls, each atomic with respect to commits.
+// monolithically (Store) or as a live history stream whose last delta
+// carries the graph (NewBatchWriter); both write a graph in one commit with
+// the run's terminal status, through the same row builder. Every read method
+// is one or more Table calls, each atomic with respect to commits.
 type Repository struct {
 	db *storage.DB
 }
@@ -115,9 +117,8 @@ func NewRepository(db *storage.DB) (*Repository, error) {
 }
 
 // --- row builders, shared by Store and the BatchWriter so both persistence
-// paths produce byte-identical rows. The append variants write into a caller
-// value arena so the streaming writer's steady state allocates no row slices;
-// the plain variants wrap them for the monolithic path. ---
+// paths produce byte-identical rows. They append into a caller value arena,
+// so the streaming writer's steady state allocates no row slices. ---
 
 func appendRunRow(dst []storage.Value, info RunInfo) []storage.Value {
 	return append(dst,
@@ -129,10 +130,6 @@ func appendRunRow(dst []storage.Value, info RunInfo) []storage.Value {
 		storage.S(string(info.Status)),
 		storage.S(info.Error),
 	)
-}
-
-func runRow(info RunInfo) storage.Row {
-	return storage.Row(appendRunRow(make([]storage.Value, 0, 7), info))
 }
 
 func nodeKey(runID, nodeID string) string { return runID + "/" + nodeID }
@@ -147,14 +144,6 @@ func appendNodeRow(dst []storage.Value, runID string, n opm.Node, ann []byte) []
 		storage.S(n.Value),
 		storage.Bytes(ann),
 	)
-}
-
-func nodeRow(runID string, n opm.Node, annotations map[string]string) (storage.Row, error) {
-	ann, err := encodeAnnotations(annotations)
-	if err != nil {
-		return nil, err
-	}
-	return storage.Row(appendNodeRow(make([]storage.Value, 0, 7), runID, n, ann)), nil
 }
 
 // edgeKey renders "runID/seq" with the sequence zero-padded to six digits —
@@ -187,29 +176,72 @@ func appendEdgeRow(dst []storage.Value, runID string, seq int, e opm.Edge) []sto
 	)
 }
 
-func edgeRow(runID string, seq int, e opm.Edge) storage.Row {
-	return storage.Row(appendEdgeRow(make([]storage.Value, 0, 8), runID, seq, e))
+// rowBuilder collects the ops of one commit, carving their rows out of
+// reusable arenas: a value arena, the annotation-blob encoder and the history
+// payload arena. Reuse is safe because Apply retains no caller memory — the
+// WAL buffers its record, and a stored row is the commit's own copy of the
+// cells and of every bytes payload (storage.Row.Clone; only immutable strings
+// are shared). Once warm, a row costs its key string.
+type rowBuilder struct {
+	ops      []storage.Op
+	vals     []storage.Value
+	ann      annEncoder
+	payloads []byte
 }
 
-// Store persists a captured run and its graph atomically — the legacy
-// monolithic path, kept for after-the-fact imports. Live runs stream through
-// NewBatchWriter instead and arrive batch by batch while they execute.
+// reset empties the builder for the next commit, dropping its row references.
+func (b *rowBuilder) reset() {
+	clear(b.ops)
+	b.ops, b.vals, b.payloads = b.ops[:0], b.vals[:0], b.payloads[:0]
+	b.ann.Reset()
+}
+
+// add seals the values appended to the arena since start as one row.
+func (b *rowBuilder) add(op func(string, storage.Row) storage.Op, table string, start int) {
+	b.ops = append(b.ops, op(table, storage.Row(b.vals[start:len(b.vals):len(b.vals)])))
+}
+
+func (b *rowBuilder) run(op func(string, storage.Row) storage.Op, info RunInfo) {
+	start := len(b.vals)
+	b.vals = appendRunRow(b.vals, info)
+	b.add(op, runsTable, start)
+}
+
+func (b *rowBuilder) history(runID string, ev *workflow.HistoryEvent) (err error) {
+	start := len(b.vals)
+	if b.vals, b.payloads, err = appendHistoryRow(b.vals, b.payloads, runID, ev); err == nil {
+		b.add(storage.InsertOp, historyTable, start)
+	}
+	return err
+}
+
+// graph inserts every node row of g, then every edge row, sequenced in the
+// graph's edge order.
+func (b *rowBuilder) graph(runID string, g *opm.Graph) {
+	for _, n := range g.Nodes() {
+		start := len(b.vals)
+		b.vals = appendNodeRow(b.vals, runID, *n, b.ann.Encode(n.Annotations))
+		b.add(storage.InsertOp, nodesTable, start)
+	}
+	for i, e := range g.Edges() {
+		start := len(b.vals)
+		b.vals = appendEdgeRow(b.vals, runID, i, e)
+		b.add(storage.InsertOp, edgesTable, start)
+	}
+}
+
+// Store persists a finished run and its graph in one commit — the path for
+// graphs built outside a workflow run (archive audits, imports). Workflow
+// runs stream through NewBatchWriter instead, which ends them through the
+// same row builder.
 func (r *Repository) Store(info RunInfo, g *opm.Graph) error {
 	if info.RunID == "" {
 		return fmt.Errorf("provenance: run has no ID")
 	}
-	ops := []storage.Op{storage.InsertOp(runsTable, runRow(info))}
-	for _, n := range g.Nodes() {
-		row, err := nodeRow(info.RunID, *n, n.Annotations)
-		if err != nil {
-			return err
-		}
-		ops = append(ops, storage.InsertOp(nodesTable, row))
-	}
-	for i, e := range g.Edges() {
-		ops = append(ops, storage.InsertOp(edgesTable, edgeRow(info.RunID, i, e)))
-	}
-	return r.db.Apply(ops...)
+	var b rowBuilder
+	b.run(storage.InsertOp, info)
+	b.graph(info.RunID, g)
+	return r.db.Apply(b.ops...)
 }
 
 func timeOrNull(t time.Time) storage.Value {
@@ -305,17 +337,31 @@ func (r *Repository) RunsPage(after string, limit int) ([]RunInfo, string, error
 	return out, next, nil
 }
 
+// graphWritten reads the run row: a run's graph rows commit together with
+// its terminal status, so a running run has none yet and its graph, node and
+// edge reads answer empty — a reader sees nothing or the whole final graph.
+// Graph rows an older version streamed for an interrupted run stay hidden
+// the same way until the run's end replaces them.
+func (r *Repository) graphWritten(runID string) (bool, error) {
+	info, err := r.Run(runID)
+	return err == nil && info.Status != RunRunning, err
+}
+
 // NodesPage returns up to limit of a run's OPM nodes whose node ID is
 // strictly greater than after (""), in node-ID order, with the next-page
 // cursor. The rows are read by primary-key range, never a table scan.
 func (r *Repository) NodesPage(runID, after string, limit int) ([]*opm.Node, string, error) {
-	if _, err := r.Run(runID); err != nil {
+	written, err := r.graphWritten(runID)
+	if err != nil {
 		return nil, "", err
 	}
 	if limit <= 0 {
 		limit = 500
 	}
 	out := make([]*opm.Node, 0, limit)
+	if !written {
+		return out, "", nil
+	}
 	more := false
 	var scanErr error
 	r.db.Table(nodesTable).ScanFrom(storage.S(nodeKey(runID, after)), func(row storage.Row) bool {
@@ -351,7 +397,8 @@ func (r *Repository) NodesPage(runID, after string, limit int) ([]*opm.Node, str
 // strictly greater than after (-1 starts at the beginning), in capture
 // order, plus the cursor for the next page (-1 when exhausted).
 func (r *Repository) EdgesPage(runID string, after, limit int) ([]opm.Edge, int, error) {
-	if _, err := r.Run(runID); err != nil {
+	written, err := r.graphWritten(runID)
+	if err != nil {
 		return nil, -1, err
 	}
 	if limit <= 0 {
@@ -359,6 +406,9 @@ func (r *Repository) EdgesPage(runID string, after, limit int) ([]opm.Edge, int,
 	}
 	out := make([]opm.Edge, 0, limit)
 	next := -1
+	if !written {
+		return out, next, nil
+	}
 	seq := after
 	r.db.Table(edgesTable).ScanFrom(storage.S(edgeKey(runID, after+1)), func(row storage.Row) bool {
 		if row.Get(edgesSchema, "run_id").Str() != runID {
@@ -403,13 +453,17 @@ func rowToEdge(row storage.Row) opm.Edge {
 	return e
 }
 
-// Graph reconstructs the OPM graph of a run. Edges are read before nodes:
-// every edge commits in the same batch as its endpoints or a later one, so
-// while the run is still streaming, the node read that follows always holds
-// every endpoint of the edges already read.
+// Graph reconstructs the OPM graph of a run; a running run's is empty. The
+// run row is read first: a terminal status proves the one commit that wrote
+// the graph has landed, and nothing rewrites a finished run's rows, so the
+// edge and node reads that follow see the same graph whichever order they
+// run in.
 func (r *Repository) Graph(runID string) (*opm.Graph, error) {
-	if _, err := r.Run(runID); err != nil {
+	g := opm.NewGraph()
+	if written, err := r.graphWritten(runID); err != nil {
 		return nil, err
+	} else if !written {
+		return g, nil
 	}
 	edgeRows, err := r.db.Table(edgesTable).Lookup("run_id", storage.S(runID))
 	if err != nil {
@@ -419,7 +473,6 @@ func (r *Repository) Graph(runID string) (*opm.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := opm.NewGraph()
 	for _, row := range nodeRows {
 		n, err := rowToNode(row)
 		if err != nil {
@@ -466,24 +519,6 @@ func (r *Repository) QualityOfProcess(runID, processor string) (map[string]strin
 	return out, nil
 }
 
-// UnionGraph merges the graphs of several runs into one multi-account OPM
-// graph. Shared artifacts (identical data flowing through different runs)
-// become single nodes, which is what makes cross-run lineage queries — "what
-// has ever been derived from this dataset?" — possible.
-func (r *Repository) UnionGraph(runIDs ...string) (*opm.Graph, error) {
-	union := opm.NewGraph()
-	for _, id := range runIDs {
-		g, err := r.Graph(id)
-		if err != nil {
-			return nil, err
-		}
-		if err := union.Merge(g); err != nil {
-			return nil, fmt.Errorf("provenance: merging run %q: %w", id, err)
-		}
-	}
-	return union, nil
-}
-
 // runsWithEdge resolves run IDs via the secondary index on the given edge
 // column, keeping only edges of the wanted kind.
 func (r *Repository) runsWithEdge(column, nodeID string, kind opm.EdgeKind) ([]string, error) {
@@ -519,10 +554,11 @@ func (r *Repository) RunsGeneratingArtifact(artifactID string) ([]string, error)
 	return r.runsWithEdge("effect", artifactID, opm.WasGeneratedBy)
 }
 
-// annEncoder reuses the sort and row scratch needed to build annotation
-// blobs. Encode carves each blob out of an internal arena that stays valid
-// until the next Reset, so a flush encoding many dirty nodes allocates
-// nothing once warm. Output is byte-identical to encodeAnnotations.
+// annEncoder builds annotation blobs: the key/value pairs in sorted key
+// order, length-prefixed through the row codec (the storage wire format). It
+// reuses its sort and row scratch, and Encode carves each blob out of an
+// internal arena that stays valid until the next Reset, so encoding a
+// graph's nodes allocates nothing once warm.
 type annEncoder struct {
 	keys []string
 	row  storage.Row
@@ -544,21 +580,6 @@ func (e *annEncoder) Encode(m map[string]string) []byte {
 	start := len(e.buf)
 	e.buf = storage.EncodeRow(e.buf, e.row)
 	return e.buf[start:len(e.buf):len(e.buf)]
-}
-
-// annotation encoding: simple length-prefixed key/value pairs via the row
-// codec, reusing the storage wire format.
-func encodeAnnotations(m map[string]string) ([]byte, error) {
-	row := make(storage.Row, 0, len(m)*2)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic order
-	for _, k := range keys {
-		row = append(row, storage.S(k), storage.S(m[k]))
-	}
-	return storage.EncodeRow(nil, row), nil
 }
 
 func decodeAnnotations(blob []byte) (map[string]string, error) {

@@ -1,21 +1,18 @@
 package provenance
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/storage"
 	"repro/internal/workflow"
 )
 
 // This file is the repository side of crash recovery: persisting the engine
-// history deltas the Collector streams, listing the unfinished runs a crashed
+// history the Collector streams, listing the unfinished runs a crashed
 // process left behind, and re-opening a run's write-behind persistence so a
-// resumed execution appends to the crash-consistent prefix instead of
-// starting over.
+// resumed execution appends to the stored prefix instead of starting over.
 
 // historyKey renders "runID/seq" with the sequence zero-padded to eight
 // digits, so a primary-key range scan yields a run's history in seq order.
@@ -108,33 +105,13 @@ func (r *Repository) UnfinishedRuns() ([]RunInfo, error) {
 	return out, nil
 }
 
-// MarkAbandoned finalizes an unfinished run as RunAbandoned with the given
-// reason, so the startup sweep converges instead of reconsidering the same
-// marker forever. Only runs still marked RunRunning can be abandoned.
-func (r *Repository) MarkAbandoned(runID, reason string, at time.Time) error {
-	info, err := r.Run(runID)
-	if err != nil {
-		return err
-	}
-	if info.Status != RunRunning {
-		return fmt.Errorf("provenance: run %q is %s, not %s", runID, info.Status, RunRunning)
-	}
-	info.Status = RunAbandoned
-	info.Error = reason
-	info.FinishedAt = at
-	if err := r.db.Apply(storage.UpdateOp(runsTable, runRow(info))); err != nil {
-		return err
-	}
-	return r.db.Sync()
-}
-
 // NewResumeWriter re-opens write-behind persistence for an interrupted run:
-// the writer preloads the run's persisted nodes, edge count and history
-// high-water mark, so the resumed delta stream appends exactly what is
-// missing — node re-annotations become updates, edge sequence numbers
-// continue where the prefix stopped, and replayed history events are never
-// duplicated. The run-started delta of a resumed execution (if one arrives at
-// all) updates the existing run row rather than inserting a second one.
+// the writer picks up the history high-water mark, so replayed events are
+// never stored twice and new ones append after the prefix, and the keys of
+// any graph rows an older version streamed before the run was cut, which the
+// final commit deletes before it writes the whole graph. The run-started
+// delta of a resumed execution (if one arrives at all) updates the existing
+// run row rather than inserting a second one.
 func (r *Repository) NewResumeWriter(runID string, opts BatchWriterOptions) (*BatchWriter, error) {
 	info, err := r.Run(runID)
 	if err != nil {
@@ -143,51 +120,23 @@ func (r *Repository) NewResumeWriter(runID string, opts BatchWriterOptions) (*Ba
 	if info.Status != RunRunning {
 		return nil, fmt.Errorf("provenance: run %q is %s, not resumable", runID, info.Status)
 	}
-	opts.defaults()
-	w := &BatchWriter{
-		repo:        r,
-		opts:        opts,
-		ch:          make(chan Delta, opts.Queue),
-		done:        make(chan struct{}),
-		nodes:       make(map[string]*wnode),
-		historySeq:  -1,
-		runID:       runID,
-		runInserted: true,
-		resume:      true,
-		trace:       opts.Trace,
-	}
-	if w.trace == nil {
-		w.trace = context.Background()
-	}
-	nodeRows, err := r.db.Table(nodesTable).Lookup("run_id", storage.S(runID))
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range nodeRows {
-		n, err := rowToNode(row)
+	w := r.newWriter(opts)
+	w.runID, w.runInserted, w.resume = runID, true, true
+	for _, s := range []*storage.Schema{nodesSchema, edgesSchema} {
+		rows, err := r.db.Table(s.Table).Lookup("run_id", storage.S(runID))
 		if err != nil {
 			return nil, err
 		}
-		ann := n.Annotations
-		if ann == nil {
-			ann = map[string]string{}
+		for _, row := range rows {
+			w.stale = append(w.stale, storage.DeleteOp(s.Table, row.Get(s, "key")))
 		}
-		n.Annotations = nil
-		w.nodes[n.ID] = &wnode{node: *n, ann: ann, persisted: true}
 	}
-	edgeRows, err := r.db.Table(edgesTable).Lookup("run_id", storage.S(runID))
-	if err != nil {
-		return nil, err
-	}
-	w.edgeSeq = len(edgeRows)
 	histRows, err := r.db.Table(historyTable).Lookup("run_id", storage.S(runID))
 	if err != nil {
 		return nil, err
 	}
 	for _, row := range histRows {
-		if seq := int(row.Get(historySchema, "seq").Int()); seq > w.historySeq {
-			w.historySeq = seq
-		}
+		w.historySeq = max(w.historySeq, int(row.Get(historySchema, "seq").Int()))
 	}
 	go w.loop()
 	return w, nil

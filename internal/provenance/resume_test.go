@@ -113,7 +113,11 @@ func TestHistoryPersistsAndReloads(t *testing.T) {
 	}
 }
 
-func TestUnfinishedRunsAndMarkAbandoned(t *testing.T) {
+// TestUnfinishedRunsAndAbandon: the unfinished markers are the running rows,
+// and a run is abandoned the way any run ends — its resume writer's terminal
+// delta, carrying the graph its history folds to — once: a finished run has
+// no writer left to open.
+func TestUnfinishedRunsAndAbandon(t *testing.T) {
 	repo, _ := openRepo(t)
 	now := time.Date(2014, 3, 31, 12, 0, 0, 0, time.UTC)
 	for i, st := range []RunStatus{RunRunning, RunCompleted, RunRunning, RunFailed} {
@@ -133,22 +137,37 @@ func TestUnfinishedRunsAndMarkAbandoned(t *testing.T) {
 	if len(open) != 2 {
 		t.Fatalf("unfinished = %+v", open)
 	}
-	if err := repo.MarkAbandoned("run-0", "no resume handler", now.Add(time.Hour)); err != nil {
+	w, err := repo.ResumeRunWriter("run-0", BatchWriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	abandoned := open[0]
+	abandoned.Status, abandoned.Error, abandoned.FinishedAt = RunAbandoned, "no resume handler", now.Add(time.Hour)
+	g := opm.NewGraph()
+	if err := g.Agent("ag:curator", "curator"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Emit(Delta{Kind: DeltaRunFinished, Info: abandoned, Graph: g}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	info, err := repo.Run("run-0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Status != RunAbandoned || info.Error != "no resume handler" || info.FinishedAt.IsZero() {
-		t.Fatalf("abandoned info = %+v", info)
+	if info != abandoned {
+		t.Fatalf("abandoned info = %+v, want %+v", info, abandoned)
 	}
-	// Abandoning is single-shot: terminal runs are refused.
-	if err := repo.MarkAbandoned("run-0", "again", now); err == nil {
-		t.Fatal("re-abandon accepted")
+	if stored, err := repo.Graph("run-0"); err != nil || stored.NodeCount() != 1 {
+		t.Fatalf("abandoned run's graph = %v, %v", stored, err)
 	}
-	if err := repo.MarkAbandoned("run-1", "completed run", now); err == nil {
-		t.Fatal("abandoning a completed run accepted")
+	// Abandoning is single-shot: terminal runs have no writer to reopen.
+	for _, id := range []string{"run-0", "run-1"} {
+		if _, err := repo.ResumeRunWriter(id, BatchWriterOptions{}); err == nil {
+			t.Fatalf("reopened finished run %s", id)
+		}
 	}
 	open, err = repo.UnfinishedRuns()
 	if err != nil {
@@ -160,101 +179,57 @@ func TestUnfinishedRunsAndMarkAbandoned(t *testing.T) {
 }
 
 // TestCrashResumeConvergesAtEveryCut is the provenance-layer half of the
-// kill-at-every-cut contract: cut the delta stream after every prefix length
-// 1..N-1, resume by replaying the persisted history through the event
-// engine, and require the final graph to be canonically identical to an
-// uninterrupted baseline.
+// kill-at-every-cut contract, over the cuts of the previous version's stream
+// (resumeCut: this version's directory and the previous version's at each):
+// every resumed run completes with a graph canonically identical to an
+// uninterrupted baseline's, and its StartedAt is the time of its stored
+// run-started event (to the microsecond a stored time keeps) — a resume
+// never restamps it.
 func TestCrashResumeConvergesAtEveryCut(t *testing.T) {
-	// Baseline: uninterrupted run through a batch writer.
 	baseRepo, _ := openRepo(t)
-	baseCol := NewCollector("curator")
-	baseW := baseRepo.NewBatchWriter(BatchWriterOptions{})
-	baseCol.AddSink(baseW)
-	baseRes, err := workflow.NewEventEngine(detectionRegistry()).Run(
-		context.Background(), detectionDef(), detectionInputs(), baseCol)
+	baseID, _, err := captureRun(t, baseRepo, detectionDef(), detectionInputs(), detectionRegistry(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := baseW.Close(); err != nil {
-		t.Fatal(err)
-	}
-	baseG, err := baseRepo.Graph(baseRes.RunID)
+	baseG, err := baseRepo.Graph(baseID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonicalRun(baseG, baseRes.RunID)
-	total := int(baseW.Metrics().Enqueued)
-	if total < 10 {
-		t.Fatalf("suspiciously short stream: %d deltas", total)
+	want := canonicalRun(baseG, baseID)
+	history, err := baseRepo.History(baseID)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for cut := 1; cut < total; cut++ {
+	stream := parentStream(t, history)
+	if len(stream) < 40 {
+		t.Fatalf("suspiciously short stream: %d deltas", len(stream))
+	}
+	check := func(t *testing.T, repo *Repository, runID string) {
+		final, err := repo.Run(runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Status != RunCompleted {
+			t.Fatalf("resumed run status = %q (%s)", final.Status, final.Error)
+		}
+		stored, err := repo.History(runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !final.StartedAt.Equal(stored[0].Time.Truncate(time.Microsecond)) {
+			t.Fatalf("StartedAt %v, stored run-started at %v", final.StartedAt, stored[0].Time)
+		}
+		g, err := repo.Graph(runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := canonicalRun(g, runID); got != want {
+			t.Errorf("resumed graph differs from baseline\nwant:\n%s\ngot:\n%s", want, got)
+		}
+	}
+	for cut := 1; cut < len(stream); cut++ {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			repo, _ := openRepo(t)
-			col := NewCollector("curator")
-			w := repo.NewBatchWriter(BatchWriterOptions{})
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			crash := NewCrashSink(w, cut, cancel)
-			col.AddSink(crash)
-			_, runErr := workflow.NewEventEngine(detectionRegistry()).Run(
-				ctx, detectionDef(), detectionInputs(), col)
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !crash.Crashed() {
-				t.Fatalf("stream of %d deltas never hit cut %d", total, cut)
-			}
-			runID := col.Info().RunID
-			info, err := repo.Run(runID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Status != RunRunning {
-				// The cancel landed after the engine already finished; the
-				// finalize was dropped regardless, so this cannot happen.
-				t.Fatalf("crashed run (engine err %v) has status %q", runErr, info.Status)
-			}
-
-			// Resume is replay: feed the persisted history prefix back in.
-			history, err := repo.History(runID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prefix, err := repo.Graph(runID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rcol := NewResumeCollector("curator", prefix, info)
-			rw, err := repo.NewResumeWriter(runID, BatchWriterOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rcol.AddSink(rw)
-			if _, err := workflow.NewEventEngine(detectionRegistry()).Resume(
-				context.Background(), detectionDef(), detectionInputs(), runID, history, rcol); err != nil {
-				t.Fatalf("resume after cut %d: %v", cut, err)
-			}
-			if err := rw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			final, err := repo.Run(runID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if final.Status != RunCompleted {
-				t.Fatalf("resumed run status = %q (%s)", final.Status, final.Error)
-			}
-			if !final.StartedAt.Equal(info.StartedAt) {
-				t.Fatalf("resume restamped StartedAt: %v -> %v", info.StartedAt, final.StartedAt)
-			}
-			g, err := repo.Graph(runID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := canonicalRun(g, runID); got != want {
-				t.Errorf("cut %d: resumed graph differs from baseline\nwant:\n%s\ngot:\n%s", cut, want, got)
-			}
+			resumeCut(t, detectionDef(), detectionInputs(), detectionRegistry, 1, history, stream, cut, false, check)
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -63,27 +64,50 @@ func assertSameGraph(t *testing.T, want, got *opm.Graph) {
 	}
 }
 
-func TestGraphSinkMaterializesIdenticalGraph(t *testing.T) {
+// TestCollectorStreamsHistoryThenGraph pins the stream's shape: one delta
+// per history event, in order — RunStarted carrying the first with the run
+// row, History the middle ones, RunFinished the last with the terminal run
+// row and the collector's final graph.
+func TestCollectorStreamsHistoryThenGraph(t *testing.T) {
 	col := NewCollector("curator")
-	gs := NewGraphSink()
-	col.AddSink(gs)
+	var events []workflow.HistoryEvent
+	var deltas []Delta
+	col.AddSink(sinkFunc(func(d Delta) error {
+		deltas = append(deltas, d)
+		return nil
+	}))
 	res, err := workflow.NewEventEngine(detectionRegistry()).Run(
-		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(
-			workflow.Scalar("Elachistocleis ovalis"),
-			workflow.Scalar("Hyla faber"),
-		)}, col)
+		context.Background(), detectionDef(), detectionInputs(), col,
+		workflow.HistoryListenerFunc(func(ev workflow.HistoryEvent) { events = append(events, ev) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.SinkErr(); err != nil {
-		t.Fatal(err)
+	if len(deltas) != len(events) {
+		t.Fatalf("%d deltas for %d history events", len(deltas), len(events))
 	}
-	assertSameGraph(t, col.Graph(), gs.Graph())
-	info := gs.Info()
-	if info.RunID != res.RunID || info.Status != RunCompleted {
-		t.Fatalf("sink info = %+v", info)
+	for i, d := range deltas {
+		want := DeltaHistory
+		switch i {
+		case 0:
+			want = DeltaRunStarted
+		case len(deltas) - 1:
+			want = DeltaRunFinished
+		}
+		if d.Kind != want || d.History == nil || d.History.Seq != events[i].Seq || d.History.Type != events[i].Type {
+			t.Fatalf("delta %d = kind %d carrying %+v, want kind %d carrying event %d (%s)", i, d.Kind, d.History, want, events[i].Seq, events[i].Type)
+		}
+		if (d.Graph != nil) != (want == DeltaRunFinished) {
+			t.Fatalf("delta %d (kind %d) graph = %v", i, d.Kind, d.Graph)
+		}
 	}
+	if first := deltas[0].Info; first.RunID != res.RunID || first.Status != RunRunning {
+		t.Fatalf("run-started info = %+v", first)
+	}
+	last := deltas[len(deltas)-1]
+	if last.Info != col.Info() || last.Info.Status != RunCompleted {
+		t.Fatalf("run-finished info = %+v, collector has %+v", last.Info, col.Info())
+	}
+	assertSameGraph(t, col.Graph(), last.Graph)
 }
 
 func TestCollectorGraphIsSnapshot(t *testing.T) {
@@ -165,6 +189,25 @@ func TestStreamingMatchesLegacyStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameGraph(t, wantG, gotG)
+			// Row for row, byte for byte: both paths build through one builder.
+			for _, table := range []string{nodesTable, edgesTable} {
+				want, err := repoLegacy.db.Table(table).Lookup("run_id", storage.S(res.RunID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := repoStream.db.Table(table).Lookup("run_id", storage.S(res.RunID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d rows streamed, %d stored", table, len(got), len(want))
+				}
+				for i := range want {
+					if g, w := storage.EncodeRow(nil, got[i]), storage.EncodeRow(nil, want[i]); !bytes.Equal(g, w) {
+						t.Fatalf("%s row %d differs:\nstream %x\nlegacy %x", table, i, g, w)
+					}
+				}
+			}
 			// Quality reads agree too.
 			wq, err := repoLegacy.QualityOfProcess(res.RunID, "Catalog_of_life")
 			if err != nil {
@@ -248,7 +291,7 @@ func TestBatchWriterEmitAfterClose(t *testing.T) {
 	if err := w.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := w.Emit(Delta{Kind: DeltaAddEdge}); !errors.Is(err, ErrWriterClosed) {
+	if err := w.Emit(Delta{Kind: DeltaHistory}); !errors.Is(err, ErrWriterClosed) {
 		t.Fatalf("emit after close = %v", err)
 	}
 }
@@ -267,9 +310,11 @@ func waitWriter(t *testing.T, w *BatchWriter, cond func(WriterMetrics) bool) {
 }
 
 // TestBatchWriterCrashRecovery kills the process (simulated by truncating the
-// WAL) at batch boundaries and mid-batch: replay must always recover a
-// consistent prefix of the delta stream, and a run whose finalize never made
-// it to disk must read back as unfinished (Status == RunRunning).
+// WAL) inside every commit of a real run's stream, one delta per commit: the
+// torn record rolls back exactly its own event, so the run reads back
+// unfinished (Status == RunRunning) with the history before it and no graph
+// row at all — until the final commit, which lands the terminal event, every
+// node and edge and the run's status together or not at all.
 func TestBatchWriterCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	db, err := storage.Open(dir, storage.Options{Sync: storage.SyncAlways})
@@ -280,41 +325,21 @@ func TestBatchWriterCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interval flushing off (1h): only size-triggered and final flushes, so
-	// batch boundaries — and therefore WAL record boundaries — are exact.
-	w := repo.NewBatchWriter(BatchWriterOptions{MaxBatch: 4, FlushInterval: time.Hour})
-
-	started := time.Date(2013, 11, 12, 19, 58, 9, 0, time.UTC)
-	info := RunInfo{RunID: "run-crash", WorkflowID: "wf-detect",
-		WorkflowName: "Detection", StartedAt: started, Status: RunRunning}
-	emit := func(d Delta) {
-		t.Helper()
+	col, deltas := capturedRun(t, 3)
+	runID := col.Info().RunID
+	// One delta per commit and no interval flushes, so WAL record boundaries
+	// are delta boundaries.
+	w := repo.NewBatchWriter(BatchWriterOptions{MaxBatch: 1, FlushInterval: time.Hour})
+	ends := make([]int64, len(deltas)) // WAL size once delta i is durable
+	for i, d := range deltas {
 		if err := w.Emit(d); err != nil {
 			t.Fatal(err)
 		}
+		if i < len(deltas)-1 {
+			waitWriter(t, w, func(m WriterMetrics) bool { return m.Batches == int64(i+1) })
+			ends[i] = db.WALSize()
+		}
 	}
-	// Wave 1 — exactly one size-triggered batch: run row + three nodes.
-	emit(Delta{Kind: DeltaRunStarted, Info: info})
-	emit(Delta{Kind: DeltaAddNode, Node: opm.Node{ID: "ag:curator", Kind: opm.KindAgent, Label: "curator"}})
-	emit(Delta{Kind: DeltaAddNode, Node: opm.Node{ID: "p:run-crash/Resolve", Kind: opm.KindProcess, Label: "Resolve"}})
-	emit(Delta{Kind: DeltaAddNode, Node: opm.Node{ID: "a:in", Kind: opm.KindArtifact, Label: "input", Value: "Hyla faber"}})
-	waitWriter(t, w, func(m WriterMetrics) bool { return m.Batches == 1 })
-	size1 := db.WALSize()
-
-	// Wave 2 — second batch: annotation update, two edges, one more node.
-	emit(Delta{Kind: DeltaAnnotate, NodeID: "p:run-crash/Resolve", Key: "service", Value: "resolve"})
-	emit(Delta{Kind: DeltaAddEdge, Edge: opm.Edge{Kind: opm.Used, Effect: "p:run-crash/Resolve", Cause: "a:in", Role: "name", Account: "run-crash"}})
-	emit(Delta{Kind: DeltaAddEdge, Edge: opm.Edge{Kind: opm.WasControlledBy, Effect: "p:run-crash/Resolve", Cause: "ag:curator", Role: "executor", Account: "run-crash"}})
-	emit(Delta{Kind: DeltaAddNode, Node: opm.Node{ID: "a:out", Kind: opm.KindArtifact, Label: "output", Value: "accepted"}})
-	waitWriter(t, w, func(m WriterMetrics) bool { return m.Batches == 2 })
-	size2 := db.WALSize()
-
-	// Wave 3 — final batch: last edge plus the run finalize.
-	done := info
-	done.FinishedAt = started.Add(time.Second)
-	done.Status = RunCompleted
-	emit(Delta{Kind: DeltaAddEdge, Edge: opm.Edge{Kind: opm.WasGeneratedBy, Effect: "a:out", Cause: "p:run-crash/Resolve", Role: "status", Account: "run-crash"}})
-	emit(Delta{Kind: DeltaRunFinished, Info: done})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +349,7 @@ func TestBatchWriterCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size3 := st.Size()
-	if !(size1 < size2 && size2 < size3) {
-		t.Fatalf("WAL sizes not increasing: %d, %d, %d", size1, size2, size3)
-	}
+	ends[len(ends)-1] = st.Size()
 
 	reopen := func() (*Repository, func()) {
 		t.Helper()
@@ -342,91 +364,66 @@ func TestBatchWriterCrashRecovery(t *testing.T) {
 		}
 		return repo2, func() { db2.Close() }
 	}
-	truncateTo := func(n int64) {
+	graphRows := func(r *Repository) int {
 		t.Helper()
-		if err := os.Truncate(walPath, n); err != nil {
-			t.Fatal(err)
+		n := 0
+		for _, table := range []string{nodesTable, edgesTable} {
+			rows, err := r.db.Table(table).Lookup("run_id", storage.S(runID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(rows)
 		}
+		return n
 	}
 
-	// Clean shutdown: everything durable, run finalized.
+	// Clean shutdown: everything durable, the run finalized with its graph.
 	r2, cls := reopen()
-	if inf, err := r2.Run("run-crash"); err != nil || inf.Status != RunCompleted {
+	if inf, err := r2.Run(runID); err != nil || inf.Status != RunCompleted {
 		t.Fatalf("full reopen: %+v, %v", inf, err)
 	}
-	g, err := r2.Graph("run-crash")
+	g, err := r2.Graph(runID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NodeCount() != 4 || g.EdgeCount() != 3 {
-		t.Fatalf("full graph: %d nodes, %d edges", g.NodeCount(), g.EdgeCount())
+	if want := col.Graph(); g.NodeCount() != want.NodeCount() || g.EdgeCount() != want.EdgeCount() {
+		t.Fatalf("full graph: %d/%d nodes, %d/%d edges", g.NodeCount(), want.NodeCount(), g.EdgeCount(), want.EdgeCount())
 	}
 	cls()
 
-	// Torn final record (killed mid final commit): state rolls back to wave 2 —
-	// nodes, both edges and the annotation survive, and the run reads
-	// unfinished because the finalize never became durable.
-	truncateTo(size3 - 1)
-	r2, cls = reopen()
-	inf, err := r2.Run("run-crash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inf.Status != RunRunning {
-		t.Fatalf("crashed run status = %q, want %q", inf.Status, RunRunning)
-	}
-	g, err = r2.Graph("run-crash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NodeCount() != 4 || g.EdgeCount() != 2 {
-		t.Fatalf("wave-2 graph: %d nodes, %d edges", g.NodeCount(), g.EdgeCount())
-	}
-	n, _ := g.Node("p:run-crash/Resolve")
-	if n.Annotations["service"] != "resolve" {
-		t.Fatalf("annotation lost: %v", n.Annotations)
-	}
-	// Every surviving edge has both endpoints — batches are atomic, so an
-	// edge can never outlive the nodes written with or before it.
-	for _, e := range g.Edges() {
-		if _, ok := g.Node(e.Effect); !ok {
-			t.Fatalf("edge effect %q dangling", e.Effect)
+	// Killed inside commit i, newest first: the history holds events 0..i-1.
+	for i := len(deltas) - 1; i >= 0; i-- {
+		if err := os.Truncate(walPath, ends[i]-1); err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := g.Node(e.Cause); !ok {
-			t.Fatalf("edge cause %q dangling", e.Cause)
+		r2, cls = reopen()
+		inf, err := r2.Run(runID)
+		if i == 0 {
+			// The run row rode on the first event: the whole run vanishes.
+			if !errors.Is(err, ErrRunNotFound) {
+				t.Fatalf("torn first commit: %+v, %v", inf, err)
+			}
+			cls()
+			break
 		}
+		if err != nil || inf.Status != RunRunning {
+			t.Fatalf("torn commit %d: run %+v, %v; want it %s", i, inf, err, RunRunning)
+		}
+		history, err := r2.History(runID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(history) != i || history[i-1].Seq != i-1 {
+			t.Fatalf("torn commit %d: %d history events survive, want %d", i, len(history), i)
+		}
+		if n := graphRows(r2); n != 0 {
+			t.Fatalf("torn commit %d: %d graph rows stored for an unfinished run", i, n)
+		}
+		if g, err := r2.Graph(runID); err != nil || g.NodeCount() != 0 || g.EdgeCount() != 0 {
+			t.Fatalf("torn commit %d: graph of the unfinished run = %v, %v", i, g, err)
+		}
+		cls()
 	}
-	cls()
-
-	// Torn wave-2 record: only the first batch remains — run row plus three
-	// nodes, no annotation, no edges. Still a consistent prefix.
-	truncateTo(size2 - 1)
-	r2, cls = reopen()
-	inf, err = r2.Run("run-crash")
-	if err != nil || inf.Status != RunRunning {
-		t.Fatalf("wave-1 run: %+v, %v", inf, err)
-	}
-	g, err = r2.Graph("run-crash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NodeCount() != 3 || g.EdgeCount() != 0 {
-		t.Fatalf("wave-1 graph: %d nodes, %d edges", g.NodeCount(), g.EdgeCount())
-	}
-	n, _ = g.Node("p:run-crash/Resolve")
-	if len(n.Annotations) != 0 {
-		t.Fatalf("unexpected annotations: %v", n.Annotations)
-	}
-	cls()
-
-	// Torn wave-1 record: the whole run vanishes atomically; the repository
-	// schema (written earlier) is intact.
-	truncateTo(size1 - 1)
-	r2, cls = reopen()
-	if _, err := r2.Run("run-crash"); !errors.Is(err, ErrRunNotFound) {
-		t.Fatalf("torn first batch: %v", err)
-	}
-	cls()
 }
 
 func seedRuns(t *testing.T, repo *Repository, ids ...string) {

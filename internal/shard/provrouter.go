@@ -3,7 +3,6 @@ package shard
 import (
 	"cmp"
 	"strings"
-	"time"
 
 	"repro/internal/opm"
 	"repro/internal/provenance"
@@ -196,9 +195,4 @@ func (p *ProvenanceRouter) RunFenceToken(runID string) (token int64) {
 		return nil
 	})
 	return token
-}
-
-// MarkAbandoned implements provenance.Repo.
-func (p *ProvenanceRouter) MarkAbandoned(runID, reason string, at time.Time) error {
-	return p.route(runID, func(b backends) error { return b.prov.MarkAbandoned(runID, reason, at) })
 }

@@ -108,8 +108,7 @@ func TestRouterContract(t *testing.T) {
 	next := func() int64 { seq++; return seq }
 	span := []telemetry.Span{{SpanID: "s1", Name: "n", Kind: "core", Start: time.Unix(1700000000, 0), End: time.Unix(1700000001, 0)}}
 
-	// Every per-ID method, as a call on the keys of one shard. Order matters
-	// only for the run's lifecycle: it stays resumable until MarkAbandoned.
+	// Every per-ID method, as a call on the keys of one shard.
 	perID := []struct {
 		name string
 		// silent marks methods whose signature carries no error: a down
@@ -150,9 +149,6 @@ func TestRouterContract(t *testing.T) {
 				return err
 			}
 			return w.Close()
-		}},
-		{"provenance.MarkAbandoned", false, func(k routeKeys) error {
-			return prov.MarkAbandoned(k.id("run-1"), "contract", time.Unix(1700000002, 0))
 		}},
 		{"records.Put", false, func(k routeKeys) error { return recs.Put(&fnjv.Record{ID: k.id("xc-2"), Species: "Boana b"}) }},
 		{"records.Get", false, func(k routeKeys) error { _, err := recs.Get(k.id("xc-1")); return err }},

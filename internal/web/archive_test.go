@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -93,6 +94,24 @@ func TestArchivePageListsObjectsAndFixity(t *testing.T) {
 	}
 	if strings.Contains(body, "2/3 healthy") {
 		t.Fatal("object still flagged after repair")
+	}
+}
+
+// TestArchivePageListsShortIDs: the listing takes IDs from any *.aip file on a
+// volume, so a stray short name is listed, not sliced past its end.
+func TestArchivePageListsShortIDs(t *testing.T) {
+	srv, wsys, _ := testServer(t)
+	withArchive(t, wsys, 1)
+	stray := filepath.Join(wsys.Preservation.Store.Volumes()[0], "objects", "x.aip")
+	if err := os.WriteFile(stray, []byte("not an AIP"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, srv.URL+"/archive")
+	if code != 200 {
+		t.Fatalf("GET /archive with a stray x.aip = %d:\n%s", code, body)
+	}
+	if !strings.Contains(body, `<a href="/archive/x">x</a>`) {
+		t.Fatalf("stray object x not listed:\n%s", body)
 	}
 }
 

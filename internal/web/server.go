@@ -492,7 +492,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 			fixity = fmt.Sprintf(`<span class=flag>%d/%d healthy</span>`, st.Healthy(), len(st.Replicas))
 		}
 		fmt.Fprintf(&b, `<tr><td><a href="/archive/%s">%s</a></td><td>%s</td><td>%s</td><td class=num>%d</td><td class=num>%d</td><td>%s</td></tr>`,
-			esc(st.ID), esc(st.ID[:12]), esc(st.Manifest.Label), esc(st.Manifest.MediaType),
+			esc(st.ID), esc(shortID(st.ID)), esc(st.Manifest.Label), esc(st.Manifest.MediaType),
 			st.Manifest.Size, len(st.Replicas), fixity)
 	}
 	if ov.Truncated > 0 {
@@ -549,8 +549,12 @@ func (s *Server) handleArchiveObject(w http.ResponseWriter, r *http.Request) {
 			esc(rep.Volume), cls, esc(string(rep.State)), esc(rep.Detail))
 	}
 	b.WriteString("</table>")
-	s.render(w, "Archived package "+id[:min(12, len(id))], b.String())
+	s.render(w, "Archived package "+shortID(id), b.String())
 }
+
+// shortID abbreviates an AIP ID for display. IDs come from file names on a
+// volume, so a stray short one must not be sliced past its end.
+func shortID(id string) string { return id[:min(12, len(id))] }
 
 func (s *Server) handleNTriples(w http.ResponseWriter, r *http.Request) {
 	// Two-phase: collect records first, then consult the ledger — nesting
