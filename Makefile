@@ -30,7 +30,10 @@ test:
 ## equivalence suite, the wake end to end (TestAdmissionWakesPool) and the
 ## pool's exactly-once accounting (TestPoolCompletedMatchesOutcomes) — that
 ## drives them end to end, and the span store and /api/v1 handlers, which read
-## the live stores while runs commit.
+## the live stores while runs commit (a run's rows by primary-key range: no
+## run-keyed table has a run_id index, TestRunTablesHaveNoRunIndex, and each
+## provenance fact is stored once — a 200-name detection stores at most 105 KB
+## of history payload, TestHistoryBytesPerRun).
 race:
 	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/fnjv/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/... ./internal/telemetry/... ./internal/web/...
 
@@ -40,8 +43,11 @@ race:
 ## Apply retains no caller memory (TestApplyDoesNotRetainCallerMemory), the
 ## on-disk bytes are pinned (TestWireFormatGolden), a torn length header is not
 ## believed (TestReplayStopsAtOversizedRecord); the workflow package's carry
-## the decider's: TestDecide, and TestDeciderIsPure — no clock, lock, context,
-## randomness, telemetry, goroutine or channel in decider.go), six
+## the decider's: TestDecide, whose goldens render each completion's folded
+## outputs and mark those rebuilt from the elements, and TestDeciderIsPure —
+## no clock, lock, context, randomness, telemetry, goroutine or channel in
+## decider.go; the provenance package's carry the upgrade guard,
+## TestOpensPreviousVersionDirectory), six
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
 ## events must never panic or wedge the engine), the history-row payload
@@ -49,8 +55,10 @@ race:
 ## nested lists, nil and empty maps, HTML and control characters, U+2028,
 ## invalid UTF-8 and out-of-range years), the decider under byte-chosen
 ## report orders, failures, duplicates and resume cuts (dense seqs, one
-## run-finished and last, one iteration-element per index, every cut before a
-## failure resumes to the same history, the Collector's graph legal OPM), the
+## run-finished and last, one iteration-element per index, every completion
+## that omits its outputs folding back from its stored encoding to exactly the
+## lists the decider collected, every cut before a failure resumes to the same
+## history, the Collector's graph legal OPM), the
 ## history the provenance
 ## Collector folds (arbitrary events, split anywhere into prefix and live
 ## stream, must never panic it, make it emit anything but one delta per live

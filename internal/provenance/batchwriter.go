@@ -311,9 +311,10 @@ func (w *BatchWriter) flush(batch []Delta, trigger string) []Delta {
 	for _, d := range batch {
 		switch d.Kind {
 		case DeltaRunStarted:
+			err := checkRunID(d.Info.RunID)
 			switch {
-			case d.Info.RunID == "":
-				w.fail(fmt.Errorf("provenance: run has no ID"))
+			case err != nil:
+				w.fail(err)
 				return batch[:0]
 			case !w.resume:
 				w.runID, w.runInserted = d.Info.RunID, true

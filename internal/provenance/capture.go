@@ -251,8 +251,9 @@ func (c *Collector) applyLocked(ev *workflow.HistoryEvent) bool {
 // activityClosedLocked records an activity-completed or activity-failed
 // event: the process node (created here, when the outcome is known), what it
 // used, and — for a completion — what it generated, element by element. act
-// holds the scheduled binding and the elements finished so far, including
-// those a failed earlier attempt left behind.
+// holds the scheduled binding, the elements finished so far, including those
+// a failed earlier attempt left behind, and a completion's outputs, which the
+// fold rebuilds from the elements when the event omits them.
 func (c *Collector) activityClosedLocked(ev *workflow.HistoryEvent, act *workflow.ActivityFold) {
 	pid := c.processID(ev.Activity)
 	if _, exists := c.graph.Node(pid); !exists {
@@ -276,7 +277,7 @@ func (c *Collector) activityClosedLocked(ev *workflow.HistoryEvent, act *workflo
 			Role: port, Account: account, Time: ev.Time,
 		})
 	})
-	outputs, elements := ev.Outputs, act.Elements
+	outputs, elements := act.Outputs, act.Elements
 	if ev.Type == workflow.HistoryActivityFailed {
 		// A failed attempt generated nothing; the elements it finished are
 		// recorded when the re-execution that reuses them completes.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/opm"
@@ -72,15 +73,17 @@ var ErrRunNotFound = errors.New("provenance: run not found")
 
 // NewRepository opens (creating if needed) the provenance repository in db.
 // Repositories created by earlier versions are upgraded in place: the
-// lineage indexes on edge effect/cause are backfilled when missing.
+// lineage indexes on edge effect/cause are backfilled when missing. The
+// run-keyed tables (nodes, edges, history) have no run_id index: their keys
+// are "runID/…", so a run's rows are one primary-key range (scanRun). A
+// directory an earlier version created keeps the run_id indexes it made;
+// storage maintains them and nothing reads them.
 func NewRepository(db *storage.DB) (*Repository, error) {
 	if db.Table(runsTable) == nil {
 		if err := db.Apply(
 			storage.CreateTableOp(runsSchema),
 			storage.CreateTableOp(nodesSchema),
 			storage.CreateTableOp(edgesSchema),
-			storage.CreateIndexOp(nodesTable, "run_id"),
-			storage.CreateIndexOp(edgesTable, "run_id"),
 			storage.CreateIndexOp(runsTable, "workflow_id"),
 		); err != nil {
 			return nil, err
@@ -99,10 +102,7 @@ func NewRepository(db *storage.DB) (*Repository, error) {
 	// written by earlier versions gain it — their old runs simply have no
 	// history and are not resumable by replay.
 	if db.Table(historyTable) == nil {
-		if err := db.Apply(
-			storage.CreateTableOp(historySchema),
-			storage.CreateIndexOp(historyTable, "run_id"),
-		); err != nil {
+		if err := db.CreateTable(historySchema); err != nil {
 			return nil, err
 		}
 	}
@@ -235,13 +235,36 @@ func (b *rowBuilder) graph(runID string, g *opm.Graph) {
 // runs stream through NewBatchWriter instead, which ends them through the
 // same row builder.
 func (r *Repository) Store(info RunInfo, g *opm.Graph) error {
-	if info.RunID == "" {
-		return fmt.Errorf("provenance: run has no ID")
+	if err := checkRunID(info.RunID); err != nil {
+		return err
 	}
 	var b rowBuilder
 	b.run(storage.InsertOp, info)
 	b.graph(info.RunID, g)
 	return r.db.Apply(b.ops...)
+}
+
+// checkRunID rejects a run ID the run-keyed tables cannot hold: an empty one,
+// or one containing "/", the separator of their "runID/…" keys — the rows of
+// run "a/b" would fall inside run "a"'s key range.
+func checkRunID(runID string) error {
+	switch {
+	case runID == "":
+		return fmt.Errorf("provenance: run has no ID")
+	case strings.Contains(runID, "/"):
+		return fmt.Errorf("provenance: run ID %q contains %q", runID, "/")
+	}
+	return nil
+}
+
+// scanRun walks one run's rows of a run-keyed table in primary-key order,
+// from key from on (runID+"/" for the first). Every key is "runID/…" and a
+// run ID holds no "/", so a run's rows are one key range and the walk stops
+// at the first row of another run; fn returning false stops it sooner.
+func (r *Repository) scanRun(s *storage.Schema, runID, from string, fn func(storage.Row) bool) {
+	r.db.Table(s.Table).ScanFrom(storage.S(from), func(row storage.Row) bool {
+		return row.Get(s, "run_id").Str() == runID && fn(row)
+	})
 }
 
 func timeOrNull(t time.Time) storage.Value {
@@ -364,10 +387,7 @@ func (r *Repository) NodesPage(runID, after string, limit int) ([]*opm.Node, str
 	}
 	more := false
 	var scanErr error
-	r.db.Table(nodesTable).ScanFrom(storage.S(nodeKey(runID, after)), func(row storage.Row) bool {
-		if row.Get(nodesSchema, "run_id").Str() != runID {
-			return false // walked past the run's key range
-		}
+	r.scanRun(nodesSchema, runID, nodeKey(runID, after), func(row storage.Row) bool {
 		n, err := rowToNode(row)
 		if err != nil {
 			scanErr = err
@@ -410,10 +430,7 @@ func (r *Repository) EdgesPage(runID string, after, limit int) ([]opm.Edge, int,
 		return out, next, nil
 	}
 	seq := after
-	r.db.Table(edgesTable).ScanFrom(storage.S(edgeKey(runID, after+1)), func(row storage.Row) bool {
-		if row.Get(edgesSchema, "run_id").Str() != runID {
-			return false
-		}
+	r.scanRun(edgesSchema, runID, edgeKey(runID, after+1), func(row storage.Row) bool {
 		if len(out) == limit {
 			next = seq
 			return false
@@ -457,7 +474,7 @@ func rowToEdge(row storage.Row) opm.Edge {
 // run row is read first: a terminal status proves the one commit that wrote
 // the graph has landed, and nothing rewrites a finished run's rows, so the
 // edge and node reads that follow see the same graph whichever order they
-// run in.
+// run in. Each is one primary-key range scan over the run's rows.
 func (r *Repository) Graph(runID string) (*opm.Graph, error) {
 	g := opm.NewGraph()
 	if written, err := r.graphWritten(runID); err != nil {
@@ -465,25 +482,24 @@ func (r *Repository) Graph(runID string) (*opm.Graph, error) {
 	} else if !written {
 		return g, nil
 	}
-	edgeRows, err := r.db.Table(edgesTable).Lookup("run_id", storage.S(runID))
+	var edges []opm.Edge
+	r.scanRun(edgesSchema, runID, runID+"/", func(row storage.Row) bool {
+		edges = append(edges, rowToEdge(row))
+		return true
+	})
+	var err error
+	r.scanRun(nodesSchema, runID, runID+"/", func(row storage.Row) bool {
+		var n *opm.Node
+		if n, err = rowToNode(row); err == nil {
+			err = g.AddNode(*n)
+		}
+		return err == nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	nodeRows, err := r.db.Table(nodesTable).Lookup("run_id", storage.S(runID))
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range nodeRows {
-		n, err := rowToNode(row)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.AddNode(*n); err != nil {
-			return nil, err
-		}
-	}
-	for _, row := range edgeRows {
-		if err := g.AddEdge(rowToEdge(row)); err != nil {
+	for _, e := range edges {
+		if err := g.AddEdge(e); err != nil {
 			return nil, err
 		}
 	}

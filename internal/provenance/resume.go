@@ -74,18 +74,19 @@ func (r *Repository) History(runID string) ([]workflow.HistoryEvent, error) {
 	if _, err := r.Run(runID); err != nil {
 		return nil, err
 	}
-	rows, err := r.db.Table(historyTable).Lookup("run_id", storage.S(runID))
+	out := []workflow.HistoryEvent{}
+	var err error
+	r.scanRun(historySchema, runID, runID+"/", func(row storage.Row) bool {
+		var ev workflow.HistoryEvent
+		if ev, err = rowToHistoryEvent(row); err == nil {
+			out = append(out, ev)
+		}
+		return err == nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]workflow.HistoryEvent, 0, len(rows))
-	for _, row := range rows {
-		ev, err := rowToHistoryEvent(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
+	// Key order is seq order only up to the key's eight digits.
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out, nil
 }
@@ -123,21 +124,15 @@ func (r *Repository) NewResumeWriter(runID string, opts BatchWriterOptions) (*Ba
 	w := r.newWriter(opts)
 	w.runID, w.runInserted, w.resume = runID, true, true
 	for _, s := range []*storage.Schema{nodesSchema, edgesSchema} {
-		rows, err := r.db.Table(s.Table).Lookup("run_id", storage.S(runID))
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
+		r.scanRun(s, runID, runID+"/", func(row storage.Row) bool {
 			w.stale = append(w.stale, storage.DeleteOp(s.Table, row.Get(s, "key")))
-		}
+			return true
+		})
 	}
-	histRows, err := r.db.Table(historyTable).Lookup("run_id", storage.S(runID))
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range histRows {
+	r.scanRun(historySchema, runID, runID+"/", func(row storage.Row) bool {
 		w.historySeq = max(w.historySeq, int(row.Get(historySchema, "seq").Int()))
-	}
+		return true
+	})
 	go w.loop()
 	return w, nil
 }

@@ -73,8 +73,12 @@ func TestHistoryPersistsAndReloads(t *testing.T) {
 		if ev.Seq != i {
 			t.Fatalf("history seq gap at %d: %+v", i, ev)
 		}
+		// The workflow is named once, by run-started.
+		if named := ev.WorkflowID != "" || ev.WorkflowName != ""; named != (i == 0) {
+			t.Fatalf("event %d names workflow %q/%q", i, ev.WorkflowID, ev.WorkflowName)
+		}
 	}
-	if history[0].Type != workflow.HistoryRunStarted {
+	if history[0].Type != workflow.HistoryRunStarted || history[0].WorkflowID != detectionDef().ID {
 		t.Fatalf("first event = %+v", history[0])
 	}
 	last := history[len(history)-1]
@@ -82,13 +86,17 @@ func TestHistoryPersistsAndReloads(t *testing.T) {
 		t.Fatalf("last event = %+v", last)
 	}
 	var normDone, elements int
+	var fold workflow.HistoryFold
 	for _, ev := range history {
+		fa := fold.Apply(ev)
 		if ev.Activity == "Normalize" {
 			switch ev.Type {
 			case workflow.HistoryActivityCompleted:
 				normDone++
-				if ev.Iterations != 3 || !ev.Outputs["clean"].IsList() {
-					t.Fatalf("Normalize completion = %+v", ev)
+				// The element events hold the collected outputs: the completion
+				// stores none, and the fold rebuilds them.
+				if clean := fa.Outputs["clean"]; ev.Iterations != 3 || len(ev.Outputs) != 0 || !clean.IsList() || clean.Len() != 3 {
+					t.Fatalf("Normalize completion = %+v, folded outputs %v", ev, fa.Outputs)
 				}
 			case workflow.HistoryIterationElement:
 				elements++

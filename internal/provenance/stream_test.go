@@ -190,21 +190,14 @@ func TestStreamingMatchesLegacyStore(t *testing.T) {
 			}
 			assertSameGraph(t, wantG, gotG)
 			// Row for row, byte for byte: both paths build through one builder.
-			for _, table := range []string{nodesTable, edgesTable} {
-				want, err := repoLegacy.db.Table(table).Lookup("run_id", storage.S(res.RunID))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := repoStream.db.Table(table).Lookup("run_id", storage.S(res.RunID))
-				if err != nil {
-					t.Fatal(err)
-				}
+			for _, schema := range []*storage.Schema{nodesSchema, edgesSchema} {
+				want, got := runRows(repoLegacy, schema, res.RunID), runRows(repoStream, schema, res.RunID)
 				if len(got) != len(want) {
-					t.Fatalf("%s: %d rows streamed, %d stored", table, len(got), len(want))
+					t.Fatalf("%s: %d rows streamed, %d stored", schema.Table, len(got), len(want))
 				}
 				for i := range want {
 					if g, w := storage.EncodeRow(nil, got[i]), storage.EncodeRow(nil, want[i]); !bytes.Equal(g, w) {
-						t.Fatalf("%s row %d differs:\nstream %x\nlegacy %x", table, i, g, w)
+						t.Fatalf("%s row %d differs:\nstream %x\nlegacy %x", schema.Table, i, g, w)
 					}
 				}
 			}
@@ -365,16 +358,7 @@ func TestBatchWriterCrashRecovery(t *testing.T) {
 		return repo2, func() { db2.Close() }
 	}
 	graphRows := func(r *Repository) int {
-		t.Helper()
-		n := 0
-		for _, table := range []string{nodesTable, edgesTable} {
-			rows, err := r.db.Table(table).Lookup("run_id", storage.S(runID))
-			if err != nil {
-				t.Fatal(err)
-			}
-			n += len(rows)
-		}
-		return n
+		return len(runRows(r, nodesSchema, runID)) + len(runRows(r, edgesSchema, runID))
 	}
 
 	// Clean shutdown: everything durable, the run finalized with its graph.
@@ -424,6 +408,16 @@ func TestBatchWriterCrashRecovery(t *testing.T) {
 		}
 		cls()
 	}
+}
+
+// runRows reads one run's rows of a run-keyed table, in key order.
+func runRows(r *Repository, s *storage.Schema, runID string) []storage.Row {
+	var rows []storage.Row
+	r.scanRun(s, runID, runID+"/", func(row storage.Row) bool {
+		rows = append(rows, row)
+		return true
+	})
+	return rows
 }
 
 func seedRuns(t *testing.T, repo *Repository, ids ...string) {
@@ -554,6 +548,49 @@ func TestNodesAndEdgesPages(t *testing.T) {
 	}
 	if _, _, err := repo.EdgesPage("run-nope", -1, 10); !errors.Is(err, ErrRunNotFound) {
 		t.Fatalf("edges of missing run: %v", err)
+	}
+}
+
+// TestRunIDWithSlashRejected: a run's rows are the key range "runID/…", so a
+// run ID containing "/" would put its rows inside another run's range — run
+// "a/b"'s inside run "a"'s, where they cut the key-range reads of "a" short.
+// Store and the writer's run-started refuse such an ID, and run "a" reads
+// whole through every read.
+func TestRunIDWithSlashRejected(t *testing.T) {
+	repo, _ := openRepo(t)
+	seedRuns(t, repo, "a")
+	g, err := repo.Graph("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := RunInfo{RunID: "a/b", WorkflowID: "wf", Status: RunCompleted}
+	if err := repo.Store(info, g); err == nil {
+		t.Fatal("Store accepted run ID a/b")
+	}
+	w := repo.NewBatchWriter(BatchWriterOptions{})
+	info.RunID, info.Status = "a/c", RunRunning
+	if err := w.Emit(Delta{Kind: DeltaRunStarted, Info: info}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("the writer started run a/c")
+	}
+	for _, id := range []string{"a/b", "a/c"} {
+		if _, err := repo.Run(id); !errors.Is(err, ErrRunNotFound) {
+			t.Fatalf("run %s stored: %v", id, err)
+		}
+	}
+	nodes, _, err := repo.NodesPage("a", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, _, err := repo.EdgesPage("a", -1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nodes) != 2 || len(edges) != 1 || g.NodeCount() != 2 || g.EdgeCount() != 1 {
+		t.Fatalf("run a reads %d nodes and %d edges paged, %d and %d whole; want 2 and 1",
+			len(nodes), len(edges), g.NodeCount(), g.EdgeCount())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/storage"
 )
@@ -34,17 +35,27 @@ var spansSchema = storage.MustSchema(spansTable,
 // ErrTraceNotFound is returned for run IDs with no persisted spans.
 var ErrTraceNotFound = errors.New("telemetry: trace not found")
 
-// NewSpanStore opens (creating if needed) the span table in db.
+// NewSpanStore opens (creating if needed) the span table in db. The table
+// has no run_id index: its keys are "runID/seq", so a run's spans are one
+// primary-key range (scanRun). A table an earlier version created keeps the
+// run_id index it made; storage maintains it and nothing reads it.
 func NewSpanStore(db *storage.DB) (*SpanStore, error) {
 	if db.Table(spansTable) == nil {
-		if err := db.Apply(
-			storage.CreateTableOp(spansSchema),
-			storage.CreateIndexOp(spansTable, "run_id"),
-		); err != nil {
+		if err := db.CreateTable(spansSchema); err != nil {
 			return nil, err
 		}
 	}
 	return &SpanStore{db: db}, nil
+}
+
+// scanRun walks the run's spans in stored order from sequence number from
+// on. A run ID holds no "/" (Append refuses one), so the run's keys are one
+// range and the walk stops at the first row of another run; fn returning
+// false stops it sooner.
+func (s *SpanStore) scanRun(runID string, from int, fn func(storage.Row) bool) {
+	s.db.Table(spansTable).ScanFrom(storage.S(spanKeyOf(runID, from)), func(row storage.Row) bool {
+		return row.Get(spansSchema, "run_id").Str() == runID && fn(row)
+	})
 }
 
 // spanKeyOf renders "runID/seq" with the sequence zero-padded to eight
@@ -65,11 +76,12 @@ func spanKeyOf(runID string, seq int) string {
 
 // Count reports how many spans are persisted for the run.
 func (s *SpanStore) Count(runID string) (int, error) {
-	rows, err := s.db.Table(spansTable).Lookup("run_id", storage.S(runID))
-	if err != nil {
-		return 0, err
-	}
-	return len(rows), nil
+	n := 0
+	s.scanRun(runID, 0, func(storage.Row) bool {
+		n++
+		return true
+	})
+	return n, nil
 }
 
 // Append persists spans under runID, continuing the run's sequence after any
@@ -77,8 +89,11 @@ func (s *SpanStore) Count(runID string) (int, error) {
 // prefix). Every span is stamped with the run as its trace ID. One atomic
 // group commit.
 func (s *SpanStore) Append(runID string, spans []Span) error {
-	if runID == "" {
+	switch {
+	case runID == "":
 		return fmt.Errorf("telemetry: spans need a run ID")
+	case strings.Contains(runID, "/"):
+		return fmt.Errorf("telemetry: run ID %q contains %q", runID, "/")
 	}
 	if len(spans) == 0 {
 		return nil
@@ -156,10 +171,7 @@ func (s *SpanStore) SpansPage(runID string, after, limit int) ([]Span, int, erro
 	next := -1
 	seq := after
 	var scanErr error
-	s.db.Table(spansTable).ScanFrom(storage.S(spanKeyOf(runID, after+1)), func(row storage.Row) bool {
-		if row.Get(spansSchema, "run_id").Str() != runID {
-			return false // walked past the run's key range
-		}
+	s.scanRun(runID, after+1, func(row storage.Row) bool {
 		if limit > 0 && len(out) == limit {
 			next = seq
 			return false

@@ -298,6 +298,13 @@ func TestSpanStorePagination(t *testing.T) {
 	if err := st.Append("run-000004", testSpans(3, base)); err != nil {
 		t.Fatal(err)
 	}
+	// Nor may a run whose ID puts its rows inside the first run's key range.
+	if err := st.Append("run-000003/x", testSpans(2, base)); err == nil {
+		t.Fatal("spans stored under a run ID containing /")
+	}
+	if n, err := st.Count("run-000003"); err != nil || n != 7 {
+		t.Fatalf("Count = %d, %v; want 7", n, err)
+	}
 	var got []Span
 	after := -1
 	pages := 0

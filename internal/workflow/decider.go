@@ -1,6 +1,9 @@
 package workflow
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // The decider is the one place a run's state is decided: dataflow values,
 // element slots and their retry attempts, failure attribution, report dedup.
@@ -217,7 +220,7 @@ func (d *decider) apply(ev HistoryEvent) error {
 			if l.Source.Processor != a.p.Name {
 				continue
 			}
-			v, ok := ev.Outputs[l.Source.Port]
+			v, ok := fa.Outputs[l.Source.Port]
 			if !ok {
 				return fmt.Errorf("workflow: history for %q lacks output %q", a.p.Name, l.Source.Port)
 			}
@@ -254,9 +257,13 @@ func (a *activity) bind(inputs map[string]Data) {
 	}
 }
 
-// emit stamps, folds and records the next event.
+// emit stamps, folds and records the next event. Only run-started names the
+// workflow: every later event belongs to the run it opened.
 func (d *decider) emit(ev HistoryEvent) {
-	ev.Seq, ev.Time, ev.RunID, ev.WorkflowID, ev.WorkflowName = d.nextSeq, d.now, d.runID, d.def.ID, d.def.Name
+	ev.Seq, ev.Time, ev.RunID = d.nextSeq, d.now, d.runID
+	if ev.Type == HistoryRunStarted {
+		ev.WorkflowID, ev.WorkflowName = d.def.ID, d.def.Name
+	}
 	if err := d.apply(ev); err != nil {
 		panic(err) // the decider made an event it cannot fold: a bug
 	}
@@ -470,6 +477,11 @@ func (d *decider) settle(a *activity) {
 	iterations, outputs := 1, a.outputs
 	if a.iterating {
 		iterations, outputs = len(a.slots), collectOutputs(a.collected)
+		// The element events already hold the collected outputs: when the
+		// fold rebuilds exactly these from them, the completion omits them.
+		if reflect.DeepEqual(d.fold.Activity(a.p.Name).elementOutputs(), outputs) {
+			outputs = nil
+		}
 	}
 	d.emit(HistoryEvent{
 		Type: HistoryActivityCompleted, Activity: a.p.Name, Outputs: outputs,

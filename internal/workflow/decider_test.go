@@ -1,7 +1,9 @@
 package workflow
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -27,6 +29,7 @@ const (
 	fallout                // the context's own error: cancellation fallout
 	missing                // success without the declared outputs
 	again                  // the slot's previous report, delivered once more
+	extra                  // the fake's outputs plus a port the processor does not declare
 )
 
 // step reports one outstanding task: element el of activity act (-1 for a
@@ -44,6 +47,7 @@ type sim struct {
 	tb   testing.TB
 	d    *decider
 	hist []HistoryEvent
+	fold HistoryFold // of hist: what a reader of the stored events sees
 	log  []string
 	out  map[string]Task   // dispatched or re-armed, not yet reported
 	sent map[string]report // the last report per task ID
@@ -55,6 +59,7 @@ func newSim(tb testing.TB, def *Definition, inputs map[string]Data, prefix []His
 		if err := s.d.apply(ev); err != nil {
 			tb.Fatalf("apply %+v: %v", ev, err)
 		}
+		s.fold.Apply(ev)
 	}
 	s.hist = append(s.hist, prefix...)
 	s.decide(input{resume: true})
@@ -66,7 +71,7 @@ func (s *sim) decide(in input) {
 	evs, cmds := s.d.decide(in)
 	for _, ev := range evs {
 		s.hist = append(s.hist, ev)
-		s.log = append(s.log, renderEvent(ev))
+		s.log = append(s.log, renderEvent(ev, s.fold.Apply(ev)))
 	}
 	for _, c := range cmds {
 		switch c.kind {
@@ -132,12 +137,18 @@ func (s *sim) report(st step) {
 		r.err, r.cancelled = context.Canceled, true
 	case missing:
 		r.outputs = map[string]Data{}
+	case extra:
+		r.outputs = fake(a.p, r.inputs)
+		r.outputs["z"] = Scalar("undeclared")
 	}
 	s.sent[id] = r
 	s.decide(input{report: r})
 }
 
-func renderEvent(ev HistoryEvent) string {
+// renderEvent renders one event; a completion shows the outputs its fold fa
+// holds, marked "(folded)" when the event omits them and the fold rebuilt
+// them from the activity's elements.
+func renderEvent(ev HistoryEvent, fa *ActivityFold) string {
 	switch ev.Type {
 	case HistoryActivityScheduled:
 		if ev.Elements >= 0 {
@@ -151,7 +162,10 @@ func renderEvent(ev HistoryEvent) string {
 	case HistoryRetryBackoff:
 		return fmt.Sprintf("retry-backoff %s#%d@%d", ev.Activity, ev.Element, ev.Attempt)
 	case HistoryActivityCompleted:
-		return fmt.Sprintf("completed %s %s", ev.Activity, renderData(ev.Outputs))
+		if len(ev.Outputs) == 0 {
+			return fmt.Sprintf("completed %s (folded) %s", ev.Activity, renderData(fa.Outputs))
+		}
+		return fmt.Sprintf("completed %s %s", ev.Activity, renderData(fa.Outputs))
 	case HistoryActivityFailed:
 		return fmt.Sprintf("failed %s (%d): %s", ev.Activity, ev.Iterations, ev.Err)
 	case HistoryRunFinished:
@@ -247,7 +261,7 @@ func TestDecide(t *testing.T) {
 		want: []string{
 			"run-started", "scheduled A x3", "dispatch A [0 1 2]",
 			"started A", "element A#2", "element A#0", "element A#1",
-			"completed A y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+			"completed A (folded) y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
 		},
 		invocations: map[string]int{"A": 3},
 	}, {
@@ -268,7 +282,7 @@ func TestDecide(t *testing.T) {
 			"run-started", "scheduled A x2", "dispatch A [0 1]",
 			"started A", "retry-backoff A#0@1", "retry A#0@1",
 			"element A#1",
-			"element A#0", "completed A y=[A:a, A:b]", "finished completed out=[A:a, A:b]", "finish",
+			"element A#0", "completed A (folded) y=[A:a, A:b]", "finished completed out=[A:a, A:b]", "finish",
 		},
 		invocations: map[string]int{"A": 2},
 	}, {
@@ -288,7 +302,7 @@ func TestDecide(t *testing.T) {
 			"run-started", "scheduled A x2", "dispatch A [0 1]",
 			"started A", "element A#0",
 			"retry-backoff A#1@1", "retry A#1@1",
-			"element A#1", "completed A y=[A:a, A:b]", "finished completed out=[A:a, A:b]", "finish",
+			"element A#1", "completed A (folded) y=[A:a, A:b]", "finished completed out=[A:a, A:b]", "finish",
 		},
 	}, {
 		name: "missing declared output", def: linear, inputs: map[string]Data{"in": Scalar("v")},
@@ -306,18 +320,36 @@ func TestDecide(t *testing.T) {
 		want: []string{
 			"run-started", "scheduled Resolve x3", "dispatch Resolve [0 1 2]",
 			"started Resolve", "element Resolve#0", "element Resolve#1", "element Resolve#2",
-			"completed Resolve result=[Resolve:a, Resolve:b, Resolve:c]", "scheduled Summarize", "dispatch Summarize [-1]",
+			"completed Resolve (folded) result=[Resolve:a, Resolve:b, Resolve:c]", "scheduled Summarize", "dispatch Summarize [-1]",
 			"started Summarize", "completed Summarize summary=Summarize:[Resolve:a, Resolve:b, Resolve:c]",
 			"finished completed summary=Summarize:[Resolve:a, Resolve:b, Resolve:c]", "finish",
 		},
 		invocations: map[string]int{"Resolve": 3, "Summarize": 1},
+	}, {
+		// The elements hold a port the collected outputs lack, so they do not
+		// determine the completion: it stores its outputs.
+		name: "undeclared element output", def: iterDef(0), inputs: map[string]Data{"in": items("a", "b")},
+		steps: []step{{"A", 0, extra}, {"A", 1, extra}},
+		want: []string{
+			"run-started", "scheduled A x2", "dispatch A [0 1]",
+			"started A", "element A#0", "element A#1",
+			"completed A y=[A:a, A:b]", "finished completed out=[A:a, A:b]", "finish",
+		},
+		invocations: map[string]int{"A": 2},
+	}, {
+		// No element names the ports: the completion stores its empty lists.
+		name: "zero-element iteration", def: iterDef(0), inputs: map[string]Data{"in": items()},
+		want: []string{
+			"run-started", "scheduled A x0", "completed A y=[]", "finished completed out=[]",
+			"dispatch A []", "finish",
+		},
 	}, {
 		name: "resume mid-iteration", def: iterDef(0), inputs: abc,
 		prefix: prefix(started, schedA, startA, elem(1, "b")),
 		steps:  []step{{"A", 0, succeed}, {"A", 2, succeed}},
 		want: []string{
 			"dispatch A [0 2]",
-			"element A#0", "element A#2", "completed A y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+			"element A#0", "element A#2", "completed A (folded) y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
 		},
 		invocations: map[string]int{"A": 2},
 	}, {
@@ -327,7 +359,7 @@ func TestDecide(t *testing.T) {
 		steps: []step{{"A", 2, succeed}, {"A", 1, succeed}},
 		want: []string{
 			"dispatch A [1 2]",
-			"element A#2", "element A#1", "completed A y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+			"element A#2", "element A#1", "completed A (folded) y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
 		},
 	}, {
 		name: "resume at run-finished", def: iterDef(0), inputs: abc,
@@ -430,7 +462,10 @@ func TestDecideAllocs(t *testing.T) {
 // task reports next, its outcome, duplicate deliveries of earlier reports —
 // and checks what must hold of any history it makes: dense sequence numbers,
 // one run-finished and last, at most one iteration-element per index, no wait
-// on nothing, and that resuming at every cut before the first activity-failed
+// on nothing, every completion that omits its outputs folding back, from the
+// stored encoding, to exactly the lists the decider collected (an undeclared
+// element port makes a completion store them instead), and that resuming at
+// every cut before the first activity-failed
 // and feeding the same reports again reproduces the rest of the history
 // (Time and Worker aside). A cut past activity-failed re-executes the failed
 // activity (TestResumePastFailedActivity), so it continues differently.
@@ -476,13 +511,16 @@ func decideScript(tb testing.TB, data []byte) []HistoryEvent {
 			delete(s.out, t.ID)
 			a := s.d.acts[t.Activity]
 			r = report{task: t, worker: "w" + strconv.Itoa(next(3)), inputs: elementInputs(a.p, a.inputs, t.Element)}
-			switch next(8) { // exhausted data reads 0: success
+			switch next(9) { // exhausted data reads 0: success
 			case 5:
 				r.err = errors.New("boom")
 			case 6:
 				r.err, r.cancelled = context.Canceled, true
 			case 7:
 				r.outputs = map[string]Data{}
+			case 8:
+				r.outputs = fake(a.p, r.inputs)
+				r.outputs["z"] = Scalar("undeclared")
 			default:
 				r.outputs = fake(a.p, r.inputs)
 			}
@@ -518,6 +556,30 @@ func decideScript(tb testing.TB, data []byte) []HistoryEvent {
 	}
 	if err := s.d.err; (err != nil) != (hist[len(hist)-1].Status == "failed") {
 		tb.Fatalf("result error %v beside %+v", err, hist[len(hist)-1])
+	}
+
+	// Read back as storage holds it, the history folds every completion that
+	// omits its outputs back to exactly what the decider collected.
+	var stored HistoryFold
+	for _, ev := range hist {
+		blob, err := ev.AppendJSON(nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var back HistoryEvent
+		if err := json.Unmarshal(blob, &back); err != nil {
+			tb.Fatal(err)
+		}
+		fa := stored.Apply(back)
+		if back.Type != HistoryActivityCompleted || len(back.Outputs) > 0 {
+			continue
+		}
+		a := s.d.acts[ev.Activity]
+		got, _ := json.Marshal(fa.Outputs)
+		want, _ := json.Marshal(collectOutputs(a.collected))
+		if !a.iterating || !bytes.Equal(got, want) {
+			tb.Fatalf("%s's completion omits its outputs and folds to %s, want %s", ev.Activity, got, want)
+		}
 	}
 
 	for cut := 0; cut <= firstFailed; cut++ {

@@ -23,6 +23,8 @@ type HistoryEventType string
 // History event types, appended in causal order per run.
 const (
 	// HistoryRunStarted opens the run: workflow identity, inputs, annotations.
+	// It is the one event that names the workflow; later events carry only
+	// the run ID.
 	HistoryRunStarted HistoryEventType = "run-started"
 	// HistoryActivityScheduled records that a processor's inputs were bound
 	// and its tasks enqueued. Inputs and Annotations are those of the
@@ -35,8 +37,10 @@ const (
 	// iteration element: Element is the index, Inputs/Outputs the per-element
 	// call data. Resume re-enqueues only elements with no such event.
 	HistoryIterationElement HistoryEventType = "iteration-element"
-	// HistoryActivityCompleted closes an activity successfully: collected
-	// Outputs and the invocation count.
+	// HistoryActivityCompleted closes an activity successfully: the
+	// invocation count and the collected Outputs — absent when they are
+	// exactly what the activity's iteration-element events already hold,
+	// which HistoryFold then rebuilds them from.
 	HistoryActivityCompleted HistoryEventType = "activity-completed"
 	// HistoryActivityFailed closes an activity with an error.
 	HistoryActivityFailed HistoryEventType = "activity-failed"
@@ -126,13 +130,46 @@ type ElementTrace struct {
 // recorded binding — appending no second activity-scheduled — and reuses the
 // elements that finished.
 type ActivityFold struct {
-	Scheduled   bool // activity-scheduled seen; it recorded the next three
+	Scheduled   bool // activity-scheduled seen; it recorded the next four
 	Service     string
 	Annotations []Annotation
 	Inputs      map[string]Data
+	Planned     int            // element count of an iteration, -1 for a single call
 	Elements    []ElementTrace // finished iteration elements, in arrival order
-	Done        bool           // activity-completed seen; it recorded Outputs
+	Done        bool           // activity-completed seen; Outputs are its own or rebuilt
 	Outputs     map[string]Data
+}
+
+// elementOutputs rebuilds an iteration's collected outputs from its element
+// traces: per port, the elements' values in index order. It answers only for
+// a complete iteration — each of the Planned indices exactly once, every
+// element with the same ports — and nil otherwise, because then the elements
+// do not determine the collected lists.
+func (a *ActivityFold) elementOutputs() map[string]Data {
+	n := a.Planned
+	if n < 1 || len(a.Elements) != n {
+		return nil
+	}
+	ports := a.Elements[0].Outputs
+	lists := make(map[string][]Data, len(ports))
+	for port := range ports {
+		lists[port] = make([]Data, n)
+	}
+	seen := make([]bool, n)
+	for _, el := range a.Elements {
+		if el.Index < 0 || el.Index >= n || seen[el.Index] || len(el.Outputs) != len(ports) {
+			return nil
+		}
+		seen[el.Index] = true
+		for port, v := range el.Outputs {
+			list, ok := lists[port]
+			if !ok {
+				return nil
+			}
+			list[el.Index] = v
+		}
+	}
+	return collectOutputs(lists)
 }
 
 // HistoryFold is the incremental fold of one run's history: the single place
@@ -170,13 +207,17 @@ func (f *HistoryFold) Apply(ev HistoryEvent) *ActivityFold {
 		f.Started = true
 	case HistoryActivityScheduled:
 		a = f.act(ev.Activity)
-		a.Scheduled, a.Service, a.Annotations, a.Inputs = true, ev.Service, ev.Annotations, ev.Inputs
+		a.Scheduled, a.Service, a.Annotations, a.Inputs, a.Planned = true, ev.Service, ev.Annotations, ev.Inputs, ev.Elements
 	case HistoryIterationElement:
 		a = f.act(ev.Activity)
 		a.Elements = append(a.Elements, ElementTrace{Index: ev.Element, Inputs: ev.Inputs, Outputs: ev.Outputs})
 	case HistoryActivityCompleted:
 		a = f.act(ev.Activity)
 		a.Done, a.Outputs = true, ev.Outputs
+		if len(ev.Outputs) == 0 {
+			// An empty map is stored as none, so both read as omitted.
+			a.Outputs = a.elementOutputs()
+		}
 	case HistoryActivityFailed:
 		a = f.act(ev.Activity)
 		a.Done = false

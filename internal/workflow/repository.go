@@ -36,12 +36,12 @@ var wfSchema = storage.MustSchema(wfTable,
 var ErrWorkflowNotFound = errors.New("workflow: not found in repository")
 
 // NewRepository opens (creating if needed) the workflow repository inside db.
+// The table has no id index: a version is one point read by its "id@version"
+// key, and LatestVersion probes keys. A table an earlier version created
+// keeps the id index it made; storage maintains it and nothing reads it.
 func NewRepository(db *storage.DB) (*Repository, error) {
 	if db.Table(wfTable) == nil {
-		if err := db.Apply(
-			storage.CreateTableOp(wfSchema),
-			storage.CreateIndexOp(wfTable, "id"),
-		); err != nil {
+		if err := db.CreateTable(wfSchema); err != nil {
 			return nil, err
 		}
 	}
@@ -107,22 +107,33 @@ func (r *Repository) Latest(id string) (*Definition, error) {
 	return r.Get(id, v)
 }
 
-// LatestVersion returns the highest published version of id.
+// LatestVersion returns the highest published version of id in O(log N)
+// point probes, whatever the number N of versions stored.
 func (r *Repository) LatestVersion(id string) (int, error) {
-	rows, err := r.db.Table(wfTable).Lookup("id", storage.S(id))
-	if err != nil {
-		return 0, err
-	}
-	if len(rows) == 0 {
+	t := r.db.Table(wfTable)
+	v := latestDense(func(v int) bool { return t.Has(storage.S(wfKey(id, v))) })
+	if v == 0 {
 		return 0, fmt.Errorf("%w: %s", ErrWorkflowNotFound, id)
 	}
-	max := 0
-	for _, row := range rows {
-		if v := int(row.Get(wfSchema, "version").Int()); v > max {
-			max = v
+	return v, nil
+}
+
+// latestDense finds the highest version in a set that Publish keeps dense
+// from 1 — has(v) holds exactly for 1 ≤ v ≤ N — and returns N (0 for an empty
+// set): exponential probes bracket N, then a binary search pins it.
+func latestDense(has func(v int) bool) int {
+	lo, hi := 0, 1 // has(lo) or lo == 0; !has(hi) once the doubling stops
+	for has(hi) {
+		lo, hi = hi, 2*hi
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; has(mid) {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	return max, nil
+	return lo
 }
 
 // VersionInfo summarizes one stored version.
@@ -131,34 +142,6 @@ type VersionInfo struct {
 	Name        string
 	Version     int
 	PublishedAt time.Time
-}
-
-// Versions lists all versions of id in ascending order.
-func (r *Repository) Versions(id string) ([]VersionInfo, error) {
-	rows, err := r.db.Table(wfTable).Lookup("id", storage.S(id))
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrWorkflowNotFound, id)
-	}
-	out := make([]VersionInfo, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, VersionInfo{
-			ID:          row.Get(wfSchema, "id").Str(),
-			Name:        row.Get(wfSchema, "name").Str(),
-			Version:     int(row.Get(wfSchema, "version").Int()),
-			PublishedAt: row.Get(wfSchema, "published_at").Time(),
-		})
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Version < out[i].Version {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out, nil
 }
 
 // List returns the latest VersionInfo of every stored workflow, ordered by

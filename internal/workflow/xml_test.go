@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 	"time"
@@ -139,13 +140,6 @@ func TestRepositoryPublishGet(t *testing.T) {
 	if latest.Description != "revised" || latest.Version != 2 {
 		t.Fatalf("latest = %q v%d", latest.Description, latest.Version)
 	}
-	vs, err := repo.Versions(d.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 2 || vs[0].Version != 1 || vs[1].Version != 2 {
-		t.Fatalf("versions = %+v", vs)
-	}
 	all, err := repo.List()
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +165,6 @@ func TestRepositoryErrors(t *testing.T) {
 	if _, err := repo.Latest("missing"); err == nil {
 		t.Fatal("Latest(missing) succeeded")
 	}
-	if _, err := repo.Versions("missing"); err == nil {
-		t.Fatal("Versions(missing) succeeded")
-	}
 	// Invalid definitions are rejected at publish time.
 	bad := annotatedDef()
 	bad.Name = ""
@@ -184,6 +175,52 @@ func TestRepositoryErrors(t *testing.T) {
 	noID.ID = ""
 	if _, err := repo.Publish(noID); err == nil {
 		t.Fatal("definition without ID published")
+	}
+}
+
+// TestLatestVersionProbes: the latest version is found by point probes, a
+// number logarithmic in the versions stored — every detection publishes one.
+// It is checked on a repository at 1, 2 and 1 500 published versions, and on
+// a stand-in for the key set at sizes past 999 999, where the key's "%06d"
+// version widens to seven digits and key order stops being version order,
+// which the probes do not depend on.
+func TestLatestVersionProbes(t *testing.T) {
+	db, err := storage.Open(t.TempDir(), storage.Options{Sync: storage.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	repo, err := NewRepository(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := annotatedDef()
+	for n := 1; n <= 1500; n++ {
+		if v, err := repo.Publish(d); err != nil || v != n {
+			t.Fatalf("publish %d: version %d, %v", n, v, err)
+		}
+		if n == 1 || n == 2 || n == 1500 {
+			if got, err := repo.LatestVersion(d.ID); err != nil || got != n {
+				t.Fatalf("%d versions: LatestVersion = %d, %v", n, got, err)
+			}
+		}
+	}
+	if got, err := repo.Latest(d.ID); err != nil || got.Version != 1500 {
+		t.Fatalf("Latest = %+v, %v", got, err)
+	}
+
+	for _, n := range []int{0, 1, 2, 3, 1500, 999_999, 1_000_000, 1_000_001, 1 << 24} {
+		probes := 0
+		got := latestDense(func(v int) bool {
+			probes++
+			return v >= 1 && v <= n
+		})
+		if got != n {
+			t.Errorf("latestDense over %d versions = %d", n, got)
+		}
+		if limit := 2*bits.Len(uint(n)) + 2; probes > limit {
+			t.Errorf("latestDense over %d versions: %d probes, want <= %d", n, probes, limit)
+		}
 	}
 }
 
