@@ -13,8 +13,9 @@ test:
 	$(GO) test ./...
 
 ## race: race-detector pass over the concurrent subsystems (the workflow
-## engine's driver — worker pool, retry timers, remote-task leases that expire
-## (TestVanishedRemoteWorkerRedelivers) — the singleflight caching resolver +
+## engine's driver — worker pool, retry timers, a killed worker handing back
+## its whole lease (TestBatchKilledWorkerNacksWholeLease) — the singleflight
+## caching resolver +
 ## resilience guards, the streaming provenance pipeline with graph reads racing
 ## its commits — each read sees no graph or the whole final one, which commits
 ## with the run's end (TestGraphReadWhileRunStreams), the storage layer under it
@@ -23,8 +24,8 @@ test:
 ## projection name detection reads, TestScanSpecies*), the cluster layer —
 ## lease store, scheduler pool and its wake contract (TestWake*: a pushed
 ## admission executes with the poll timer an hour away, goes to an idle peer,
-## never strands Stop/Kill and cannot starve the timer path), HTTP gateway +
-## remote worker — the archival store/scrubber, and the curation ledger's ID
+## never strands Stop/Kill and cannot starve the timer path) — the archival
+## store/scrubber, and the curation ledger's ID
 ## allocation under concurrent detections), plus the core detection stack —
 ## including crash/resume, orchestrator failover, the sharded/unsharded
 ## equivalence suite, the wake end to end (TestAdmissionWakesPool) and the
@@ -78,7 +79,10 @@ race:
 ## (TestAsyncDetectWakesPool), and the batch-path guard: one
 ## POST /api/v1/detect over 16 cold names must reach a request-counting stub
 ## authority as exactly one /resolve_batch and no /resolve), the tracing-overhead
-## guard (traced detection within 5% of untraced), the allocation guards over
+## guard (traced detection within 5% of untraced), the doc-reference check
+## (every backticked package identifier, Go file and internal/ or cmd/ path in
+## DESIGN.md, API.md and README.md names something the tree still has,
+## TestDocReferencesResolve), the allocation guards over
 ## the provenance/telemetry/storage hot paths (zero on the encoders and point
 ## reads; one per history row, its key, TestHistoryRowAllocs; one per row of
 ## the commit that ends a run and writes its graph, TestDeltaEncodeAllocs; a 32-byte
@@ -109,7 +113,7 @@ ci:
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzApplyReplay -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
-	$(GO) test -run TestTracingOverhead .
+	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve' .
 	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/ ./internal/workflow/
 	$(GO) run ./cmd/bench -smoke
 	$(GO) run ./cmd/bench -compare $(BENCH_NEWEST)

@@ -120,11 +120,6 @@ func main() {
 		}()
 	}
 
-	// Cluster gateway: out-of-process workers (cmd/worker) attach here and
-	// pull tasks from any live run of this orchestrator.
-	gw := cluster.NewServer(sys.Workers)
-	sys.Gateway = gw
-
 	wsys := &web.System{Core: sys, Resolver: resolver, Checklist: taxa.Checklist, Resilient: resilient}
 
 	// Scheduler membership: this process joins the orchestrator pool, drains
@@ -143,9 +138,6 @@ func main() {
 	}
 
 	srv := web.NewServer(wsys)
-	mux := http.NewServeMux()
-	mux.Handle("/cluster/v1/", gw)
-	mux.Handle("/", srv)
 	log.Printf("FNJV prototype listening on %s (collection: %d records)", *addr, sys.Records.Len())
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	log.Fatal(http.ListenAndServe(*addr, srv))
 }

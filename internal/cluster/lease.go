@@ -1,6 +1,7 @@
-// Package cluster provides cross-process execution primitives: fenced run
-// leases for orchestrator failover, and the HTTP gateway/worker pair that
-// lets a separate process pull tasks from a run's queue.
+// Package cluster spreads runs across orchestrator processes: fenced run
+// leases for orchestrator failover, and the scheduler pool that drains the
+// admission queue and rescues the runs of dead peers. A run's tasks execute
+// inside the orchestrator that holds its lease.
 //
 // Ownership is built on storage fences (storage.AdvanceFence /
 // storage.ApplyFenced): a lease's token is the durable fence token of

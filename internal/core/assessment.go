@@ -404,7 +404,6 @@ func (s *System) detectionEngine(reg *workflow.Registry, opts RunOptions) *workf
 	engine := workflow.NewEventEngine(reg)
 	engine.Workers = opts.Parallel
 	engine.Stats = s.Workers
-	engine.Gateway = s.Gateway
 	if opts.WorkerKills > 0 {
 		var killed atomic.Int64
 		kills := int64(opts.WorkerKills)

@@ -56,10 +56,6 @@ type System struct {
 	// scheduler pool drains it. Lives on DB (the meta database when sharded),
 	// so a restarted process sees exactly the admissions the dead one left.
 	Admissions *workflow.AdmissionQueue
-	// Gateway, when set, observes run lifecycles on behalf of out-of-process
-	// workers (cluster.Server implements it); every detection engine built by
-	// this system announces its runs there.
-	Gateway workflow.RunGateway
 	// Probe observes service executions (the Workflow Adapter's measured
 	// quality byproducts).
 	Probe *adapter.Probe
@@ -295,9 +291,8 @@ func resolveDatum(name string, res taxonomy.Resolution, err error) (map[string]w
 	return map[string]workflow.Data{"result": workflow.Scalar(string(blob))}, nil
 }
 
-// RegisterDetectionServicesInto binds the case-study services to any service
-// registry — a run's own, or the private registry of an out-of-process
-// worker (cmd/worker), which executes the same services against its own
+// RegisterDetectionServicesInto binds the case-study services to a service
+// registry — the system's own, or a run's clone of it bound to another
 // resolver. col.resolve gets a batch form exactly when the resolver can
 // answer many names in one call (taxonomy.DetailedBatch) — the in-process
 // Checklist and every layer of the HTTP client stack can: the engine then

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // batchRecorder builds the two forms of one service from a single per-call
@@ -313,171 +312,6 @@ func TestBatchCancelledActivityDrains(t *testing.T) {
 	if c := eng.Stats.Counters(); c["workers.tasks_total"] != n || c["queue.depth"] != 0 || c["queue.in_flight"] != 0 {
 		t.Errorf("worker stats after the drain: %v", c)
 	}
-}
-
-// hookGateway runs test code against a live run's handle.
-type hookGateway struct {
-	started  func(h *RunHandle)
-	finished func()
-}
-
-func (g hookGateway) RunStarted(h *RunHandle) { g.started(h) }
-func (g hookGateway) RunFinished(string) {
-	if g.finished != nil {
-		g.finished()
-	}
-}
-
-// TestBatchDuplicateDeliveryDedup: a batch that outlives its leases is
-// redelivered and run again by another worker; both holders report every
-// element, exactly one report per element folds into history, and the slow
-// holder's late reports — more than the report channel buffers — do not wedge
-// the run's shutdown.
-func TestBatchDuplicateDeliveryDedup(t *testing.T) {
-	const n = 24 // more late reports than the msgs buffer (2*workers+4) holds
-	var mu sync.Mutex
-	calls := 0
-	release := make(chan struct{})
-	reg := NewRegistry()
-	reg.RegisterBatch("work",
-		func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) },
-		func(ctx context.Context, calls_ []Call) []CallResult {
-			mu.Lock()
-			calls++
-			first := calls == 1
-			mu.Unlock()
-			if first {
-				<-release // hold the lease past its TTL
-			}
-			out := make([]CallResult, len(calls_))
-			for i, c := range calls_ {
-				out[i].Outputs, out[i].Err = upperCall(ctx, c, true)
-			}
-			return out
-		})
-	eng := NewEventEngine(reg)
-	eng.Workers = 2
-	eng.Gateway = hookGateway{started: func(h *RunHandle) {
-		h.r.q.mu.Lock()
-		h.r.q.leaseTTL = 5 * time.Millisecond // in-process leases expire only here
-		h.r.q.mu.Unlock()
-	}}
-	evs, listener := recordHistory()
-	done := make(chan struct{})
-	var res *RunResult
-	var err error
-	go func() {
-		defer close(done)
-		res, err = eng.Run(context.Background(), iterDef(0), itemList(n), listener)
-	}()
-	// The second worker reclaims the expired lease and completes the
-	// activity; the run then waits for the first worker.
-	deadline := time.After(10 * time.Second)
-	for settled := false; !settled; {
-		select {
-		case <-deadline:
-			t.Fatal("redelivered batch never ran")
-		case <-time.After(time.Millisecond):
-			mu.Lock()
-			settled = calls >= 2
-			mu.Unlock()
-		}
-	}
-	close(release)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("run wedged on the first holder's late reports")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Invocations["A"] != n {
-		t.Errorf("invocations = %v, want %d", res.Invocations, n)
-	}
-	seen := map[int]int{}
-	for _, ev := range *evs {
-		if ev.Type == HistoryIterationElement {
-			seen[ev.Element]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		if seen[i] != 1 {
-			t.Errorf("element %d has %d iteration-element events", i, seen[i])
-		}
-	}
-}
-
-// TestBatchRemoteWorkerCompetes: a remote worker pulling single tasks from
-// the same queue as a batching in-process worker — each element is executed
-// by exactly one of them and the result is the per-element result.
-func TestBatchRemoteWorkerCompetes(t *testing.T) {
-	const n = 6 * MaxElementBatch
-	rec := &batchRecorder{fn: func(ctx context.Context, c Call, batched bool) (map[string]Data, error) {
-		if batched && c.Input("x").String() == "item000" {
-			time.Sleep(2 * time.Millisecond) // leave the remote worker room between batches
-		}
-		return upperCall(ctx, c, batched)
-	}}
-	reg := NewRegistry()
-	reg.RegisterBatch("work", rec.single, rec.batch)
-	remoteReg := NewRegistry()
-	remoteDone := 0
-	remoteReg.Register("work", func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) })
-
-	var wg sync.WaitGroup
-	eng := NewEventEngine(reg)
-	eng.Gateway = hookGateway{
-		started: func(h *RunHandle) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					rt, err := h.Dequeue(context.Background(), "r-test")
-					if err != nil {
-						return // queue closed: the run is draining
-					}
-					out, err := InvokeRemote(context.Background(), remoteReg, rt)
-					h.Complete(rt.Task, "r-test", rt.Inputs, out, err)
-					remoteDone++
-				}
-			}()
-		},
-		finished: wg.Wait,
-	}
-	evs, listener := recordHistory()
-	res, err := eng.Run(context.Background(), iterDef(0), itemList(n), listener)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := res.Outputs["out"].Items()
-	if len(items) != n || items[0].String() != "ITEM000" || items[n-1].String() != fmt.Sprintf("ITEM%03d", n-1) {
-		t.Fatalf("outputs: %d items, first %v", len(items), items[0])
-	}
-	seen := map[int]int{}
-	remote := 0
-	for _, ev := range *evs {
-		if ev.Type == HistoryIterationElement {
-			seen[ev.Element]++
-			if ev.Worker == "r-test" {
-				remote++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if seen[i] != 1 {
-			t.Errorf("element %d has %d iteration-element events", i, seen[i])
-		}
-	}
-	batches, singles := rec.seen()
-	carried := len(singles)
-	for _, size := range batches {
-		carried += size
-	}
-	if carried+remoteDone != n || remote != remoteDone {
-		t.Errorf("in-process carried %d, remote completed %d (history credits it %d), want %d in total", carried, remoteDone, remote, n)
-	}
-	t.Logf("in-process: %d batches + %d singles; remote: %d elements", len(batches), len(singles), remoteDone)
 }
 
 // TestRegistryBatchForms pins the registry's handling of the two forms.

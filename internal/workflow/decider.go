@@ -389,8 +389,9 @@ func (d *decider) task(a *activity, i int) Task {
 
 // report folds one worker report. A report for an activity that is not open,
 // a slot already finished, or an attempt other than the slot's current one
-// is stale or a duplicate (an expired lease redelivered the task) and
-// changes nothing: the first report of an attempt wins.
+// is stale or a duplicate and changes nothing: the first report of an
+// attempt wins. The engine's pool reports each dispatched attempt exactly
+// once, so this is safety code, pinned by FuzzDecide and TestDecide.
 func (d *decider) report(r report) {
 	a := d.acts[r.task.Activity]
 	if a == nil || !a.open {

@@ -68,8 +68,7 @@ func (r *Registry) Register(name string, fn ServiceFunc) {
 // RegisterBatch binds a service name to a single form and a batch form of the
 // same implementation. The engine uses the batch form to dispatch the ready
 // first attempts of an implicit iteration's elements in one invocation (see
-// MaxElementBatch); everything else — single calls, retries, remote workers —
-// uses fn.
+// MaxElementBatch); everything else — single calls and retries — uses fn.
 func (r *Registry) RegisterBatch(name string, fn ServiceFunc, batch BatchServiceFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -36,26 +36,8 @@ type EventEngine struct {
 	// Nack the task and exit (the last live worker always survives so the
 	// run can finish).
 	KillWorker func(workerID string, tasksDone int) bool
-	// Gateway, when set, is told when runs start and finish so out-of-process
-	// workers can attach to the run's queue (cluster.Server implements it).
-	// Remote workers pull tasks through the RunHandle and report through the
-	// same channel into the decider as the in-process pool.
-	Gateway RunGateway
-
-	// remoteLease is how long a task handed out through RunHandle.Dequeue
-	// stays leased: remoteLeaseTTL, shortened by tests.
-	remoteLease time.Duration
 
 	metrics engineMetrics
-}
-
-// RunGateway observes run lifecycles on behalf of out-of-process workers.
-type RunGateway interface {
-	// RunStarted is called before the first task is enqueued; the handle
-	// stays valid until RunFinished.
-	RunStarted(h *RunHandle)
-	// RunFinished is called after the run's queue has closed and drained.
-	RunFinished(runID string)
 }
 
 // MintRunID returns a fresh engine-unique run ID with the given prefix
@@ -90,7 +72,7 @@ func RaiseRunCounter(id string) {
 
 // NewEventEngine builds an event-sourced engine over the given registry.
 func NewEventEngine(reg *Registry) *EventEngine {
-	return &EventEngine{registry: reg, remoteLease: remoteLeaseTTL}
+	return &EventEngine{registry: reg}
 }
 
 // Metrics returns the engine's cumulative instrumentation counters.
@@ -233,9 +215,6 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 			r.worker(id, &alive)
 		}()
 	}
-	if e.Gateway != nil {
-		e.Gateway.RunStarted(&RunHandle{r: r})
-	}
 	// Hand the replayed prefix to projections before any new event.
 	handPrefix(listeners, prefix)
 	r.perform(evs, cmds)
@@ -251,9 +230,6 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 	close(r.done) // unblock any report racing the loop exit
 	r.q.Close()
 	wg.Wait() // all worker spans recorded before the run returns
-	if e.Gateway != nil {
-		e.Gateway.RunFinished(runID)
-	}
 	return runResult(d, startedAt)
 }
 
@@ -372,8 +348,10 @@ func (r *eventRun) drain(worker string, t Task, err error) {
 }
 
 // report delivers a worker report to the loop, giving up once the loop has
-// exited: only a duplicate delivery can still be outstanding then (a task
-// whose redelivery already completed), and the decider would drop it anyway.
+// exited. The decider finishes a run only after every dispatched task has
+// reported, so no report should be outstanding then; the select stays so that
+// one the loop will never read — the decider would drop it anyway — cannot
+// block its worker, and wg.Wait with it, forever.
 func (r *eventRun) report(m report) {
 	select {
 	case r.msgs <- m:

@@ -1,17 +1,9 @@
 package workflow
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // Hooks for the package's external tests (package workflow_test), which
-// import internal/provenance and internal/cluster — packages that import
-// this one.
-
-// SetRemoteLease shortens the lease of tasks handed out through
-// RunHandle.Dequeue.
-func SetRemoteLease(e *EventEngine, d time.Duration) { e.remoteLease = d }
+// import internal/provenance — a package that imports this one.
 
 // DecideScript is decideScript (decider_test.go).
 func DecideScript(tb testing.TB, data []byte) []HistoryEvent { return decideScript(tb, data) }

@@ -22,7 +22,7 @@ type Task struct {
 	Activity string
 	Element  int // iteration index, or -1 for a single non-iterating call
 	// Attempt is the retry ordinal the engine dispatched (0 for the first
-	// attempt). A redelivery — a Nack or an expired lease — hands the same
+	// attempt). A redelivery — a killed worker's Nack — hands the same
 	// attempt to another holder.
 	Attempt    int
 	EnqueuedAt time.Time
@@ -36,8 +36,9 @@ func TaskID(runID, activity string, element int) string {
 // MemoryQueue is a run's dispatch queue: a mutex-guarded in-process FIFO with
 // a broadcast wake channel. It is deliberately not durable — a run's history
 // is its only durable record, and resume re-enqueues exactly the tasks the
-// history prefix does not hold. Its contract, pinned by
-// queue_contract_test.go:
+// history prefix does not hold. Every holder is one of the run's own pool
+// workers, so a lease lasts until its holder acks or nacks it: it never
+// expires. Its contract, pinned by queue_contract_test.go:
 //
 //   - Enqueue appends to the tail; order of delivery is FIFO.
 //   - DequeueElements leases the ready elements of one activity without
@@ -53,63 +54,14 @@ func TaskID(runID, activity string, element int) string {
 type MemoryQueue struct {
 	mu     sync.Mutex
 	ready  []Task
-	leased map[string]memLease
-	// leaseTTL bounds the leases Dequeue and DequeueElements take; zero, the
-	// only value outside tests, means they never expire.
-	leaseTTL time.Duration
-	expiring int // leases with a non-zero deadline outstanding
-	closed   bool
-	wake     chan struct{} // closed-and-replaced to broadcast state changes
-}
-
-// memLease is one outstanding delivery; a zero expires never times out.
-type memLease struct {
-	t       Task
-	expires time.Time
+	leased map[string]Task
+	closed bool
+	wake   chan struct{} // closed-and-replaced to broadcast state changes
 }
 
 // NewMemoryQueue returns an empty in-memory task queue.
 func NewMemoryQueue() *MemoryQueue {
-	return &MemoryQueue{leased: make(map[string]memLease), wake: make(chan struct{})}
-}
-
-// reclaimLocked returns expired leases to the tail, exactly as a Nack would —
-// the original holder's late Ack is then an idempotent no-op. Callers
-// hold q.mu and have checked q.expiring > 0, keeping the no-TTL dispatch
-// path free of clock reads and map sweeps. Reports whether anything was
-// reclaimed.
-func (q *MemoryQueue) reclaimLocked(now time.Time) bool {
-	reclaimed := false
-	for id, l := range q.leased {
-		if l.expires.IsZero() || now.Before(l.expires) {
-			continue
-		}
-		delete(q.leased, id)
-		q.expiring--
-		t := l.t
-		t.EnqueuedAt = now
-		q.ready = append(q.ready, t)
-		reclaimed = true
-	}
-	return reclaimed
-}
-
-// nextExpiryLocked returns the earliest lease deadline, zero when no lease
-// can expire. Callers hold q.mu.
-func (q *MemoryQueue) nextExpiryLocked() time.Time {
-	var min time.Time
-	if q.expiring == 0 {
-		return min
-	}
-	for _, l := range q.leased {
-		if l.expires.IsZero() {
-			continue
-		}
-		if min.IsZero() || l.expires.Before(min) {
-			min = l.expires
-		}
-	}
-	return min
+	return &MemoryQueue{leased: make(map[string]Task), wake: make(chan struct{})}
 }
 
 // broadcastLocked wakes every blocked Dequeue. Callers hold q.mu.
@@ -136,34 +88,14 @@ func (q *MemoryQueue) Enqueue(ts ...Task) error {
 	return nil
 }
 
-// leaseLocked records one delivery of t, expiring after ttl when ttl > 0.
-// Callers hold q.mu.
-func (q *MemoryQueue) leaseLocked(t Task, ttl time.Duration) {
-	l := memLease{t: t}
-	if ttl > 0 {
-		l.expires = time.Now().Add(ttl)
-		q.expiring++
-	}
-	q.leased[t.ID] = l
-}
-
 // Dequeue leases the FIFO head, blocking until one is ready.
-func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) { return q.dequeue(ctx, 0) }
-
-// dequeue is Dequeue under a lease of ttl; zero takes the queue's leaseTTL.
-func (q *MemoryQueue) dequeue(ctx context.Context, ttl time.Duration) (Task, error) {
+func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 	for {
 		q.mu.Lock()
-		if q.expiring > 0 && q.reclaimLocked(time.Now()) {
-			q.broadcastLocked() // other blocked dequeuers may take the rest
-		}
 		if len(q.ready) > 0 {
 			t := q.ready[0]
 			q.ready = q.ready[1:]
-			if ttl == 0 {
-				ttl = q.leaseTTL
-			}
-			q.leaseLocked(t, ttl)
+			q.leased[t.ID] = t
 			q.mu.Unlock()
 			return t, nil
 		}
@@ -172,25 +104,11 @@ func (q *MemoryQueue) dequeue(ctx context.Context, ttl time.Duration) (Task, err
 			return Task{}, ErrQueueClosed
 		}
 		wake := q.wake
-		expiry := q.nextExpiryLocked()
 		q.mu.Unlock()
-		var timer *time.Timer
-		var timerC <-chan time.Time
-		if !expiry.IsZero() {
-			timer = time.NewTimer(time.Until(expiry))
-			timerC = timer.C
-		}
 		select {
 		case <-ctx.Done():
-			if timer != nil {
-				timer.Stop()
-			}
 			return Task{}, ctx.Err()
 		case <-wake:
-		case <-timerC:
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 	}
 }
@@ -199,8 +117,8 @@ func (q *MemoryQueue) dequeue(ctx context.Context, ttl time.Duration) (Task, err
 // elements of one activity at their first attempt — the companions a worker
 // batches with an element it already holds (a retry runs alone). They leave
 // the queue in FIFO order, each under its own lease exactly as if Dequeue had
-// delivered it, so Ack, Nack and lease expiry stay per task; every other
-// ready task keeps its place.
+// delivered it, so Ack and Nack stay per task; every other ready task keeps
+// its place.
 func (q *MemoryQueue) DequeueElements(activity string, max int) []Task {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -208,7 +126,7 @@ func (q *MemoryQueue) DequeueElements(activity string, max int) []Task {
 	rest := q.ready[:0]
 	for _, t := range q.ready {
 		if len(out) < max && t.Activity == activity && t.Element >= 0 && t.Attempt == 0 {
-			q.leaseLocked(t, q.leaseTTL)
+			q.leased[t.ID] = t
 			out = append(out, t)
 			continue
 		}
@@ -218,51 +136,29 @@ func (q *MemoryQueue) DequeueElements(activity string, max int) []Task {
 	return out
 }
 
-// Ack completes a leased task. Acking a task this holder no longer leases — it
-// was never dequeued, already acked, or the lease expired and the task now
-// belongs to whoever reclaims it — is an idempotent no-op: the ownership
-// transfer already happened and completing the stolen copy here would race
-// the new holder. Redelivery of completed work is absorbed by the engine's
-// per-task report dedup, not prevented at the queue.
+// Ack completes a leased task. Acking a task that is not leased — it was
+// never dequeued, or is already acked or nacked — is an idempotent no-op.
 func (q *MemoryQueue) Ack(id string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	l, ok := q.leased[id]
-	if !ok {
-		return
-	}
-	if !l.expires.IsZero() && !time.Now().Before(l.expires) {
-		return // expired: the task is reclaimable, not completable
-	}
 	delete(q.leased, id)
-	if !l.expires.IsZero() {
-		q.expiring--
-	}
 }
 
-// Nack returns leased tasks to the tail, in one operation — a
-// dying worker hands back its whole lease together, so whoever picks it up
-// finds it whole. Like Ack, nacking an unleased or expired task is an
-// idempotent no-op — an expired lease is already on its way back to the tail
-// via reclaim, and re-enqueueing it here would duplicate the delivery.
+// Nack returns leased tasks to the tail, in one operation — a killed worker
+// hands back its whole lease together, so whoever picks it up finds it
+// whole. Like Ack, nacking a task that is not leased is an idempotent no-op:
+// re-enqueueing it would deliver it twice.
 func (q *MemoryQueue) Nack(ids ...string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := time.Now()
 	returned := false
 	for _, id := range ids {
-		l, ok := q.leased[id]
+		t, ok := q.leased[id]
 		if !ok {
 			continue
 		}
-		if !l.expires.IsZero() && !now.Before(l.expires) {
-			continue // expired: reclaim owns the redelivery
-		}
 		delete(q.leased, id)
-		if !l.expires.IsZero() {
-			q.expiring--
-		}
-		t := l.t
 		t.EnqueuedAt = now
 		q.ready = append(q.ready, t)
 		returned = true

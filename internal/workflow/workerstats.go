@@ -7,14 +7,25 @@ import (
 	"time"
 )
 
+// keptExited bounds the exited workers' rows a registry keeps: every run
+// mints its own workers, so a long-lived process would otherwise hold a row
+// for every worker any run ever started.
+const keptExited = 64
+
 // WorkerRegistry tracks the event-sourced engine's worker pool and queue
 // gauges across runs, for the /metrics bridge and the /api/v1/workers
-// endpoint. One registry is shared process-wide (core.System owns it); every
-// method is safe on a nil receiver so the engine can run unobserved.
+// endpoint. It keeps the rows of live workers and of the keptExited most
+// recently exited ones; the cumulative counters cover every worker. One
+// registry is shared process-wide (core.System owns it); every method is safe
+// on a nil receiver so the engine can run unobserved.
 type WorkerRegistry struct {
 	mu      sync.Mutex
 	nextID  int64
 	workers map[string]*WorkerInfo
+	// recent rings the IDs of the most recently exited workers; the row an
+	// exit overwrites here is deleted.
+	recent     [keptExited]string
+	recentNext int
 
 	// queue gauges, engine-driven: ready (enqueued, not yet dequeued) and
 	// leased (dequeued, not yet done) task counts across live runs.
@@ -36,7 +47,6 @@ type WorkerInfo struct {
 	Busy       bool      `json:"busy"`
 	Alive      bool      `json:"alive"`
 	Killed     bool      `json:"killed"`
-	Remote     bool      `json:"remote,omitempty"`
 	LastActive time.Time `json:"last_active"`
 }
 
@@ -58,27 +68,6 @@ func (r *WorkerRegistry) Register(runID string) string {
 	r.started++
 	id := fmt.Sprintf("w-%d", r.nextID)
 	r.workers[id] = &WorkerInfo{ID: id, RunID: runID, Alive: true, LastActive: time.Now()}
-	return id
-}
-
-// RegisterRemote tracks an out-of-process worker under its self-chosen name,
-// prefixed "r-" to keep the namespace disjoint from pool workers. Re-
-// registering the same name (a worker reconnecting) revives the existing row.
-func (r *WorkerRegistry) RegisterRemote(name, runID string) string {
-	if r == nil {
-		return "r-" + name
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := "r-" + name
-	if w := r.workers[id]; w != nil {
-		w.Alive = true
-		w.RunID = runID
-		w.LastActive = time.Now()
-		return id
-	}
-	r.started++
-	r.workers[id] = &WorkerInfo{ID: id, RunID: runID, Alive: true, Remote: true, LastActive: time.Now()}
 	return id
 }
 
@@ -155,6 +144,9 @@ func (r *WorkerRegistry) Exited(workerID string, wasKilled bool) {
 		w.Busy = false
 		w.Killed = wasKilled
 		w.LastActive = time.Now()
+		delete(r.workers, r.recent[r.recentNext])
+		r.recent[r.recentNext] = workerID
+		r.recentNext = (r.recentNext + 1) % keptExited
 	}
 }
 
