@@ -33,8 +33,9 @@ test:
 ## drives them end to end, and the span store and /api/v1 handlers, which read
 ## the live stores while runs commit (a run's rows by primary-key range: no
 ## run-keyed table has a run_id index, TestRunTablesHaveNoRunIndex, and each
-## provenance fact is stored once — a 200-name detection stores at most 105 KB
-## of history payload, TestHistoryBytesPerRun).
+## provenance fact is stored once — a 200-name detection, whose batch-form
+## lease is one iteration-batch row, stores at most 16 history rows and 75 KB
+## of payload, TestHistoryBytesPerRun).
 race:
 	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/fnjv/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/curation/... ./internal/core/... ./internal/telemetry/... ./internal/web/...
 
@@ -48,15 +49,16 @@ race:
 ## outputs and mark those rebuilt from the elements, and TestDeciderIsPure —
 ## no clock, lock, context, randomness, telemetry, goroutine or channel in
 ## decider.go; the provenance package's carry the upgrade guard,
-## TestOpensPreviousVersionDirectory), six
+## TestOpensPreviousVersionDirectory), eight
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
 ## events must never panic or wedge the engine), the history-row payload
 ## encoder (AppendJSON equals json.Marshal byte for byte, errors included, over
-## nested lists, nil and empty maps, HTML and control characters, U+2028,
-## invalid UTF-8 and out-of-range years), the decider under byte-chosen
-## report orders, failures, duplicates and resume cuts (dense seqs, one
-## run-finished and last, one iteration-element per index, every completion
+## nested lists, nil and empty maps, element batches, HTML and control
+## characters, U+2028, invalid UTF-8 and out-of-range years), the decider
+## under byte-chosen report orders, batch leases, failures, duplicates and
+## resume cuts (dense seqs, one run-finished and last, no index recorded twice
+## across iteration-element and iteration-batch events, every completion
 ## that omits its outputs folding back from its stored encoding to exactly the
 ## lists the decider collected, every cut before a failure resumes to the same
 ## history, the Collector's graph legal OPM), the
@@ -64,9 +66,11 @@ race:
 ## Collector folds (arbitrary events, split anywhere into prefix and live
 ## stream, must never panic it, make it emit anything but one delta per live
 ## event with the graph on the terminal one, or leave a dangling edge in
-## Collector.Graph()) and storage op
+## Collector.Graph()), storage op
 ## scripts (arbitrary batches applied live must match the model and what a
-## reopen replays) — the chaos smoke
+## reopen replays), the row decoder (whatever decodes re-encodes to an equal
+## row, NaN and signed-zero floats included) and WAL replay (arbitrary log
+## bytes are a torn tail, never a panic or an error) — the chaos smoke
 ## (randomized kill/resume trials, degraded-authority assessment runs,
 ## shard-loss traffic, orchestrator-failover trials — a standby steals the
 ## expired lease and must finish byte-identically while the resurrected stale
@@ -88,7 +92,8 @@ race:
 ## the commit that ends a run and writes its graph, TestDeltaEncodeAllocs; a 32-byte
 ## cell, TestValueSizeAllocs, and ≤ 3 allocations per inserted row,
 ## TestApplyBatchAllocs, on the commit path) and the decider (zero per
-## element report, TestDecideAllocs), a 1-iteration
+## element report, TestDecideAllocs; at most two per batch lease, whatever
+## its size, TestDecideLeaseAllocs), a 1-iteration
 ## bench-harness smoke proving every tracked benchmark still runs (numbers
 ## land in the gitignored BENCH_smoke.json, not the committed trajectory),
 ## the bench-trajectory comparator (fails on a >10% ns/op or allocs/op
@@ -111,6 +116,8 @@ ci:
 	$(GO) test ./internal/workflow/ -run='^$$' -fuzz=FuzzHistoryJSON -fuzztime=10s
 	$(GO) test ./internal/provenance/ -run='^$$' -fuzz=FuzzCollectorHistory -fuzztime=10s
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzApplyReplay -fuzztime=10s
+	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzDecodeRow -fuzztime=10s
+	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve' .

@@ -124,8 +124,9 @@ func TestAdmittedRunInterruptedAndRescued(t *testing.T) {
 	}
 	want := canonicalGraph(bg, baseline.RunID)
 
+	// The crash lands halfway through the run's deltas.
 	adm, err := sys.AdmitDetection(RunOptions{
-		SkipLedger: true, Untraced: true, CrashAfterDeltas: 25, LeaseTTL: 50 * time.Millisecond,
+		SkipLedger: true, Untraced: true, CrashAfterDeltas: int(baseline.ProvenanceWriter.Enqueued) / 2, LeaseTTL: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +188,13 @@ func TestSweepSchedulerClaimRace(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 300, 60)
 	ctx := context.Background()
 
+	// The crash lands halfway through an uninterrupted run's deltas.
+	baseline, err := sys.RunDetection(ctx, taxa.Checklist, RunOptions{SkipLedger: true, Untraced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	adm, err := sys.AdmitDetection(RunOptions{
-		SkipLedger: true, Untraced: true, CrashAfterDeltas: 25, LeaseTTL: 50 * time.Millisecond,
+		SkipLedger: true, Untraced: true, CrashAfterDeltas: int(baseline.ProvenanceWriter.Enqueued) / 2, LeaseTTL: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,11 +31,13 @@ func (s singleOnlyResolver) Resolve(ctx context.Context, name string) (taxonomy.
 
 // batchEquivShape is everything a detection run produces that batching must
 // not change: the summary numbers, the renames, the canonical provenance
-// graph and the length of the run's history.
+// graph and what the run's history says about each activity (foldShape) —
+// not its length, since a lease is one event where a name per call is one
+// per name.
 type batchEquivShape struct {
 	summary string
 	graph   string
-	history int
+	fold    string
 }
 
 func runShapeWith(t *testing.T, sys *System, resolver taxonomy.Resolver, parallel int) (batchEquivShape, *DetectionOutcome) {
@@ -81,17 +83,20 @@ func runShapeOpts(t *testing.T, sys *System, resolver taxonomy.Resolver, opts Ru
 	if err != nil {
 		t.Fatalf("parallel=%d: history: %v", parallel, err)
 	}
-	return batchEquivShape{summary: summary, graph: canonicalGraph(g, outcome.RunID), history: len(history)}, outcome
+	return batchEquivShape{summary: summary, graph: canonicalGraph(g, outcome.RunID), fold: foldShape(history)}, outcome
 }
 
 // TestRunDetectionBatchEquivalence: the same detection over the same
-// authority must yield byte-identical canonical provenance, equal history
-// lengths and identical fresh/degraded accounting whether the engine
-// dispatches names one per service call, or leases the ready names together
-// and resolves them in one batch — at engine parallelism 1, 4 and 16. The
-// HTTP arm runs the full resilient client stack uninterrupted, with workers
-// killed mid-run, and crashed at a random cut and resumed; the in-process arm
-// runs the checklist itself, whose batch form every in-process run takes.
+// authority must yield byte-identical canonical provenance, histories that
+// fold to the same activities element for element, and identical
+// fresh/degraded accounting whether the engine dispatches names one per
+// service call, or leases the ready names together and resolves them in one
+// batch — at engine parallelism 1, 4 and 16. The HTTP arm runs the full
+// resilient client stack uninterrupted, with workers killed mid-run, and
+// crashed at a random cut of each run's own deltas and resumed; the
+// in-process arm runs the checklist itself, whose batch form every in-process
+// run takes. In both, a per-element run cut mid-iteration and resumed under
+// the batch form re-batches exactly the names missing from its prefix.
 func TestRunDetectionBatchEquivalence(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 600, 120)
 	rng := rand.New(rand.NewSource(11)) // deterministic cuts, reproducible failures
@@ -112,21 +117,25 @@ func TestRunDetectionBatchEquivalence(t *testing.T) {
 			return taxonomy.NewResilientResolver(taxonomy.NewClient(srv.URL), taxonomy.ResilienceOptions{})
 		}
 		clean, cleanOutcome := runShapeWith(t, sys, refStack(), 1)
-		total := int(cleanOutcome.ProvenanceWriter.Enqueued)
-		if total < 100 {
-			t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
+		refTotal := int(cleanOutcome.ProvenanceWriter.Enqueued)
+		if refTotal < 100 {
+			t.Fatalf("baseline persisted only %d deltas; test is vacuous", refTotal)
 		}
+		// The fewest deltas a batched run persists: one worker leases every
+		// name at once.
+		_, batchOutcome := runShapeWith(t, sys, batchStack(), 1)
+		batchTotal := int(batchOutcome.ProvenanceWriter.Enqueued)
 		for _, parallel := range []int{1, 4, 16} {
-			// Two uninterrupted runs, one crash while the names are still
-			// being resolved (an element event is one delta, after three of
-			// preamble: the resume has some names in its prefix and the rest
-			// to re-dispatch), and one crash anywhere in the run.
-			midIteration := 40 + rng.Intn(60)
-			for _, cut := range []int{0, 0, midIteration, 1 + rng.Intn(total-1)} {
-				opts := RunOptions{Parallel: parallel, SkipLedger: true, WorkerKills: parallel / 2}
-				assertBatchEquivalent(t, sys, refStack(), batchStack(), opts, cut, cut == midIteration, clean)
+			// Two uninterrupted runs and one crash anywhere in each run.
+			opts := RunOptions{Parallel: parallel, SkipLedger: true, WorkerKills: parallel / 2}
+			for range 2 {
+				assertBatchEquivalent(t, sys, refStack(), batchStack(), opts, 0, 0, clean)
 			}
+			assertBatchEquivalent(t, sys, refStack(), batchStack(), opts, 1+rng.Intn(refTotal-1), 1+rng.Intn(batchTotal-1), clean)
 		}
+		// An element event is one delta, after three of preamble: the
+		// per-element prefix holds some names and the batch form the rest.
+		assertCrossFormResume(t, sys, refStack(), batchStack(), 40+rng.Intn(60), clean)
 		if c := sys.Workers.Counters(); c["workers.killed"] < 1 {
 			t.Fatalf("chaos hook never killed a worker: %v", c)
 		}
@@ -136,51 +145,93 @@ func TestRunDetectionBatchEquivalence(t *testing.T) {
 		ref, batched := singleOnlyResolver{taxa.Checklist}, taxa.Checklist
 		clean, _ := runShapeWith(t, sys, ref, 1)
 		for _, parallel := range []int{1, 4, 16} {
-			assertBatchEquivalent(t, sys, ref, batched, RunOptions{Parallel: parallel, SkipLedger: true}, 0, false, clean)
+			assertBatchEquivalent(t, sys, ref, batched, RunOptions{Parallel: parallel, SkipLedger: true}, 0, 0, clean)
 		}
-		midIteration := 40 + rng.Intn(60)
-		assertBatchEquivalent(t, sys, ref, batched, RunOptions{Parallel: 4, SkipLedger: true}, midIteration, true, clean)
+		assertCrossFormResume(t, sys, ref, batched, 40+rng.Intn(60), clean)
 	})
 }
 
 // assertBatchEquivalent runs one detection per-element over ref and one
-// batched over batched under the same options and cut, and holds the batched
-// run to the per-element one and to the clean uninterrupted graph. midRun
-// marks a cut inside the name iteration: the resume must re-batch the names
-// missing from its prefix, and only those.
-func assertBatchEquivalent(t *testing.T, sys *System, ref, batched taxonomy.Resolver, opts RunOptions, cut int, midRun bool, clean batchEquivShape) {
+// batched over batched under the same options, each crashed after its own
+// cut of deltas (0: uninterrupted) and resumed, and holds the batched run to
+// the per-element one and to the clean uninterrupted graph.
+func assertBatchEquivalent(t *testing.T, sys *System, ref, batched taxonomy.Resolver, opts RunOptions, refCut, batchCut int, clean batchEquivShape) {
 	t.Helper()
 	parallel := opts.Parallel
-	want, wantOutcome := runShapeOpts(t, sys, ref, opts, cut)
-	got, gotOutcome := runShapeOpts(t, sys, batched, opts, cut)
+	want, wantOutcome := runShapeOpts(t, sys, ref, opts, refCut)
+	got, gotOutcome := runShapeOpts(t, sys, batched, opts, batchCut)
 	if got.summary != want.summary {
-		t.Errorf("parallel=%d cut=%d summary diverges:\n batch  %s\n single %s", parallel, cut, got.summary, want.summary)
+		t.Errorf("parallel=%d cuts=%d/%d summary diverges:\n batch  %s\n single %s", parallel, refCut, batchCut, got.summary, want.summary)
 	}
 	if got.graph != want.graph || got.graph != clean.graph {
-		t.Errorf("parallel=%d cut=%d: batched provenance graph diverges from the per-element graph", parallel, cut)
+		t.Errorf("parallel=%d cuts=%d/%d: batched provenance graph diverges from the per-element graph", parallel, refCut, batchCut)
 	}
-	if got.history != want.history {
-		t.Errorf("parallel=%d cut=%d: batched history has %d events, per-element %d", parallel, cut, got.history, want.history)
+	if got.fold != want.fold {
+		t.Errorf("parallel=%d cuts=%d/%d: batched history folds to\n%s\nper-element to\n%s", parallel, refCut, batchCut, got.fold, want.fold)
 	}
 	if wantOutcome.Degraded != 0 || gotOutcome.Degraded != 0 {
-		t.Errorf("parallel=%d cut=%d: healthy authority produced degraded answers (single %d, batch %d)",
-			parallel, cut, wantOutcome.Degraded, gotOutcome.Degraded)
+		t.Errorf("parallel=%d cuts=%d/%d: healthy authority produced degraded answers (single %d, batch %d)",
+			parallel, refCut, batchCut, wantOutcome.Degraded, gotOutcome.Degraded)
 	}
-	switch m := gotOutcome.EngineMetrics; {
-	case cut == 0 && m.BatchedElements == 0:
+	if m := gotOutcome.EngineMetrics; batchCut == 0 && m.BatchedElements == 0 {
 		t.Errorf("parallel=%d: the batch path never engaged: %+v", parallel, m)
-	case midRun && (m.BatchedElements == 0 || m.BatchedElements >= int64(gotOutcome.DistinctNames)):
-		t.Errorf("parallel=%d cut=%d: resume must re-batch the missing names and only those: %+v", parallel, cut, m)
 	}
 	if m := wantOutcome.EngineMetrics; m.Batches != 0 {
-		t.Errorf("parallel=%d cut=%d: the per-element reference batched: %+v", parallel, cut, m)
+		t.Errorf("parallel=%d cuts=%d/%d: the per-element reference batched: %+v", parallel, refCut, batchCut, m)
+	}
+}
+
+// assertCrossFormResume crashes a one-worker per-element detection over ref
+// after cut deltas, inside its name iteration, and resumes it over batched:
+// the resume must lease exactly the names missing from the prefix, as one
+// batch, and arrive at the clean graph.
+func assertCrossFormResume(t *testing.T, sys *System, ref, batched taxonomy.Resolver, cut int, clean batchEquivShape) {
+	t.Helper()
+	opts := RunOptions{Parallel: 1, SkipLedger: true}
+	kill := opts
+	kill.CrashAfterDeltas = cut
+	_, err := sys.RunDetection(context.Background(), ref, kill)
+	var crash *CrashError
+	if !errors.As(err, &crash) {
+		t.Fatalf("cut=%d: expected CrashError, got %v", cut, err)
+	}
+	prefix, err := sys.Provenance.History(crash.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome, err := sys.ResumeDetection(context.Background(), batched, crash.RunID, opts)
+	if err != nil {
+		t.Fatalf("cut=%d: resume under the batch form: %v", cut, err)
+	}
+	held := recordedElements(prefix, "Catalog_of_life")
+	missing := outcome.DistinctNames - held
+	if held == 0 || missing < 2 {
+		t.Fatalf("cut=%d: prefix holds %d of %d names; the cut is not mid-iteration", cut, held, outcome.DistinctNames)
+	}
+	if m := outcome.EngineMetrics; m.Batches != 1 || m.BatchedElements != int64(missing) || m.ElementsDispatched != int64(missing) {
+		t.Errorf("cut=%d: resume must re-batch the %d missing names and only those: %+v", cut, missing, m)
+	}
+	history, err := sys.Provenance.History(crash.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := recordedElements(history, "Catalog_of_life"); n != outcome.DistinctNames {
+		t.Errorf("cut=%d: the resumed history records %d of %d names", cut, n, outcome.DistinctNames)
+	}
+	g, err := sys.Provenance.Graph(crash.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonicalGraph(g, crash.RunID) != clean.graph {
+		t.Errorf("cut=%d: the graph resumed under the batch form diverges from the clean one", cut)
 	}
 }
 
 // TestInProcessDetectionIsOneBatch: at the default single worker, an
 // in-process detection resolves its names in one batch-form call — one
 // engine batch carrying every name, one batch:Catalog_of_life span and no
-// element spans — while history keeps one iteration-element per name.
+// element spans — and its history records that call as one iteration-batch
+// event carrying every name, with no iteration-element event.
 func TestInProcessDetectionIsOneBatch(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 600, 120)
 	outcome, err := sys.RunDetection(context.Background(), taxa.Checklist, RunOptions{SkipLedger: true})
@@ -214,14 +265,18 @@ func TestInProcessDetectionIsOneBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perName := 0
+	batchEvents, perName := 0, 0
 	for _, ev := range history {
-		if ev.Type == workflow.HistoryIterationElement && ev.Activity == "Catalog_of_life" {
+		switch ev.Type {
+		case workflow.HistoryIterationBatch:
+			batchEvents++
+		case workflow.HistoryIterationElement:
 			perName++
 		}
 	}
-	if perName != outcome.DistinctNames {
-		t.Errorf("%d iteration-element events for %d names", perName, outcome.DistinctNames)
+	if batchEvents != 1 || perName != 0 || recordedElements(history, "Catalog_of_life") != outcome.DistinctNames {
+		t.Errorf("%d iteration-batch and %d iteration-element events recording %d of %d names, want one batch of every name",
+			batchEvents, perName, recordedElements(history, "Catalog_of_life"), outcome.DistinctNames)
 	}
 }
 
@@ -238,7 +293,7 @@ func TestElementBatchFitsAuthorityLimit(t *testing.T) {
 // between a cache-warming run and the run under test: batched and
 // per-element dispatch must degrade identically — every name served stale,
 // marked Degraded, none unavailable, with the same renames, the same canonical
-// graph and the same history length as each other.
+// graph and histories that fold to the same activities as each other.
 func TestRunDetectionBatchEquivalenceDuringOutage(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 400, 80)
 	svc := taxonomy.NewService(taxa.Checklist)
@@ -280,8 +335,8 @@ func TestRunDetectionBatchEquivalenceDuringOutage(t *testing.T) {
 		if got.graph != want.graph {
 			t.Errorf("parallel=%d: outage provenance graphs diverge between batched and per-element dispatch", parallel)
 		}
-		if got.history != want.history {
-			t.Errorf("parallel=%d: outage history has %d events batched, %d per-element", parallel, got.history, want.history)
+		if got.fold != want.fold {
+			t.Errorf("parallel=%d: outage history folds to\n%s\nbatched, to\n%s\nper-element", parallel, got.fold, want.fold)
 		}
 	}
 }

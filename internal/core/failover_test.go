@@ -90,10 +90,10 @@ func TestOrchestratorFailoverByteIdentical(t *testing.T) {
 	}
 	want := canonicalGraph(bg, baseline.RunID)
 
-	// Orchestrated run killed after 40 provenance deltas; the lease stays
-	// held (the dead process can't release it) until it ages out.
+	// Orchestrated run killed halfway through its provenance deltas; the
+	// lease stays held (the dead process can't release it) until it ages out.
 	opts := orchOpts("orch-1", time.Second)
-	opts.CrashAfterDeltas = 40
+	opts.CrashAfterDeltas = int(baseline.ProvenanceWriter.Enqueued) / 2
 	_, err = sys.RunDetection(ctx, taxa.Checklist, opts)
 	var crash *CrashError
 	if !errors.As(err, &crash) {
@@ -226,7 +226,7 @@ func TestTenantFailoverAcrossShardOutage(t *testing.T) {
 
 	opts := orchOpts("orch-1", time.Second)
 	opts.Tenant = tenant
-	opts.CrashAfterDeltas = 40
+	opts.CrashAfterDeltas = int(baseline.ProvenanceWriter.Enqueued) / 2
 	_, err = sys.RunDetection(ctx, taxa.Checklist, opts)
 	var crash *CrashError
 	if !errors.As(err, &crash) {
@@ -288,7 +288,10 @@ func TestTenantFailoverAcrossShardOutage(t *testing.T) {
 // database closed and reopened before the standby looks at it — so nothing but
 // the persisted history survives the "process" — is finished by
 // FailoverDetection under its original ID with a canonical graph
-// byte-identical to an uninterrupted run's.
+// byte-identical to an uninterrupted run's. The names go one per call, so
+// cuts land between them, and leased to the checklist's batch form, whose
+// lease is one history event; each arm's cuts range over its own run's
+// deltas.
 func TestOrchestratorFailoverAcrossReopenEveryCut(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *System {
@@ -303,51 +306,56 @@ func TestOrchestratorFailoverAcrossReopenEveryCut(t *testing.T) {
 	taxa := smallCollection(t, sys)
 	ctx := context.Background()
 
-	baseline, err := sys.RunDetection(ctx, taxa.Checklist, RunOptions{SkipLedger: true, Untraced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg, err := sys.Provenance.Graph(baseline.RunID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonicalGraph(bg, baseline.RunID)
-	total := int(baseline.ProvenanceWriter.Enqueued)
-	if total < 20 {
-		t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
-	}
+	for _, arm := range []struct {
+		resolver taxonomy.Resolver
+		vacuous  int
+	}{{singleOnlyResolver{taxa.Checklist}, 20}, {taxa.Checklist, 5}} {
+		baseline, err := sys.RunDetection(ctx, arm.resolver, RunOptions{SkipLedger: true, Untraced: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bg, err := sys.Provenance.Graph(baseline.RunID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := canonicalGraph(bg, baseline.RunID)
+		total := int(baseline.ProvenanceWriter.Enqueued)
+		if total < arm.vacuous {
+			t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
+		}
 
-	for cut := 1; cut < total; cut++ {
-		opts := orchOpts("orch-1", time.Second)
-		opts.Parallel = 4
-		opts.CrashAfterDeltas = cut
-		_, err := sys.RunDetection(ctx, taxa.Checklist, opts)
-		var crash *CrashError
-		if !errors.As(err, &crash) {
-			t.Fatalf("cut %d: crash run returned %v, want CrashError", cut, err)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatalf("cut %d: close: %v", cut, err)
-		}
-		sys = open()
-		if err := sys.Leases.Expire(crash.RunID); err != nil {
-			t.Fatal(err)
-		}
-		standby := orchOpts("orch-2", time.Second)
-		standby.Parallel = 4
-		outcome, err := sys.FailoverDetection(ctx, taxa.Checklist, crash.RunID, 5*time.Second, standby)
-		if err != nil {
-			t.Fatalf("cut %d: failover after reopen: %v", cut, err)
-		}
-		if outcome.RunID != crash.RunID {
-			t.Fatalf("cut %d: failover finished run %q, want original %q", cut, outcome.RunID, crash.RunID)
-		}
-		g, err := sys.Provenance.Graph(crash.RunID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if canonicalGraph(g, crash.RunID) != want {
-			t.Fatalf("cut %d: failed-over graph diverges from the uninterrupted baseline", cut)
+		for cut := 1; cut < total; cut++ {
+			opts := orchOpts("orch-1", time.Second)
+			opts.Parallel = 4
+			opts.CrashAfterDeltas = cut
+			_, err := sys.RunDetection(ctx, arm.resolver, opts)
+			var crash *CrashError
+			if !errors.As(err, &crash) {
+				t.Fatalf("cut %d: crash run returned %v, want CrashError", cut, err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatalf("cut %d: close: %v", cut, err)
+			}
+			sys = open()
+			if err := sys.Leases.Expire(crash.RunID); err != nil {
+				t.Fatal(err)
+			}
+			standby := orchOpts("orch-2", time.Second)
+			standby.Parallel = 4
+			outcome, err := sys.FailoverDetection(ctx, arm.resolver, crash.RunID, 5*time.Second, standby)
+			if err != nil {
+				t.Fatalf("cut %d: failover after reopen: %v", cut, err)
+			}
+			if outcome.RunID != crash.RunID {
+				t.Fatalf("cut %d: failover finished run %q, want original %q", cut, outcome.RunID, crash.RunID)
+			}
+			g, err := sys.Provenance.Graph(crash.RunID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canonicalGraph(g, crash.RunID) != want {
+				t.Fatalf("cut %d: failed-over graph diverges from the uninterrupted baseline", cut)
+			}
 		}
 	}
 }

@@ -29,11 +29,13 @@ func TestRunTablesHaveNoRunIndex(t *testing.T) {
 	}
 }
 
-// TestHistoryBytesPerRun bounds the history payload one fixed-seed, 200-name
-// in-process detection stores: at most 105 KB. Each fact is stored once —
-// only run-started names the workflow, and a completion whose outputs its
-// iteration-element events already hold stores none. Repeating both took
-// 141 KB.
+// TestHistoryBytesPerRun bounds the history one fixed-seed, 200-name
+// in-process detection stores: at most 16 rows and 75 KB of payload, with
+// every name on record. Each fact is stored once — only run-started names the
+// workflow, a completion whose outputs its elements already hold stores none,
+// and the one batch-form call that resolves the names is one iteration-batch
+// row. With an iteration-element row per name the run stored 208 rows and
+// 98.7 KB; repeating the outputs and the workflow as well took 141 KB.
 func TestHistoryBytesPerRun(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 1000, 200)
 	outcome, err := sys.RunDetection(context.Background(), taxa.Checklist, RunOptions{SkipLedger: true})
@@ -55,10 +57,17 @@ func TestHistoryBytesPerRun(t *testing.T) {
 		return true
 	})
 	t.Logf("%d history rows, %.1f KB of payload", rows, float64(payload)/1024)
-	if rows < 200 {
-		t.Fatalf("%d history rows for 200 names", rows)
+	events, err := sys.Provenance.History(outcome.RunID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if payload > 105*1024 {
-		t.Fatalf("history payload %.1f KB per run, want <= 105 KB", float64(payload)/1024)
+	if n := recordedElements(events, "Catalog_of_life"); n != 200 {
+		t.Fatalf("history records %d of the 200 names", n)
+	}
+	if rows > 16 {
+		t.Fatalf("%d history rows for one 200-name run, want <= 16", rows)
+	}
+	if payload > 75*1024 {
+		t.Fatalf("history payload %.1f KB per run, want <= 75 KB", float64(payload)/1024)
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/envsource"
@@ -26,8 +30,9 @@ func generateClean(t *testing.T, taxa *taxonomy.Generated, records int) []*fnjv.
 }
 
 // smallCollection loads a 12-species, 60-record clean collection into sys —
-// enough for a detection run of a few dozen provenance deltas — and returns
-// the taxonomy whose checklist resolves it.
+// a detection run of a few dozen provenance deltas when its names are
+// dispatched one per call — and returns the taxonomy whose checklist
+// resolves it.
 func smallCollection(t *testing.T, sys *System) *taxonomy.Generated {
 	t.Helper()
 	taxa, err := taxonomy.Generate(taxonomy.GeneratorSpec{
@@ -40,4 +45,56 @@ func smallCollection(t *testing.T, sys *System) *taxonomy.Generated {
 		t.Fatal(err)
 	}
 	return taxa
+}
+
+// recordedElements counts the iteration elements of activity a history
+// records, over its iteration-element and iteration-batch events.
+func recordedElements(history []workflow.HistoryEvent, activity string) int {
+	n := 0
+	for _, ev := range history {
+		switch {
+		case ev.Activity != activity:
+		case ev.Type == workflow.HistoryIterationElement:
+			n++
+		case ev.Type == workflow.HistoryIterationBatch:
+			n += len(ev.Batch)
+		}
+	}
+	return n
+}
+
+// foldShape renders what a run's history says about each of its activities —
+// whether it completed, its binding, its elements in index order and its
+// outputs — which is the same whether the history records the elements one
+// per event or a lease per event.
+func foldShape(history []workflow.HistoryEvent) string {
+	var fold workflow.HistoryFold
+	var names []string
+	for _, ev := range history {
+		fold.Apply(ev)
+		if ev.Activity != "" && !slices.Contains(names, ev.Activity) {
+			names = append(names, ev.Activity)
+		}
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fa := fold.Activity(name)
+		fmt.Fprintf(&b, "%s done=%v planned=%d in=%s out=%s\n", name, fa.Done, fa.Planned, renderPorts(fa.Inputs), renderPorts(fa.Outputs))
+		els := slices.Clone(fa.Elements)
+		slices.SortFunc(els, func(a, b workflow.ElementTrace) int { return a.Index - b.Index })
+		for _, el := range els {
+			fmt.Fprintf(&b, "  %d %s -> %s\n", el.Index, renderPorts(el.Inputs), renderPorts(el.Outputs))
+		}
+	}
+	return b.String()
+}
+
+func renderPorts(m map[string]workflow.Data) string {
+	parts := make([]string, 0, len(m))
+	for k, v := range m {
+		parts = append(parts, k+"="+v.String())
+	}
+	sort.Strings(parts)
+	return "{" + strings.Join(parts, " ") + "}"
 }

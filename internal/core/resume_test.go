@@ -16,73 +16,88 @@ import (
 // detection run killed after ANY number of persisted provenance deltas can be
 // resumed under its original run ID, and the resumed run's final provenance
 // graph is identical (modulo run ID and timings) to an uninterrupted run's.
-// Exercised at both sequential and parallel engine settings; run under -race.
+// Exercised at both sequential and parallel engine settings, with the names
+// dispatched one per call — so cuts land between names — and leased to the
+// checklist's batch form, whose lease is one history event. Each arm's cuts
+// range over its own run's deltas. Run under -race.
 func TestCrashResumeEveryCut(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		parallel := parallel
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
 			t.Parallel()
-			sys, taxa, _ := testSystem(t, 60, 12)
-			ctx := context.Background()
 			opts := RunOptions{SkipLedger: true, Parallel: parallel}
-
-			baseline, err := sys.RunDetection(ctx, taxa.Checklist, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			baseG, err := sys.Provenance.Graph(baseline.RunID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := canonicalGraph(baseG, baseline.RunID)
-			total := int(baseline.ProvenanceWriter.Enqueued)
-			if total < 20 {
-				t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
-			}
-
-			resumed, failures := 0, 0
-			for cut := 1; cut < total; cut++ {
-				kill := opts
-				kill.CrashAfterDeltas = cut
-				_, err := sys.RunDetection(ctx, taxa.Checklist, kill)
-				var crash *CrashError
-				if !errors.As(err, &crash) {
-					t.Fatalf("cut %d: expected CrashError, got %v", cut, err)
-				}
-				if info, err := sys.Provenance.Run(crash.RunID); err != nil || info.Status != provenance.RunRunning {
-					t.Fatalf("cut %d: killed run not left running: %+v, %v", cut, info, err)
-				}
-
-				outcome, err := sys.ResumeDetection(ctx, taxa.Checklist, crash.RunID, opts)
-				if err != nil {
-					failures++
-					t.Errorf("cut %d: resume failed: %v", cut, err)
-					continue
-				}
-				resumed++
-				if outcome.RunID != crash.RunID {
-					t.Fatalf("cut %d: resumed under new ID %s", cut, outcome.RunID)
-				}
-				if outcome.DistinctNames != baseline.DistinctNames || outcome.Outdated != baseline.Outdated {
-					t.Fatalf("cut %d: summary diverged: %d/%d names, %d/%d outdated",
-						cut, outcome.DistinctNames, baseline.DistinctNames, outcome.Outdated, baseline.Outdated)
-				}
-				g, err := sys.Provenance.Graph(crash.RunID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := canonicalGraph(g, crash.RunID); got != want {
-					t.Fatalf("cut %d: resumed graph differs from baseline\n got %d bytes\nwant %d bytes", cut, len(got), len(want))
-				}
-				info, err := sys.Provenance.Run(crash.RunID)
-				if err != nil || info.Status != provenance.RunCompleted {
-					t.Fatalf("cut %d: resumed run status %+v, %v", cut, info, err)
-				}
-			}
-			if failures > 0 {
-				t.Fatalf("%d/%d cuts failed to resume", failures, resumed+failures)
-			}
+			t.Run("per-element", func(t *testing.T) {
+				sys, taxa, _ := testSystem(t, 60, 12)
+				crashResumeEveryCut(t, sys, singleOnlyResolver{taxa.Checklist}, opts, 20)
+			})
+			t.Run("batched", func(t *testing.T) {
+				sys, taxa, _ := testSystem(t, 60, 12)
+				crashResumeEveryCut(t, sys, taxa.Checklist, opts, 5)
+			})
 		})
+	}
+}
+
+// crashResumeEveryCut kills a detection over resolver after every cut of an
+// uninterrupted run's deltas and holds each resume to that run's graph.
+func crashResumeEveryCut(t *testing.T, sys *System, resolver taxonomy.Resolver, opts RunOptions, vacuous int) {
+	t.Helper()
+	ctx := context.Background()
+	baseline, err := sys.RunDetection(ctx, resolver, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseG, err := sys.Provenance.Graph(baseline.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonicalGraph(baseG, baseline.RunID)
+	total := int(baseline.ProvenanceWriter.Enqueued)
+	if total < vacuous {
+		t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
+	}
+
+	resumed, failures := 0, 0
+	for cut := 1; cut < total; cut++ {
+		kill := opts
+		kill.CrashAfterDeltas = cut
+		_, err := sys.RunDetection(ctx, resolver, kill)
+		var crash *CrashError
+		if !errors.As(err, &crash) {
+			t.Fatalf("cut %d: expected CrashError, got %v", cut, err)
+		}
+		if info, err := sys.Provenance.Run(crash.RunID); err != nil || info.Status != provenance.RunRunning {
+			t.Fatalf("cut %d: killed run not left running: %+v, %v", cut, info, err)
+		}
+
+		outcome, err := sys.ResumeDetection(ctx, resolver, crash.RunID, opts)
+		if err != nil {
+			failures++
+			t.Errorf("cut %d: resume failed: %v", cut, err)
+			continue
+		}
+		resumed++
+		if outcome.RunID != crash.RunID {
+			t.Fatalf("cut %d: resumed under new ID %s", cut, outcome.RunID)
+		}
+		if outcome.DistinctNames != baseline.DistinctNames || outcome.Outdated != baseline.Outdated {
+			t.Fatalf("cut %d: summary diverged: %d/%d names, %d/%d outdated",
+				cut, outcome.DistinctNames, baseline.DistinctNames, outcome.Outdated, baseline.Outdated)
+		}
+		g, err := sys.Provenance.Graph(crash.RunID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := canonicalGraph(g, crash.RunID); got != want {
+			t.Fatalf("cut %d: resumed graph differs from baseline\n got %d bytes\nwant %d bytes", cut, len(got), len(want))
+		}
+		info, err := sys.Provenance.Run(crash.RunID)
+		if err != nil || info.Status != provenance.RunCompleted {
+			t.Fatalf("cut %d: resumed run status %+v, %v", cut, info, err)
+		}
+	}
+	if failures > 0 {
+		t.Fatalf("%d/%d cuts failed to resume", failures, resumed+failures)
 	}
 }
 
@@ -91,9 +106,11 @@ func TestCrashResumeEveryCut(t *testing.T) {
 // mid-run AND the process crashed at a random history cut, resuming by pure
 // history replay converges on a provenance graph byte-identical (canonically)
 // to a clean single-worker run — whether the engine dispatches the names one
-// by one (the checklist has no batch form) or leases them in batches (the
-// resilient stack over the same checklist has one), with equal history
-// lengths between the two at every (workers, cut). Run under -race.
+// by one (the checklist stripped of its batch form) or leases them in batches
+// (the resilient stack over the same checklist), with the two histories
+// folding to the same activities, element for element, at every workers
+// setting. Each arm's cut is drawn inside its own run's deltas. Run under
+// -race.
 func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 60, 12)
 	ctx := context.Background()
@@ -107,30 +124,40 @@ func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := canonicalGraph(baseG, base.RunID)
-	total := int(base.ProvenanceWriter.Enqueued)
-	if total < 20 {
-		t.Fatalf("baseline persisted only %d deltas; test is vacuous", total)
-	}
 	dispatches := []struct {
 		name     string
 		resolver func() taxonomy.Resolver
 	}{
-		{"per-element", func() taxonomy.Resolver { return taxa.Checklist }},
+		{"per-element", func() taxonomy.Resolver { return singleOnlyResolver{taxa.Checklist} }},
 		{"batched", func() taxonomy.Resolver {
 			return taxonomy.NewResilientResolver(taxa.Checklist, taxonomy.ResilienceOptions{})
 		}},
+	}
+	// A run's delta count, per arm: the per-element arm's is one event per
+	// name whatever the pool; the batched arm's is least when one worker
+	// leases every name at once.
+	totals := map[string]int{}
+	for _, d := range dispatches {
+		clean, err := sys.RunDetection(ctx, d.resolver(), RunOptions{SkipLedger: true, Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals[d.name] = int(clean.ProvenanceWriter.Enqueued)
+	}
+	if totals["per-element"] < 20 || totals["batched"] < 5 {
+		t.Fatalf("baselines persisted only %v deltas; test is vacuous", totals)
 	}
 
 	rng := rand.New(rand.NewSource(7)) // deterministic cuts, reproducible failures
 	for _, workers := range []int{1, 4, 16} {
 		kills := workers / 2
 		for trial := 0; trial < 4; trial++ {
-			cut := 1 + rng.Intn(total-1)
 			opts := RunOptions{SkipLedger: true, Parallel: workers, WorkerKills: kills}
-			killRun := opts
-			killRun.CrashAfterDeltas = cut
-			events := map[string]int{}
+			folds := map[string]string{}
 			for _, d := range dispatches {
+				cut := 1 + rng.Intn(totals[d.name]-1)
+				killRun := opts
+				killRun.CrashAfterDeltas = cut
 				resolver := d.resolver()
 				_, err := sys.RunDetection(ctx, resolver, killRun)
 				var crash *CrashError
@@ -159,10 +186,10 @@ func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				events[d.name] = len(history)
+				folds[d.name] = foldShape(history)
 			}
-			if events["batched"] != events["per-element"] {
-				t.Errorf("workers=%d cut=%d: history has %d events batched, %d per-element", workers, cut, events["batched"], events["per-element"])
+			if folds["batched"] != folds["per-element"] {
+				t.Errorf("workers=%d trial=%d: the batched history folds to\n%s\nthe per-element one to\n%s", workers, trial, folds["batched"], folds["per-element"])
 			}
 		}
 
@@ -170,12 +197,14 @@ func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 		// record, Catalog_of_life closes as failed, and the process dies
 		// before run-finished reaches storage. The resumed run re-executes
 		// the activity under its recorded schedule, and its graph is the
-		// baseline's plus the failed attempt's error annotation.
+		// baseline's plus the failed attempt's error annotation. The names go
+		// one per call, so the cancel lands between them.
 		opts := RunOptions{SkipLedger: true, Parallel: workers}
+		perElement := singleOnlyResolver{taxa.Checklist}
 		failCtx, cancel := context.WithCancel(ctx)
 		repo := sys.Provenance
 		sys.Provenance = failedCut{Repo: repo, elements: 3, cancel: cancel}
-		_, err := sys.RunDetection(failCtx, taxa.Checklist, opts)
+		_, err := sys.RunDetection(failCtx, perElement, opts)
 		sys.Provenance = repo
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -193,7 +222,7 @@ func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 		if last := history[len(history)-1]; last.Type != workflow.HistoryActivityFailed {
 			t.Fatalf("workers=%d: persisted prefix ends at %s, want activity-failed", workers, last.Type)
 		}
-		outcome, err := sys.ResumeDetection(ctx, taxa.Checklist, runID, opts)
+		outcome, err := sys.ResumeDetection(ctx, perElement, runID, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: resume past the failed activity: %v", workers, err)
 		}
@@ -220,9 +249,9 @@ func TestReplayDeterminismAcrossWorkerCounts(t *testing.T) {
 
 // failedCut is a provenance repository whose run writers provoke and then cut
 // at a failed activity: the run's context is cancelled once `elements`
-// iteration elements are on record, and the stream goes silent behind the
-// first activity-failed event — what storage holds when the process dies
-// before run-finished is flushed.
+// iteration elements are on record, whether one per event or a lease per
+// event, and the stream goes silent behind the first activity-failed event —
+// what storage holds when the process dies before run-finished is flushed.
 type failedCut struct {
 	provenance.Repo
 	elements int
@@ -248,8 +277,10 @@ func (w *failedCutWriter) Emit(d provenance.Delta) error {
 	}
 	if d.Kind == provenance.DeltaHistory {
 		switch d.History.Type {
-		case workflow.HistoryIterationElement:
-			if w.elements--; w.elements == 0 {
+		case workflow.HistoryIterationElement, workflow.HistoryIterationBatch:
+			before := w.elements
+			w.elements -= recordedElements([]workflow.HistoryEvent{*d.History}, d.History.Activity)
+			if before > 0 && w.elements <= 0 {
 				w.cancel()
 			}
 		case workflow.HistoryActivityFailed:

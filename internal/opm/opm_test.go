@@ -71,6 +71,38 @@ func TestGraphNodeValidation(t *testing.T) {
 	}
 }
 
+// TestEdgeDedupKeepsDistinctFields: two edges that differ only in where a "|"
+// splits their role from their account are different edges — the graph
+// keeps both, and so does its clone — while a true duplicate is dropped.
+func TestEdgeDedupKeepsDistinctFields(t *testing.T) {
+	g := NewGraph()
+	if err := g.Process("p:1", "p"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Artifact("a:1", "a", ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Edge{
+		{Kind: Used, Effect: "p:1", Cause: "a:1", Role: "x|y", Account: "z"},
+		{Kind: Used, Effect: "p:1", Cause: "a:1", Role: "x", Account: "y|z"},
+		{Kind: Used, Effect: "p:1", Cause: "a:1", Role: "x", Account: "y|z"},
+	} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.EdgeCount() != 2 {
+		t.Fatalf("EdgeCount = %d, want 2: %+v", g.EdgeCount(), g.Edges())
+	}
+	clone := g.Clone()
+	if err := clone.AddEdge(Edge{Kind: Used, Effect: "p:1", Cause: "a:1", Role: "x|y", Account: "z"}); err != nil {
+		t.Fatal(err)
+	}
+	if clone.EdgeCount() != 2 {
+		t.Fatalf("clone took a duplicate: EdgeCount = %d, want 2", clone.EdgeCount())
+	}
+}
+
 func TestEdgeTypeConstraints(t *testing.T) {
 	g := NewGraph()
 	g.Artifact("a1", "", "")

@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -437,29 +436,45 @@ func TestGraphIsAFunctionOfHistory(t *testing.T) {
 // folded silently as a resumed run's prefix and the rest delivered live.
 // Whatever the history claims — unknown activities, elements before their
 // schedule, negative indices, events past run-finished, duplicate
-// completions — the Collector never panics, emits one delta per live event
-// until the run finishes (a terminal event delivered again writes no second
-// graph), hands over its own graph with the run's end, and that graph has no
-// dangling edge. For a split of a real run's history the split is a resume,
-// and it must arrive at exactly the graph of the unsplit fold, a legal one.
-// (A hostile history can make two activities generate one content-addressed
-// artifact; that illegality is the input's.)
+// completions, batches that repeat an index, name one out of range, repeat
+// one an iteration-element holds or belong to an activity never scheduled —
+// the Collector never panics, emits one delta per live event until the run
+// finishes (a terminal event delivered again writes no second graph), hands
+// over its own graph with the run's end, and that graph has no dangling edge.
+// For a split of a real run's history — its names dispatched one per call,
+// or leased to a batch form — the split is a resume, and it must arrive at
+// exactly the graph of the unsplit fold, a legal one. (A hostile history can
+// make two activities generate one content-addressed artifact; that
+// illegality is the input's.)
 func FuzzCollectorHistory(f *testing.F) {
-	var real []workflow.HistoryEvent
-	if _, err := workflow.NewEventEngine(detectionRegistry()).Run(context.Background(), detectionDef(), detectionInputs(),
-		workflow.HistoryListenerFunc(func(ev workflow.HistoryEvent) { real = append(real, ev) })); err != nil {
-		f.Fatal(err)
-	}
-	realBlob, err := json.Marshal(real)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for k := 0; k <= len(real); k++ {
-		f.Add(realBlob, uint8(k))
-	}
-	whole := NewCollector("curator")
-	for _, ev := range real {
-		whole.OnHistoryEvent(ev)
+	batched := detectionRegistry()
+	resolve, _ := batched.Lookup("resolve")
+	batched.RegisterBatch("resolve", resolve, func(ctx context.Context, calls []workflow.Call) []workflow.CallResult {
+		out := make([]workflow.CallResult, len(calls))
+		for i, c := range calls {
+			out[i].Outputs, out[i].Err = resolve(ctx, c)
+		}
+		return out
+	})
+	wholes := map[string]*opm.Graph{} // a real history's blob -> its unsplit fold
+	for _, reg := range []*workflow.Registry{detectionRegistry(), batched} {
+		var real []workflow.HistoryEvent
+		if _, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(), detectionInputs(),
+			workflow.HistoryListenerFunc(func(ev workflow.HistoryEvent) { real = append(real, ev) })); err != nil {
+			f.Fatal(err)
+		}
+		realBlob, err := json.Marshal(real)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for k := 0; k <= len(real); k++ {
+			f.Add(realBlob, uint8(k))
+		}
+		whole := NewCollector("curator")
+		for _, ev := range real {
+			whole.OnHistoryEvent(ev)
+		}
+		wholes[string(realBlob)] = whole.Graph()
 	}
 	for _, hostile := range []string{
 		`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b"]},"elements":2},{"seq":2,"type":"iteration-element","activity":"A","element":7,"outputs":{"y":"Z"}},{"seq":3,"type":"iteration-element","activity":"A","element":-3},{"seq":4,"type":"activity-completed","activity":"A","outputs":{"y":["Z"]}}]`,
@@ -467,6 +482,10 @@ func FuzzCollectorHistory(f *testing.F) {
 		`[{"seq":0,"type":"activity-completed","activity":"nope","outputs":{"y":"X"}}]`,
 		`[{"seq":-5,"type":"run-started"},{"seq":-5,"type":"activity-completed","activity":"B","iterations":1,"outputs":{"y":[["deep"]]}},{"seq":-5,"type":"activity-failed","activity":"A"},{"seq":-5,"type":"activity-completed","activity":"B","outputs":{"y":"again"}}]`,
 		`[{"seq":1,"type":"activity-completed","activity":"A","outputs":{}},{"seq":2,"type":"run-finished","status":"failed","error":"x"},{"seq":3,"type":"run-started"}]`,
+		`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b"]},"elements":2},{"seq":2,"type":"iteration-batch","activity":"A","batch":[{"element":1,"inputs":{"x":"b"},"outputs":{"y":"B"}},{"element":1,"inputs":{"x":"b"},"outputs":{"y":"Z"}}]},{"seq":3,"type":"activity-completed","activity":"A"}]`,
+		`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b"]},"elements":2},{"seq":2,"type":"iteration-batch","activity":"A","batch":[{"element":7,"outputs":{"y":"Z"}},{"element":-3},{"element":0,"inputs":{"x":"a"},"outputs":{"y":"A"}}]},{"seq":3,"type":"activity-completed","activity":"A","outputs":{"y":["A","Z"]}}]`,
+		`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b"]},"elements":2},{"seq":2,"type":"iteration-element","activity":"A","element":0,"inputs":{"x":"a"},"outputs":{"y":"A"}},{"seq":3,"type":"iteration-batch","activity":"A","batch":[{"element":0,"inputs":{"x":"a"},"outputs":{"y":"Z"}},{"element":1,"inputs":{"x":"b"},"outputs":{"y":"B"}}]},{"seq":4,"type":"activity-completed","activity":"A"}]`,
+		`[{"seq":0,"type":"run-started"},{"seq":1,"type":"iteration-batch","activity":"B","batch":[{"element":0,"inputs":{"x":"q"},"outputs":{"y":"X"}}]},{"seq":2,"type":"activity-completed","activity":"B"},{"seq":3,"type":"run-finished","status":"completed"}]`,
 	} {
 		f.Add([]byte(hostile), uint8(0))
 		f.Add([]byte(hostile), uint8(2))
@@ -520,10 +539,10 @@ func FuzzCollectorHistory(f *testing.F) {
 				t.Fatalf("dangling edge %+v", e)
 			}
 		}
-		if bytes.Equal(data, realBlob) {
+		if whole, ok := wholes[string(data)]; ok {
 			// A split of a real history is a resume: it must arrive at
 			// exactly the graph of the unsplit fold, a legal one.
-			assertSameGraph(t, whole.Graph(), g)
+			assertSameGraph(t, whole, g)
 			if problems := g.CheckLegality(); len(problems) > 0 {
 				t.Fatalf("split %d of a real history folds to an illegal graph: %v", split, problems)
 			}

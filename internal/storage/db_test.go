@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -166,6 +167,57 @@ func TestDBSecondaryIndex(t *testing.T) {
 	if err := db.CreateIndex("recordings", "nope"); err == nil {
 		t.Fatal("index on unknown column accepted")
 	}
+}
+
+// TestIndexedFloatSignedZero: +0 and -0 are different index keys, so an
+// update from one to the other must move the row's index entry, and a reopen
+// must rebuild the same index the live table holds. A NaN equals itself.
+func TestIndexedFloatSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if F(0).Equal(F(negZero)) || !F(math.NaN()).Equal(F(math.NaN())) {
+		t.Fatal("Equal compares floats by value, not by their stored bits")
+	}
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Sync: SyncOnClose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(testSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("recordings", "quality"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("recordings", Row{S("r1"), Null(), Null(), F(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update("recordings", Row{S("r1"), Null(), Null(), F(negZero)}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(db *DB, when string) {
+		t.Helper()
+		neg, err := db.Table("recordings").Lookup("quality", F(negZero))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos, err := db.Table("recordings").Lookup("quality", F(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(neg) != 1 || len(pos) != 0 {
+			t.Fatalf("%s: Lookup(-0) = %d rows, Lookup(+0) = %d rows; want 1 and 0", when, len(neg), len(pos))
+		}
+	}
+	check(db, "live")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{Sync: SyncOnClose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check(db, "reopened")
 }
 
 func TestDBRecoveryFromWAL(t *testing.T) {

@@ -16,6 +16,7 @@ func FuzzDecodeRow(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0x01, 0x07})
+	f.Add([]byte("\x02\x0300000000\x03\x7f\xff000000")) // a NaN cell
 	f.Fuzz(func(t *testing.T, data []byte) {
 		row, n, err := DecodeRow(data)
 		if err != nil {

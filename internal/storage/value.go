@@ -172,7 +172,9 @@ func (v Value) String() string {
 	}
 }
 
-// Equal reports deep equality of two values, including kind.
+// Equal reports deep equality of two values, including kind. Floats are
+// equal when their stored bits are — the bits their index keys encode — so
+// +0 and -0 differ and a NaN equals itself.
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
@@ -182,10 +184,8 @@ func (v Value) Equal(o Value) bool {
 		return true
 	case KindString, KindBytes:
 		return v.s == o.s
-	case KindInt, KindBool, KindTime:
+	case KindInt, KindBool, KindTime, KindFloat:
 		return v.w == o.w
-	case KindFloat:
-		return v.Float() == o.Float()
 	default:
 		return false
 	}

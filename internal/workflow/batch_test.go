@@ -60,20 +60,22 @@ func itemList(n int) map[string]Data {
 }
 
 // elementHistory is what a run's history says about its elements, in a form
-// independent of the order workers finished them in.
+// independent of the order workers finished them in and of whether they were
+// recorded one per event or a lease per event.
 type elementHistory struct {
 	out      string
-	elements string // index-ordered "i:in->out" of every iteration-element event
+	elements string // index-ordered "i:in->out" of every element an iteration-element or iteration-batch event records
 	retries  string // sorted "element@attempt" of every retry-backoff event
-	events   int
 	err      string
 }
 
-func runRecorded(t *testing.T, eng *EventEngine, def *Definition, in map[string]Data) elementHistory {
+// runRecorded runs def and returns what its history says about its elements,
+// and the history itself.
+func runRecorded(t *testing.T, eng *EventEngine, def *Definition, in map[string]Data) (elementHistory, []HistoryEvent) {
 	t.Helper()
 	evs, listener := recordHistory()
 	res, err := eng.Run(context.Background(), def, in, listener)
-	h := elementHistory{events: len(*evs)}
+	var h elementHistory
 	if err != nil {
 		h.err = err.Error()
 	} else {
@@ -87,6 +89,10 @@ func runRecorded(t *testing.T, eng *EventEngine, def *Definition, in map[string]
 		switch ev.Type {
 		case HistoryIterationElement:
 			elements = append(elements, fmt.Sprintf("%03d:%s->%s", ev.Element, ev.Inputs["x"], ev.Outputs["y"]))
+		case HistoryIterationBatch:
+			for _, el := range ev.Batch {
+				elements = append(elements, fmt.Sprintf("%03d:%s->%s", el.Index, el.Inputs["x"], el.Outputs["y"]))
+			}
 		case HistoryRetryBackoff:
 			retries = append(retries, fmt.Sprintf("%03d@%d", ev.Element, ev.Attempt))
 		}
@@ -94,21 +100,33 @@ func runRecorded(t *testing.T, eng *EventEngine, def *Definition, in map[string]
 	sort.Strings(elements)
 	sort.Strings(retries)
 	h.elements, h.retries = strings.Join(elements, " "), strings.Join(retries, " ")
-	return h
+	return h, *evs
+}
+
+// countEvents counts the events of type typ.
+func countEvents(evs []HistoryEvent, typ HistoryEventType) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Type == typ {
+			n++
+		}
+	}
+	return n
 }
 
 // TestBatchDispatchMatchesPerElement is the engine-level equivalence: the same
 // iteration through a service with and without a batch form yields the same
-// outputs, the same per-element history and the same history length at every
-// pool size — and the batch form really carried the elements, MaxElementBatch
-// at most per invocation.
+// outputs and records the same elements at every pool size — one
+// iteration-batch event per batch invocation where the per-element run has
+// one iteration-element event per element — and the batch form really
+// carried the elements, MaxElementBatch at most per invocation.
 func TestBatchDispatchMatchesPerElement(t *testing.T) {
 	const n = 2*MaxElementBatch + 37
 	in := itemList(n)
 
 	plain := NewRegistry()
 	plain.Register("work", func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) })
-	want := runRecorded(t, NewEventEngine(plain), iterDef(0), in)
+	want, wantEvs := runRecorded(t, NewEventEngine(plain), iterDef(0), in)
 	if want.err != "" || !strings.Contains(want.elements, "000:item000->ITEM000") {
 		t.Fatalf("reference run: %+v", want)
 	}
@@ -119,12 +137,20 @@ func TestBatchDispatchMatchesPerElement(t *testing.T) {
 		reg.RegisterBatch("work", rec.single, rec.batch)
 		eng := NewEventEngine(reg)
 		eng.Workers = workers
-		got := runRecorded(t, eng, iterDef(0), in)
+		got, evs := runRecorded(t, eng, iterDef(0), in)
 		if got != want {
-			t.Errorf("workers=%d: batched run diverges from per-element run\n got %d events, out %.40s, err %q\nwant %d events, out %.40s",
-				workers, got.events, got.out, got.err, want.events, want.out)
+			t.Errorf("workers=%d: batched run diverges from per-element run\n got out %.40s, err %q\nwant out %.40s",
+				workers, got.out, got.err, want.out)
 		}
 		batches, singles := rec.seen()
+		if b, e := countEvents(evs, HistoryIterationBatch), countEvents(evs, HistoryIterationElement); b != len(batches) || e != len(singles) {
+			t.Errorf("workers=%d: %d iteration-batch and %d iteration-element events for %d batch and %d single invocations",
+				workers, b, e, len(batches), len(singles))
+		}
+		if len(evs) != len(wantEvs)-n+len(batches)+len(singles) {
+			t.Errorf("workers=%d: %d events, want the per-element run's %d with one per invocation in place of one per element",
+				workers, len(evs), len(wantEvs))
+		}
 		carried := len(singles)
 		for _, size := range batches {
 			if size < 2 || size > MaxElementBatch {
@@ -173,6 +199,7 @@ func TestBatchSlotErrorContinuesOnRetryPath(t *testing.T) {
 			return upperCall(ctx, c, false)
 		}}
 	}
+	var evs []HistoryEvent
 	run := func(batched bool, retries int) (elementHistory, *batchRecorder) {
 		svc := newService()
 		reg := NewRegistry()
@@ -181,7 +208,9 @@ func TestBatchSlotErrorContinuesOnRetryPath(t *testing.T) {
 		} else {
 			reg.Register("work", svc.single)
 		}
-		return runRecorded(t, NewEventEngine(reg), iterDef(retries), itemList(n)), svc
+		var h elementHistory
+		h, evs = runRecorded(t, NewEventEngine(reg), iterDef(retries), itemList(n))
+		return h, svc
 	}
 
 	want, _ := run(false, 2)
@@ -201,9 +230,21 @@ func TestBatchSlotErrorContinuesOnRetryPath(t *testing.T) {
 	if strings.Join(singles, " ") != "item003 item007 item007" {
 		t.Errorf("single form ran %v", singles)
 	}
-	// Ten elements settled in the batch; item003 on its retry.
+	// Ten elements settled in the batch, recorded as one iteration-batch;
+	// item003 on its retry, recorded as an iteration-element.
 	if c := strings.Count(got.elements, "->"); c != n-1 {
-		t.Errorf("%d iteration-element events, want %d: %s", c, n-1, got.elements)
+		t.Errorf("%d elements recorded, want %d: %s", c, n-1, got.elements)
+	}
+	for _, ev := range evs {
+		switch {
+		case ev.Type == HistoryIterationBatch && len(ev.Batch) != n-2:
+			t.Errorf("iteration-batch of %d elements, want the %d slots that succeeded", len(ev.Batch), n-2)
+		case ev.Type == HistoryIterationElement && ev.Element != 3:
+			t.Errorf("iteration-element for element %d, want only item003's retry", ev.Element)
+		}
+	}
+	if b, e := countEvents(evs, HistoryIterationBatch), countEvents(evs, HistoryIterationElement); b != 1 || e != 1 {
+		t.Errorf("%d iteration-batch and %d iteration-element events, want 1 and 1", b, e)
 	}
 
 	// Without a retry budget the slot's error is the element's last word.
@@ -262,20 +303,31 @@ func TestBatchKilledWorkerNacksWholeLease(t *testing.T) {
 	}
 	elements := 0
 	for _, ev := range *evs {
-		if ev.Type == HistoryIterationElement {
+		switch ev.Type {
+		case HistoryIterationElement:
 			elements++
-			if ev.Worker == victim {
-				t.Errorf("element %d reported by the killed worker %s", ev.Element, victim)
-			}
+		case HistoryIterationBatch:
+			elements += len(ev.Batch)
+		default:
+			continue
+		}
+		if ev.Worker == victim {
+			t.Errorf("%s reported by the killed worker %s", ev.Type, victim)
 		}
 	}
 	if elements != n {
-		t.Fatalf("%d iteration-element events, want %d", elements, n)
+		t.Fatalf("%d elements recorded, want %d", elements, n)
 	}
-	// The victim dequeued first and leased all n; only the survivor's lease
-	// reached the service.
-	if batches, singles := rec.seen(); len(batches) != 1 || batches[0] != n || len(singles) != 0 {
-		t.Errorf("service saw batches %v, singles %v; want one batch of %d", batches, singles, n)
+	// Only the survivor's leases reached the service: every element exactly
+	// once. (Usually the victim dequeues first and leases all n, but the two
+	// workers can split the queue before either meets the kill hook.)
+	batches, singles := rec.seen()
+	carried := len(singles)
+	for _, size := range batches {
+		carried += size
+	}
+	if carried != n || len(batches) == 0 {
+		t.Errorf("service saw batches %v, singles %v; want the %d elements once each, batched", batches, singles, n)
 	}
 	c := eng.Stats.Counters()
 	if c["workers.killed"] != 1 || c["workers.tasks_total"] != n || c["queue.depth"] != 0 || c["queue.in_flight"] != 0 {
@@ -299,7 +351,7 @@ func TestBatchCancelledActivityDrains(t *testing.T) {
 	reg.RegisterBatch("work", rec.single, rec.batch)
 	eng := NewEventEngine(reg)
 	eng.Stats = NewWorkerRegistry()
-	got := runRecorded(t, eng, iterDef(0), itemList(n))
+	got, evs := runRecorded(t, eng, iterDef(0), itemList(n))
 	if !strings.Contains(got.err, "iteration 5: boom") {
 		t.Fatalf("run error %q", got.err)
 	}
@@ -307,7 +359,10 @@ func TestBatchCancelledActivityDrains(t *testing.T) {
 		t.Errorf("service saw batches %v, singles %v; the cancelled tail must not reach it", batches, singles)
 	}
 	if c := strings.Count(got.elements, "->"); c != MaxElementBatch-1 {
-		t.Errorf("%d iteration-element events, want the %d slots that succeeded", c, MaxElementBatch-1)
+		t.Errorf("%d elements recorded, want the %d slots that succeeded", c, MaxElementBatch-1)
+	}
+	if b, e := countEvents(evs, HistoryIterationBatch), countEvents(evs, HistoryIterationElement); b != 1 || e != 0 {
+		t.Errorf("%d iteration-batch and %d iteration-element events, want the lease's one batch", b, e)
 	}
 	if c := eng.Stats.Counters(); c["workers.tasks_total"] != n || c["queue.depth"] != 0 || c["queue.in_flight"] != 0 {
 		t.Errorf("worker stats after the drain: %v", c)

@@ -11,8 +11,9 @@ import (
 // source or telemetry (TestDeciderIsPure parses this file). apply folds one
 // event, appended or replayed, and is the only way state changes, so a live
 // and a resumed run reach the same state from the same events; decide answers
-// a resume or a worker report with events to append and commands for the
-// driver (eventcore.go). A fresh run is decide(resume) over the empty prefix.
+// a resume, a worker report or a batch lease's reports with events to append
+// and commands for the driver (eventcore.go). A fresh run is decide(resume)
+// over the empty prefix.
 
 // report is one worker's outcome for one attempt of one task.
 type report struct {
@@ -30,11 +31,13 @@ type report struct {
 }
 
 // input is what the decider decides on: a resume (the run continues from
-// whatever apply has folded) or one worker report.
+// whatever apply has folded), one worker report, or the reports of one
+// batch-form invocation — a lease of one activity's elements.
 type input struct {
 	now    instant
 	resume bool
 	report report
+	lease  []report
 }
 
 type commandKind uint8
@@ -63,6 +66,9 @@ type command struct {
 type slot struct {
 	attempt int
 	done    bool
+	// batched marks an element that succeeded in the lease being decided: it
+	// is done once that lease's iteration-batch event folds.
+	batched bool
 }
 
 // activity is the decider's state for one processor.
@@ -208,11 +214,10 @@ func (d *decider) apply(ev HistoryEvent) error {
 			a.slots[i].attempt = ev.Attempt
 		}
 	case HistoryIterationElement:
-		if i := a.slotIndex(ev.Element); i >= 0 && a.iterating && !a.slots[i].done {
-			a.slots[i].done = true
-			for _, port := range a.p.Outputs {
-				a.collected[port.Name][i] = ev.Outputs[port.Name]
-			}
+		a.finishElement(ev.Element, ev.Outputs)
+	case HistoryIterationBatch:
+		for _, el := range ev.Batch {
+			a.finishElement(el.Index, el.Outputs)
 		}
 	case HistoryActivityCompleted:
 		a.open = false
@@ -257,6 +262,19 @@ func (a *activity) bind(inputs map[string]Data) {
 	}
 }
 
+// finishElement records an iteration element's outputs and marks its slot
+// done. The first record of an index wins; one the iteration lacks is ignored.
+func (a *activity) finishElement(element int, outputs map[string]Data) {
+	i := a.slotIndex(element)
+	if i < 0 || !a.iterating || a.slots[i].done {
+		return
+	}
+	a.slots[i].done, a.slots[i].batched = true, false
+	for _, port := range a.p.Outputs {
+		a.collected[port.Name][i] = outputs[port.Name]
+	}
+}
+
 // emit stamps, folds and records the next event. Only run-started names the
 // workflow: every later event belongs to the run it opened.
 func (d *decider) emit(ev HistoryEvent) {
@@ -274,9 +292,12 @@ func (d *decider) emit(ev HistoryEvent) {
 func (d *decider) decide(in input) ([]HistoryEvent, []command) {
 	d.evs, d.cmds = d.evs[:0], d.cmds[:0]
 	d.now, d.ctxErr = in.now, in.report.ctxErr
-	if in.resume {
+	switch {
+	case in.resume:
 		d.resume()
-	} else {
+	case len(in.lease) > 0:
+		d.lease(in.lease)
+	default:
 		d.report(in.report) // a no-op once the run has finished
 	}
 	if d.fold.Finished != nil {
@@ -387,19 +408,56 @@ func (d *decider) task(a *activity, i int) Task {
 	}
 }
 
-// report folds one worker report. A report for an activity that is not open,
-// a slot already finished, or an attempt other than the slot's current one
-// is stale or a duplicate and changes nothing: the first report of an
-// attempt wins. The engine's pool reports each dispatched attempt exactly
-// once, so this is safety code, pinned by FuzzDecide and TestDecide.
+// report folds one worker report and settles its activity once every slot
+// has reported.
 func (d *decider) report(r report) {
+	if a := d.take(r, nil); a != nil && a.pending == 0 {
+		d.settle(a)
+	}
+}
+
+// lease folds the reports of one batch-form invocation in one decision, each
+// exactly as report folds it, except that the elements that succeeded are
+// recorded together: one iteration-batch event, appended before the activity
+// settles. A lease is one activity's elements; a report of another activity
+// is folded alone.
+func (d *decider) lease(rs []report) {
+	name := rs[0].task.Activity
+	var a *activity
+	batch := make([]ElementTrace, 0, len(rs))
+	for _, r := range rs {
+		d.ctxErr = r.ctxErr
+		if r.task.Activity != name {
+			d.report(r)
+		} else if got := d.take(r, &batch); got != nil {
+			a = got
+		}
+	}
+	if len(batch) > 0 {
+		d.emit(HistoryEvent{Type: HistoryIterationBatch, Activity: name, Worker: rs[0].worker, Batch: batch})
+	}
+	if a != nil && a.pending == 0 {
+		d.settle(a)
+	}
+}
+
+// take folds one report and returns its activity, one pending slot fewer —
+// or nil when the report armed a retry or changed nothing. A report for an
+// activity that is not open, a slot already finished (or succeeded in the
+// lease being folded), or an attempt other than the slot's current one is
+// stale or a duplicate and changes nothing: the first report of an attempt
+// wins. The engine's pool reports each dispatched attempt exactly once, so
+// this is safety code, pinned by FuzzDecide and TestDecide. An element that
+// succeeds goes into batch when the report is a lease's, and is recorded as
+// an iteration-element event of its own otherwise.
+func (d *decider) take(r report, batch *[]ElementTrace) *activity {
 	a := d.acts[r.task.Activity]
 	if a == nil || !a.open {
-		return
+		return nil
 	}
 	i := a.slotIndex(r.task.Element)
-	if i < 0 || a.slots[i].done || a.slots[i].attempt != r.task.Attempt {
-		return
+	if i < 0 || a.slots[i].done || a.slots[i].batched || a.slots[i].attempt != r.task.Attempt {
+		return nil
 	}
 	if !a.started {
 		d.emit(HistoryEvent{
@@ -420,7 +478,7 @@ func (d *decider) report(r report) {
 				Element: r.task.Element, Attempt: a.slots[i].attempt + 1,
 			})
 			d.cmds = append(d.cmds, command{kind: cmdRetry, p: a.p, task: d.task(a, i)})
-			return
+			return nil
 		}
 		if a.p.Retries > 0 {
 			err = fmt.Errorf("after %d attempts: %w", a.p.Retries+1, err)
@@ -442,6 +500,10 @@ func (d *decider) report(r report) {
 			a.cancelled = true
 			d.cmds = append(d.cmds, command{kind: cmdCancel, p: a.p})
 		}
+	case a.iterating && batch != nil:
+		a.slots[i].batched = true
+		*batch = append(*batch, ElementTrace{Index: r.task.Element, Inputs: r.inputs, Outputs: r.outputs})
+		a.fresh++
 	case a.iterating:
 		d.emit(HistoryEvent{
 			Type: HistoryIterationElement, Activity: a.p.Name, Worker: r.worker,
@@ -453,9 +515,7 @@ func (d *decider) report(r report) {
 		a.outputs = r.outputs
 		a.fresh++
 	}
-	if a.pending == 0 {
-		d.settle(a)
-	}
+	return a
 }
 
 // settle closes an activity whose slots have all reported. Failure

@@ -113,11 +113,30 @@ func fake(p *Processor, in map[string]Data) map[string]Data {
 }
 
 func (s *sim) report(st step) {
-	id := TaskID(s.d.runID, st.act, st.el)
 	if st.do == again {
-		s.decide(input{report: s.sent[id]})
+		s.decide(input{report: s.sent[TaskID(s.d.runID, st.act, st.el)]})
 		return
 	}
+	s.decide(input{report: s.build(st)})
+}
+
+// lease reports the steps together, as one batch-form invocation does; a
+// step that names an element twice repeats its report.
+func (s *sim) lease(sts []step) {
+	rs := make([]report, len(sts))
+	for i, st := range sts {
+		if st.do == again {
+			rs[i] = s.sent[TaskID(s.d.runID, st.act, st.el)]
+		} else {
+			rs[i] = s.build(st)
+		}
+	}
+	s.decide(input{lease: rs})
+}
+
+// build makes the report of one outstanding task and takes the task out.
+func (s *sim) build(st step) report {
+	id := TaskID(s.d.runID, st.act, st.el)
 	t, found := s.out[id]
 	if !found {
 		s.tb.Fatalf("no outstanding task %s", id)
@@ -142,7 +161,7 @@ func (s *sim) report(st step) {
 		r.outputs["z"] = Scalar("undeclared")
 	}
 	s.sent[id] = r
-	s.decide(input{report: r})
+	return r
 }
 
 // renderEvent renders one event; a completion shows the outputs its fold fa
@@ -159,6 +178,12 @@ func renderEvent(ev HistoryEvent, fa *ActivityFold) string {
 		return "started " + ev.Activity
 	case HistoryIterationElement:
 		return fmt.Sprintf("element %s#%d", ev.Activity, ev.Element)
+	case HistoryIterationBatch:
+		els := make([]string, len(ev.Batch))
+		for i, el := range ev.Batch {
+			els[i] = strconv.Itoa(el.Index)
+		}
+		return fmt.Sprintf("batch %s [%s]", ev.Activity, strings.Join(els, " "))
 	case HistoryRetryBackoff:
 		return fmt.Sprintf("retry-backoff %s#%d@%d", ev.Activity, ev.Element, ev.Attempt)
 	case HistoryActivityCompleted:
@@ -400,6 +425,110 @@ func TestDecide(t *testing.T) {
 	}
 }
 
+// TestDecideLease pins how the decider folds the reports of one batch-form
+// invocation: each as a lone report would be folded — retries, failure
+// precedence, cancellation, duplicates — but the elements that succeeded are
+// recorded as one iteration-batch event, appended before the activity
+// settles, and a resume re-dispatches only the elements no event records.
+func TestDecideLease(t *testing.T) {
+	abc := map[string]Data{"in": items("a", "b", "c")}
+	cases := []struct {
+		name   string
+		def    *Definition
+		prefix []HistoryEvent
+		leases [][]step
+		steps  []step // after the leases
+		want   []string
+		err    string
+	}{{
+		name:   "one lease, one event",
+		def:    iterDef(0),
+		leases: [][]step{{{"A", 0, succeed}, {"A", 1, succeed}, {"A", 2, succeed}}},
+		want: []string{
+			"run-started", "scheduled A x3", "dispatch A [0 1 2]",
+			"started A", "batch A [0 1 2]", "completed A (folded) y=[A:a, A:b, A:c]",
+			"finished completed out=[A:a, A:b, A:c]", "finish",
+		},
+	}, {
+		name:   "a failed slot retries alone",
+		def:    iterDef(1),
+		leases: [][]step{{{"A", 0, succeed}, {"A", 1, fail}, {"A", 2, succeed}}},
+		steps:  []step{{"A", 1, succeed}},
+		want: []string{
+			"run-started", "scheduled A x3", "dispatch A [0 1 2]",
+			"started A", "retry-backoff A#1@1", "batch A [0 2]", "retry A#1@1",
+			"element A#1", "completed A (folded) y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+		},
+	}, {
+		name:   "the batch precedes the failure it settles with",
+		def:    iterDef(0),
+		leases: [][]step{{{"A", 2, fail}, {"A", 0, succeed}, {"A", 1, fallout}}},
+		want: []string{
+			"run-started", "scheduled A x3", "dispatch A [0 1 2]",
+			"started A", "batch A [0]", "failed A (3): iteration 2: boom",
+			`finished failed: workflow: processor "A": iteration 2: boom`, "cancel A", "cancel run", "finish",
+		},
+		err: "iteration 2: boom",
+	}, {
+		name: "duplicates inside and across leases dropped",
+		def:  iterDef(0),
+		leases: [][]step{
+			{{"A", 0, succeed}, {"A", 0, again}},
+			{{"A", 0, again}, {"A", 1, succeed}, {"A", 2, succeed}, {"A", 2, again}},
+		},
+		want: []string{
+			"run-started", "scheduled A x3", "dispatch A [0 1 2]",
+			"started A", "batch A [0]",
+			"batch A [1 2]", "completed A (folded) y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+		},
+	}, {
+		name: "resume past a batch",
+		def:  iterDef(0),
+		prefix: []HistoryEvent{
+			{Type: HistoryRunStarted},
+			{Type: HistoryActivityScheduled, Activity: "A", Service: "work", Inputs: map[string]Data{"x": abc["in"]}, Elements: 3},
+			{Type: HistoryActivityStarted, Activity: "A", Element: -1},
+			{Type: HistoryIterationBatch, Activity: "A", Batch: []ElementTrace{
+				{Index: 2, Inputs: map[string]Data{"x": Scalar("c")}, Outputs: map[string]Data{"y": Scalar("A:c")}},
+				{Index: 0, Inputs: map[string]Data{"x": Scalar("a")}, Outputs: map[string]Data{"y": Scalar("A:a")}},
+			}},
+		},
+		steps: []step{{"A", 1, succeed}},
+		want: []string{
+			"dispatch A [1]",
+			"element A#1", "completed A (folded) y=[A:a, A:b, A:c]", "finished completed out=[A:a, A:b, A:c]", "finish",
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := range tc.prefix {
+				tc.prefix[i].Seq, tc.prefix[i].RunID = i, "run-t"
+			}
+			s := newSim(t, tc.def, abc, tc.prefix)
+			for _, l := range tc.leases {
+				s.lease(l)
+			}
+			for _, st := range tc.steps {
+				s.report(st)
+			}
+			if !reflect.DeepEqual(s.log, tc.want) {
+				t.Fatalf("decisions:\n  %s\nwant:\n  %s", strings.Join(s.log, "\n  "), strings.Join(tc.want, "\n  "))
+			}
+			for i, ev := range s.hist {
+				if ev.Seq != i {
+					t.Fatalf("event %d has seq %d", i, ev.Seq)
+				}
+			}
+			if len(s.out) != 0 {
+				t.Errorf("tasks still outstanding: %v", s.out)
+			}
+			if err := s.d.err; tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+				t.Fatalf("run error %v, want %q", err, tc.err)
+			}
+		})
+	}
+}
+
 // TestDeciderIsPure keeps decider.go free of what would make a decision
 // depend on anything but its inputs: the clock, locks, contexts, randomness,
 // telemetry, goroutines and channels.
@@ -457,21 +586,64 @@ func TestDecideAllocs(t *testing.T) {
 	}
 }
 
+// TestDecideLeaseAllocs pins what folding a whole lease of MaxElementBatch
+// element reports costs the decider: a constant, whatever the lease's size —
+// the iteration-batch event's own slice of traces, plus the fold's list of
+// element traces, which grows by doubling.
+func TestDecideLeaseAllocs(t *testing.T) {
+	const leases = 16
+	const n = leases * MaxElementBatch
+	in := make([]string, n)
+	for i := range in {
+		in[i] = "v" + strconv.Itoa(i)
+	}
+	s := newSim(t, iterDef(0), map[string]Data{"in": items(in...)}, nil)
+	a := s.d.acts["A"]
+	inputs := make([]input, leases)
+	for l := range inputs {
+		rs := make([]report, MaxElementBatch)
+		for j := range rs {
+			i := l*MaxElementBatch + j
+			x := elementInputs(a.p, a.inputs, i)
+			rs[j] = report{task: s.out[TaskID("run-t", "A", i)], worker: "w1", inputs: x, outputs: fake(a.p, x)}
+		}
+		inputs[l] = input{now: decideNow, lease: rs}
+	}
+	next := 0
+	// The last lease is left out: it settles the activity and finishes the
+	// run, which is not the lease's cost.
+	allocs := testing.AllocsPerRun(leases-2, func() {
+		evs, _ := s.d.decide(inputs[next])
+		if last := evs[len(evs)-1]; last.Type != HistoryIterationBatch || len(last.Batch) != MaxElementBatch {
+			t.Fatalf("lease %d decided %+v", next, evs)
+		}
+		next++
+	})
+	if next != leases-1 {
+		t.Fatalf("ran %d leases", next)
+	}
+	if allocs > 2 {
+		t.Fatalf("%.0f allocations per lease of %d elements, want at most 2", allocs, MaxElementBatch)
+	}
+}
+
 // decideScript drives a decider over the iterating linear pipeline with every
 // choice read from data — the processors' retry budgets, which outstanding
-// task reports next, its outcome, duplicate deliveries of earlier reports —
-// and checks what must hold of any history it makes: dense sequence numbers,
-// one run-finished and last, at most one iteration-element per index, no wait
-// on nothing, every completion that omits its outputs folding back, from the
-// stored encoding, to exactly the lists the decider collected (an undeclared
-// element port makes a completion store them instead), and that resuming at
-// every cut before the first activity-failed
-// and feeding the same reports again reproduces the rest of the history
+// task reports next, its outcome, whether it leases up to k more outstanding
+// first attempts of its activity into one batch input, duplicate deliveries
+// of earlier inputs — and checks what must hold of any history it makes:
+// dense sequence numbers, one run-finished and last, no element index
+// recorded twice across iteration-element and iteration-batch events, no
+// wait on nothing, every completion that omits its outputs folding back, from
+// the stored encoding, to exactly the lists the decider collected (an
+// undeclared element port makes a completion store them instead), and that
+// resuming at every cut before the first activity-failed and feeding the
+// same inputs again reproduces the rest of the history
 // (Time and Worker aside). A cut past activity-failed re-executes the failed
 // activity (TestResumePastFailedActivity), so it continues differently.
 func decideScript(tb testing.TB, data []byte) []HistoryEvent {
 	if len(data) > 512 {
-		data = data[:512] // the resume check is quadratic in the reports
+		data = data[:512] // the resume check is quadratic in the inputs
 	}
 	next := func(n int) int {
 		if len(data) == 0 {
@@ -486,50 +658,66 @@ func decideScript(tb testing.TB, data []byte) []HistoryEvent {
 	inputs := map[string]Data{"in": items("a", "b", "c")}
 	s := &sim{tb: tb, d: newDecider(def, "run-fuzz", inputs), out: map[string]Task{}, sent: map[string]report{}}
 	s.decide(input{resume: true})
-	var reports []report
+	var ins []input
 	runCancelled := false
+	// take makes the report of an outstanding task, with a byte-chosen outcome.
+	take := func(t Task, worker string) report {
+		delete(s.out, t.ID)
+		a := s.d.acts[t.Activity]
+		r := report{task: t, worker: worker, inputs: elementInputs(a.p, a.inputs, t.Element)}
+		switch next(9) { // exhausted data reads 0: success
+		case 5:
+			r.err = errors.New("boom")
+		case 6:
+			r.err, r.cancelled = context.Canceled, true
+		case 7:
+			r.outputs = map[string]Data{}
+		case 8:
+			r.outputs = fake(a.p, r.inputs)
+			r.outputs["z"] = Scalar("undeclared")
+		default:
+			r.outputs = fake(a.p, r.inputs)
+		}
+		if runCancelled {
+			r.ctxErr = context.Canceled
+		}
+		return r
+	}
 	// A duplicate consumes a byte and changes nothing, so once data runs out
-	// every report advances the run.
+	// every input advances the run.
 	limit := len(data) + 100
 	for len(s.hist) == 0 || s.hist[len(s.hist)-1].Type != HistoryRunFinished {
-		if len(reports) > limit {
-			tb.Fatalf("no run-finished after %d reports", len(reports))
+		if len(ins) > limit {
+			tb.Fatalf("no run-finished after %d inputs", len(ins))
 		}
 		ids := make([]string, 0, len(s.out))
 		for id := range s.out {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
-		var r report
-		if len(reports) > 0 && next(6) == 5 {
-			r = reports[next(len(reports))]
+		var in input
+		if len(ins) > 0 && next(6) == 5 {
+			in = ins[next(len(ins))]
 		} else {
 			if len(ids) == 0 {
 				tb.Fatalf("decider waits with no task outstanding: %v", s.log)
 			}
 			t := s.out[ids[next(len(ids))]]
-			delete(s.out, t.ID)
-			a := s.d.acts[t.Activity]
-			r = report{task: t, worker: "w" + strconv.Itoa(next(3)), inputs: elementInputs(a.p, a.inputs, t.Element)}
-			switch next(9) { // exhausted data reads 0: success
-			case 5:
-				r.err = errors.New("boom")
-			case 6:
-				r.err, r.cancelled = context.Canceled, true
-			case 7:
-				r.outputs = map[string]Data{}
-			case 8:
-				r.outputs = fake(a.p, r.inputs)
-				r.outputs["z"] = Scalar("undeclared")
-			default:
-				r.outputs = fake(a.p, r.inputs)
-			}
-			if runCancelled {
-				r.ctxErr = context.Canceled
+			worker := "w" + strconv.Itoa(next(3))
+			in.report = take(t, worker)
+			// A first attempt leases up to k more outstanding first attempts
+			// of its activity, as a batch-form invocation does.
+			if k := next(4); k > 0 && t.Element >= 0 && t.Attempt == 0 {
+				in.lease = []report{in.report}
+				for _, id := range ids {
+					if u, ok := s.out[id]; ok && len(in.lease) <= k && u.Activity == t.Activity && u.Element >= 0 && u.Attempt == 0 {
+						in.lease = append(in.lease, take(u, worker))
+					}
+				}
 			}
 		}
-		reports = append(reports, r)
-		s.decide(input{report: r})
+		ins = append(ins, in)
+		s.decide(in)
 		runCancelled = runCancelled || strings.Contains(strings.Join(s.log, "\n"), "cancel run")
 	}
 
@@ -546,12 +734,20 @@ func decideScript(tb testing.TB, data []byte) []HistoryEvent {
 		if ev.Type == HistoryActivityFailed && firstFailed == len(hist) {
 			firstFailed = i
 		}
-		if ev.Type == HistoryIterationElement {
-			key := ev.Activity + "#" + strconv.Itoa(ev.Element)
+		record := func(element int) {
+			key := ev.Activity + "#" + strconv.Itoa(element)
 			if seen[key] {
-				tb.Fatalf("second iteration-element for %s", key)
+				tb.Fatalf("element %s recorded twice (%s at %d)", key, ev.Type, i)
 			}
 			seen[key] = true
+		}
+		switch ev.Type {
+		case HistoryIterationElement:
+			record(ev.Element)
+		case HistoryIterationBatch:
+			for _, el := range ev.Batch {
+				record(el.Index)
+			}
 		}
 	}
 	if err := s.d.err; (err != nil) != (hist[len(hist)-1].Status == "failed") {
@@ -592,8 +788,9 @@ func decideScript(tb testing.TB, data []byte) []HistoryEvent {
 		got := append([]HistoryEvent(nil), hist[:cut]...)
 		evs, _ := d.decide(input{now: decideNow, resume: true})
 		got = append(got, evs...)
-		for _, r := range reports {
-			evs, _ := d.decide(input{now: decideNow, report: r})
+		for _, in := range ins {
+			in.now = decideNow
+			evs, _ := d.decide(in)
 			got = append(got, evs...)
 		}
 		if len(got) != len(hist) {

@@ -96,9 +96,10 @@ func (e *EventEngine) Run(ctx context.Context, def *Definition, inputs map[strin
 
 // Resume re-executes a run from its persisted history prefix under the
 // original run ID: completed activities replay their recorded outputs,
-// partially-complete iterations re-enqueue only the elements with no
-// iteration-element event, and new events append after the prefix. An empty
-// prefix is a full re-execution under the original identity.
+// partially-complete iterations re-enqueue only the elements no
+// iteration-element or iteration-batch event records, and new events append
+// after the prefix. An empty prefix is a full re-execution under the original
+// identity.
 func (e *EventEngine) Resume(ctx context.Context, def *Definition, inputs map[string]Data, runID string, history []HistoryEvent, listeners ...HistoryListener) (*RunResult, error) {
 	return e.execute(ctx, def, inputs, runID, history, listeners)
 }
@@ -129,11 +130,20 @@ type eventRun struct {
 	mu   sync.RWMutex
 	acts map[string]*running
 
-	msgs     chan report
+	msgs     chan message
 	finished bool
 	// done closes when the loop exits; reports select against it instead of
 	// blocking on msgs forever.
 	done chan struct{}
+}
+
+// message is what a worker hands the loop: one report, or the reports of a
+// batch-form invocation (lease, non-nil) together with the worker's channel
+// the loop signals once it has carried out their decision.
+type message struct {
+	report    report
+	lease     []report
+	performed chan<- struct{}
 }
 
 func (r *eventRun) activity(name string) *running {
@@ -198,7 +208,7 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 		acts: map[string]*running{},
 		// Two reports per worker plus slack, so a worker seldom waits for
 		// the loop to fold an event.
-		msgs: make(chan report, workers*2+4),
+		msgs: make(chan message, workers*2+4),
 		done: make(chan struct{}),
 	}
 	var wg sync.WaitGroup
@@ -220,9 +230,15 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 	r.perform(evs, cmds)
 	for !r.finished {
 		m := <-r.msgs
-		m.ctxErr = runCtx.Err()
-		m.cancelled = errors.Is(m.err, context.Canceled) || errors.Is(m.err, context.DeadlineExceeded)
-		r.perform(d.decide(input{now: time.Now(), report: m}))
+		in := input{now: time.Now(), report: m.report, lease: m.lease}
+		r.received(&in.report)
+		for i := range in.lease {
+			r.received(&in.lease[i])
+		}
+		r.perform(d.decide(in))
+		if m.performed != nil {
+			m.performed <- struct{}{}
+		}
 	}
 	if d.err != nil {
 		wfSpan.SetAttr("error", d.err.Error())
@@ -231,6 +247,13 @@ func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[s
 	r.q.Close()
 	wg.Wait() // all worker spans recorded before the run returns
 	return runResult(d, startedAt)
+}
+
+// received stamps a report with what the loop knows as it reads it: the run
+// context's error, and whether the report's own error is a context's.
+func (r *eventRun) received(m *report) {
+	m.ctxErr = r.runCtx.Err()
+	m.cancelled = errors.Is(m.err, context.Canceled) || errors.Is(m.err, context.DeadlineExceeded)
 }
 
 // handPrefix gives the replayed prefix to every listener that folds one.
@@ -344,15 +367,15 @@ const MaxElementBatch = 256
 func (r *eventRun) drain(worker string, t Task, err error) {
 	r.q.Ack(t.ID)
 	r.e.Stats.TaskDone(worker)
-	r.report(report{task: t, worker: worker, err: err})
+	r.send(message{report: report{task: t, worker: worker, err: err}})
 }
 
-// report delivers a worker report to the loop, giving up once the loop has
+// send delivers a worker's message to the loop, giving up once the loop has
 // exited. The decider finishes a run only after every dispatched task has
 // reported, so no report should be outstanding then; the select stays so that
 // one the loop will never read — the decider would drop it anyway — cannot
 // block its worker, and wg.Wait with it, forever.
-func (r *eventRun) report(m report) {
+func (r *eventRun) send(m message) {
 	select {
 	case r.msgs <- m:
 	case <-r.done:
@@ -367,6 +390,7 @@ func (r *eventRun) report(m report) {
 func (r *eventRun) worker(id string, alive *atomic.Int64) {
 	stats := r.e.Stats
 	tasksDone := 0
+	performed := make(chan struct{}, 1) // the loop's signal that a lease is decided
 	for {
 		t, err := r.q.Dequeue(context.Background())
 		if err != nil {
@@ -403,7 +427,7 @@ func (r *eventRun) worker(id string, alive *atomic.Int64) {
 				r.drain(id, lt, err)
 			}
 		case len(lease) > 1:
-			r.invokeBatch(id, a, lease)
+			r.invokeBatch(id, a, lease, performed)
 		default:
 			r.invoke(id, a, t)
 		}
@@ -490,17 +514,19 @@ func (r *eventRun) invoke(id string, a *running, t Task) {
 	r.end(f, id, a, err)
 	r.q.Ack(t.ID)
 	r.e.Stats.TaskDone(id)
-	r.report(report{task: t, worker: id, inputs: callIn, outputs: out, err: err})
+	r.send(message{report: report{task: t, worker: id, inputs: callIn, outputs: out, err: err}})
 }
 
 // invokeBatch runs the leased elements of one activity through the service's
 // batch form in a single invocation under the activity's context — one span,
-// one queue-wait and one exec sample for the lot — then acks and reports
-// every element on its own, exactly as if each had been invoked alone: the
-// decider, and so history and provenance, see the same per-element reports
-// either way. A slot that errored is that element's attempt 0; whether it is
-// retried is the decider's call.
-func (r *eventRun) invokeBatch(id string, a *running, lease []Task) {
+// one queue-wait and one exec sample for the lot — then acks every element
+// and hands the loop their reports as one message, which the decider folds
+// report by report, as if each element had been invoked alone, and records
+// as one iteration-batch event. A slot that errored is that element's
+// attempt 0; whether it is retried is the decider's call. The worker waits
+// for the loop to carry out that decision before it dequeues again, so a
+// cancel a failed slot issued lands before the worker takes its next lease.
+func (r *eventRun) invokeBatch(id string, a *running, lease []Task, performed chan struct{}) {
 	n := len(lease)
 	calls := make([]Call, n)
 	for i, t := range lease {
@@ -525,9 +551,15 @@ func (r *eventRun) invokeBatch(id string, a *running, lease []Task) {
 			results[i].Err = err
 		}
 	}
+	reports := make([]report, n)
 	for i, t := range lease {
 		r.q.Ack(t.ID)
 		r.e.Stats.TaskDone(id)
-		r.report(report{task: t, worker: id, inputs: calls[i].Inputs, outputs: results[i].Outputs, err: results[i].Err})
+		reports[i] = report{task: t, worker: id, inputs: calls[i].Inputs, outputs: results[i].Outputs, err: results[i].Err}
+	}
+	r.send(message{lease: reports, performed: performed})
+	select {
+	case <-performed:
+	case <-r.done:
 	}
 }

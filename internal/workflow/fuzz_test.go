@@ -72,7 +72,10 @@ func fuzzPipeline() (*Definition, map[string]Data) {
 // resumeHistorySeeds is the seed corpus of the history fuzzers: a real run
 // of fuzzPipeline cut at every event, plus hand-written prefixes no engine
 // makes — out-of-range elements, events past run-finished, unknown
-// activities, duplicate negative sequence numbers, outputs of the wrong shape.
+// activities, duplicate negative sequence numbers, outputs of the wrong
+// shape, and iteration-batch events that repeat an index, name one out of
+// range, repeat one an iteration-element holds, or belong to an activity
+// never scheduled.
 func resumeHistorySeeds(tb testing.TB) [][]byte {
 	def, inputs := fuzzPipeline()
 	evs, listener := recordHistory()
@@ -92,5 +95,9 @@ func resumeHistorySeeds(tb testing.TB) [][]byte {
 		[]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"run-finished","status":"completed","outputs":{"out":"X"}},{"seq":2,"type":"activity-scheduled","activity":"A"}]`),
 		[]byte(`[{"seq":0,"type":"activity-completed","activity":"nope","outputs":{"y":"X"}}]`),
 		[]byte(`[{"seq":-5,"type":"run-started"},{"seq":-5,"type":"activity-completed","activity":"B","iterations":1,"outputs":{"y":[["deep"]]}},{"seq":-5,"type":"activity-failed","activity":"A"}]`),
-		[]byte(`[{"seq":1,"type":"activity-completed","activity":"A","outputs":{}}]`))
+		[]byte(`[{"seq":1,"type":"activity-completed","activity":"A","outputs":{}}]`),
+		[]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b","c"]},"elements":3},{"seq":2,"type":"iteration-batch","activity":"A","batch":[{"element":1,"outputs":{"y":"B"}},{"element":1,"outputs":{"y":"Z"}}]}]`),
+		[]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b","c"]},"elements":3},{"seq":2,"type":"iteration-batch","activity":"A","batch":[{"element":7,"outputs":{"y":"Z"}},{"element":-3},{"element":0,"outputs":{"y":"A"}}]}]`),
+		[]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"activity-scheduled","activity":"A","inputs":{"x":["a","b","c"]},"elements":3},{"seq":2,"type":"iteration-element","activity":"A","element":0,"outputs":{"y":"A"}},{"seq":3,"type":"iteration-batch","activity":"A","batch":[{"element":0,"outputs":{"y":"Z"}},{"element":2,"outputs":{"y":"C"}}]}]`),
+		[]byte(`[{"seq":0,"type":"run-started"},{"seq":1,"type":"iteration-batch","activity":"B","batch":[{"element":0,"outputs":{"y":"X"}}]},{"seq":2,"type":"activity-completed","activity":"B","outputs":{}}]`))
 }

@@ -35,8 +35,15 @@ const (
 	HistoryActivityStarted HistoryEventType = "activity-started"
 	// HistoryIterationElement records the durable completion of ONE implicit
 	// iteration element: Element is the index, Inputs/Outputs the per-element
-	// call data. Resume re-enqueues only elements with no such event.
+	// call data. Resume re-enqueues only elements with no such event (nor an
+	// iteration-batch naming them). A single-form invocation and a retry
+	// record one.
 	HistoryIterationElement HistoryEventType = "iteration-element"
+	// HistoryIterationBatch records the elements one batch-form invocation
+	// completed, together: Batch holds each one's index and call data, as an
+	// iteration-element would. It is atomic for resume — a history cut before
+	// it re-executes the whole lease.
+	HistoryIterationBatch HistoryEventType = "iteration-batch"
 	// HistoryActivityCompleted closes an activity successfully: the
 	// invocation count and the collected Outputs — absent when they are
 	// exactly what the activity's iteration-element events already hold,
@@ -72,18 +79,21 @@ type HistoryEvent struct {
 	Service  string `json:"service,omitempty"`
 	Worker   string `json:"worker,omitempty"`
 
-	// Element is the iteration index (-1 when not element-scoped), Elements
-	// the planned invocation count of a scheduled activity (-1 for a single
-	// call), Iterations the invocation count of a finished activity, and
-	// Attempt the retry ordinal of a retry-backoff event.
+	// Element is the iteration index (-1 when not element-scoped; an
+	// iteration-batch carries its indices in Batch), Elements the planned
+	// invocation count of a scheduled activity (-1 for a single call),
+	// Iterations the invocation count of a finished activity, and Attempt
+	// the retry ordinal of a retry-backoff event.
 	Element    int `json:"element,omitempty"`
 	Elements   int `json:"elements,omitempty"`
 	Iterations int `json:"iterations,omitempty"`
 	Attempt    int `json:"attempt,omitempty"`
 
-	Inputs      map[string]Data `json:"inputs,omitempty"`
-	Outputs     map[string]Data `json:"outputs,omitempty"`
-	Annotations []Annotation    `json:"annotations,omitempty"`
+	Inputs  map[string]Data `json:"inputs,omitempty"`
+	Outputs map[string]Data `json:"outputs,omitempty"`
+	// Batch is the completed elements of an iteration-batch event.
+	Batch       []ElementTrace `json:"batch,omitempty"`
+	Annotations []Annotation   `json:"annotations,omitempty"`
 
 	Duration time.Duration `json:"duration,omitempty"`
 	// Status is "completed" or "failed" on run-finished events.
@@ -118,9 +128,9 @@ type HistoryPrefixer interface {
 // provenance — "which input name produced this particular result" — instead
 // of only list-to-list derivation.
 type ElementTrace struct {
-	Index   int
-	Inputs  map[string]Data
-	Outputs map[string]Data
+	Index   int             `json:"element"`
+	Inputs  map[string]Data `json:"inputs,omitempty"`
+	Outputs map[string]Data `json:"outputs,omitempty"`
 }
 
 // ActivityFold is what a history says about one activity so far: what resume
@@ -211,6 +221,12 @@ func (f *HistoryFold) Apply(ev HistoryEvent) *ActivityFold {
 	case HistoryIterationElement:
 		a = f.act(ev.Activity)
 		a.Elements = append(a.Elements, ElementTrace{Index: ev.Element, Inputs: ev.Inputs, Outputs: ev.Outputs})
+	case HistoryIterationBatch:
+		// Appending copies the traces: the fold's slice never aliases the
+		// event's, which a reader of the fold may sort while the event is
+		// still being encoded.
+		a = f.act(ev.Activity)
+		a.Elements = append(a.Elements, ev.Batch...)
 	case HistoryActivityCompleted:
 		a = f.act(ev.Activity)
 		a.Done, a.Outputs = true, ev.Outputs

@@ -79,6 +79,20 @@ func (ev *HistoryEvent) appendJSON(b []byte) ([]byte, bool) {
 	b = appendIntField(b, `,"attempt":`, int64(ev.Attempt))
 	b = appendDataMapField(b, `,"inputs":`, ev.Inputs)
 	b = appendDataMapField(b, `,"outputs":`, ev.Outputs)
+	if len(ev.Batch) > 0 {
+		b = append(b, `,"batch":[`...)
+		for i, el := range ev.Batch {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"element":`...)
+			b = strconv.AppendInt(b, int64(el.Index), 10)
+			b = appendDataMapField(b, `,"inputs":`, el.Inputs)
+			b = appendDataMapField(b, `,"outputs":`, el.Outputs)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
 	if len(ev.Annotations) > 0 {
 		b = append(b, `,"annotations":[`...)
 		for i, a := range ev.Annotations {

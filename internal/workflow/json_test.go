@@ -12,25 +12,33 @@ import (
 // value it encodes as (a string, or a list of them), so encoding/json's
 // reflection produces the whole reference encoding, Data included.
 type reflectiveEvent struct {
-	Seq          int              `json:"seq"`
-	Type         HistoryEventType `json:"type"`
-	Time         time.Time        `json:"time"`
-	RunID        string           `json:"run_id"`
-	WorkflowID   string           `json:"workflow_id,omitempty"`
-	WorkflowName string           `json:"workflow_name,omitempty"`
-	Activity     string           `json:"activity,omitempty"`
-	Service      string           `json:"service,omitempty"`
-	Worker       string           `json:"worker,omitempty"`
-	Element      int              `json:"element,omitempty"`
-	Elements     int              `json:"elements,omitempty"`
-	Iterations   int              `json:"iterations,omitempty"`
-	Attempt      int              `json:"attempt,omitempty"`
-	Inputs       map[string]any   `json:"inputs,omitempty"`
-	Outputs      map[string]any   `json:"outputs,omitempty"`
-	Annotations  []Annotation     `json:"annotations,omitempty"`
-	Duration     time.Duration    `json:"duration,omitempty"`
-	Status       string           `json:"status,omitempty"`
-	Err          string           `json:"error,omitempty"`
+	Seq          int               `json:"seq"`
+	Type         HistoryEventType  `json:"type"`
+	Time         time.Time         `json:"time"`
+	RunID        string            `json:"run_id"`
+	WorkflowID   string            `json:"workflow_id,omitempty"`
+	WorkflowName string            `json:"workflow_name,omitempty"`
+	Activity     string            `json:"activity,omitempty"`
+	Service      string            `json:"service,omitempty"`
+	Worker       string            `json:"worker,omitempty"`
+	Element      int               `json:"element,omitempty"`
+	Elements     int               `json:"elements,omitempty"`
+	Iterations   int               `json:"iterations,omitempty"`
+	Attempt      int               `json:"attempt,omitempty"`
+	Inputs       map[string]any    `json:"inputs,omitempty"`
+	Outputs      map[string]any    `json:"outputs,omitempty"`
+	Batch        []reflectiveTrace `json:"batch,omitempty"`
+	Annotations  []Annotation      `json:"annotations,omitempty"`
+	Duration     time.Duration     `json:"duration,omitempty"`
+	Status       string            `json:"status,omitempty"`
+	Err          string            `json:"error,omitempty"`
+}
+
+// reflectiveTrace is ElementTrace with its Data made plain.
+type reflectiveTrace struct {
+	Index   int            `json:"element"`
+	Inputs  map[string]any `json:"inputs,omitempty"`
+	Outputs map[string]any `json:"outputs,omitempty"`
 }
 
 func plainData(d Data) any {
@@ -56,26 +64,36 @@ func plainPorts(m map[string]Data) map[string]any {
 }
 
 func reflective(ev *HistoryEvent) reflectiveEvent {
+	var batch []reflectiveTrace
+	for _, el := range ev.Batch {
+		batch = append(batch, reflectiveTrace{Index: el.Index, Inputs: plainPorts(el.Inputs), Outputs: plainPorts(el.Outputs)})
+	}
 	return reflectiveEvent{
 		Seq: ev.Seq, Type: ev.Type, Time: ev.Time, RunID: ev.RunID,
 		WorkflowID: ev.WorkflowID, WorkflowName: ev.WorkflowName,
 		Activity: ev.Activity, Service: ev.Service, Worker: ev.Worker,
 		Element: ev.Element, Elements: ev.Elements, Iterations: ev.Iterations, Attempt: ev.Attempt,
-		Inputs: plainPorts(ev.Inputs), Outputs: plainPorts(ev.Outputs), Annotations: ev.Annotations,
+		Inputs: plainPorts(ev.Inputs), Outputs: plainPorts(ev.Outputs), Batch: batch, Annotations: ev.Annotations,
 		Duration: ev.Duration, Status: ev.Status, Err: ev.Err,
 	}
 }
 
 // TestReflectiveEventMirrorsHistoryEvent keeps the reference honest: a field
-// added to HistoryEvent must be added to AppendJSON and to the mirror.
+// added to HistoryEvent or ElementTrace must be added to AppendJSON and to
+// the mirror.
 func TestReflectiveEventMirrorsHistoryEvent(t *testing.T) {
-	a, b := reflect.TypeOf(HistoryEvent{}), reflect.TypeOf(reflectiveEvent{})
-	if a.NumField() != b.NumField() {
-		t.Fatalf("HistoryEvent has %d fields, the reference mirror %d", a.NumField(), b.NumField())
-	}
-	for i := range a.NumField() {
-		if fa, fb := a.Field(i), b.Field(i); fa.Name != fb.Name || fa.Tag != fb.Tag {
-			t.Errorf("field %d: %s `%s` vs mirror %s `%s`", i, fa.Name, fa.Tag, fb.Name, fb.Tag)
+	for _, pair := range [][2]reflect.Type{
+		{reflect.TypeOf(HistoryEvent{}), reflect.TypeOf(reflectiveEvent{})},
+		{reflect.TypeOf(ElementTrace{}), reflect.TypeOf(reflectiveTrace{})},
+	} {
+		a, b := pair[0], pair[1]
+		if a.NumField() != b.NumField() {
+			t.Fatalf("%s has %d fields, the reference mirror %d", a.Name(), a.NumField(), b.NumField())
+		}
+		for i := range a.NumField() {
+			if fa, fb := a.Field(i), b.Field(i); fa.Name != fb.Name || fa.Tag != fb.Tag {
+				t.Errorf("%s field %d: %s `%s` vs mirror %s `%s`", a.Name(), i, fa.Name, fa.Tag, fb.Name, fb.Tag)
+			}
 		}
 	}
 }
@@ -110,8 +128,8 @@ func checkHistoryJSON(t *testing.T, ev *HistoryEvent) {
 }
 
 // shapeReader builds history events from fuzz bytes: raw strings (any
-// bytes, so invalid UTF-8 too), nested lists, nil and empty maps, times of
-// any year and zone offset.
+// bytes, so invalid UTF-8 too), nested lists, nil and empty maps, element
+// batches, times of any year and zone offset.
 type shapeReader struct{ b []byte }
 
 func (r *shapeReader) next() byte {
@@ -194,6 +212,15 @@ func (r *shapeReader) event() HistoryEvent {
 	}
 	ev.Duration = time.Duration(r.num()) * time.Millisecond
 	ev.Status, ev.Err = r.str(), r.str()
+	switch n := r.next() % 4; n {
+	case 0:
+	case 1:
+		ev.Batch = []ElementTrace{}
+	default:
+		for ; n > 1; n-- {
+			ev.Batch = append(ev.Batch, ElementTrace{Index: r.num(), Inputs: r.ports(), Outputs: r.ports()})
+		}
+	}
 	return ev
 }
 
@@ -218,6 +245,13 @@ func TestHistoryJSONEdgeCases(t *testing.T) {
 		{Time: when, Annotations: []Annotation{{Date: time.Date(12000, 1, 1, 0, 0, 0, 0, time.UTC)}}},
 		{Time: time.Date(2000, 1, 1, 0, 0, 0, 0, time.FixedZone("", 24*3600))},
 		{Time: time.Date(2000, 1, 1, 0, 0, 0, 0, time.FixedZone("", -(23*3600+59*60+59)))},
+		{Type: HistoryIterationBatch, Time: when, RunID: "run-1", Activity: "Catalog_of_life", Worker: "w1",
+			Batch: []ElementTrace{
+				{Index: 0, Inputs: map[string]Data{"name": Scalar("Hyla faber")}, Outputs: map[string]Data{"status": Scalar(odd)}},
+				{Index: -1},
+				{Index: 7, Inputs: map[string]Data{}, Outputs: map[string]Data{"\xfe": nested}},
+			}},
+		{Batch: []ElementTrace{}},
 	} {
 		checkHistoryJSON(t, &ev)
 	}
@@ -236,6 +270,11 @@ func FuzzHistoryJSON(f *testing.F) {
 		[]byte("\x00\x00\x80\x00\x01\x60\x05\x05\x05\x05\x05\x05\x05\x05\x05\x05\x05\x05\x05\x05"),
 		[]byte("\x02\x04\xe2\x80\xa9x\x27\x0f\x02\x81\x0b\x1b\x17\x3b\x3b\xff\x03\x02\x02\x03\x03\x02\x02\x01"),
 	}
+	// Long enough to reach the batch: element traces with nil and empty port
+	// maps, nested lists and invalid UTF-8.
+	shapes = append(shapes,
+		bytes.Repeat([]byte("\x02\xff\xc3a"), 40),
+		bytes.Repeat([]byte("\x07\x02\xff\x01\xc3"), 40))
 	for i, seed := range resumeHistorySeeds(f) {
 		f.Add(seed, shapes[i%len(shapes)])
 	}
