@@ -86,7 +86,10 @@ race:
 ## guard (traced detection within 5% of untraced), the doc-reference check
 ## (every backticked package identifier, Go file and internal/ or cmd/ path in
 ## DESIGN.md, API.md and README.md names something the tree still has,
-## TestDocReferencesResolve), the allocation guards over
+## TestDocReferencesResolve), the reachability check (a go/types walk from
+## every main and init of both modules reaches every top-level declaration
+## and method under internal/ but the few reachAllowlist names with a reason,
+## TestInternalDeclarationsReachable), the allocation guards over
 ## the provenance/telemetry/storage hot paths (zero on the encoders and point
 ## reads; one per history row, its key, TestHistoryRowAllocs; one per row of
 ## the commit that ends a run and writes its graph, TestDeltaEncodeAllocs; a 32-byte
@@ -120,7 +123,7 @@ ci:
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
-	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve' .
+	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve|TestInternalDeclarationsReachable' .
 	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/ ./internal/workflow/
 	$(GO) run ./cmd/bench -smoke
 	$(GO) run ./cmd/bench -compare $(BENCH_NEWEST)

@@ -132,38 +132,59 @@ func BenchmarkTableII_SchemaValidation(b *testing.B) {
 	}
 }
 
-// E4 — Figure 2: the outdated-name detection pass (no persistence).
+// benchSystem opens a system over the shared collection, removed when b ends.
+func benchSystem(b *testing.B, w *benchWorld) *core.System {
+	b.Helper()
+	dir, err := os.MkdirTemp("", "bench-sys-*")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { os.RemoveAll(dir) })
+	sys, err := core.Open(dir, core.Options{Sync: storage.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { sys.Close() })
+	var recs []*fnjv.Record
+	w.store.Scan(func(r *fnjv.Record) bool { recs = append(recs, r); return true })
+	if err := sys.Records.PutAll(recs); err != nil {
+		b.Fatal(err)
+	}
+	return sys
+}
+
+// E4 — Figure 2: the outdated-name detection run (no ledger updates).
 func BenchmarkFigure2_OutdatedNameDetection(b *testing.B) {
 	w := getWorld(b)
-	det := &curation.Detector{Resolver: w.taxa.Checklist}
+	sys := benchSystem(b, w)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var report *curation.DetectReport
+	var outcome *core.DetectionOutcome
 	for i := 0; i < b.N; i++ {
 		var err error
-		report, err = det.Detect(context.Background(), w.store)
+		outcome, err = sys.RunDetection(context.Background(), w.taxa.Checklist, core.RunOptions{SkipLedger: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(report.OutdatedNames), "outdated-names")
-	b.ReportMetric(100*report.OutdatedFraction(), "outdated-%")
-	b.ReportMetric(float64(report.RecordsProcessed)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(outcome.Outdated), "outdated-names")
+	b.ReportMetric(100*outcome.OutdatedFraction(), "outdated-%")
+	b.ReportMetric(float64(outcome.RecordsProcessed)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // E7 — Figure 2 timing claim: automated vs modeled-manual verification.
 func BenchmarkFigure2_ManualVsAutomated(b *testing.B) {
 	w := getWorld(b)
-	det := &curation.Detector{Resolver: w.taxa.Checklist}
+	sys := benchSystem(b, w)
 	b.ResetTimer()
 	var names int
 	for i := 0; i < b.N; i++ {
-		report, err := det.Detect(context.Background(), w.store)
+		outcome, err := sys.RunDetection(context.Background(), w.taxa.Checklist, core.RunOptions{SkipLedger: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		names = report.DistinctNames
+		names = outcome.DistinctNames
 	}
 	b.StopTimer()
 	perRun := b.Elapsed().Seconds() / float64(b.N)
@@ -343,21 +364,7 @@ func BenchmarkStage2_SpatialOutliers(b *testing.B) {
 func BenchmarkAblation_ProvenanceVsAttribute(b *testing.B) {
 	w := getWorld(b)
 	b.Run("provenance-based", func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "bench-prov-*")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		sys, err := core.Open(dir, core.Options{Sync: storage.SyncNever})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sys.Close()
-		var recs []*fnjv.Record
-		w.store.Scan(func(r *fnjv.Record) bool { recs = append(recs, r); return true })
-		if err := sys.Records.PutAll(recs); err != nil {
-			b.Fatal(err)
-		}
+		sys := benchSystem(b, w)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sys.RunDetection(context.Background(), w.taxa.Checklist, core.RunOptions{SkipLedger: true}); err != nil {
@@ -366,15 +373,14 @@ func BenchmarkAblation_ProvenanceVsAttribute(b *testing.B) {
 		}
 	})
 	b.Run("attribute-based", func(b *testing.B) {
-		det := &curation.Detector{Resolver: w.taxa.Checklist}
+		sys := benchSystem(b, w)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			report, err := det.Detect(context.Background(), w.store)
-			if err != nil {
+			// The collection's own attributes against the checklist, no
+			// workflow and no provenance trail.
+			if _, _, err := sys.AssessCollection(w.taxa.Checklist, time.Time{}, time.Now()); err != nil {
 				b.Fatal(err)
 			}
-			// Same accuracy number, no provenance trail.
-			correct := report.DistinctNames - report.OutdatedNames - report.UnknownNames
-			_ = float64(correct) / float64(report.DistinctNames)
 		}
 	})
 }
@@ -526,7 +532,7 @@ func BenchmarkDetectionParallel(b *testing.B) {
 		eng := workflow.NewEventEngine(reg)
 		eng.Workers = workers
 		res, err := eng.Run(context.Background(), def, in,
-			workflow.HistoryListenerFunc(func(h workflow.HistoryEvent) {
+			historyFunc(func(h workflow.HistoryEvent) {
 				if h.Type == workflow.HistoryIterationElement && h.Activity == "Catalog_of_life" {
 					traces[h.Element] = fmt.Sprintf("%v -> %v", h.Inputs, h.Outputs)
 				}
@@ -572,6 +578,11 @@ func BenchmarkDetectionParallel(b *testing.B) {
 		b.ReportMetric(float64(len(names))*float64(b.N)/b.Elapsed().Seconds(), "names/s")
 	})
 }
+
+// historyFunc adapts a function to workflow.HistoryListener.
+type historyFunc func(workflow.HistoryEvent)
+
+func (f historyFunc) OnHistoryEvent(ev workflow.HistoryEvent) { f(ev) }
 
 type slowResolver struct {
 	inner taxonomy.Resolver
@@ -628,20 +639,12 @@ func BenchmarkAblation_AcousticVsMetadataRetrieval(b *testing.B) {
 func BenchmarkAblation_AdapterOverhead(b *testing.B) {
 	def := core.DetectionWorkflow()
 	w := getWorld(b)
+	// The single-name forms only: both arms dispatch one call per name.
+	services := workflow.NewRegistry()
+	core.RegisterDetectionServicesInto(services, w.taxa.Checklist)
 	reg := workflow.NewRegistry()
-	sysDir, err := os.MkdirTemp("", "bench-adapter-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(sysDir)
-	sys, err := core.Open(sysDir, core.Options{Sync: storage.SyncNever})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	sys.RegisterDetectionServices(w.taxa.Checklist)
-	for _, name := range sys.Registry.Names() {
-		fn, _ := sys.Registry.Lookup(name)
+	for _, name := range []string{"col.resolve", "detect.summarize"} {
+		fn, _ := services.Lookup(name)
 		reg.Register(name, fn)
 	}
 	items := make([]workflow.Data, 200)

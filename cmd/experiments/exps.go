@@ -60,9 +60,8 @@ func runTableII(e *environment) error {
 // E4 — Figure 2: the prototype's detection numbers.
 func runFigure2(e *environment) error {
 	e.build()
-	det := &curation.Detector{Resolver: e.taxa.Checklist}
 	start := time.Now()
-	report, err := det.Detect(context.Background(), e.sys.Records)
+	report, err := e.sys.RunDetection(context.Background(), e.taxa.Checklist, core.RunOptions{SkipLedger: true, Parallel: e.parallel})
 	if err != nil {
 		return err
 	}
@@ -70,7 +69,7 @@ func runFigure2(e *environment) error {
 	compareLine("records in collection", fmt.Sprintf("%d", paperRecords), fmt.Sprintf("%d", report.RecordsProcessed))
 	compareLine("distinct species names analyzed", fmt.Sprintf("%d", paperSpecies), fmt.Sprintf("%d", report.DistinctNames))
 	compareLine("outdated species names", fmt.Sprintf("%d (7%% of species)", paperOutdated),
-		fmt.Sprintf("%d (%.0f%%)", report.OutdatedNames, 100*report.OutdatedFraction()))
+		fmt.Sprintf("%d (%.0f%%)", report.Outdated, 100*report.OutdatedFraction()))
 	compareLine("verification time", "a few minutes", elapsed.Round(time.Millisecond).String())
 	fmt.Println("\nfirst 10 updated names:")
 	names := sortedKeys(report.Renames)
@@ -203,9 +202,8 @@ func runQualityIVC(e *environment) error {
 // E7 — §IV.B timing: automated minutes vs manual days-to-months.
 func runTiming(e *environment) error {
 	e.build()
-	det := &curation.Detector{Resolver: e.taxa.Checklist}
 	start := time.Now()
-	report, err := det.Detect(context.Background(), e.sys.Records)
+	report, err := e.sys.RunDetection(context.Background(), e.taxa.Checklist, core.RunOptions{SkipLedger: true, Parallel: e.parallel})
 	if err != nil {
 		return err
 	}

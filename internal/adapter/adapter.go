@@ -10,9 +10,8 @@
 //     or workflow specifications (Listing 1). These flow through the engine's
 //     events into the provenance graph untouched.
 //  2. Execution probes — service wrappers that observe every invocation
-//     (latency, failures, output volume) and derive measured quality
-//     attributes (reliability, mean latency) that the Data Quality Manager
-//     can consume alongside the asserted annotations.
+//     (latency, failures, output volume), the measured counterpart of the
+//     asserted annotations.
 package adapter
 
 import (
@@ -46,21 +45,6 @@ func AddQualityAnnotations(def *workflow.Definition, processor string, dims map[
 	return out, nil
 }
 
-// AddWorkflowQualityAnnotations annotates the workflow itself (rather than a
-// processor) with quality assertions.
-func AddWorkflowQualityAnnotations(def *workflow.Definition, dims map[string]string, author string, when time.Time) *workflow.Definition {
-	out := def.Clone()
-	keys := make([]string, 0, len(dims))
-	for k := range dims {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, dim := range keys {
-		out.Annotate(workflow.QualityKey(dim), dims[dim], author, when)
-	}
-	return out
-}
-
 // Observation aggregates the execution-quality byproducts of one processor's
 // service across a run (or several runs against the same probe).
 type Observation struct {
@@ -68,23 +52,6 @@ type Observation struct {
 	Failures     int
 	TotalLatency time.Duration
 	OutputBytes  int64
-}
-
-// Reliability is the fraction of invocations that succeeded (1.0 when the
-// service was never invoked).
-func (o Observation) Reliability() float64 {
-	if o.Invocations == 0 {
-		return 1
-	}
-	return 1 - float64(o.Failures)/float64(o.Invocations)
-}
-
-// MeanLatency is the average service latency (0 when never invoked).
-func (o Observation) MeanLatency() time.Duration {
-	if o.Invocations == 0 {
-		return 0
-	}
-	return o.TotalLatency / time.Duration(o.Invocations)
 }
 
 // Probe collects execution-quality observations. One probe may serve many
@@ -180,21 +147,4 @@ func (p *Probe) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.obs = make(map[string]*Observation)
-}
-
-// MeasuredAnnotations converts the probe's observations for a service into
-// quality-annotation form (dimension -> value), ready to be merged with the
-// expert-asserted annotations: reliability from the failure rate and
-// mean_latency_ms from timing.
-func (p *Probe) MeasuredAnnotations(service string) map[string]string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	o := p.obs[service]
-	if o == nil {
-		return nil
-	}
-	return map[string]string{
-		"reliability":     fmt.Sprintf("%.4f", o.Reliability()),
-		"mean_latency_ms": fmt.Sprintf("%.3f", float64(o.MeanLatency().Microseconds())/1000),
-	}
 }

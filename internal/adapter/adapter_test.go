@@ -63,18 +63,6 @@ func TestAddQualityAnnotations(t *testing.T) {
 	}
 }
 
-func TestAddWorkflowQualityAnnotations(t *testing.T) {
-	def := testDef()
-	inst := AddWorkflowQualityAnnotations(def, map[string]string{"trust": "0.8"}, "expert", time.Now())
-	if len(def.Annotations) != 0 {
-		t.Fatal("original mutated")
-	}
-	q := workflow.QualityAnnotations(inst.Annotations)
-	if q["trust"] != "0.8" {
-		t.Fatalf("workflow annotations = %v", q)
-	}
-}
-
 func TestProbeInstrumentation(t *testing.T) {
 	reg := workflow.NewRegistry()
 	calls := 0
@@ -94,8 +82,10 @@ func TestProbeInstrumentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ireg.Names()) != 2 {
-		t.Fatalf("instrumented registry names = %v", ireg.Names())
+	for _, name := range []string{"col.resolve", "unrelated"} {
+		if _, ok := ireg.Lookup(name); !ok {
+			t.Fatalf("instrumented registry lost %q", name)
+		}
 	}
 	eng := workflow.NewEventEngine(ireg)
 	// A successful run over a 3-element list: 3 invocations.
@@ -115,21 +105,11 @@ func TestProbeInstrumentation(t *testing.T) {
 	if o.Invocations != 4 || o.Failures != 1 {
 		t.Fatalf("observation = %+v", o)
 	}
-	if rel := o.Reliability(); rel != 0.75 {
-		t.Fatalf("reliability = %f", rel)
-	}
 	if o.OutputBytes == 0 {
 		t.Fatal("output bytes not counted")
 	}
-	if o.MeanLatency() < 0 {
+	if o.TotalLatency < 0 {
 		t.Fatal("negative latency")
-	}
-	ann := probe.MeasuredAnnotations("col.resolve")
-	if ann["reliability"] != "0.7500" {
-		t.Fatalf("measured annotations = %v", ann)
-	}
-	if probe.MeasuredAnnotations("never-ran") != nil {
-		t.Fatal("annotations for unknown service")
 	}
 	probe.Reset()
 	if len(probe.Snapshot()) != 0 {
@@ -185,12 +165,5 @@ func TestProbeInstrumentMissingService(t *testing.T) {
 	probe := NewProbe()
 	if _, err := probe.Instrument(testDef(), workflow.NewRegistry()); err == nil {
 		t.Fatal("missing service accepted")
-	}
-}
-
-func TestObservationZeroValues(t *testing.T) {
-	var o Observation
-	if o.Reliability() != 1 || o.MeanLatency() != 0 {
-		t.Fatalf("zero observation: rel=%f lat=%v", o.Reliability(), o.MeanLatency())
 	}
 }

@@ -160,7 +160,7 @@ func TestGetFallsBackAcrossDamagedReplicas(t *testing.T) {
 	}
 
 	// Damage the last copy too: Get must refuse rather than serve bad bytes.
-	if err := TruncateReplica(vols[2], m.ID, 10); err != nil {
+	if err := truncateReplica(vols[2], m.ID, 10); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Get(m.ID); !errors.Is(err, ErrNoHealthyReplica) {
@@ -231,4 +231,14 @@ func TestQuarantineMovesSurvivors(t *testing.T) {
 	if st := s.Stat(m.ID); !st.Quarantined {
 		t.Fatal("Stat does not surface quarantine")
 	}
+}
+
+// truncateReplica cuts the object's replica on the given volume to n bytes —
+// a torn write that slipped past the rename discipline (e.g. volume restored
+// from a partial backup).
+func truncateReplica(volume, id string, n int64) error {
+	if err := os.Truncate(replicaPath(volume, id), n); err != nil {
+		return fmt.Errorf("archive: truncate replica: %w", err)
+	}
+	return nil
 }

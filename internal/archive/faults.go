@@ -53,13 +53,3 @@ func DeleteReplica(volume, id string) error {
 	}
 	return nil
 }
-
-// TruncateReplica cuts the object's replica on the given volume to n bytes —
-// a torn write that slipped past the rename discipline (e.g. volume restored
-// from a partial backup).
-func TruncateReplica(volume, id string, n int64) error {
-	if err := os.Truncate(replicaPath(volume, id), n); err != nil {
-		return fmt.Errorf("archive: truncate replica: %w", err)
-	}
-	return nil
-}

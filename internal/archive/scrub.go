@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -227,10 +226,4 @@ func (s *Scrubber) Counters() map[string]float64 {
 		"archive.scrub.last_pass_us":     float64(s.lastPassUS.Load()),
 	}
 	return telemetry.MergeCounters(c, s.passHist.Snapshot().Counters("archive.scrub.pass"))
-}
-
-// Observation snapshots the counters as a runtime self-monitoring
-// observation, stored and queried like any other measurement.
-func (s *Scrubber) Observation(at time.Time) obs.Observation {
-	return obs.FromRuntimeMetrics("archive-scrubber", at, s.Counters())
 }

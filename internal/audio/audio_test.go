@@ -31,7 +31,7 @@ func TestSynthesizeShape(t *testing.T) {
 	if c.SampleRate != 22050 {
 		t.Fatalf("default sample rate = %d", c.SampleRate)
 	}
-	if got := c.Duration(); math.Abs(got-0.5) > 0.01 {
+	if got := float64(len(c.Samples)) / float64(c.SampleRate); math.Abs(got-0.5) > 0.01 {
 		t.Fatalf("duration = %f", got)
 	}
 	peak := 0.0

@@ -52,14 +52,6 @@ type Clip struct {
 	Samples    []float64 // in [-1, 1]
 }
 
-// Duration returns the clip length in seconds.
-func (c Clip) Duration() float64 {
-	if c.SampleRate == 0 {
-		return 0
-	}
-	return float64(len(c.Samples)) / float64(c.SampleRate)
-}
-
 // SynthesisParams controls one synthesized recording.
 type SynthesisParams struct {
 	SampleRate int     // default 22050

@@ -48,8 +48,7 @@ func (l Lease) Live(now time.Time) bool { return now.Before(l.Expires) }
 // deployment). Multiple Stores — in one process or several — may share the
 // same DB; the fence CAS arbitrates between them.
 type Store struct {
-	db  *storage.DB
-	now func() time.Time
+	db *storage.DB
 }
 
 // NewStore opens a lease store over db, creating the lease table if absent.
@@ -70,11 +69,8 @@ func NewStore(db *storage.DB) (*Store, error) {
 			return nil, err
 		}
 	}
-	return &Store{db: db, now: time.Now}, nil
+	return &Store{db: db}, nil
 }
-
-// SetClock replaces the wall clock (tests and chaos harnesses only).
-func (s *Store) SetClock(now func() time.Time) { s.now = now }
 
 // fenceName is the storage-fence resource backing the lease on resource.
 func fenceName(resource string) string { return "lease/" + resource }
@@ -123,7 +119,7 @@ func (s *Store) List() []Lease {
 // one wins: the token bump is a storage-fence CAS, and the lease row is
 // written in the same atomic batch, so row and fence never disagree.
 func (s *Store) Acquire(resource, holder string, ttl time.Duration) (Lease, error) {
-	now := s.now()
+	now := time.Now()
 	// Fence first, row second: a rival that completes its (atomic) bump+row
 	// after this read fails our CAS below, and one that completed before it
 	// shows up as a live row — there is no window in which both can win.
@@ -150,7 +146,7 @@ func (s *Store) Renew(l Lease, ttl time.Duration) (Lease, error) {
 	if !exists || cur.Token != l.Token || cur.Holder != l.Holder {
 		return Lease{}, fmt.Errorf("%w: %q renewed at token %d", ErrLeaseLost, l.Resource, l.Token)
 	}
-	l.Expires = s.now().Add(ttl)
+	l.Expires = time.Now().Add(ttl)
 	if err := s.putFenced(l); err != nil {
 		if errors.Is(err, storage.ErrStaleFence) {
 			return Lease{}, fmt.Errorf("%w: %q stolen during renew", ErrLeaseLost, l.Resource)
@@ -168,7 +164,7 @@ func (s *Store) Release(l Lease) error {
 	if !exists || cur.Token != l.Token || cur.Holder != l.Holder {
 		return nil
 	}
-	l.Expires = s.now().Add(-time.Nanosecond)
+	l.Expires = time.Now().Add(-time.Nanosecond)
 	err := s.putFenced(l)
 	if errors.Is(err, storage.ErrStaleFence) {
 		return nil
@@ -184,7 +180,7 @@ func (s *Store) Expire(resource string) error {
 	if !exists {
 		return fmt.Errorf("cluster: expire of unknown lease %q", resource)
 	}
-	cur.Expires = s.now().Add(-time.Nanosecond)
+	cur.Expires = time.Now().Add(-time.Nanosecond)
 	err := s.putFenced(cur)
 	if errors.Is(err, storage.ErrStaleFence) {
 		return nil

@@ -41,7 +41,7 @@ type Member struct {
 // the name is genuinely held by someone else — ErrLeaseHeld propagates.
 func (s *Store) Heartbeat(name string, ttl time.Duration) (Lease, error) {
 	res := MemberResource(name)
-	if cur, ok := s.Get(res); ok && cur.Live(s.now()) && cur.Holder == name {
+	if cur, ok := s.Get(res); ok && cur.Live(time.Now()) && cur.Holder == name {
 		renewed, err := s.Renew(cur, ttl)
 		if err == nil {
 			return renewed, nil

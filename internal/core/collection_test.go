@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"testing"
 	"time"
 
-	"repro/internal/curation"
 	"repro/internal/envsource"
 	"repro/internal/fnjv"
 	"repro/internal/geo"
@@ -56,13 +54,7 @@ func TestAssessCollection(t *testing.T) {
 	}
 
 	// Stage-1 curation improves both dimensions.
-	if _, err := (&curation.Pipeline{
-		Checklist: taxa.Checklist,
-		Gazetteer: gaz,
-		EnvSource: env,
-	}).Run(context.Background(), sys.Records); err != nil {
-		t.Fatal(err)
-	}
+	curateStage1(t, sys.Records, taxa.Checklist, gaz, env, nil)
 	aAfter, factsAfter, err := sys.AssessCollection(taxa.Checklist, now, now)
 	if err != nil {
 		t.Fatal(err)

@@ -119,12 +119,34 @@ func TestRunDetectionEndToEnd(t *testing.T) {
 			t.Fatalf("rename of non-outdated name %q", old)
 		}
 	}
-	// Updates persisted; originals untouched.
+	// The numbers are a direct checklist classification of the collection.
+	assertDirectClassification(t, sys, taxa.Checklist, outcome)
+	// Updates persisted, one pending per record bearing an outdated name;
+	// originals untouched.
 	if outcome.UpdatesCreated != sys.Ledger.CountUpdates("") {
 		t.Fatalf("updates created = %d, ledger has %d", outcome.UpdatesCreated, sys.Ledger.CountUpdates(""))
 	}
 	if outcome.UpdatesCreated == 0 {
 		t.Fatal("no updates created")
+	}
+	pending, err := sys.Ledger.Pending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != outcome.UpdatesCreated {
+		t.Fatalf("pending = %d, updates created = %d", len(pending), outcome.UpdatesCreated)
+	}
+	for _, u := range pending {
+		rec, err := sys.Records.Get(u.RecordID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Species != u.OriginalName || !taxa.OutdatedNames[u.OriginalName] {
+			t.Fatalf("update %s: record %s carries %q, update says %q", u.ID, u.RecordID, rec.Species, u.OriginalName)
+		}
+		if u.Status == "synonym" && u.UpdatedName == "" {
+			t.Fatalf("synonym update %s has no updated name", u.ID)
+		}
 	}
 	// Provenance stored: graph exists and is legal, quality annotations on
 	// the authority processor.
@@ -154,7 +176,11 @@ func TestRunDetectionEndToEnd(t *testing.T) {
 		t.Fatal("assessment rejected")
 	}
 	// The workflow is in the repository, annotated.
-	def, err := sys.Workflows.Latest(DetectionWorkflowID)
+	version, err := sys.Workflows.LatestVersion(DetectionWorkflowID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := sys.Workflows.Get(DetectionWorkflowID, version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +198,75 @@ func TestRunDetectionEndToEnd(t *testing.T) {
 	if snap["col.resolve"].Invocations != 200 {
 		t.Fatalf("probe = %+v", snap["col.resolve"])
 	}
+}
+
+// assertDirectClassification holds a detection outcome to a direct
+// classification of the same collection: every record scanned, every
+// distinct species resolved against checklist, the outdated ones renamed.
+func assertDirectClassification(t *testing.T, sys *System, checklist *taxonomy.Checklist, outcome *DetectionOutcome) {
+	t.Helper()
+	distinct, err := sys.Records.DistinctSpecies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	renames := map[string]string{}
+	unknown := 0
+	for name := range distinct {
+		res, err := checklist.Resolve(context.Background(), name)
+		switch {
+		case err != nil:
+			unknown++
+		case res.Status == taxonomy.StatusSynonym || res.Status == taxonomy.StatusProvisional:
+			renames[name] = res.AcceptedName
+			if renames[name] == "" {
+				renames[name] = "Nomen inquirendum"
+			}
+		}
+	}
+	if outcome.RecordsProcessed != sys.Records.Len() || outcome.DistinctNames != len(distinct) ||
+		outcome.Outdated != len(renames) || outcome.Unknown != unknown || outcome.Unavailable != 0 {
+		t.Fatalf("outcome: %d records, %d distinct, %d outdated, %d unknown, %d unavailable; direct: %d records, %d distinct, %d outdated, %d unknown",
+			outcome.RecordsProcessed, outcome.DistinctNames, outcome.Outdated, outcome.Unknown, outcome.Unavailable,
+			sys.Records.Len(), len(distinct), len(renames), unknown)
+	}
+	if len(outcome.Renames) != len(renames) {
+		t.Fatalf("outcome renames %d names, direct classification %d", len(outcome.Renames), len(renames))
+	}
+	for name, to := range renames {
+		if outcome.Renames[name] != to {
+			t.Errorf("rename %q: outcome %q, checklist %q", name, outcome.Renames[name], to)
+		}
+	}
+}
+
+// TestRunDetectionCountsDirtyNamesUnknown: names the stage-1 cleaner never
+// saw stay misspelled, the in-process authority does not know them, and the
+// run counts them unknown — never unavailable — next to the outdated ones.
+func TestRunDetectionCountsDirtyNamesUnknown(t *testing.T) {
+	sys, err := Open(t.TempDir(), Options{Sync: storage.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	taxa, err := taxonomy.Generate(taxonomy.GeneratorSpec{Species: 150, OutdatedFraction: 0.07, ProvisionalFraction: 0.1, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := fnjv.Generate(fnjv.CollectionSpec{Records: 300, Seed: 33}, taxa, geo.SyntheticGazetteer(15, 8), envsource.NewSimulator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Records.PutAll(col.Records); err != nil {
+		t.Fatal(err)
+	}
+	outcome, err := sys.RunDetection(context.Background(), taxa.Checklist, RunOptions{SkipLedger: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome.Unknown == 0 {
+		t.Fatal("dirty names did not register as unknown")
+	}
+	assertDirectClassification(t, sys, taxa.Checklist, outcome)
 }
 
 func TestRunDetectionWithMeasuredAvailability(t *testing.T) {
@@ -256,7 +351,7 @@ func TestKnowledgeEvolutionDegradesQuality(t *testing.T) {
 	}
 	// Curation catches up: approve the renames; curated names now resolve
 	// as accepted.
-	if _, err := curation.Review(sys.Ledger, curation.ApproveAll, "biologist", when); err != nil {
+	if _, err := curation.Review(sys.Ledger, func(*curation.NameUpdate) curation.Verdict { return curation.Approve }, "biologist", when); err != nil {
 		t.Fatal(err)
 	}
 	var healed, total int

@@ -46,7 +46,14 @@ func TestHistoryBytesPerRun(t *testing.T) {
 		t.Fatalf("%d distinct names, want 200", outcome.DistinctNames)
 	}
 	history := sys.DB.Table("prov_history")
-	schema, prefix := history.Schema(), outcome.RunID+"/"
+	// The layout provenance gives the table: key (run/seq), run_id, seq,
+	// payload.
+	schema := storage.MustSchema("prov_history",
+		storage.Column{Name: "key", Kind: storage.KindString},
+		storage.Column{Name: "run_id", Kind: storage.KindString},
+		storage.Column{Name: "seq", Kind: storage.KindInt},
+		storage.Column{Name: "payload", Kind: storage.KindBytes})
+	prefix := outcome.RunID + "/"
 	payload, rows := 0, 0
 	history.ScanFrom(storage.S(prefix), func(row storage.Row) bool {
 		if !strings.HasPrefix(row.Get(schema, "key").Str(), prefix) {

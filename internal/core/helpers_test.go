@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/curation"
 	"repro/internal/envsource"
 	"repro/internal/fnjv"
 	"repro/internal/geo"
@@ -16,6 +17,21 @@ import (
 
 // workflowMarshal keeps the test import list tidy.
 func workflowMarshal(d *workflow.Definition) ([]byte, error) { return workflow.MarshalXML(d) }
+
+// curateStage1 runs the §IV.B stage-1 steps — clean, geocode, gap-fill — over
+// store, logging into led when it is not nil.
+func curateStage1(t *testing.T, store fnjv.Records, checklist *taxonomy.Checklist, gaz *geo.Gazetteer, env envsource.Source, led *curation.Ledger) {
+	t.Helper()
+	if _, err := (&curation.Cleaner{Checklist: checklist, Ledger: led}).Clean(store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&curation.Geocoder{Gazetteer: gaz, Ledger: led}).Geocode(store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&curation.GapFiller{Source: env, Ledger: led}).Fill(store); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // generateClean builds a syntax-clean record set from the given taxonomy.
 func generateClean(t *testing.T, taxa *taxonomy.Generated, records int) []*fnjv.Record {

@@ -48,14 +48,7 @@ func TestPaperScaleEndToEnd(t *testing.T) {
 	}
 
 	// Stage 1 first (dirty names must be repaired before Fig. 2 detection).
-	if _, err := (&curation.Pipeline{
-		Checklist: taxa.Checklist,
-		Gazetteer: gaz,
-		EnvSource: env,
-		Ledger:    sys.Ledger,
-	}).Run(context.Background(), sys.Records); err != nil {
-		t.Fatal(err)
-	}
+	curateStage1(t, sys.Records, taxa.Checklist, gaz, env, sys.Ledger)
 
 	// The authority over HTTP at the paper's availability, behind a cache.
 	server := httptest.NewServer(taxonomy.NewService(taxa.Checklist,

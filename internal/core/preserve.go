@@ -199,28 +199,3 @@ func (pm *PreservationManager) ScrubCounters() map[string]float64 {
 func (pm *PreservationManager) ScrubObservation(at time.Time) obs.Observation {
 	return obs.FromRuntimeMetrics("archive-scrubber", at, pm.ScrubCounters())
 }
-
-// Holding reports what the archival store currently vouches for, feeding the
-// Table I level decision: documentation is held when at least one metadata
-// package is fully replicated and healthy, simplified data when at least one
-// audio package is.
-func (pm *PreservationManager) Holding() (Holding, error) {
-	ids, err := pm.Store.List()
-	if err != nil {
-		return Holding{}, err
-	}
-	var h Holding
-	for _, id := range ids {
-		st := pm.Store.Stat(id)
-		if st.Healthy() == 0 {
-			continue
-		}
-		switch st.Manifest.MediaType {
-		case MediaRecordJSON, MediaOPMXML:
-			h.HasDocumentation = true
-		case MediaClipWAV:
-			h.HasSimplifiedData = true
-		}
-	}
-	return h, nil
-}

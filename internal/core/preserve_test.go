@@ -88,14 +88,6 @@ func TestPreservationManagerLevelGatesAudio(t *testing.T) {
 		t.Fatalf("archived clip: rate=%d samples=%d", clip.SampleRate, len(clip.Samples))
 	}
 
-	h, err := pm2.Holding()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.AchievedLevel(); got != LevelSimplifiedFormat {
-		t.Fatalf("holding level = %v, want %v", got, LevelSimplifiedFormat)
-	}
-
 	if _, err := sys.NewPreservationManager(store, PreservationLevel(9)); err == nil {
 		t.Fatal("invalid level accepted")
 	}

@@ -78,8 +78,9 @@ type SweepReport struct {
 	// Abandoned maps run IDs finalized as abandoned to the reason.
 	Abandoned map[string]string
 	// Skipped lists runs left alone because a live lease held by another
-	// orchestrator covers them: they are in flight elsewhere, not ours to
-	// resume or abandon.
+	// orchestrator covers them, or because another orchestrator finished
+	// them between the listing and the claim: they are in flight or done
+	// elsewhere, not ours to resume or abandon.
 	Skipped []string
 }
 
@@ -137,6 +138,13 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 					// process) won the lease and is executing the run right
 					// now. Its run, not ours — abandoning it here would
 					// finalize a run that is actively completing elsewhere.
+					report.Skipped = append(report.Skipped, info.RunID)
+					continue
+				}
+				if now, ierr := s.Provenance.Run(info.RunID); errors.Is(rerr, ErrNotResumable) && ierr == nil && now.Status != provenance.RunRunning {
+					// Won a claim the winner had already released: the run
+					// was finished elsewhere after the listing, and nothing
+					// ran here. Abandoning it would rewrite its end.
 					report.Skipped = append(report.Skipped, info.RunID)
 					continue
 				}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/quality"
 	"repro/internal/taxonomy"
 	"repro/internal/workflow"
 )
@@ -108,26 +109,47 @@ func TestAuthorityErrorsAreNotAcceptedNames(t *testing.T) {
 }
 
 // TestFailingAuthorityDoesNotInflateAccuracy is the same bug end to end: a
-// detection against an authority answering 500 checks nothing, so every name
-// is unavailable and none counts towards species-name accuracy.
+// detection against an authority answering 500, or a body that does not
+// decode, checks nothing, so every name is unavailable — not unknown — and
+// none counts towards species-name accuracy, whether the names go one per
+// request or batched, through the bare client, the cache or the resilient
+// stack.
 func TestFailingAuthorityDoesNotInflateAccuracy(t *testing.T) {
 	sys, _, _ := testSystem(t, 60, 12)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "internal error", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	for name, resolver := range map[string]taxonomy.Resolver{
-		"per-element": singleOnlyResolver{taxonomy.NewClient(srv.URL)},
-		"batched":     taxonomy.NewClient(srv.URL),
-	} {
-		outcome, err := sys.RunDetection(context.Background(), resolver, RunOptions{SkipLedger: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	stubs := map[string]http.HandlerFunc{
+		"500": func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, "internal error", http.StatusInternalServerError)
+		},
+		"garbage": func(w http.ResponseWriter, _ *http.Request) {
+			w.Write([]byte("<html>not json"))
+		},
+	}
+	stacks := map[string]func(*taxonomy.Client) taxonomy.Resolver{
+		"per-element": func(c *taxonomy.Client) taxonomy.Resolver { return singleOnlyResolver{c} },
+		"batched":     func(c *taxonomy.Client) taxonomy.Resolver { return c },
+		"caching":     func(c *taxonomy.Client) taxonomy.Resolver { return taxonomy.NewCachingResolver(c, 0) },
+		"resilient": func(c *taxonomy.Client) taxonomy.Resolver {
+			return taxonomy.NewResilientResolver(c, taxonomy.ResilienceOptions{})
+		},
+	}
+	for stub, handler := range stubs {
+		srv := httptest.NewServer(handler)
+		for stack, wrap := range stacks {
+			client := taxonomy.NewClient(srv.URL)
+			client.Retries = 0
+			outcome, err := sys.RunDetection(context.Background(), wrap(client), RunOptions{SkipLedger: true})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", stub, stack, err)
+			}
+			if outcome.Unavailable != outcome.DistinctNames || outcome.Unknown != 0 || outcome.Outdated != 0 {
+				t.Errorf("%s/%s: %d names: %d unavailable, %d unknown, %d outdated; want all unavailable",
+					stub, stack, outcome.DistinctNames, outcome.Unavailable, outcome.Unknown, outcome.Outdated)
+			}
+			if acc := outcome.Assessment.Dimensions[quality.DimAccuracy]; acc != 0 {
+				t.Errorf("%s/%s: accuracy %.3f over names nobody checked", stub, stack, acc)
+			}
 		}
-		if outcome.Unavailable != outcome.DistinctNames || outcome.Unknown != 0 || outcome.Outdated != 0 {
-			t.Errorf("%s: %d names: %d unavailable, %d unknown, %d outdated; want all unavailable",
-				name, outcome.DistinctNames, outcome.Unavailable, outcome.Unknown, outcome.Outdated)
-		}
+		srv.Close()
 	}
 }
 
@@ -169,7 +191,9 @@ func TestConcurrentRunsKeepTheirResolvers(t *testing.T) {
 			t.Errorf("resolver %d answered %d names, want exactly its own runs' %d", i, got, want)
 		}
 	}
-	if names := sys.Registry.Names(); len(names) != 0 {
-		t.Errorf("detection runs registered %v in the shared registry", names)
+	for _, name := range []string{"col.resolve", "detect.summarize"} {
+		if _, ok := sys.Registry.Lookup(name); ok {
+			t.Errorf("detection runs registered %q in the shared registry", name)
+		}
 	}
 }

@@ -78,8 +78,6 @@ type Options struct {
 	// definitions and the curation ledger stay on a meta database. 0 or 1 is
 	// the single-database layout.
 	Shards int
-	// ShardDeadline bounds each cross-shard scatter-gather leg (default 2s).
-	ShardDeadline time.Duration
 	// CommitDelay adds a deterministic simulated device latency to every
 	// SyncAlways WAL commit (see storage.Options.CommitDelay). Load
 	// experiments only; 0 in production.
@@ -127,7 +125,6 @@ func openSharded(dir string, opts Options) (*System, error) {
 	shards, err := shard.Open(dir, shard.Options{
 		Shards:      opts.Shards,
 		Sync:        opts.Sync,
-		Deadline:    opts.ShardDeadline,
 		CommitDelay: opts.CommitDelay,
 	})
 	if err != nil {
@@ -251,14 +248,6 @@ type detectionSummary struct {
 	Degraded      int               `json:"degraded,omitempty"`
 	Renames       map[string]string `json:"renames"`
 	References    map[string]string `json:"references,omitempty"`
-}
-
-// RegisterDetectionServices binds the case-study services to the given
-// taxonomic authority in the system's shared registry — for callers that
-// build engines of their own. Detection runs do not need it: each binds its
-// resolver in a registry of its own.
-func (s *System) RegisterDetectionServices(resolver taxonomy.Resolver) {
-	RegisterDetectionServicesInto(s.Registry, resolver)
 }
 
 // resolveDatum renders one name's resolution as the Catalog_of_life output —

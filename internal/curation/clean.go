@@ -39,26 +39,18 @@ type Cleaner struct {
 	// Checklist enables fuzzy repair of typo-damaged species names;
 	// nil restricts cleaning to normalization.
 	Checklist *taxonomy.Checklist
-	// FuzzyDistance is the maximum edit distance for name repair (default 2).
-	FuzzyDistance int
-	// Ledger receives history entries for applied repairs; nil skips logging.
+	// Ledger receives history entries for applied repairs, by actor
+	// "cleaner"; nil skips logging.
 	Ledger *Ledger
-	// Actor is recorded on history entries (default "cleaner").
-	Actor string
 }
+
+// fuzzyDistance is the maximum edit distance for name repair.
+const fuzzyDistance = 2
 
 // Clean checks every record, repairing what it safely can (writing the
 // repaired record back to the store and logging the change) and flagging the
 // rest for human attention.
 func (c *Cleaner) Clean(store fnjv.Records) (*CleanReport, error) {
-	fuzzy := c.FuzzyDistance
-	if fuzzy == 0 {
-		fuzzy = 2
-	}
-	actor := c.Actor
-	if actor == "" {
-		actor = "cleaner"
-	}
 	report := &CleanReport{}
 	var dirty []*fnjv.Record
 
@@ -103,7 +95,7 @@ func (c *Cleaner) Clean(store fnjv.Records) (*CleanReport, error) {
 				if err := c.Ledger.LogChange(HistoryEntry{
 					RecordID: is.RecordID, Field: is.Field,
 					OldValue: is.OldValue, NewValue: is.NewValue,
-					Reason: "stage1-clean:" + is.Kind, Actor: actor, At: time.Now(),
+					Reason: "stage1-clean:" + is.Kind, Actor: "cleaner", At: time.Now(),
 				}); err != nil {
 					return nil, err
 				}
@@ -129,7 +121,7 @@ func (c *Cleaner) repairName(r *fnjv.Record) (bool, *Issue) {
 		if _, err := c.Checklist.Resolve(context.Background(), norm); err == nil {
 			return false, nil
 		}
-		res, err := c.Checklist.ResolveFuzzy(norm, c.fuzzyBudget())
+		res, err := c.Checklist.ResolveFuzzy(norm, fuzzyDistance)
 		if err != nil || !res.Fuzzy {
 			return false, &Issue{
 				RecordID: r.ID, Field: "species", Kind: "syntax",
@@ -156,7 +148,7 @@ func (c *Cleaner) repairName(r *fnjv.Record) (bool, *Issue) {
 	detail := "normalized case/whitespace"
 	if c.Checklist != nil {
 		if _, err := c.Checklist.Resolve(context.Background(), norm); err != nil {
-			res, err2 := c.Checklist.ResolveFuzzy(norm, c.fuzzyBudget())
+			res, err2 := c.Checklist.ResolveFuzzy(norm, fuzzyDistance)
 			if err2 == nil && res.Fuzzy {
 				final = matchedName(res)
 				detail = fmt.Sprintf("normalized + typo repair at distance %d", res.Distance)
@@ -168,13 +160,6 @@ func (c *Cleaner) repairName(r *fnjv.Record) (bool, *Issue) {
 		RecordID: r.ID, Field: "species", Kind: "syntax", Repaired: true,
 		OldValue: orig, NewValue: final, Detail: detail,
 	}
-}
-
-func (c *Cleaner) fuzzyBudget() int {
-	if c.FuzzyDistance > 0 {
-		return c.FuzzyDistance
-	}
-	return 2
 }
 
 // matchedName reconstructs the checklist spelling the fuzzy match hit: the

@@ -3,10 +3,6 @@ package curation
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -237,216 +233,37 @@ func TestGapFiller(t *testing.T) {
 	}
 }
 
-func TestDetectOutdatedNames(t *testing.T) {
-	f := newFixture(t, 1500)
-	// Clean first so dirty names resolve.
-	if _, err := (&Cleaner{Checklist: f.taxa.Checklist}).Clean(f.store); err != nil {
-		t.Fatal(err)
-	}
-	det := &Detector{Resolver: f.taxa.Checklist, Ledger: f.led}
-	report, err := det.Detect(context.Background(), f.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.RecordsProcessed != 1500 {
-		t.Fatalf("processed %d", report.RecordsProcessed)
-	}
-	if report.DistinctNames != 150 {
-		t.Fatalf("distinct = %d, want 150 (post-cleaning)", report.DistinctNames)
-	}
-	wantOutdated := len(f.taxa.OutdatedNames)
-	if report.OutdatedNames != wantOutdated {
-		t.Fatalf("outdated = %d, want %d", report.OutdatedNames, wantOutdated)
-	}
-	if report.UnknownNames != 0 {
-		t.Fatalf("unknown = %d after cleaning", report.UnknownNames)
-	}
-	// Every outdated record got a pending update; originals unchanged.
-	for _, u := range report.Updates {
-		rec, err := f.store.Get(u.RecordID)
+// pendingUpdates seeds the ledger with one pending NameUpdate per record
+// bearing an outdated name — the proposals a detection run persists — and
+// returns them.
+func pendingUpdates(t *testing.T, f *fixture) []*NameUpdate {
+	t.Helper()
+	var updates []*NameUpdate
+	err := f.store.Scan(func(rec *fnjv.Record) bool {
+		if !f.taxa.OutdatedNames[rec.Species] {
+			return true
+		}
+		res, err := f.taxa.Checklist.Resolve(context.Background(), rec.Species)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Species != u.OriginalName {
-			t.Fatalf("original record %s changed: %q vs %q", u.RecordID, rec.Species, u.OriginalName)
+		ref := ""
+		if len(res.History) > 0 {
+			ref = res.History[len(res.History)-1].Reference
 		}
-		if u.Status == "synonym" && u.UpdatedName == "" {
-			t.Fatalf("synonym update %s has no updated name", u.ID)
-		}
-	}
-	if f.led.CountUpdates(ReviewPending) != len(report.Updates) {
-		t.Fatalf("pending = %d, updates = %d", f.led.CountUpdates(ReviewPending), len(report.Updates))
-	}
-	// Progress rendering carries the Fig. 2 numbers.
-	text := report.RenderProgress()
-	if !strings.Contains(text, "distinct species names analyzed: 150") ||
-		!strings.Contains(text, "records processed:               1500") {
-		t.Errorf("progress:\n%s", text)
-	}
-	// Detector without resolver fails.
-	if _, err := (&Detector{}).Detect(context.Background(), f.store); err == nil {
-		t.Fatal("nil resolver accepted")
-	}
-}
-
-func TestDetectCountsUnknownAndUnavailable(t *testing.T) {
-	f := newFixture(t, 300)
-	// No cleaning: planted typos stay unknown to the exact resolver.
-	det := &Detector{Resolver: f.taxa.Checklist}
-	report, err := det.Detect(context.Background(), f.store)
+		updates = append(updates, &NameUpdate{
+			RecordID: rec.ID, OriginalName: rec.Species, UpdatedName: res.AcceptedName,
+			Status: res.Status.String(), Reference: ref, Review: ReviewPending,
+		})
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.UnknownNames == 0 {
-		t.Fatal("dirty names did not register as unknown")
-	}
-	if report.ResolverErrors != 0 {
-		t.Fatalf("resolver errors = %d with in-process resolver", report.ResolverErrors)
-	}
-}
-
-func TestDetectUsesBatchResolver(t *testing.T) {
-	f := newFixture(t, 800)
-	if _, err := (&Cleaner{Checklist: f.taxa.Checklist}).Clean(f.store); err != nil {
+	if err := f.led.AddUpdates(updates); err != nil {
 		t.Fatal(err)
 	}
-	// Serve the checklist over HTTP: the client implements BatchResolver.
-	srv := httptest.NewServer(taxonomy.NewService(f.taxa.Checklist))
-	defer srv.Close()
-	client := taxonomy.NewClient(srv.URL)
-	det := &Detector{Resolver: client}
-	report, err := det.Detect(context.Background(), f.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.OutdatedNames != len(f.taxa.OutdatedNames) {
-		t.Fatalf("batch detection outdated = %d, want %d", report.OutdatedNames, len(f.taxa.OutdatedNames))
-	}
-	// One batch request, not one per name.
-	if client.Attempts() != 1 {
-		t.Fatalf("client attempts = %d, want 1 (batched)", client.Attempts())
-	}
-	// Batch failure counts every name as unchecked.
-	srv2 := httptest.NewServer(taxonomy.NewService(f.taxa.Checklist, taxonomy.WithAvailability(0, 1)))
-	defer srv2.Close()
-	client2 := taxonomy.NewClient(srv2.URL)
-	client2.Retries = 1
-	client2.Backoff = 0
-	report2, err := (&Detector{Resolver: client2}).Detect(context.Background(), f.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report2.ResolverErrors != report2.DistinctNames {
-		t.Fatalf("outage batch errors = %d of %d", report2.ResolverErrors, report2.DistinctNames)
-	}
-}
-
-type flakyResolver struct{ calls int }
-
-func (f *flakyResolver) Resolve(_ context.Context, name string) (taxonomy.Resolution, error) {
-	f.calls++
-	return taxonomy.Resolution{}, taxonomy.ErrUnavailable
-}
-
-// TestDetectBatchesThroughResilientStack is the regression test for the bug
-// where wrapping the HTTP client in the caching/resilient decorators hid its
-// batch capability from Detect's probe, silently degrading detection to one
-// round trip per name. The full production stack must still batch — and must
-// produce the same report the bare checklist does.
-func TestDetectBatchesThroughResilientStack(t *testing.T) {
-	f := newFixture(t, 800)
-	if _, err := (&Cleaner{Checklist: f.taxa.Checklist}).Clean(f.store); err != nil {
-		t.Fatal(err)
-	}
-	want, err := (&Detector{Resolver: f.taxa.Checklist}).Detect(context.Background(), f.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srv := httptest.NewServer(taxonomy.NewService(f.taxa.Checklist))
-	defer srv.Close()
-	client := taxonomy.NewClient(srv.URL)
-	stack := taxonomy.NewResilientResolver(client, taxonomy.ResilienceOptions{})
-	report, err := (&Detector{Resolver: stack}).Detect(context.Background(), f.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if client.Attempts() != 1 {
-		t.Fatalf("decorated stack made %d authority requests, want 1 (batched)", client.Attempts())
-	}
-	if report.DistinctNames != want.DistinctNames ||
-		report.OutdatedNames != want.OutdatedNames ||
-		report.UnknownNames != want.UnknownNames ||
-		report.ResolverErrors != want.ResolverErrors {
-		t.Fatalf("stack report (distinct %d, outdated %d, unknown %d, errors %d) != checklist report (distinct %d, outdated %d, unknown %d, errors %d)",
-			report.DistinctNames, report.OutdatedNames, report.UnknownNames, report.ResolverErrors,
-			want.DistinctNames, want.OutdatedNames, want.UnknownNames, want.ResolverErrors)
-	}
-	if len(report.Renames) != len(want.Renames) {
-		t.Fatalf("stack found %d renames, checklist %d", len(report.Renames), len(want.Renames))
-	}
-	for name, to := range want.Renames {
-		if report.Renames[name] != to {
-			t.Errorf("rename %q: stack %q, checklist %q", name, report.Renames[name], to)
-		}
-	}
-}
-
-func TestDetectResolverOutage(t *testing.T) {
-	f := newFixture(t, 300)
-	det := &Detector{Resolver: &flakyResolver{}}
-	report, err := det.Detect(context.Background(), f.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.ResolverErrors != report.DistinctNames {
-		t.Fatalf("resolver errors = %d of %d", report.ResolverErrors, report.DistinctNames)
-	}
-	if report.OutdatedNames != 0 {
-		t.Fatal("outage produced detections")
-	}
-}
-
-// TestDetectCountsAuthorityErrorsAsUnchecked: an authority that answers with
-// an error status or an undecodable body has said nothing about any name, so
-// every name is a resolver error and none is "unknown to the authority" —
-// through the single-name path and through both batch-capable decorators.
-func TestDetectCountsAuthorityErrorsAsUnchecked(t *testing.T) {
-	f := newFixture(t, 300)
-	stubs := map[string]http.HandlerFunc{
-		"status-500": func(w http.ResponseWriter, _ *http.Request) {
-			http.Error(w, "boom", http.StatusInternalServerError)
-		},
-		"garbage-json": func(w http.ResponseWriter, _ *http.Request) {
-			fmt.Fprint(w, "<html>not json</html>")
-		},
-	}
-	stacks := map[string]func(*taxonomy.Client) taxonomy.Resolver{
-		"single-name": func(c *taxonomy.Client) taxonomy.Resolver { return struct{ taxonomy.Resolver }{c} },
-		"caching":     func(c *taxonomy.Client) taxonomy.Resolver { return taxonomy.NewCachingResolver(c, 0) },
-		"resilient": func(c *taxonomy.Client) taxonomy.Resolver {
-			return taxonomy.NewResilientResolver(c, taxonomy.ResilienceOptions{})
-		},
-	}
-	for stubName, stub := range stubs {
-		for stackName, stack := range stacks {
-			t.Run(stubName+"/"+stackName, func(t *testing.T) {
-				srv := httptest.NewServer(stub)
-				defer srv.Close()
-				client := taxonomy.NewClient(srv.URL)
-				client.Retries = 0
-				report, err := (&Detector{Resolver: stack(client)}).Detect(context.Background(), f.store)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if report.ResolverErrors != report.DistinctNames || report.UnknownNames != 0 || report.OutdatedNames != 0 {
-					t.Fatalf("of %d names: %d resolver errors, %d unknown, %d outdated",
-						report.DistinctNames, report.ResolverErrors, report.UnknownNames, report.OutdatedNames)
-				}
-			})
-		}
-	}
+	return updates
 }
 
 func TestReviewLifecycle(t *testing.T) {
@@ -454,18 +271,14 @@ func TestReviewLifecycle(t *testing.T) {
 	if _, err := (&Cleaner{Checklist: f.taxa.Checklist}).Clean(f.store); err != nil {
 		t.Fatal(err)
 	}
-	det := &Detector{Resolver: f.taxa.Checklist, Ledger: f.led}
-	dr, err := det.Detect(context.Background(), f.store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	updates := pendingUpdates(t, f)
 	when := time.Date(2013, 10, 15, 0, 0, 0, 0, time.UTC)
 	rr, err := Review(f.led, DefaultCurator, "biologist", when)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Reviewed != len(dr.Updates) {
-		t.Fatalf("reviewed %d of %d", rr.Reviewed, len(dr.Updates))
+	if rr.Reviewed != len(updates) {
+		t.Fatalf("reviewed %d of %d", rr.Reviewed, len(updates))
 	}
 	if rr.Approved == 0 {
 		t.Fatal("nothing approved")
@@ -483,7 +296,7 @@ func TestReviewLifecycle(t *testing.T) {
 	// CuratedName returns the new name for approved records, the original
 	// otherwise.
 	var approvedUpdate, rejectedSeen *NameUpdate
-	for _, u := range dr.Updates {
+	for _, u := range updates {
 		got, err := f.led.Update(u.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -566,12 +379,6 @@ func TestSpatialAudit(t *testing.T) {
 		if sr.Count < 5 || len(sr.Hull) == 0 {
 			t.Fatalf("range summary = %+v", sr)
 		}
-		if got, ok := report.RangeOf(sr.Species); !ok || got.Species != sr.Species {
-			t.Fatal("RangeOf lookup failed")
-		}
-	}
-	if _, ok := report.RangeOf("No such species"); ok {
-		t.Fatal("RangeOf phantom species")
 	}
 	// Recall on planted misplacements that are detectable (species with
 	// enough records): at least half of all planted ones flagged.

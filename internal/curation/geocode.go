@@ -25,8 +25,7 @@ type GeocodeReport struct {
 // Geocoder fills missing coordinates from the gazetteer.
 type Geocoder struct {
 	Gazetteer *geo.Gazetteer
-	Ledger    *Ledger
-	Actor     string
+	Ledger    *Ledger // logs each fill by actor "geocoder"; nil skips logging
 }
 
 // Geocode adds coordinates to every record that lacks them and whose place
@@ -35,10 +34,6 @@ type Geocoder struct {
 func (g *Geocoder) Geocode(store fnjv.Records) (*GeocodeReport, error) {
 	if g.Gazetteer == nil {
 		return nil, fmt.Errorf("curation: geocoder needs a gazetteer")
-	}
-	actor := g.Actor
-	if actor == "" {
-		actor = "geocoder"
 	}
 	report := &GeocodeReport{}
 	var updated []*fnjv.Record
@@ -74,7 +69,7 @@ func (g *Geocoder) Geocode(store fnjv.Records) (*GeocodeReport, error) {
 			if err := g.Ledger.LogChange(HistoryEntry{
 				RecordID: r.ID, Field: "latitude,longitude",
 				NewValue: fmt.Sprintf("%.5f,%.5f", *r.Latitude, *r.Longitude),
-				Reason:   "stage1-geocode", Actor: actor, At: time.Now(),
+				Reason:   "stage1-geocode", Actor: "geocoder", At: time.Now(),
 			}); err != nil {
 				return nil, err
 			}
@@ -100,8 +95,7 @@ type GapFillReport struct {
 // GapFiller fills missing environmental fields from the climate source.
 type GapFiller struct {
 	Source envsource.Source
-	Ledger *Ledger
-	Actor  string
+	Ledger *Ledger // logs each fill by actor "gapfill"; nil skips logging
 }
 
 // Fill completes missing temperature/humidity/atmosphere on records that
@@ -109,10 +103,6 @@ type GapFiller struct {
 func (g *GapFiller) Fill(store fnjv.Records) (*GapFillReport, error) {
 	if g.Source == nil {
 		return nil, fmt.Errorf("curation: gap filler needs an environmental source")
-	}
-	actor := g.Actor
-	if actor == "" {
-		actor = "gapfill"
 	}
 	report := &GapFillReport{}
 	var updated []*fnjv.Record
@@ -158,7 +148,7 @@ func (g *GapFiller) Fill(store fnjv.Records) (*GapFillReport, error) {
 			if err := g.Ledger.LogChange(HistoryEntry{
 				RecordID: r.ID, Field: "air_temp_c,humidity_pct,atmosphere",
 				NewValue: fmt.Sprintf("%.1f,%.1f,%s", *r.AirTempC, *r.HumidityPct, r.Atmosphere),
-				Reason:   "stage1-gapfill", Actor: actor, At: time.Now(),
+				Reason:   "stage1-gapfill", Actor: "gapfill", At: time.Now(),
 			}); err != nil {
 				return nil, err
 			}

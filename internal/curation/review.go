@@ -41,9 +41,6 @@ func DefaultCurator(u *NameUpdate) Verdict {
 	}
 }
 
-// ApproveAll accepts everything — useful for measuring pipeline ceilings.
-func ApproveAll(*NameUpdate) Verdict { return Approve }
-
 // ReviewReport summarizes one review pass.
 type ReviewReport struct {
 	Reviewed int

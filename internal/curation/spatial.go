@@ -26,21 +26,10 @@ type SpatialReport struct {
 	Elapsed time.Duration
 }
 
-// RangeOf returns the range summary for a species, if tested.
-func (r *SpatialReport) RangeOf(species string) (geo.SpeciesRange, bool) {
-	for _, sr := range r.Ranges {
-		if sr.Species == species {
-			return sr, true
-		}
-	}
-	return geo.SpeciesRange{}, false
-}
-
 // SpatialAuditor runs geographic outlier detection over a collection.
 type SpatialAuditor struct {
 	Params geo.OutlierParams
-	Ledger *Ledger
-	Actor  string
+	Ledger *Ledger // logs each anomaly by actor "spatial-audit"; nil skips logging
 }
 
 // Audit flags geographically anomalous records. Flagged records are written
@@ -79,17 +68,13 @@ func (a *SpatialAuditor) Audit(store fnjv.Records) (*SpatialReport, error) {
 	report.Flagged = geo.DetectOutliers(obs, a.Params)
 	report.Ranges = geo.RangesBySpecies(obs, min)
 	if a.Ledger != nil {
-		actor := a.Actor
-		if actor == "" {
-			actor = "spatial-audit"
-		}
 		for _, o := range report.Flagged {
 			if err := a.Ledger.LogChange(HistoryEntry{
 				RecordID: o.RecordID, Field: "latitude,longitude",
 				OldValue: o.Location.String(),
 				Reason: fmt.Sprintf("stage2-spatial: %.0f km from %s medoid (threshold %.0f km)",
 					o.DistanceKm, o.Species, o.ThresholdKm),
-				Actor: actor, At: time.Now(),
+				Actor: "spatial-audit", At: time.Now(),
 			}); err != nil {
 				return nil, err
 			}

@@ -1,8 +1,9 @@
-// Package curation implements the metadata curation pipelines of the case
-// study (§IV): stage-1 cleaning (domain checks and syntactic corrections),
-// geocoding, environmental gap-filling and outdated-species-name detection,
-// plus the stage-2 spatial error analysis. Original records are never
-// modified by detection: repairs are persisted in a separate updates table
+// Package curation implements the metadata curation steps of the case study
+// (§IV): stage-1 cleaning (domain checks and syntactic corrections),
+// geocoding and environmental gap-filling, the stage-2 spatial error
+// analysis, and the ledger the outdated-species-name detection (package core)
+// writes its proposals to. Original records are never modified by
+// detection: repairs are persisted in a separate updates table
 // referencing the original record, flagged for expert review, and every
 // applied change lands in a curation-history log — the paper's strategy for
 // keeping the original collection unchanged while recording its evolution.

@@ -55,7 +55,7 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestGenerateDirtRates(t *testing.T) {
-	col, _ := smallCollection(t, 2000)
+	col, taxa := smallCollection(t, 2000)
 	tr := col.Truth
 	// Missing coordinates ≈ 85%.
 	if frac := float64(tr.MissingCoords) / 2000; frac < 0.80 || frac > 0.90 {
@@ -79,10 +79,10 @@ func TestGenerateDirtRates(t *testing.T) {
 			t.Fatalf("record %s marked dirty but name is clean", id)
 		}
 		if norm := taxonomy.Normalize(rec.Species); norm != canonical {
-			// Typo-class errors don't normalize away; they must be within
-			// distance 2 of the canonical name.
-			if d := taxonomy.Distance(norm, canonical); norm != "" && d > 2 {
-				t.Fatalf("record %s corrupted beyond repair: %q vs %q (d=%d)", id, rec.Species, canonical, d)
+			// Typo-class errors don't normalize away; the checklist must
+			// still fuzz-match them within 2 edits.
+			if _, err := taxa.Checklist.ResolveFuzzy(norm, 2); norm != "" && err != nil {
+				t.Fatalf("record %s corrupted beyond repair: %q vs %q: %v", id, rec.Species, canonical, err)
 			}
 		}
 	}

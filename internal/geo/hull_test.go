@@ -27,10 +27,10 @@ func TestConvexHullSquare(t *testing.T) {
 		}
 	}
 	// Interior points contained, exterior not.
-	if !HullContains(hull, Point{5, 5}) || !HullContains(hull, Point{0, 0}) {
+	if !hullContains(hull, Point{5, 5}) || !hullContains(hull, Point{0, 0}) {
 		t.Fatal("containment of interior/boundary failed")
 	}
-	if HullContains(hull, Point{11, 5}) || HullContains(hull, Point{-1, -1}) {
+	if hullContains(hull, Point{11, 5}) || hullContains(hull, Point{-1, -1}) {
 		t.Fatal("exterior point contained")
 	}
 }
@@ -50,7 +50,7 @@ func TestConvexHullDegenerate(t *testing.T) {
 	if len(h) != 2 {
 		t.Fatalf("collinear hull = %v", h)
 	}
-	if HullContains(h, Point{1, 1}) {
+	if hullContains(h, Point{1, 1}) {
 		t.Log("degenerate hull treats only vertices as contained (documented)")
 	}
 	if HullAreaKm2(h) != 0 {
@@ -71,7 +71,7 @@ func TestConvexHullPropertyAllPointsInside(t *testing.T) {
 			continue // all collinear (vanishingly unlikely)
 		}
 		for _, p := range pts {
-			if !HullContains(hull, p) {
+			if !hullContains(hull, p) {
 				t.Fatalf("trial %d: point %v outside hull %v", trial, p, hull)
 			}
 		}
@@ -126,4 +126,25 @@ func TestRangesBySpecies(t *testing.T) {
 	if ranges[1].Count != 30 {
 		t.Fatalf("invalid observation counted: %d", ranges[1].Count)
 	}
+}
+
+// hullContains reports whether p lies inside (or on the boundary of) the
+// convex hull, which must be in counter-clockwise order as produced by
+// ConvexHull. Hulls with fewer than 3 vertices contain only their own points.
+func hullContains(hull []Point, p Point) bool {
+	if len(hull) < 3 {
+		for _, h := range hull {
+			if h == p {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range hull {
+		a, b := hull[i], hull[(i+1)%len(hull)]
+		if cross(a, b, p) < 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -41,16 +41,6 @@ type Rect struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
 }
 
-// Contains reports whether p lies inside the box (inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.Lat >= r.MinLat && p.Lat <= r.MaxLat && p.Lon >= r.MinLon && p.Lon <= r.MaxLon
-}
-
-// Center returns the box midpoint.
-func (r Rect) Center() Point {
-	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lon: (r.MinLon + r.MaxLon) / 2}
-}
-
 // Centroid returns the arithmetic centroid of pts (zero value for empty).
 func Centroid(pts []Point) Point {
 	if len(pts) == 0 {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/fnjv"
-	"repro/internal/opm"
 	"repro/internal/taxonomy"
 )
 
@@ -208,9 +207,8 @@ func TestExportRecordAndQuery(t *testing.T) {
 	if got := RecordsMentioning(s, "Nobody nobody"); len(got) != 0 {
 		t.Fatalf("mentioning phantom = %v", got)
 	}
-	desc := Describe(s, iri)
-	if !strings.Contains(desc, "Elachistocleis ovalis") || !strings.Contains(desc, "Campinas") {
-		t.Fatalf("describe:\n%s", desc)
+	if got := s.Match(iri, DwcLocality, Term{}); len(got) != 1 || !strings.Contains(got[0].Object.Value(), "Campinas") {
+		t.Fatalf("locality = %+v", got)
 	}
 	// Curated name equal to stored name adds no accepted triple.
 	s2 := NewStore()
@@ -219,34 +217,6 @@ func TestExportRecordAndQuery(t *testing.T) {
 	}
 	if got := s2.Match(RecordIRI("FNJV-00001"), DwcAccepted, Term{}); len(got) != 0 {
 		t.Fatalf("spurious accepted triple: %+v", got)
-	}
-}
-
-func TestExportProvenance(t *testing.T) {
-	g := opm.NewGraph()
-	g.Artifact("a:in", "input metadata", "")
-	g.Artifact("a:out", "summary", "")
-	g.Process("p:detect", "detection")
-	g.Agent("ag:user", "end user")
-	g.AddEdge(opm.Edge{Kind: opm.Used, Effect: "p:detect", Cause: "a:in", Role: "in"})
-	g.AddEdge(opm.Edge{Kind: opm.WasGeneratedBy, Effect: "a:out", Cause: "p:detect", Role: "out"})
-	g.AddEdge(opm.Edge{Kind: opm.WasControlledBy, Effect: "p:detect", Cause: "ag:user", Role: "op"})
-	g.InferDerivations()
-	g.InferTriggers()
-
-	s := NewStore()
-	if err := ExportProvenance(s, g, "https://fnjv.example/prov/"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Match("https://fnjv.example/prov/a:out", ProvDerived, Term{}); len(got) != 1 {
-		t.Fatalf("prov:wasDerivedFrom = %+v", got)
-	}
-	if got := s.Match("https://fnjv.example/prov/p:detect", ProvUsed, Term{}); len(got) != 1 {
-		t.Fatalf("prov:used = %+v", got)
-	}
-	if got := s.Match("https://fnjv.example/prov/a:in", DCTitle, Term{}); len(got) != 1 ||
-		got[0].Object.Value() != "input metadata" {
-		t.Fatalf("title = %+v", got)
 	}
 }
 

@@ -1,14 +1,12 @@
 package linkeddata
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/fnjv"
-	"repro/internal/opm"
 	"repro/internal/taxonomy"
 )
 
@@ -163,39 +161,6 @@ func ExportRecord(s *Store, r *fnjv.Record, curatedName string) error {
 	return nil
 }
 
-// ExportProvenance adds PROV-O-style triples for an OPM graph, mapping the
-// OPM causal edges to their PROV equivalents.
-func ExportProvenance(s *Store, g *opm.Graph, base string) error {
-	iri := func(id string) string { return base + id }
-	for _, e := range g.Edges() {
-		var pred string
-		switch e.Kind {
-		case opm.WasDerivedFrom:
-			pred = ProvDerived
-		case opm.WasGeneratedBy:
-			pred = ProvGenerated
-		case opm.Used:
-			pred = ProvUsed
-		case opm.WasControlledBy:
-			pred = ProvAttributed
-		default:
-			continue // wasTriggeredBy has no direct PROV-O core equivalent
-		}
-		if err := s.Add(Triple{Subject: iri(e.Effect), Predicate: pred, Object: IRI(iri(e.Cause))}); err != nil {
-			return err
-		}
-	}
-	for _, n := range g.Nodes() {
-		if n.Label == "" {
-			continue
-		}
-		if err := s.Add(Triple{Subject: iri(n.ID), Predicate: DCTitle, Object: Literal(n.Label)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ExportDocument adds a document plus its shadow entities.
 func ExportDocument(s *Store, doc Document, sh Shadow, base string) error {
 	iri := base + doc.ID
@@ -244,13 +209,4 @@ func RecordsMentioning(s *Store, entity string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Describe renders all triples about a subject, for debugging and reports.
-func Describe(s *Store, subject string) string {
-	var b strings.Builder
-	for _, t := range s.Match(subject, "", Term{}) {
-		fmt.Fprintf(&b, "%s\n", t.NTriples())
-	}
-	return b.String()
 }

@@ -61,28 +61,23 @@ func (t Triple) NTriples() string {
 	return fmt.Sprintf("<%s> <%s> %s .", t.Subject, t.Predicate, t.Object.NTriples())
 }
 
-// Common vocabulary IRIs used by the exporters (Darwin Core, PROV-O, Dublin
-// Core, RDF).
+// Common vocabulary IRIs used by the exporters (Darwin Core, Dublin Core,
+// RDF).
 const (
-	RDFType        = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-	DCTitle        = "http://purl.org/dc/terms/title"
-	DCSubject      = "http://purl.org/dc/terms/subject"
-	DCCreator      = "http://purl.org/dc/terms/creator"
-	DCDate         = "http://purl.org/dc/terms/date"
-	DwcScientific  = "http://rs.tdwg.org/dwc/terms/scientificName"
-	DwcAccepted    = "http://rs.tdwg.org/dwc/terms/acceptedNameUsage"
-	DwcLocality    = "http://rs.tdwg.org/dwc/terms/locality"
-	DwcState       = "http://rs.tdwg.org/dwc/terms/stateProvince"
-	DwcClass       = "http://rs.tdwg.org/dwc/terms/class"
-	DwcEventDate   = "http://rs.tdwg.org/dwc/terms/eventDate"
-	DwcLat         = "http://rs.tdwg.org/dwc/terms/decimalLatitude"
-	DwcLon         = "http://rs.tdwg.org/dwc/terms/decimalLongitude"
-	ProvDerived    = "http://www.w3.org/ns/prov#wasDerivedFrom"
-	ProvGenerated  = "http://www.w3.org/ns/prov#wasGeneratedBy"
-	ProvUsed       = "http://www.w3.org/ns/prov#used"
-	ProvAttributed = "http://www.w3.org/ns/prov#wasAttributedTo"
-	TypeRecording  = "https://fnjv.example/ns#Recording"
-	TypeDocument   = "https://fnjv.example/ns#Document"
+	RDFType       = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+	DCTitle       = "http://purl.org/dc/terms/title"
+	DCSubject     = "http://purl.org/dc/terms/subject"
+	DCCreator     = "http://purl.org/dc/terms/creator"
+	DwcScientific = "http://rs.tdwg.org/dwc/terms/scientificName"
+	DwcAccepted   = "http://rs.tdwg.org/dwc/terms/acceptedNameUsage"
+	DwcLocality   = "http://rs.tdwg.org/dwc/terms/locality"
+	DwcState      = "http://rs.tdwg.org/dwc/terms/stateProvince"
+	DwcClass      = "http://rs.tdwg.org/dwc/terms/class"
+	DwcEventDate  = "http://rs.tdwg.org/dwc/terms/eventDate"
+	DwcLat        = "http://rs.tdwg.org/dwc/terms/decimalLatitude"
+	DwcLon        = "http://rs.tdwg.org/dwc/terms/decimalLongitude"
+	TypeRecording = "https://fnjv.example/ns#Recording"
+	TypeDocument  = "https://fnjv.example/ns#Document"
 )
 
 // Store is an in-memory triple store with three access paths.

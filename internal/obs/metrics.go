@@ -11,10 +11,8 @@ import (
 // counters (queue depth, batch sizes, flush latency — see
 // provenance.WriterMetrics.Counters) are assertions about a system entity
 // observed at a point in time — exactly the §II.C observation shape — so
-// they are stored and queried through the same uniform model as sounds and
-// specimens. A monitoring dashboard then needs no second storage path:
-// `WhereMeasured("engine.peak_in_flight", 1, math.Inf(1))` works like any
-// other measurement query.
+// they are stored through the same uniform model as any observation, with no
+// second storage path.
 
 // RuntimeProtocol marks observations produced by system self-monitoring.
 const RuntimeProtocol = "runtime self-monitoring"

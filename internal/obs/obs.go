@@ -5,15 +5,13 @@
 // heterogeneous — sounds, museum specimens, plot surveys — so the model is
 // generic: typed entities, observations with time/place/protocol context,
 // and arbitrary characteristic/value/unit measurements, all stored uniformly
-// on the embedded database and queryable by entity, characteristic and value
-// range. The FNJV sound records map onto it losslessly (FromRecord).
+// on the embedded database. The system stores its own runtime counters in it
+// (FromRuntimeMetrics).
 package obs
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"repro/internal/geo"
@@ -50,16 +48,6 @@ type Measurement struct {
 // Float builds a numeric measurement.
 func Float(characteristic string, v float64, unit string) Measurement {
 	return Measurement{Characteristic: characteristic, Kind: ValueFloat, Number: v, Unit: unit}
-}
-
-// Text builds a categorical measurement.
-func Text(characteristic, v string) Measurement {
-	return Measurement{Characteristic: characteristic, Kind: ValueString, Text: v}
-}
-
-// Bool builds a boolean measurement.
-func Bool(characteristic string, v bool) Measurement {
-	return Measurement{Characteristic: characteristic, Kind: ValueBool, Flag: v}
 }
 
 // Value renders the measurement value for display.
@@ -233,93 +221,3 @@ func rowToMeas(row storage.Row) Measurement {
 
 // Len reports the number of observations.
 func (d *DB) Len() int { return d.db.Table(obsTable).Len() }
-
-// ByEntityLabel returns all observations of entities with the given label
-// (e.g. a species name), measurements included, in ID order.
-func (d *DB) ByEntityLabel(label string) ([]Observation, error) {
-	rows, err := d.db.Table(obsTable).Lookup("entity_label", storage.S(label))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Observation, 0, len(rows))
-	for _, row := range rows {
-		o, err := d.Get(row.Get(obsSchema, "id").Str())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o)
-	}
-	return out, nil
-}
-
-// WhereMeasured returns the IDs of observations that recorded the given
-// characteristic with a numeric value in [lo, hi], sorted.
-func (d *DB) WhereMeasured(characteristic string, lo, hi float64) ([]string, error) {
-	rows, err := d.db.Table(measTable).Lookup("characteristic", storage.S(characteristic))
-	if err != nil {
-		return nil, err
-	}
-	set := map[string]bool{}
-	for _, row := range rows {
-		if ValueKind(row.Get(measSchema, "kind").Int()) != ValueFloat {
-			continue
-		}
-		if v := row.Get(measSchema, "number").Float(); v >= lo && v <= hi {
-			set[row.Get(measSchema, "obs_id").Str()] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Summary aggregates a numeric characteristic.
-type Summary struct {
-	Characteristic string
-	Count          int
-	Min, Max, Mean float64
-}
-
-// Summarize computes min/max/mean over every numeric sample of the
-// characteristic.
-func (d *DB) Summarize(characteristic string) (Summary, error) {
-	rows, err := d.db.Table(measTable).Lookup("characteristic", storage.S(characteristic))
-	if err != nil {
-		return Summary{}, err
-	}
-	s := Summary{Characteristic: characteristic, Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, row := range rows {
-		if ValueKind(row.Get(measSchema, "kind").Int()) != ValueFloat {
-			continue
-		}
-		v := row.Get(measSchema, "number").Float()
-		s.Count++
-		sum += v
-		s.Min = math.Min(s.Min, v)
-		s.Max = math.Max(s.Max, v)
-	}
-	if s.Count == 0 {
-		return Summary{Characteristic: characteristic}, nil
-	}
-	s.Mean = sum / float64(s.Count)
-	return s, nil
-}
-
-// Characteristics lists every distinct measured characteristic, sorted.
-func (d *DB) Characteristics() []string {
-	set := map[string]bool{}
-	d.db.Table(measTable).Scan(func(row storage.Row) bool {
-		set[row.Get(measSchema, "characteristic").Str()] = true
-		return true
-	})
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

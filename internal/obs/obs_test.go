@@ -5,11 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/envsource"
-	"repro/internal/fnjv"
 	"repro/internal/geo"
 	"repro/internal/storage"
-	"repro/internal/taxonomy"
 )
 
 func openObs(t *testing.T) *DB {
@@ -36,8 +33,8 @@ func sampleObservation() Observation {
 		ObservedBy: "J. Vielliard",
 		Measurements: []Measurement{
 			Float("air_temperature", 24.5, "°C"),
-			Text("habitat", "pond margin"),
-			Bool("vocalization_recorded", true),
+			{Characteristic: "habitat", Kind: ValueString, Text: "pond margin"},
+			{Characteristic: "vocalization_recorded", Kind: ValueBool, Flag: true},
 		},
 	}
 }
@@ -102,136 +99,6 @@ func TestOptionalContext(t *testing.T) {
 	}
 }
 
-func TestQueriesAndSummaries(t *testing.T) {
-	od := openObs(t)
-	temps := []float64{18, 22, 26, 30}
-	for i, temp := range temps {
-		o := Observation{
-			ID:     ids("obs", i),
-			Entity: Entity{ID: ids("e", i), Type: "organism", Label: "Hyla faber"},
-			Measurements: []Measurement{
-				Float("air_temperature", temp, "°C"),
-				Text("habitat", "swamp"),
-			},
-		}
-		if err := od.Put(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One observation of another species, no temperature.
-	if err := od.Put(Observation{
-		ID:           "obs:other",
-		Entity:       Entity{ID: "e:other", Type: "organism", Label: "Scinax fuscomarginatus"},
-		Measurements: []Measurement{Text("habitat", "pond")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	if od.Len() != 5 {
-		t.Fatalf("Len = %d", od.Len())
-	}
-	byLabel, err := od.ByEntityLabel("Hyla faber")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byLabel) != 4 {
-		t.Fatalf("ByEntityLabel = %d", len(byLabel))
-	}
-	for _, o := range byLabel {
-		if len(o.Measurements) != 2 {
-			t.Fatalf("measurements not joined: %+v", o)
-		}
-	}
-	// Range query on a characteristic.
-	hits, err := od.WhereMeasured("air_temperature", 20, 27)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 {
-		t.Fatalf("WhereMeasured = %v", hits)
-	}
-	// Summary.
-	sum, err := od.Summarize("air_temperature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Count != 4 || sum.Min != 18 || sum.Max != 30 || sum.Mean != 24 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	// Summaries skip non-numeric kinds; absent characteristic is empty.
-	if s, _ := od.Summarize("habitat"); s.Count != 0 {
-		t.Fatalf("text summary = %+v", s)
-	}
-	chars := od.Characteristics()
-	if len(chars) != 2 || chars[0] != "air_temperature" || chars[1] != "habitat" {
-		t.Fatalf("characteristics = %v", chars)
-	}
-}
-
-func ids(prefix string, i int) string {
-	return prefix + ":" + string(rune('a'+i))
-}
-
-func TestImportCollection(t *testing.T) {
-	db, err := storage.Open(t.TempDir(), storage.Options{Sync: storage.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	taxa, err := taxonomy.Generate(taxonomy.GeneratorSpec{Species: 60, OutdatedFraction: 0.07, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := fnjv.Generate(fnjv.CollectionSpec{Records: 300, Seed: 3},
-		taxa, geo.SyntheticGazetteer(10, 3), envsource.NewSimulator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := fnjv.NewStore(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.PutAll(col.Records); err != nil {
-		t.Fatal(err)
-	}
-	od, err := Open(db) // same embedded database: uniform storage
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := ImportCollection(od, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 300 || od.Len() != 300 {
-		t.Fatalf("imported %d, Len %d", n, od.Len())
-	}
-	// Every observation asserts a vocalization and carries the protocol.
-	o, err := od.Get("obs:" + col.Records[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Protocol != "field sound recording" {
-		t.Fatalf("protocol = %q", o.Protocol)
-	}
-	found := false
-	for _, m := range o.Measurements {
-		if m.Characteristic == "vocalization_recorded" && m.Flag {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("vocalization assertion missing")
-	}
-	// Cross-record aggregate over a heterogeneous characteristic.
-	sum, err := od.Summarize("recording_duration")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Count == 0 || sum.Min < 10 || sum.Max > 610 {
-		t.Fatalf("duration summary = %+v", sum)
-	}
-}
-
 func TestFromRuntimeMetrics(t *testing.T) {
 	at := time.Date(2014, 3, 31, 12, 0, 0, 0, time.UTC)
 	o := FromRuntimeMetrics("workflow-engine", at, map[string]float64{
@@ -256,14 +123,14 @@ func TestFromRuntimeMetrics(t *testing.T) {
 		}
 	}
 
-	// Runtime telemetry flows through the same store and queries as any
-	// other observation.
+	// Runtime telemetry flows through the same store as any other
+	// observation.
 	db := openObs(t)
 	if err := db.Put(o); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := db.WhereMeasured("engine.peak_in_flight", 1, 100)
-	if err != nil || len(ids) != 1 || ids[0] != o.ID {
-		t.Fatalf("query: %v %v", ids, err)
+	got, err := db.Get(o.ID)
+	if err != nil || len(got.Measurements) != len(want) {
+		t.Fatalf("stored runtime observation: %+v %v", got, err)
 	}
 }

@@ -1,16 +1,14 @@
 package opm
 
 import (
-	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"sort"
 	"time"
 )
 
-// Serialization of OPM graphs in two interchange forms: an XML dialect
-// shaped after the OPM XML schema, and a compact JSON form for embedding in
-// reports.
+// Serialization of OPM graphs in an XML dialect shaped after the OPM XML
+// schema.
 
 type xmlGraph struct {
 	XMLName   xml.Name  `xml:"opmGraph"`
@@ -139,93 +137,6 @@ func UnmarshalXML(blob []byte) (*Graph, error) {
 				return nil, fmt.Errorf("opm: edge time %q: %w", xe.Time, err)
 			}
 			e.Time = t
-		}
-		if err := g.AddEdge(e); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// jsonGraph mirrors the JSON form.
-type jsonGraph struct {
-	Nodes []jsonNode `json:"nodes"`
-	Edges []jsonEdge `json:"edges"`
-}
-
-type jsonNode struct {
-	ID          string            `json:"id"`
-	Kind        string            `json:"kind"`
-	Label       string            `json:"label,omitempty"`
-	Value       string            `json:"value,omitempty"`
-	Annotations map[string]string `json:"annotations,omitempty"`
-}
-
-type jsonEdge struct {
-	Kind    string     `json:"kind"`
-	Effect  string     `json:"effect"`
-	Cause   string     `json:"cause"`
-	Role    string     `json:"role,omitempty"`
-	Account string     `json:"account,omitempty"`
-	Time    *time.Time `json:"time,omitempty"`
-}
-
-// MarshalJSON serializes the graph as JSON.
-func MarshalJSON(g *Graph) ([]byte, error) {
-	var j jsonGraph
-	for _, n := range g.Nodes() {
-		jn := jsonNode{ID: n.ID, Kind: n.Kind.String(), Label: n.Label, Value: n.Value}
-		if len(n.Annotations) > 0 {
-			jn.Annotations = n.Annotations
-		}
-		j.Nodes = append(j.Nodes, jn)
-	}
-	for _, e := range g.Edges() {
-		je := jsonEdge{Kind: e.Kind.String(), Effect: e.Effect, Cause: e.Cause, Role: e.Role, Account: e.Account}
-		if !e.Time.IsZero() {
-			t := e.Time
-			je.Time = &t
-		}
-		j.Edges = append(j.Edges, je)
-	}
-	return json.MarshalIndent(j, "", "  ")
-}
-
-// UnmarshalJSON parses a graph serialized by MarshalJSON.
-func UnmarshalJSON(blob []byte) (*Graph, error) {
-	var j jsonGraph
-	if err := json.Unmarshal(blob, &j); err != nil {
-		return nil, fmt.Errorf("opm: unmarshal json: %w", err)
-	}
-	g := NewGraph()
-	for _, jn := range j.Nodes {
-		var kind NodeKind
-		switch jn.Kind {
-		case "artifact":
-			kind = KindArtifact
-		case "process":
-			kind = KindProcess
-		case "agent":
-			kind = KindAgent
-		default:
-			return nil, fmt.Errorf("opm: unknown node kind %q", jn.Kind)
-		}
-		ann := jn.Annotations
-		if ann == nil {
-			ann = map[string]string{}
-		}
-		if err := g.AddNode(Node{ID: jn.ID, Kind: kind, Label: jn.Label, Value: jn.Value, Annotations: ann}); err != nil {
-			return nil, err
-		}
-	}
-	for _, je := range j.Edges {
-		kind, err := edgeKindFromString(je.Kind)
-		if err != nil {
-			return nil, err
-		}
-		e := Edge{Kind: kind, Effect: je.Effect, Cause: je.Cause, Role: je.Role, Account: je.Account}
-		if je.Time != nil {
-			e.Time = *je.Time
 		}
 		if err := g.AddEdge(e); err != nil {
 			return nil, err

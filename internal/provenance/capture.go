@@ -67,11 +67,10 @@ type Collector struct {
 	// derivation edges (default 4096; 0 uses the default, negative disables).
 	MaxElements int
 
-	mu      sync.Mutex
-	graph   *opm.Graph
-	info    RunInfo
-	sinks   []Sink
-	sinkErr error
+	mu    sync.Mutex
+	graph *opm.Graph
+	info  RunInfo
+	sinks []Sink
 	// finished is set by run-finished. The graph then belongs to the sinks,
 	// and a later event — the terminal one delivered again, or the tail of a
 	// corrupt history — changes and emits nothing.
@@ -99,13 +98,6 @@ func (c *Collector) AddSink(s Sink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sinks = append(c.sinks, s)
-}
-
-// SinkErr returns the first error any sink returned from Emit (nil if none).
-func (c *Collector) SinkErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sinkErr
 }
 
 // Graph returns a snapshot of the accumulated OPM graph. The snapshot is
@@ -190,9 +182,7 @@ func (c *Collector) OnHistoryEvent(ev workflow.HistoryEvent) {
 		d.Kind, d.Info, d.Graph = DeltaRunFinished, c.info, c.graph
 	}
 	for _, s := range c.sinks {
-		if err := s.Emit(d); err != nil && c.sinkErr == nil {
-			c.sinkErr = err
-		}
+		s.Emit(d) // a sink keeps its own error; see Sink
 	}
 }
 
@@ -326,16 +316,4 @@ func (c *Collector) activityClosedLocked(ev *workflow.HistoryEvent, act *workflo
 			}
 		})
 	}
-}
-
-// OutputArtifacts maps each workflow output port of the completed run to its
-// artifact ID, given the run result.
-func (c *Collector) OutputArtifacts(result *workflow.RunResult) map[string]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := map[string]string{}
-	for port, d := range result.Outputs {
-		out[port] = artifactID(d)
-	}
-	return out
 }

@@ -40,9 +40,9 @@ type Delta struct {
 
 // Sink consumes the delta stream of one run. Emit is called in causal order
 // under the Collector's lock, so implementations need no internal ordering;
-// they must not call back into the Collector. An Emit error is sticky: the
-// Collector records the first one (Collector.SinkErr) and keeps delivering,
-// so a slow or failed sink never aborts the run it observes.
+// they must not call back into the Collector. The Collector ignores an Emit
+// error and keeps delivering, so a slow or failed sink never aborts the run
+// it observes: a sink reports its own failure (BatchWriter.Close).
 type Sink interface {
 	Emit(Delta) error
 }

@@ -23,6 +23,11 @@ type cutAfter struct {
 	cut   bool
 }
 
+// historyFunc adapts a function to workflow.HistoryListener.
+type historyFunc func(workflow.HistoryEvent)
+
+func (f historyFunc) OnHistoryEvent(ev workflow.HistoryEvent) { f(ev) }
+
 func (s *cutAfter) Emit(d Delta) error {
 	if s.cut {
 		return nil
@@ -460,7 +465,7 @@ func FuzzCollectorHistory(f *testing.F) {
 	for _, reg := range []*workflow.Registry{detectionRegistry(), batched} {
 		var real []workflow.HistoryEvent
 		if _, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(), detectionInputs(),
-			workflow.HistoryListenerFunc(func(ev workflow.HistoryEvent) { real = append(real, ev) })); err != nil {
+			historyFunc(func(ev workflow.HistoryEvent) { real = append(real, ev) })); err != nil {
 			f.Fatal(err)
 		}
 		realBlob, err := json.Marshal(real)

@@ -79,13 +79,13 @@ func TestCollectorBuildsGraph(t *testing.T) {
 		t.Fatalf("workflow name = %q", info.WorkflowName)
 	}
 	// Two processes, one agent, ≥3 artifacts (raw, clean, status).
-	if got := len(g.NodesOfKind(opm.KindProcess)); got != 2 {
+	if got := len(nodesOfKind(g, opm.KindProcess)); got != 2 {
 		t.Fatalf("process nodes = %d", got)
 	}
-	if got := len(g.NodesOfKind(opm.KindAgent)); got != 1 {
+	if got := len(nodesOfKind(g, opm.KindAgent)); got != 1 {
 		t.Fatalf("agent nodes = %d", got)
 	}
-	if got := len(g.NodesOfKind(opm.KindArtifact)); got < 3 {
+	if got := len(nodesOfKind(g, opm.KindArtifact)); got < 3 {
 		t.Fatalf("artifact nodes = %d", got)
 	}
 	// The quality annotations were merged onto the resolver process node.
@@ -103,30 +103,25 @@ func TestCollectorBuildsGraph(t *testing.T) {
 	if probs := g.CheckLegality(); len(probs) != 0 {
 		t.Fatalf("illegal graph: %v", probs)
 	}
-	outArts := col.OutputArtifacts(res)
-	sumArt := outArts["summary"]
-	if sumArt == "" {
+	sumArt := artifactID(res.Outputs["summary"])
+	if _, ok := g.Node(sumArt); !ok {
 		t.Fatal("no summary artifact")
 	}
-	anc, err := g.Ancestors(sumArt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(anc) < 4 { // input + intermediate + 2 processes (+ agent)
+	if anc := ancestors(g, sumArt); len(anc) < 4 { // input + intermediate + 2 processes (+ agent)
 		t.Fatalf("ancestors of summary = %v", anc)
 	}
 	// Derivation chain exists end-to-end.
 	inputArt := artifactID(workflow.Scalar(" Elachistocleis ovalis "))
-	if path := g.DerivationPath(sumArt, inputArt); len(path) != 3 {
+	if path := derivationPath(g, sumArt, inputArt); len(path) != 3 {
 		t.Fatalf("derivation path = %v", path)
 	}
 	// wasTriggeredBy inferred between the two processes.
-	trigs := g.EdgesOfKind(opm.WasTriggeredBy)
+	trigs := edgesOfKind(g, opm.WasTriggeredBy)
 	if len(trigs) != 1 || trigs[0].Effect != "p:"+res.RunID+"/Catalog_of_life" {
 		t.Fatalf("triggers = %+v", trigs)
 	}
 	// Agent controls both processes.
-	if got := g.ControllersOf("p:" + res.RunID + "/Normalize"); len(got) != 1 || got[0] != "ag:curator" {
+	if got := causesOf(g, opm.WasControlledBy, "p:"+res.RunID+"/Normalize"); len(got) != 1 || got[0] != "ag:curator" {
 		t.Fatalf("controllers = %v", got)
 	}
 }
@@ -169,7 +164,7 @@ func TestArtifactSharing(t *testing.T) {
 	if _, ok := g.Node(id); !ok {
 		t.Fatal("shared artifact missing")
 	}
-	users := g.ProcessesUsing(id)
+	users := effectsOf(g, opm.Used, id)
 	if len(users) != 2 {
 		t.Fatalf("shared artifact used by %v", users)
 	}
@@ -238,10 +233,8 @@ func TestRepositoryStoreAndReload(t *testing.T) {
 		t.Fatalf("quality = %v", q)
 	}
 	// Lineage still works on the reloaded graph.
-	outArt := col.OutputArtifacts(res)["summary"]
-	anc, err := g.Ancestors(outArt)
-	if err != nil || len(anc) < 4 {
-		t.Fatalf("ancestors after reload = %v, %v", anc, err)
+	if anc := ancestors(g, artifactID(res.Outputs["summary"])); len(anc) < 4 {
+		t.Fatalf("ancestors after reload = %v", anc)
 	}
 }
 
@@ -338,13 +331,13 @@ func TestPerElementProvenance(t *testing.T) {
 	// the element "Hyla faber" (not from the whole list).
 	elemIn := artifactID(workflow.Scalar("Hyla faber"))
 	elemOut := artifactID(workflow.Scalar("Hyla faber=accepted"))
-	path := g.DerivationPath(elemOut, elemIn)
+	path := derivationPath(g, elemOut, elemIn)
 	if len(path) == 0 {
 		t.Fatal("no element-level derivation path")
 	}
 	// And the other element's result must NOT derive from this input.
 	otherOut := artifactID(workflow.Scalar("Elachistocleis ovalis=outdated"))
-	if p := g.DerivationPath(otherOut, elemIn); p != nil {
+	if p := derivationPath(g, otherOut, elemIn); p != nil {
 		t.Fatalf("cross-element contamination: %v", p)
 	}
 	// Graph still legal.
@@ -420,9 +413,7 @@ func TestRunsUsingArtifact(t *testing.T) {
 		t.Fatalf("phantom artifact used by %v", got)
 	}
 	// Generators: each run generates its own summary artifact.
-	outArt := col1.OutputArtifacts(&workflow.RunResult{Outputs: map[string]workflow.Data{
-		"summary": workflow.Scalar("Hyla faber=accepted"),
-	}})["summary"]
+	outArt := artifactID(workflow.Scalar("Hyla faber=accepted"))
 	gens, err := repo.RunsGeneratingArtifact(outArt)
 	if err != nil {
 		t.Fatal(err)

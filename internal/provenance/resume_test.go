@@ -95,7 +95,7 @@ func TestHistoryPersistsAndReloads(t *testing.T) {
 				normDone++
 				// The element events hold the collected outputs: the completion
 				// stores none, and the fold rebuilds them.
-				if clean := fa.Outputs["clean"]; ev.Iterations != 3 || len(ev.Outputs) != 0 || !clean.IsList() || clean.Len() != 3 {
+				if clean := fa.Outputs["clean"]; ev.Iterations != 3 || len(ev.Outputs) != 0 || clean.Depth() != 1 || clean.Len() != 3 {
 					t.Fatalf("Normalize completion = %+v, folded outputs %v", ev, fa.Outputs)
 				}
 			case workflow.HistoryIterationElement:
@@ -152,7 +152,7 @@ func TestUnfinishedRunsAndAbandon(t *testing.T) {
 	abandoned := open[0]
 	abandoned.Status, abandoned.Error, abandoned.FinishedAt = RunAbandoned, "no resume handler", now.Add(time.Hour)
 	g := opm.NewGraph()
-	if err := g.Agent("ag:curator", "curator"); err != nil {
+	if err := g.AddNode(opm.Node{ID: "ag:curator", Kind: opm.KindAgent, Label: "curator"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Emit(Delta{Kind: DeltaRunFinished, Info: abandoned, Graph: g}); err != nil {

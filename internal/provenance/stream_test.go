@@ -78,7 +78,7 @@ func TestCollectorStreamsHistoryThenGraph(t *testing.T) {
 	}))
 	res, err := workflow.NewEventEngine(detectionRegistry()).Run(
 		context.Background(), detectionDef(), detectionInputs(), col,
-		workflow.HistoryListenerFunc(func(ev workflow.HistoryEvent) { events = append(events, ev) }))
+		historyFunc(func(ev workflow.HistoryEvent) { events = append(events, ev) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +157,6 @@ func TestStreamingMatchesLegacyStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := col.SinkErr(); err != nil {
 				t.Fatal(err)
 			}
 			if err := repoLegacy.Store(col.Info(), col.Graph()); err != nil {
@@ -425,10 +422,10 @@ func seedRuns(t *testing.T, repo *Repository, ids ...string) {
 	started := time.Date(2013, 11, 12, 19, 58, 9, 0, time.UTC)
 	for _, id := range ids {
 		g := opm.NewGraph()
-		if err := g.Agent("ag:x", "x"); err != nil {
+		if err := g.AddNode(opm.Node{ID: "ag:x", Kind: opm.KindAgent, Label: "x"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Process("p:"+id+"/step", "step"); err != nil {
+		if err := g.AddNode(opm.Node{ID: "p:" + id + "/step", Kind: opm.KindProcess, Label: "step"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.AddEdge(opm.Edge{Kind: opm.WasControlledBy, Effect: "p:" + id + "/step", Cause: "ag:x", Role: "executor", Account: id}); err != nil {

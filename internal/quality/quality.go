@@ -309,34 +309,6 @@ type Ranked struct {
 	Assessment *Assessment
 }
 
-// Delta describes how one dimension moved between two assessments.
-type Delta struct {
-	Dimension string
-	Before    float64
-	After     float64
-	Change    float64
-}
-
-// Compare diffs two assessments of the same goal, returning per-dimension
-// deltas sorted by most-negative change first (what degraded most), plus the
-// utility change. Dimensions present in only one assessment are skipped.
-func Compare(before, after *Assessment) (deltas []Delta, utilityChange float64) {
-	for dim, b := range before.Dimensions {
-		a, ok := after.Dimensions[dim]
-		if !ok {
-			continue
-		}
-		deltas = append(deltas, Delta{Dimension: dim, Before: b, After: a, Change: a - b})
-	}
-	sort.Slice(deltas, func(i, j int) bool {
-		if deltas[i].Change != deltas[j].Change {
-			return deltas[i].Change < deltas[j].Change
-		}
-		return deltas[i].Dimension < deltas[j].Dimension
-	})
-	return deltas, after.Utility - before.Utility
-}
-
 // Rank assesses each context against the goal and orders subjects by
 // descending utility (ties by subject for determinism).
 func (m *Manager) Rank(goal Goal, ctxs []*Context) ([]Ranked, error) {

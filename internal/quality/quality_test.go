@@ -301,31 +301,6 @@ func TestRank(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	before := &Assessment{
-		Utility:    0.94,
-		Dimensions: map[string]float64{DimAccuracy: 0.93, DimAvailability: 0.9, DimReputation: 1},
-	}
-	after := &Assessment{
-		Utility:    0.90,
-		Dimensions: map[string]float64{DimAccuracy: 0.85, DimAvailability: 0.95, "novel": 0.5},
-	}
-	deltas, du := Compare(before, after)
-	if len(deltas) != 2 { // reputation and "novel" are one-sided, skipped
-		t.Fatalf("deltas = %+v", deltas)
-	}
-	// Most-degraded first.
-	if deltas[0].Dimension != DimAccuracy || deltas[0].Change > -0.079 {
-		t.Fatalf("first delta = %+v", deltas[0])
-	}
-	if deltas[1].Dimension != DimAvailability || deltas[1].Change < 0.049 {
-		t.Fatalf("second delta = %+v", deltas[1])
-	}
-	if du > -0.039 || du < -0.041 {
-		t.Fatalf("utility change = %f", du)
-	}
-}
-
 func TestReportRendering(t *testing.T) {
 	m := paperManager(t)
 	a, err := m.Assess(paperGoal(), paperContext())

@@ -2,8 +2,8 @@
 // document — the deliverable the paper describes showing to expert users
 // ("these results were shown to expert users, helping them to better
 // understand their data"). A report composes sections from the detection
-// outcome, quality assessments, the curation pipeline, the spatial audit and
-// the monitor's quality time series.
+// outcome, quality assessments, the collection's facts and the monitor's
+// quality time series.
 package report
 
 import (
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/curation"
 	"repro/internal/quality"
 )
 
@@ -94,59 +93,6 @@ func verdict(ok bool) string {
 		return "accept"
 	}
 	return "reject"
-}
-
-// AddPipeline renders a stage-by-stage curation summary.
-func (b *Builder) AddPipeline(r *curation.PipelineReport) *Builder {
-	var s strings.Builder
-	fmt.Fprintf(&s, "| stage | result |\n|---|---|\n")
-	if r.Clean != nil {
-		fmt.Fprintf(&s, "| clean | %d checked, %d repaired, %d flagged |\n",
-			r.Clean.RecordsChecked, r.Clean.Repaired, r.Clean.FlaggedOnly)
-	}
-	if r.Geocode != nil {
-		fmt.Fprintf(&s, "| geocode | %d added, %d ambiguous (curator queue), %d unknown |\n",
-			r.Geocode.Geocoded, r.Geocode.Ambiguous, r.Geocode.Unknown)
-	}
-	if r.GapFill != nil {
-		fmt.Fprintf(&s, "| gap-fill | %d environmental fields completed |\n", r.GapFill.Filled)
-	}
-	if r.Detect != nil {
-		fmt.Fprintf(&s, "| detect | %d/%d names outdated (%.0f%%) |\n",
-			r.Detect.OutdatedNames, r.Detect.DistinctNames, 100*r.Detect.OutdatedFraction())
-	}
-	if r.Review != nil {
-		fmt.Fprintf(&s, "| review | %d approved, %d rejected, %d deferred |\n",
-			r.Review.Approved, r.Review.Rejected, r.Review.Deferred)
-	}
-	if r.Spatial != nil {
-		fmt.Fprintf(&s, "| spatial audit | %d anomalies over %d species |\n",
-			len(r.Spatial.Flagged), r.Spatial.SpeciesTested)
-	}
-	fmt.Fprintf(&s, "| elapsed | %s |\n", r.Elapsed.Round(time.Millisecond))
-	return b.add("Curation pipeline", s.String())
-}
-
-// AddSpatial renders the top anomalies of a stage-2 audit.
-func (b *Builder) AddSpatial(r *curation.SpatialReport, top int) *Builder {
-	var s strings.Builder
-	fmt.Fprintf(&s, "%d georeferenced records; %d species tested; %d anomalies flagged.\n",
-		r.RecordsWithCoords, r.SpeciesTested, len(r.Flagged))
-	if len(r.Flagged) > 0 {
-		fmt.Fprintf(&s, "\n| record | species | distance | threshold | range area |\n|---|---|---|---|---|\n")
-		if top <= 0 || top > len(r.Flagged) {
-			top = len(r.Flagged)
-		}
-		for _, o := range r.Flagged[:top] {
-			area := "—"
-			if sr, ok := r.RangeOf(o.Species); ok {
-				area = fmt.Sprintf("%.0f km²", sr.AreaKm2)
-			}
-			fmt.Fprintf(&s, "| %s | *%s* | %.0f km | %.0f km | %s |\n",
-				o.RecordID, o.Species, o.DistanceKm, o.ThresholdKm, area)
-		}
-	}
-	return b.add("Stage-2 spatial audit", s.String())
 }
 
 // AddTrend renders the monitor's quality time series.

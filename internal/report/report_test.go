@@ -15,7 +15,7 @@ import (
 	"repro/internal/taxonomy"
 )
 
-func buildEverything(t *testing.T) (*core.System, *taxonomy.Generated, *core.DetectionOutcome, *curation.PipelineReport, []core.QualitySample) {
+func buildEverything(t *testing.T) (*core.System, *taxonomy.Generated, *core.DetectionOutcome, []core.QualitySample) {
 	t.Helper()
 	sys, err := core.Open(t.TempDir(), core.Options{Sync: storage.SyncNever})
 	if err != nil {
@@ -35,14 +35,14 @@ func buildEverything(t *testing.T) (*core.System, *taxonomy.Generated, *core.Det
 	if err := sys.Records.PutAll(col.Records); err != nil {
 		t.Fatal(err)
 	}
-	pipeline, err := (&curation.Pipeline{
-		Checklist: taxa.Checklist,
-		Gazetteer: gaz,
-		EnvSource: env,
-		Ledger:    sys.Ledger,
-		Spatial:   &geo.OutlierParams{},
-	}).Run(context.Background(), sys.Records)
-	if err != nil {
+	// Stage-1 curation first, so the detection sees canonical names.
+	if _, err := (&curation.Cleaner{Checklist: taxa.Checklist, Ledger: sys.Ledger}).Clean(sys.Records); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&curation.Geocoder{Gazetteer: gaz, Ledger: sys.Ledger}).Geocode(sys.Records); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&curation.GapFiller{Source: env, Ledger: sys.Ledger}).Fill(sys.Records); err != nil {
 		t.Fatal(err)
 	}
 	mon, err := core.NewMonitor(sys, taxa.Checklist, core.RunOptions{SkipLedger: true})
@@ -56,11 +56,11 @@ func buildEverything(t *testing.T) (*core.System, *taxonomy.Generated, *core.Det
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, taxa, outcome, pipeline, mon.History()
+	return sys, taxa, outcome, mon.History()
 }
 
 func TestFullReport(t *testing.T) {
-	sys, taxa, outcome, pipeline, samples := buildEverything(t)
+	sys, taxa, outcome, samples := buildEverything(t)
 	now := time.Date(2014, 1, 15, 10, 0, 0, 0, time.UTC)
 	a, facts, err := sys.AssessCollection(taxa.Checklist, now.AddDate(0, -3, 0), now)
 	if err != nil {
@@ -68,11 +68,9 @@ func TestFullReport(t *testing.T) {
 	}
 	md := New("FNJV curation report", now).
 		AddFacts(facts).
-		AddPipeline(pipeline).
 		AddDetection(outcome).
 		AddAssessment("Species-name quality (§IV.C)", outcome.Assessment).
 		AddAssessment("Collection health", a).
-		AddSpatial(pipeline.Spatial, 5).
 		AddTrend(samples).
 		Markdown()
 
@@ -81,9 +79,6 @@ func TestFullReport(t *testing.T) {
 		"_Generated 2014-01-15",
 		"## Collection facts",
 		"| records | 500 |",
-		"## Curation pipeline",
-		"| clean |",
-		"| geocode |",
 		"## Outdated species name detection",
 		"| distinct species names analyzed | 100 |",
 		"### Updated species names",
@@ -93,7 +88,6 @@ func TestFullReport(t *testing.T) {
 		"(accept)",
 		"## Collection health",
 		"| completeness |",
-		"## Stage-2 spatial audit",
 		"## Quality over time",
 		"Net accuracy change",
 	} {

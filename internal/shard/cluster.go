@@ -27,22 +27,24 @@ type Options struct {
 	// CommitDelay is forwarded to every shard database's WAL (simulated
 	// device commit latency; see storage.Options.CommitDelay).
 	CommitDelay time.Duration
-	// Deadline bounds each scatter-gather leg (default 2s).
-	Deadline time.Duration
-	// ArchiveReplicas is the replica-volume count of each shard's AIP store
-	// (default 2 — the minimum at which self-repair means anything).
-	ArchiveReplicas int
 }
+
+const (
+	// legDeadline bounds each scatter-gather leg.
+	legDeadline = 2 * time.Second
+	// archiveReplicas is the replica-volume count of each shard's AIP store,
+	// the minimum at which self-repair means anything.
+	archiveReplicas = 2
+)
 
 // Cluster is a set of shard instances under one persisted map, plus the
 // routers that make them look like one storage/provenance/trace/archive
 // layer. All routers are safe for concurrent use.
 type Cluster struct {
-	dir      string
-	m        Map
-	ring     *Ring
-	deadline time.Duration
-	shards   []*Shard
+	dir    string
+	m      Map
+	ring   *Ring
+	shards []*Shard
 
 	records *RecordRouter
 	prov    *ProvenanceRouter
@@ -79,18 +81,10 @@ func Open(dir string, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	deadline := opts.Deadline
-	if deadline <= 0 {
-		deadline = 2 * time.Second
-	}
-	replicas := opts.ArchiveReplicas
-	if replicas <= 0 {
-		replicas = 2
-	}
-	c := &Cluster{dir: dir, m: m, ring: NewRing(m.Shards, m.VNodes), deadline: deadline}
+	c := &Cluster{dir: dir, m: m, ring: NewRing(m.Shards, m.VNodes)}
 	for i := 0; i < m.Shards; i++ {
 		sh := &Shard{id: i, dir: filepath.Join(dir, "shards", shardName(i)), sync: opts.Sync, delay: opts.CommitDelay}
-		volumes := make([]string, replicas)
+		volumes := make([]string, archiveReplicas)
 		for v := range volumes {
 			volumes[v] = filepath.Join(sh.dir, fmt.Sprintf("vol-%d", v))
 		}
@@ -167,9 +161,6 @@ func (c *Cluster) Close() error {
 	return errors.Join(errs...)
 }
 
-// N returns the shard count.
-func (c *Cluster) N() int { return len(c.shards) }
-
 // OwnerIndex returns the index of the shard owning the given ID.
 func (c *Cluster) OwnerIndex(id string) int { return c.ring.Owner(RouteKey(id)) }
 
@@ -181,9 +172,6 @@ func (c *Cluster) Provenance() *ProvenanceRouter { return c.prov }
 
 // Traces returns the sharded span store.
 func (c *Cluster) Traces() *TraceRouter { return c.traces }
-
-// Archive returns the sharded AIP store.
-func (c *Cluster) Archive() *ArchiveRouter { return c.archive }
 
 // Scrubbers returns every shard's archive scrubber, in shard order.
 func (c *Cluster) Scrubbers() []*archive.Scrubber {

@@ -27,7 +27,7 @@ func TestCrossShardPaginationUnderConcurrentWrites(t *testing.T) {
 
 	store := func(repo provenance.Repo, id string) error {
 		g := opm.NewGraph()
-		if err := g.Process("p", "proc"); err != nil {
+		if err := g.AddNode(opm.Node{ID: "p", Kind: opm.KindProcess, Label: "proc"}); err != nil {
 			return err
 		}
 		return repo.Store(provenance.RunInfo{

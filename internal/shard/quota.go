@@ -15,24 +15,15 @@ type QuotaOptions struct {
 	// Burst is the bucket capacity — how far a tenant can run ahead of the
 	// sustained rate (default 2×Rate, minimum 1).
 	Burst float64
-	// Costs maps a request class to its token cost, so expensive operations
-	// (a detection run walks the whole collection and the authority) spend
-	// proportionally more of the tenant's budget than a page read. Classes
-	// absent from the table — and the empty class — cost DefaultCost.
-	Costs map[string]float64
 }
 
-// DefaultCost is the token cost of a request class with no Costs entry.
-const DefaultCost = 1
-
-// Quotas enforces a weighted token bucket per tenant: every admitted request
-// spends its class's cost in tokens, tokens refill continuously at Rate, and
-// a tenant that drains its bucket is throttled until it refills — other
-// tenants' buckets are untouched. Safe for concurrent use.
+// Quotas enforces a token bucket per tenant: every admitted request spends
+// one token, tokens refill continuously at Rate, and a tenant that drains
+// its bucket is throttled until it refills — other tenants' buckets are
+// untouched. Safe for concurrent use.
 type Quotas struct {
 	rate  float64
 	burst float64
-	costs map[string]float64
 	// now is the clock, swappable in tests.
 	now func() time.Time
 
@@ -58,22 +49,7 @@ func NewQuotas(opts QuotaOptions) *Quotas {
 	if burst <= 0 {
 		burst = math.Max(1, 2*rate)
 	}
-	costs := make(map[string]float64, len(opts.Costs))
-	for class, c := range opts.Costs {
-		if c > 0 {
-			costs[class] = c
-		}
-	}
-	return &Quotas{rate: rate, burst: burst, costs: costs, now: time.Now, buckets: make(map[string]*bucket)}
-}
-
-// Cost returns the token cost of a request class: its Costs entry, or
-// DefaultCost when the class has none.
-func (q *Quotas) Cost(class string) float64 {
-	if c, ok := q.costs[class]; ok {
-		return c
-	}
-	return DefaultCost
+	return &Quotas{rate: rate, burst: burst, now: time.Now, buckets: make(map[string]*bucket)}
 }
 
 // Decision is the outcome of one admission check.
@@ -89,23 +65,9 @@ type Decision struct {
 	RetryAfter time.Duration
 }
 
-// Allow spends one token from the tenant's bucket — the unweighted admission
-// check every plain read uses.
+// Allow spends one token from the tenant's bucket, creating a full bucket on
+// first sight. The default tenant "" has a bucket like any other.
 func (q *Quotas) Allow(tenant string) Decision {
-	return q.AllowN(tenant, DefaultCost)
-}
-
-// AllowN spends cost tokens from the tenant's bucket, creating a full bucket
-// on first sight. The default tenant "" has a bucket like any other. A cost
-// above the bucket capacity could never be admitted; it is capped at the
-// capacity so the class is expensive-but-possible (one full refill buys one).
-func (q *Quotas) AllowN(tenant string, cost float64) Decision {
-	if cost <= 0 {
-		cost = DefaultCost
-	}
-	if cost > q.burst {
-		cost = q.burst
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.now()
@@ -120,15 +82,15 @@ func (q *Quotas) AllowN(tenant string, cost float64) Decision {
 	}
 	b.requests++
 	d := Decision{Limit: int(q.burst)}
-	if b.tokens >= cost {
-		b.tokens -= cost
-		b.spent += cost
+	if b.tokens >= 1 {
+		b.tokens--
+		b.spent++
 		d.Allowed = true
 		d.Remaining = int(b.tokens)
 		return d
 	}
 	b.throttled++
-	d.RetryAfter = time.Duration((cost - b.tokens) / q.rate * float64(time.Second))
+	d.RetryAfter = time.Duration((1 - b.tokens) / q.rate * float64(time.Second))
 	if d.RetryAfter < time.Millisecond {
 		d.RetryAfter = time.Millisecond
 	}
@@ -136,7 +98,7 @@ func (q *Quotas) AllowN(tenant string, cost float64) Decision {
 }
 
 // Counters renders per-tenant admission gauges for the metrics bridge:
-// requests seen, requests throttled, and the weighted token spend.
+// requests seen, requests throttled, and the tokens spent.
 func (q *Quotas) Counters() map[string]float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()

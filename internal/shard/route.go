@@ -94,7 +94,7 @@ func scatterOn[T any](r router, op string, legs []*Shard, fn func(backends) (T, 
 	for slot := range errs {
 		errs[slot] = ErrShardTimeout // until the leg answers
 	}
-	timer := time.NewTimer(r.c.deadline)
+	timer := time.NewTimer(legDeadline)
 	defer timer.Stop()
 collect:
 	for range legs {

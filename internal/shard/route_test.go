@@ -90,7 +90,7 @@ func keysOwnedBy(t *testing.T, c *Cluster, i int) routeKeys {
 // method of all four routers, on a 4-shard cluster with one shard stopped.
 func TestRouterContract(t *testing.T) {
 	c := openCluster(t, t.TempDir(), 4)
-	prov, recs, traces, arch := c.Provenance(), c.Records(), c.Traces(), c.Archive()
+	prov, recs, traces, arch := c.Provenance(), c.Records(), c.Traces(), c.archive
 
 	runInfo := func(runID string) provenance.RunInfo {
 		return provenance.RunInfo{RunID: runID, WorkflowID: "wf", WorkflowName: "wf",
@@ -98,7 +98,7 @@ func TestRouterContract(t *testing.T) {
 	}
 	runGraph := func(runID string) *opm.Graph {
 		g := opm.NewGraph()
-		if err := g.Process("p:"+runID+"/proc", "proc"); err != nil {
+		if err := g.AddNode(opm.Node{ID: "p:" + runID + "/proc", Kind: opm.KindProcess, Label: "proc"}); err != nil {
 			t.Fatal(err)
 		}
 		return g

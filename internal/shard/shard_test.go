@@ -77,8 +77,8 @@ func TestValidTenant(t *testing.T) {
 func TestShardMapPersistedAndEnforced(t *testing.T) {
 	dir := t.TempDir()
 	c := openCluster(t, dir, 4)
-	if c.N() != 4 {
-		t.Fatalf("N = %d, want 4", c.N())
+	if len(c.shards) != 4 {
+		t.Fatalf("N = %d, want 4", len(c.shards))
 	}
 	c.Close()
 
@@ -87,8 +87,8 @@ func TestShardMapPersistedAndEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.N() != 4 {
-		t.Fatalf("adopted N = %d, want 4", c2.N())
+	if len(c2.shards) != 4 {
+		t.Fatalf("adopted N = %d, want 4", len(c2.shards))
 	}
 	c2.Close()
 
@@ -163,7 +163,7 @@ func TestRecordRouterMatchesSingleStoreSemantics(t *testing.T) {
 func storeRun(t *testing.T, repo provenance.Repo, runID string) {
 	t.Helper()
 	g := opm.NewGraph()
-	if err := g.Process("p1", "proc"); err != nil {
+	if err := g.AddNode(opm.Node{ID: "p1", Kind: opm.KindProcess, Label: "proc"}); err != nil {
 		t.Fatal(err)
 	}
 	err := repo.Store(provenance.RunInfo{

@@ -108,8 +108,8 @@ func DecodeRow(buf []byte) (Row, int, error) {
 }
 
 // EncodeKey produces an order-preserving byte encoding of a value, used as a
-// B-tree key: comparing encodings bytewise equals Value.Compare for values of
-// the same kind.
+// B-tree key: comparing encodings bytewise orders values of the same kind
+// naturally, and NULL before everything.
 func EncodeKey(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {

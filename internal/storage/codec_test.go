@@ -161,17 +161,17 @@ func TestValueCompareAndEqual(t *testing.T) {
 	if S("x").Equal(I(1)) {
 		t.Fatal("cross-kind Equal must be false")
 	}
-	if Null().Compare(S("a")) >= 0 {
+	if bytes.Compare(EncodeKey(nil, Null()), EncodeKey(nil, S("a"))) >= 0 {
 		t.Fatal("NULL must sort before strings")
 	}
-	if c := F(1.5).Compare(F(1.5)); c != 0 {
+	if c := bytes.Compare(EncodeKey(nil, F(1.5)), EncodeKey(nil, F(1.5))); c != 0 {
 		t.Fatalf("equal floats compare %d", c)
 	}
 	tm := time.Now()
 	if !T(tm).Equal(T(tm)) {
 		t.Fatal("time Equal broken")
 	}
-	if T(tm).Compare(T(tm.Add(time.Second))) != -1 {
+	if bytes.Compare(EncodeKey(nil, T(tm)), EncodeKey(nil, T(tm.Add(time.Second)))) != -1 {
 		t.Fatal("time Compare broken")
 	}
 }

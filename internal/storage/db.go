@@ -99,20 +99,28 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	db := &DB{dir: dir, opts: opts, tables: make(map[string]*Table)}
 
-	// 1. Load snapshot (same framed-op format as the WAL).
+	// 1. Load snapshot (same framed-op format as the WAL). It was fsync'd
+	// and renamed into place whole, so anything short of its end is damage.
 	snapPath := filepath.Join(dir, snapshotFile)
-	if _, err := replayWAL(snapPath, db.applyPayload); err != nil {
+	stop, err := readWAL(snapPath, db.applyPayload)
+	if err != nil {
 		return nil, fmt.Errorf("storage: snapshot replay: %w", err)
 	}
+	if size := fileSize(snapPath); stop.intact != size {
+		return nil, fmt.Errorf("%w: snapshot %s replays %d of its %d bytes", ErrCorrupt, snapPath, stop.intact, size)
+	}
 
-	// 2. Replay the WAL, truncating any torn tail.
+	// 2. Replay the WAL, truncating a torn tail.
 	walPath := filepath.Join(dir, walFile)
-	intact, err := replayWAL(walPath, db.applyPayload)
+	stop, err = readWAL(walPath, db.applyPayload)
 	if err != nil {
 		return nil, fmt.Errorf("storage: wal replay: %w", err)
 	}
-	if st, err := os.Stat(walPath); err == nil && st.Size() > intact {
-		if err := os.Truncate(walPath, intact); err != nil {
+	if stop.damaged {
+		return nil, fmt.Errorf("%w: wal %s has a damaged record at offset %d", ErrCorrupt, walPath, stop.intact)
+	}
+	if fileSize(walPath) > stop.intact {
+		if err := os.Truncate(walPath, stop.intact); err != nil {
 			return nil, fmt.Errorf("storage: truncate torn wal tail: %w", err)
 		}
 	}
@@ -123,6 +131,15 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	db.log.delay = opts.CommitDelay
 	return db, nil
+}
+
+// fileSize is the size of the file at path, 0 when there is none.
+func fileSize(path string) int64 {
+	st, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return st.Size()
 }
 
 // Op is one logical mutation, built with the Insert/Update/Delete/
@@ -552,9 +569,6 @@ func (db *DB) Insert(table string, row Row) error { return db.Apply(InsertOp(tab
 
 // Update replaces one row by primary key.
 func (db *DB) Update(table string, row Row) error { return db.Apply(UpdateOp(table, row)) }
-
-// Delete removes one row by primary key.
-func (db *DB) Delete(table string, pk Value) error { return db.Apply(DeleteOp(table, pk)) }
 
 // Table returns a read handle for the named table, or nil if absent.
 // The handle must only be used for reads; mutations go through DB. Each

@@ -61,9 +61,6 @@ func (t *Table) rlock() func() {
 	return t.mu.RUnlock
 }
 
-// Schema returns the table schema.
-func (t *Table) Schema() *Schema { return t.schema }
-
 // Len reports the number of rows.
 func (t *Table) Len() int {
 	defer t.rlock()()
@@ -251,18 +248,6 @@ func (t *Table) scanLocked(fn func(Row) bool) {
 	})
 }
 
-// Select returns every row matching pred, in primary-key order.
-func (t *Table) Select(pred func(Row) bool) []Row {
-	var out []Row
-	t.Scan(func(r Row) bool {
-		if pred(r) {
-			out = append(out, r)
-		}
-		return true
-	})
-	return out
-}
-
 // Lookup uses the secondary index on col to return all rows whose column
 // equals val. It returns ErrNotFound if no index exists on col.
 func (t *Table) Lookup(col string, val Value) ([]Row, error) {
@@ -276,34 +261,6 @@ func (t *Table) Lookup(col string, val Value) ([]Row, error) {
 	defer putKeyBuf(kb2)
 	from := EncodeKey((*kb)[:0], val)
 	to := append(append((*kb2)[:0], from...), 0xFF)
-	var out []Row
-	idx.Ascend(from, to, func(_ []byte, pk Value) bool {
-		row, err := t.getLocked(pk)
-		if err == nil {
-			out = append(out, row)
-		}
-		return true
-	})
-	return out, nil
-}
-
-// LookupRange uses the secondary index on col to return all rows whose
-// column value lies in [lo, hi] (inclusive; NULL bounds are rejected), in
-// ascending column order. It returns ErrNotFound if no index exists on col.
-func (t *Table) LookupRange(col string, lo, hi Value) ([]Row, error) {
-	defer t.rlock()()
-	idx := t.index(col)
-	if idx == nil {
-		return nil, fmt.Errorf("%w: table %q has no index on %q", ErrNotFound, t.schema.Table, col)
-	}
-	if lo.IsNull() || hi.IsNull() {
-		return nil, fmt.Errorf("storage: LookupRange bounds must be non-null")
-	}
-	kb, kb2 := getKeyBuf(), getKeyBuf()
-	defer putKeyBuf(kb)
-	defer putKeyBuf(kb2)
-	from := EncodeKey((*kb)[:0], lo)
-	to := append(EncodeKey((*kb2)[:0], hi), 0xFF) // include all pk suffixes of hi
 	var out []Row
 	idx.Ascend(from, to, func(_ []byte, pk Value) bool {
 		row, err := t.getLocked(pk)

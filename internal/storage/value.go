@@ -191,38 +191,6 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// Compare orders two values. NULL sorts before everything; values of
-// different kinds order by kind; otherwise natural ordering applies.
-func (v Value) Compare(o Value) int {
-	if v.kind != o.kind {
-		if v.kind < o.kind {
-			return -1
-		}
-		return 1
-	}
-	switch v.kind {
-	case KindString, KindBytes:
-		return compareOrdered(v.s, o.s)
-	case KindInt, KindTime, KindBool:
-		return compareOrdered(int64(v.w), int64(o.w))
-	case KindFloat:
-		return compareOrdered(v.Float(), o.Float())
-	default:
-		return 0
-	}
-}
-
-func compareOrdered[T interface{ ~string | ~int64 | ~float64 }](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Column describes one field of a table schema.
 type Column struct {
 	Name     string

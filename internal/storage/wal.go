@@ -24,9 +24,11 @@ const (
 	SyncNever
 )
 
-// ErrCorrupt marks a WAL record that failed its CRC or framing check;
-// recovery stops at the first corrupt record and truncates there.
-var ErrCorrupt = errors.New("storage: corrupt wal record")
+// ErrCorrupt is what Open returns, wrapped, for damage it must not repair by
+// dropping data: a snapshot that does not replay to its end, or a WAL record
+// that fails its CRC with more log after it. Open then leaves both files as
+// they are.
+var ErrCorrupt = errors.New("storage: corrupt record")
 
 // Castagnoli is the package's single CRC32-C table, shared by the WAL, the
 // snapshot codec, and external consumers that frame records the same way
@@ -156,56 +158,72 @@ func (l *wal) Close() error {
 
 func newBufWriter(f *os.File) *bufio.Writer { return bufio.NewWriterSize(f, 1<<16) }
 
-// replayWAL streams every intact record in the log at path to fn. A trailing
-// torn or corrupt record ends replay silently (it was never acknowledged);
-// replayWAL returns the byte offset of the last intact record boundary so the
-// caller can truncate garbage.
+// walStop is where and how a log replay ended.
+type walStop struct {
+	// intact is the end of the last intact record: everything before it was
+	// replayed, everything after it was not.
+	intact int64
+	// damaged marks a complete record that failed its CRC with more log
+	// after it. A record torn by a crash is the last thing in the log, so
+	// this is damage, not a torn tail.
+	damaged bool
+}
+
+// readWAL streams every intact record in the log at path to fn, in order,
+// and reports where and how it stopped. It never errors on what it reads —
+// garbage ends the replay, and the caller decides from the walStop whether
+// that is a torn tail (a record cut short, or a final record that fails its
+// CRC: it was never acknowledged) or damage. A length header damaged to
+// point past the end of the file looks like a torn tail too: nothing after
+// it can be framed.
 //
 // Every record is read into one buffer, reused for the next: fn must copy
 // what it keeps (applyPayload does). A length header is believed only as far
 // as the file goes — a record claiming more bytes than remain is a torn tail,
 // not a reason to allocate them — so the buffer never outgrows the file.
-func replayWAL(path string, fn func(payload []byte) error) (int64, error) {
+func readWAL(path string, fn func(payload []byte) error) (walStop, error) {
+	var stop walStop
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil
+			return stop, nil
 		}
-		return 0, fmt.Errorf("storage: open wal for replay: %w", err)
+		return stop, fmt.Errorf("storage: open wal for replay: %w", err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("storage: stat wal for replay: %w", err)
+		return stop, fmt.Errorf("storage: stat wal for replay: %w", err)
 	}
 	size := st.Size()
 	tab := Castagnoli
 	r := bufio.NewReaderSize(f, 1<<16)
-	var off int64
 	var hdr [8]byte
 	var buf []byte
 	for {
+		off := stop.intact
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return off, nil // clean EOF or torn header: stop here
+			return stop, nil // clean EOF or torn header: stop here
 		}
 		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if n > size-off-8 {
-			return off, nil // torn payload: the header promises more than the file holds
+			return stop, nil // torn payload: the header promises more than the file holds
 		}
 		if int64(cap(buf)) < n {
 			buf = make([]byte, min(max(n, 2*int64(cap(buf))), size))
 		}
 		payload := buf[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil // torn payload (the file shrank under us)
+			return stop, nil // torn payload (the file shrank under us)
 		}
 		if crc32.Checksum(payload, tab) != want {
-			return off, nil // corrupt tail
+			stop.damaged = off+8+n < size
+			return stop, nil
 		}
 		if err := fn(payload); err != nil {
-			return off, err
+			return stop, err
 		}
-		off += 8 + n
+		stop.intact += 8 + n
 	}
 }

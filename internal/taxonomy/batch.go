@@ -15,8 +15,8 @@ import (
 // Every layer of the production stack implements it — Client (HTTP batch
 // endpoint), CachingResolver (miss coalescing), ResilientResolver (one guard
 // admission per batch) and the in-process Checklist — so a capability probe
-// (DetailedBatch, curation.Detect) sees the batch path through the full
-// decorated stack, not just on a bare Client.
+// (DetailedBatch, which binds the detection workflow's col.resolve) sees the
+// batch path through the full decorated stack, not just on a bare Client.
 type BatchResolver interface {
 	BatchResolve(ctx context.Context, names []string) ([]Resolution, error)
 }

@@ -251,7 +251,7 @@ func BenchmarkResolveBatch(b *testing.B) {
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.Cache().Flush() // every iteration pays the cold-miss round trips
+			flushCache(r.Cache()) // every iteration pays the cold-miss round trips
 			for _, name := range names {
 				if _, err := r.Resolve(ctx, name); err != nil {
 					b.Fatal(err)
@@ -267,11 +267,19 @@ func BenchmarkResolveBatch(b *testing.B) {
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.Cache().Flush()
+			flushCache(r.Cache())
 			if _, err := r.BatchResolve(ctx, names); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(b.N*len(names))/b.Elapsed().Seconds(), "names/s")
 	})
+}
+
+// flushCache drops every entry of c, so the next lookup of any name is a
+// cold miss.
+func flushCache(c *CachingResolver) {
+	c.mu.Lock()
+	c.entries = make(map[string]cacheEntry)
+	c.mu.Unlock()
 }

@@ -22,8 +22,8 @@ import (
 // so the next tick retries).
 //
 // Hot-path reads take only an RWMutex read lock and bump atomic counters,
-// so cache hits never serialize against writers (Invalidate/Flush) or each
-// other.
+// so cache hits never serialize against the writers that fill the cache or
+// against each other.
 type CachingResolver struct {
 	Inner Resolver
 	// TTL bounds entry lifetime (0 = cache forever). Expired entries are
@@ -168,19 +168,3 @@ func (c *CachingResolver) Stats() (hits, misses int64) {
 // Coalesced reports how many lookups joined another caller's in-flight
 // upstream request instead of issuing their own.
 func (c *CachingResolver) Coalesced() int64 { return c.coalesced.Load() }
-
-// Invalidate drops a single entry (e.g. after a curator fixes a name).
-func (c *CachingResolver) Invalidate(name string) {
-	key := c.key(name)
-	c.mu.Lock()
-	delete(c.entries, key)
-	c.mu.Unlock()
-}
-
-// Flush drops every entry — done when new taxonomy is published, so the next
-// reassessment sees the evolved knowledge.
-func (c *CachingResolver) Flush() {
-	c.mu.Lock()
-	c.entries = make(map[string]cacheEntry)
-	c.mu.Unlock()
-}

@@ -112,25 +112,6 @@ func TestCachingResolverTTL(t *testing.T) {
 	}
 }
 
-func TestCachingResolverInvalidateAndFlush(t *testing.T) {
-	cl := demoChecklist(t)
-	inner := &countResolver{inner: cl}
-	cache := NewCachingResolver(inner, 0)
-	cache.Resolve(context.Background(), "Hyla faber")
-	cache.Resolve(context.Background(), "Scinax fuscomarginatus")
-	cache.Invalidate("hyla faber")
-	cache.Resolve(context.Background(), "Hyla faber")
-	if inner.Calls() != 3 {
-		t.Fatalf("invalidate did not evict: %d calls", inner.Calls())
-	}
-	cache.Flush()
-	cache.Resolve(context.Background(), "Hyla faber")
-	cache.Resolve(context.Background(), "Scinax fuscomarginatus")
-	if inner.Calls() != 5 {
-		t.Fatalf("flush did not evict: %d calls", inner.Calls())
-	}
-}
-
 // blockingResolver parks every Resolve until released, so a test can hold
 // an upstream call in flight while more callers pile up on the same key.
 type blockingResolver struct {
@@ -263,7 +244,6 @@ func TestCachingResolverConcurrent(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				cache.Resolve(context.Background(), "Hyla faber")
 				cache.Resolve(context.Background(), "Elachistocleis ovalis")
-				cache.Invalidate("Hyla faber")
 			}
 		}()
 	}

@@ -90,12 +90,6 @@ type Resolution struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// Outdated reports whether the queried name should be repaired: it resolved,
-// but not to an accepted spelling of itself.
-func (r Resolution) Outdated() bool {
-	return r.Status == StatusSynonym || r.Status == StatusProvisional
-}
-
 // Resolver answers name-resolution queries. Implementations include the
 // in-process Checklist, the HTTP Client, and the caching/resilient wrappers.
 // The context carries the caller's cancellation and deadline — a cancelled

@@ -44,7 +44,7 @@ func FuzzDistance(f *testing.F) {
 			bound = -bound
 		}
 		bound %= 20
-		full := Distance(a, b)
+		full := distance(a, b)
 		d, ok := boundedDistance(a, b, bound)
 		if ok {
 			if d != full {

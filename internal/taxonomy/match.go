@@ -81,13 +81,6 @@ func (ti *trigramIndex) Closest(q string, maxDist int) (name string, dist int, o
 	return best, bestDist, true
 }
 
-// Distance computes the unrestricted Damerau-Levenshtein distance (with
-// adjacent transposition) between a and b.
-func Distance(a, b string) int {
-	d, _ := boundedDistance(a, b, len(a)+len(b))
-	return d
-}
-
 // boundedDistance computes the Damerau-Levenshtein distance, giving up once
 // it provably exceeds bound. It reports the distance and whether ≤ bound.
 func boundedDistance(a, b string, bound int) (int, bool) {

@@ -11,29 +11,6 @@ import (
 	"unicode"
 )
 
-// Rank is a Linnaean rank used by the FNJV metadata (Table II, row 1).
-type Rank uint8
-
-// Ranks from broadest to narrowest.
-const (
-	RankPhylum Rank = iota
-	RankClass
-	RankOrder
-	RankFamily
-	RankGenus
-	RankSpecies
-)
-
-var rankNames = [...]string{"phylum", "class", "order", "family", "genus", "species"}
-
-// String returns the lowercase rank name.
-func (r Rank) String() string {
-	if int(r) < len(rankNames) {
-		return rankNames[r]
-	}
-	return fmt.Sprintf("rank(%d)", uint8(r))
-}
-
 // Name is a parsed binomial scientific name.
 type Name struct {
 	Genus   string // capitalized, e.g. "Elachistocleis"
@@ -109,21 +86,4 @@ type Classification struct {
 	Class  string
 	Order  string
 	Family string
-}
-
-// Field returns the classification value at the given rank ("" for genus and
-// species, which live on the name itself).
-func (c Classification) Field(r Rank) string {
-	switch r {
-	case RankPhylum:
-		return c.Phylum
-	case RankClass:
-		return c.Class
-	case RankOrder:
-		return c.Order
-	case RankFamily:
-		return c.Family
-	default:
-		return ""
-	}
 }

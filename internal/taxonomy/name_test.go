@@ -53,16 +53,6 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 }
 
-func TestRankString(t *testing.T) {
-	if RankPhylum.String() != "phylum" || RankSpecies.String() != "species" {
-		t.Fatal("rank names wrong")
-	}
-	c := Classification{Phylum: "Chordata", Class: "Amphibia", Order: "Anura", Family: "Hylidae"}
-	if c.Field(RankOrder) != "Anura" || c.Field(RankSpecies) != "" {
-		t.Fatal("Classification.Field wrong")
-	}
-}
-
 func TestDistance(t *testing.T) {
 	for _, tc := range []struct {
 		a, b string
@@ -77,8 +67,8 @@ func TestDistance(t *testing.T) {
 		{"kitten", "sitting", 3},
 		{"", "abc", 3},
 	} {
-		if got := Distance(tc.a, tc.b); got != tc.want {
-			t.Errorf("Distance(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
+		if got := distance(tc.a, tc.b); got != tc.want {
+			t.Errorf("distance(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
@@ -88,7 +78,7 @@ func TestDistanceProperties(t *testing.T) {
 		if len(a) > 40 || len(b) > 40 {
 			return true
 		}
-		return Distance(a, b) == Distance(b, a)
+		return distance(a, b) == distance(b, a)
 	}
 	if err := quick.Check(symmetric, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatalf("symmetry: %v", err)
@@ -97,7 +87,7 @@ func TestDistanceProperties(t *testing.T) {
 		if len(a) > 40 {
 			return true
 		}
-		return Distance(a, a) == 0
+		return distance(a, a) == 0
 	}
 	if err := quick.Check(identity, nil); err != nil {
 		t.Fatalf("identity: %v", err)
@@ -106,7 +96,7 @@ func TestDistanceProperties(t *testing.T) {
 		if len(a)+len(b)+len(c) > 60 {
 			return true
 		}
-		return Distance(a, c) <= Distance(a, b)+Distance(b, c)
+		return distance(a, c) <= distance(a, b)+distance(b, c)
 	}
 	if err := quick.Check(triangle, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatalf("triangle inequality: %v", err)
@@ -120,7 +110,7 @@ func TestBoundedDistanceAgreesWithFull(t *testing.T) {
 		{"abcdef", "ghijkl"},
 	}
 	for _, p := range pairs {
-		full := Distance(p[0], p[1])
+		full := distance(p[0], p[1])
 		for bound := 0; bound <= full+2; bound++ {
 			d, ok := boundedDistance(p[0], p[1], bound)
 			if bound >= full {
@@ -151,4 +141,11 @@ func TestTrigramClosest(t *testing.T) {
 	if !ok || name != "Hyla faber" || dist != 0 {
 		t.Fatalf("Closest exact = %q,%d,%v", name, dist, ok)
 	}
+}
+
+// distance is the unrestricted Damerau-Levenshtein distance (with adjacent
+// transposition): boundedDistance with a bound no pair of a and b exceeds.
+func distance(a, b string) int {
+	d, _ := boundedDistance(a, b, len(a)+len(b))
+	return d
 }

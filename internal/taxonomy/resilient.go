@@ -251,8 +251,7 @@ func (r *ResilientResolver) BatchResolveDetail(ctx context.Context, names []stri
 	return out
 }
 
-// Cache exposes the embedded cache (for Invalidate/Flush on taxonomy
-// evolution).
+// Cache exposes the embedded cache (for its hit and miss counts).
 func (r *ResilientResolver) Cache() *CachingResolver { return r.cache }
 
 // BreakerState reports the circuit breaker's current state.

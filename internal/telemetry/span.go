@@ -36,24 +36,15 @@ type Span struct {
 	tracer *Tracer
 }
 
-// Duration is the span's wall-clock time (zero until ended).
-func (s Span) Duration() time.Duration {
-	if s.End.IsZero() {
-		return 0
-	}
-	return s.End.Sub(s.Start)
-}
-
 // Tracer mints spans and collects the finished ones, in end order, up to a
-// cap (excess spans are counted as dropped, never grown unboundedly). A
+// cap (excess spans are dropped, never grown unboundedly). A
 // tracer is cheap: mint one per run or per API request.
 type Tracer struct {
 	seq atomic.Int64
 
-	mu      sync.Mutex
-	spans   []Span
-	dropped int64
-	max     int
+	mu    sync.Mutex
+	spans []Span
+	max   int
 }
 
 // DefaultMaxSpans bounds a tracer's retained spans when no cap is given.
@@ -103,9 +94,7 @@ func spanID(seq int64) string {
 func (t *Tracer) record(sp Span) {
 	sp.tracer = nil
 	t.mu.Lock()
-	if len(t.spans) >= t.max {
-		t.dropped++
-	} else {
+	if len(t.spans) < t.max {
 		t.spans = append(t.spans, sp)
 	}
 	t.mu.Unlock()
@@ -135,13 +124,6 @@ func (t *Tracer) Since(n int) []Span {
 
 // Spans returns a copy of every finished span in end order.
 func (t *Tracer) Spans() []Span { return t.Since(0) }
-
-// Dropped reports spans discarded over the retention cap.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
 
 // SetAttr annotates the span. Safe on a nil span (no-op); call from the
 // goroutine that owns the span, before End.
@@ -208,10 +190,9 @@ func StartSpan(ctx context.Context, name, kind string) (context.Context, *Span) 
 // process-wide "what just happened" view served by the web layer. Old spans
 // are overwritten once capacity is reached.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	total int64
+	mu   sync.Mutex
+	buf  []Span
+	next int
 }
 
 // NewRing builds a ring holding up to capacity spans (<= 0 defaults to 4096).
@@ -234,7 +215,6 @@ func (r *Ring) Add(spans ...Span) {
 			r.buf[r.next] = sp
 			r.next = (r.next + 1) % cap(r.buf)
 		}
-		r.total++
 	}
 }
 
@@ -246,11 +226,4 @@ func (r *Ring) Snapshot() []Span {
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
-}
-
-// Total reports how many spans have ever been added.
-func (r *Ring) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }

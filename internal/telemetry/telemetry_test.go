@@ -152,9 +152,6 @@ func TestTracerCapAndSince(t *testing.T) {
 	if got := tr.Len(); got != 2 {
 		t.Fatalf("len = %d, want 2 (capped)", got)
 	}
-	if got := tr.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
 	since := tr.Since(1)
 	if len(since) != 1 || since[0].Name != "s1" {
 		t.Fatalf("Since(1) = %+v", since)
@@ -172,9 +169,6 @@ func TestRing(t *testing.T) {
 	}
 	if snap[0].SpanID != "s2" || snap[2].SpanID != "s4" {
 		t.Fatalf("ring order wrong: %v %v %v", snap[0].SpanID, snap[1].SpanID, snap[2].SpanID)
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d, want 5", r.Total())
 	}
 }
 

@@ -85,10 +85,10 @@ func seedProvRuns(t *testing.T, sys *core.System, ids ...string) {
 	started := time.Date(2013, 11, 12, 19, 58, 9, 0, time.UTC)
 	for _, id := range ids {
 		g := opm.NewGraph()
-		if err := g.Agent("ag:x", "x"); err != nil {
+		if err := g.AddNode(opm.Node{ID: "ag:x", Kind: opm.KindAgent, Label: "x"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Process("p:"+id+"/step", "step"); err != nil {
+		if err := g.AddNode(opm.Node{ID: "p:" + id + "/step", Kind: opm.KindProcess, Label: "step"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.Artifact("a:in", "input", "v"); err != nil {

@@ -420,7 +420,7 @@ func (v *Service) Metrics(at time.Time) []MetricsEntry {
 		}
 	}
 	if q := v.sys.Quotas; q != nil {
-		// Includes the weighted per-tenant spend (tenant.<name>.spent).
+		// Includes the per-tenant spend (tenant.<name>.spent).
 		subsystems["tenant-quotas"] = q.Counters()
 	}
 	if rr := v.sys.Resilient; rr != nil {

@@ -34,19 +34,8 @@ func withTenant(ctx context.Context, tenant string) context.Context {
 	return context.WithValue(ctx, tenantCtxKey{}, tenant)
 }
 
-// requestClass names the quota weight class of a request: detection runs
-// ("detect") execute a whole workflow and cost far more than a page read
-// ("read"). The class is looked up in the quota table's cost map, so
-// operators tune the weights without touching this code.
-func requestClass(r *http.Request) string {
-	if r.Method == http.MethodPost && r.URL.Path == "/api/v1/detect" {
-		return "detect"
-	}
-	return "read"
-}
-
 // tenantGate validates the X-Tenant header, charges the tenant's quota
-// bucket by the request's weight class, and either forwards the request with
+// bucket one token, and either forwards the request with
 // the tenant in its context or answers 429 with the standard error envelope.
 // Requests without a header run as the default tenant; an ill-formed tenant
 // name is a 400. When no quota table is configured the gate only validates
@@ -59,7 +48,7 @@ func (s *Server) tenantGate(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		if q := s.System.Quotas; q != nil {
-			d := q.AllowN(tenant, q.Cost(requestClass(r)))
+			d := q.Allow(tenant)
 			w.Header().Set("X-RateLimit-Limit", strconv.Itoa(d.Limit))
 			w.Header().Set("X-RateLimit-Remaining", strconv.Itoa(d.Remaining))
 			if !d.Allowed {

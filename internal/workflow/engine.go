@@ -108,17 +108,6 @@ func (r *Registry) Clone() *Registry {
 	return out
 }
 
-// Names returns the registered service names (unordered).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.m))
-	for n := range r.m {
-		out = append(out, n)
-	}
-	return out
-}
-
 // RunResult summarizes one workflow execution.
 type RunResult struct {
 	RunID      string

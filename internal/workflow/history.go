@@ -52,7 +52,7 @@ const (
 	// HistoryActivityFailed closes an activity with an error.
 	HistoryActivityFailed HistoryEventType = "activity-failed"
 	// HistorySubWorkflow marks a scheduled activity as a nested dataflow
-	// (its service resolves through RegisterNested).
+	// (its service name starts with NestedPrefix).
 	HistorySubWorkflow HistoryEventType = "sub-workflow"
 	// HistoryRetryBackoff records one retry pause of a service invocation.
 	HistoryRetryBackoff HistoryEventType = "retry-backoff"
@@ -108,12 +108,6 @@ type HistoryEvent struct {
 type HistoryListener interface {
 	OnHistoryEvent(HistoryEvent)
 }
-
-// HistoryListenerFunc adapts a function to HistoryListener.
-type HistoryListenerFunc func(HistoryEvent)
-
-// OnHistoryEvent implements HistoryListener.
-func (f HistoryListenerFunc) OnHistoryEvent(ev HistoryEvent) { f(ev) }
 
 // HistoryPrefixer is an optional HistoryListener extension: before a resumed
 // run appends its first new event, the engine hands the replayed prefix to

@@ -28,9 +28,6 @@ func Scalar(s string) Data { return Data{scalar: s} }
 // List builds a list datum (the elements are not copied).
 func List(items ...Data) Data { return Data{list: items, isList: true} }
 
-// IsList reports whether d is a list.
-func (d Data) IsList() bool { return d.isList }
-
 // String returns the scalar payload; for a list it renders the elements
 // comma-separated in brackets.
 func (d Data) String() string {
@@ -186,11 +183,6 @@ func (d *Definition) Processor(name string) (*Processor, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Annotate appends a workflow-level annotation.
-func (d *Definition) Annotate(key, value, author string, when time.Time) {
-	d.Annotations = append(d.Annotations, Annotation{Key: key, Value: value, Author: author, Date: when})
 }
 
 // AnnotateProcessor appends an annotation to the named processor.

@@ -168,20 +168,6 @@ func (q *MemoryQueue) Nack(ids ...string) {
 	}
 }
 
-// Depth counts ready (not yet dequeued) tasks.
-func (q *MemoryQueue) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.ready)
-}
-
-// InFlight counts leased tasks.
-func (q *MemoryQueue) InFlight() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.leased)
-}
-
 // Close stops new enqueues; ready tasks still drain.
 func (q *MemoryQueue) Close() {
 	q.mu.Lock()

@@ -98,15 +98,6 @@ func (r *Repository) Get(id string, version int) (*Definition, error) {
 	return UnmarshalXML(row.Get(wfSchema, "xml").Raw())
 }
 
-// Latest loads the newest version of id.
-func (r *Repository) Latest(id string) (*Definition, error) {
-	v, err := r.LatestVersion(id)
-	if err != nil {
-		return nil, err
-	}
-	return r.Get(id, v)
-}
-
 // LatestVersion returns the highest published version of id in O(log N)
 // point probes, whatever the number N of versions stored.
 func (r *Repository) LatestVersion(id string) (int, error) {

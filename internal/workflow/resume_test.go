@@ -24,7 +24,7 @@ func TestDataJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(b, &out); err != nil {
 			t.Fatalf("unmarshal %s: %v", b, err)
 		}
-		if out.String() != in.String() || out.IsList() != in.IsList() || out.Depth() != in.Depth() {
+		if out.String() != in.String() || out.isList != in.isList || out.Depth() != in.Depth() {
 			t.Fatalf("round trip %v -> %s -> %v", in, b, out)
 		}
 	}

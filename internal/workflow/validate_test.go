@@ -138,11 +138,11 @@ func TestDefinitionCloneIsDeep(t *testing.T) {
 
 func TestDataModel(t *testing.T) {
 	s := Scalar("hello")
-	if s.IsList() || s.String() != "hello" || s.Depth() != 0 || s.Len() != 1 {
+	if s.isList || s.String() != "hello" || s.Depth() != 0 || s.Len() != 1 {
 		t.Fatalf("scalar = %+v", s)
 	}
 	l := List(Scalar("a"), Scalar("b"))
-	if !l.IsList() || l.Depth() != 1 || l.Len() != 2 || l.String() != "[a, b]" {
+	if !l.isList || l.Depth() != 1 || l.Len() != 2 || l.String() != "[a, b]" {
 		t.Fatalf("list = %+v depth=%d", l, l.Depth())
 	}
 	nested := List(List(Scalar("a")))
@@ -157,10 +157,6 @@ func TestDataModel(t *testing.T) {
 func TestAnnotateHelpers(t *testing.T) {
 	d := linearDef()
 	when := time.Date(2013, 11, 12, 19, 58, 9, 0, time.UTC)
-	d.Annotate("author", "renato", "renato", when)
-	if len(d.Annotations) != 1 || d.Annotations[0].Key != "author" {
-		t.Fatalf("Annotate: %+v", d.Annotations)
-	}
 	if err := d.AnnotateProcessor("A", "Q(reputation)", "1", "expert", when); err != nil {
 		t.Fatal(err)
 	}

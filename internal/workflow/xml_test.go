@@ -19,7 +19,7 @@ func annotatedDef() *Definition {
 	d.Links[1].Source.Processor = "Catalog_of_life"
 	d.AnnotateProcessor("Catalog_of_life", QualityKey("reputation"), "1", "expert", when)
 	d.AnnotateProcessor("Catalog_of_life", QualityKey("availability"), "0.9", "expert", when)
-	d.Annotate("author", "FNJV curation team", "cmbm", when)
+	d.Annotations = append(d.Annotations, Annotation{Key: "author", Value: "FNJV curation team", Author: "cmbm", Date: when})
 	return d
 }
 
