@@ -49,7 +49,7 @@ race:
 ## outputs and mark those rebuilt from the elements, and TestDeciderIsPure —
 ## no clock, lock, context, randomness, telemetry, goroutine or channel in
 ## decider.go; the provenance package's carry the upgrade guard,
-## TestOpensPreviousVersionDirectory), eight
+## TestOpensPreviousVersionDirectory), nine
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
 ## events must never panic or wedge the engine), the history-row payload
@@ -69,8 +69,11 @@ race:
 ## Collector.Graph()), storage op
 ## scripts (arbitrary batches applied live must match the model and what a
 ## reopen replays), the row decoder (whatever decodes re-encodes to an equal
-## row, NaN and signed-zero floats included) and WAL replay (arbitrary log
-## bytes are a torn tail, never a panic or an error) — the chaos smoke
+## row, NaN and signed-zero floats included), WAL replay (arbitrary log
+## bytes are a torn tail, never a panic or an error) and the /api/v1 sequence
+## cursors (any ?after=&limit= on a run's edges and spans is a 400 or the
+## suffix of the run's list after the cursor — MaxInt64 included — and
+## walking by next cursor visits every row once) — the chaos smoke
 ## (randomized kill/resume trials, degraded-authority assessment runs,
 ## shard-loss traffic, orchestrator-failover trials — a standby steals the
 ## expired lease and must finish byte-identically while the resurrected stale
@@ -87,9 +90,14 @@ race:
 ## (every backticked package identifier, Go file and internal/ or cmd/ path in
 ## DESIGN.md, API.md and README.md names something the tree still has,
 ## TestDocReferencesResolve), the reachability check (a go/types walk from
-## every main and init of both modules reaches every top-level declaration
-## and method under internal/ but the few reachAllowlist names with a reason,
-## TestInternalDeclarationsReachable), the allocation guards over
+## every main and init of both modules reaches every top-level declaration,
+## method and interface method under internal/ but the few reachAllowlist
+## names with a reason, TestInternalDeclarationsReachable; dispatch is
+## precise: an interface method counts only when reached code calls it, and
+## a concrete method is reached through it only when reached code converts
+## its type to an interface the type implements — an interface assertion
+## `var _ I = (*T)(nil)` is no root — which TestReachDispatchIsPrecise checks
+## on a small program), the allocation guards over
 ## the provenance/telemetry/storage hot paths (zero on the encoders and point
 ## reads; one per history row, its key, TestHistoryRowAllocs; one per row of
 ## the commit that ends a run and writes its graph, TestDeltaEncodeAllocs; a 32-byte
@@ -121,9 +129,10 @@ ci:
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzApplyReplay -fuzztime=10s
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzDecodeRow -fuzztime=10s
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s
+	$(GO) test ./internal/web/ -run='^$$' -fuzz=FuzzSeqCursorPages -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
-	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve|TestInternalDeclarationsReachable' .
+	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve|TestInternalDeclarationsReachable|TestReachDispatchIsPrecise' .
 	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/ ./internal/workflow/
 	$(GO) run ./cmd/bench -smoke
 	$(GO) run ./cmd/bench -compare $(BENCH_NEWEST)

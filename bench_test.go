@@ -531,7 +531,7 @@ func BenchmarkDetectionParallel(b *testing.B) {
 		traces := make([]string, len(names))
 		eng := workflow.NewEventEngine(reg)
 		eng.Workers = workers
-		res, err := eng.Run(context.Background(), def, in,
+		res, err := eng.Resume(context.Background(), def, in, "", nil,
 			historyFunc(func(h workflow.HistoryEvent) {
 				if h.Type == workflow.HistoryIterationElement && h.Activity == "Catalog_of_life" {
 					traces[h.Element] = fmt.Sprintf("%v -> %v", h.Inputs, h.Outputs)
@@ -553,7 +553,7 @@ func BenchmarkDetectionParallel(b *testing.B) {
 			eng.Workers = workers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(context.Background(), def, in); err != nil {
+				if _, err := eng.Resume(context.Background(), def, in, "", nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -571,7 +571,7 @@ func BenchmarkDetectionParallel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(0))
-			if _, err := eng.Run(ctx, def, in); err != nil {
+			if _, err := eng.Resume(ctx, def, in, "", nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -626,9 +626,15 @@ func BenchmarkAblation_AcousticVsMetadataRetrieval(b *testing.B) {
 	b.Run("metadata", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			recs, err := w.store.BySpecies(species[7])
-			if err != nil || len(recs) == 0 {
+			// The species index lookup, each hit decoded to a record.
+			rows, err := w.db.Table(fnjv.Schema.Table).Lookup("species", storage.S(species[7]))
+			if err != nil || len(rows) == 0 {
 				b.Fatal("metadata lookup failed")
+			}
+			for _, row := range rows {
+				if _, err := fnjv.FromRow(row); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		b.ReportMetric(100, "species-acc-%") // curated exact lookup
@@ -656,7 +662,7 @@ func BenchmarkAblation_AdapterOverhead(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		eng := workflow.NewEventEngine(reg)
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(context.Background(), def, inputs); err != nil {
+			if _, err := eng.Resume(context.Background(), def, inputs, "", nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -669,7 +675,7 @@ func BenchmarkAblation_AdapterOverhead(b *testing.B) {
 		}
 		eng := workflow.NewEventEngine(ireg)
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(context.Background(), def, inputs); err != nil {
+			if _, err := eng.Resume(context.Background(), def, inputs, "", nil); err != nil {
 				b.Fatal(err)
 			}
 		}

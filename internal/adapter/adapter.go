@@ -130,21 +130,3 @@ func (p *Probe) observe(service string, elapsed time.Duration, results ...workfl
 	o.TotalLatency += elapsed
 	o.OutputBytes += outBytes
 }
-
-// Snapshot returns a copy of all observations keyed by service name.
-func (p *Probe) Snapshot() map[string]Observation {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]Observation, len(p.obs))
-	for k, v := range p.obs {
-		out[k] = *v
-	}
-	return out
-}
-
-// Reset clears all observations.
-func (p *Probe) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.obs = make(map[string]*Observation)
-}

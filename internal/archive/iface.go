@@ -5,23 +5,8 @@ import (
 	"repro/internal/provenance"
 )
 
-// Holdings is the AIP-store surface consumed by the preservation manager and
-// the web service. *Store implements it directly; shard.ArchiveRouter
-// implements it by routing each object ID to the shard whose volumes hold it
-// and merging cross-shard listings.
-type Holdings interface {
-	Put(payload []byte, meta Meta) (Manifest, error)
-	Get(id string) (Manifest, []byte, error)
-	Stat(id string) ObjectStatus
-	List() ([]string, error)
-	ListQuarantined() ([]string, error)
-	Volumes() []string
-}
-
 // RunRecorder is the slice of the provenance repository the auditor needs:
 // the ability to persist one complete audit run.
 type RunRecorder interface {
 	Store(info provenance.RunInfo, g *opm.Graph) error
 }
-
-var _ Holdings = (*Store)(nil)

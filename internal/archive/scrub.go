@@ -45,15 +45,13 @@ type Auditor interface {
 	RecordAudit(ScrubReport) error
 }
 
-// Scrubber walks the store's volumes on a cadence, re-hashes every replica,
-// repairs damage from healthy copies, quarantines unrecoverable objects, and
-// emits cumulative counters (Counters / Observation) plus per-pass audit
-// runs through the Auditor. Safe for one concurrent Run loop plus ad-hoc
-// ScrubOnce calls.
+// Scrubber walks the store's volumes each time a caller runs ScrubOnce,
+// re-hashes every replica, repairs damage from healthy copies, quarantines
+// unrecoverable objects, and emits cumulative counters (Counters) plus
+// per-pass audit runs through the Auditor. Concurrent ScrubOnce calls run
+// one at a time.
 type Scrubber struct {
 	Store *Store
-	// Interval is the Run cadence between passes (default 1 minute).
-	Interval time.Duration
 	// RatePerSec caps how many objects are examined per second (0 =
 	// unlimited); scrubbing is a background janitor and must not starve
 	// foreground I/O.
@@ -184,30 +182,6 @@ func (s *Scrubber) scrubObject(id string, rep *ScrubReport) {
 		}
 	}
 	rep.Damaged = append(rep.Damaged, finding)
-}
-
-// Run scrubs on the configured cadence until ctx is cancelled. Errors from
-// a pass stop the loop (storage-level failures need operator attention).
-func (s *Scrubber) Run(ctx context.Context) error {
-	iv := s.Interval
-	if iv <= 0 {
-		iv = time.Minute
-	}
-	ticker := time.NewTicker(iv)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-		if _, err := s.ScrubOnce(ctx); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return err
-		}
-	}
 }
 
 // Counters renders the scrubber's cumulative telemetry as named readings for

@@ -222,35 +222,6 @@ func TestScrubberCountersAccumulate(t *testing.T) {
 	}
 }
 
-// TestScrubRunCadence drives the background loop: damage appears between
-// ticks and is repaired by the next pass without any foreground call.
-func TestScrubRunCadence(t *testing.T) {
-	s := testStore(t, 2)
-	objs := archiveObjects(t, s, 2)
-	scr := &Scrubber{Store: s, Interval: 5 * time.Millisecond}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- scr.Run(ctx) }()
-
-	if err := CorruptReplica(s.Volumes()[1], objs[0].ID, -1); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := s.Stat(objs[0].ID); st.Healthy() == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background scrub never repaired the replica")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("Run returned %v, want context.Canceled", err)
-	}
-}
-
 // TestScrubRateLimit bounds the pass to the configured objects/second.
 func TestScrubRateLimit(t *testing.T) {
 	s := testStore(t, 1)

@@ -201,8 +201,8 @@ func TestAcousticRetrievalCleanVsNoisy(t *testing.T) {
 
 func TestIndexQuery(t *testing.T) {
 	idx := buildIndex(t, 5, 3, 0.05)
-	if idx.Len() != 15 {
-		t.Fatalf("Len = %d", idx.Len())
+	if len(idx.clips) != 15 {
+		t.Fatalf("%d clips indexed", len(idx.clips))
 	}
 	probe := Extract(Synthesize(VoiceOf("Species synthetica2"), SynthesisParams{Duration: 1, Seed: 999, NoiseLevel: 0.05}))
 	hits := idx.Query(probe, 3)

@@ -156,9 +156,6 @@ func NewIndex(clips []IndexedClip) *Index {
 	return idx
 }
 
-// Len reports the number of indexed clips.
-func (idx *Index) Len() int { return len(idx.clips) }
-
 func (idx *Index) distance(a, b Features) float64 {
 	d := 0.0
 	add := func(x, y, s float64) {

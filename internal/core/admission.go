@@ -22,10 +22,6 @@ import (
 // survives the death of whichever orchestrator picks it up, and clients can
 // watch /api/v1/runs/<id> from the moment of admission.
 
-// ErrNoAdmissionQueue is returned by AdmitDetection on systems opened without
-// an admission queue (should not happen via Open; defensive).
-var ErrNoAdmissionQueue = errors.New("core: no admission queue configured")
-
 // admittedOptions is the serializable subset of RunOptions an admission
 // round-trips through the durable queue. Chaos knobs travel too: a chaos
 // harness admits crashing runs exactly like real ones.
@@ -81,9 +77,6 @@ func decodeRunOptions(blob string) RunOptions {
 // that ID. opts.Orchestrator is ignored — ownership is the claiming
 // scheduler's, not the admitter's.
 func (s *System) AdmitDetection(opts RunOptions) (workflow.Admission, error) {
-	if s.Admissions == nil {
-		return workflow.Admission{}, ErrNoAdmissionQueue
-	}
 	adm := workflow.Admission{
 		RunID:   workflow.MintRunID(shard.Qualify(opts.Tenant, "")),
 		Tenant:  opts.Tenant,
@@ -145,17 +138,11 @@ func (b *schedulerBackend) withBase(adm workflow.Admission) workflow.Admission {
 // own wake signal, so every member built over this system listens to the one
 // hint and an idle member picks up what a busy peer cannot.
 func (b *schedulerBackend) AdmissionHint() <-chan struct{} {
-	if b.sys.Admissions == nil {
-		return nil
-	}
 	return b.sys.Admissions.Hint()
 }
 
 // PendingAdmissions implements cluster.SchedulerBackend.
 func (b *schedulerBackend) PendingAdmissions() ([]workflow.Admission, error) {
-	if b.sys.Admissions == nil {
-		return nil, ErrNoAdmissionQueue
-	}
 	return b.sys.Admissions.Pending()
 }
 
@@ -179,9 +166,6 @@ func (b *schedulerBackend) ExecuteAdmission(ctx context.Context, adm workflow.Ad
 // startup sweep's business: a live one may be executing in-process right now,
 // and nothing fences it.
 func (b *schedulerBackend) RescueCandidates() ([]string, error) {
-	if b.sys.Leases == nil {
-		return nil, nil
-	}
 	unfinished, err := b.sys.Provenance.UnfinishedRuns()
 	if err != nil {
 		return nil, err
@@ -205,10 +189,8 @@ func (b *schedulerBackend) RescueCandidates() ([]string, error) {
 // the run still owes a terminal state.
 func (b *schedulerBackend) RescueRun(ctx context.Context, runID, orchestrator string) error {
 	opts := b.base
-	if b.sys.Admissions != nil {
-		if adm, ok := b.sys.Admissions.Get(runID); ok {
-			opts = decodeRunOptions(b.withBase(adm).Options)
-		}
+	if adm, ok := b.sys.Admissions.Get(runID); ok {
+		opts = decodeRunOptions(b.withBase(adm).Options)
 	}
 	opts.Orchestrator = orchestrator
 	out, err := b.sys.ResumeDetection(ctx, b.resolver, runID, opts)
@@ -224,9 +206,7 @@ func (b *schedulerBackend) settle(runID string, out *DetectionOutcome, err error
 	var crash *CrashError
 	switch {
 	case err == nil:
-		if b.sys.Admissions != nil {
-			_ = b.sys.Admissions.Remove(runID)
-		}
+		_ = b.sys.Admissions.Remove(runID)
 		if out != nil && b.onOutcome != nil {
 			b.onOutcome(out)
 		}
@@ -244,9 +224,7 @@ func (b *schedulerBackend) settle(runID string, out *DetectionOutcome, err error
 		// failed, or (ErrNotResumable) the claim was won on a run a peer had
 		// already finished and nothing was executed here.
 		if info, ierr := b.sys.Provenance.Run(runID); ierr == nil && info.Status != provenance.RunRunning {
-			if b.sys.Admissions != nil {
-				_ = b.sys.Admissions.Remove(runID)
-			}
+			_ = b.sys.Admissions.Remove(runID)
 			if errors.Is(err, ErrNotResumable) {
 				return cluster.ErrAdmissionSettled
 			}

@@ -390,9 +390,6 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 // admitted reports whether runID sits in the durable admission queue — the
 // only way a caller-supplied run ID may start from nothing.
 func (s *System) admitted(runID string) bool {
-	if s.Admissions == nil {
-		return false
-	}
 	_, ok := s.Admissions.Get(runID)
 	return ok
 }

@@ -175,28 +175,15 @@ func TestRunDetectionEndToEnd(t *testing.T) {
 	if !a.Accepted {
 		t.Fatal("assessment rejected")
 	}
-	// The workflow is in the repository, annotated.
-	version, err := sys.Workflows.LatestVersion(DetectionWorkflowID)
-	if err != nil {
+	// The workflow is in the repository; its two quality annotations are
+	// the ones QualityOfProcess read back above.
+	if _, err := sys.Workflows.LatestVersion(DetectionWorkflowID); err != nil {
 		t.Fatal(err)
-	}
-	def, err := sys.Workflows.Get(DetectionWorkflowID, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := def.Processor("Catalog_of_life")
-	if workflow := p.Annotations; len(workflow) != 2 {
-		t.Fatalf("published workflow annotations = %v", workflow)
 	}
 	// The engine iterated once per distinct name.
 	pn, ok := g.Node("p:" + outcome.RunID + "/Catalog_of_life")
 	if !ok || pn.Annotations["iterations"] != "200" {
 		t.Fatalf("iterations annotation = %v", pn.Annotations)
-	}
-	// Adapter probe observed the service.
-	snap := sys.Probe.Snapshot()
-	if snap["col.resolve"].Invocations != 200 {
-		t.Fatalf("probe = %+v", snap["col.resolve"])
 	}
 }
 

@@ -12,19 +12,26 @@ import (
 // provenance nodes, edges and history, and the span table — carry no run_id
 // index. Their keys are "runID/…", so a run's rows are one primary-key range,
 // and an index would hold each row's run ID once more for nothing to read.
+// Nor do edges carry an effect index: no query looks an edge up by effect.
 func TestRunTablesHaveNoRunIndex(t *testing.T) {
 	sys, err := Open(t.TempDir(), Options{Sync: storage.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	for _, name := range []string{"prov_nodes", "prov_edges", "prov_history", "trace_spans"} {
-		table := sys.DB.Table(name)
+	for _, unread := range []struct{ table, index string }{
+		{"prov_nodes", "run_id"},
+		{"prov_edges", "run_id"},
+		{"prov_history", "run_id"},
+		{"trace_spans", "run_id"},
+		{"prov_edges", "effect"},
+	} {
+		table := sys.DB.Table(unread.table)
 		if table == nil {
-			t.Fatalf("no table %s", name)
+			t.Fatalf("no table %s", unread.table)
 		}
-		if table.HasIndex("run_id") {
-			t.Errorf("%s has a run_id index", name)
+		if table.HasIndex(unread.index) {
+			t.Errorf("%s has a %s index", unread.table, unread.index)
 		}
 	}
 }

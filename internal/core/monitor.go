@@ -13,14 +13,14 @@ import (
 
 // Monitor implements the paper's closing argument — "quality assessment must
 // be a continuous task, as long as users deem the data to be useful" — as a
-// periodic reassessment loop: each tick re-runs the detection workflow,
-// persists a quality sample, and raises alerts when quality degrades (new
-// knowledge invalidated names) or the authority misbehaves.
+// reassessment its caller repeats: each ReassessOnce re-runs the detection
+// workflow, persists a quality sample, and raises alerts when quality
+// degrades (new knowledge invalidated names) or the authority misbehaves.
 //
-// The tick re-pays the full n-names authority sweep, so Opts.Parallel
-// (the engine's unified concurrency budget) applies to every reassessment:
-// set it so a tick finishes well inside the monitoring interval even when
-// the authority is slow. Pair the resolver with taxonomy.CachingResolver —
+// Each reassessment re-pays the full n-names authority sweep, so Opts.Parallel
+// (the engine's unified concurrency budget) applies to every one: set it so
+// a reassessment finishes well inside the caller's interval even when the
+// authority is slow. Pair the resolver with taxonomy.CachingResolver —
 // its singleflight coalescing keeps a parallel tick from flooding the
 // authority with duplicate in-flight lookups.
 type Monitor struct {
@@ -173,31 +173,6 @@ func (m *Monitor) ReassessOnce(ctx context.Context) (QualitySample, []Alert, err
 		})
 	}
 	return sample, alerts, nil
-}
-
-// Run reassesses every interval until ctx is cancelled or ticks samples have
-// been taken (ticks ≤ 0 means unbounded). Alerts are delivered to onAlert
-// (may be nil).
-func (m *Monitor) Run(ctx context.Context, interval time.Duration, ticks int, onAlert func(Alert)) error {
-	timer := time.NewTicker(interval)
-	defer timer.Stop()
-	for n := 0; ticks <= 0 || n < ticks; n++ {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-timer.C:
-		}
-		_, alerts, err := m.ReassessOnce(ctx)
-		if err != nil {
-			return err
-		}
-		if onAlert != nil {
-			for _, a := range alerts {
-				onAlert(a)
-			}
-		}
-	}
-	return nil
 }
 
 // Trend summarizes the series: first and last accuracy and the net change.

@@ -137,28 +137,6 @@ func TestMonitorAuthorityAlert(t *testing.T) {
 	}
 }
 
-func TestMonitorRunLoop(t *testing.T) {
-	sys, taxa, _ := testSystem(t, 300, 80)
-	mon, err := NewMonitor(sys, taxa.Checklist, RunOptions{SkipLedger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var alerts []Alert
-	err = mon.Run(context.Background(), time.Millisecond, 3, func(a Alert) { alerts = append(alerts, a) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mon.History()) != 3 {
-		t.Fatalf("loop took %d samples", len(mon.History()))
-	}
-	// Cancellation stops the loop.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := mon.Run(ctx, time.Millisecond, 10, nil); err == nil {
-		t.Fatal("cancelled loop returned nil")
-	}
-}
-
 // seedCollection loads a generated collection into an already-open system.
 func seedCollection(t *testing.T, sys *System, taxa *taxonomy.Generated, records int) {
 	t.Helper()

@@ -40,9 +40,6 @@ type orchestration struct {
 // any previous holder's history appends are structurally rejected
 // (storage.ErrStaleFence) — they carry a smaller token.
 func (s *System) claimRun(runID string, opts RunOptions) (*orchestration, error) {
-	if s.Leases == nil {
-		return nil, errors.New("core: orchestrated run without a lease store")
-	}
 	ttl := opts.LeaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -18,44 +17,39 @@ import (
 
 // PreservationManager is the Table I execution arm: it decides, from the
 // configured PreservationLevel, what gets packaged into the archival store
-// for a record — and it continuously re-verifies what was packaged. Level 1
+// for a record, and it re-verifies what was packaged each time a caller runs
+// VerifyArchive (one ScrubOnce pass; nothing scrubs on a timer). Level 1
 // archives the curated documentation (record metadata JSON and exported
 // provenance graphs); level 2 and above additionally archive the data in a
 // simplified format (the PCM WAV rendition of the recording).
 type PreservationManager struct {
 	System *System
-	// Store is the replicated AIP store the packages land in — a single
-	// archive.Store, or a shard router spreading holdings across the cluster.
-	Store archive.Holdings
-	// Scrubbers audit the store; each one's Auditor streams archive-audit
-	// runs into the system's provenance repository. A single-store manager
-	// has exactly one; a sharded manager has one per shard, each scoped to
-	// its own volumes.
-	Scrubbers []*archive.Scrubber
+	// Store is the replicated AIP store the packages land in.
+	Store *archive.Store
+	// Scrubber audits the store; its Auditor streams archive-audit runs into
+	// the system's provenance repository.
+	Scrubber *archive.Scrubber
 	// Level selects what Archive packages (Table I).
 	Level PreservationLevel
 }
 
 // NewPreservationManager wires an archival store to the system at the given
-// preservation level. The scrubbers it attaches record audit runs in the
+// preservation level. The scrubber it attaches records audit runs in the
 // system's provenance repository, so repairs are lineage-queryable next to
-// the detection runs. A plain *archive.Store gets a dedicated scrubber; a
-// store that supplies its own (the shard router) is audited shard-by-shard.
-func (s *System) NewPreservationManager(store archive.Holdings, level PreservationLevel) (*PreservationManager, error) {
+// the detection runs.
+func (s *System) NewPreservationManager(store *archive.Store, level PreservationLevel) (*PreservationManager, error) {
 	if !level.Valid() {
 		return nil, fmt.Errorf("core: invalid preservation level %d", int(level))
 	}
-	pm := &PreservationManager{System: s, Store: store, Level: level}
-	switch st := store.(type) {
-	case *archive.Store:
-		pm.Scrubbers = []*archive.Scrubber{{
-			Store:   st,
+	return &PreservationManager{
+		System: s,
+		Store:  store,
+		Scrubber: &archive.Scrubber{
+			Store:   store,
 			Auditor: &archive.ProvenanceAuditor{Repo: s.Provenance, Agent: "archive-scrubber"},
-		}}
-	case interface{ Scrubbers() []*archive.Scrubber }:
-		pm.Scrubbers = st.Scrubbers()
-	}
-	return pm, nil
+		},
+		Level: level,
+	}, nil
 }
 
 // MediaTypes of the packages the manager produces.
@@ -152,50 +146,13 @@ func recordSeed(id string) int64 {
 
 // VerifyArchive runs one fixity audit pass over every replica volume:
 // re-hash, classify, repair, quarantine — and, when damage was found, record
-// the archive-audit run in the provenance repository. Sharded managers scrub
-// every shard and merge the reports; a shard that fails to scrub fails the
-// pass after the remaining shards have been audited.
+// the archive-audit run in the provenance repository.
 func (pm *PreservationManager) VerifyArchive(ctx context.Context) (archive.ScrubReport, error) {
-	var merged archive.ScrubReport
-	var errs []error
-	for i, sc := range pm.Scrubbers {
-		rep, err := sc.ScrubOnce(ctx)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if i == 0 || rep.StartedAt.Before(merged.StartedAt) {
-			merged.StartedAt = rep.StartedAt
-		}
-		if rep.FinishedAt.After(merged.FinishedAt) {
-			merged.FinishedAt = rep.FinishedAt
-		}
-		merged.Objects += rep.Objects
-		merged.ReplicasChecked += rep.ReplicasChecked
-		merged.CorruptFound += rep.CorruptFound
-		merged.MissingFound += rep.MissingFound
-		merged.Repaired += rep.Repaired
-		merged.Unrecoverable += rep.Unrecoverable
-		merged.BytesScanned += rep.BytesScanned
-		merged.Damaged = append(merged.Damaged, rep.Damaged...)
-	}
-	return merged, errors.Join(errs...)
+	return pm.Scrubber.ScrubOnce(ctx)
 }
 
-// ScrubCounters merges every scrubber's cumulative telemetry, summing
-// counters shard-wise — the single map the /metrics bridge publishes.
-func (pm *PreservationManager) ScrubCounters() map[string]float64 {
-	out := map[string]float64{}
-	for _, sc := range pm.Scrubbers {
-		for k, v := range sc.Counters() {
-			out[k] += v
-		}
-	}
-	return out
-}
-
-// ScrubObservation snapshots the merged scrub counters as a runtime
-// self-monitoring observation, stored and queried like any measurement.
+// ScrubObservation snapshots the scrub counters as a runtime self-monitoring
+// observation, stored and queried like any measurement.
 func (pm *PreservationManager) ScrubObservation(at time.Time) obs.Observation {
-	return obs.FromRuntimeMetrics("archive-scrubber", at, pm.ScrubCounters())
+	return obs.FromRuntimeMetrics("archive-scrubber", at, pm.Scrubber.Counters())
 }

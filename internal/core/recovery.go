@@ -113,13 +113,11 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 		return nil
 	}
 	for _, info := range unfinished {
-		if s.Leases != nil {
-			if l, ok := s.Leases.Get(info.RunID); ok && l.Live(time.Now()) && l.Holder != opts.Orchestrator {
-				// A live foreign lease means another orchestrator owns this
-				// run right now; sweeping it would just bounce off the fence.
-				report.Skipped = append(report.Skipped, info.RunID)
-				continue
-			}
+		if l, ok := s.Leases.Get(info.RunID); ok && l.Live(time.Now()) && l.Holder != opts.Orchestrator {
+			// A live foreign lease means another orchestrator owns this run
+			// right now; sweeping it would just bounce off the fence.
+			report.Skipped = append(report.Skipped, info.RunID)
+			continue
 		}
 		switch {
 		case info.WorkflowID != DetectionWorkflowID:

@@ -122,6 +122,7 @@ func TestShardedTenantRunsAreScoped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two tenants, each owning a private copy of a slice of the collection.
+	tenanted := make([]*fnjv.Record, len(col.Records))
 	for i, rec := range col.Records {
 		r := *rec
 		if i%2 == 0 {
@@ -129,9 +130,10 @@ func TestShardedTenantRunsAreScoped(t *testing.T) {
 		} else {
 			r.ID = "umbrella:" + r.ID
 		}
-		if err := sys.Records.Put(&r); err != nil {
-			t.Fatal(err)
-		}
+		tenanted[i] = &r
+	}
+	if err := sys.Records.PutAll(tenanted); err != nil {
+		t.Fatal(err)
 	}
 	outcome, err := sys.RunDetection(context.Background(), taxa.Checklist, RunOptions{Tenant: "acme", SkipLedger: true})
 	if err != nil {

@@ -5,7 +5,6 @@ package fnjv
 // by routing per-ID operations to the owning shard and merging cross-shard
 // scans under the store's ID ordering.
 type Records interface {
-	Put(r *Record) error
 	PutAll(records []*Record) error
 	Get(id string) (*Record, error)
 	Update(r *Record) error
@@ -17,8 +16,6 @@ type Records interface {
 	// returns false. It reads those two cells of each record and decodes
 	// nothing else: the projection name detection needs.
 	ScanSpecies(tenant string, fn func(id, species string) bool) error
-	BySpecies(name string) ([]*Record, error)
-	ByState(state string) ([]*Record, error)
 	DistinctSpecies() (map[string]int, error)
 	Stats() (Stats, error)
 	Query(pred Predicate, opts QueryOptions) ([]*Record, error)

@@ -16,9 +16,10 @@ const TenantSep = ":"
 // speciesCol is the species cell's position in a stored row.
 var speciesCol = Schema.Index("species")
 
-// Store is the durable FNJV collection on the embedded database, indexed by
-// species name and state for the retrieval patterns the paper describes
-// ("queries on fields such as species taxonomy, and location").
+// Store is the durable FNJV collection on the embedded database. It keeps
+// secondary indexes on species name and state, the retrieval patterns the
+// paper describes ("queries on fields such as species taxonomy, and
+// location"); no read path uses them today — Query and the name passes scan.
 type Store struct {
 	db *storage.DB
 }
@@ -38,14 +39,6 @@ func NewStore(db *storage.DB) (*Store, error) {
 		}
 	}
 	return &Store{db: db}, nil
-}
-
-// Put inserts one record.
-func (s *Store) Put(r *Record) error {
-	if r.ID == "" {
-		return fmt.Errorf("fnjv: record needs an ID")
-	}
-	return s.db.Insert(Schema.Table, ToRow(r))
 }
 
 // PutAll bulk-loads records in batches for throughput.
@@ -102,40 +95,6 @@ func (s *Store) Scan(fn func(*Record) bool) error {
 		return fn(r)
 	})
 	return convErr
-}
-
-// BySpecies returns all records whose raw species string equals name.
-func (s *Store) BySpecies(name string) ([]*Record, error) {
-	rows, err := s.db.Table(Schema.Table).Lookup("species", storage.S(name))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Record, 0, len(rows))
-	for _, row := range rows {
-		r, err := FromRow(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// ByState returns all records from the given state.
-func (s *Store) ByState(state string) ([]*Record, error) {
-	rows, err := s.db.Table(Schema.Table).Lookup("state", storage.S(state))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Record, 0, len(rows))
-	for _, row := range rows {
-		r, err := FromRow(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // ScanSpecies implements Records over the raw rows: it reads the id and

@@ -57,15 +57,6 @@ func (g *Gazetteer) Add(p Place) {
 	g.byCity[normalizePlace(cp.City)] = append(g.byCity[normalizePlace(cp.City)], &cp)
 }
 
-// Len reports the number of entries.
-func (g *Gazetteer) Len() int {
-	n := 0
-	for _, v := range g.places {
-		n += len(v)
-	}
-	return n
-}
-
 // Resolve geocodes country/state/city. Missing state falls back to a
 // city-only search; multiple candidates yield ErrPlaceAmbiguous (the paper's
 // "location name was too vague" case that needs a human curator).

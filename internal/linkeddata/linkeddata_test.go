@@ -23,8 +23,8 @@ func TestStoreAddMatch(t *testing.T) {
 	must(s.Add(Triple{Subject: "s2", Predicate: "p1", Object: Literal("x")}))
 	// Duplicate ignored.
 	must(s.Add(Triple{Subject: "s1", Predicate: "p1", Object: Literal("x")}))
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.triples) != 3 {
+		t.Fatalf("%d triples", len(s.triples))
 	}
 	if got := s.Match("s1", "", Term{}); len(got) != 2 {
 		t.Fatalf("subject match = %d", len(got))
@@ -84,8 +84,8 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 {
-		t.Fatalf("round trip Len = %d", got.Len())
+	if len(got.triples) != 2 {
+		t.Fatalf("round trip holds %d triples", len(got.triples))
 	}
 	m := got.Match("https://x/s", "https://x/p", Term{})
 	if len(m) != 1 || m[0].Object.Value() != "line1\nline2 \"quoted\" \\slash" {
@@ -93,8 +93,8 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	}
 	// Comments and blank lines tolerated.
 	got2, err := ReadNTriples(strings.NewReader("# comment\n\n<https://a> <https://b> <https://c> .\n"))
-	if err != nil || got2.Len() != 1 {
-		t.Fatalf("comment parse: %v %d", err, got2.Len())
+	if err != nil || len(got2.triples) != 1 {
+		t.Fatalf("comment parse: %v %d", err, len(got2.triples))
 	}
 	// Garbage rejected.
 	for _, bad := range []string{

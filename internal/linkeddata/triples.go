@@ -118,9 +118,6 @@ func (s *Store) Add(t Triple) error {
 	return nil
 }
 
-// Len reports the number of distinct triples.
-func (s *Store) Len() int { return len(s.triples) }
-
 // Match returns triples matching the pattern; empty subject/predicate and a
 // zero object act as wildcards. Results preserve insertion order.
 func (s *Store) Match(subject, predicate string, object Term) []Triple {

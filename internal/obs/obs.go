@@ -10,7 +10,6 @@
 package obs
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -116,9 +115,6 @@ type DB struct {
 	db *storage.DB
 }
 
-// ErrObservationNotFound is returned for unknown observation IDs.
-var ErrObservationNotFound = errors.New("obs: observation not found")
-
 // Open opens (creating if needed) the observation tables in db.
 func Open(db *storage.DB) (*DB, error) {
 	if db.Table(obsTable) == nil {
@@ -167,57 +163,3 @@ func (d *DB) Put(o Observation) error {
 	}
 	return d.db.Apply(ops...)
 }
-
-// Get loads one observation with its measurements.
-func (d *DB) Get(id string) (Observation, error) {
-	row, err := d.db.Table(obsTable).Get(storage.S(id))
-	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) {
-			return Observation{}, fmt.Errorf("%w: %q", ErrObservationNotFound, id)
-		}
-		return Observation{}, err
-	}
-	o := rowToObs(row)
-	meas, err := d.db.Table(measTable).Lookup("obs_id", storage.S(id))
-	if err != nil {
-		return Observation{}, err
-	}
-	for _, mr := range meas {
-		o.Measurements = append(o.Measurements, rowToMeas(mr))
-	}
-	return o, nil
-}
-
-func rowToObs(row storage.Row) Observation {
-	o := Observation{
-		ID: row.Get(obsSchema, "id").Str(),
-		Entity: Entity{
-			ID:    row.Get(obsSchema, "entity_id").Str(),
-			Type:  row.Get(obsSchema, "entity_type").Str(),
-			Label: row.Get(obsSchema, "entity_label").Str(),
-		},
-		Protocol:   row.Get(obsSchema, "protocol").Str(),
-		ObservedBy: row.Get(obsSchema, "observed_by").Str(),
-	}
-	if v := row.Get(obsSchema, "at"); !v.IsNull() {
-		o.At = v.Time()
-	}
-	if la, lo := row.Get(obsSchema, "lat"), row.Get(obsSchema, "lon"); !la.IsNull() && !lo.IsNull() {
-		o.Where = &geo.Point{Lat: la.Float(), Lon: lo.Float()}
-	}
-	return o
-}
-
-func rowToMeas(row storage.Row) Measurement {
-	return Measurement{
-		Characteristic: row.Get(measSchema, "characteristic").Str(),
-		Kind:           ValueKind(row.Get(measSchema, "kind").Int()),
-		Number:         row.Get(measSchema, "number").Float(),
-		Text:           row.Get(measSchema, "text").Str(),
-		Flag:           row.Get(measSchema, "flag").Bool(),
-		Unit:           row.Get(measSchema, "unit").Str(),
-	}
-}
-
-// Len reports the number of observations.
-func (d *DB) Len() int { return d.db.Table(obsTable).Len() }

@@ -228,9 +228,6 @@ func (w *BatchWriter) Metrics() WriterMetrics {
 	return m
 }
 
-// QueueDepth reports the number of deltas currently queued.
-func (w *BatchWriter) QueueDepth() int { return len(w.ch) }
-
 func (w *BatchWriter) fail(err error) {
 	w.mu.Lock()
 	if w.err == nil {

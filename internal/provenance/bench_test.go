@@ -26,9 +26,9 @@ func capturedRun(b testing.TB, n int) (*Collector, []Delta) {
 	for i := range items {
 		items[i] = workflow.Scalar(fmt.Sprintf("Generated name%d", i))
 	}
-	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
+	_, err := workflow.NewEventEngine(detectionRegistry()).Resume(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, "", nil, col)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func BenchmarkStoreStreamingOverlap(b *testing.B) {
 			w = repo.NewBatchWriter(BatchWriterOptions{MaxBatch: 32, FlushInterval: 2 * time.Millisecond})
 			col.AddSink(w)
 		}
-		_, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(),
-			map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
+		_, err := workflow.NewEventEngine(reg).Resume(context.Background(), detectionDef(),
+			map[string]workflow.Data{"metadata": workflow.List(items...)}, "", nil, col)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,9 +182,9 @@ func seedLineage(b *testing.B, repo *Repository, runs int) string {
 		}
 	}
 	rare := NewCollector("curator")
-	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
+	_, err := workflow.NewEventEngine(detectionRegistry()).Resume(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar("Rare input")}, rare)
+		map[string]workflow.Data{"metadata": workflow.Scalar("Rare input")}, "", nil, rare)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func captureRun(t *testing.T, repo *Repository, def *workflow.Definition, inputs
 	}
 	eng := workflow.NewEventEngine(reg)
 	eng.Workers = workers
-	_, runErr := eng.Run(ctx, def, inputs, col)
+	_, runErr := eng.Resume(ctx, def, inputs, "", nil, col)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func FuzzCollectorHistory(f *testing.F) {
 	wholes := map[string]*opm.Graph{} // a real history's blob -> its unsplit fold
 	for _, reg := range []*workflow.Registry{detectionRegistry(), batched} {
 		var real []workflow.HistoryEvent
-		if _, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(), detectionInputs(),
+		if _, err := workflow.NewEventEngine(reg).Resume(context.Background(), detectionDef(), detectionInputs(), "", nil,
 			historyFunc(func(ev workflow.HistoryEvent) { real = append(real, ev) })); err != nil {
 			f.Fatal(err)
 		}

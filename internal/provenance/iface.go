@@ -18,8 +18,6 @@ type RunWriter interface {
 	Err() error
 	// Metrics snapshots the writer's counters.
 	Metrics() WriterMetrics
-	// QueueDepth is the current number of queued, unflushed deltas.
-	QueueDepth() int
 }
 
 // Repo is the provenance-repository surface consumed by core, the web
@@ -45,7 +43,6 @@ type Repo interface {
 	Graph(runID string) (*opm.Graph, error)
 	QualityOfProcess(runID, processor string) (map[string]string, error)
 	RunsUsingArtifact(artifactID string) ([]string, error)
-	RunsGeneratingArtifact(artifactID string) ([]string, error)
 
 	History(runID string) ([]workflow.HistoryEvent, error)
 	UnfinishedRuns() ([]RunInfo, error)

@@ -59,9 +59,9 @@ func detectionRegistry() *workflow.Registry {
 func runCaptured(t *testing.T, input string) (*Collector, *workflow.RunResult) {
 	t.Helper()
 	col := NewCollector("curator")
-	res, err := workflow.NewEventEngine(detectionRegistry()).Run(
+	res, err := workflow.NewEventEngine(detectionRegistry()).Resume(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar(input)}, col)
+		map[string]workflow.Data{"metadata": workflow.Scalar(input)}, "", nil, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestCollectorFailedRun(t *testing.T) {
 		return nil, errors.New("authority down")
 	})
 	col := NewCollector("")
-	_, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar("X y")}, col)
+	_, err := workflow.NewEventEngine(reg).Resume(context.Background(), detectionDef(),
+		map[string]workflow.Data{"metadata": workflow.Scalar("X y")}, "", nil, col)
 	if err == nil {
 		t.Fatal("run succeeded")
 	}
@@ -320,9 +320,9 @@ func TestPerElementProvenance(t *testing.T) {
 		workflow.Scalar("Elachistocleis ovalis"),
 		workflow.Scalar("Hyla faber"),
 	)
-	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
+	_, err := workflow.NewEventEngine(detectionRegistry()).Resume(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": input}, col)
+		map[string]workflow.Data{"metadata": input}, "", nil, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +353,9 @@ func TestPerElementProvenanceCap(t *testing.T) {
 	for i := range items {
 		items[i] = workflow.Scalar(fmt.Sprintf("Generated name%d", i))
 	}
-	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
+	_, err := workflow.NewEventEngine(detectionRegistry()).Resume(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, "", nil, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +371,9 @@ func TestPerElementProvenanceCap(t *testing.T) {
 	// Disabled entirely with negative cap.
 	col2 := NewCollector("x")
 	col2.MaxElements = -1
-	_, err = workflow.NewEventEngine(detectionRegistry()).Run(
+	_, err = workflow.NewEventEngine(detectionRegistry()).Resume(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, col2)
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, "", nil, col2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,15 +411,6 @@ func TestRunsUsingArtifact(t *testing.T) {
 	}
 	if got, _ := repo.RunsUsingArtifact("a:none"); len(got) != 0 {
 		t.Fatalf("phantom artifact used by %v", got)
-	}
-	// Generators: each run generates its own summary artifact.
-	outArt := artifactID(workflow.Scalar("Hyla faber=accepted"))
-	gens, err := repo.RunsGeneratingArtifact(outArt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != 2 { // both Hyla runs generate the identical summary datum
-		t.Fatalf("generating runs = %v", gens)
 	}
 }
 

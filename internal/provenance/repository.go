@@ -73,11 +73,11 @@ var ErrRunNotFound = errors.New("provenance: run not found")
 
 // NewRepository opens (creating if needed) the provenance repository in db.
 // Repositories created by earlier versions are upgraded in place: the
-// lineage indexes on edge effect/cause are backfilled when missing. The
-// run-keyed tables (nodes, edges, history) have no run_id index: their keys
-// are "runID/…", so a run's rows are one primary-key range (scanRun). A
-// directory an earlier version created keeps the run_id indexes it made;
-// storage maintains them and nothing reads them.
+// lineage index on edge cause is backfilled when missing. The run-keyed
+// tables (nodes, edges, history) have no run_id index: their keys are
+// "runID/…", so a run's rows are one primary-key range (scanRun). A
+// directory an earlier version created keeps the run_id and edge effect
+// indexes it made; storage maintains them and nothing reads them.
 func NewRepository(db *storage.DB) (*Repository, error) {
 	if db.Table(runsTable) == nil {
 		if err := db.Apply(
@@ -89,13 +89,11 @@ func NewRepository(db *storage.DB) (*Repository, error) {
 			return nil, err
 		}
 	}
-	// Lineage indexes (added after the first release): cross-run artifact
-	// queries resolve via these instead of full edge scans.
-	for _, col := range []string{"effect", "cause"} {
-		if !db.Table(edgesTable).HasIndex(col) {
-			if err := db.CreateIndex(edgesTable, col); err != nil {
-				return nil, err
-			}
+	// Lineage index (added after the first release): RunsUsingArtifact
+	// resolves through it instead of a full edge scan.
+	if !db.Table(edgesTable).HasIndex("cause") {
+		if err := db.CreateIndex(edgesTable, "cause"); err != nil {
+			return nil, err
 		}
 	}
 	// History table (added with the event-sourced engine): repositories
@@ -146,11 +144,15 @@ func appendNodeRow(dst []storage.Value, runID string, n opm.Node, ann []byte) []
 	)
 }
 
+// maxEdgeSeq is the highest sequence edgeKey renders in its six digits. Keys
+// past it no longer sort by sequence, so EdgesPage reads nothing after it.
+const maxEdgeSeq = 999999
+
 // edgeKey renders "runID/seq" with the sequence zero-padded to six digits —
 // the persisted key format, so the rendering must never change. The manual
 // formatting keeps the per-edge cost at the single string allocation.
 func edgeKey(runID string, seq int) string {
-	if seq < 0 || seq > 999999 {
+	if seq < 0 || seq > maxEdgeSeq {
 		return fmt.Sprintf("%s/%06d", runID, seq) // out-of-range: defer to fmt's widening
 	}
 	var d [7]byte
@@ -415,7 +417,8 @@ func (r *Repository) NodesPage(runID, after string, limit int) ([]*opm.Node, str
 
 // EdgesPage returns up to limit of a run's edges with sequence number
 // strictly greater than after (-1 starts at the beginning), in capture
-// order, plus the cursor for the next page (-1 when exhausted).
+// order, plus the cursor for the next page (-1 when exhausted). A cursor at
+// or past the last sequence reads an empty page.
 func (r *Repository) EdgesPage(runID string, after, limit int) ([]opm.Edge, int, error) {
 	written, err := r.graphWritten(runID)
 	if err != nil {
@@ -426,7 +429,7 @@ func (r *Repository) EdgesPage(runID string, after, limit int) ([]opm.Edge, int,
 	}
 	out := make([]opm.Edge, 0, limit)
 	next := -1
-	if !written {
+	if !written || after >= maxEdgeSeq {
 		return out, next, nil
 	}
 	seq := after
@@ -535,16 +538,18 @@ func (r *Repository) QualityOfProcess(runID, processor string) (map[string]strin
 	return out, nil
 }
 
-// runsWithEdge resolves run IDs via the secondary index on the given edge
-// column, keeping only edges of the wanted kind.
-func (r *Repository) runsWithEdge(column, nodeID string, kind opm.EdgeKind) ([]string, error) {
-	rows, err := r.db.Table(edgesTable).Lookup(column, storage.S(nodeID))
+// RunsUsingArtifact returns the run IDs whose graphs contain a used edge on
+// the given artifact ID — "which analyses consumed this dataset?", the
+// cross-run reuse question long-term preservation exists to answer. The
+// lookup is an index probe on edge cause, not a table scan.
+func (r *Repository) RunsUsingArtifact(artifactID string) ([]string, error) {
+	rows, err := r.db.Table(edgesTable).Lookup("cause", storage.S(artifactID))
 	if err != nil {
 		return nil, err
 	}
 	set := map[string]bool{}
 	for _, row := range rows {
-		if opm.EdgeKind(row.Get(edgesSchema, "kind").Int()) == kind {
+		if opm.EdgeKind(row.Get(edgesSchema, "kind").Int()) == opm.Used {
 			set[row.Get(edgesSchema, "run_id").Str()] = true
 		}
 	}
@@ -554,20 +559,6 @@ func (r *Repository) runsWithEdge(column, nodeID string, kind opm.EdgeKind) ([]s
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// RunsUsingArtifact returns the run IDs whose graphs contain a used edge on
-// the given artifact ID — "which analyses consumed this dataset?", the
-// cross-run reuse question long-term preservation exists to answer. The
-// lookup is an index probe on edge cause, not a table scan.
-func (r *Repository) RunsUsingArtifact(artifactID string) ([]string, error) {
-	return r.runsWithEdge("cause", artifactID, opm.Used)
-}
-
-// RunsGeneratingArtifact returns the run IDs whose graphs generated the
-// given artifact, via an index probe on edge effect.
-func (r *Repository) RunsGeneratingArtifact(artifactID string) ([]string, error) {
-	return r.runsWithEdge("effect", artifactID, opm.WasGeneratedBy)
 }
 
 // annEncoder builds annotation blobs: the key/value pairs in sorted key

@@ -55,7 +55,7 @@ func TestHistoryPersistsAndReloads(t *testing.T) {
 	col.AddSink(w)
 	eng := workflow.NewEventEngine(detectionRegistry())
 	eng.Workers = 4
-	res, err := eng.Run(context.Background(), detectionDef(), detectionInputs(), col)
+	res, err := eng.Resume(context.Background(), detectionDef(), detectionInputs(), "", nil, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHistoryPersistsAndReloads(t *testing.T) {
 				normDone++
 				// The element events hold the collected outputs: the completion
 				// stores none, and the fold rebuilds them.
-				if clean := fa.Outputs["clean"]; ev.Iterations != 3 || len(ev.Outputs) != 0 || clean.Depth() != 1 || clean.Len() != 3 {
+				if clean := fa.Outputs["clean"]; ev.Iterations != 3 || len(ev.Outputs) != 0 || clean.Depth() != 1 || len(clean.Items()) != 3 {
 					t.Fatalf("Normalize completion = %+v, folded outputs %v", ev, fa.Outputs)
 				}
 			case workflow.HistoryIterationElement:

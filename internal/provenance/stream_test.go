@@ -76,8 +76,8 @@ func TestCollectorStreamsHistoryThenGraph(t *testing.T) {
 		deltas = append(deltas, d)
 		return nil
 	}))
-	res, err := workflow.NewEventEngine(detectionRegistry()).Run(
-		context.Background(), detectionDef(), detectionInputs(), col,
+	res, err := workflow.NewEventEngine(detectionRegistry()).Resume(
+		context.Background(), detectionDef(), detectionInputs(), "", nil, col,
 		historyFunc(func(ev workflow.HistoryEvent) { events = append(events, ev) }))
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +145,14 @@ func TestStreamingMatchesLegacyStore(t *testing.T) {
 			col.AddSink(w)
 			engine := workflow.NewEventEngine(detectionRegistry())
 			engine.Workers = workers
-			res, err := engine.Run(context.Background(), detectionDef(),
+			res, err := engine.Resume(context.Background(), detectionDef(),
 				map[string]workflow.Data{"metadata": workflow.List(
 					workflow.Scalar("Elachistocleis ovalis"),
 					workflow.Scalar("Hyla faber"),
 					workflow.Scalar("Scinax fuscomarginatus"),
 					workflow.Scalar("Physalaemus cuvieri"),
 					workflow.Scalar("Boana albopunctata"),
-				)}, col)
+				)}, "", nil, col)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,8 +227,8 @@ func TestStreamingFailedRunKeepsPartialProvenance(t *testing.T) {
 	col := NewCollector("curator")
 	w := repo.NewBatchWriter(BatchWriterOptions{})
 	col.AddSink(w)
-	_, err := workflow.NewEventEngine(reg).Run(context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.Scalar("Hyla faber")}, col)
+	_, err := workflow.NewEventEngine(reg).Resume(context.Background(), detectionDef(),
+		map[string]workflow.Data{"metadata": workflow.Scalar("Hyla faber")}, "", nil, col)
 	if err == nil {
 		t.Fatal("run succeeded")
 	}
@@ -601,9 +601,9 @@ func TestWriterMetricsAndBackpressure(t *testing.T) {
 	for i := range items {
 		items[i] = workflow.Scalar(fmt.Sprintf("Generated name%d", i))
 	}
-	_, err := workflow.NewEventEngine(detectionRegistry()).Run(
+	_, err := workflow.NewEventEngine(detectionRegistry()).Resume(
 		context.Background(), detectionDef(),
-		map[string]workflow.Data{"metadata": workflow.List(items...)}, col)
+		map[string]workflow.Data{"metadata": workflow.List(items...)}, "", nil, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestWriterMetricsAndBackpressure(t *testing.T) {
 	if got := m.Counters(); got["provenance.writer.flushed"] != float64(m.Flushed) {
 		t.Fatalf("counters = %v", got)
 	}
-	if w.QueueDepth() != 0 {
-		t.Fatalf("queue depth after close = %d", w.QueueDepth())
+	if len(w.ch) != 0 {
+		t.Fatalf("queue depth after close = %d", len(w.ch))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/fnjv"
 	"repro/internal/provenance"
 	"repro/internal/storage"
@@ -29,17 +28,12 @@ type Options struct {
 	CommitDelay time.Duration
 }
 
-const (
-	// legDeadline bounds each scatter-gather leg.
-	legDeadline = 2 * time.Second
-	// archiveReplicas is the replica-volume count of each shard's AIP store,
-	// the minimum at which self-repair means anything.
-	archiveReplicas = 2
-)
+// legDeadline bounds each scatter-gather leg.
+const legDeadline = 2 * time.Second
 
 // Cluster is a set of shard instances under one persisted map, plus the
-// routers that make them look like one storage/provenance/trace/archive
-// layer. All routers are safe for concurrent use.
+// routers that make them look like one storage/provenance/trace layer. All
+// routers are safe for concurrent use.
 type Cluster struct {
 	dir    string
 	m      Map
@@ -49,21 +43,15 @@ type Cluster struct {
 	records *RecordRouter
 	prov    *ProvenanceRouter
 	traces  *TraceRouter
-	archive *ArchiveRouter
 }
 
 // Shard is one partition: its own database (records, provenance, traces,
-// history) plus a replicated AIP store and scrubber. The database-backed
-// components are swapped atomically on Stop/Rejoin; the AIP store lives on
-// the filesystem and survives both.
+// history), whose stores are swapped atomically on Stop/Rejoin.
 type Shard struct {
 	id    int
 	dir   string
 	sync  storage.SyncPolicy
 	delay time.Duration
-
-	arch     *archive.Store
-	scrubber *archive.Scrubber
 
 	mu     sync.RWMutex
 	down   bool
@@ -84,15 +72,7 @@ func Open(dir string, opts Options) (*Cluster, error) {
 	c := &Cluster{dir: dir, m: m, ring: NewRing(m.Shards, m.VNodes)}
 	for i := 0; i < m.Shards; i++ {
 		sh := &Shard{id: i, dir: filepath.Join(dir, "shards", shardName(i)), sync: opts.Sync, delay: opts.CommitDelay}
-		volumes := make([]string, archiveReplicas)
-		for v := range volumes {
-			volumes[v] = filepath.Join(sh.dir, fmt.Sprintf("vol-%d", v))
-		}
 		if err := os.MkdirAll(sh.dir, 0o755); err != nil {
-			c.Close()
-			return nil, err
-		}
-		if sh.arch, err = archive.OpenStore(volumes); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -105,15 +85,6 @@ func Open(dir string, opts Options) (*Cluster, error) {
 	c.records = &RecordRouter{router{c: c}}
 	c.prov = &ProvenanceRouter{router{c: c}}
 	c.traces = &TraceRouter{router{c: c}}
-	c.archive = &ArchiveRouter{router{c: c}}
-	// Audit runs route by their own run ID, so every shard's scrubber records
-	// through the router, not its local repository.
-	for _, sh := range c.shards {
-		sh.scrubber = &archive.Scrubber{
-			Store:   sh.arch,
-			Auditor: &archive.ProvenanceAuditor{Repo: c.prov, Agent: "archive-scrubber"},
-		}
-	}
 	return c, nil
 }
 
@@ -137,7 +108,7 @@ func (s *Shard) open() error {
 		return fmt.Errorf("shard: open %s: %w", shardName(s.id), err)
 	}
 	s.mu.Lock()
-	s.db, s.stores = db, backends{shard: s.id, recs: recs, prov: prov, spans: spans, arch: s.arch}
+	s.db, s.stores = db, backends{shard: s.id, recs: recs, prov: prov, spans: spans}
 	s.down = false
 	s.mu.Unlock()
 	return nil
@@ -172,15 +143,6 @@ func (c *Cluster) Provenance() *ProvenanceRouter { return c.prov }
 
 // Traces returns the sharded span store.
 func (c *Cluster) Traces() *TraceRouter { return c.traces }
-
-// Scrubbers returns every shard's archive scrubber, in shard order.
-func (c *Cluster) Scrubbers() []*archive.Scrubber {
-	out := make([]*archive.Scrubber, len(c.shards))
-	for i, sh := range c.shards {
-		out[i] = sh.scrubber
-	}
-	return out
-}
 
 // StopShard marks shard i down and closes its database, simulating a shard
 // loss: in-flight operations error out, later routed operations fail fast

@@ -164,13 +164,6 @@ func (p *ProvenanceRouter) RunsUsingArtifact(artifactID string) ([]string, error
 	})
 }
 
-// RunsGeneratingArtifact implements provenance.Repo.
-func (p *ProvenanceRouter) RunsGeneratingArtifact(artifactID string) ([]string, error) {
-	return p.lineage("provenance.RunsGeneratingArtifact", func(repo *provenance.Repository) ([]string, error) {
-		return repo.RunsGeneratingArtifact(artifactID)
-	})
-}
-
 // History implements provenance.Repo.
 func (p *ProvenanceRouter) History(runID string) (evs []workflow.HistoryEvent, err error) {
 	err = p.route(runID, func(b backends) error {

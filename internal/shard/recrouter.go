@@ -13,11 +13,6 @@ type RecordRouter struct{ router }
 
 var _ fnjv.Records = (*RecordRouter)(nil)
 
-// Put implements fnjv.Records.
-func (r *RecordRouter) Put(rec *fnjv.Record) error {
-	return r.route(rec.ID, func(b backends) error { return b.recs.Put(rec) })
-}
-
 // PutAll implements fnjv.Records, batching each shard's slice through its
 // own store so ingest keeps the per-shard batch-apply fast path. Only shards
 // that own part of the batch get a leg: ingest for one tenant does not fail
@@ -129,20 +124,6 @@ func (r *RecordRouter) ScanSpecies(tenant string, fn func(id, species string) bo
 		}
 	}
 	return nil
-}
-
-// BySpecies implements fnjv.Records.
-func (r *RecordRouter) BySpecies(name string) ([]*fnjv.Record, error) {
-	return r.lists("records.BySpecies", "", 0, func(st *fnjv.Store) ([]*fnjv.Record, error) {
-		return st.BySpecies(name)
-	})
-}
-
-// ByState implements fnjv.Records.
-func (r *RecordRouter) ByState(state string) ([]*fnjv.Record, error) {
-	return r.lists("records.ByState", "", 0, func(st *fnjv.Store) ([]*fnjv.Record, error) {
-		return st.ByState(state)
-	})
 }
 
 // DistinctSpecies implements fnjv.Records, summing per-shard counts.

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/fnjv"
 	"repro/internal/provenance"
 	"repro/internal/telemetry"
@@ -18,12 +17,9 @@ type backends struct {
 	recs  *fnjv.Store
 	prov  *provenance.Repository
 	spans *telemetry.SpanStore
-	arch  *archive.Store
 }
 
-// live returns the shard's stores, or ErrShardDown. The AIP store survives
-// Stop/Rejoin on disk, but a down shard refuses archive traffic too: the
-// shard is the failure domain, not the individual backend.
+// live returns the shard's stores, or ErrShardDown.
 func (s *Shard) live() (backends, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -33,7 +29,7 @@ func (s *Shard) live() (backends, error) {
 	return s.stores, nil
 }
 
-// router is the core the four typed routers embed: it resolves a shard's
+// router is the core the three typed routers embed: it resolves a shard's
 // live backends and owns the three ways a call reaches them — route,
 // scatter, and the merge of what scatter brings back.
 type router struct {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/fnjv"
 	"repro/internal/opm"
 	"repro/internal/provenance"
@@ -55,42 +54,30 @@ func TestMergeMatchesSortedConcatenation(t *testing.T) {
 }
 
 // routeKeys is what one side of the contract test addresses: a tenant whose
-// IDs all route to one shard, and an AIP payload whose content address does.
+// IDs all route to one shard.
 type routeKeys struct {
-	tenant  string
-	payload []byte
+	tenant string
 }
 
 func (k routeKeys) id(rest string) string { return Qualify(k.tenant, rest) }
 
-func (k routeKeys) aip() string {
-	return archive.NewManifest(k.payload, archive.Meta{}, time.Time{}).ID
-}
-
-// keysOwnedBy finds a tenant and an AIP payload routed to shard i.
+// keysOwnedBy finds a tenant routed to shard i.
 func keysOwnedBy(t *testing.T, c *Cluster, i int) routeKeys {
 	t.Helper()
-	var k routeKeys
-	for n := 0; k.tenant == "" || k.payload == nil; n++ {
-		if n > 10000 {
-			t.Fatalf("no keys routed to shard %d", i)
-		}
-		if tenant := fmt.Sprintf("t%d", n); k.tenant == "" && c.OwnerIndex(tenant+Sep) == i {
-			k.tenant = tenant
-		}
-		probe := routeKeys{payload: []byte(fmt.Sprintf("payload-%d", n))}
-		if k.payload == nil && c.OwnerIndex(probe.aip()) == i {
-			k.payload = probe.payload
+	for n := 0; n <= 10000; n++ {
+		if tenant := fmt.Sprintf("t%d", n); c.OwnerIndex(tenant+Sep) == i {
+			return routeKeys{tenant: tenant}
 		}
 	}
-	return k
+	t.Fatalf("no keys routed to shard %d", i)
+	return routeKeys{}
 }
 
 // TestRouterContract states the routing contract once, for every routed
-// method of all four routers, on a 4-shard cluster with one shard stopped.
+// method of all three routers, on a 4-shard cluster with one shard stopped.
 func TestRouterContract(t *testing.T) {
 	c := openCluster(t, t.TempDir(), 4)
-	prov, recs, traces, arch := c.Provenance(), c.Records(), c.Traces(), c.archive
+	prov, recs, traces := c.Provenance(), c.Records(), c.Traces()
 
 	runInfo := func(runID string) provenance.RunInfo {
 		return provenance.RunInfo{RunID: runID, WorkflowID: "wf", WorkflowName: "wf",
@@ -150,19 +137,14 @@ func TestRouterContract(t *testing.T) {
 			}
 			return w.Close()
 		}},
-		{"records.Put", false, func(k routeKeys) error { return recs.Put(&fnjv.Record{ID: k.id("xc-2"), Species: "Boana b"}) }},
 		{"records.Get", false, func(k routeKeys) error { _, err := recs.Get(k.id("xc-1")); return err }},
 		{"records.Update", false, func(k routeKeys) error { return recs.Update(&fnjv.Record{ID: k.id("xc-1"), Species: "Boana c"}) }},
 		{"records.ScanSpecies", false, func(k routeKeys) error {
 			return recs.ScanSpecies(k.tenant, func(string, string) bool { return true })
 		}},
 		{"traces.Append", false, func(k routeKeys) error { return traces.Append(k.id("run-1"), span) }},
-		{"traces.Count", false, func(k routeKeys) error { _, err := traces.Count(k.id("run-1")); return err }},
 		{"traces.Spans", false, func(k routeKeys) error { _, err := traces.Spans(k.id("run-1")); return err }},
 		{"traces.SpansPage", false, func(k routeKeys) error { _, _, err := traces.SpansPage(k.id("run-1"), 0, 10); return err }},
-		{"archive.Put", false, func(k routeKeys) error { _, err := arch.Put(k.payload, archive.Meta{}); return err }},
-		{"archive.Get", false, func(k routeKeys) error { _, _, err := arch.Get(k.aip()); return err }},
-		{"archive.Stat", true, func(k routeKeys) error { arch.Stat(k.aip()); return nil }},
 	}
 
 	const down = 2
@@ -178,20 +160,15 @@ func TestRouterContract(t *testing.T) {
 		{"provenance.UnfinishedRuns", func() error { _, err := prov.UnfinishedRuns(); return err }},
 		{"provenance.RunsPage", func() error { _, _, err := prov.RunsPage("", 0); return err }},
 		{"provenance.RunsUsingArtifact", func() error { _, err := prov.RunsUsingArtifact("a:x"); return err }},
-		{"provenance.RunsGeneratingArtifact", func() error { _, err := prov.RunsGeneratingArtifact("a:x"); return err }},
 		{"records.PutAll", func() error {
 			id := fmt.Sprintf("xc-all%d", next())
 			return recs.PutAll([]*fnjv.Record{{ID: downKeys.id(id)}, {ID: upKeys.id(id)}})
 		}},
 		{"records.Scan", func() error { return recs.Scan(func(*fnjv.Record) bool { return true }) }},
 		{"records.ScanSpecies", func() error { return recs.ScanSpecies("", func(string, string) bool { return true }) }},
-		{"records.BySpecies", func() error { _, err := recs.BySpecies("Boana a"); return err }},
-		{"records.ByState", func() error { _, err := recs.ByState("SP"); return err }},
 		{"records.DistinctSpecies", func() error { _, err := recs.DistinctSpecies(); return err }},
 		{"records.Stats", func() error { _, err := recs.Stats(); return err }},
 		{"records.Query", func() error { _, err := recs.Query(fnjv.ByState("SP"), fnjv.QueryOptions{}); return err }},
-		{"archive.List", func() error { _, err := arch.List(); return err }},
-		{"archive.ListQuarantined", func() error { _, err := arch.ListQuarantined(); return err }},
 	}
 
 	// Seed what the reads need on both sides while every shard is up.
@@ -199,10 +176,7 @@ func TestRouterContract(t *testing.T) {
 		if err := prov.Store(runInfo(k.id("run-1")), runGraph(k.id("run-1"))); err != nil {
 			t.Fatal(err)
 		}
-		if err := recs.Put(&fnjv.Record{ID: k.id("xc-1"), Species: "Boana a", State: "SP"}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := arch.Put(k.payload, archive.Meta{}); err != nil {
+		if err := recs.PutAll([]*fnjv.Record{{ID: k.id("xc-1"), Species: "Boana a", State: "SP"}}); err != nil {
 			t.Fatal(err)
 		}
 	}

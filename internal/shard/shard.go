@@ -1,7 +1,9 @@
 // Package shard partitions the preservation system's hot state — collection
-// records, provenance runs/history, persisted traces, and archive holdings —
-// across N shard instances, each owning its own storage WAL/B-tree,
-// provenance repository, span store, and replicated AIP store with scrubber.
+// records, provenance runs/history and persisted traces — across N shard
+// instances, each owning its own storage WAL/B-tree, provenance repository
+// and span store. Shards hold no AIPs: the replicated archive store is one
+// archive.Store outside the cluster. A shard directory an earlier version
+// wrote may hold empty vol-* AIP volumes; Open ignores them.
 //
 // Placement is consistent hashing over the routing key of an ID: a
 // tenant-qualified ID ("<tenant>:<rest>") routes by its tenant, giving every
@@ -10,9 +12,9 @@
 // a single-tenant workload across all shards. The ring and shard count are
 // persisted in shardmap.json so IDs stay routable across restarts.
 //
-// The routers (ProvenanceRouter, RecordRouter, TraceRouter, ArchiveRouter)
-// implement the same interfaces the single-store types implement
-// (provenance.Repo, fnjv.Records, telemetry.TraceStore, archive.Holdings),
+// The routers (ProvenanceRouter, RecordRouter, TraceRouter) implement the
+// same interfaces the single-store types implement (provenance.Repo,
+// fnjv.Records, telemetry.TraceStore),
 // so core, the workflow engine, and the web service run unchanged on top.
 // They are thin typed callers of one core in route.go: route sends a
 // per-run/per-record operation to the owning shard's live stores (or fails

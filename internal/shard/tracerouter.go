@@ -14,15 +14,6 @@ var _ telemetry.TraceStore = (*TraceRouter)(nil)
 // interface).
 func (t *TraceRouter) Snapshot() telemetry.TraceStore { return t }
 
-// Count implements telemetry.TraceStore.
-func (t *TraceRouter) Count(runID string) (n int, err error) {
-	err = t.route(runID, func(b backends) error {
-		n, err = b.spans.Count(runID)
-		return err
-	})
-	return n, err
-}
-
 // Append implements telemetry.TraceStore.
 func (t *TraceRouter) Append(runID string, spans []telemetry.Span) error {
 	return t.route(runID, func(b backends) error { return b.spans.Append(runID, spans) })

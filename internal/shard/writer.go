@@ -107,13 +107,3 @@ func (w *routedWriter) Metrics() provenance.WriterMetrics {
 	}
 	return provenance.WriterMetrics{}
 }
-
-// QueueDepth implements provenance.RunWriter.
-func (w *routedWriter) QueueDepth() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.inner != nil {
-		return w.inner.QueueDepth()
-	}
-	return len(w.buf)
-}

@@ -267,8 +267,8 @@ func TestValueAccessors(t *testing.T) {
 		if got := v.Float(); (got != 0) != (k == KindFloat) {
 			t.Errorf("%s.Float() = %v", k, got)
 		}
-		if got := v.Bool(); got != (k == KindBool) {
-			t.Errorf("%s.Bool() = %v", k, got)
+		if got := v.Equal(B(true)); got != (k == KindBool) {
+			t.Errorf("%s.Equal(B(true)) = %v", k, got)
 		}
 		if got := v.Time(); got.IsZero() != (k != KindTime) {
 			t.Errorf("%s.Time() = %v", k, got)

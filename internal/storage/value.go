@@ -131,9 +131,6 @@ func (v Value) Float() float64 {
 	return math.Float64frombits(v.w)
 }
 
-// Bool returns the bool payload (false if not a bool).
-func (v Value) Bool() bool { return v.kind == KindBool && v.w != 0 }
-
 // Time returns the time payload in UTC (the zero time if not a time).
 func (v Value) Time() time.Time {
 	if v.kind != KindTime {

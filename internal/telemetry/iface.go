@@ -4,7 +4,6 @@ package telemetry
 // service. *SpanStore implements it directly; shard.TraceRouter implements
 // it by routing each run's spans to the shard that owns the run.
 type TraceStore interface {
-	Count(runID string) (int, error)
 	Append(runID string, spans []Span) error
 	Spans(runID string) ([]Span, error)
 	SpansPage(runID string, after, limit int) ([]Span, int, error)

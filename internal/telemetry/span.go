@@ -217,13 +217,3 @@ func (r *Ring) Add(spans ...Span) {
 		}
 	}
 }
-
-// Snapshot returns the retained spans, oldest first.
-func (r *Ring) Snapshot() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}

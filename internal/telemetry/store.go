@@ -58,10 +58,15 @@ func (s *SpanStore) scanRun(runID string, from int, fn func(storage.Row) bool) {
 	})
 }
 
+// maxSpanSeq is the highest sequence spanKeyOf renders in its eight digits.
+// Keys past it no longer sort by sequence, so SpansPage reads nothing after
+// it.
+const maxSpanSeq = 99999999
+
 // spanKeyOf renders "runID/seq" with the sequence zero-padded to eight
 // digits — the persisted key format, so the rendering must never change.
 func spanKeyOf(runID string, seq int) string {
-	if seq < 0 || seq > 99999999 {
+	if seq < 0 || seq > maxSpanSeq {
 		return fmt.Sprintf("%s/%08d", runID, seq) // out-of-range: defer to fmt's widening
 	}
 	var d [9]byte
@@ -165,10 +170,14 @@ func (s *SpanStore) Spans(runID string) ([]Span, error) {
 // SpansPage returns up to limit spans with sequence number strictly greater
 // than after (-1 starts at the beginning; limit <= 0 means no limit), in
 // stored order, plus the cursor for the next page (-1 when exhausted). Rows
-// are read by primary-key range, never a table scan.
+// are read by primary-key range, never a table scan. A cursor at or past the
+// last sequence reads an empty page.
 func (s *SpanStore) SpansPage(runID string, after, limit int) ([]Span, int, error) {
 	var out []Span
 	next := -1
+	if after >= maxSpanSeq {
+		return out, next, nil
+	}
 	seq := after
 	var scanErr error
 	s.scanRun(runID, after+1, func(row storage.Row) bool {

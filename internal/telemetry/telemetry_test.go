@@ -158,6 +158,16 @@ func TestTracerCapAndSince(t *testing.T) {
 	}
 }
 
+// Snapshot, which only the tests read, returns the retained spans, oldest first.
+func (r *Ring) Snapshot() []Span {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Span, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	out = append(out, r.buf[:r.next]...)
+	return out
+}
+
 func TestRing(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 5; i++ {

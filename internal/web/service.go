@@ -62,12 +62,8 @@ func (v *Service) Workers() ([]workflow.WorkerInfo, map[string]float64) {
 }
 
 // Leases reports the run-ownership leases of the cluster lease store, sorted
-// by resource — who orchestrates which run, at which fencing token. Empty on
-// systems without a lease store.
+// by resource — who orchestrates which run, at which fencing token.
 func (v *Service) Leases() []cluster.Lease {
-	if v.sys.Core.Leases == nil {
-		return nil
-	}
 	leases := v.sys.Core.Leases.List()
 	sort.Slice(leases, func(i, j int) bool { return leases[i].Resource < leases[j].Resource })
 	return leases
@@ -76,27 +72,18 @@ func (v *Service) Leases() []cluster.Lease {
 // Orchestrators lists the scheduler pool's membership rows — every
 // orchestrator that ever heartbeated, live or aged out — sorted by name.
 func (v *Service) Orchestrators(now time.Time) []cluster.Member {
-	if v.sys.Core.Leases == nil {
-		return nil
-	}
 	return v.sys.Core.Leases.Members(now)
 }
 
 // RunLeases lists the run-ownership leases (membership rows excluded),
 // sorted by resource.
 func (v *Service) RunLeases() []cluster.Lease {
-	if v.sys.Core.Leases == nil {
-		return nil
-	}
 	return v.sys.Core.Leases.RunLeases()
 }
 
 // RunOwner resolves one run's ownership lease. errNotFound when the run was
 // never claimed by any orchestrator.
 func (v *Service) RunOwner(runID string) (cluster.Lease, error) {
-	if v.sys.Core.Leases == nil {
-		return cluster.Lease{}, fmt.Errorf("%w: no lease store configured", errNotFound)
-	}
 	l, ok := v.sys.Core.Leases.Get(runID)
 	if !ok {
 		return cluster.Lease{}, fmt.Errorf("%w: run %q has no ownership lease", errNotFound, runID)
@@ -126,11 +113,11 @@ func (v *Service) Admissions() (AdmissionStats, error) {
 }
 
 // AsyncDetect reports whether admitted runs will actually execute: a
-// scheduler member is running in this process and the admission queue
-// exists. Without it POST /api/v1/detect stays synchronous — admitting a run
-// nobody drains would accept work into a black hole.
+// scheduler member is running in this process. Without one POST
+// /api/v1/detect stays synchronous — admitting a run nobody drains would
+// accept work into a black hole.
 func (v *Service) AsyncDetect() bool {
-	return v.sys.Scheduler != nil && v.sys.Core.Admissions != nil
+	return v.sys.Scheduler != nil
 }
 
 // Admit records the intent to run detection for the context's tenant and
@@ -385,7 +372,7 @@ func (v *Service) Metrics(at time.Time) []MetricsEntry {
 	}
 	v.sys.mu.Unlock()
 	if pm := v.sys.Preservation; pm != nil {
-		subsystems["archive-scrubber"] = pm.ScrubCounters()
+		subsystems["archive-scrubber"] = pm.Scrubber.Counters()
 	}
 	if c := v.sys.Core.Cluster; c != nil {
 		subsystems["shard-router"] = c.Counters()

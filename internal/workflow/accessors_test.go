@@ -1,5 +1,12 @@
 package workflow
 
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/storage"
+)
+
 // Accessors only the tests read.
 
 // HistoryListenerFunc adapts a function to HistoryListener.
@@ -40,4 +47,24 @@ func (r *Repository) Latest(id string) (*Definition, error) {
 		return nil, err
 	}
 	return r.Get(id, v)
+}
+
+// Get loads one exact version.
+func (r *Repository) Get(id string, version int) (*Definition, error) {
+	row, err := r.db.Table(wfTable).Get(storage.S(wfKey(id, version)))
+	if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
+			return nil, fmt.Errorf("%w: %s v%d", ErrWorkflowNotFound, id, version)
+		}
+		return nil, err
+	}
+	return UnmarshalXML(row.Get(wfSchema, "xml").Raw())
+}
+
+// Len returns the list length, or 1 for a scalar.
+func (d Data) Len() int {
+	if d.isList {
+		return len(d.list)
+	}
+	return 1
 }

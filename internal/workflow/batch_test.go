@@ -74,7 +74,7 @@ type elementHistory struct {
 func runRecorded(t *testing.T, eng *EventEngine, def *Definition, in map[string]Data) (elementHistory, []HistoryEvent) {
 	t.Helper()
 	evs, listener := recordHistory()
-	res, err := eng.Run(context.Background(), def, in, listener)
+	res, err := eng.Resume(context.Background(), def, in, "", nil, listener)
 	var h elementHistory
 	if err != nil {
 		h.err = err.Error()
@@ -266,7 +266,7 @@ func TestBatchShortAnswerFailsEveryElement(t *testing.T) {
 	reg.RegisterBatch("work",
 		func(ctx context.Context, c Call) (map[string]Data, error) { return upperCall(ctx, c, false) },
 		func(_ context.Context, calls []Call) []CallResult { return make([]CallResult, len(calls)-1) })
-	_, err := NewEventEngine(reg).Run(context.Background(), iterDef(0), itemList(5))
+	_, err := NewEventEngine(reg).Resume(context.Background(), iterDef(0), itemList(5), "", nil)
 	if err == nil || !strings.Contains(err.Error(), "iteration 0:") || !strings.Contains(err.Error(), "returned 4 results for 5 calls") {
 		t.Fatalf("short batch answer: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestBatchKilledWorkerNacksWholeLease(t *testing.T) {
 		return id == victim
 	}
 	evs, listener := recordHistory()
-	res, err := eng.Run(context.Background(), iterDef(0), itemList(n), listener)
+	res, err := eng.Resume(context.Background(), iterDef(0), itemList(n), "", nil, listener)
 	if err != nil {
 		t.Fatal(err)
 	}

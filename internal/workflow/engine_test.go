@@ -30,7 +30,7 @@ func TestEngineLinear(t *testing.T) {
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
 	eng := NewEventEngine(upperReg())
-	res, err := eng.Run(context.Background(), d, map[string]Data{"in": Scalar("hello")})
+	res, err := eng.Resume(context.Background(), d, map[string]Data{"in": Scalar("hello")}, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEngineDiamond(t *testing.T) {
 			{Source: Endpoint{Processor: "C", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	res, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("ab")})
+	res, err := NewEventEngine(upperReg()).Resume(context.Background(), d, map[string]Data{"in": Scalar("ab")}, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestEngineParallelism(t *testing.T) {
 	}
 	eng := NewEventEngine(reg)
 	eng.Workers = n
-	if _, err := eng.Run(context.Background(), d, map[string]Data{"in": Scalar("v")}); err != nil {
+	if _, err := eng.Resume(context.Background(), d, map[string]Data{"in": Scalar("v")}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if atomic.LoadInt32(&max) < 2 {
@@ -115,7 +115,7 @@ func TestEngineParallelism(t *testing.T) {
 	// With one worker concurrency must not exceed 1.
 	atomic.StoreInt32(&max, 0)
 	eng.Workers = 1
-	if _, err := eng.Run(context.Background(), d, map[string]Data{"in": Scalar("v")}); err != nil {
+	if _, err := eng.Resume(context.Background(), d, map[string]Data{"in": Scalar("v")}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if atomic.LoadInt32(&max) != 1 {
@@ -129,7 +129,7 @@ func TestEngineImplicitIteration(t *testing.T) {
 	d.Processors[1].Service = "exclaim"
 	// Feed a list into a scalar-port pipeline: both processors iterate.
 	in := List(Scalar("a"), Scalar("b"), Scalar("c"))
-	res, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": in})
+	res, err := NewEventEngine(upperReg()).Resume(context.Background(), d, map[string]Data{"in": in}, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +156,10 @@ func TestEngineIterationBroadcast(t *testing.T) {
 			{Source: Endpoint{Processor: "C", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	res, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{
+	res, err := NewEventEngine(upperReg()).Resume(context.Background(), d, map[string]Data{
 		"many": List(Scalar("x"), Scalar("y")),
 		"one":  Scalar("-suffix"),
-	})
+	}, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestEngineIterationLengthMismatch(t *testing.T) {
 			{Source: Endpoint{Processor: "C", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{
+	_, err := NewEventEngine(upperReg()).Resume(context.Background(), d, map[string]Data{
 		"p": List(Scalar("x"), Scalar("y")),
 		"q": List(Scalar("1"), Scalar("2"), Scalar("3")),
-	})
+	}, "", nil)
 	if err == nil || !strings.Contains(err.Error(), "length mismatch") {
 		t.Fatalf("mismatch not detected: %v", err)
 	}
@@ -195,9 +195,9 @@ func TestEngineDepthTooDeep(t *testing.T) {
 	d := linearDef()
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
-	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{
+	_, err := NewEventEngine(upperReg()).Resume(context.Background(), d, map[string]Data{
 		"in": List(List(Scalar("a"))),
-	})
+	}, "", nil)
 	if err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Fatalf("excess depth not detected: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestEngineProcessorFailure(t *testing.T) {
 	d.Processors[0].Service = "fail"
 	d.Processors[1].Service = "exclaim"
 	events, listener := recordHistory()
-	_, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("x")}, listener)
+	_, err := NewEventEngine(reg).Resume(context.Background(), d, map[string]Data{"in": Scalar("x")}, "", nil, listener)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("failure not propagated: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestEngineMissingOutputDetected(t *testing.T) {
 			{Source: Endpoint{Processor: "A", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	_, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("x")})
+	_, err := NewEventEngine(reg).Resume(context.Background(), d, map[string]Data{"in": Scalar("x")}, "", nil)
 	if err == nil || !strings.Contains(err.Error(), "omitted output") {
 		t.Fatalf("missing output not detected: %v", err)
 	}
@@ -262,7 +262,7 @@ func TestEngineEventOrder(t *testing.T) {
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
 	events, listener := recordHistory()
-	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")}, listener)
+	_, err := NewEventEngine(upperReg()).Resume(context.Background(), d, map[string]Data{"in": Scalar("x")}, "", nil, listener)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestEngineEventCarriesAnnotations(t *testing.T) {
 	when := time.Date(2013, 11, 12, 19, 58, 9, 0, time.UTC)
 	d.AnnotateProcessor("A", QualityKey("reputation"), "1", "expert", when)
 	var got map[string]string
-	_, err := NewEventEngine(upperReg()).Run(context.Background(), d, map[string]Data{"in": Scalar("x")},
+	_, err := NewEventEngine(upperReg()).Resume(context.Background(), d, map[string]Data{"in": Scalar("x")}, "", nil,
 		HistoryListenerFunc(func(e HistoryEvent) {
 			if e.Type == HistoryActivityScheduled && e.Activity == "A" {
 				got = QualityAnnotations(e.Annotations)
@@ -307,19 +307,19 @@ func TestEngineRejections(t *testing.T) {
 	d.Processors[0].Service = "upper"
 	d.Processors[1].Service = "exclaim"
 	// Missing workflow input.
-	if _, err := eng.Run(context.Background(), d, nil); !errors.Is(err, ErrMissingInput) {
+	if _, err := eng.Resume(context.Background(), d, nil, "", nil); !errors.Is(err, ErrMissingInput) {
 		t.Fatalf("missing input: %v", err)
 	}
 	// Unregistered service.
 	d2 := linearDef() // svcA/svcB unregistered
-	if _, err := eng.Run(context.Background(), d2, map[string]Data{"in": Scalar("x")}); err == nil ||
+	if _, err := eng.Resume(context.Background(), d2, map[string]Data{"in": Scalar("x")}, "", nil); err == nil ||
 		!strings.Contains(err.Error(), "unregistered service") {
 		t.Fatalf("unregistered service: %v", err)
 	}
 	// Invalid definition.
 	d3 := linearDef()
 	d3.Name = ""
-	if _, err := eng.Run(context.Background(), d3, map[string]Data{"in": Scalar("x")}); !errors.Is(err, ErrInvalid) {
+	if _, err := eng.Resume(context.Background(), d3, map[string]Data{"in": Scalar("x")}, "", nil); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("invalid def: %v", err)
 	}
 }
@@ -349,7 +349,7 @@ func TestEngineContextCancellation(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	_, err := NewEventEngine(reg).Run(ctx, d, map[string]Data{"in": Scalar("x")})
+	_, err := NewEventEngine(reg).Resume(ctx, d, map[string]Data{"in": Scalar("x")}, "", nil)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancellation: %v", err)
 	}
@@ -378,7 +378,7 @@ func TestProcessorRetries(t *testing.T) {
 			{Source: Endpoint{Processor: "A", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	res, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
+	res, err := NewEventEngine(reg).Resume(context.Background(), d, map[string]Data{"in": Scalar("v")}, "", nil)
 	if err != nil {
 		t.Fatalf("retrying run failed: %v", err)
 	}
@@ -391,13 +391,13 @@ func TestProcessorRetries(t *testing.T) {
 	// With zero retries the same workflow fails.
 	atomic.StoreInt32(&calls, 0)
 	d.Processors[0].Retries = 0
-	if _, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")}); err == nil {
+	if _, err := NewEventEngine(reg).Resume(context.Background(), d, map[string]Data{"in": Scalar("v")}, "", nil); err == nil {
 		t.Fatal("fail-fast run succeeded")
 	}
 	// Retries exhausted -> error mentions attempts.
 	atomic.StoreInt32(&calls, 0)
 	d.Processors[0].Retries = 1
-	_, err = NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
+	_, err = NewEventEngine(reg).Resume(context.Background(), d, map[string]Data{"in": Scalar("v")}, "", nil)
 	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Fatalf("exhausted retries error: %v", err)
 	}
@@ -448,8 +448,8 @@ func TestRetryPerIterationElement(t *testing.T) {
 			{Source: Endpoint{Processor: "A", Port: "y"}, Target: Endpoint{Port: "out"}},
 		},
 	}
-	res, err := NewEventEngine(reg).Run(context.Background(), d,
-		map[string]Data{"in": List(Scalar("a"), Scalar("b"), Scalar("c"))})
+	res, err := NewEventEngine(reg).Resume(context.Background(), d,
+		map[string]Data{"in": List(Scalar("a"), Scalar("b"), Scalar("c"))}, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestParallelIterationMatchesSequential(t *testing.T) {
 		eng := NewEventEngine(reg)
 		eng.Workers = workers
 		events, listener := recordHistory()
-		res, err := eng.Run(context.Background(), iterDef(0), in, listener)
+		res, err := eng.Resume(context.Background(), iterDef(0), in, "", nil, listener)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -576,7 +576,7 @@ func TestEngineUnifiedBudgetBoundsElements(t *testing.T) {
 	eng.Workers = budget
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.Run(context.Background(), d, map[string]Data{"in": List(items...)})
+		_, err := eng.Resume(context.Background(), d, map[string]Data{"in": List(items...)}, "", nil)
 		done <- err
 	}()
 	select {
@@ -626,7 +626,7 @@ func TestParallelIterationFailFast(t *testing.T) {
 	eng := NewEventEngine(reg)
 	eng.Workers = 8
 	start := time.Now()
-	_, err := eng.Run(context.Background(), iterDef(0), map[string]Data{"in": List(items...)})
+	_, err := eng.Resume(context.Background(), iterDef(0), map[string]Data{"in": List(items...)}, "", nil)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("failure not propagated: %v", err)
 	}
@@ -684,7 +684,7 @@ func TestRetryBackoffSleepsAndHonorsCancel(t *testing.T) {
 	// Scalar input: single invocation with two backoff sleeps.
 	d.Inputs = []Port{{Name: "in"}}
 	d.Outputs = []Port{{Name: "out"}}
-	res, err := NewEventEngine(reg).Run(context.Background(), d, map[string]Data{"in": Scalar("v")})
+	res, err := NewEventEngine(reg).Resume(context.Background(), d, map[string]Data{"in": Scalar("v")}, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +698,7 @@ func TestRetryBackoffSleepsAndHonorsCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = NewEventEngine(reg).Run(ctx, d, map[string]Data{"in": Scalar("v")})
+	_, err = NewEventEngine(reg).Resume(ctx, d, map[string]Data{"in": Scalar("v")}, "", nil)
 	if err == nil {
 		t.Fatal("cancelled backoff run succeeded")
 	}

@@ -89,21 +89,6 @@ func (e *EventEngine) Metrics() MetricsSnapshot {
 	}
 }
 
-// Run validates and executes def, streaming history events to the listeners.
-func (e *EventEngine) Run(ctx context.Context, def *Definition, inputs map[string]Data, listeners ...HistoryListener) (*RunResult, error) {
-	return e.execute(ctx, def, inputs, "", nil, listeners)
-}
-
-// Resume re-executes a run from its persisted history prefix under the
-// original run ID: completed activities replay their recorded outputs,
-// partially-complete iterations re-enqueue only the elements no
-// iteration-element or iteration-batch event records, and new events append
-// after the prefix. An empty prefix is a full re-execution under the original
-// identity.
-func (e *EventEngine) Resume(ctx context.Context, def *Definition, inputs map[string]Data, runID string, history []HistoryEvent, listeners ...HistoryListener) (*RunResult, error) {
-	return e.execute(ctx, def, inputs, runID, history, listeners)
-}
-
 // running is the driver's side of an open activity. It is written once,
 // before the activity's first task is enqueued, and only read afterwards.
 type running struct {
@@ -116,7 +101,7 @@ type running struct {
 	span   *telemetry.Span
 }
 
-// eventRun is the driver of one execution. The loop in execute owns every
+// eventRun is the driver of one execution. The loop in Resume owns every
 // field but acts, which workers read under mu, and q, which is safe for
 // concurrent use.
 type eventRun struct {
@@ -152,7 +137,13 @@ func (r *eventRun) activity(name string) *running {
 	return r.acts[name]
 }
 
-func (e *EventEngine) execute(ctx context.Context, def *Definition, inputs map[string]Data, runID string, history []HistoryEvent, listeners []HistoryListener) (*RunResult, error) {
+// Resume executes def from a persisted history prefix under runID, streaming
+// the events it appends to the listeners: completed activities replay their
+// recorded outputs, partially-complete iterations re-enqueue only the
+// elements no iteration-element or iteration-batch event records, and new
+// events append after the prefix. An empty prefix is a full execution under
+// runID; an empty runID mints a fresh one.
+func (e *EventEngine) Resume(ctx context.Context, def *Definition, inputs map[string]Data, runID string, history []HistoryEvent, listeners ...HistoryListener) (*RunResult, error) {
 	if err := Validate(def); err != nil {
 		return nil, err
 	}

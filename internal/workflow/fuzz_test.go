@@ -79,7 +79,7 @@ func fuzzPipeline() (*Definition, map[string]Data) {
 func resumeHistorySeeds(tb testing.TB) [][]byte {
 	def, inputs := fuzzPipeline()
 	evs, listener := recordHistory()
-	if _, err := NewEventEngine(upperReg()).Run(context.Background(), def, inputs, listener); err != nil {
+	if _, err := NewEventEngine(upperReg()).Resume(context.Background(), def, inputs, "", nil, listener); err != nil {
 		tb.Fatal(err)
 	}
 	var seeds [][]byte

@@ -44,14 +44,6 @@ func (d Data) String() string {
 // Items returns the list elements (nil for scalars).
 func (d Data) Items() []Data { return d.list }
 
-// Len returns the list length, or 1 for a scalar.
-func (d Data) Len() int {
-	if d.isList {
-		return len(d.list)
-	}
-	return 1
-}
-
 // Depth reports the nesting depth: 0 for a scalar, 1 for a list of scalars,
 // etc. An empty list has depth 1.
 func (d Data) Depth() int {

@@ -86,18 +86,6 @@ func (r *Repository) Publish(def *Definition) (int, error) {
 	return version, nil
 }
 
-// Get loads one exact version.
-func (r *Repository) Get(id string, version int) (*Definition, error) {
-	row, err := r.db.Table(wfTable).Get(storage.S(wfKey(id, version)))
-	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %s v%d", ErrWorkflowNotFound, id, version)
-		}
-		return nil, err
-	}
-	return UnmarshalXML(row.Get(wfSchema, "xml").Raw())
-}
-
 // LatestVersion returns the highest published version of id in O(log N)
 // point probes, whatever the number N of versions stored.
 func (r *Repository) LatestVersion(id string) (int, error) {
@@ -125,42 +113,4 @@ func latestDense(has func(v int) bool) int {
 		}
 	}
 	return lo
-}
-
-// VersionInfo summarizes one stored version.
-type VersionInfo struct {
-	ID          string
-	Name        string
-	Version     int
-	PublishedAt time.Time
-}
-
-// List returns the latest VersionInfo of every stored workflow, ordered by
-// workflow ID.
-func (r *Repository) List() ([]VersionInfo, error) {
-	latest := map[string]VersionInfo{}
-	r.db.Table(wfTable).Scan(func(row storage.Row) bool {
-		vi := VersionInfo{
-			ID:          row.Get(wfSchema, "id").Str(),
-			Name:        row.Get(wfSchema, "name").Str(),
-			Version:     int(row.Get(wfSchema, "version").Int()),
-			PublishedAt: row.Get(wfSchema, "published_at").Time(),
-		}
-		if cur, ok := latest[vi.ID]; !ok || vi.Version > cur.Version {
-			latest[vi.ID] = vi
-		}
-		return true
-	})
-	out := make([]VersionInfo, 0, len(latest))
-	for _, vi := range latest {
-		out = append(out, vi)
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].ID < out[i].ID {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out, nil
 }

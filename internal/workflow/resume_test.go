@@ -227,7 +227,7 @@ func TestEventEngineMatchesLegacy(t *testing.T) {
 		eng := NewEventEngine(upperReg())
 		eng.Workers = workers
 		got, listener := recordHistory()
-		res, err := eng.Run(context.Background(), d, in, listener)
+		res, err := eng.Resume(context.Background(), d, in, "", nil, listener)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,8 +264,8 @@ func TestEventEngineIterationAndElementEvents(t *testing.T) {
 	eng := NewEventEngine(upperReg())
 	eng.Workers = 4
 	evs, listener := recordHistory()
-	res, err := eng.Run(context.Background(), d,
-		map[string]Data{"names": List(Scalar("a"), Scalar("b"), Scalar("c"))}, listener)
+	res, err := eng.Resume(context.Background(), d,
+		map[string]Data{"names": List(Scalar("a"), Scalar("b"), Scalar("c"))}, "", nil, listener)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestEngineWideFanOutStress(t *testing.T) {
 
 	for round := 0; round < 5; round++ {
 		atomic.StoreInt64(&calls, 0)
-		res, err := eng.Run(context.Background(), d, map[string]Data{"in": List(items...)},
+		res, err := eng.Resume(context.Background(), d, map[string]Data{"in": List(items...)}, "", nil,
 			HistoryListenerFunc(func(HistoryEvent) { atomic.AddInt64(&events, 1) }))
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,7 @@ func TestWorkerRegistryKeepsRecentExited(t *testing.T) {
 	eng.Workers = 1
 	eng.Stats = NewWorkerRegistry()
 	for i := 0; i < runs; i++ {
-		if _, err := eng.Run(context.Background(), iterDef(0), itemList(1)); err != nil {
+		if _, err := eng.Resume(context.Background(), iterDef(0), itemList(1), "", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,7 +56,7 @@ func TestTracingOverhead(t *testing.T) {
 			ctx = telemetry.WithTracer(ctx, telemetry.NewTracer(0))
 		}
 		start := time.Now()
-		if _, err := eng.Run(ctx, def, in); err != nil {
+		if _, err := eng.Resume(ctx, def, in, "", nil); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
