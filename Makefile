@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench ci verify experiments
+.PHONY: build test race bench ci verify experiments uncovered
 
 # The two newest files of the committed perf trajectory, oldest first — what
 # the ci comparator gates on. BENCH_smoke.json never matches the glob.
@@ -13,8 +13,9 @@ test:
 	$(GO) test ./...
 
 ## race: race-detector pass over the concurrent subsystems (the workflow
-## engine's driver — worker pool, retry timers, a killed worker handing back
-## its whole lease (TestBatchKilledWorkerNacksWholeLease) — the singleflight
+## engine's driver — worker pool, retry timers, a cancelled activity's
+## queued elements drained past the service (TestBatchCancelledActivityDrains)
+## — the singleflight
 ## caching resolver +
 ## resilience guards, the streaming provenance pipeline with graph reads racing
 ## its commits — each read sees no graph or the whole final one, which commits
@@ -131,7 +132,7 @@ ci:
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s
 	$(GO) test ./internal/web/ -run='^$$' -fuzz=FuzzSeqCursorPages -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
-	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
+	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve|TestInternalDeclarationsReachable|TestReachDispatchIsPrecise' .
 	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/ ./internal/workflow/
 	$(GO) run ./cmd/bench -smoke
@@ -156,3 +157,25 @@ bench:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+## uncovered: list the internal/ functions no program executes (it lists, it
+## does not gate). Builds cmd/experiments, the six examples and the benchmark
+## ledger driver with coverage — -coverpkg=repro/..., since with
+## repro/internal/... alone the binaries write no counters — runs experiments
+## -short, every example and the ledger -smoke at -trace 0 and 1 into one
+## GOCOVERDIR in a temporary directory, and prints each internal/ function
+## that ran none of its statements, per `go tool covdata func`, then the count.
+uncovered:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mkdir -p "$$dir/bin" "$$dir/cov" "$$dir/out"; \
+	cover="-cover -coverpkg=repro/..."; \
+	$(GO) build $$cover -o "$$dir/bin/experiments" ./cmd/experiments; \
+	for ex in examples/*/; do $(GO) build $$cover -o "$$dir/bin/example-$$(basename $$ex)" ./$$ex; done; \
+	(cd benchmark && $(GO) build $$cover -o "$$dir/bin/ledger" .); \
+	cd "$$dir"; export GOCOVERDIR="$$dir/cov"; \
+	bin/experiments -short > /dev/null; \
+	for ex in bin/example-*; do $$ex > /dev/null; done; \
+	bin/ledger -smoke -trace 0 -out out > /dev/null; \
+	bin/ledger -smoke -trace 1 -out out > /dev/null; \
+	$(GO) tool covdata func -i cov | awk '$$1 ~ /^repro\/internal\// && $$NF == "0.0%"' > zero.txt; \
+	cat zero.txt; echo "$$(wc -l < zero.txt) internal/ functions at 0%"

@@ -47,13 +47,6 @@ func runChaos(e *environment) error {
 	if err := chaosCrashResume(e, trials, recA, spA); err != nil {
 		return err
 	}
-	killTrials := 8
-	if e.short {
-		killTrials = 4
-	}
-	if err := chaosWorkerKills(e, killTrials, recA, spA); err != nil {
-		return err
-	}
 	if err := chaosDegradedResolution(e, runsB, recB, spB); err != nil {
 		return err
 	}
@@ -296,13 +289,12 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 
 // chaosOrchestratorFailover is Part E, the cross-process half of the failure
 // model: an orchestrator claims a run under a fenced lease, dies at a
-// seeded-random history cut (on half the trials with 1-3 of its workers
-// killed first), and a standby steals the expired lease — bumping the
-// fencing token — and finishes the run under its original ID. The gates:
-// every trial's final graph is byte-identical to an uninterrupted run; and
-// when the dead orchestrator is resurrected with its stale token, every one
-// of its history appends is rejected with ErrStaleFence and zero of them
-// reach the graph — split-brain is structurally impossible, not just
+// seeded-random history cut, and a standby steals the expired lease —
+// bumping the fencing token — and finishes the run under its original ID.
+// The gates: every trial's final graph is byte-identical to an uninterrupted
+// run; and when the dead orchestrator is resurrected with its stale token,
+// every one of its history appends is rejected with ErrStaleFence and zero of
+// them reach the graph — split-brain is structurally impossible, not just
 // unlikely.
 func chaosOrchestratorFailover(e *environment, trials, records, species int) error {
 	fmt.Printf("--- part E: orchestrator failover (%d trials, %d records, %d species) ---\n", trials, records, species)
@@ -328,12 +320,8 @@ func chaosOrchestratorFailover(e *environment, trials, records, species int) err
 	identical, resurrections := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		cut := 1 + rng.Intn(total-1)
-		kills := 0
-		if trial%2 == 1 {
-			kills = 1 + rng.Intn(3)
-		}
 		opts := core.RunOptions{
-			SkipLedger: true, Parallel: 4, WorkerKills: kills,
+			SkipLedger: true, Parallel: 4,
 			CrashAfterDeltas: cut, Orchestrator: "orch-primary", LeaseTTL: time.Second,
 		}
 		_, err := sys.RunDetection(ctx, taxa.Checklist, opts)
@@ -366,7 +354,7 @@ func chaosOrchestratorFailover(e *environment, trials, records, species int) err
 			SkipLedger: true, Parallel: 4, Orchestrator: "orch-standby", LeaseTTL: time.Second,
 		})
 		if err != nil {
-			return fmt.Errorf("trial %d: failover after cut %d with %d kills: %v", trial, cut, kills, err)
+			return fmt.Errorf("trial %d: failover after cut %d: %v", trial, cut, err)
 		}
 		if outcome.RunID != runID {
 			return fmt.Errorf("trial %d: failover finished under a new run ID", trial)
@@ -379,7 +367,7 @@ func chaosOrchestratorFailover(e *environment, trials, records, species int) err
 			return err
 		}
 		if canonicalProvenance(g, runID) != want {
-			return fmt.Errorf("trial %d: cut %d + %d kills: failed-over graph diverged", trial, cut, kills)
+			return fmt.Errorf("trial %d: cut %d: failed-over graph diverged", trial, cut)
 		}
 		identical++
 
@@ -621,92 +609,6 @@ func chaosShardLoss(e *environment, records, species int) error {
 		served += counts[i].Load()
 	}
 	fmt.Printf("  survivors completed %d runs through the outage; victim failed fast, rejoined, lineage byte-identical\n", served)
-	return nil
-}
-
-// chaosWorkerKills is Part C, the worker-pool half of the failure model: kill
-// 1..3 of 4 workers right after they dequeue a task (the task is returned to
-// the queue and redelivered to a survivor), and additionally crash the whole
-// process at a random history cut with workers dying. Every trial must end in
-// a provenance graph byte-identical to an unharmed single-worker run —
-// resume is pure history replay, so worker death is invisible in the record.
-func chaosWorkerKills(e *environment, trials, records, species int) error {
-	fmt.Printf("--- part C: worker kills (%d trials, %d records, %d species) ---\n", trials, records, species)
-	sys, taxa, cleanup, err := chaosSystem(records, species, e.seed+307)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	ctx := context.Background()
-
-	baseline, err := sys.RunDetection(ctx, taxa.Checklist, core.RunOptions{SkipLedger: true, Parallel: 1})
-	if err != nil {
-		return fmt.Errorf("baseline run: %w", err)
-	}
-	baseG, err := sys.Provenance.Graph(baseline.RunID)
-	if err != nil {
-		return err
-	}
-	want := canonicalProvenance(baseG, baseline.RunID)
-	total := int(baseline.ProvenanceWriter.Enqueued)
-
-	// Kill-only trials: the pool absorbs worker death without any restart.
-	for kills := 1; kills <= 3; kills++ {
-		opts := core.RunOptions{SkipLedger: true, Parallel: 4, WorkerKills: kills}
-		out, err := sys.RunDetection(ctx, taxa.Checklist, opts)
-		if err != nil {
-			return fmt.Errorf("kill %d/4 workers: run failed: %v", kills, err)
-		}
-		g, err := sys.Provenance.Graph(out.RunID)
-		if err != nil {
-			return err
-		}
-		if canonicalProvenance(g, out.RunID) != want {
-			return fmt.Errorf("kill %d/4 workers: graph diverged from single-worker baseline", kills)
-		}
-		if out.DistinctNames != baseline.DistinctNames || out.Outdated != baseline.Outdated {
-			return fmt.Errorf("kill %d/4 workers: summary diverged", kills)
-		}
-		fmt.Printf("  kill %d/4 workers: completed, graph byte-identical (%d names)\n", kills, out.DistinctNames)
-	}
-
-	// Kill+crash trials: workers die AND the process dies mid-stream; resume
-	// replays the persisted history under the original run ID.
-	rng := rand.New(rand.NewSource(e.seed + 13))
-	identical := 0
-	for trial := 0; trial < trials; trial++ {
-		cut := 1 + rng.Intn(total-1)
-		kills := 1 + rng.Intn(3)
-		kill := core.RunOptions{SkipLedger: true, Parallel: 4, WorkerKills: kills, CrashAfterDeltas: cut}
-		_, err := sys.RunDetection(ctx, taxa.Checklist, kill)
-		var crash *core.CrashError
-		if !errors.As(err, &crash) {
-			return fmt.Errorf("trial %d: expected a kill at cut %d, got %v", trial, cut, err)
-		}
-		outcome, err := sys.ResumeDetection(ctx, taxa.Checklist, crash.RunID,
-			core.RunOptions{SkipLedger: true, Parallel: 4, WorkerKills: kills})
-		if err != nil {
-			return fmt.Errorf("trial %d: resume after cut %d with %d kills: %v", trial, cut, kills, err)
-		}
-		g, err := sys.Provenance.Graph(crash.RunID)
-		if err != nil {
-			return err
-		}
-		if canonicalProvenance(g, crash.RunID) != want {
-			return fmt.Errorf("trial %d: cut %d + %d kills: resumed graph diverged", trial, cut, kills)
-		}
-		if outcome.RunID != crash.RunID {
-			return fmt.Errorf("trial %d: resumed under a new run ID", trial)
-		}
-		identical++
-	}
-	fmt.Printf("  kill+crash: %d/%d trials resumed byte-identical via history replay\n", identical, trials)
-	wc := sys.Workers.Counters()
-	fmt.Printf("  worker pool: started %.0f, killed %.0f, tasks %.0f\n",
-		wc["workers.started"], wc["workers.killed"], wc["workers.tasks_total"])
-	if wc["workers.killed"] < 1 {
-		return fmt.Errorf("chaos gate: the kill hook never fired")
-	}
 	return nil
 }
 

@@ -33,7 +33,6 @@ type admittedOptions struct {
 	SkipLedger           bool    `json:"skip_ledger,omitempty"`
 	Parallel             int     `json:"parallel,omitempty"`
 	CrashAfterDeltas     int     `json:"crash_after_deltas,omitempty"`
-	WorkerKills          int     `json:"worker_kills,omitempty"`
 	Untraced             bool    `json:"untraced,omitempty"`
 	LeaseTTLMS           int64   `json:"lease_ttl_ms,omitempty"`
 }
@@ -47,7 +46,6 @@ func encodeRunOptions(opts RunOptions) string {
 		SkipLedger:           opts.SkipLedger,
 		Parallel:             opts.Parallel,
 		CrashAfterDeltas:     opts.CrashAfterDeltas,
-		WorkerKills:          opts.WorkerKills,
 		Untraced:             opts.Untraced,
 		LeaseTTLMS:           opts.LeaseTTL.Milliseconds(),
 	})
@@ -65,7 +63,6 @@ func decodeRunOptions(blob string) RunOptions {
 		SkipLedger:           a.SkipLedger,
 		Parallel:             a.Parallel,
 		CrashAfterDeltas:     a.CrashAfterDeltas,
-		WorkerKills:          a.WorkerKills,
 		Untraced:             a.Untraced,
 		LeaseTTL:             time.Duration(a.LeaseTTLMS) * time.Millisecond,
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -87,12 +86,6 @@ type RunOptions struct {
 	// death would: the run's context is cancelled and RunDetection returns a
 	// *CrashError carrying the run ID. Chaos-testing hook; zero in production.
 	CrashAfterDeltas int
-	// WorkerKills > 0 asks up to that many workers of the run's pool to die
-	// right after dequeuing a task (the task is returned to the queue and
-	// redelivered). Unlike CrashAfterDeltas the run itself survives: the
-	// engine keeps at least one worker alive and the remaining workers drain
-	// the queue. Chaos-testing hook; zero in production.
-	WorkerKills int
 	// Untraced disables span collection for this run (the tracing-overhead
 	// baseline). Latency histograms still record; only the span tree is
 	// skipped. A tracer already present on the context is honored regardless.
@@ -395,19 +388,12 @@ func (s *System) admitted(runID string) bool {
 }
 
 // detectionEngine builds the event-sourced engine for one detection run:
-// worker-pool size from opts.Parallel, worker stats into the system-wide
-// registry, and the worker-kill chaos hook when requested.
+// worker-pool size from opts.Parallel, dispatch counted into the system-wide
+// gauges.
 func (s *System) detectionEngine(reg *workflow.Registry, opts RunOptions) *workflow.EventEngine {
 	engine := workflow.NewEventEngine(reg)
 	engine.Workers = opts.Parallel
-	engine.Stats = s.Workers
-	if opts.WorkerKills > 0 {
-		var killed atomic.Int64
-		kills := int64(opts.WorkerKills)
-		engine.KillWorker = func(string, int) bool {
-			return killed.Add(1) <= kills
-		}
-	}
+	engine.Gauges = &s.Dispatch
 	return engine
 }
 

@@ -39,9 +39,9 @@ type System struct {
 	Records   fnjv.Records
 	Workflows *workflow.Repository
 	Registry  *workflow.Registry
-	// Workers aggregates worker liveness and queue gauges across every
-	// event-engine run of this system; the web layer serves it live.
-	Workers    *workflow.WorkerRegistry
+	// Dispatch counts the dispatch work of every event-engine run of this
+	// system; the web layer serves it live.
+	Dispatch   workflow.DispatchGauges
 	Provenance provenance.Repo
 	Ledger     *curation.Ledger
 	Quality    *quality.Manager
@@ -168,7 +168,6 @@ func (s *System) openGlobal() (err error) {
 		return err
 	}
 	s.TraceRing = telemetry.NewRing(0)
-	s.Workers = workflow.NewWorkerRegistry()
 	s.Quality = quality.NewManager()
 	return s.seedRunCounter()
 }
@@ -205,9 +204,6 @@ func (s *System) saveTrace(runID string, spans []telemetry.Span) error {
 	telemetry.DetachExternalParents(spans)
 	if s.TraceRing != nil {
 		s.TraceRing.Add(spans...)
-	}
-	if s.Traces == nil {
-		return nil
 	}
 	return s.Traces.Append(runID, spans)
 }

@@ -236,11 +236,12 @@ func (c *CachingResolver) BatchResolveDetail(ctx context.Context, names []string
 }
 
 // settle records a lead flight's outcome: cache it (unless it is a transient
-// availability failure, which must stay retryable), then release the flight
-// so waiters wake.
+// availability failure, or the caller's context ended the call — both must
+// stay retryable), then release the flight so waiters wake.
 func (c *CachingResolver) settle(key string, f *flight, res Resolution, err error, now func() time.Time) {
 	f.res, f.err = res, err
-	if err == nil || !errors.Is(err, ErrUnavailable) {
+	retryable := errors.Is(err, ErrUnavailable) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	if !retryable {
 		c.mu.Lock()
 		if c.entries == nil {
 			c.entries = make(map[string]cacheEntry)

@@ -89,11 +89,11 @@ type guardedResolver struct {
 func (g *guardedResolver) Resolve(ctx context.Context, name string) (res Resolution, err error) {
 	err = g.bulkhead.Do(ctx, func() error {
 		return g.breaker.Do(func() error {
-			return g.budget.Run(ctx, func(ctx context.Context) error {
+			return callerCancelled(ctx, g.budget.Run(ctx, func(ctx context.Context) error {
 				var rerr error
 				res, rerr = g.inner.Resolve(ctx, name)
 				return rerr
-			})
+			}))
 		})
 	})
 	if err != nil && (errors.Is(err, resilience.ErrOpen) || errors.Is(err, resilience.ErrSaturated)) {
@@ -110,11 +110,11 @@ func (g *guardedResolver) Resolve(ctx context.Context, name string) (res Resolut
 func (g *guardedResolver) BatchResolve(ctx context.Context, names []string) (out []Resolution, err error) {
 	err = g.bulkhead.Do(ctx, func() error {
 		return g.breaker.Do(func() error {
-			return g.batchBudget.Run(ctx, func(ctx context.Context) error {
+			return callerCancelled(ctx, g.batchBudget.Run(ctx, func(ctx context.Context) error {
 				var rerr error
 				out, rerr = g.batchInner(ctx, names)
 				return rerr
-			})
+			}))
 		})
 	})
 	if err != nil && (errors.Is(err, resilience.ErrOpen) || errors.Is(err, resilience.ErrSaturated)) {
@@ -139,6 +139,16 @@ func (g *guardedResolver) batchInner(ctx context.Context, names []string) ([]Res
 		out[i] = res
 	}
 	return out, nil
+}
+
+// callerCancelled reports a call that failed once its caller had cancelled
+// ctx as the bare context error: the authority did not fail it, so it is no
+// breaker sample and no answer to cache.
+func callerCancelled(ctx context.Context, err error) error {
+	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
+		return ctx.Err()
+	}
+	return err
 }
 
 // isAvailabilityFailure classifies errors for both the breaker and the

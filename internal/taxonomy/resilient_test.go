@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,5 +165,39 @@ func TestResilientResolverBulkheadRejectionIsUnavailable(t *testing.T) {
 	<-done
 	if err != nil && !errors.Is(err, ErrUnavailable) && !errors.Is(err, ErrUnknownName) {
 		t.Fatalf("bulkhead rejection leaked raw error: %v", err)
+	}
+}
+
+// TestResilientResolverCallerCancelIsNoOutage: a call its own caller cancels
+// says nothing about the authority. Neither the call cut off at the
+// authority nor the one cancelled while it waited for a bulkhead slot may
+// count against the breaker or settle in the cache, so the next caller gets
+// real answers: one that shares the resolver with a crashed run resolves
+// its names as a fresh process would.
+func TestResilientResolverCallerCancelIsNoOutage(t *testing.T) {
+	f := newResilientFixture(t, WithLatency(50*time.Millisecond))
+	r := NewResilientResolver(f.client, ResilienceOptions{MaxConcurrent: 1, Breaker: quickBreaker()})
+	for range 4 {
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		for _, name := range []string{"Hyla faber", "Missing species"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.Resolve(ctx, name)
+			}()
+		}
+		time.Sleep(10 * time.Millisecond) // one call at the authority, one waiting for its slot
+		cancel()
+		wg.Wait()
+	}
+	if st := r.BreakerState(); st != resilience.Closed {
+		t.Fatalf("breaker %s after cancelled calls only", st)
+	}
+	if res, err := r.Resolve(context.Background(), "Hyla faber"); err != nil || res.Degraded {
+		t.Fatalf("after cancelled calls: %+v, %v", res, err)
+	}
+	if _, err := r.Resolve(context.Background(), "Missing species"); !errors.Is(err, ErrUnknownName) {
+		t.Fatalf("unknown name after cancelled calls: %v", err)
 	}
 }

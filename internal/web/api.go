@@ -160,7 +160,6 @@ func (s *Server) registerAPI() {
 		"/api/v1/archive/": s.requireGet(s.apiArchiveObject),
 		"/api/v1/quality":  s.requireGet(s.apiQuality),
 		"/api/v1/metrics":  s.requireGet(s.apiMetrics),
-		"/api/v1/workers":  s.requireGet(s.apiWorkers), // deprecated alias of /api/v1/cluster
 		"/api/v1/cluster":  s.requireGet(s.apiCluster),
 		"/api/v1/cluster/": s.requireGet(s.apiCluster),
 		"/api/v1/detect":   s.apiDetect,

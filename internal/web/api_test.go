@@ -1,16 +1,19 @@
 package web
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/fnjv"
+	"repro/internal/taxonomy"
 	"repro/internal/telemetry"
 )
 
@@ -386,76 +389,55 @@ func TestAPIQualityAndMetrics(t *testing.T) {
 	}
 }
 
-// TestAPIWorkers covers the worker-pool view: before any run the pool is
-// empty but well-formed; after a detection run the registry reports the
-// run's workers (exited, not killed) and the queue gauges read drained.
+// TestAPIWorkers pins the dispatch gauges that /api/v1/cluster/queues and
+// the workers subsystem of /api/v1/metrics serve. Whatever a run does — runs
+// clean, fails an element, crashes at a cut or resumes — at one worker or
+// four, once it returns no task is left ready or held, and a clean run's
+// tasks are exactly its invocations. The retired /api/v1/workers path
+// answers not_found.
 func TestAPIWorkers(t *testing.T) {
-	srv, wsys, _ := testServer(t)
-
-	var pool struct {
-		Counters map[string]float64 `json:"counters"`
-		Workers  []struct {
-			ID     string `json:"id"`
-			RunID  string `json:"run_id"`
-			Tasks  int    `json:"tasks"`
-			Alive  bool   `json:"alive"`
-			Killed bool   `json:"killed"`
-		} `json:"workers"`
-		Leases []struct {
-			Resource string `json:"resource"`
-			Holder   string `json:"holder"`
-			Token    int64  `json:"token"`
-			Live     bool   `json:"live"`
-		} `json:"leases"`
-	}
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/workers", nil), 200, &pool)
-	if len(pool.Workers) != 0 || pool.Counters["workers.started"] != 0 {
-		t.Fatalf("pool before any run: %+v", pool)
-	}
-	if len(pool.Leases) != 0 {
-		t.Fatalf("leases before any orchestrated run: %+v", pool.Leases)
-	}
-
-	resp, err := http.Post(srv.URL+"/api/v1/detect", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeJSON(t, resp, 200, nil)
-
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/workers", nil), 200, &pool)
-	if pool.Counters["workers.started"] < 1 || pool.Counters["workers.exited"] < 1 {
-		t.Fatalf("pool counters after run: %v", pool.Counters)
-	}
-	if pool.Counters["queue.depth"] != 0 || pool.Counters["queue.in_flight"] != 0 {
-		t.Fatalf("queue not drained: %v", pool.Counters)
-	}
-	if len(pool.Workers) == 0 {
-		t.Fatal("no workers recorded")
-	}
-	tasks := 0
-	for _, wk := range pool.Workers {
-		if wk.ID == "" || wk.RunID == "" {
-			t.Fatalf("malformed worker: %+v", wk)
+	srv, wsys, taxa := testServer(t)
+	sys, ctx := wsys.Core, context.Background()
+	drained := func(when string) map[string]float64 {
+		t.Helper()
+		var q struct {
+			Dispatch map[string]float64 `json:"dispatch"`
 		}
-		if wk.Alive || wk.Killed {
-			t.Fatalf("worker not cleanly exited: %+v", wk)
+		decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster/queues", nil), 200, &q)
+		if d := q.Dispatch; len(d) != 3 || d["queue.depth"] != 0 || d["queue.in_flight"] != 0 {
+			t.Fatalf("%s: dispatch gauges %v, want its three keys with no task ready or held", when, d)
 		}
-		tasks += wk.Tasks
+		return q.Dispatch
 	}
-	if tasks == 0 {
-		t.Fatal("workers report zero tasks for a completed run")
-	}
+	before := drained("before any run")
+	for _, parallel := range []int{1, 4} {
+		opts := core.RunOptions{SkipLedger: true, Parallel: parallel}
+		out, err := sys.RunDetection(ctx, taxa.Checklist, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := drained(fmt.Sprintf("parallel=%d clean run", parallel))
+		if got, want := after["workers.tasks_total"]-before["workers.tasks_total"], float64(out.EngineMetrics.Invocations); got != want {
+			t.Fatalf("parallel=%d: the clean run counted %v tasks for %v invocations", parallel, got, want)
+		}
 
-	// A held run lease surfaces in the payload with its fencing token.
-	if _, err := wsys.Core.Leases.Acquire("run-x", "orch-api", time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/workers", nil), 200, &pool)
-	if len(pool.Leases) != 1 {
-		t.Fatalf("leases = %+v, want the acquired one", pool.Leases)
-	}
-	if l := pool.Leases[0]; l.Resource != "run-x" || l.Holder != "orch-api" || l.Token != 1 || !l.Live {
-		t.Fatalf("lease payload = %+v", l)
+		if _, err := sys.RunDetection(ctx, shortBatch{taxa.Checklist}, opts); err == nil {
+			t.Fatalf("parallel=%d: a misaligned batch answer did not fail the run", parallel)
+		}
+		drained(fmt.Sprintf("parallel=%d failed element", parallel))
+
+		crashOpts := opts
+		crashOpts.CrashAfterDeltas = 3
+		_, err = sys.RunDetection(ctx, taxa.Checklist, crashOpts)
+		var crash *core.CrashError
+		if !errors.As(err, &crash) {
+			t.Fatalf("parallel=%d: expected a crash, got %v", parallel, err)
+		}
+		drained(fmt.Sprintf("parallel=%d crashed run", parallel))
+		if _, err := sys.ResumeDetection(ctx, taxa.Checklist, crash.RunID, opts); err != nil {
+			t.Fatal(err)
+		}
+		before = drained(fmt.Sprintf("parallel=%d resumed run", parallel))
 	}
 
 	// The same gauges flow through /api/v1/metrics as a subsystem.
@@ -465,14 +447,23 @@ func TestAPIWorkers(t *testing.T) {
 	for _, m := range ms {
 		if m.Entity == "subsystem:workers" {
 			found = true
-			if m.Measurements["workers.tasks_total"] < 1 {
-				t.Fatalf("workers subsystem measurements: %v", m.Measurements)
+			if !reflect.DeepEqual(m.Measurements, before) {
+				t.Fatalf("workers subsystem %v, /api/v1/cluster/queues %v", m.Measurements, before)
 			}
 		}
 	}
 	if !found {
 		t.Fatal("no workers subsystem in /api/v1/metrics")
 	}
+	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/workers", nil), http.StatusNotFound, "not_found")
+}
+
+// shortBatch answers every batch one name short. A misaligned answer answers
+// nothing, so the engine fails every element of the lease.
+type shortBatch struct{ *taxonomy.Checklist }
+
+func (r shortBatch) BatchResolveDetail(ctx context.Context, names []string) []taxonomy.BatchResult {
+	return r.Checklist.BatchResolveDetail(ctx, names)[1:]
 }
 
 func TestAPIArchive(t *testing.T) {

@@ -5,20 +5,17 @@
 //	/api/v1/cluster               index + pool summary
 //	/api/v1/cluster/orchestrators membership rows (cursor-paginated)
 //	/api/v1/cluster/leases        run-ownership leases (cursor-paginated)
-//	/api/v1/cluster/queues        admission queue + worker dispatch gauges
+//	/api/v1/cluster/queues        admission queue + dispatch gauges
 //	/api/v1/cluster/runs/{id}/owner  one run's ownership lease
 //
 // — under the standard envelope, pagination, and error conventions of the
-// rest of /api/v1. /api/v1/workers survives as a deprecated alias of the old
-// combined payload (Deprecation + Link headers name the successor).
+// rest of /api/v1.
 package web
 
 import (
 	"net/http"
 	"strings"
 	"time"
-
-	"repro/internal/workflow"
 )
 
 // leaseJSON is the wire shape of one fenced lease, shared by every endpoint
@@ -193,7 +190,6 @@ func (s *Server) apiClusterQueues(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	_, counters := s.svc.Workers()
 	writeJSON(w, struct {
 		Admissions struct {
 			Depth   int             `json:"depth"`
@@ -205,7 +201,7 @@ func (s *Server) apiClusterQueues(w http.ResponseWriter, r *http.Request) {
 			Depth   int             `json:"depth"`
 			Pending []admissionJSON `json:"pending"`
 		}{depth, pending},
-		counters,
+		s.svc.Dispatch(),
 	})
 }
 
@@ -229,31 +225,4 @@ func (s *Server) apiClusterRunOwner(w http.ResponseWriter, r *http.Request, runI
 		},
 		map[string]string{"run": "/api/v1/runs/" + runID},
 	})
-}
-
-// apiWorkers is the deprecated alias of the retired combined endpoint: the
-// exact pre-cluster payload (pool counters, per-worker liveness, every lease
-// including membership rows) with deprecation headers pointing clients at
-// the /api/v1/cluster tree. It reads through the same service methods as its
-// successors, so alias and successor can never disagree on the data.
-func (s *Server) apiWorkers(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</api/v1/cluster>; rel="successor-version"`)
-	workers, counters := s.svc.Workers()
-	if workers == nil {
-		workers = []workflow.WorkerInfo{}
-	}
-	now := timeNow()
-	leases := []leaseJSON{}
-	for _, l := range s.svc.Leases() {
-		leases = append(leases, leaseJSON{
-			Resource: l.Resource, Holder: l.Holder, Token: l.Token,
-			Expires: l.Expires, Live: l.Live(now),
-		})
-	}
-	writeJSON(w, struct {
-		Counters map[string]float64    `json:"counters"`
-		Workers  []workflow.WorkerInfo `json:"workers"`
-		Leases   []leaseJSON           `json:"leases"`
-	}{counters, workers, leases})
 }

@@ -202,68 +202,6 @@ func TestClusterRunOwner(t *testing.T) {
 		http.StatusNotFound, "not_found")
 }
 
-// TestWorkersAliasParity pins the deprecation contract: /api/v1/workers
-// still serves the combined payload, carries Deprecation + successor Link
-// headers, and agrees with the /api/v1/cluster resources on every lease.
-func TestWorkersAliasParity(t *testing.T) {
-	srv, _ := clusterServer(t)
-	resp := getResp(t, srv.URL+"/api/v1/workers", nil)
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/api/v1/cluster") {
-		t.Fatalf("alias Link header %q does not name the successor", link)
-	}
-	var workers struct {
-		Counters map[string]float64 `json:"counters"`
-		Leases   []struct {
-			Resource string `json:"resource"`
-			Holder   string `json:"holder"`
-			Token    int64  `json:"token"`
-		} `json:"leases"`
-	}
-	decodeJSON(t, resp, 200, &workers)
-	if len(workers.Leases) != 5 { // 3 membership rows + 2 run leases
-		t.Fatalf("alias leases %d, want 5", len(workers.Leases))
-	}
-	// Rebuild the same set from the successor resources.
-	type row struct {
-		holder string
-		token  int64
-	}
-	fromCluster := map[string]row{}
-	var members struct {
-		Orchestrators []struct {
-			Name  string `json:"name"`
-			Token int64  `json:"token"`
-		} `json:"orchestrators"`
-	}
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster/orchestrators", nil), 200, &members)
-	for _, m := range members.Orchestrators {
-		fromCluster[cluster.MemberResource(m.Name)] = row{m.Name, m.Token}
-	}
-	var leases struct {
-		Leases []struct {
-			Resource string `json:"resource"`
-			Holder   string `json:"holder"`
-			Token    int64  `json:"token"`
-		} `json:"leases"`
-	}
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster/leases", nil), 200, &leases)
-	for _, l := range leases.Leases {
-		fromCluster[l.Resource] = row{l.Holder, l.Token}
-	}
-	for _, l := range workers.Leases {
-		got, ok := fromCluster[l.Resource]
-		if !ok {
-			t.Fatalf("alias lease %q absent from /api/v1/cluster", l.Resource)
-		}
-		if got.token != l.Token {
-			t.Fatalf("lease %q token: alias %d, cluster %d", l.Resource, l.Token, got.token)
-		}
-	}
-}
-
 // TestClusterQuota pins that the cluster tree sits behind the same tenant
 // quota gate as the rest of /api/v1.
 func TestClusterQuota(t *testing.T) {

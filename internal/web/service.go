@@ -54,19 +54,10 @@ func (v *Service) LastOutcome() *core.DetectionOutcome {
 	return v.sys.lastOutcome
 }
 
-// Workers returns the live worker-pool view: per-worker liveness (sorted by
-// worker ID) plus the pool's counters and dispatch-queue gauges.
-func (v *Service) Workers() ([]workflow.WorkerInfo, map[string]float64) {
-	reg := v.sys.Core.Workers
-	return reg.Snapshot(), reg.Counters()
-}
-
-// Leases reports the run-ownership leases of the cluster lease store, sorted
-// by resource — who orchestrates which run, at which fencing token.
-func (v *Service) Leases() []cluster.Lease {
-	leases := v.sys.Core.Leases.List()
-	sort.Slice(leases, func(i, j int) bool { return leases[i].Resource < leases[j].Resource })
-	return leases
+// Dispatch returns the dispatch gauges live across every run: tasks ready,
+// tasks a worker holds, and tasks finished.
+func (v *Service) Dispatch() map[string]float64 {
+	return v.sys.Core.Dispatch.Counters()
 }
 
 // Orchestrators lists the scheduler pool's membership rows — every
@@ -98,14 +89,9 @@ type AdmissionStats struct {
 	Pending []workflow.Admission
 }
 
-// Admissions snapshots the durable admission queue. errNotFound on systems
-// opened without one.
+// Admissions snapshots the durable admission queue.
 func (v *Service) Admissions() (AdmissionStats, error) {
-	q := v.sys.Core.Admissions
-	if q == nil {
-		return AdmissionStats{}, fmt.Errorf("%w: no admission queue configured", errNotFound)
-	}
-	pending, err := q.Pending()
+	pending, err := v.sys.Core.Admissions.Pending()
 	if err != nil {
 		return AdmissionStats{}, err
 	}
@@ -362,8 +348,8 @@ func (v *Service) Metrics(at time.Time) []MetricsEntry {
 		"engine": workflow.MetricsSnapshot{}.Counters(),
 		// Crash-recovery activity: runs resumed, runs abandoned, sweeps.
 		"recovery": core.RecoveryCounters(),
-		// Worker-pool liveness and dispatch-queue gauges, live across runs.
-		"workers": v.sys.Core.Workers.Counters(),
+		// Dispatch gauges, live across runs.
+		"workers": v.Dispatch(),
 	}
 	v.sys.mu.Lock()
 	if o := v.sys.lastOutcome; o != nil {
@@ -377,34 +363,30 @@ func (v *Service) Metrics(at time.Time) []MetricsEntry {
 	if c := v.sys.Core.Cluster; c != nil {
 		subsystems["shard-router"] = c.Counters()
 	}
-	if ls := v.sys.Core.Leases; ls != nil {
-		// Run-ownership gauges: total/live leases and the highest fencing
-		// token handed out (the cluster's ownership epoch high-water mark).
-		leases := ls.List()
-		live, maxToken := 0, int64(0)
-		for _, l := range leases {
-			if l.Live(at) {
-				live++
-			}
-			if l.Token > maxToken {
-				maxToken = l.Token
-			}
+	// Run-ownership gauges: total/live leases and the highest fencing token
+	// handed out (the cluster's ownership epoch high-water mark).
+	leases := v.sys.Core.Leases.List()
+	live, maxToken := 0, int64(0)
+	for _, l := range leases {
+		if l.Live(at) {
+			live++
 		}
-		subsystems["cluster-leases"] = map[string]float64{
-			"leases.total":     float64(len(leases)),
-			"leases.live":      float64(live),
-			"leases.max_token": float64(maxToken),
+		if l.Token > maxToken {
+			maxToken = l.Token
 		}
+	}
+	subsystems["cluster-leases"] = map[string]float64{
+		"leases.total":     float64(len(leases)),
+		"leases.live":      float64(live),
+		"leases.max_token": float64(maxToken),
 	}
 	if sch := v.sys.Scheduler; sch != nil {
 		// Claim/complete/rescue/interrupted counts of this process's pool
 		// member.
 		subsystems["cluster-scheduler"] = sch.Counters()
 	}
-	if aq := v.sys.Core.Admissions; aq != nil {
-		subsystems["admission-queue"] = map[string]float64{
-			"admissions.depth": float64(aq.Depth()),
-		}
+	subsystems["admission-queue"] = map[string]float64{
+		"admissions.depth": float64(v.sys.Core.Admissions.Depth()),
 	}
 	if q := v.sys.Quotas; q != nil {
 		// Includes the per-tenant spend (tenant.<name>.spent).

@@ -33,13 +33,6 @@ func (q *MemoryQueue) Depth() int {
 	return len(q.ready)
 }
 
-// InFlight counts leased tasks.
-func (q *MemoryQueue) InFlight() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.leased)
-}
-
 // Latest loads the newest version of id.
 func (r *Repository) Latest(id string) (*Definition, error) {
 	v, err := r.LatestVersion(id)

@@ -272,69 +272,6 @@ func TestBatchShortAnswerFailsEveryElement(t *testing.T) {
 	}
 }
 
-// TestBatchKilledWorkerNacksWholeLease: a worker killed after leasing a batch
-// returns every task of the lease, the survivor runs them, and nothing is
-// lost, duplicated or left on the gauges.
-func TestBatchKilledWorkerNacksWholeLease(t *testing.T) {
-	const n = 40
-	rec := &batchRecorder{fn: upperCall}
-	reg := NewRegistry()
-	reg.RegisterBatch("work", rec.single, rec.batch)
-	eng := NewEventEngine(reg)
-	eng.Workers = 2
-	eng.Stats = NewWorkerRegistry()
-	var mu sync.Mutex
-	victim := ""
-	eng.KillWorker = func(id string, _ int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if victim == "" {
-			victim = id
-		}
-		return id == victim
-	}
-	evs, listener := recordHistory()
-	res, err := eng.Resume(context.Background(), iterDef(0), itemList(n), "", nil, listener)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Invocations["A"] != n || res.Outputs["out"].Len() != n {
-		t.Fatalf("invocations %v, %d outputs", res.Invocations, res.Outputs["out"].Len())
-	}
-	elements := 0
-	for _, ev := range *evs {
-		switch ev.Type {
-		case HistoryIterationElement:
-			elements++
-		case HistoryIterationBatch:
-			elements += len(ev.Batch)
-		default:
-			continue
-		}
-		if ev.Worker == victim {
-			t.Errorf("%s reported by the killed worker %s", ev.Type, victim)
-		}
-	}
-	if elements != n {
-		t.Fatalf("%d elements recorded, want %d", elements, n)
-	}
-	// Only the survivor's leases reached the service: every element exactly
-	// once. (Usually the victim dequeues first and leases all n, but the two
-	// workers can split the queue before either meets the kill hook.)
-	batches, singles := rec.seen()
-	carried := len(singles)
-	for _, size := range batches {
-		carried += size
-	}
-	if carried != n || len(batches) == 0 {
-		t.Errorf("service saw batches %v, singles %v; want the %d elements once each, batched", batches, singles, n)
-	}
-	c := eng.Stats.Counters()
-	if c["workers.killed"] != 1 || c["workers.tasks_total"] != n || c["queue.depth"] != 0 || c["queue.in_flight"] != 0 {
-		t.Errorf("worker stats after the kill: %v", c)
-	}
-}
-
 // TestBatchCancelledActivityDrains: once a slot's failure cancels the
 // activity, the elements still queued are drained without another service
 // call, and the run fails with the per-element error shape.
@@ -350,7 +287,7 @@ func TestBatchCancelledActivityDrains(t *testing.T) {
 	reg := NewRegistry()
 	reg.RegisterBatch("work", rec.single, rec.batch)
 	eng := NewEventEngine(reg)
-	eng.Stats = NewWorkerRegistry()
+	eng.Gauges = &DispatchGauges{}
 	got, evs := runRecorded(t, eng, iterDef(0), itemList(n))
 	if !strings.Contains(got.err, "iteration 5: boom") {
 		t.Fatalf("run error %q", got.err)
@@ -364,7 +301,7 @@ func TestBatchCancelledActivityDrains(t *testing.T) {
 	if b, e := countEvents(evs, HistoryIterationBatch), countEvents(evs, HistoryIterationElement); b != 1 || e != 0 {
 		t.Errorf("%d iteration-batch and %d iteration-element events, want the lease's one batch", b, e)
 	}
-	if c := eng.Stats.Counters(); c["workers.tasks_total"] != n || c["queue.depth"] != 0 || c["queue.in_flight"] != 0 {
+	if c := eng.Gauges.Counters(); c["workers.tasks_total"] != n || c["queue.depth"] != 0 || c["queue.in_flight"] != 0 {
 		t.Errorf("worker stats after the drain: %v", c)
 	}
 }

@@ -402,10 +402,7 @@ func (d *decider) task(a *activity, i int) Task {
 	if !a.iterating {
 		element = -1
 	}
-	return Task{
-		ID: TaskID(d.runID, a.p.Name, element), RunID: d.runID,
-		Activity: a.p.Name, Element: element, Attempt: a.slots[i].attempt,
-	}
+	return Task{Activity: a.p.Name, Element: element, Attempt: a.slots[i].attempt}
 }
 
 // report folds one worker report and settles its activity once every slot

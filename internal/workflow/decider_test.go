@@ -49,12 +49,21 @@ type sim struct {
 	hist []HistoryEvent
 	fold HistoryFold // of hist: what a reader of the stored events sees
 	log  []string
-	out  map[string]Task   // dispatched or re-armed, not yet reported
-	sent map[string]report // the last report per task ID
+	out  map[taskKey]Task   // dispatched or re-armed, not yet reported
+	sent map[taskKey]report // the last report per task
 }
 
+// taskKey names a task of the run a sim drives: one element of an activity
+// (-1 for a non-iterating call), whatever its attempt.
+type taskKey struct {
+	act string
+	el  int
+}
+
+func keyOf(t Task) taskKey { return taskKey{t.Activity, t.Element} }
+
 func newSim(tb testing.TB, def *Definition, inputs map[string]Data, prefix []HistoryEvent) *sim {
-	s := &sim{tb: tb, d: newDecider(def, "run-t", inputs), out: map[string]Task{}, sent: map[string]report{}}
+	s := &sim{tb: tb, d: newDecider(def, "run-t", inputs), out: map[taskKey]Task{}, sent: map[taskKey]report{}}
 	for _, ev := range prefix {
 		if err := s.d.apply(ev); err != nil {
 			tb.Fatalf("apply %+v: %v", ev, err)
@@ -78,12 +87,12 @@ func (s *sim) decide(in input) {
 		case cmdDispatch:
 			var els []string
 			for _, t := range c.tasks {
-				s.out[t.ID] = t
+				s.out[keyOf(t)] = t
 				els = append(els, strconv.Itoa(t.Element))
 			}
 			s.log = append(s.log, fmt.Sprintf("dispatch %s [%s]", c.p.Name, strings.Join(els, " ")))
 		case cmdRetry:
-			s.out[c.task.ID] = c.task
+			s.out[keyOf(c.task)] = c.task
 			s.log = append(s.log, fmt.Sprintf("retry %s#%d@%d", c.task.Activity, c.task.Element, c.task.Attempt))
 		case cmdCancel:
 			if c.p == nil {
@@ -114,7 +123,7 @@ func fake(p *Processor, in map[string]Data) map[string]Data {
 
 func (s *sim) report(st step) {
 	if st.do == again {
-		s.decide(input{report: s.sent[TaskID(s.d.runID, st.act, st.el)]})
+		s.decide(input{report: s.sent[taskKey{st.act, st.el}]})
 		return
 	}
 	s.decide(input{report: s.build(st)})
@@ -126,7 +135,7 @@ func (s *sim) lease(sts []step) {
 	rs := make([]report, len(sts))
 	for i, st := range sts {
 		if st.do == again {
-			rs[i] = s.sent[TaskID(s.d.runID, st.act, st.el)]
+			rs[i] = s.sent[taskKey{st.act, st.el}]
 		} else {
 			rs[i] = s.build(st)
 		}
@@ -136,10 +145,10 @@ func (s *sim) lease(sts []step) {
 
 // build makes the report of one outstanding task and takes the task out.
 func (s *sim) build(st step) report {
-	id := TaskID(s.d.runID, st.act, st.el)
+	id := taskKey{st.act, st.el}
 	t, found := s.out[id]
 	if !found {
-		s.tb.Fatalf("no outstanding task %s", id)
+		s.tb.Fatalf("no outstanding task %s#%d", st.act, st.el)
 	}
 	delete(s.out, id)
 	a := s.d.acts[st.act]
@@ -571,7 +580,7 @@ func TestDecideAllocs(t *testing.T) {
 	reports := make([]report, n)
 	for i := range reports {
 		x := elementInputs(a.p, a.inputs, i)
-		reports[i] = report{task: s.out[TaskID("run-t", "A", i)], worker: "w1", inputs: x, outputs: fake(a.p, x)}
+		reports[i] = report{task: s.out[taskKey{"A", i}], worker: "w1", inputs: x, outputs: fake(a.p, x)}
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(n-2, func() {
@@ -605,7 +614,7 @@ func TestDecideLeaseAllocs(t *testing.T) {
 		for j := range rs {
 			i := l*MaxElementBatch + j
 			x := elementInputs(a.p, a.inputs, i)
-			rs[j] = report{task: s.out[TaskID("run-t", "A", i)], worker: "w1", inputs: x, outputs: fake(a.p, x)}
+			rs[j] = report{task: s.out[taskKey{"A", i}], worker: "w1", inputs: x, outputs: fake(a.p, x)}
 		}
 		inputs[l] = input{now: decideNow, lease: rs}
 	}
@@ -656,13 +665,13 @@ func decideScript(tb testing.TB, data []byte) []HistoryEvent {
 	def := linearDef()
 	def.Processors[0].Retries, def.Processors[1].Retries = next(3), next(3)
 	inputs := map[string]Data{"in": items("a", "b", "c")}
-	s := &sim{tb: tb, d: newDecider(def, "run-fuzz", inputs), out: map[string]Task{}, sent: map[string]report{}}
+	s := &sim{tb: tb, d: newDecider(def, "run-fuzz", inputs), out: map[taskKey]Task{}, sent: map[taskKey]report{}}
 	s.decide(input{resume: true})
 	var ins []input
 	runCancelled := false
 	// take makes the report of an outstanding task, with a byte-chosen outcome.
 	take := func(t Task, worker string) report {
-		delete(s.out, t.ID)
+		delete(s.out, keyOf(t))
 		a := s.d.acts[t.Activity]
 		r := report{task: t, worker: worker, inputs: elementInputs(a.p, a.inputs, t.Element)}
 		switch next(9) { // exhausted data reads 0: success
@@ -690,11 +699,16 @@ func decideScript(tb testing.TB, data []byte) []HistoryEvent {
 		if len(ins) > limit {
 			tb.Fatalf("no run-finished after %d inputs", len(ins))
 		}
-		ids := make([]string, 0, len(s.out))
+		ids := make([]taskKey, 0, len(s.out))
 		for id := range s.out {
 			ids = append(ids, id)
 		}
-		sort.Strings(ids)
+		sort.Slice(ids, func(i, j int) bool {
+			if ids[i].act != ids[j].act {
+				return ids[i].act < ids[j].act
+			}
+			return ids[i].el < ids[j].el
+		})
 		var in input
 		if len(ins) > 0 && next(6) == 5 {
 			in = ins[next(len(ins))]

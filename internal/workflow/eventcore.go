@@ -28,14 +28,9 @@ type EventEngine struct {
 	// service invocations of a run, shared by independent processors and
 	// implicit-iteration elements.
 	Workers int
-	// Stats, when set, receives worker liveness and queue gauges for the
-	// /metrics bridge. All WorkerRegistry methods are nil-safe.
-	Stats *WorkerRegistry
-	// KillWorker is the chaos hook: called after each dequeue with the
-	// worker's ID and completed-task count; returning true makes the worker
-	// Nack the task and exit (the last live worker always survives so the
-	// run can finish).
-	KillWorker func(workerID string, tasksDone int) bool
+	// Gauges, when set, counts the runs' dispatch work for the /metrics
+	// bridge.
+	Gauges *DispatchGauges
 
 	metrics engineMetrics
 }
@@ -202,18 +197,14 @@ func (e *EventEngine) Resume(ctx context.Context, def *Definition, inputs map[st
 		msgs: make(chan message, workers*2+4),
 		done: make(chan struct{}),
 	}
+	// A worker is a goroutine that lives exactly as long as the run, named
+	// w1…wN within it.
 	var wg sync.WaitGroup
-	var alive atomic.Int64
-	alive.Store(int64(workers))
-	for i := 0; i < workers; i++ {
-		id := e.Stats.Register(runID)
-		if id == "" {
-			id = fmt.Sprintf("w%d", i+1)
-		}
+	for i := 1; i <= workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.worker(id, &alive)
+			r.worker("w" + strconv.Itoa(i))
 		}()
 	}
 	// Hand the replayed prefix to projections before any new event.
@@ -318,10 +309,11 @@ func (r *eventRun) open(p *Processor) {
 }
 
 func (r *eventRun) enqueue(ts ...Task) {
+	// Counted first, so no worker takes a task the gauge has not seen.
 	// Enqueue stamps EnqueuedAt and fails only on a closed queue, which
 	// closes after the last task has reported.
+	r.e.Gauges.enqueued(len(ts))
 	_ = r.q.Enqueue(ts...)
-	r.e.Stats.TasksEnqueued(len(ts))
 }
 
 // arm re-dispatches a task under its next attempt once its backoff has
@@ -353,11 +345,10 @@ func (r *eventRun) arm(c command) {
 // long iteration and one call stays well inside a batch budget.
 const MaxElementBatch = 256
 
-// drain acks and reports a task of a cancelled activity (a sibling element
-// failed, or the run did) without a span or a service call.
+// drain reports a task of a cancelled activity (a sibling element failed, or
+// the run did) without a span or a service call.
 func (r *eventRun) drain(worker string, t Task, err error) {
-	r.q.Ack(t.ID)
-	r.e.Stats.TaskDone(worker)
+	r.e.Gauges.done(1)
 	r.send(message{report: report{task: t, worker: worker, err: err}})
 }
 
@@ -374,18 +365,14 @@ func (r *eventRun) send(m message) {
 }
 
 // worker is one pool goroutine: dequeue, lease the ready companions when the
-// element's service has a batch form, (maybe die — chaos), drain a cancelled
-// activity's tasks or invoke, ack, report. Every dequeued task produces
-// exactly one eventual report: a killed worker Nacks every task it leased,
-// so the queue redelivers them to a surviving worker.
-func (r *eventRun) worker(id string, alive *atomic.Int64) {
-	stats := r.e.Stats
-	tasksDone := 0
+// element's service has a batch form, drain a cancelled activity's tasks or
+// invoke, report. It leaves its loop only when the queue is closed and
+// drained, so every dequeued task produces exactly one report.
+func (r *eventRun) worker(id string) {
 	performed := make(chan struct{}, 1) // the loop's signal that a lease is decided
 	for {
 		t, err := r.q.Dequeue(context.Background())
 		if err != nil {
-			stats.Exited(id, false)
 			return
 		}
 		// open publishes the activity before its first task is enqueued.
@@ -396,22 +383,7 @@ func (r *eventRun) worker(id string, alive *atomic.Int64) {
 		if a.batch != nil && t.Element >= 0 && t.Attempt == 0 && a.ctx.Err() == nil {
 			lease = append(lease, r.q.DequeueElements(t.Activity, MaxElementBatch-1)...)
 		}
-		for range lease {
-			stats.TaskStarted(id)
-		}
-		if kill := r.e.KillWorker; kill != nil && kill(id, tasksDone) {
-			if alive.Add(-1) >= 1 {
-				ids := make([]string, len(lease))
-				for i, lt := range lease {
-					ids[i] = lt.ID
-					stats.TaskRequeued(id)
-				}
-				r.q.Nack(ids...)
-				stats.Exited(id, true)
-				return
-			}
-			alive.Add(1) // the last live worker shrugs the kill off
-		}
+		r.e.Gauges.taken(len(lease))
 		switch err := a.ctx.Err(); {
 		case err != nil:
 			for _, lt := range lease {
@@ -422,7 +394,6 @@ func (r *eventRun) worker(id string, alive *atomic.Int64) {
 		default:
 			r.invoke(id, a, t)
 		}
-		tasksDone += len(lease)
 	}
 }
 
@@ -487,7 +458,7 @@ func (m *engineMetrics) dispatched(t Task) {
 }
 
 // invoke makes one attempt at one task through the service's single form,
-// then acks and reports it.
+// then reports it.
 func (r *eventRun) invoke(id string, a *running, t Task) {
 	callIn, name := a.inputs, ""
 	if t.Element >= 0 {
@@ -503,15 +474,14 @@ func (r *eventRun) invoke(id string, a *running, t Task) {
 		out, err = a.fn(f.ctx, Call{Inputs: callIn, Config: a.p.Config})
 	}
 	r.end(f, id, a, err)
-	r.q.Ack(t.ID)
-	r.e.Stats.TaskDone(id)
+	r.e.Gauges.done(1)
 	r.send(message{report: report{task: t, worker: id, inputs: callIn, outputs: out, err: err}})
 }
 
 // invokeBatch runs the leased elements of one activity through the service's
 // batch form in a single invocation under the activity's context — one span,
-// one queue-wait and one exec sample for the lot — then acks every element
-// and hands the loop their reports as one message, which the decider folds
+// one queue-wait and one exec sample for the lot — then hands the loop their
+// reports as one message, which the decider folds
 // report by report, as if each element had been invoked alone, and records
 // as one iteration-batch event. A slot that errored is that element's
 // attempt 0; whether it is retried is the decider's call. The worker waits
@@ -542,10 +512,9 @@ func (r *eventRun) invokeBatch(id string, a *running, lease []Task, performed ch
 			results[i].Err = err
 		}
 	}
+	r.e.Gauges.done(n)
 	reports := make([]report, n)
 	for i, t := range lease {
-		r.q.Ack(t.ID)
-		r.e.Stats.TaskDone(id)
 		reports[i] = report{task: t, worker: id, inputs: calls[i].Inputs, outputs: results[i].Outputs, err: results[i].Err}
 	}
 	r.send(message{lease: reports, performed: performed})

@@ -3,7 +3,6 @@ package workflow
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -17,51 +16,39 @@ var ErrQueueClosed = errors.New("workflow: task queue closed")
 // of a processor's service — either one iteration element (Element >= 0) or
 // the whole non-iterating call (Element == -1).
 type Task struct {
-	ID       string // stable across redeliveries: runID/activity#element
-	RunID    string
 	Activity string
 	Element  int // iteration index, or -1 for a single non-iterating call
 	// Attempt is the retry ordinal the engine dispatched (0 for the first
-	// attempt). A redelivery — a killed worker's Nack — hands the same
-	// attempt to another holder.
+	// attempt).
 	Attempt    int
 	EnqueuedAt time.Time
-}
-
-// TaskID builds the stable task identifier for an activity element.
-func TaskID(runID, activity string, element int) string {
-	return fmt.Sprintf("%s/%s#%d", runID, activity, element)
 }
 
 // MemoryQueue is a run's dispatch queue: a mutex-guarded in-process FIFO with
 // a broadcast wake channel. It is deliberately not durable — a run's history
 // is its only durable record, and resume re-enqueues exactly the tasks the
-// history prefix does not hold. Every holder is one of the run's own pool
-// workers, so a lease lasts until its holder acks or nacks it: it never
-// expires. Its contract, pinned by queue_contract_test.go:
+// history prefix does not hold. Every taker is one of the run's own pool
+// workers, which live exactly as long as the run, so a dequeued task is the
+// taker's alone: the queue keeps no record of it. Its contract, pinned by
+// queue_contract_test.go:
 //
 //   - Enqueue appends to the tail; order of delivery is FIFO.
-//   - DequeueElements leases the ready elements of one activity without
+//   - DequeueElements takes the ready elements of one activity without
 //     blocking, leaving every other ready task in place and in order.
 //   - Dequeue blocks until a task is ready, the ctx is done, or the queue is
-//     closed and drained. A dequeued task is leased (counted by InFlight)
-//     until Ack or Nack.
-//   - Ack removes a leased task permanently; Nack returns leased tasks to the
-//     tail, unchanged.
-//   - Depth counts ready (not yet dequeued) tasks; InFlight counts leased.
+//     closed and drained. Each enqueued task is delivered exactly once.
 //   - Close stops new enqueues immediately but lets Dequeue drain what is
 //     already ready.
 type MemoryQueue struct {
 	mu     sync.Mutex
 	ready  []Task
-	leased map[string]Task
 	closed bool
 	wake   chan struct{} // closed-and-replaced to broadcast state changes
 }
 
 // NewMemoryQueue returns an empty in-memory task queue.
 func NewMemoryQueue() *MemoryQueue {
-	return &MemoryQueue{leased: make(map[string]Task), wake: make(chan struct{})}
+	return &MemoryQueue{wake: make(chan struct{})}
 }
 
 // broadcastLocked wakes every blocked Dequeue. Callers hold q.mu.
@@ -88,14 +75,13 @@ func (q *MemoryQueue) Enqueue(ts ...Task) error {
 	return nil
 }
 
-// Dequeue leases the FIFO head, blocking until one is ready.
+// Dequeue takes the FIFO head, blocking until one is ready.
 func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 	for {
 		q.mu.Lock()
 		if len(q.ready) > 0 {
 			t := q.ready[0]
 			q.ready = q.ready[1:]
-			q.leased[t.ID] = t
 			q.mu.Unlock()
 			return t, nil
 		}
@@ -113,12 +99,10 @@ func (q *MemoryQueue) Dequeue(ctx context.Context) (Task, error) {
 	}
 }
 
-// DequeueElements leases, without blocking, up to max ready iteration
+// DequeueElements takes, without blocking, up to max ready iteration
 // elements of one activity at their first attempt — the companions a worker
 // batches with an element it already holds (a retry runs alone). They leave
-// the queue in FIFO order, each under its own lease exactly as if Dequeue had
-// delivered it, so Ack and Nack stay per task; every other ready task keeps
-// its place.
+// the queue in FIFO order; every other ready task keeps its place.
 func (q *MemoryQueue) DequeueElements(activity string, max int) []Task {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -126,7 +110,6 @@ func (q *MemoryQueue) DequeueElements(activity string, max int) []Task {
 	rest := q.ready[:0]
 	for _, t := range q.ready {
 		if len(out) < max && t.Activity == activity && t.Element >= 0 && t.Attempt == 0 {
-			q.leased[t.ID] = t
 			out = append(out, t)
 			continue
 		}
@@ -134,38 +117,6 @@ func (q *MemoryQueue) DequeueElements(activity string, max int) []Task {
 	}
 	q.ready = rest
 	return out
-}
-
-// Ack completes a leased task. Acking a task that is not leased — it was
-// never dequeued, or is already acked or nacked — is an idempotent no-op.
-func (q *MemoryQueue) Ack(id string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	delete(q.leased, id)
-}
-
-// Nack returns leased tasks to the tail, in one operation — a killed worker
-// hands back its whole lease together, so whoever picks it up finds it
-// whole. Like Ack, nacking a task that is not leased is an idempotent no-op:
-// re-enqueueing it would deliver it twice.
-func (q *MemoryQueue) Nack(ids ...string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now := time.Now()
-	returned := false
-	for _, id := range ids {
-		t, ok := q.leased[id]
-		if !ok {
-			continue
-		}
-		delete(q.leased, id)
-		t.EnqueuedAt = now
-		q.ready = append(q.ready, t)
-		returned = true
-	}
-	if returned {
-		q.broadcastLocked()
-	}
 }
 
 // Close stops new enqueues; ready tasks still drain.

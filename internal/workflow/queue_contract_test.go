@@ -8,7 +8,7 @@ import (
 )
 
 func task(i int) Task {
-	return Task{ID: TaskID("run-q", "P", i), RunID: "run-q", Activity: "P", Element: i, EnqueuedAt: time.Now()}
+	return Task{Activity: "P", Element: i, EnqueuedAt: time.Now()}
 }
 
 func TestQueueContractFIFO(t *testing.T) {
@@ -29,59 +29,34 @@ func TestQueueContractFIFO(t *testing.T) {
 		if got.Element != i {
 			t.Fatalf("dequeue %d: element %d, FIFO broken", i, got.Element)
 		}
-		q.Ack(got.ID)
 	}
-	if q.Depth() != 0 || q.InFlight() != 0 {
-		t.Fatalf("drained queue: depth=%d inflight=%d", q.Depth(), q.InFlight())
+	if q.Depth() != 0 {
+		t.Fatalf("drained queue: depth=%d", q.Depth())
 	}
 }
 
+// TestQueueContractLeaseAccounting: a dequeued task is its taker's alone.
+// Depth counts only the ready tasks, and a taken task is never delivered
+// again, however long its taker holds it.
 func TestQueueContractLeaseAccounting(t *testing.T) {
 	q := NewMemoryQueue()
-	q.Enqueue(task(0))
-	q.Enqueue(task(1))
-	got, err := q.Dequeue(context.Background())
-	if err != nil {
+	q.Enqueue(task(0), task(1))
+	if _, err := q.Dequeue(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if q.Depth() != 1 || q.InFlight() != 1 {
-		t.Fatalf("after dequeue: depth=%d inflight=%d", q.Depth(), q.InFlight())
+	if q.Depth() != 1 {
+		t.Fatalf("after dequeue: depth=%d, want 1", q.Depth())
 	}
-	q.Ack(got.ID)
-	if q.InFlight() != 0 {
-		t.Fatalf("after ack: inflight=%d", q.InFlight())
+	if second, err := q.Dequeue(context.Background()); err != nil || second.Element != 1 {
+		t.Fatalf("second dequeue: %+v, %v", second, err)
 	}
-	// Pinned: a double Ack (or an Ack/Nack of anything unleased) is
-	// an idempotent no-op, not an error — and it must not disturb
-	// the still-queued task.
-	q.Ack(got.ID)
-	q.Nack(got.ID)
-	if q.Depth() != 1 || q.InFlight() != 0 {
-		t.Fatalf("after idempotent no-ops: depth=%d inflight=%d, want 1/0", q.Depth(), q.InFlight())
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	if got, err := q.Dequeue(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a taken task came back: %+v, %v", got, err)
 	}
-}
-
-func TestQueueContractNackRedelivers(t *testing.T) {
-	q := NewMemoryQueue()
-	q.Enqueue(task(0))
-	q.Enqueue(task(1))
-	first, err := q.Dequeue(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Nack(first.ID)
-	// The nacked task moves to the tail under the same attempt: a redelivery
-	// is not a retry.
-	second, _ := q.Dequeue(context.Background())
-	if second.Element != 1 {
-		t.Fatalf("nacked task did not yield the head: got element %d", second.Element)
-	}
-	redelivered, _ := q.Dequeue(context.Background())
-	if redelivered.ID != first.ID {
-		t.Fatalf("redelivered ID %q, want %q", redelivered.ID, first.ID)
-	}
-	if redelivered.Attempt != first.Attempt {
-		t.Fatalf("redelivered attempt = %d, want %d", redelivered.Attempt, first.Attempt)
+	if q.Depth() != 0 {
+		t.Fatalf("after draining: depth=%d", q.Depth())
 	}
 }
 
@@ -125,34 +100,12 @@ func TestQueueContractCloseDrains(t *testing.T) {
 		t.Fatalf("enqueue after close: %v", err)
 	}
 	// Already-ready work still drains...
-	tk, err := q.Dequeue(context.Background())
-	if err != nil {
+	if _, err := q.Dequeue(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	q.Ack(tk.ID)
 	// ...then dequeue reports closure.
 	if _, err := q.Dequeue(context.Background()); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("dequeue on drained closed queue: %v", err)
-	}
-}
-
-// TestQueueLeaseNeverExpires: a lease outlives any wait, so a slow worker is
-// never double-delivered.
-func TestQueueLeaseNeverExpires(t *testing.T) {
-	q := NewMemoryQueue()
-	q.Enqueue(task(0))
-	first, err := q.Dequeue(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	if _, err := q.Dequeue(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("unexpired lease redelivered: %v", err)
-	}
-	q.Ack(first.ID)
-	if q.InFlight() != 0 {
-		t.Fatalf("slow ack rejected: inflight=%d", q.InFlight())
 	}
 }
 
@@ -172,7 +125,6 @@ func TestQueueContractConcurrentWorkers(t *testing.T) {
 				if err != nil {
 					return
 				}
-				q.Ack(tk.ID)
 				got <- tk.Element
 			}
 		}()
@@ -190,19 +142,20 @@ func TestQueueContractConcurrentWorkers(t *testing.T) {
 		}
 	}
 	q.Close()
-	if q.Depth() != 0 || q.InFlight() != 0 {
-		t.Fatalf("leftovers: depth=%d inflight=%d", q.Depth(), q.InFlight())
+	if q.Depth() != 0 {
+		t.Fatalf("leftovers: depth=%d", q.Depth())
 	}
 }
 
-// TestQueueContractDequeueElements: the batch lease takes the ready elements
-// of one activity, in FIFO order and up to the limit, each under its own
-// lease, and leaves everything else ready and in order.
+// TestQueueContractDequeueElements: a batch takes the ready elements of one
+// activity at their first attempt, in FIFO order and up to the limit, and
+// leaves everything else ready and in order.
 func TestQueueContractDequeueElements(t *testing.T) {
 	q := NewMemoryQueue()
-	other := Task{ID: TaskID("run-q", "Q", 0), RunID: "run-q", Activity: "Q", Element: 0}
-	whole := Task{ID: TaskID("run-q", "P", -1), RunID: "run-q", Activity: "P", Element: -1}
-	if err := q.Enqueue(task(0), other, task(1), whole, task(2), task(3)); err != nil {
+	other := Task{Activity: "Q", Element: 0}
+	whole := Task{Activity: "P", Element: -1}
+	retry := Task{Activity: "P", Element: 4, Attempt: 1}
+	if err := q.Enqueue(task(0), other, task(1), whole, retry, task(2), task(3)); err != nil {
 		t.Fatal(err)
 	}
 	head, err := q.Dequeue(context.Background())
@@ -211,39 +164,29 @@ func TestQueueContractDequeueElements(t *testing.T) {
 	}
 	got := q.DequeueElements("P", 2)
 	if len(got) != 2 || got[0].Element != 1 || got[1].Element != 2 {
-		t.Fatalf("leased %+v, want elements 1 and 2 of P", got)
+		t.Fatalf("took %+v, want elements 1 and 2 of P", got)
 	}
-	if q.Depth() != 3 || q.InFlight() != 3 {
-		t.Fatalf("after the batch lease: depth=%d inflight=%d, want 3/3", q.Depth(), q.InFlight())
+	if q.Depth() != 4 {
+		t.Fatalf("after the batch: depth=%d, want 4", q.Depth())
 	}
 	if more := q.DequeueElements("nope", 10); len(more) != 0 {
-		t.Fatalf("leased %+v for an activity with nothing ready", more)
+		t.Fatalf("took %+v for an activity with nothing ready", more)
 	}
-	// Leases are per task: ack one, hand the other two back together.
-	q.Ack(got[0].ID)
-	q.Nack(head.ID, got[1].ID)
-	var order []string
+	var order []Task
 	for q.Depth() > 0 {
 		next, err := q.Dequeue(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		order = append(order, next.ID)
-		if (next.ID == head.ID || next.ID == got[1].ID) && next.Attempt != 0 {
-			t.Errorf("nacked %s redelivered with attempt %d", next.ID, next.Attempt)
-		}
-		q.Ack(next.ID)
+		order = append(order, next)
 	}
-	want := []string{other.ID, whole.ID, task(3).ID, head.ID, got[1].ID}
+	want := []Task{other, whole, retry, task(3)}
 	if len(order) != len(want) {
-		t.Fatalf("drained %v, want %v", order, want)
+		t.Fatalf("drained %+v, want %+v", order, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("drained %v, want %v", order, want)
+	for i, w := range want {
+		if g := order[i]; g.Activity != w.Activity || g.Element != w.Element || g.Attempt != w.Attempt {
+			t.Fatalf("drained %+v, want %+v", order, want)
 		}
-	}
-	if q.InFlight() != 0 {
-		t.Fatalf("inflight=%d after draining", q.InFlight())
 	}
 }
