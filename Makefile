@@ -50,7 +50,7 @@ race:
 ## outputs and mark those rebuilt from the elements, and TestDeciderIsPure —
 ## no clock, lock, context, randomness, telemetry, goroutine or channel in
 ## decider.go; the provenance package's carry the upgrade guard,
-## TestOpensPreviousVersionDirectory), nine
+## TestOpensPreviousVersionDirectory), ten
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
 ## events must never panic or wedge the engine), the history-row payload
@@ -71,10 +71,14 @@ race:
 ## scripts (arbitrary batches applied live must match the model and what a
 ## reopen replays), the row decoder (whatever decodes re-encodes to an equal
 ## row, NaN and signed-zero floats included), WAL replay (arbitrary log
-## bytes are a torn tail, never a panic or an error) and the /api/v1 sequence
+## bytes are a torn tail, never a panic or an error), the /api/v1 sequence
 ## cursors (any ?after=&limit= on a run's edges and spans is a 400 or the
 ## suffix of the run's list after the cursor — MaxInt64 included — and
-## walking by next cursor visits every row once) — the chaos smoke
+## walking by next cursor visits every row once) and the OPM XML codec
+## (arbitrary bytes never panic UnmarshalXML; whatever decodes, MarshalXML
+## writes exactly the encoding/xml oracle's bytes for, and those bytes decode
+## to the same graph; minimizing is capped at 1s, because minimizing a
+## multi-kilobyte XML input takes the whole 10s otherwise) — the chaos smoke
 ## (randomized kill/resume trials, degraded-authority assessment runs,
 ## shard-loss traffic, orchestrator-failover trials — a standby steals the
 ## expired lease and must finish byte-identically while the resurrected stale
@@ -131,6 +135,7 @@ ci:
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzDecodeRow -fuzztime=10s
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s
 	$(GO) test ./internal/web/ -run='^$$' -fuzz=FuzzSeqCursorPages -fuzztime=10s
+	$(GO) test ./internal/opm/ -run='^$$' -fuzz=FuzzOPMXML -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve|TestInternalDeclarationsReachable|TestReachDispatchIsPrecise' .

@@ -425,11 +425,7 @@ func TestOPMExportOfRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := opm.MarshalXML(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := opm.UnmarshalXML(blob)
+	back, err := opm.UnmarshalXML(opm.MarshalXML(g))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,11 +100,7 @@ func (pm *PreservationManager) ArchiveRunGraph(runID string) (archive.Manifest, 
 	if err != nil {
 		return archive.Manifest{}, err
 	}
-	blob, err := opm.MarshalXML(g)
-	if err != nil {
-		return archive.Manifest{}, err
-	}
-	return pm.Store.Put(blob, archive.Meta{
+	return pm.Store.Put(opm.MarshalXML(g), archive.Meta{
 		MediaType: MediaOPMXML,
 		RunID:     runID,
 		Label:     "provenance graph: " + runID,

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unicode/utf8"
+
+	"repro/internal/storage"
 )
 
 // Metadata-based retrieval (paper §II.C and Cugler et al. 2012): "queries on
@@ -14,46 +17,136 @@ import (
 // which is exactly how curation "enhances the scope of queries that can be
 // supported" (§IV).
 
-// Predicate filters records. Predicates compose with And.
-type Predicate func(*Record) bool
+// Predicate filters records by the collection's search fields. A blank
+// field matches every record; a record must match every field that is set.
+// Case is ignored as strings.ToLower ignores it: both sides are lowered and
+// compared byte for byte.
+type Predicate struct {
+	// Species matches the raw species string with runs of whitespace
+	// collapsed to one space and leading/trailing whitespace dropped, as
+	// strings.Fields splits it ("hyla  FABER" matches "Hyla faber").
+	Species string
+	// State matches the state field.
+	State string
+	// Taxon matches any rank of the classification: phylum, class, order,
+	// family or genus.
+	Taxon string
+}
 
-// And matches records satisfying every predicate.
-func And(ps ...Predicate) Predicate {
-	return func(r *Record) bool {
-		for _, p := range ps {
-			if !p(r) {
-				return false
-			}
-		}
-		return true
+// Cell positions the record filter reads in a stored row.
+var (
+	stateCol  = Schema.Index("state")
+	taxonCols = [...]int{Schema.Index("phylum"), Schema.Index("class"), Schema.Index("order"),
+		Schema.Index("family"), Schema.Index("genus")}
+)
+
+// rowFilter is a Predicate prepared for one scan: each set field lowered
+// (species also whitespace-collapsed) once, then tested on a row's raw
+// cells, so a row that does not match is never decoded.
+type rowFilter struct {
+	species, state, taxon       string
+	bySpecies, byState, byTaxon bool
+}
+
+func (p Predicate) filter() rowFilter {
+	return rowFilter{
+		species: collapseLower(p.Species), bySpecies: p.Species != "",
+		state: strings.ToLower(p.State), byState: p.State != "",
+		taxon: strings.ToLower(p.Taxon), byTaxon: p.Taxon != "",
 	}
 }
 
-// BySpeciesName matches the raw species string (case-insensitive).
-func BySpeciesName(name string) Predicate {
-	want := strings.ToLower(strings.Join(strings.Fields(name), " "))
-	return func(r *Record) bool {
-		return strings.ToLower(strings.Join(strings.Fields(r.Species), " ")) == want
+// match tests a row of the schema's arity.
+func (f *rowFilter) match(row storage.Row) bool {
+	if f.bySpecies && !collapsedLowerEqual(row[speciesCol].Str(), f.species) {
+		return false
 	}
-}
-
-// ByTaxon matches any rank of the classification (class, order, family ...).
-func ByTaxon(value string) Predicate {
-	want := strings.ToLower(value)
-	return func(r *Record) bool {
-		for _, f := range []string{r.Phylum, r.Class, r.Order, r.Family, r.Genus} {
-			if strings.ToLower(f) == want {
+	if f.byState && !lowerEqual(row[stateCol].Str(), f.state) {
+		return false
+	}
+	if f.byTaxon {
+		for _, c := range taxonCols {
+			if lowerEqual(row[c].Str(), f.taxon) {
 				return true
 			}
 		}
 		return false
 	}
+	return true
 }
 
-// ByState matches the state field (case-insensitive).
-func ByState(state string) Predicate {
-	want := strings.ToLower(state)
-	return func(r *Record) bool { return strings.ToLower(r.State) == want }
+// collapseLower lowers s with its whitespace runs collapsed to one space.
+func collapseLower(s string) string {
+	return strings.ToLower(strings.Join(strings.Fields(s), " "))
+}
+
+// collapsedLowerEqual reports collapseLower(cell) == want. An ASCII cell is
+// compared in place, without allocating; any other goes through
+// collapseLower itself.
+func collapsedLowerEqual(cell, want string) bool {
+	if !isASCII(cell) {
+		return collapseLower(cell) == want
+	}
+	j := 0
+	for i := 0; i < len(cell); {
+		for i < len(cell) && isASCIISpace(cell[i]) {
+			i++
+		}
+		if i == len(cell) {
+			break
+		}
+		if j > 0 {
+			if j == len(want) || want[j] != ' ' {
+				return false
+			}
+			j++
+		}
+		for ; i < len(cell) && !isASCIISpace(cell[i]); i, j = i+1, j+1 {
+			if j == len(want) || want[j] != lowerASCII(cell[i]) {
+				return false
+			}
+		}
+	}
+	return j == len(want)
+}
+
+// lowerEqual reports strings.ToLower(cell) == want, in place for an ASCII
+// cell.
+func lowerEqual(cell, want string) bool {
+	if !isASCII(cell) {
+		return strings.ToLower(cell) == want
+	}
+	if len(cell) != len(want) {
+		return false
+	}
+	for i := 0; i < len(cell); i++ {
+		if lowerASCII(cell[i]) != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// isASCIISpace reports the ASCII bytes unicode.IsSpace, and so
+// strings.Fields, treats as whitespace.
+func isASCIISpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // QueryOptions shapes result sets.
@@ -64,20 +157,31 @@ type QueryOptions struct {
 	OrderBy string
 }
 
-// Query runs a predicate scan over the store, optionally using the species
-// secondary index when the predicate set includes an exact species match.
+// Query returns the records pred matches, sorted by opts.OrderBy and cut to
+// opts.Limit. It walks every stored row in ID order and tests pred on the
+// row's raw cells; only the rows that match are decoded. It reads no
+// secondary index. A row of the wrong arity fails the query.
 func (s *Store) Query(pred Predicate, opts QueryOptions) ([]*Record, error) {
-	var out []*Record
-	err := s.Scan(func(r *Record) bool {
-		if pred(r) {
-			out = append(out, r)
-		}
-		return true
-	})
+	order, err := RecordOrder(opts.OrderBy)
 	if err != nil {
 		return nil, err
 	}
-	order, err := RecordOrder(opts.OrderBy)
+	f := pred.filter()
+	var out []*Record
+	s.db.Table(Schema.Table).Scan(func(row storage.Row) bool {
+		if err = checkArity(row); err != nil {
+			return false
+		}
+		if !f.match(row) {
+			return true
+		}
+		var r *Record
+		if r, err = FromRow(row); err != nil {
+			return false
+		}
+		out = append(out, r)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}

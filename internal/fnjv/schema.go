@@ -155,10 +155,18 @@ func ToRow(r *Record) storage.Row {
 	}
 }
 
+// checkArity fails a row that does not hold one value per schema column.
+func checkArity(row storage.Row) error {
+	if len(row) != len(Schema.Columns) {
+		return fmt.Errorf("fnjv: row has %d values, want %d", len(row), len(Schema.Columns))
+	}
+	return nil
+}
+
 // FromRow converts a storage row back to a record.
 func FromRow(row storage.Row) (*Record, error) {
-	if len(row) != len(Schema.Columns) {
-		return nil, fmt.Errorf("fnjv: row has %d values, want %d", len(row), len(Schema.Columns))
+	if err := checkArity(row); err != nil {
+		return nil, err
 	}
 	get := func(name string) storage.Value { return row.Get(Schema, name) }
 	fptr := func(name string) *float64 {

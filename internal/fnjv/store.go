@@ -107,8 +107,7 @@ func (s *Store) ScanSpecies(tenant string, fn func(id, species string) bool) err
 	}
 	var err error
 	s.db.Table(Schema.Table).ScanFrom(storage.S(prefix), func(row storage.Row) bool {
-		if len(row) != len(Schema.Columns) {
-			err = fmt.Errorf("fnjv: row has %d values, want %d", len(row), len(Schema.Columns))
+		if err = checkArity(row); err != nil {
 			return false
 		}
 		id := row[0].Str()

@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/opm"
 	"repro/internal/workflow"
@@ -125,11 +126,18 @@ func artifactID(d workflow.Data) string {
 
 const maxArtifactValue = 256
 
+// truncate cuts a value longer than maxArtifactValue bytes at the last rune
+// boundary within that limit and marks the cut with "…", so a multi-byte
+// character is never split into invalid UTF-8.
 func truncate(s string) string {
-	if len(s) > maxArtifactValue {
-		return s[:maxArtifactValue] + "…"
+	if len(s) <= maxArtifactValue {
+		return s
 	}
-	return s
+	cut := maxArtifactValue
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut--
+	}
+	return s[:cut] + "…"
 }
 
 // ensureArtifactLocked registers the artifact for d (if new) and returns its

@@ -144,11 +144,7 @@ func canonicalXML(t *testing.T, g *opm.Graph) []byte {
 			t.Fatal(err)
 		}
 	}
-	blob, err := opm.MarshalXML(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return opm.MarshalXML(c)
 }
 
 // streamDef is a two-step name check iterated over a list, so one run

@@ -185,6 +185,35 @@ func TestTruncateLongValues(t *testing.T) {
 	}
 }
 
+// TestTruncateKeepsRunesWhole: a value whose byte 256 falls inside a
+// multi-byte character is cut before that character, so the stored value is
+// valid UTF-8 and survives the OPM XML export unchanged.
+func TestTruncateKeepsRunesWhole(t *testing.T) {
+	if got, want := truncate(strings.Repeat("x", 1000)), strings.Repeat("x", maxArtifactValue)+"…"; got != want {
+		t.Fatalf("ASCII cut = %q", got)
+	}
+	long := strings.Repeat("x", maxArtifactValue-1) + "é…" + strings.Repeat("y", 10)
+	col := NewCollector("a")
+	col.OnHistoryEvent(workflow.HistoryEvent{Type: workflow.HistoryRunStarted, RunID: "r", Time: time.Now(),
+		Inputs: map[string]workflow.Data{"in": workflow.Scalar(long)}})
+	g := col.Graph()
+	id := artifactID(workflow.Scalar(long))
+	n, ok := g.Node(id)
+	if !ok {
+		t.Fatal("artifact missing")
+	}
+	if want := strings.Repeat("x", maxArtifactValue-1) + "…"; n.Value != want {
+		t.Fatalf("value cut to %q, want %q", n.Value, want)
+	}
+	back, err := opm.UnmarshalXML(opm.MarshalXML(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bn, _ := back.Node(id); bn == nil || bn.Value != n.Value {
+		t.Fatalf("value changed over XML: %+v", bn)
+	}
+}
+
 func openRepo(t *testing.T) (*Repository, *storage.DB) {
 	t.Helper()
 	db, err := storage.Open(t.TempDir(), storage.Options{Sync: storage.SyncNever})

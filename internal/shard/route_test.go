@@ -168,7 +168,7 @@ func TestRouterContract(t *testing.T) {
 		{"records.ScanSpecies", func() error { return recs.ScanSpecies("", func(string, string) bool { return true }) }},
 		{"records.DistinctSpecies", func() error { _, err := recs.DistinctSpecies(); return err }},
 		{"records.Stats", func() error { _, err := recs.Stats(); return err }},
-		{"records.Query", func() error { _, err := recs.Query(fnjv.ByState("SP"), fnjv.QueryOptions{}); return err }},
+		{"records.Query", func() error { _, err := recs.Query(fnjv.Predicate{State: "SP"}, fnjv.QueryOptions{}); return err }},
 	}
 
 	// Seed what the reads need on both sides while every shard is up.

@@ -140,7 +140,7 @@ func TestRecordRouterMatchesSingleStoreSemantics(t *testing.T) {
 		t.Fatalf("Scan order broken: %d records, first %s last %s", len(scanned), scanned[0], scanned[len(scanned)-1])
 	}
 	// Query with a limit: global top-k by ID.
-	q, err := recs.Query(fnjv.ByState("SP"), fnjv.QueryOptions{Limit: 5, OrderBy: "id"})
+	q, err := recs.Query(fnjv.Predicate{State: "SP"}, fnjv.QueryOptions{Limit: 5, OrderBy: "id"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,28 @@
 package web
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"encoding/xml"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/fnjv"
+	"repro/internal/opm"
 	"repro/internal/taxonomy"
 	"repro/internal/telemetry"
 )
@@ -153,6 +163,123 @@ func TestAPIRunGraphETag(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != 200 {
 		t.Fatalf("stale validator: %d", resp3.StatusCode)
+	}
+}
+
+// oracleGraphXML marshals g by reflection through encoding/xml, in the shape
+// of the OPM XML dialect: the writer opm.MarshalXML replaced. Served graph
+// bodies, their ETags and archived graph checksums are pinned to its bytes.
+func oracleGraphXML(t *testing.T, g *opm.Graph) []byte {
+	t.Helper()
+	type ann struct {
+		Key   string `xml:"key,attr"`
+		Value string `xml:",chardata"`
+	}
+	type node struct {
+		ID          string `xml:"id,attr"`
+		Label       string `xml:"label,omitempty"`
+		Value       string `xml:"value,omitempty"`
+		Annotations []ann  `xml:"annotation,omitempty"`
+	}
+	type edge struct {
+		Kind    string `xml:"type,attr"`
+		Effect  string `xml:"effect"`
+		Cause   string `xml:"cause"`
+		Role    string `xml:"role,omitempty"`
+		Account string `xml:"account,omitempty"`
+		Time    string `xml:"time,omitempty"`
+	}
+	var x struct {
+		XMLName   xml.Name `xml:"opmGraph"`
+		Artifacts []node   `xml:"artifacts>artifact"`
+		Processes []node   `xml:"processes>process"`
+		Agents    []node   `xml:"agents>agent"`
+		Deps      []edge   `xml:"causalDependencies>dependency"`
+	}
+	for _, n := range g.Nodes() {
+		xn := node{ID: n.ID, Label: n.Label, Value: n.Value}
+		keys := make([]string, 0, len(n.Annotations))
+		for k := range n.Annotations {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			xn.Annotations = append(xn.Annotations, ann{Key: k, Value: n.Annotations[k]})
+		}
+		switch n.Kind {
+		case opm.KindArtifact:
+			x.Artifacts = append(x.Artifacts, xn)
+		case opm.KindProcess:
+			x.Processes = append(x.Processes, xn)
+		case opm.KindAgent:
+			x.Agents = append(x.Agents, xn)
+		}
+	}
+	for _, e := range g.Edges() {
+		xe := edge{Kind: e.Kind.String(), Effect: e.Effect, Cause: e.Cause, Role: e.Role, Account: e.Account}
+		if !e.Time.IsZero() {
+			xe.Time = e.Time.UTC().Format(time.RFC3339Nano)
+		}
+		x.Deps = append(x.Deps, xe)
+	}
+	blob, err := xml.MarshalIndent(x, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(xml.Header), blob...)
+}
+
+// TestAPIRunGraphBytesMatchEncodingXML pins what leaves the system for a
+// finished detection run: the /graph body is the encoding/xml oracle's bytes
+// for the stored graph, its ETag is that body's hash and still revalidates
+// to 304, and the AIP ArchiveRunGraph packages has the same sha256.
+func TestAPIRunGraphBytesMatchEncodingXML(t *testing.T) {
+	srv, wsys, _ := testServer(t)
+	resp, err := http.Post(srv.URL+"/api/v1/detect", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var det struct {
+		RunID string `json:"run_id"`
+	}
+	decodeJSON(t, resp, 200, &det)
+	g, err := wsys.Core.Provenance.Graph(det.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodeCount() < 100 {
+		t.Fatalf("run %s stored a %d-node graph", det.RunID, g.NodeCount())
+	}
+	want := oracleGraphXML(t, g)
+	sum := sha256.Sum256(want)
+
+	graphURL := srv.URL + "/api/v1/runs/" + det.RunID + "/graph"
+	gresp := getResp(t, graphURL, nil)
+	body, err := io.ReadAll(gresp.Body)
+	gresp.Body.Close()
+	if err != nil || gresp.StatusCode != 200 {
+		t.Fatalf("GET graph: %d, %v", gresp.StatusCode, err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("served graph (%d bytes) differs from the encoding/xml bytes (%d)", len(body), len(want))
+	}
+	etag := gresp.Header.Get("ETag")
+	if wantTag := `"` + hex.EncodeToString(sum[:16]) + `"`; etag != wantTag {
+		t.Fatalf("ETag %s, want %s", etag, wantTag)
+	}
+	again := getResp(t, graphURL, map[string]string{"If-None-Match": etag})
+	again.Body.Close()
+	if again.StatusCode != http.StatusNotModified {
+		t.Fatalf("If-None-Match: %d, want 304", again.StatusCode)
+	}
+
+	withArchive(t, wsys, 0)
+	m, err := wsys.Preservation.ArchiveRunGraph(det.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SHA256 != hex.EncodeToString(sum[:]) {
+		t.Fatalf("archived graph sha256 %s, want %x", m.SHA256, sum)
 	}
 }
 
@@ -319,6 +446,63 @@ func TestAPIRecords(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("record %s missing from filtered list", id)
+	}
+
+	// Each filter and a combination of them return exactly the records the
+	// filter semantics select — species ignoring case and whitespace runs,
+	// state ignoring case, taxon matching any rank — in species, then ID
+	// order.
+	var rec *fnjv.Record
+	var all []*fnjv.Record
+	wsys.Core.Records.Scan(func(r *fnjv.Record) bool {
+		if r.ID == id {
+			rec = r
+		}
+		all = append(all, r)
+		return true
+	})
+	fold := func(s string) string { return strings.ToLower(strings.Join(strings.Fields(s), " ")) }
+	anyRank := func(r *fnjv.Record, taxon string) bool {
+		return slices.ContainsFunc([]string{r.Phylum, r.Class, r.Order, r.Family, r.Genus},
+			func(f string) bool { return strings.EqualFold(f, taxon) })
+	}
+	shouted := "\t " + strings.ReplaceAll(strings.ToUpper(species), " ", "   ") + " "
+	for _, c := range []struct {
+		query string
+		match func(*fnjv.Record) bool
+	}{
+		{"species=" + url.QueryEscape(species), func(r *fnjv.Record) bool { return r.Species == species }},
+		{"species=" + url.QueryEscape(shouted), func(r *fnjv.Record) bool { return fold(r.Species) == fold(species) }},
+		{"state=" + url.QueryEscape(strings.ToUpper(rec.State)), func(r *fnjv.Record) bool { return strings.EqualFold(r.State, rec.State) }},
+		{"taxon=" + url.QueryEscape(strings.ToLower(rec.Family)), func(r *fnjv.Record) bool { return anyRank(r, rec.Family) }},
+		{"species=" + url.QueryEscape(shouted) + "&state=" + url.QueryEscape(rec.State) + "&taxon=" + url.QueryEscape(rec.Genus),
+			func(r *fnjv.Record) bool {
+				return fold(r.Species) == fold(species) && strings.EqualFold(r.State, rec.State) && anyRank(r, rec.Genus)
+			}},
+	} {
+		var want []string
+		for _, r := range all {
+			if c.match(r) {
+				want = append(want, r.ID)
+			}
+		}
+		decodeJSON(t, getResp(t, srv.URL+"/api/v1/records?limit=500&"+c.query, nil), 200, &list)
+		got := make([]string, len(list.Records))
+		for i, r := range list.Records {
+			got[i] = r.ID
+		}
+		slices.SortStableFunc(list.Records, func(a, b recordJSON) int {
+			return cmp.Or(strings.Compare(a.Species, b.Species), strings.Compare(a.ID, b.ID))
+		})
+		for i, r := range list.Records {
+			if got[i] != r.ID {
+				t.Fatalf("%s: records not in species, ID order: %v", c.query, got)
+			}
+		}
+		slices.Sort(got)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%s: got %v, want %v", c.query, got, want)
+		}
 	}
 
 	// Unfiltered listing respects the limit.

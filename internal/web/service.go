@@ -149,8 +149,7 @@ func (v *Service) RunGraphXML(runID string) ([]byte, provenance.RunInfo, error) 
 	if err != nil {
 		return nil, info, fmt.Errorf("%w: graph of run %q", errNotFound, runID)
 	}
-	blob, err := opm.MarshalXML(g)
-	return blob, info, err
+	return opm.MarshalXML(g), info, nil
 }
 
 // RunNodesPage pages the run's provenance nodes.
@@ -219,17 +218,8 @@ func (v *Service) RunSpansPage(runID string, after, limit int) ([]telemetry.Span
 // SearchRecords queries the collection by the dashboard's filter fields.
 // Empty filters match everything (the limit still applies).
 func (v *Service) SearchRecords(species, state, taxon string, limit int) ([]*fnjv.Record, error) {
-	var preds []fnjv.Predicate
-	if species != "" {
-		preds = append(preds, fnjv.BySpeciesName(species))
-	}
-	if state != "" {
-		preds = append(preds, fnjv.ByState(state))
-	}
-	if taxon != "" {
-		preds = append(preds, fnjv.ByTaxon(taxon))
-	}
-	return v.sys.Core.Records.Query(fnjv.And(preds...), fnjv.QueryOptions{Limit: limit, OrderBy: "species"})
+	pred := fnjv.Predicate{Species: species, State: state, Taxon: taxon}
+	return v.sys.Core.Records.Query(pred, fnjv.QueryOptions{Limit: limit, OrderBy: "species"})
 }
 
 // RecordDetail is one record with its curation state.
