@@ -23,12 +23,15 @@ test:
 ## (TestDBViewConcurrentWithWriter: one Scan sees one commit), the shard router
 ## with its scatter-gather fan-out, the collection store under it (the record
 ## projection name detection reads, TestScanSpecies*), the cluster layer —
-## lease store, scheduler pool and its wake contract (TestWake*: a pushed
-## admission executes with the poll timer an hour away, goes to an idle peer,
-## never strands Stop/Kill and cannot starve the timer path) — the archival
+## the in-memory ownership set (one winner of N concurrent claims), the
+## scheduler pool and its wake contract (TestWake*: a pushed admission
+## executes with the poll timer an hour away, goes to an idle peer, never
+## strands Stop and cannot starve the timer path) — the archival
 ## store/scrubber, and the curation ledger's ID
 ## allocation under concurrent detections), plus the core detection stack —
-## including crash/resume, orchestrator failover, the sharded/unsharded
+## including crash/resume, a second executor of a running run losing its
+## claim (TestRunOwnedWhileExecuting), the sweep racing a pool member
+## (TestSweepSchedulerClaimRace), the sharded/unsharded
 ## equivalence suite, the wake end to end (TestAdmissionWakesPool) and the
 ## pool's exactly-once accounting (TestPoolCompletedMatchesOutcomes) — that
 ## drives them end to end, and the span store and /api/v1 handlers, which read
@@ -50,7 +53,7 @@ race:
 ## outputs and mark those rebuilt from the elements, and TestDeciderIsPure —
 ## no clock, lock, context, randomness, telemetry, goroutine or channel in
 ## decider.go; the provenance package's carry the upgrade guard,
-## TestOpensPreviousVersionDirectory), ten
+## TestOpensPreviousVersionDirectory), fourteen
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
 ## events must never panic or wedge the engine), the history-row payload
@@ -78,14 +81,18 @@ race:
 ## (arbitrary bytes never panic UnmarshalXML; whatever decodes, MarshalXML
 ## writes exactly the encoding/xml oracle's bytes for, and those bytes decode
 ## to the same graph; minimizing is capped at 1s, because minimizing a
-## multi-kilobyte XML input takes the whole 10s otherwise) — the chaos smoke
+## multi-kilobyte XML input takes the whole 10s otherwise), the admission-row
+## options decoder (arbitrary bytes never panic decodeRunOptions, every
+## admitted field round-trips, and a row that still carries the dropped
+## lease_ttl_ms decodes to the same options), the N-Triples reader (whatever
+## parses writes back and re-parses to as many triples), the species-name
+## parser (a parse's canonical form re-parses to itself) and the bounded
+## edit distance (in bound, it equals the full distance) — the chaos smoke
 ## (randomized kill/resume trials, degraded-authority assessment runs,
-## shard-loss traffic, orchestrator-failover trials — a standby steals the
-## expired lease and must finish byte-identically while the resurrected stale
-## orchestrator gets its fenced attempt to end the run rejected — and the
-## scheduler-pool trial: three peer orchestrators drain an admission queue while two are
-## killed mid-run, and every queued run must still complete byte-identically
-## exactly once), the /api/v1 contract smoke (including the /api/v1/cluster
+## shard-loss traffic, and the scheduler-pool trial: one member drains an
+## admission queue in which some runs crash at random history cuts, and every
+## queued run must still complete byte-identically exactly once, each crashed
+## one resumed by a later drain), the /api/v1 contract smoke (including the /api/v1/cluster
 ## resources, the per-tenant quota contract, asynchronous detect woken by the
 ## admission's commit with the poll timer an hour away
 ## (TestAsyncDetectWakesPool), and the batch-path guard: one
@@ -136,6 +143,10 @@ ci:
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s
 	$(GO) test ./internal/web/ -run='^$$' -fuzz=FuzzSeqCursorPages -fuzztime=10s
 	$(GO) test ./internal/opm/ -run='^$$' -fuzz=FuzzOPMXML -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzRunOptions -fuzztime=10s
+	$(GO) test ./internal/linkeddata/ -run='^$$' -fuzz=FuzzReadNTriples -fuzztime=10s
+	$(GO) test ./internal/taxonomy/ -run='^$$' -fuzz=FuzzParseName -fuzztime=10s
+	$(GO) test ./internal/taxonomy/ -run='^$$' -fuzz=FuzzDistance -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve|TestInternalDeclarationsReachable|TestReachDispatchIsPrecise' .

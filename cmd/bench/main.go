@@ -50,7 +50,7 @@ var suites = []suite{
 	{Package: "./internal/taxonomy", Bench: "BenchmarkResolveBatch"},
 	{Package: "./internal/workflow", Bench: "BenchmarkQueueDispatch|BenchmarkHistoryAppend|BenchmarkAdmission"},
 	{Package: "./internal/provenance", Bench: "BenchmarkDeltaEncode|BenchmarkEdgeRowEncode|BenchmarkStoreStreaming$"},
-	{Package: "./internal/storage", Bench: "BenchmarkReadUnderWrite|BenchmarkEncodeRow|BenchmarkEncodeKey|BenchmarkFencedAppend"},
+	{Package: "./internal/storage", Bench: "BenchmarkReadUnderWrite|BenchmarkEncodeRow|BenchmarkEncodeKey"},
 	{Package: "./internal/telemetry", Bench: "BenchmarkSpanStamp|BenchmarkHistogramObserve|BenchmarkStartSpanFinish"},
 }
 

@@ -57,13 +57,6 @@ func runChaos(e *environment) error {
 	if err := chaosShardLoss(e, recD, spD); err != nil {
 		return err
 	}
-	trialsE := 24
-	if e.short {
-		trialsE = 10
-	}
-	if err := chaosOrchestratorFailover(e, trialsE, recA, spA); err != nil {
-		return err
-	}
 	runsF, crashF := 9, 5
 	if e.short {
 		runsF, crashF = 5, 3
@@ -71,19 +64,15 @@ func runChaos(e *environment) error {
 	return chaosSchedulerPool(e, runsF, crashF, recA, spA)
 }
 
-// chaosSchedulerPool is Part F, the self-healing scheduler gate: three peer
-// orchestrators drain one durable admission queue; a subset of the admitted
-// runs carries a seeded-random crash cut, and the first two orchestrators to
-// be interrupted mid-run are killed on the spot (nothing released — their
-// membership rows and run leases age out like a dead process's). The gates:
-// the lone survivor completes every admitted run — in-flight and queued —
-// byte-identically under its original run ID; every run is executed exactly
-// once (the lease CAS arbitrates, losers observe ErrLeaseHeld); every steal
-// is visible as a fencing-token bump past the dead claim; a resurrected
-// stale writer gets ErrStaleFence with the graph untouched; and the
+// chaosSchedulerPool is Part F, the scheduler gate: one pool member drains
+// a durable admission queue in which a subset of the admitted runs carries a
+// seeded-random crash cut. A crashed run keeps its admission row, and the
+// member's next drain resumes it. The gates: every admitted run — crashed or
+// not — completes byte-identically under its original run ID; every run
+// completes exactly once; each crash cut interrupts its run once; and the
 // admission queue ends empty.
 func chaosSchedulerPool(e *environment, runs, crashes, records, species int) error {
-	fmt.Printf("--- part F: scheduler pool (3 orchestrators, %d runs, %d crash cuts, kill 2) ---\n", runs, crashes)
+	fmt.Printf("--- part F: scheduler pool (1 member, %d runs, %d crash cuts) ---\n", runs, crashes)
 	sys, taxa, cleanup, err := chaosSystem(records, species, e.seed+601)
 	if err != nil {
 		return err
@@ -102,13 +91,13 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 	want := canonicalProvenance(baseG, baseline.RunID)
 	total := int(baseline.ProvenanceWriter.Enqueued)
 
-	// Admit everything up front: the queue is the durable work list the pool
-	// fights over. The first `crashes` admissions carry a random history cut.
+	// Admit everything up front: the queue is the durable work list. The
+	// first `crashes` admissions carry a random history cut.
 	rng := rand.New(rand.NewSource(e.seed + 607))
 	admitted := make([]string, 0, runs)
 	crashing := map[string]bool{}
 	for i := 0; i < runs; i++ {
-		opts := core.RunOptions{SkipLedger: true, Parallel: 4, Untraced: true, LeaseTTL: 250 * time.Millisecond}
+		opts := core.RunOptions{SkipLedger: true, Parallel: 4, Untraced: true}
 		if i < crashes {
 			opts.CrashAfterDeltas = 1 + rng.Intn(total-1)
 		}
@@ -122,91 +111,32 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 		}
 	}
 
-	// Event log: interruption tokens (fence gate + stale-writer ammo) and the
-	// kill trigger come from scheduler events; the exactly-once gate counts
-	// OnOutcome calls, which fire only when a claim actually produced an
-	// outcome — a peer re-settling an already-finished admission is a no-op
-	// success, not an execution.
+	// The exactly-once gate counts OnOutcome calls, which fire only when an
+	// execution produced an outcome; interruptions come from the member's
+	// events.
 	var mu sync.Mutex
-	execs := map[string]int{} // run → genuine executions
-	successTok := map[string]int64{}
-	staleTok := map[string]int64{} // run → fence token of the interrupted claim
-	// The first dead claim's history writer, opened at its token while the run
-	// is still marked running — what a partitioned orchestrator would hold.
-	var zombie provenance.RunWriter
-	var zombieRun string
-	killCh := make(chan string, 64)
-	hook := func(ev cluster.SchedulerEvent) {
-		mu.Lock()
-		switch ev.Kind {
-		case "complete", "rescue":
-			if _, ok := successTok[ev.Run]; !ok {
-				successTok[ev.Run] = ev.Token
-			}
-		case "interrupted":
-			if _, ok := staleTok[ev.Run]; !ok {
-				staleTok[ev.Run] = ev.Token
-			}
-			if zombie == nil {
-				w, err := sys.Provenance.ResumeRunWriter(ev.Run, provenance.BatchWriterOptions{
-					FenceName: provenance.RunFenceName(ev.Run), FenceToken: ev.Token,
-				})
-				if err == nil {
-					zombie, zombieRun = w, ev.Run
-				}
-			}
-			select {
-			case killCh <- ev.Orchestrator:
-			default:
-			}
-		}
-		mu.Unlock()
-	}
-
+	execs := map[string]int{}
+	interrupted := map[string]int{}
 	be := sys.SchedulerBackend(taxa.Checklist, core.RunOptions{SkipLedger: true, Parallel: 4, Untraced: true},
 		func(o *core.DetectionOutcome) {
 			mu.Lock()
 			execs[o.RunID]++
 			mu.Unlock()
 		})
-	pool := make(map[string]*cluster.Scheduler, 3)
-	for i := 0; i < 3; i++ {
-		s := &cluster.Scheduler{
-			Name: fmt.Sprintf("orch-%c", 'a'+i), Leases: sys.Leases, Backend: be,
-			TTL: 200 * time.Millisecond, Poll: 10 * time.Millisecond,
-			Seed: e.seed + int64(i), OnEvent: hook,
-		}
-		if err := s.Start(); err != nil {
-			return fmt.Errorf("starting %s: %w", s.Name, err)
-		}
-		pool[s.Name] = s
+	member := &cluster.Scheduler{
+		Name: "orch-a", Leases: sys.Leases, Backend: be, Poll: 10 * time.Millisecond, Seed: e.seed,
+		OnEvent: func(ev cluster.SchedulerEvent) {
+			if ev.Kind == "interrupted" {
+				mu.Lock()
+				interrupted[ev.Run]++
+				mu.Unlock()
+			}
+		},
 	}
-	defer func() {
-		for _, s := range pool {
-			s.Stop()
-		}
-	}()
-
-	// The reaper: the first two distinct orchestrators to report an
-	// interruption die right there — mid-run, nothing released. Killing from
-	// a separate goroutine mirrors a real process death (the scheduler's own
-	// loop cannot wait on itself).
-	killed := map[string]bool{}
-	reaped := make(chan struct{})
-	go func() {
-		defer close(reaped)
-		for name := range killCh {
-			if len(killed) >= 2 || killed[name] {
-				continue
-			}
-			killed[name] = true
-			pool[name].Kill()
-			fmt.Printf("  killed %s at its crash cut (%d/2)\n", name, len(killed))
-			if len(killed) == 2 {
-				return
-			}
-		}
-	}()
+	if err := member.Start(); err != nil {
+		return fmt.Errorf("starting %s: %w", member.Name, err)
+	}
+	defer member.Stop()
 
 	// Drain: every admission settled and every run terminal.
 	deadline := time.Now().Add(90 * time.Second)
@@ -223,32 +153,18 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	close(killCh)
-	<-reaped
+	member.Stop()
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(killed) != 2 {
-		return fmt.Errorf("chaos gate: killed %d orchestrators, want 2", len(killed))
-	}
-	survivors := 0
-	for _, m := range sys.Leases.Members(time.Now()) {
-		if m.Live && !killed[m.Name] {
-			survivors++
-		}
-	}
-	if survivors != 1 {
-		return fmt.Errorf("chaos gate: %d live survivors, want exactly 1", survivors)
-	}
-
-	identical, steals := 0, 0
+	identical, resumed := 0, 0
 	for _, runID := range admitted {
 		info, err := sys.Provenance.Run(runID)
 		if err != nil || info.Status != provenance.RunCompleted {
 			return fmt.Errorf("chaos gate: run %s ended %v (%v), want completed", runID, info.Status, err)
 		}
 		if n := execs[runID]; n != 1 {
-			return fmt.Errorf("chaos gate: run %s executed %d times, want exactly once", runID, n)
+			return fmt.Errorf("chaos gate: run %s completed %d times, want exactly once", runID, n)
 		}
 		g, err := sys.Provenance.Graph(runID)
 		if err != nil {
@@ -258,165 +174,16 @@ func chaosSchedulerPool(e *environment, runs, crashes, records, species int) err
 			return fmt.Errorf("chaos gate: run %s graph diverged from the uninterrupted baseline", runID)
 		}
 		identical++
-		if stale, wasCut := staleTok[runID]; wasCut {
-			// The rescue is visible in the fence: the completing claim's token
-			// is strictly past the dead orchestrator's.
-			if successTok[runID] <= stale {
-				return fmt.Errorf("chaos gate: run %s completed at token %d, not past the dead claim's %d",
-					runID, successTok[runID], stale)
-			}
-			steals++
+		switch n := interrupted[runID]; {
+		case crashing[runID] && n == 1:
+			resumed++
+		case n != 0 || crashing[runID]:
+			return fmt.Errorf("chaos gate: run %s interrupted %d times (crash cut: %v)", runID, n, crashing[runID])
 		}
-	}
-	if steals == 0 {
-		return fmt.Errorf("chaos gate: no run was ever interrupted and stolen")
 	}
 
-	// Resurrect one dead claim: a history append at the pre-steal token must
-	// be rejected by the fence and leave the graph untouched.
-	if zombie == nil {
-		return fmt.Errorf("chaos gate: no dead claim's writer could be opened")
-	}
-	if err := staleAppendRejected(sys, zombieRun, zombie); err != nil {
-		return err
-	}
-
-	fmt.Printf("  pool drained: %d/%d runs byte-identical under original IDs, %d rescued past dead claims, queue empty\n",
-		identical, runs, steals)
-	fmt.Println("  resurrected stale claim: 0 accepted writes (fenced off)")
-	return nil
-}
-
-// chaosOrchestratorFailover is Part E, the cross-process half of the failure
-// model: an orchestrator claims a run under a fenced lease, dies at a
-// seeded-random history cut, and a standby steals the expired lease —
-// bumping the fencing token — and finishes the run under its original ID.
-// The gates: every trial's final graph is byte-identical to an uninterrupted
-// run; and when the dead orchestrator is resurrected with its stale token,
-// every one of its history appends is rejected with ErrStaleFence and zero of
-// them reach the graph — split-brain is structurally impossible, not just
-// unlikely.
-func chaosOrchestratorFailover(e *environment, trials, records, species int) error {
-	fmt.Printf("--- part E: orchestrator failover (%d trials, %d records, %d species) ---\n", trials, records, species)
-	sys, taxa, cleanup, err := chaosSystem(records, species, e.seed+509)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	ctx := context.Background()
-
-	baseline, err := sys.RunDetection(ctx, taxa.Checklist, core.RunOptions{SkipLedger: true, Parallel: 1})
-	if err != nil {
-		return fmt.Errorf("baseline run: %w", err)
-	}
-	baseG, err := sys.Provenance.Graph(baseline.RunID)
-	if err != nil {
-		return err
-	}
-	want := canonicalProvenance(baseG, baseline.RunID)
-	total := int(baseline.ProvenanceWriter.Enqueued)
-
-	rng := rand.New(rand.NewSource(e.seed + 17))
-	identical, resurrections := 0, 0
-	for trial := 0; trial < trials; trial++ {
-		cut := 1 + rng.Intn(total-1)
-		opts := core.RunOptions{
-			SkipLedger: true, Parallel: 4,
-			CrashAfterDeltas: cut, Orchestrator: "orch-primary", LeaseTTL: time.Second,
-		}
-		_, err := sys.RunDetection(ctx, taxa.Checklist, opts)
-		var crash *core.CrashError
-		if !errors.As(err, &crash) {
-			return fmt.Errorf("trial %d: expected a kill at cut %d, got %v", trial, cut, err)
-		}
-		runID := crash.RunID
-		staleToken := sys.Provenance.RunFenceToken(runID)
-
-		// Every third trial the dead orchestrator comes back from the grave:
-		// open its writer at the pre-steal token while the run is still
-		// marked running, exactly what a partitioned process would hold.
-		var stale provenance.RunWriter
-		if trial%3 == 0 {
-			stale, err = sys.Provenance.ResumeRunWriter(runID, provenance.BatchWriterOptions{
-				FenceName: provenance.RunFenceName(runID), FenceToken: staleToken,
-			})
-			if err != nil {
-				return fmt.Errorf("trial %d: opening stale writer: %v", trial, err)
-			}
-		}
-
-		// Force the lease expiry instead of sleeping the TTL out, then let
-		// the standby steal, replay, and finish.
-		if err := sys.Leases.Expire(runID); err != nil {
-			return err
-		}
-		outcome, err := sys.FailoverDetection(ctx, taxa.Checklist, runID, 10*time.Second, core.RunOptions{
-			SkipLedger: true, Parallel: 4, Orchestrator: "orch-standby", LeaseTTL: time.Second,
-		})
-		if err != nil {
-			return fmt.Errorf("trial %d: failover after cut %d: %v", trial, cut, err)
-		}
-		if outcome.RunID != runID {
-			return fmt.Errorf("trial %d: failover finished under a new run ID", trial)
-		}
-		if tok := sys.Provenance.RunFenceToken(runID); tok != staleToken+1 {
-			return fmt.Errorf("trial %d: fence token = %d after steal, want %d", trial, tok, staleToken+1)
-		}
-		g, err := sys.Provenance.Graph(runID)
-		if err != nil {
-			return err
-		}
-		if canonicalProvenance(g, runID) != want {
-			return fmt.Errorf("trial %d: cut %d: failed-over graph diverged", trial, cut)
-		}
-		identical++
-
-		if stale != nil {
-			if err := staleAppendRejected(sys, runID, stale); err != nil {
-				return fmt.Errorf("trial %d: %w", trial, err)
-			}
-			resurrections++
-		}
-	}
-	if identical != trials {
-		return fmt.Errorf("chaos gate: only %d/%d failovers byte-identical", identical, trials)
-	}
-	if resurrections == 0 {
-		return fmt.Errorf("chaos gate: no resurrection trials ran")
-	}
-	fmt.Printf("  failover: %d/%d trials finished byte-identical under the original run ID\n", identical, trials)
-	fmt.Printf("  resurrected stale orchestrator: %d trials, 0 accepted writes (all fenced off)\n", resurrections)
-	return nil
-}
-
-// staleAppendRejected is the zero-accepted-stale-writes gate of Parts E and F:
-// stale is a history writer a dead orchestrator opened on runID at its
-// pre-steal token. Its attempt to end the run — a run-status update and a
-// graph — must bounce off the run's fence with ErrStaleFence and leave the
-// stored graph exactly as the new owner left it.
-func staleAppendRejected(sys *core.System, runID string, stale provenance.RunWriter) error {
-	g, err := sys.Provenance.Graph(runID)
-	if err != nil {
-		return err
-	}
-	zombie := opm.NewGraph()
-	if err := zombie.Artifact("zombie", "zombie", ""); err != nil {
-		return err
-	}
-	if err := stale.Emit(provenance.Delta{Kind: provenance.DeltaRunFinished,
-		Info: provenance.RunInfo{RunID: runID, Status: provenance.RunFailed}, Graph: zombie}); err != nil {
-		return fmt.Errorf("stale emit failed before flush: %v", err)
-	}
-	if cerr := stale.Close(); !errors.Is(cerr, storage.ErrStaleFence) {
-		return fmt.Errorf("chaos gate: stale orchestrator append on %s = %v, want ErrStaleFence", runID, cerr)
-	}
-	g2, err := sys.Provenance.Graph(runID)
-	if err != nil {
-		return err
-	}
-	if g2.NodeCount() != g.NodeCount() || g2.EdgeCount() != g.EdgeCount() {
-		return fmt.Errorf("chaos gate: stale orchestrator mutated run %s", runID)
-	}
+	fmt.Printf("  pool drained: %d/%d runs byte-identical under original IDs, %d resumed after a crash cut, queue empty\n",
+		identical, runs, resumed)
 	return nil
 }
 

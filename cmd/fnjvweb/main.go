@@ -96,9 +96,9 @@ func main() {
 	}
 
 	// Startup reconciliation: resume any detection run a previous process
-	// left unfinished, abandon (with a reason) anything unresumable. The
-	// sweep claims under this process's pool name, so a peer orchestrator's
-	// live runs are skipped, not stolen.
+	// left unfinished, abandon (with a reason) anything unresumable. Open
+	// locked the directory, so every unfinished run is an orphan: its
+	// executor died with the process that held the lock before.
 	sweep, err := sys.SweepUnfinishedRuns(context.Background(), resolver, core.RunOptions{Orchestrator: name})
 	if err != nil {
 		log.Fatalf("sweeping unfinished runs: %v", err)
@@ -121,11 +121,12 @@ func main() {
 	}
 
 	wsys := &web.System{Core: sys, Resolver: resolver, Checklist: taxa.Checklist, Resilient: resilient}
+	wsys.RecordOutcome(sweep.Last)
 
-	// Scheduler membership: this process joins the orchestrator pool, drains
-	// the admission queue (POST /api/v1/detect turns asynchronous — 202 plus
-	// the run URL) and rescues expired peers' runs. Peer orchestrators over
-	// the same data directory (cmd/orchestrator) balance the work with it.
+	// Scheduler: this process runs a pool member that drains the admission
+	// queue (POST /api/v1/detect turns asynchronous — 202 plus the run URL)
+	// and resumes admitted runs a crash interrupted. The directory is this
+	// process's alone: a cmd/orchestrator over it fails with storage.ErrLocked.
 	if !*noSched {
 		backend := sys.SchedulerBackend(resolver, core.RunOptions{Orchestrator: name}, wsys.RecordOutcome)
 		sched := &cluster.Scheduler{Name: name, Leases: sys.Leases, Backend: backend, Seed: *seed}
@@ -134,7 +135,7 @@ func main() {
 		}
 		defer sched.Stop()
 		wsys.Scheduler = sched
-		log.Printf("scheduler %s joined the orchestrator pool", name)
+		log.Printf("scheduler %s started", name)
 	}
 
 	srv := web.NewServer(wsys)

@@ -1,28 +1,22 @@
-// Command orchestrator runs a pool of peer members of the self-healing
-// scheduler over a data directory. Each member heartbeats a membership row
-// into the durable lease table, drains the admission queue (runs POSTed to
-// /api/v1/detect land there), and rescues runs whose owner's lease expired —
-// claiming through the fenced steal path, so a resurrected stale owner gets
-// every late write rejected.
-//
-// A pool needs no coordinator: members discover work and each other purely
-// through the lease table, so any subset of them can die at any moment and
-// the survivors finish every queued and in-flight run under its original
-// identity.
+// Command orchestrator runs a pool of scheduler members over a data
+// directory: each member drains the admission queue (runs POSTed to
+// /api/v1/detect land there) and executes the admitted runs, resuming by
+// history replay any admitted run a crash interrupted.
 //
 // Usage:
 //
-//	orchestrator -data ./fnjv-data [-name orch] [-peers 3] [-ttl 2s]
+//	orchestrator -data ./fnjv-data [-name orch] [-peers 3]
 //	             [-authority URL] [-species 1929] [-seed 2014]
 //
-// -peers N > 1 runs N named members in this process (name-1 … name-N) over
-// one shared System — the same topology the chaos harness kills members
-// out of. The embedded store is single-process: run this against a
-// directory no fnjvweb currently serves (a crashed front end's backlog, a
-// soak test), or give the web process its own in-process member instead.
-// With -authority names resolve against a remote colserver; otherwise the
-// deterministic synthetic checklist (same -species/-seed as the front end)
-// stands in for the authority.
+// The directory is locked while the orchestrator has it open: it cannot be
+// shared with a running fnjvweb (or another orchestrator), and opening one
+// that is in use fails with storage.ErrLocked. Run it over a directory no
+// process serves — a stopped front end's backlog, a soak test. -peers N > 1
+// runs N named members in this process (name-1 … name-N) over one System,
+// so up to N admitted runs execute at once; each member executes its
+// admissions one at a time. With -authority names resolve against a remote
+// colserver; otherwise the deterministic synthetic checklist (same
+// -species/-seed as the front end) stands in for the authority.
 package main
 
 import (
@@ -33,7 +27,6 @@ import (
 	"os/signal"
 	"sort"
 	"syscall"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -43,10 +36,9 @@ import (
 
 func main() {
 	var (
-		data      = flag.String("data", "./fnjv-data", "database directory (shared with the web front end)")
+		data      = flag.String("data", "./fnjv-data", "database directory (locked while open: not one a running fnjvweb serves)")
 		name      = flag.String("name", "", "member name, or prefix with -peers > 1 (default: orch-<pid>)")
-		peers     = flag.Int("peers", 1, "scheduler members to run in this process")
-		ttl       = flag.Duration("ttl", 2*time.Second, "membership lease time-to-live")
+		peers     = flag.Int("peers", 1, "scheduler members in this process: how many admitted runs execute at once")
 		authority = flag.String("authority", "", "URL of a colserver (empty = in-process synthetic checklist)")
 		species   = flag.Int("species", 1929, "distinct species names of the synthetic checklist")
 		seed      = flag.Int64("seed", 2014, "PRNG seed of the synthetic checklist")
@@ -97,11 +89,11 @@ func main() {
 			})
 		sched := &cluster.Scheduler{
 			Name: member, Leases: sys.Leases, Backend: backend,
-			TTL: *ttl, Seed: *seed + int64(i),
+			Seed: *seed + int64(i),
 			OnEvent: func(ev cluster.SchedulerEvent) {
 				switch ev.Kind {
-				case "complete", "rescue":
-					log.Printf("%s: %s %s (fence token %d)", ev.Orchestrator, ev.Kind, ev.Run, ev.Token)
+				case "complete", "interrupted":
+					log.Printf("%s: %s %s", ev.Orchestrator, ev.Kind, ev.Run)
 				case "error":
 					log.Printf("%s: run %s failed: %v", ev.Orchestrator, ev.Run, ev.Err)
 				}
@@ -111,7 +103,7 @@ func main() {
 			log.Fatalf("starting scheduler %s: %v", member, err)
 		}
 		pool = append(pool, sched)
-		log.Printf("scheduler %s joined the pool (data %s, ttl %v)", member, *data, *ttl)
+		log.Printf("scheduler %s started (data %s)", member, *data)
 	}
 
 	stop := make(chan os.Signal, 1)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -11,13 +12,11 @@ import (
 	"repro/internal/workflow"
 )
 
-// fakeBackend is an in-memory SchedulerBackend that arbitrates execution
-// through the real lease store — claim-before-read, exactly like core — so
-// scheduler tests exercise the genuine contention paths without a full
-// detection system.
+// fakeBackend is an in-memory SchedulerBackend that claims runs in a real
+// Owners set — claim-before-read, exactly like core — so scheduler tests
+// exercise the genuine contention paths without a full detection system.
 type fakeBackend struct {
-	leases *Store
-	ttl    time.Duration
+	owners *Owners
 	// hint, when set, is raised by admit the way workflow.AdmissionQueue
 	// raises its own; nil is a backend with no hint (poll timer only).
 	hint chan struct{}
@@ -29,16 +28,18 @@ type fakeBackend struct {
 	gates       map[string]chan struct{} // run → executions block until closed
 	pending     map[string]workflow.Admission
 	crashOnce   map[string]bool // interrupted on first execution attempt
-	interrupted map[string]bool // lease abandoned, awaiting rescue
+	failures    map[string]int  // plain errors still to return before executing
+	interrupted map[string]bool // died mid-run, admission still pending
 	executed    map[string][]string
 }
 
-func newFakeBackend(leases *Store, ttl time.Duration) *fakeBackend {
+func newFakeBackend(owners *Owners) *fakeBackend {
 	return &fakeBackend{
-		leases: leases, ttl: ttl,
+		owners:      owners,
 		gates:       map[string]chan struct{}{},
 		pending:     map[string]workflow.Admission{},
 		crashOnce:   map[string]bool{},
+		failures:    map[string]int{},
 		interrupted: map[string]bool{},
 		executed:    map[string][]string{},
 	}
@@ -77,34 +78,26 @@ func (b *fakeBackend) PendingAdmissions() ([]workflow.Admission, error) {
 }
 
 func (b *fakeBackend) ExecuteAdmission(_ context.Context, adm workflow.Admission, orch string) error {
-	l, err := b.leases.Acquire(adm.RunID, orch, b.ttl)
-	if err != nil {
+	if err := b.owners.Claim(adm.RunID, orch); err != nil {
 		return err
 	}
+	defer b.owners.Release(adm.RunID)
 	b.mu.Lock()
 	if _, still := b.pending[adm.RunID]; !still {
-		// Claim-before-read: we won an expired lease on a run a peer already
+		// Claim-before-read: the claim was won on a run a peer already
 		// finished. Nothing to execute.
 		b.mu.Unlock()
-		if err := b.leases.Release(l); err != nil {
-			return err
-		}
 		return ErrAdmissionSettled
 	}
-	if b.interrupted[adm.RunID] {
-		// An earlier attempt died mid-run: executing the admission now IS the
-		// resume (core converges both paths on history replay).
-		delete(b.interrupted, adm.RunID)
-		delete(b.pending, adm.RunID)
-		b.executed[adm.RunID] = append(b.executed[adm.RunID], orch)
+	if b.failures[adm.RunID] > 0 {
+		b.failures[adm.RunID]--
 		b.mu.Unlock()
-		return b.leases.Release(l)
+		return errors.New("owning shard down")
 	}
 	if b.crashOnce[adm.RunID] {
 		delete(b.crashOnce, adm.RunID)
 		b.interrupted[adm.RunID] = true
 		b.mu.Unlock()
-		// Abandon: the lease ages out like a dead process's.
 		return fmt.Errorf("%w: chaos cut", ErrRunInterrupted)
 	}
 	if gate := b.gates[adm.RunID]; gate != nil {
@@ -113,44 +106,13 @@ func (b *fakeBackend) ExecuteAdmission(_ context.Context, adm workflow.Admission
 		<-gate
 		b.mu.Lock()
 	}
+	// Executing an interrupted admission again IS the resume (core converges
+	// both paths on history replay).
+	delete(b.interrupted, adm.RunID)
 	delete(b.pending, adm.RunID)
 	b.executed[adm.RunID] = append(b.executed[adm.RunID], orch)
 	b.mu.Unlock()
-	return b.leases.Release(l)
-}
-
-func (b *fakeBackend) RescueCandidates() ([]string, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	var out []string
-	for id := range b.interrupted {
-		if l, ok := b.leases.Get(id); ok && !l.Live(now) {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func (b *fakeBackend) RescueRun(_ context.Context, runID, orch string) error {
-	l, err := b.leases.Acquire(runID, orch, b.ttl)
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	if !b.interrupted[runID] {
-		b.mu.Unlock()
-		if err := b.leases.Release(l); err != nil {
-			return err
-		}
-		return ErrAdmissionSettled
-	}
-	delete(b.interrupted, runID)
-	delete(b.pending, runID)
-	b.executed[runID] = append(b.executed[runID], orch)
-	b.mu.Unlock()
-	return b.leases.Release(l)
+	return nil
 }
 
 func (b *fakeBackend) done() bool {
@@ -181,54 +143,13 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func TestSchedulerMembership(t *testing.T) {
-	store, _ := leaseStore(t)
-	be := newFakeBackend(store, 50*time.Millisecond)
-	a := &Scheduler{Name: "orch-a", Leases: store, Backend: be, TTL: 60 * time.Millisecond, Seed: 1}
-	b := &Scheduler{Name: "orch-b", Leases: store, Backend: be, TTL: 60 * time.Millisecond, Seed: 1}
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	members := store.Members(time.Now())
-	if len(members) != 2 || members[0].Name != "orch-a" || members[1].Name != "orch-b" {
-		t.Fatalf("members = %+v, want orch-a + orch-b", members)
-	}
-	for _, m := range members {
-		if !m.Live {
-			t.Fatalf("member %s not live", m.Name)
-		}
-	}
-
-	// A clean Stop leaves immediately: the row expires in place.
-	b.Stop()
-	for _, m := range store.Members(time.Now()) {
-		if m.Name == "orch-b" && m.Live {
-			t.Fatal("stopped member still live")
-		}
-	}
-
-	// A kill leaves the row to age out: live until the TTL passes, then dead
-	// — while the survivor keeps renewing.
-	a.Kill()
-	waitFor(t, time.Second, func() bool {
-		for _, m := range store.Members(time.Now()) {
-			if m.Name == "orch-a" {
-				return !m.Live
-			}
-		}
-		return false
-	}, "killed member to age out")
-}
-
-// TestSchedulerClaimRace is the arbitration contract under -race: N peers
+// TestSchedulerClaimRace is the arbitration contract under -race: N members
 // drain the same admission queue concurrently and every run executes exactly
-// once — the lease CAS picks the winner, losers observe ErrLeaseHeld.
+// once — the Owners claim picks the winner, and a drain skips what a peer
+// holds.
 func TestSchedulerClaimRace(t *testing.T) {
-	store, _ := leaseStore(t)
-	be := newFakeBackend(store, 80*time.Millisecond)
+	owners := &Owners{}
+	be := newFakeBackend(owners)
 	const runs = 12
 	for i := 0; i < runs; i++ {
 		be.admit(fmt.Sprintf("run-%06d", i), false)
@@ -236,8 +157,8 @@ func TestSchedulerClaimRace(t *testing.T) {
 	var pool []*Scheduler
 	for i := 0; i < 3; i++ {
 		s := &Scheduler{
-			Name: fmt.Sprintf("orch-%d", i), Leases: store, Backend: be,
-			TTL: 80 * time.Millisecond, Poll: 5 * time.Millisecond, Seed: int64(i),
+			Name: fmt.Sprintf("orch-%d", i), Leases: owners, Backend: be,
+			Poll: 5 * time.Millisecond, Seed: int64(i),
 		}
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
@@ -261,30 +182,25 @@ func TestSchedulerClaimRace(t *testing.T) {
 }
 
 // TestSchedulerRescue covers the self-healing loop: a run interrupted
-// mid-execution (lease abandoned) is rescued by a surviving peer after the
-// lease ages out, even when the orchestrator that claimed it first is dead.
+// mid-execution keeps its admission, and the drain after the interruption
+// executes it again — the resume — so it completes exactly once.
 func TestSchedulerRescue(t *testing.T) {
-	store, _ := leaseStore(t)
-	be := newFakeBackend(store, 60*time.Millisecond)
+	owners := &Owners{}
+	be := newFakeBackend(owners)
 	be.admit("run-000001", true) // first executor is interrupted
 	be.admit("run-000002", false)
 
-	a := &Scheduler{Name: "orch-a", Leases: store, Backend: be,
-		TTL: 60 * time.Millisecond, Poll: 5 * time.Millisecond, Seed: 7}
-	b := &Scheduler{Name: "orch-b", Leases: store, Backend: be,
-		TTL: 60 * time.Millisecond, Poll: 5 * time.Millisecond, Seed: 8}
 	var mu sync.Mutex
-	var interruptedBy string
+	var kinds []string
 	hook := func(ev SchedulerEvent) {
-		if ev.Kind == "interrupted" {
+		if ev.Run == "run-000001" {
 			mu.Lock()
-			if interruptedBy == "" {
-				interruptedBy = ev.Orchestrator
-			}
+			kinds = append(kinds, ev.Kind)
 			mu.Unlock()
 		}
 	}
-	a.OnEvent, b.OnEvent = hook, hook
+	a := &Scheduler{Name: "orch-a", Leases: owners, Backend: be, Poll: 5 * time.Millisecond, Seed: 7, OnEvent: hook}
+	b := &Scheduler{Name: "orch-b", Leases: owners, Backend: be, Poll: 5 * time.Millisecond, Seed: 8, OnEvent: hook}
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,35 +210,20 @@ func TestSchedulerRescue(t *testing.T) {
 	defer a.Stop()
 	defer b.Stop()
 
-	// As soon as one orchestrator has been interrupted mid-run, kill it: the
-	// rescue must come from the survivor or not at all.
-	waitFor(t, 10*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return interruptedBy != ""
-	}, "a run to be interrupted")
-	mu.Lock()
-	victim := interruptedBy
-	mu.Unlock()
-	killed := a
-	survivor := b
-	if victim == "orch-b" {
-		killed, survivor = b, a
-	}
-	killed.Kill()
-
-	waitFor(t, 10*time.Second, be.done, "survivor to rescue and drain everything")
+	waitFor(t, 10*time.Second, be.done, "the interrupted run to be resumed and everything drained")
 	for id, orchs := range be.executions() {
 		if len(orchs) != 1 {
 			t.Fatalf("run %s executed %d times by %v", id, len(orchs), orchs)
 		}
 	}
-	if got := be.executions()["run-000001"][0]; got != survivor.Name {
-		t.Fatalf("rescue executed by %s, want survivor %s", got, survivor.Name)
-	}
-	// The rescued run's fence token moved past the abandoned claim: token 1
-	// was the interrupted claim, the rescue stole at ≥2.
-	if l, ok := store.Get("run-000001"); !ok || l.Token < 2 {
-		t.Fatalf("rescued lease = %+v, want token ≥ 2", l)
+	waitFor(t, 10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(kinds) == 2
+	}, "the interrupted run's events")
+	mu.Lock()
+	defer mu.Unlock()
+	if kinds[0] != "interrupted" || kinds[1] != "complete" {
+		t.Fatalf("events for the interrupted run = %v, want [interrupted complete]", kinds)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -13,15 +14,15 @@ import (
 const wakeDeadline = 5 * time.Second
 
 // hintedBackend is the fake backend with the hint AdmissionQueue carries.
-func hintedBackend(leases *Store, ttl time.Duration) *fakeBackend {
-	be := newFakeBackend(leases, ttl)
+func hintedBackend(owners *Owners) *fakeBackend {
+	be := newFakeBackend(owners)
 	be.hint = make(chan struct{}, 1)
 	return be
 }
 
-func parkedMember(t *testing.T, name string, store *Store, be *fakeBackend) *Scheduler {
+func parkedMember(t *testing.T, name string, owners *Owners, be *fakeBackend) *Scheduler {
 	t.Helper()
-	s := &Scheduler{Name: name, Leases: store, Backend: be, TTL: time.Hour, Poll: time.Hour, Seed: 1}
+	s := &Scheduler{Name: name, Leases: owners, Backend: be, Poll: time.Hour, Seed: 1}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +32,9 @@ func parkedMember(t *testing.T, name string, store *Store, be *fakeBackend) *Sch
 // TestWakeExecutesPushedAdmission: an admission pushed after Start executes
 // without a single poll tick, and its queue wait is observed.
 func TestWakeExecutesPushedAdmission(t *testing.T) {
-	store, _ := leaseStore(t)
-	be := hintedBackend(store, time.Hour)
-	s := parkedMember(t, "orch-a", store, be)
+	owners := &Owners{}
+	be := hintedBackend(owners)
+	s := parkedMember(t, "orch-a", owners, be)
 	defer s.Stop()
 
 	be.admit("run-000001", false)
@@ -51,13 +52,13 @@ func TestWakeExecutesPushedAdmission(t *testing.T) {
 // admission pushed meanwhile is executed by the other member — every member
 // listens to the same hint, so it reaches whoever is parked.
 func TestWakeGoesToIdlePeer(t *testing.T) {
-	store, _ := leaseStore(t)
-	be := hintedBackend(store, time.Hour)
+	owners := &Owners{}
+	be := hintedBackend(owners)
 	be.entered = make(chan string, 2)
 	gate := make(chan struct{})
 	be.gates["run-000001"] = gate
-	a := parkedMember(t, "orch-a", store, be)
-	b := parkedMember(t, "orch-b", store, be)
+	a := parkedMember(t, "orch-a", owners, be)
+	b := parkedMember(t, "orch-b", owners, be)
 	defer a.Stop()
 	defer b.Stop()
 	release := func() {
@@ -93,49 +94,36 @@ func TestWakeGoesToIdlePeer(t *testing.T) {
 	}
 }
 
-// TestWakeParkedLoopStops: Stop and Kill return while the loop is parked on
-// the hint, and leave no goroutine behind.
+// TestWakeParkedLoopStops: Stop returns while the loop is parked on the
+// hint, and leaves no goroutine behind.
 func TestWakeParkedLoopStops(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		halt func(*Scheduler)
-	}{
-		{"Stop", (*Scheduler).Stop},
-		{"Kill", (*Scheduler).Kill},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store, _ := leaseStore(t)
-			be := hintedBackend(store, time.Hour)
-			baseline := runtime.NumGoroutine()
-			s := parkedMember(t, "orch-a", store, be)
+	t.Run("Stop", func(t *testing.T) {
+		owners := &Owners{}
+		be := hintedBackend(owners)
+		baseline := runtime.NumGoroutine()
+		s := parkedMember(t, "orch-a", owners, be)
 
-			halted := make(chan struct{})
-			go func() {
-				tc.halt(s)
-				close(halted)
-			}()
-			select {
-			case <-halted:
-			case <-time.After(wakeDeadline):
-				t.Fatalf("%s did not return with the loop parked on the hint", tc.name)
-			}
-			waitFor(t, wakeDeadline, func() bool { return runtime.NumGoroutine() <= baseline }, "the scheduler's goroutines to exit")
-		})
-	}
+		halted := make(chan struct{})
+		go func() {
+			s.Stop()
+			close(halted)
+		}()
+		select {
+		case <-halted:
+		case <-time.After(wakeDeadline):
+			t.Fatal("Stop did not return with the loop parked on the hint")
+		}
+		waitFor(t, wakeDeadline, func() bool { return runtime.NumGoroutine() <= baseline }, "the scheduler's goroutines to exit")
+	})
 }
 
 // TestWakeCannotStarveTimer: with the hint held permanently raised, the poll
-// timer still gets its turns — a lapsed run only the rescue sweep can finish is
-// rescued — and the heartbeat keeps the member live.
+// timer still gets its turns, and an interrupted run — which raises no hint of
+// its own — is resumed and completed.
 func TestWakeCannotStarveTimer(t *testing.T) {
-	store, _ := leaseStore(t)
-	be := hintedBackend(store, 20*time.Millisecond)
-	// A run whose owner died mid-flight: lease abandoned, no admission row, so
-	// draining admissions can never finish it.
-	if _, err := store.Acquire("run-000001", "orch-dead", 20*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	be.interrupted["run-000001"] = true
+	owners := &Owners{}
+	be := hintedBackend(owners)
+	be.admit("run-000001", true)
 
 	stop := make(chan struct{})
 	pushed := make(chan struct{})
@@ -156,28 +144,58 @@ func TestWakeCannotStarveTimer(t *testing.T) {
 		<-pushed
 	}()
 
-	const ttl = 200 * time.Millisecond
-	s := &Scheduler{Name: "orch-a", Leases: store, Backend: be, TTL: ttl, Poll: 5 * time.Millisecond, Seed: 1}
-	started := time.Now()
+	s := &Scheduler{Name: "orch-a", Leases: owners, Backend: be, Poll: 5 * time.Millisecond, Seed: 1}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 
-	waitFor(t, wakeDeadline, be.done, "the lapsed run to be rescued under a raised hint")
+	waitFor(t, wakeDeadline, be.done, "the interrupted run to be resumed under a raised hint")
 	if got := be.executions()["run-000001"]; len(got) != 1 || got[0] != "orch-a" {
-		t.Fatalf("lapsed run executed by %v, want [orch-a]", got)
+		t.Fatalf("interrupted run executed by %v, want [orch-a]", got)
 	}
-	waitFor(t, wakeDeadline, func() bool { return s.Counters()["scheduler.rescued"] == 1 }, "rescued to be counted")
-	if c := s.Counters(); c["scheduler.wakes"] == 0 || c["scheduler.ticks"] == 0 {
-		t.Fatalf("wakes = %v, ticks = %v; want both paths to have run", c["scheduler.wakes"], c["scheduler.ticks"])
+	waitFor(t, wakeDeadline, func() bool { return s.Counters()["scheduler.ticks"] > 0 }, "a tick under a raised hint")
+	if c := s.Counters(); c["scheduler.wakes"] == 0 || c["scheduler.interrupted"] != 1 || c["scheduler.completed"] != 1 {
+		t.Fatalf("counters %v; want wakes, one interruption and one completion", c)
 	}
+}
 
-	// Past the first membership lease's expiry only a renewal keeps it live.
-	time.Sleep(time.Until(started.Add(2 * ttl)))
-	for _, m := range store.Members(time.Now()) {
-		if m.Name == "orch-a" && !m.Live {
-			t.Fatal("member aged out while its loop was being woken")
-		}
+// TestFailingRunBacksOff: a run whose execution fails with a plain error is
+// not retried on the hints that follow — a parked member backs it off for at
+// least half a poll period — while the admissions behind it still execute.
+func TestFailingRunBacksOff(t *testing.T) {
+	owners := &Owners{}
+	be := hintedBackend(owners)
+	be.failures["run-000001"] = 1 << 30
+	s := parkedMember(t, "orch-a", owners, be)
+	defer s.Stop()
+
+	be.admit("run-000001", false)
+	waitFor(t, wakeDeadline, func() bool { return s.Counters()["scheduler.errors"] == 1 }, "the first failure")
+	for i := 2; i <= 4; i++ {
+		be.admit(fmt.Sprintf("run-%06d", i), false)
+		waitFor(t, wakeDeadline, func() bool { return s.Counters()["scheduler.completed"] == float64(i-1) }, "the admission behind the failing run")
+	}
+	if c := s.Counters(); c["scheduler.errors"] != 1 || c["scheduler.claims"] != 4 {
+		t.Fatalf("errors = %v, claims = %v after three more wakes; want the failing run tried once", c["scheduler.errors"], c["scheduler.claims"])
+	}
+}
+
+// TestFailingRunRetriedOnTimer: backing off delays a failing run's retries
+// without dropping them: once its errors stop, a later tick executes it.
+func TestFailingRunRetriedOnTimer(t *testing.T) {
+	owners := &Owners{}
+	be := newFakeBackend(owners)
+	be.failures["run-000001"] = 2
+	be.admit("run-000001", false)
+	s := &Scheduler{Name: "orch-a", Leases: owners, Backend: be, Poll: 10 * time.Millisecond, Seed: 1}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	waitFor(t, wakeDeadline, be.done, "the failing run to execute")
+	waitFor(t, wakeDeadline, func() bool { return s.Counters()["scheduler.completed"] == 1 }, "completed to be counted")
+	if n := s.Counters()["scheduler.errors"]; n != 2 {
+		t.Fatalf("errors = %v, want the two failures", n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/provenance"
@@ -18,13 +17,16 @@ import (
 // longer has to execute a detection run in-request. AdmitDetection mints the
 // run ID, persists the intent in the durable admission queue, and returns
 // immediately; the scheduler pool (cluster.Scheduler over SchedulerBackend)
-// drains the queue, claims each run's lease, and executes it — so the run
-// survives the death of whichever orchestrator picks it up, and clients can
-// watch /api/v1/runs/<id> from the moment of admission.
+// drains the queue, claims each run in System.Leases, and executes it — so the
+// run survives a crash mid-run (its admission row stays until it reaches a
+// terminal state), and clients can watch /api/v1/runs/<id> from the moment of
+// admission.
 
 // admittedOptions is the serializable subset of RunOptions an admission
 // round-trips through the durable queue. Chaos knobs travel too: a chaos
-// harness admits crashing runs exactly like real ones.
+// harness admits crashing runs exactly like real ones. Rows written before a
+// field was dropped (worker_kills, lease_ttl_ms) still decode: JSON ignores
+// the unknown key.
 type admittedOptions struct {
 	Reputation           string  `json:"reputation,omitempty"`
 	Availability         string  `json:"availability,omitempty"`
@@ -34,7 +36,6 @@ type admittedOptions struct {
 	Parallel             int     `json:"parallel,omitempty"`
 	CrashAfterDeltas     int     `json:"crash_after_deltas,omitempty"`
 	Untraced             bool    `json:"untraced,omitempty"`
-	LeaseTTLMS           int64   `json:"lease_ttl_ms,omitempty"`
 }
 
 func encodeRunOptions(opts RunOptions) string {
@@ -47,7 +48,6 @@ func encodeRunOptions(opts RunOptions) string {
 		Parallel:             opts.Parallel,
 		CrashAfterDeltas:     opts.CrashAfterDeltas,
 		Untraced:             opts.Untraced,
-		LeaseTTLMS:           opts.LeaseTTL.Milliseconds(),
 	})
 	return string(blob)
 }
@@ -64,7 +64,6 @@ func decodeRunOptions(blob string) RunOptions {
 		Parallel:             a.Parallel,
 		CrashAfterDeltas:     a.CrashAfterDeltas,
 		Untraced:             a.Untraced,
-		LeaseTTL:             time.Duration(a.LeaseTTLMS) * time.Millisecond,
 	}
 }
 
@@ -88,10 +87,10 @@ func (s *System) AdmitDetection(opts RunOptions) (workflow.Admission, error) {
 // RunAdmitted claims and executes one admitted run under the orchestrator's
 // name. What the run's persisted state says decides what executing means (see
 // execute): no run row yet is a fresh run under the admitted ID, an unfinished
-// marker — a previous owner died mid-run — is a resume by history replay, and
-// a terminal row (a peer finished it but died before clearing the admission
-// row) is ErrNotResumable: a stale admission, which the scheduler backend
-// settles. ErrLeaseHeld means a peer owns the run right now.
+// marker — a previous execution died mid-run — is a resume by history replay,
+// and a terminal row (a peer finished it but the admission row outlived it) is
+// ErrNotResumable: a stale admission, which the scheduler backend settles.
+// cluster.ErrRunOwned means the run is executing in this process right now.
 func (s *System) RunAdmitted(ctx context.Context, resolver taxonomy.Resolver, adm workflow.Admission, orchestrator string) (*DetectionOutcome, error) {
 	opts := decodeRunOptions(adm.Options)
 	opts.Tenant = adm.Tenant
@@ -100,12 +99,10 @@ func (s *System) RunAdmitted(ctx context.Context, resolver taxonomy.Resolver, ad
 }
 
 // SchedulerBackend adapts this system to the cluster scheduler: admissions
-// come from the durable queue, execution goes through RunAdmitted /
-// execute, and rescue candidates are the unfinished runs whose lease
-// lapsed. base supplies execution defaults (Parallel, LeaseTTL, quality
-// annotations) for runs admitted without their own; OnOutcome, when set,
-// observes every completed outcome (the web layer feeds its last-outcome
-// cache from it).
+// come from the durable queue and execution goes through RunAdmitted /
+// execute. base supplies execution defaults (Parallel, quality annotations)
+// for runs admitted without their own; OnOutcome, when set, observes every
+// completed outcome (the web layer feeds its last-outcome cache from it).
 func (s *System) SchedulerBackend(resolver taxonomy.Resolver, base RunOptions, onOutcome func(*DetectionOutcome)) cluster.SchedulerBackend {
 	return &schedulerBackend{sys: s, resolver: resolver, base: base, onOutcome: onOutcome}
 }
@@ -123,9 +120,6 @@ func (b *schedulerBackend) withBase(adm workflow.Admission) workflow.Admission {
 	opts := decodeRunOptions(adm.Options)
 	if opts.Parallel == 0 {
 		opts.Parallel = b.base.Parallel
-	}
-	if opts.LeaseTTL == 0 {
-		opts.LeaseTTL = b.base.LeaseTTL
 	}
 	adm.Options = encodeRunOptions(opts)
 	return adm
@@ -146,52 +140,19 @@ func (b *schedulerBackend) PendingAdmissions() ([]workflow.Admission, error) {
 // ExecuteAdmission implements cluster.SchedulerBackend. The admission row is
 // re-read first: the scheduler walks a pending list that goes stale while its
 // earlier entries execute, and a row is removed only after a terminal outcome,
-// so a missing row means a peer finished the run — claiming its released lease
-// would bump the fence of a finished run for nothing. A row that is still
-// there is claimed before anything else is read, as ever.
+// so a missing row means a peer finished the run. A row that is still there
+// is made durable next — pick-up is the queue's durability point, so a run
+// that was started survives a kill of the process under SyncOnClose — and
+// then claimed before anything else is read, as ever.
 func (b *schedulerBackend) ExecuteAdmission(ctx context.Context, adm workflow.Admission, orchestrator string) error {
 	if !b.sys.admitted(adm.RunID) {
 		return cluster.ErrAdmissionSettled
 	}
+	if err := b.sys.Admissions.Sync(); err != nil {
+		return err
+	}
 	out, err := b.sys.RunAdmitted(ctx, b.resolver, b.withBase(adm), orchestrator)
 	return b.settle(adm.RunID, out, err)
-}
-
-// RescueCandidates implements cluster.SchedulerBackend: unfinished runs that
-// were orchestrated (a lease row exists) but whose ownership lapsed. Runs
-// that never took a lease — legacy unorchestrated executions — stay the
-// startup sweep's business: a live one may be executing in-process right now,
-// and nothing fences it.
-func (b *schedulerBackend) RescueCandidates() ([]string, error) {
-	unfinished, err := b.sys.Provenance.UnfinishedRuns()
-	if err != nil {
-		return nil, err
-	}
-	now := time.Now()
-	var out []string
-	for _, info := range unfinished {
-		l, ok := b.sys.Leases.Get(info.RunID)
-		if !ok || l.Live(now) {
-			continue
-		}
-		out = append(out, info.RunID)
-	}
-	return out, nil
-}
-
-// RescueRun implements cluster.SchedulerBackend: claim the lapsed run and
-// finish it by history replay under its original ID. A run a peer finished
-// between listing and claim is a no-op settle (cluster.ErrAdmissionSettled);
-// one that is unreadable right now (owning shard down) keeps its admission —
-// the run still owes a terminal state.
-func (b *schedulerBackend) RescueRun(ctx context.Context, runID, orchestrator string) error {
-	opts := b.base
-	if adm, ok := b.sys.Admissions.Get(runID); ok {
-		opts = decodeRunOptions(b.withBase(adm).Options)
-	}
-	opts.Orchestrator = orchestrator
-	out, err := b.sys.ResumeDetection(ctx, b.resolver, runID, opts)
-	return b.settle(runID, out, err)
 }
 
 // settle translates an execution result into the scheduler's contract and
@@ -209,11 +170,11 @@ func (b *schedulerBackend) settle(runID string, out *DetectionOutcome, err error
 		}
 		return nil
 	case errors.As(err, &crash):
-		// Died resumably mid-run; the abandoned lease ages out and any live
-		// peer rescues. The admission row stays — it is the durable record
-		// that this run must still reach a terminal state.
+		// Died resumably mid-run. The admission row stays — it is the durable
+		// record that this run must still reach a terminal state — and the
+		// next drain re-executes it, which resumes it.
 		return fmt.Errorf("%w: %v", cluster.ErrRunInterrupted, err)
-	case errors.Is(err, cluster.ErrLeaseHeld) || errors.Is(err, cluster.ErrLeaseLost):
+	case errors.Is(err, cluster.ErrRunOwned):
 		return err
 	default:
 		// The run row is terminal and cannot be re-run under the same ID, so

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/provenance"
@@ -49,7 +48,7 @@ func TestAdmittedRunLifecycle(t *testing.T) {
 
 	var mu sync.Mutex
 	var outcomes []*DetectionOutcome
-	be := sys.SchedulerBackend(taxa.Checklist, RunOptions{SkipLedger: true, Untraced: true, LeaseTTL: time.Second}, func(o *DetectionOutcome) {
+	be := sys.SchedulerBackend(taxa.Checklist, RunOptions{SkipLedger: true, Untraced: true}, func(o *DetectionOutcome) {
 		mu.Lock()
 		outcomes = append(outcomes, o)
 		mu.Unlock()
@@ -84,19 +83,15 @@ func TestAdmittedRunLifecycle(t *testing.T) {
 		t.Error("admitted run canonical graph diverges from the synchronous path")
 	}
 
+	// The run left the ownership set when its execution returned.
+	if sys.Leases.Held(adm.RunID) {
+		t.Error("run still owned after its execution returned")
+	}
+
 	// Re-executing a settled admission — a peer working through a pending
-	// list that went stale — is reported as settled, and claims nothing: the
-	// lease and the run's fence stay where the one real execution left them.
-	before, _ := sys.Leases.Get(adm.RunID)
+	// list that went stale — is reported as settled and executes nothing.
 	if err := be.ExecuteAdmission(ctx, pending[0], "orch-2"); !errors.Is(err, cluster.ErrAdmissionSettled) {
 		t.Errorf("re-execute settled admission: %v, want ErrAdmissionSettled", err)
-	}
-	after, _ := sys.Leases.Get(adm.RunID)
-	if before.Token != 1 || after.Token != before.Token || after.Holder != before.Holder {
-		t.Errorf("lease after re-execution = %+v, want it untouched at %+v (token 1)", after, before)
-	}
-	if tok := sys.Provenance.RunFenceToken(adm.RunID); tok != 1 {
-		t.Errorf("run fence token after re-execution = %d, want 1", tok)
 	}
 	mu.Lock()
 	no = len(outcomes)
@@ -108,9 +103,9 @@ func TestAdmittedRunLifecycle(t *testing.T) {
 
 // TestAdmittedRunInterruptedAndRescued crashes an admitted run mid-flight
 // (chaos knob round-tripped through the queue), confirms the scheduler
-// contract error, then rescues it through the backend under a different
-// orchestrator: same run ID, graph identical to an uninterrupted run, and the
-// fence token shows the steal.
+// contract error, then executes the admission again under a different
+// orchestrator at once — no lease to wait out: the run is resumed under the
+// same run ID with a graph identical to an uninterrupted run's.
 func TestAdmittedRunInterruptedAndRescued(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 300, 60)
 	ctx := context.Background()
@@ -127,7 +122,7 @@ func TestAdmittedRunInterruptedAndRescued(t *testing.T) {
 
 	// The crash lands halfway through the run's deltas.
 	adm, err := sys.AdmitDetection(RunOptions{
-		SkipLedger: true, Untraced: true, CrashAfterDeltas: int(baseline.ProvenanceWriter.Enqueued) / 2, LeaseTTL: 50 * time.Millisecond,
+		SkipLedger: true, Untraced: true, CrashAfterDeltas: int(baseline.ProvenanceWriter.Enqueued) / 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,29 +134,21 @@ func TestAdmittedRunInterruptedAndRescued(t *testing.T) {
 		t.Fatalf("crashed execution returned %v, want ErrRunInterrupted", err)
 	}
 	// Interrupted ≠ settled: the admission row must survive as the durable
-	// record of the unfinished obligation, and the run is still marked running.
+	// record of the unfinished obligation, the run is still marked running,
+	// and nobody owns it any more.
 	if _, ok := sys.Admissions.Get(adm.RunID); !ok {
 		t.Fatal("admission row dropped for an interrupted run")
 	}
 	if info, err := sys.Provenance.Run(adm.RunID); err != nil || info.Status != provenance.RunRunning {
 		t.Fatalf("interrupted run = %+v, %v; want running", info, err)
 	}
-
-	// Until the abandoned lease expires the run is not a rescue candidate.
-	if cands, err := be.RescueCandidates(); err != nil || len(cands) != 0 {
-		t.Fatalf("candidates before expiry = %v, %v; want none", cands, err)
-	}
-	if err := sys.Leases.Expire(adm.RunID); err != nil {
-		t.Fatal(err)
-	}
-	cands, err := be.RescueCandidates()
-	if err != nil || len(cands) != 1 || cands[0] != adm.RunID {
-		t.Fatalf("candidates after expiry = %v, %v; want the interrupted run", cands, err)
-	}
-	if err := be.RescueRun(ctx, adm.RunID, "orch-2"); err != nil {
-		t.Fatalf("RescueRun: %v", err)
+	if sys.Leases.Held(adm.RunID) {
+		t.Fatal("crashed run still owned")
 	}
 
+	if err := be.ExecuteAdmission(ctx, adm, "orch-2"); err != nil {
+		t.Fatalf("re-executing the interrupted admission: %v", err)
+	}
 	if info, err := sys.Provenance.Run(adm.RunID); err != nil || info.Status != provenance.RunCompleted {
 		t.Fatalf("rescued run = %+v, %v; want finished", info, err)
 	}
@@ -175,18 +162,15 @@ func TestAdmittedRunInterruptedAndRescued(t *testing.T) {
 	if canonicalGraph(g, adm.RunID) != want {
 		t.Error("rescued run canonical graph diverges from the uninterrupted baseline")
 	}
-	if tok := sys.Provenance.RunFenceToken(adm.RunID); tok < 2 {
-		t.Errorf("run fence token = %d, want ≥ 2 (the rescue stole the lease)", tok)
-	}
 }
 
-// TestSweepSchedulerClaimRace is the -race regression for the expired-lease
-// race between the startup sweep and a scheduler rescue: both see the same
-// lapsed run and go for it concurrently. Claim-before-read means exactly one
-// side replays it; the loser reports the run as skipped, held or already
+// TestSweepSchedulerClaimRace is the -race regression for the race between
+// the startup sweep and a scheduler member: both see the same interrupted
+// admitted run and go for it concurrently. Claim-before-read means exactly
+// one side replays it; the loser reports the run as skipped, owned or already
 // settled — never abandoned, which would finalize a run the winner is
 // actively completing or has just completed. Either side may come second
-// after the other has released the lease, so both orders are legal.
+// after the other has released the run, so both orders are legal.
 func TestSweepSchedulerClaimRace(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 300, 60)
 	ctx := context.Background()
@@ -197,7 +181,7 @@ func TestSweepSchedulerClaimRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	adm, err := sys.AdmitDetection(RunOptions{
-		SkipLedger: true, Untraced: true, CrashAfterDeltas: int(baseline.ProvenanceWriter.Enqueued) / 2, LeaseTTL: 50 * time.Millisecond,
+		SkipLedger: true, Untraced: true, CrashAfterDeltas: int(baseline.ProvenanceWriter.Enqueued) / 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +189,6 @@ func TestSweepSchedulerClaimRace(t *testing.T) {
 	be := sys.SchedulerBackend(taxa.Checklist, RunOptions{SkipLedger: true, Untraced: true}, nil)
 	if err := be.ExecuteAdmission(ctx, adm, "orch-dead"); !errors.Is(err, cluster.ErrRunInterrupted) {
 		t.Fatalf("crashed execution returned %v, want ErrRunInterrupted", err)
-	}
-	if err := sys.Leases.Expire(adm.RunID); err != nil {
-		t.Fatal(err)
 	}
 
 	var (
@@ -219,21 +200,20 @@ func TestSweepSchedulerClaimRace(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		report, sweepErr = sys.SweepUnfinishedRuns(ctx, taxa.Checklist, orchOpts("orch-sweep", 500*time.Millisecond))
+		report, sweepErr = sys.SweepUnfinishedRuns(ctx, taxa.Checklist, RunOptions{Orchestrator: "orch-sweep", SkipLedger: true, Untraced: true})
 	}()
 	go func() {
 		defer wg.Done()
-		rescueErr = be.RescueRun(ctx, adm.RunID, "orch-rescue")
+		rescueErr = be.ExecuteAdmission(ctx, adm, "orch-rescue")
 	}()
 	wg.Wait()
 
 	if sweepErr != nil {
 		t.Fatalf("sweep: %v", sweepErr)
 	}
-	// The rescue either won the run or lost the claim race cleanly: to a
-	// live sweep lease, or to a sweep that had already finished the run.
-	if rescueErr != nil && !errors.Is(rescueErr, cluster.ErrLeaseHeld) && !errors.Is(rescueErr, cluster.ErrLeaseLost) &&
-		!errors.Is(rescueErr, cluster.ErrAdmissionSettled) {
+	// The member either won the run or lost the claim cleanly: to the sweep
+	// executing it, or to a sweep that had already finished it.
+	if rescueErr != nil && !errors.Is(rescueErr, cluster.ErrRunOwned) && !errors.Is(rescueErr, cluster.ErrAdmissionSettled) {
 		t.Fatalf("rescue: %v", rescueErr)
 	}
 	// Exactly one side executed the run.

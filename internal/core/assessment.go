@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/curation"
 	"repro/internal/provenance"
 	"repro/internal/quality"
@@ -100,20 +99,10 @@ type RunOptions struct {
 	// (group-commit size, flush interval, queue depth) for this run. Nil uses
 	// the defaults. The trace context is always taken from the run.
 	WriterOptions *provenance.BatchWriterOptions
-	// Orchestrator, when non-empty, names the process running this run and
-	// turns on fenced ownership: the run ID is claimed as a lease
-	// (System.Leases) before the first history append; the lease's
-	// fencing token guards every history append; heartbeats renew the lease
-	// while the run executes. If the lease is stolen — this orchestrator was
-	// presumed dead — the run's context cancels and its writes are rejected
-	// at the storage layer, so a standby's takeover can never interleave with
-	// ours. Empty runs unowned — the single-process path, with zero added
-	// overhead.
+	// Orchestrator names the owner of the run in System.Leases while it
+	// executes (a scheduler member's name); empty is an unnamed owner. Every
+	// run is claimed there, named or not.
 	Orchestrator string
-	// LeaseTTL is the run-lease time-to-live for orchestrated runs (default
-	// DefaultLeaseTTL). A standby can take over ~LeaseTTL after the holder
-	// stops heartbeating.
-	LeaseTTL time.Duration
 }
 
 // detectionAgent labels the agent that controls a detection run's processes
@@ -151,23 +140,25 @@ func (s *System) RunDetection(ctx context.Context, resolver taxonomy.Resolver, o
 }
 
 // execute is the one run path: every way a detection run gets carried out —
-// fresh, resumed, failed over, admitted, rescued, swept — is this function
-// with a different (runID, persisted state, lease) combination.
+// fresh, resumed, admitted, swept — is this function with a different
+// (runID, persisted state) combination.
 //
 //   - runID == "" is a fresh run: the ID is minted here and no run state is
 //     read.
-//   - A caller-supplied runID is claimed first (when orchestrated) and read
-//     second — claim-before-read: a previous owner can no longer extend the
-//     prefix about to be replayed, and CAS losers never touch the run. What
-//     the read finds decides the rest: no run row yet (legal only for a
-//     durably admitted ID) starts fresh under that ID, an unfinished marker
-//     resumes, anything else is ErrNotResumable.
+//   - Every run's ID is claimed in s.Leases first and its state read second —
+//     claim-before-read: no other executor in this process can extend the
+//     prefix about to be replayed, and a claim that loses (ErrRunOwned)
+//     never touches the run. No executor can exist outside this process: the
+//     store's directory lock is this process's. What the read finds decides
+//     the rest: no run row yet (legal only for a durably admitted ID) starts
+//     fresh under that ID, an unfinished marker resumes, anything else is
+//     ErrNotResumable.
 //   - A fresh run is the empty history prefix: the engine is always entered
 //     through Resume(runID, history), and resuming IS replaying — completed
 //     activities are never re-invoked, unfinished iteration elements are
 //     re-enqueued, and the final graph is identical to an uninterrupted run's.
-//   - An unorchestrated run is the nil lease: opts.Orchestrator == "" skips
-//     the claim, the heartbeat and the history fence.
+//   - The claim is released when execute returns, on every path — after the
+//     writer closed, and on the crash path too, so the next drain can resume.
 func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID string, opts RunOptions) (*DetectionOutcome, error) {
 	opts.defaults()
 	fresh := runID == ""
@@ -180,45 +171,22 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 	}
 	start := time.Now()
 
-	var (
-		orch *orchestration
-		err  error
-	)
-	if opts.Orchestrator != "" {
-		if orch, err = s.claimRun(runID, opts); err != nil {
-			if fresh || errors.Is(err, cluster.ErrLeaseHeld) || errors.Is(err, cluster.ErrLeaseLost) {
-				// A live lease held by someone else: FailoverDetection waits
-				// the expiry out, the scheduler backs off.
-				return nil, err
-			}
-			// The lease was granted but the run's own fence is unreachable
-			// (e.g. its owning shard is down): the run cannot be read, let
-			// alone replayed — the same condition as an unreadable run row.
-			return nil, fmt.Errorf("%w: %v", ErrNotResumable, err)
-		}
-		defer orch.halt()
-	}
-	// bail releases the claim when the run never reaches the engine: holding
-	// it to expiry would only delay peers.
-	bail := func(err error) (*DetectionOutcome, error) {
-		if orch != nil {
-			orch.finish()
-		}
+	if err := s.Leases.Claim(runID, opts.Orchestrator); err != nil {
 		return nil, err
 	}
+	defer s.Leases.Release(runID)
 
-	var info provenance.RunInfo
 	if !fresh {
-		info, err = s.Provenance.Run(runID)
+		info, err := s.Provenance.Run(runID)
 		switch {
 		case errors.Is(err, provenance.ErrRunNotFound) && s.admitted(runID):
 			fresh = true // admitted, never started
 		case err != nil:
-			return bail(fmt.Errorf("%w: %v", ErrNotResumable, err))
+			return nil, fmt.Errorf("%w: %v", ErrNotResumable, err)
 		case info.Status != provenance.RunRunning:
-			return bail(fmt.Errorf("%w: run %s is %s", ErrNotResumable, runID, info.Status))
+			return nil, fmt.Errorf("%w: run %s is %s", ErrNotResumable, runID, info.Status)
 		case info.WorkflowID != DetectionWorkflowID:
-			return bail(fmt.Errorf("%w: run %s executed workflow %q", ErrNotResumable, runID, info.WorkflowID))
+			return nil, fmt.Errorf("%w: run %s executed workflow %q", ErrNotResumable, runID, info.WorkflowID)
 		}
 	}
 
@@ -249,12 +217,12 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 	// published, and resuming must not mint a version.
 	def, err := AnnotatedDetectionWorkflow(opts.Reputation, opts.Availability, opts.Author, start)
 	if err != nil {
-		return bail(err)
+		return nil, err
 	}
 	var version int
 	if fresh {
 		if version, err = s.Workflows.Publish(def); err != nil {
-			return bail(err)
+			return nil, err
 		}
 	} else if version, err = s.Workflows.LatestVersion(DetectionWorkflowID); err != nil {
 		version = 0 // prefix predates publication; resume anyway
@@ -266,7 +234,7 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 	// detection run.
 	names, err := s.TenantDistinctNames(opts.Tenant)
 	if err != nil {
-		return bail(err)
+		return nil, err
 	}
 	items := make([]workflow.Data, len(names))
 	for i, n := range names {
@@ -280,30 +248,21 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 	RegisterDetectionServicesInto(reg, resolver)
 	reg, err = s.Probe.Instrument(def, reg)
 	if err != nil {
-		return bail(err)
+		return nil, err
 	}
 	runCtx := ctx
-	if orch != nil {
-		runCtx = orch.watch(runCtx)
-	}
 	// Step 4 overlaps step 3: the Provenance Manager streams the run's
 	// history into the repository while the workflow executes (write-behind,
 	// group-committed batches) and writes the graph in the commit that ends
 	// the run, so completed runs are persisted when the engine returns and
 	// failed runs keep their partial provenance, finalized as failed. A
 	// resumed run's collector folds the stored prefix (the engine hands it
-	// over), so its graph is rebuilt from history, not read back. An
-	// orchestrated run's writer commits under the lease token: from the claim
-	// on, only the token holder can append.
+	// over), so its graph is rebuilt from history, not read back.
 	wopts := provenance.BatchWriterOptions{}
 	if opts.WriterOptions != nil {
 		wopts = *opts.WriterOptions
 	}
 	wopts.Trace = ctx
-	if orch != nil {
-		wopts.FenceName = provenance.RunFenceName(runID)
-		wopts.FenceToken = orch.token()
-	}
 	var (
 		writer  provenance.RunWriter
 		history []workflow.HistoryEvent
@@ -312,12 +271,12 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 		writer, err = s.Provenance.RunWriter(wopts)
 	} else {
 		if history, err = s.Provenance.History(runID); err != nil {
-			return bail(err)
+			return nil, err
 		}
 		writer, err = s.Provenance.ResumeRunWriter(runID, wopts)
 	}
 	if err != nil {
-		return bail(err)
+		return nil, err
 	}
 	collector := provenance.NewCollector(detectionAgent)
 	// The crash knob cuts fresh runs only: a replayed run's cut already
@@ -342,18 +301,7 @@ func (s *System) execute(ctx context.Context, resolver taxonomy.Resolver, runID 
 		// like a process death. Report the kill so the caller can resume.
 		// Spans are deliberately NOT persisted — a real process death loses
 		// its in-memory trace; the resume session records the run's tree.
-		// An orchestrated run's lease is NOT released (the deferred halt only
-		// stops the heartbeat): it ages out exactly as a dead process's
-		// would, and the standby steals it.
 		return nil, &CrashError{RunID: runID, Deltas: crash.Forwarded()}
-	}
-	if orch != nil {
-		// Clean exit (success or failure): stop heartbeating and release the
-		// lease. Releasing a stolen lease is a no-op.
-		orch.finish()
-		if lerr := orch.lostErr(); lerr != nil && runErr != nil {
-			runErr = fmt.Errorf("%v (ownership: %w)", runErr, lerr)
-		}
 	}
 	if runErr != nil {
 		rootSpan.SetAttr("error", runErr.Error())

@@ -51,13 +51,21 @@ func generateClean(t *testing.T, taxa *taxonomy.Generated, records int) []*fnjv.
 // resolves it.
 func smallCollection(t *testing.T, sys *System) *taxonomy.Generated {
 	t.Helper()
+	taxa := smallTaxa(t)
+	if err := sys.Records.PutAll(generateClean(t, taxa, 60)); err != nil {
+		t.Fatal(err)
+	}
+	return taxa
+}
+
+// smallTaxa is smallCollection's taxonomy, without the collection: what a
+// process reopening a directory smallCollection filled resolves against.
+func smallTaxa(t *testing.T) *taxonomy.Generated {
+	t.Helper()
 	taxa, err := taxonomy.Generate(taxonomy.GeneratorSpec{
 		Species: 12, OutdatedFraction: 0.07, ProvisionalFraction: 0.1, Seed: 77,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Records.PutAll(generateClean(t, taxa, 60)); err != nil {
 		t.Fatal(err)
 	}
 	return taxa

@@ -59,9 +59,9 @@ func RecoveryCounters() map[string]float64 {
 // run would have produced.
 //
 // The run must still be marked running (the unfinished marker) and must be a
-// detection-workflow run; anything else fails with ErrNotResumable. With
-// opts.Orchestrator set the run's lease is claimed before any of its state is
-// read; a live lease held by someone else fails with cluster.ErrLeaseHeld.
+// detection-workflow run; anything else fails with ErrNotResumable. The run
+// is claimed in System.Leases before any of its state is read; a run
+// executing in this process right now fails with cluster.ErrRunOwned.
 func (s *System) ResumeDetection(ctx context.Context, resolver taxonomy.Resolver, runID string, opts RunOptions) (*DetectionOutcome, error) {
 	if runID == "" {
 		return nil, fmt.Errorf("%w: no run ID", ErrNotResumable)
@@ -75,12 +75,14 @@ type SweepReport struct {
 	Found int
 	// Resumed lists run IDs carried to completion.
 	Resumed []string
+	// Last is the outcome of the last run resumed, nil when none was.
+	Last *DetectionOutcome
 	// Abandoned maps run IDs finalized as abandoned to the reason.
 	Abandoned map[string]string
-	// Skipped lists runs left alone because a live lease held by another
-	// orchestrator covers them, or because another orchestrator finished
-	// them between the listing and the claim: they are in flight or done
-	// elsewhere, not ours to resume or abandon.
+	// Skipped lists runs left alone because another executor in this process
+	// (a scheduler member) held them when the sweep claimed, or finished them
+	// between the listing and the claim: they are in flight or done, not the
+	// sweep's to resume or abandon.
 	Skipped []string
 }
 
@@ -88,9 +90,13 @@ type SweepReport struct {
 // previous process left marked running is either resumed to completion
 // (detection runs, when a resolver is supplied) or finalized as abandoned
 // with a reason — so failed runs never hold their unfinished marker forever.
-// An abandoned run ends like any other, through its writer's terminal delta,
-// and keeps the graph its stored history folds to. Call it before starting
-// new runs; a live in-flight run would match the marker too.
+// Every unfinished run found at Open is an orphan: the directory lock Open
+// took proves its executor is dead, so the sweep resumes it at once. An
+// abandoned run ends like any other, through its writer's terminal delta,
+// and keeps the graph its stored history folds to. A run the sweep ends
+// either way leaves the admission queue, if it was admitted, just as a
+// drain's would. Call it before starting new runs; a live in-flight run
+// would match the marker too.
 func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Resolver, opts RunOptions) (*SweepReport, error) {
 	unfinished, err := s.Provenance.UnfinishedRuns()
 	if err != nil {
@@ -104,21 +110,17 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 				// A failed resume already finalized the run (e.g. as failed);
 				// the unfinished marker is gone either way.
 				report.Abandoned[info.RunID] = reason
+				_ = s.Admissions.Remove(info.RunID)
 				return nil
 			}
 			return err
 		}
 		recoveryStats.abandoned.Add(1)
 		report.Abandoned[info.RunID] = reason
+		_ = s.Admissions.Remove(info.RunID)
 		return nil
 	}
 	for _, info := range unfinished {
-		if l, ok := s.Leases.Get(info.RunID); ok && l.Live(time.Now()) && l.Holder != opts.Orchestrator {
-			// A live foreign lease means another orchestrator owns this run
-			// right now; sweeping it would just bounce off the fence.
-			report.Skipped = append(report.Skipped, info.RunID)
-			continue
-		}
 		switch {
 		case info.WorkflowID != DetectionWorkflowID:
 			if err := abandon(info, fmt.Sprintf("no resume path for workflow %q", info.WorkflowID)); err != nil {
@@ -129,20 +131,19 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 				return report, err
 			}
 		default:
-			if _, rerr := s.ResumeDetection(ctx, resolver, info.RunID, opts); rerr != nil {
-				if errors.Is(rerr, cluster.ErrLeaseHeld) || errors.Is(rerr, cluster.ErrLeaseLost) {
-					// Lost the claim race: between our liveness pre-check and
-					// the resume's claim, a scheduler (or a second sweeping
-					// process) won the lease and is executing the run right
-					// now. Its run, not ours — abandoning it here would
-					// finalize a run that is actively completing elsewhere.
+			out, rerr := s.ResumeDetection(ctx, resolver, info.RunID, opts)
+			if rerr != nil {
+				if errors.Is(rerr, cluster.ErrRunOwned) {
+					// Lost the claim: a scheduler member is executing the run
+					// right now. Its run, not ours — abandoning it here would
+					// finalize a run that is actively completing.
 					report.Skipped = append(report.Skipped, info.RunID)
 					continue
 				}
 				if now, ierr := s.Provenance.Run(info.RunID); errors.Is(rerr, ErrNotResumable) && ierr == nil && now.Status != provenance.RunRunning {
 					// Won a claim the winner had already released: the run
-					// was finished elsewhere after the listing, and nothing
-					// ran here. Abandoning it would rewrite its end.
+					// was finished after the listing, and nothing ran here.
+					// Abandoning it would rewrite its end.
 					report.Skipped = append(report.Skipped, info.RunID)
 					continue
 				}
@@ -152,6 +153,8 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 				continue
 			}
 			report.Resumed = append(report.Resumed, info.RunID)
+			report.Last = out
+			_ = s.Admissions.Remove(info.RunID)
 		}
 	}
 	return report, nil

@@ -45,12 +45,12 @@ type System struct {
 	Provenance provenance.Repo
 	Ledger     *curation.Ledger
 	Quality    *quality.Manager
-	// Leases arbitrates fenced run ownership between orchestrators (package
-	// cluster): an orchestrated run is claimed here before its first history
-	// append, heartbeated while it executes, and stolen — with a fencing-token
-	// bump that structurally cuts the old owner off — when its orchestrator
-	// dies. Lives on DB (the meta database when sharded).
-	Leases *cluster.Store
+	// Leases is the set of run IDs executing in this process (package
+	// cluster): every run is claimed here before any of its state is read and
+	// released when its execution returns. It lives in memory: the directory
+	// lock Open takes means no executor of this store's runs exists outside
+	// this process.
+	Leases *cluster.Owners
 	// Admissions is the durable queue of admitted-but-unstarted runs: every
 	// async detection request lands here with a pre-minted run ID, and the
 	// scheduler pool drains it. Lives on DB (the meta database when sharded),
@@ -152,8 +152,8 @@ func openSharded(dir string, opts Options) (*System, error) {
 }
 
 // openGlobal opens what lives on s.DB in both layouts — workflow repository,
-// curation ledger, lease store, admission queue — plus the in-memory
-// registries, and seeds the run-ID counter from what the stores hold.
+// curation ledger, admission queue — plus the in-memory registries and
+// ownership set, and seeds the run-ID counter from what the stores hold.
 func (s *System) openGlobal() (err error) {
 	if s.Workflows, err = workflow.NewRepository(s.DB); err != nil {
 		return err
@@ -161,12 +161,10 @@ func (s *System) openGlobal() (err error) {
 	if s.Ledger, err = curation.NewLedger(s.DB); err != nil {
 		return err
 	}
-	if s.Leases, err = cluster.NewStore(s.DB); err != nil {
-		return err
-	}
 	if s.Admissions, err = workflow.NewAdmissionQueue(s.DB); err != nil {
 		return err
 	}
+	s.Leases = &cluster.Owners{}
 	s.TraceRing = telemetry.NewRing(0)
 	s.Quality = quality.NewManager()
 	return s.seedRunCounter()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 // test: whatever it executes, the admission hint woke it for.
 func parkedMember(t *testing.T, sys *System, be cluster.SchedulerBackend) *cluster.Scheduler {
 	t.Helper()
-	s := &cluster.Scheduler{Name: "orch-wake", Leases: sys.Leases, Backend: be, TTL: 3 * time.Hour, Poll: time.Hour}
+	s := &cluster.Scheduler{Name: "orch-wake", Leases: sys.Leases, Backend: be, Poll: time.Hour}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestPoolCompletedMatchesOutcomes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s := &cluster.Scheduler{
 			Name: fmt.Sprintf("orch-%d", i), Leases: sys.Leases, Backend: be,
-			TTL: 2 * time.Second, Poll: 10 * time.Millisecond, Seed: int64(i),
+			Poll: 10 * time.Millisecond, Seed: int64(i),
 			OnEvent: func(ev cluster.SchedulerEvent) {
 				if ev.Kind == "complete" {
 					completeEvents.Add(1)
@@ -167,5 +168,69 @@ func TestPoolCompletedMatchesOutcomes(t *testing.T) {
 	if completed != runs || completeEvents.Load() != runs {
 		t.Errorf("pool counted %v completed and emitted %d complete events over %d runs (%v settled)",
 			completed, completeEvents.Load(), runs, settled)
+	}
+}
+
+// TestInterruptedAdmissionResumesOnNextDrain: an admitted run that crashes
+// under a pool member is resumed by the very next drain — there is no lease
+// to wait out — and finishes byte-identically. The drains are counted from
+// the member's own events (OnEvent runs on its control loop), not timed.
+func TestInterruptedAdmissionResumesOnNextDrain(t *testing.T) {
+	sys, taxa, _ := testSystem(t, 300, 60)
+	ctx := context.Background()
+	opts := RunOptions{SkipLedger: true, Untraced: true}
+	baseline, err := sys.RunDetection(ctx, taxa.Checklist, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, err := sys.Provenance.Graph(baseline.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		s      *cluster.Scheduler
+		mu     sync.Mutex
+		events []string
+		drains []float64 // ticks + wakes when each event fired
+	)
+	s = &cluster.Scheduler{
+		Name: "orch-1", Leases: sys.Leases, Backend: sys.SchedulerBackend(taxa.Checklist, opts, nil),
+		Poll: 10 * time.Millisecond,
+		OnEvent: func(ev cluster.SchedulerEvent) {
+			c := s.Counters()
+			mu.Lock()
+			events = append(events, ev.Kind)
+			drains = append(drains, c["scheduler.ticks"]+c["scheduler.wakes"])
+			mu.Unlock()
+		},
+	}
+	crashing := opts
+	crashing.CrashAfterDeltas = int(baseline.ProvenanceWriter.Enqueued) / 2
+	adm, err := sys.AdmitDetection(crashing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+
+	waitFor(t, 10*time.Second, runCompleted(sys, adm.RunID), "the interrupted admission to complete")
+	s.Stop()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != 2 || events[0] != "interrupted" || events[1] != "complete" {
+		t.Fatalf("events = %v, want [interrupted complete]", events)
+	}
+	if drains[1] != drains[0]+1 {
+		t.Fatalf("interrupted at drain %v, completed at drain %v; want the next drain", drains[0], drains[1])
+	}
+	g, err := sys.Provenance.Graph(adm.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonicalGraph(g, adm.RunID) != canonicalGraph(bg, baseline.RunID) {
+		t.Error("resumed run's canonical graph diverges from the uninterrupted baseline")
 	}
 }

@@ -24,9 +24,9 @@ func caseStudyGraph(t testing.TB) *Graph {
 			t.Fatal(err)
 		}
 	}
-	must(g.Artifact("a:metadata", "FNJV sound metadata", "11898 records"))
-	must(g.Artifact("a:checklist", "Catalogue of Life", "species list"))
-	must(g.Artifact("a:summary", "updated species names", "134 outdated"))
+	must(artifact(g, "a:metadata", "FNJV sound metadata", "11898 records"))
+	must(artifact(g, "a:checklist", "Catalogue of Life", "species list"))
+	must(artifact(g, "a:summary", "updated species names", "134 outdated"))
 	must(g.AddNode(Node{ID: "p:detect", Kind: KindProcess, Label: "Outdated Species Name Detection"}))
 	must(g.AddNode(Node{ID: "ag:curator", Kind: KindAgent, Label: "FNJV curator"}))
 	must(g.AddEdge(Edge{Kind: Used, Effect: "p:detect", Cause: "a:metadata", Role: "input"}))
@@ -65,10 +65,10 @@ func TestGraphBasics(t *testing.T) {
 
 func TestGraphNodeValidation(t *testing.T) {
 	g := NewGraph()
-	if err := g.Artifact("a", "x", ""); err != nil {
+	if err := artifact(g, "a", "x", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Artifact("a", "x", ""); !errors.Is(err, ErrDuplicateNode) {
+	if err := artifact(g, "a", "x", ""); !errors.Is(err, ErrDuplicateNode) {
 		t.Fatalf("duplicate: %v", err)
 	}
 	if err := g.AddNode(Node{Kind: KindAgent}); err == nil {
@@ -84,7 +84,7 @@ func TestEdgeDedupKeepsDistinctFields(t *testing.T) {
 	if err := g.AddNode(Node{ID: "p:1", Kind: KindProcess, Label: "p"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Artifact("a:1", "a", ""); err != nil {
+	if err := artifact(g, "a:1", "a", ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range []Edge{
@@ -110,8 +110,8 @@ func TestEdgeDedupKeepsDistinctFields(t *testing.T) {
 
 func TestEdgeTypeConstraints(t *testing.T) {
 	g := NewGraph()
-	g.Artifact("a1", "", "")
-	g.Artifact("a2", "", "")
+	artifact(g, "a1", "", "")
+	artifact(g, "a2", "", "")
 	g.AddNode(Node{ID: "p1", Kind: KindProcess, Label: ""})
 	g.AddNode(Node{ID: "p2", Kind: KindProcess, Label: ""})
 	g.AddNode(Node{ID: "ag", Kind: KindAgent, Label: ""})
@@ -156,7 +156,7 @@ func TestInferTriggers(t *testing.T) {
 	g := NewGraph()
 	g.AddNode(Node{ID: "p1", Kind: KindProcess, Label: ""})
 	g.AddNode(Node{ID: "p2", Kind: KindProcess, Label: ""})
-	g.Artifact("a", "", "")
+	artifact(g, "a", "", "")
 	g.AddEdge(Edge{Kind: WasGeneratedBy, Effect: "a", Cause: "p1", Role: "out"})
 	g.AddEdge(Edge{Kind: Used, Effect: "p2", Cause: "a", Role: "in"})
 	if added := g.InferTriggers(); added != 1 {
@@ -194,9 +194,9 @@ func TestInferDerivations(t *testing.T) {
 func TestMultiStepDerivationChain(t *testing.T) {
 	// a3 <- p2 <- a2 <- p1 <- a1: path a3 -> a2 -> a1 after inference.
 	g := NewGraph()
-	g.Artifact("a1", "", "")
-	g.Artifact("a2", "", "")
-	g.Artifact("a3", "", "")
+	artifact(g, "a1", "", "")
+	artifact(g, "a2", "", "")
+	artifact(g, "a3", "", "")
 	g.AddNode(Node{ID: "p1", Kind: KindProcess, Label: ""})
 	g.AddNode(Node{ID: "p2", Kind: KindProcess, Label: ""})
 	g.AddEdge(Edge{Kind: Used, Effect: "p1", Cause: "a1", Role: "in"})
@@ -216,7 +216,7 @@ func TestMultiStepDerivationChain(t *testing.T) {
 
 func TestCheckLegality(t *testing.T) {
 	g := NewGraph()
-	g.Artifact("a", "", "")
+	artifact(g, "a", "", "")
 	g.AddNode(Node{ID: "p1", Kind: KindProcess, Label: ""})
 	g.AddNode(Node{ID: "p2", Kind: KindProcess, Label: ""})
 	g.AddEdge(Edge{Kind: WasGeneratedBy, Effect: "a", Cause: "p1", Role: "out"})
@@ -230,7 +230,7 @@ func TestCheckLegality(t *testing.T) {
 	}
 	// But two generators in different accounts are fine.
 	g2 := NewGraph()
-	g2.Artifact("a", "", "")
+	artifact(g2, "a", "", "")
 	g2.AddNode(Node{ID: "p1", Kind: KindProcess, Label: ""})
 	g2.AddNode(Node{ID: "p2", Kind: KindProcess, Label: ""})
 	g2.AddEdge(Edge{Kind: WasGeneratedBy, Effect: "a", Cause: "p1", Role: "out", Account: "acc1"})
@@ -536,4 +536,9 @@ func edgesOfKind(g *Graph, k EdgeKind) []Edge {
 		}
 	}
 	return out
+}
+
+// artifact adds an artifact node to g.
+func artifact(g *Graph, id, label, value string) error {
+	return g.AddNode(Node{ID: id, Kind: KindArtifact, Label: label, Value: value})
 }

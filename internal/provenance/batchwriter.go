@@ -29,14 +29,6 @@ type BatchWriterOptions struct {
 	// goroutine, so the run's context must be handed over explicitly for the
 	// spans to join the run's tree instead of being orphaned.
 	Trace context.Context
-	// FenceName/FenceToken, when FenceName is non-empty, route every flush
-	// through storage.ApplyFenced: the batch commits only while the token is
-	// current. An orchestrator whose run lease was stolen gets
-	// storage.ErrStaleFence as the writer's sticky error — its history
-	// appends stop at the storage layer instead of interleaving with the new
-	// owner's stream.
-	FenceName  string
-	FenceToken int64
 }
 
 func (o *BatchWriterOptions) defaults() {
@@ -345,12 +337,7 @@ func (w *BatchWriter) flush(batch []Delta, trigger string) []Delta {
 	}
 	_, sp := telemetry.StartSpan(w.trace, "flush", "provenance-writer")
 	start := time.Now()
-	var err error
-	if w.opts.FenceName != "" {
-		err = w.repo.db.ApplyFenced(w.opts.FenceName, w.opts.FenceToken, b.ops...)
-	} else {
-		err = w.repo.db.Apply(b.ops...)
-	}
+	err := w.repo.db.Apply(b.ops...)
 	lat := time.Since(start)
 	if sp != nil {
 		sp.SetAttr("deltas", strconv.Itoa(len(batch)))

@@ -47,14 +47,6 @@ type Repo interface {
 	History(runID string) ([]workflow.HistoryEvent, error)
 	UnfinishedRuns() ([]RunInfo, error)
 
-	// AdvanceRunFence durably moves the run's fencing token forward in the
-	// repository that owns the run's history rows. Strictly monotonic
-	// (storage.ErrStaleFence on a stale token); a writer opened with
-	// BatchWriterOptions.FenceToken below the advanced value can no longer
-	// commit. RunFenceToken reads the current token (0 = never fenced).
-	AdvanceRunFence(runID string, token int64) error
-	RunFenceToken(runID string) int64
-
 	// Snapshot returns the repository itself. It is kept only because the
 	// benchmark module's tracing decorator calls it; nothing else does, and
 	// every read is already one atomic call against the live repository.
@@ -69,22 +61,6 @@ func (r *Repository) RunWriter(opts BatchWriterOptions) (RunWriter, error) {
 // ResumeRunWriter implements Repo over the repository's resume writer.
 func (r *Repository) ResumeRunWriter(runID string, opts BatchWriterOptions) (RunWriter, error) {
 	return r.NewResumeWriter(runID, opts)
-}
-
-// RunFenceName is the storage-fence resource guarding a run's history
-// stream. Exported so orchestration can hand the same name to
-// BatchWriterOptions.
-func RunFenceName(runID string) string { return "run/" + runID }
-
-// AdvanceRunFence implements Repo: a strictly-monotonic durable token bump
-// in this repository's storage.
-func (r *Repository) AdvanceRunFence(runID string, token int64) error {
-	return r.db.AdvanceFence(RunFenceName(runID), token)
-}
-
-// RunFenceToken implements Repo.
-func (r *Repository) RunFenceToken(runID string) int64 {
-	return r.db.FenceToken(RunFenceName(runID))
 }
 
 // Snapshot implements Repo: the repository itself (see the interface).

@@ -172,20 +172,3 @@ func (p *ProvenanceRouter) History(runID string) (evs []workflow.HistoryEvent, e
 	})
 	return evs, err
 }
-
-// AdvanceRunFence implements provenance.Repo on the shard owning the run's
-// history rows, so the fence sits in the same storage the fenced writer
-// commits to.
-func (p *ProvenanceRouter) AdvanceRunFence(runID string, token int64) error {
-	return p.route(runID, func(b backends) error { return b.prov.AdvanceRunFence(runID, token) })
-}
-
-// RunFenceToken implements provenance.Repo; 0 when the owning shard is down
-// (the caller cannot write there anyway).
-func (p *ProvenanceRouter) RunFenceToken(runID string) (token int64) {
-	_ = p.route(runID, func(b backends) error { // a down shard reads as token 0
-		token = b.prov.RunFenceToken(runID)
-		return nil
-	})
-	return token
-}

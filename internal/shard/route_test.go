@@ -90,7 +90,7 @@ func TestRouterContract(t *testing.T) {
 		}
 		return g
 	}
-	// seq keeps repeated calls from colliding: fresh IDs, rising fence tokens.
+	// seq keeps repeated calls from colliding: fresh IDs.
 	seq := int64(0)
 	next := func() int64 { seq++; return seq }
 	span := []telemetry.Span{{SpanID: "s1", Name: "n", Kind: "core", Start: time.Unix(1700000000, 0), End: time.Unix(1700000001, 0)}}
@@ -98,35 +98,28 @@ func TestRouterContract(t *testing.T) {
 	// Every per-ID method, as a call on the keys of one shard.
 	perID := []struct {
 		name string
-		// silent marks methods whose signature carries no error: a down
-		// shard shows in their result and the gauges only.
-		silent bool
-		call   func(k routeKeys) error
+		call func(k routeKeys) error
 	}{
-		{"provenance.Store", false, func(k routeKeys) error {
+		{"provenance.Store", func(k routeKeys) error {
 			return prov.Store(runInfo(k.id("run-2")), runGraph(k.id("run-2")))
 		}},
-		{"provenance.Run", false, func(k routeKeys) error { _, err := prov.Run(k.id("run-1")); return err }},
-		{"provenance.Graph", false, func(k routeKeys) error { _, err := prov.Graph(k.id("run-1")); return err }},
-		{"provenance.History", false, func(k routeKeys) error { _, err := prov.History(k.id("run-1")); return err }},
-		{"provenance.NodesPage", false, func(k routeKeys) error { _, _, err := prov.NodesPage(k.id("run-1"), "", 10); return err }},
-		{"provenance.EdgesPage", false, func(k routeKeys) error { _, _, err := prov.EdgesPage(k.id("run-1"), 0, 10); return err }},
-		{"provenance.QualityOfProcess", false, func(k routeKeys) error {
+		{"provenance.Run", func(k routeKeys) error { _, err := prov.Run(k.id("run-1")); return err }},
+		{"provenance.Graph", func(k routeKeys) error { _, err := prov.Graph(k.id("run-1")); return err }},
+		{"provenance.History", func(k routeKeys) error { _, err := prov.History(k.id("run-1")); return err }},
+		{"provenance.NodesPage", func(k routeKeys) error { _, _, err := prov.NodesPage(k.id("run-1"), "", 10); return err }},
+		{"provenance.EdgesPage", func(k routeKeys) error { _, _, err := prov.EdgesPage(k.id("run-1"), 0, 10); return err }},
+		{"provenance.QualityOfProcess", func(k routeKeys) error {
 			_, err := prov.QualityOfProcess(k.id("run-1"), "proc")
 			return err
 		}},
-		{"provenance.RunFenceToken", true, func(k routeKeys) error { prov.RunFenceToken(k.id("run-1")); return nil }},
-		{"provenance.AdvanceRunFence", false, func(k routeKeys) error {
-			return prov.AdvanceRunFence(k.id("run-1"), next())
-		}},
-		{"provenance.ResumeRunWriter", false, func(k routeKeys) error {
+		{"provenance.ResumeRunWriter", func(k routeKeys) error {
 			w, err := prov.ResumeRunWriter(k.id("run-1"), provenance.BatchWriterOptions{})
 			if err != nil {
 				return err
 			}
 			return w.Close()
 		}},
-		{"provenance.RunWriter first delta", false, func(k routeKeys) error {
+		{"provenance.RunWriter first delta", func(k routeKeys) error {
 			w, err := prov.RunWriter(provenance.BatchWriterOptions{})
 			if err != nil {
 				return err
@@ -137,14 +130,14 @@ func TestRouterContract(t *testing.T) {
 			}
 			return w.Close()
 		}},
-		{"records.Get", false, func(k routeKeys) error { _, err := recs.Get(k.id("xc-1")); return err }},
-		{"records.Update", false, func(k routeKeys) error { return recs.Update(&fnjv.Record{ID: k.id("xc-1"), Species: "Boana c"}) }},
-		{"records.ScanSpecies", false, func(k routeKeys) error {
+		{"records.Get", func(k routeKeys) error { _, err := recs.Get(k.id("xc-1")); return err }},
+		{"records.Update", func(k routeKeys) error { return recs.Update(&fnjv.Record{ID: k.id("xc-1"), Species: "Boana c"}) }},
+		{"records.ScanSpecies", func(k routeKeys) error {
 			return recs.ScanSpecies(k.tenant, func(string, string) bool { return true })
 		}},
-		{"traces.Append", false, func(k routeKeys) error { return traces.Append(k.id("run-1"), span) }},
-		{"traces.Spans", false, func(k routeKeys) error { _, err := traces.Spans(k.id("run-1")); return err }},
-		{"traces.SpansPage", false, func(k routeKeys) error { _, _, err := traces.SpansPage(k.id("run-1"), 0, 10); return err }},
+		{"traces.Append", func(k routeKeys) error { return traces.Append(k.id("run-1"), span) }},
+		{"traces.Spans", func(k routeKeys) error { _, err := traces.Spans(k.id("run-1")); return err }},
+		{"traces.SpansPage", func(k routeKeys) error { _, _, err := traces.SpansPage(k.id("run-1"), 0, 10); return err }},
 	}
 
 	const down = 2
@@ -191,7 +184,7 @@ func TestRouterContract(t *testing.T) {
 	for _, m := range perID {
 		ops, errs := gauges(down)
 		err := m.call(downKeys)
-		if !m.silent && !errors.Is(err, ErrShardDown) {
+		if !errors.Is(err, ErrShardDown) {
 			t.Errorf("%s on the stopped shard: %v, want ErrShardDown", m.name, err)
 		}
 		if o, e := gauges(down); o != ops+1 || e != errs+1 {

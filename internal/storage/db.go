@@ -38,6 +38,7 @@ type DB struct {
 	dir    string
 	opts   Options
 	log    *wal
+	lock   *os.File // holds dir's flock until Close
 	tables map[string]*Table
 	closed bool
 
@@ -92,12 +93,23 @@ const (
 )
 
 // Open opens (or creates) a database in dir, recovering state from the
-// snapshot and WAL if present.
-func Open(dir string, opts Options) (*DB, error) {
+// snapshot and WAL if present. It locks dir first and holds the lock until
+// Close: while one DB has dir open, every other Open of it fails with
+// ErrLocked, and a failed Open leaves it unlocked.
+func Open(dir string, opts Options) (_ *DB, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: mkdir %q: %w", dir, err)
 	}
-	db := &DB{dir: dir, opts: opts, tables: make(map[string]*Table)}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	db := &DB{dir: dir, opts: opts, lock: lock, tables: make(map[string]*Table)}
 
 	// 1. Load snapshot (same framed-op format as the WAL). It was fsync'd
 	// and renamed into place whole, so anything short of its end is damage.
@@ -506,19 +518,14 @@ func (db *DB) applyPlanned(ops []Op, keys *keyArena) {
 // Apply validates, logs and applies a batch of operations atomically: either
 // every op is durable and applied, or none is. It retains none of the
 // caller's slices: rows and bytes payloads may be reused once it returns.
+// It is the one commit path, DDL included: validate, encode, log, then apply
+// the ops that were validated.
 func (db *DB) Apply(ops ...Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.applyLocked(ops)
-}
-
-// applyLocked is the one commit path, shared by Apply, ApplyFenced and
-// AdvanceFence, DDL included: validate, encode, log, then apply the ops that
-// were validated. Callers hold db.mu exclusively.
-func (db *DB) applyLocked(ops []Op) error {
 	if db.closed {
 		return fmt.Errorf("storage: db is closed")
 	}
@@ -669,7 +676,11 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	return db.log.Close()
+	err := db.log.Close()
+	if lerr := db.lock.Close(); err == nil {
+		err = lerr
+	}
+	return err
 }
 
 // WALSize reports the current WAL length (for snapshot policies and tests).

@@ -32,7 +32,7 @@ func flipByte(t *testing.T, path string, at int64) {
 }
 
 // assertOpenCorrupt opens dir, expecting ErrCorrupt, and checks that the open
-// left the snapshot and the WAL byte for byte as they were.
+// left the snapshot and the WAL byte for byte as they were, and dir unlocked.
 func assertOpenCorrupt(t *testing.T, dir string) {
 	t.Helper()
 	read := func(name string) []byte {
@@ -58,6 +58,13 @@ func assertOpenCorrupt(t *testing.T, dir string) {
 	if !bytes.Equal(read(snapshotFile), snap) || !bytes.Equal(read(walFile), wal) {
 		t.Fatal("Open of a damaged database changed its files")
 	}
+	// The failed Open released the directory: the next opener meets the
+	// damage again, not the lock.
+	lock, err := lockDir(dir)
+	if err != nil {
+		t.Fatalf("failed Open left the directory locked: %v", err)
+	}
+	lock.Close()
 }
 
 // TestOpenRejectsDamagedSnapshot: the snapshot is fsync'd and renamed into

@@ -451,7 +451,6 @@ func (s *Server) apiDetect(w http.ResponseWriter, r *http.Request) {
 			Links  map[string]string `json:"links"`
 		}{adm.RunID, "admitted", map[string]string{
 			"run":   runURL,
-			"owner": "/api/v1/cluster/runs/" + adm.RunID + "/owner",
 			"queue": "/api/v1/cluster/queues",
 		}})
 		return

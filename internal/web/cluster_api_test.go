@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,50 +12,27 @@ import (
 	"repro/internal/core"
 )
 
-// clusterServer is testServer with membership rows and run-ownership leases
-// seeded, so every /api/v1/cluster resource has content.
-func clusterServer(t *testing.T) (*httptest.Server, *System) {
-	t.Helper()
-	srv, wsys, _ := testServer(t)
-	leases := wsys.Core.Leases
-	for _, name := range []string{"orch-a", "orch-b", "orch-c"} {
-		if _, err := leases.Heartbeat(name, time.Minute); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, run := range []string{"run-x", "run-y"} {
-		if _, err := leases.Acquire(run, "orch-a", time.Minute); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return srv, wsys
-}
-
 // TestClusterIndex is the /api/v1/cluster contract: pool summary plus links
-// to every child resource.
+// to every child resource, and not_found for an unknown child.
 func TestClusterIndex(t *testing.T) {
-	srv, _ := clusterServer(t)
+	srv, wsys, _ := testServer(t)
+	if _, err := wsys.Core.AdmitDetection(core.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	var body struct {
-		Orchestrators struct{ Total, Live int } `json:"orchestrators"`
-		Leases        struct{ Total, Live int } `json:"leases"`
-		QueueDepth    int                       `json:"queue_depth"`
-		AsyncDetect   bool                      `json:"async_detect"`
-		Links         map[string]string         `json:"links"`
+		QueueDepth  int               `json:"queue_depth"`
+		AsyncDetect bool              `json:"async_detect"`
+		Links       map[string]string `json:"links"`
 	}
 	decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster", nil), 200, &body)
-	if body.Orchestrators.Total != 3 || body.Orchestrators.Live != 3 {
-		t.Fatalf("orchestrators %+v, want 3/3", body.Orchestrators)
-	}
-	if body.Leases.Total != 2 || body.Leases.Live != 2 {
-		t.Fatalf("leases %+v, want 2/2", body.Leases)
+	if body.QueueDepth != 1 {
+		t.Fatalf("queue_depth %d, want 1", body.QueueDepth)
 	}
 	if body.AsyncDetect {
 		t.Fatal("async_detect true without a scheduler attached")
 	}
-	for _, rel := range []string{"orchestrators", "leases", "queues"} {
-		if body.Links[rel] != "/api/v1/cluster/"+rel {
-			t.Fatalf("link %q = %q", rel, body.Links[rel])
-		}
+	if len(body.Links) != 1 || body.Links["queues"] != "/api/v1/cluster/queues" {
+		t.Fatalf("links %v, want only queues", body.Links)
 	}
 	// Method and path contracts.
 	resp, err := http.Post(srv.URL+"/api/v1/cluster", "application/json", nil)
@@ -68,75 +43,41 @@ func TestClusterIndex(t *testing.T) {
 	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/cluster/nope", nil), http.StatusNotFound, "not_found")
 }
 
-// TestClusterOrchestratorsPagination pages the membership rows with a name
-// cursor and pins the 400 contract for bad limits.
-func TestClusterOrchestratorsPagination(t *testing.T) {
-	srv, _ := clusterServer(t)
-	var page struct {
-		Orchestrators []struct {
-			Name  string `json:"name"`
-			Token int64  `json:"token"`
-			Live  bool   `json:"live"`
-		} `json:"orchestrators"`
-		NextCursor string `json:"next_cursor"`
+// wantClusterGone checks that every path under /api/v1/cluster answers the
+// standard not_found envelope, with a run admitted so the pool is not empty.
+func wantClusterGone(t *testing.T, paths ...string) {
+	t.Helper()
+	srv, wsys, _ := testServer(t)
+	if _, err := wsys.Core.AdmitDetection(core.RunOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster/orchestrators?limit=2", nil), 200, &page)
-	if len(page.Orchestrators) != 2 || page.Orchestrators[0].Name != "orch-a" || page.Orchestrators[1].Name != "orch-b" {
-		t.Fatalf("page 1: %+v", page.Orchestrators)
+	for _, path := range paths {
+		wantEnvelope(t, getResp(t, srv.URL+"/api/v1/cluster/"+path, nil), http.StatusNotFound, "not_found")
 	}
-	if page.NextCursor != "orch-b" {
-		t.Fatalf("next_cursor %q, want orch-b", page.NextCursor)
-	}
-	if !page.Orchestrators[0].Live || page.Orchestrators[0].Token == 0 {
-		t.Fatalf("member row incomplete: %+v", page.Orchestrators[0])
-	}
-	page.Orchestrators, page.NextCursor = nil, ""
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster/orchestrators?limit=2&after=orch-b", nil), 200, &page)
-	if len(page.Orchestrators) != 1 || page.Orchestrators[0].Name != "orch-c" || page.NextCursor != "" {
-		t.Fatalf("page 2: %+v next=%q", page.Orchestrators, page.NextCursor)
-	}
-	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/cluster/orchestrators?limit=0", nil),
-		http.StatusBadRequest, "bad_request")
-	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/cluster/orchestrators?limit=501", nil),
-		http.StatusBadRequest, "bad_request")
 }
 
-// TestClusterLeasesPagination pages the run-ownership leases and pins that
-// membership rows never leak into them.
-func TestClusterLeasesPagination(t *testing.T) {
-	srv, _ := clusterServer(t)
-	var page struct {
-		Leases []struct {
-			Resource string `json:"resource"`
-			Holder   string `json:"holder"`
-			Token    int64  `json:"token"`
-			Live     bool   `json:"live"`
-		} `json:"leases"`
-		NextCursor string `json:"next_cursor"`
-	}
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster/leases?limit=1", nil), 200, &page)
-	if len(page.Leases) != 1 || page.Leases[0].Resource != "run-x" || page.NextCursor != "run-x" {
-		t.Fatalf("page 1: %+v next=%q", page.Leases, page.NextCursor)
-	}
-	if page.Leases[0].Holder != "orch-a" || !page.Leases[0].Live {
-		t.Fatalf("lease row incomplete: %+v", page.Leases[0])
-	}
-	page.Leases, page.NextCursor = nil, ""
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster/leases?after=run-x", nil), 200, &page)
-	if len(page.Leases) != 1 || page.Leases[0].Resource != "run-y" || page.NextCursor != "" {
-		t.Fatalf("page 2: %+v", page.Leases)
-	}
-	for _, l := range page.Leases {
-		if strings.HasPrefix(l.Resource, cluster.OrchestratorPrefix) {
-			t.Fatalf("membership row leaked into run leases: %+v", l)
-		}
-	}
+// TestClusterOrchestratorsRemoved: the membership listing went with the
+// membership rows; the route and its pagination queries answer not_found.
+func TestClusterOrchestratorsRemoved(t *testing.T) {
+	wantClusterGone(t, "orchestrators", "orchestrators?limit=2", "orchestrators?limit=2&after=orch-b")
+}
+
+// TestClusterLeasesRemoved: the run-lease listing went with the leases; the
+// route and its pagination queries answer not_found.
+func TestClusterLeasesRemoved(t *testing.T) {
+	wantClusterGone(t, "leases", "leases?limit=1", "leases?after=run-x")
+}
+
+// TestClusterRunOwnerRemoved: the per-run ownership resource went with the
+// leases; it and its neighbouring subpaths answer not_found.
+func TestClusterRunOwnerRemoved(t *testing.T) {
+	wantClusterGone(t, "runs/run-x/owner", "runs/run-x", "runs/run-x/leases")
 }
 
 // TestClusterQueues pins the admission queue view: FIFO order, per-run
 // links, and the worker dispatch gauges riding along.
 func TestClusterQueues(t *testing.T) {
-	srv, wsys := clusterServer(t)
+	srv, wsys, _ := testServer(t)
 	admA, err := wsys.Core.AdmitDetection(core.RunOptions{Tenant: "acme"})
 	if err != nil {
 		t.Fatal(err)
@@ -166,40 +107,12 @@ func TestClusterQueues(t *testing.T) {
 	if body.Admissions.Pending[0].Tenant != "acme" {
 		t.Fatalf("tenant %q, want acme", body.Admissions.Pending[0].Tenant)
 	}
-	if got := body.Admissions.Pending[0].Links["run"]; got != "/api/v1/runs/"+admA.RunID {
-		t.Fatalf("run link %q", got)
+	if links := body.Admissions.Pending[0].Links; len(links) != 1 || links["run"] != "/api/v1/runs/"+admA.RunID {
+		t.Fatalf("links %v, want only the run", links)
 	}
 	if body.Dispatch == nil {
 		t.Fatal("dispatch gauges missing")
 	}
-}
-
-// TestClusterRunOwner pins the per-run ownership resource: the lease when
-// claimed, 404 with the envelope when never claimed, 404 on bad subpaths.
-func TestClusterRunOwner(t *testing.T) {
-	srv, _ := clusterServer(t)
-	var body struct {
-		RunID string `json:"run_id"`
-		Owner struct {
-			Holder string `json:"holder"`
-			Token  int64  `json:"token"`
-			Live   bool   `json:"live"`
-		} `json:"owner"`
-		Links map[string]string `json:"links"`
-	}
-	decodeJSON(t, getResp(t, srv.URL+"/api/v1/cluster/runs/run-x/owner", nil), 200, &body)
-	if body.RunID != "run-x" || body.Owner.Holder != "orch-a" || !body.Owner.Live {
-		t.Fatalf("owner: %+v", body)
-	}
-	if body.Links["run"] != "/api/v1/runs/run-x" {
-		t.Fatalf("run link %q", body.Links["run"])
-	}
-	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/cluster/runs/run-unclaimed/owner", nil),
-		http.StatusNotFound, "not_found")
-	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/cluster/runs/run-x", nil),
-		http.StatusNotFound, "not_found")
-	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/cluster/runs/run-x/leases", nil),
-		http.StatusNotFound, "not_found")
 }
 
 // TestClusterQuota pins that the cluster tree sits behind the same tenant
@@ -259,7 +172,7 @@ func TestAsyncDetect(t *testing.T) {
 	backend := sys.SchedulerBackend(taxa.Checklist, core.RunOptions{}, func(*core.DetectionOutcome) { outcomes.Add(1) })
 	sched := &cluster.Scheduler{
 		Name: "orch-web", Leases: sys.Leases, Backend: backend,
-		TTL: 500 * time.Millisecond, Poll: 10 * time.Millisecond,
+		Poll: 10 * time.Millisecond,
 	}
 	if err := sched.Start(); err != nil {
 		t.Fatal(err)
@@ -321,7 +234,7 @@ func TestAsyncDetectWakesPool(t *testing.T) {
 	srv, wsys, taxa := testServer(t)
 	sys := wsys.Core
 	sched := &cluster.Scheduler{
-		Name: "orch-web", Leases: sys.Leases, TTL: 3 * time.Hour, Poll: time.Hour,
+		Name: "orch-web", Leases: sys.Leases, Poll: time.Hour,
 		Backend: sys.SchedulerBackend(taxa.Checklist, core.RunOptions{}, wsys.RecordOutcome),
 	}
 	if err := sched.Start(); err != nil {

@@ -53,10 +53,10 @@ type System struct {
 	// Quotas, when set, rate-limits /api/v1 per tenant (X-Tenant header);
 	// nil disables admission control.
 	Quotas *shard.Quotas
-	// Scheduler, when set, is this process's member of the orchestrator pool:
+	// Scheduler, when set, is this process's member of the scheduler pool:
 	// POST /api/v1/detect admits runs asynchronously (202 + run URL) instead
-	// of executing in-request, and the scheduler's claim/rescue counters show
-	// on /api/v1/metrics. Nil keeps the synchronous single-process behaviour.
+	// of executing in-request, and the scheduler's claim counters show on
+	// /api/v1/metrics. Nil keeps the synchronous single-process behaviour.
 	Scheduler *cluster.Scheduler
 
 	mu          sync.Mutex

@@ -91,7 +91,7 @@ func seedProvRuns(t *testing.T, sys *core.System, ids ...string) {
 		if err := g.AddNode(opm.Node{ID: "p:" + id + "/step", Kind: opm.KindProcess, Label: "step"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Artifact("a:in", "input", "v"); err != nil {
+		if err := g.AddNode(opm.Node{ID: "a:in", Kind: opm.KindArtifact, Label: "input", Value: "v"}); err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range []opm.Edge{

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/curation"
 	"repro/internal/fnjv"
@@ -58,28 +57,6 @@ func (v *Service) LastOutcome() *core.DetectionOutcome {
 // tasks a worker holds, and tasks finished.
 func (v *Service) Dispatch() map[string]float64 {
 	return v.sys.Core.Dispatch.Counters()
-}
-
-// Orchestrators lists the scheduler pool's membership rows — every
-// orchestrator that ever heartbeated, live or aged out — sorted by name.
-func (v *Service) Orchestrators(now time.Time) []cluster.Member {
-	return v.sys.Core.Leases.Members(now)
-}
-
-// RunLeases lists the run-ownership leases (membership rows excluded),
-// sorted by resource.
-func (v *Service) RunLeases() []cluster.Lease {
-	return v.sys.Core.Leases.RunLeases()
-}
-
-// RunOwner resolves one run's ownership lease. errNotFound when the run was
-// never claimed by any orchestrator.
-func (v *Service) RunOwner(runID string) (cluster.Lease, error) {
-	l, ok := v.sys.Core.Leases.Get(runID)
-	if !ok {
-		return cluster.Lease{}, fmt.Errorf("%w: run %q has no ownership lease", errNotFound, runID)
-	}
-	return l, nil
 }
 
 // AdmissionStats is the admission queue's live view: depth plus the queued
@@ -353,26 +330,8 @@ func (v *Service) Metrics(at time.Time) []MetricsEntry {
 	if c := v.sys.Core.Cluster; c != nil {
 		subsystems["shard-router"] = c.Counters()
 	}
-	// Run-ownership gauges: total/live leases and the highest fencing token
-	// handed out (the cluster's ownership epoch high-water mark).
-	leases := v.sys.Core.Leases.List()
-	live, maxToken := 0, int64(0)
-	for _, l := range leases {
-		if l.Live(at) {
-			live++
-		}
-		if l.Token > maxToken {
-			maxToken = l.Token
-		}
-	}
-	subsystems["cluster-leases"] = map[string]float64{
-		"leases.total":     float64(len(leases)),
-		"leases.live":      float64(live),
-		"leases.max_token": float64(maxToken),
-	}
 	if sch := v.sys.Scheduler; sch != nil {
-		// Claim/complete/rescue/interrupted counts of this process's pool
-		// member.
+		// Claim/complete/interrupted counts of this process's pool member.
 		subsystems["cluster-scheduler"] = sch.Counters()
 	}
 	subsystems["admission-queue"] = map[string]float64{

@@ -35,10 +35,11 @@ func admissionSchema() *storage.Schema {
 
 // AdmissionQueue is the durable queue of admitted-but-unstarted runs: the
 // handoff point between the admission surface (POST /api/v1/detect) and the
-// scheduler pool. A row survives process death — whichever orchestrator is
-// alive next drains it — and is removed only when its run has been carried to
+// scheduler pool. A row survives process death — the next process to open
+// the store drains it — and is removed only when its run has been carried to
 // a terminal state. Ordering is FIFO by admission time. Safe for concurrent
-// use; arbitration between orchestrators happens at the run lease, not here.
+// use; arbitration between pool members happens at the run's claim in the
+// process's ownership set, not here.
 //
 // Beside the rows the queue carries a wake hint for the in-process pool (see
 // Hint). The row is the truth and the hint only a hint: it says "look at
@@ -187,6 +188,12 @@ func (q *AdmissionQueue) Remove(runID string) error {
 	}
 	return nil
 }
+
+// Sync makes every admission added so far durable, whatever the store's
+// sync policy: under SyncOnClose an Add is buffered in the process, and a
+// kill would lose an admission the caller was already told about. The
+// scheduler backend syncs before it executes an admission.
+func (q *AdmissionQueue) Sync() error { return q.db.Sync() }
 
 // Depth is the number of pending admissions.
 func (q *AdmissionQueue) Depth() int {

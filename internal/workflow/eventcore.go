@@ -38,8 +38,7 @@ type EventEngine struct {
 // MintRunID returns a fresh engine-unique run ID with the given prefix
 // (multi-tenant callers pass "tenant:" so the ID itself carries the routing
 // key) — the same counter Run uses, exported so callers can know the run's
-// identity (for admission, lease acquisition and fence installation) before
-// the run starts.
+// identity (for admission and the ownership claim) before the run starts.
 func MintRunID(prefix string) string {
 	return prefix + fmt.Sprintf("run-%06d", atomic.AddInt64(&runCounter, 1))
 }
