@@ -53,7 +53,7 @@ race:
 ## outputs and mark those rebuilt from the elements, and TestDeciderIsPure —
 ## no clock, lock, context, randomness, telemetry, goroutine or channel in
 ## decider.go; the provenance package's carry the upgrade guard,
-## TestOpensPreviousVersionDirectory), fourteen
+## TestOpensPreviousVersionDirectory), sixteen
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
 ## events must never panic or wedge the engine), the history-row payload
@@ -73,7 +73,9 @@ race:
 ## Collector.Graph()), storage op
 ## scripts (arbitrary batches applied live must match the model and what a
 ## reopen replays), the row decoder (whatever decodes re-encodes to an equal
-## row, NaN and signed-zero floats included), WAL replay (arbitrary log
+## row, NaN and signed-zero floats included), the provenance annotation and
+## span attribute decoders (whatever decodes re-encodes to the same bytes:
+## they take only what their encoders write), WAL replay (arbitrary log
 ## bytes are a torn tail, never a panic or an error), the /api/v1 sequence
 ## cursors (any ?after=&limit= on a run's edges and spans is a 400 or the
 ## suffix of the run's list after the cursor — MaxInt64 included — and
@@ -141,6 +143,8 @@ ci:
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzApplyReplay -fuzztime=10s
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzDecodeRow -fuzztime=10s
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s
+	$(GO) test ./internal/provenance/ -run='^$$' -fuzz=FuzzDecodeAnnotations -fuzztime=10s
+	$(GO) test ./internal/telemetry/ -run='^$$' -fuzz=FuzzDecodeAttrs -fuzztime=10s
 	$(GO) test ./internal/web/ -run='^$$' -fuzz=FuzzSeqCursorPages -fuzztime=10s
 	$(GO) test ./internal/opm/ -run='^$$' -fuzz=FuzzOPMXML -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzRunOptions -fuzztime=10s

@@ -141,9 +141,10 @@ func (b *schedulerBackend) PendingAdmissions() ([]workflow.Admission, error) {
 // re-read first: the scheduler walks a pending list that goes stale while its
 // earlier entries execute, and a row is removed only after a terminal outcome,
 // so a missing row means a peer finished the run. A row that is still there
-// is made durable next — pick-up is the queue's durability point, so a run
-// that was started survives a kill of the process under SyncOnClose — and
-// then claimed before anything else is read, as ever.
+// is fsync'd next — pick-up is the queue's power-loss point, so under
+// SyncOnClose a run that was started survives power loss, as every admission
+// survives the process's death — and then claimed before anything else is
+// read, as ever.
 func (b *schedulerBackend) ExecuteAdmission(ctx context.Context, adm workflow.Admission, orchestrator string) error {
 	if !b.sys.admitted(adm.RunID) {
 		return cluster.ErrAdmissionSettled

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/curation"
 	"repro/internal/storage"
 	"repro/internal/taxonomy"
 	"repro/internal/workflow"
@@ -227,8 +228,8 @@ func TestOpensParentEraOwnershipTables(t *testing.T) {
 	}
 }
 
-// killChildEnv switches TestPickedUpAdmissionSurvivesKill into its child
-// half: the test binary, re-run with the parent's directory in this variable.
+// killChildEnv switches a kill test into its child half: the test binary,
+// re-run with the parent's directory in this variable.
 const killChildEnv = "CORE_KILL_TEST_DIR"
 
 // blockingResolver announces the first name it is asked to resolve on stdout
@@ -242,10 +243,10 @@ func (r *blockingResolver) Resolve(context.Context, string) (taxonomy.Resolution
 	return taxonomy.Resolution{}, errors.New("unreachable")
 }
 
-// TestPickedUpAdmissionSurvivesKill: an admission made under SyncOnClose —
-// acknowledged, yet buffered in the process — is durable once a pool member
-// has picked it up. A child process admits a run and executes it until it
-// blocks on the authority; SIGKILL ends the child there. The reopened
+// TestPickedUpAdmissionSurvivesKill: an admission made under SyncOnClose
+// survives the death of the process that picked it up and was executing it.
+// A child process admits a run and executes it until it blocks on the
+// authority; SIGKILL ends the child there. The reopened
 // directory still holds the admission, and draining it completes the run
 // byte-identically to an uninterrupted one.
 func TestPickedUpAdmissionSurvivesKill(t *testing.T) {
@@ -307,7 +308,7 @@ func TestPickedUpAdmissionSurvivesKill(t *testing.T) {
 			break
 		}
 	}
-	cmd.Process.Kill() // SIGKILL: no deferred Close, no buffer flush
+	cmd.Process.Kill() // SIGKILL: no deferred Close, no Sync
 	cmd.Wait()
 	if !executing || runID == "" {
 		t.Fatalf("child never reached execution:\n%s", transcript)
@@ -333,5 +334,143 @@ func TestPickedUpAdmissionSurvivesKill(t *testing.T) {
 	}
 	if n := sys.Admissions.Depth(); n != 0 {
 		t.Fatalf("queue depth after the drain = %d, want 0", n)
+	}
+}
+
+// killChildAt re-runs the test binary as test's child half on dir, reads the
+// child's stdout until a line starting with prefix, SIGKILLs the child there
+// and returns the rest of that line. It fails t when the child exits first.
+func killChildAt(t *testing.T, test, dir, prefix string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$", "-test.count=1")
+	cmd.Env = append(os.Environ(), killChildEnv+"="+dir)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	watchdog := time.AfterFunc(time.Minute, func() { cmd.Process.Kill() })
+	defer watchdog.Stop()
+	var transcript strings.Builder
+	for lines := bufio.NewScanner(stdout); lines.Scan(); {
+		transcript.WriteString(lines.Text() + "\n")
+		if rest, ok := strings.CutPrefix(lines.Text(), prefix); ok {
+			cmd.Process.Kill() // SIGKILL: no deferred Close, no Sync
+			cmd.Wait()
+			return rest
+		}
+	}
+	cmd.Wait()
+	t.Fatalf("child exited before printing %q:\n%s", prefix, transcript.String())
+	return ""
+}
+
+// TestAdmissionSurvivesKill: under SyncOnClose an admission is in the WAL
+// file once AdmitDetection returns, before any pool member picks it up. A
+// child process admits a run and is SIGKILLed right after; the reopened
+// directory lists the admission as pending.
+func TestAdmissionSurvivesKill(t *testing.T) {
+	if dir := os.Getenv(killChildEnv); dir != "" {
+		sys, err := Open(dir, Options{Sync: storage.SyncOnClose})
+		if err != nil {
+			t.Fatal(err)
+		}
+		adm, err := sys.AdmitDetection(RunOptions{SkipLedger: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Println("admitted", adm.RunID)
+		time.Sleep(time.Hour)
+	}
+
+	dir := t.TempDir()
+	sys, err := Open(dir, Options{Sync: storage.SyncOnClose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runID := killChildAt(t, "TestAdmissionSurvivesKill", dir, "admitted ")
+
+	if sys, err = Open(dir, Options{Sync: storage.SyncOnClose}); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	pending, err := sys.Admissions.Pending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 1 || pending[0].RunID != runID {
+		t.Fatalf("pending after the kill = %+v, want the admission %s", pending, runID)
+	}
+}
+
+// TestCuratorValidationSurvivesKill: under SyncOnClose a curator's verdict
+// and its history entry — Ledger.Resolve and LogChange, what /review/act
+// does — are in the WAL file once they return. A child process approves a
+// pending update and is SIGKILLed right after; the reopened ledger reads the
+// update approved and the record's history holds the change.
+func TestCuratorValidationSurvivesKill(t *testing.T) {
+	const recordID = "FNJV-00042"
+	if dir := os.Getenv(killChildEnv); dir != "" {
+		sys, err := Open(dir, Options{Sync: storage.SyncOnClose})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending, err := sys.Ledger.Pending()
+		if err != nil || len(pending) != 1 {
+			t.Fatalf("pending updates = %v, %v; want one", pending, err)
+		}
+		u := pending[0]
+		if err := sys.Ledger.Resolve(u.ID, curation.ReviewApproved, "web-curator", time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Ledger.LogChange(curation.HistoryEntry{
+			RecordID: u.RecordID, Field: "species", OldValue: u.OriginalName, NewValue: u.UpdatedName,
+			Reason: "name-update:" + u.Status, Actor: "web-curator",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Println("validated", u.ID)
+		time.Sleep(time.Hour)
+	}
+
+	dir := t.TempDir()
+	sys, err := Open(dir, Options{Sync: storage.SyncOnClose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Ledger.AddUpdates([]*curation.NameUpdate{{
+		RecordID: recordID, OriginalName: "Hyla faber", UpdatedName: "Boana faber",
+		Status: "synonym", Reference: "Faivovich et al. 2005", DetectedAt: time.Now(),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	id := killChildAt(t, "TestCuratorValidationSurvivesKill", dir, "validated ")
+
+	if sys, err = Open(dir, Options{Sync: storage.SyncOnClose}); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	u, err := sys.Ledger.Update(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Review != curation.ReviewApproved || u.ReviewedBy != "web-curator" {
+		t.Fatalf("update %s after the kill: review %q by %q, want approved by web-curator", id, u.Review, u.ReviewedBy)
+	}
+	history, err := sys.Ledger.History(recordID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(history) != 1 || history[0].NewValue != "Boana faber" {
+		t.Fatalf("history of %s after the kill = %+v, want the approved change", recordID, history)
 	}
 }

@@ -63,14 +63,13 @@ type System struct {
 	// run's span tree lands here, keyed by run ID, queryable forever next to
 	// the run's OPM graph.
 	Traces telemetry.TraceStore
-	// TraceRing holds the most recent finished spans process-wide — the
-	// "what just happened" view the web layer serves.
-	TraceRing *telemetry.Ring
 }
 
 // Options configures Open.
 type Options struct {
-	// Sync is the WAL policy of the backing database (default SyncOnClose).
+	// Sync is the WAL policy of the backing database(s). The zero value is
+	// storage.SyncAlways; cmd/fnjvweb, cmd/orchestrator and cmd/curate
+	// choose SyncOnClose.
 	Sync storage.SyncPolicy
 	// Shards > 1 opens a sharded system: records, provenance runs/history,
 	// traces and archive holdings partition across that many shard databases
@@ -165,7 +164,6 @@ func (s *System) openGlobal() (err error) {
 		return err
 	}
 	s.Leases = &cluster.Owners{}
-	s.TraceRing = telemetry.NewRing(0)
 	s.Quality = quality.NewManager()
 	return s.seedRunCounter()
 }
@@ -192,7 +190,7 @@ func (s *System) seedRunCounter() error {
 	return err
 }
 
-// saveTrace stamps, persists, and mirrors the spans of one run. Resumed runs
+// saveTrace stamps and persists the spans of one run. Resumed runs
 // append after any spans the crashed session persisted.
 func (s *System) saveTrace(runID string, spans []telemetry.Span) error {
 	if runID == "" || len(spans) == 0 {
@@ -200,9 +198,6 @@ func (s *System) saveTrace(runID string, spans []telemetry.Span) error {
 	}
 	telemetry.StampTrace(spans, runID)
 	telemetry.DetachExternalParents(spans)
-	if s.TraceRing != nil {
-		s.TraceRing.Add(spans...)
-	}
 	return s.Traces.Append(runID, spans)
 }
 

@@ -160,7 +160,7 @@ func TestTraceReusesUpstreamTracer(t *testing.T) {
 
 	// In the shared tracer, the run's root parents into the API span.
 	var inMem *telemetry.Span
-	for _, sp := range tr.Spans() {
+	for _, sp := range tr.Since(0) {
 		if sp.Name == "run-detection" {
 			sp := sp
 			inMem = &sp

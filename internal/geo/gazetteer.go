@@ -1,10 +1,11 @@
 package geo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -156,7 +157,10 @@ func SyntheticGazetteer(citiesPerState int, seed int64) *Gazetteer {
 	return g
 }
 
-// PlacesIn returns all places in the given state, sorted by city name.
+// PlacesIn returns all places in the given state, sorted by city name and
+// then by every other field: a total order, so a state that has two places
+// of one name lists them the same way every time, whatever order the lookup
+// map is walked in.
 func (g *Gazetteer) PlacesIn(state string) []Place {
 	var out []Place
 	for _, hits := range g.places {
@@ -166,6 +170,15 @@ func (g *Gazetteer) PlacesIn(state string) []Place {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].City < out[j].City })
+	slices.SortFunc(out, func(a, b Place) int {
+		return cmp.Or(
+			strings.Compare(a.City, b.City),
+			cmp.Compare(a.Location.Lat, b.Location.Lat),
+			cmp.Compare(a.Location.Lon, b.Location.Lon),
+			cmp.Compare(a.UncertaintyKm, b.UncertaintyKm),
+			strings.Compare(a.Country, b.Country),
+			strings.Compare(a.State, b.State),
+		)
+	})
 	return out
 }

@@ -125,10 +125,3 @@ func RangesBySpecies(obs []Observation, minRecords int) []SpeciesRange {
 	sort.Slice(out, func(i, j int) bool { return out[i].Species < out[j].Species })
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

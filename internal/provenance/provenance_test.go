@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -459,4 +460,26 @@ func TestAnnotationCodec(t *testing.T) {
 	if _, err := decodeAnnotations([]byte{0xFF, 0xFF}); err == nil {
 		t.Fatal("garbage annotations accepted")
 	}
+}
+
+// FuzzDecodeAnnotations: arbitrary bytes never panic decodeAnnotations, and
+// whatever it decodes annEncoder writes back byte for byte — it accepts only
+// what the encoder can have written. The empty blob is a NULL cell.
+func FuzzDecodeAnnotations(f *testing.F) {
+	var enc annEncoder
+	f.Add([]byte{})
+	f.Add(enc.Encode(nil))
+	f.Add(enc.Encode(perfAnnotations()))
+	f.Add(storage.EncodeRow(nil, storage.Row{storage.I(1), storage.I(2), storage.S("k"), storage.Null()}))
+	f.Add(storage.EncodeRow(nil, storage.Row{storage.S("b"), storage.S("1"), storage.S("a"), storage.S("2")}))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		m, err := decodeAnnotations(blob)
+		if err != nil || len(blob) == 0 {
+			return
+		}
+		var enc annEncoder
+		if got := enc.Encode(m); !bytes.Equal(got, blob) {
+			t.Fatalf("%x decodes to %q, which encodes to %x", blob, m, got)
+		}
+	})
 }

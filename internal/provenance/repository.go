@@ -589,20 +589,15 @@ func (e *annEncoder) Encode(m map[string]string) []byte {
 	return e.buf[start:len(e.buf):len(e.buf)]
 }
 
+// decodeAnnotations reads a node's annotations: none for a NULL cell,
+// otherwise exactly what annEncoder writes.
 func decodeAnnotations(blob []byte) (map[string]string, error) {
-	out := map[string]string{}
 	if len(blob) == 0 {
-		return out, nil
+		return map[string]string{}, nil
 	}
-	row, _, err := storage.DecodeRow(blob)
+	m, err := storage.DecodeStringMap(blob)
 	if err != nil {
 		return nil, fmt.Errorf("provenance: decode annotations: %w", err)
 	}
-	if len(row)%2 != 0 {
-		return nil, fmt.Errorf("provenance: odd annotation list")
-	}
-	for i := 0; i < len(row); i += 2 {
-		out[row[i].Str()] = row[i+1].Str()
-	}
-	return out, nil
+	return m, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Row wire format:
@@ -106,6 +107,44 @@ func DecodeRow(buf []byte) (Row, int, error) {
 	}
 	return row, off, nil
 }
+
+// DecodeStringMap decodes a map stored as one row of string cells, key then
+// value, keys strictly ascending — what EncodeRow writes for the pairs of a
+// map in sorted key order (provenance annotations, span attributes). It
+// accepts nothing else, so the map it returns re-encodes to exactly blob: a
+// cell of another kind, an odd cell count, a key out of order or repeated, a
+// length written longer than it needs, or bytes after the row are errors.
+func DecodeStringMap(blob []byte) (map[string]string, error) {
+	row, _, err := DecodeRow(blob)
+	if err != nil {
+		return nil, err
+	}
+	if len(row)%2 != 0 {
+		return nil, fmt.Errorf("storage: string map of %d cells", len(row))
+	}
+	size := uvarintLen(len(row))
+	m := make(map[string]string, len(row)/2)
+	for i := 0; i < len(row); i += 2 {
+		k, v := row[i], row[i+1]
+		if k.kind != KindString || v.kind != KindString {
+			return nil, fmt.Errorf("storage: string map pair %d is a %s and a %s", i/2, k.kind, v.kind)
+		}
+		if i > 0 && k.s <= row[i-2].s {
+			return nil, fmt.Errorf("storage: string map key %q after %q", k.s, row[i-2].s)
+		}
+		size += 2 + uvarintLen(len(k.s)) + len(k.s) + uvarintLen(len(v.s)) + len(v.s)
+		m[k.s] = v.s
+	}
+	// The canonical encoding of row is size bytes: an overlong length or
+	// bytes after the row make blob longer.
+	if size != len(blob) {
+		return nil, fmt.Errorf("storage: string map in %d bytes, canonically %d", len(blob), size)
+	}
+	return m, nil
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of n.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // EncodeKey produces an order-preserving byte encoding of a value, used as a
 // B-tree key: comparing encodings bytewise orders values of the same kind

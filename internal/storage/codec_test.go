@@ -71,6 +71,32 @@ func TestDecodeRowGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeStringMapRejects: DecodeStringMap takes the canonical encoding of
+// a sorted string map and nothing else.
+func TestDecodeStringMapRejects(t *testing.T) {
+	row := func(cells ...Value) []byte { return EncodeRow(nil, Row(cells)) }
+	canonical := row(S("a"), S("1"), S("b"), S(""))
+	m, err := DecodeStringMap(canonical)
+	if err != nil || len(m) != 2 || m["a"] != "1" || m["b"] != "" {
+		t.Fatalf("DecodeStringMap(canonical) = %v, %v", m, err)
+	}
+	overlong := append([]byte{canonical[0] | 0x80, 0}, canonical[1:]...)
+	for name, blob := range map[string][]byte{
+		"non-string cells": row(I(1), I(2), S("k"), Null()),
+		"bytes cell":       row(S("k"), Bytes([]byte("v"))),
+		"odd cell count":   row(S("a"), S("1"), S("b")),
+		"keys descending":  row(S("b"), S("1"), S("a"), S("2")),
+		"repeated key":     row(S("a"), S("1"), S("a"), S("2")),
+		"overlong count":   overlong,
+		"trailing bytes":   append(canonical, 0),
+		"truncated":        canonical[:len(canonical)-1],
+	} {
+		if m, err := DecodeStringMap(blob); err == nil {
+			t.Errorf("%s: %x decoded to %v", name, blob, m)
+		}
+	}
+}
+
 func TestEncodeKeyOrderPreserving(t *testing.T) {
 	cases := [][2]Value{
 		{S("abelha"), S("abelhudo")},

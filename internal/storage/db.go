@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"os"
@@ -16,9 +17,6 @@ import (
 type Options struct {
 	// Sync selects the WAL durability policy. Default SyncAlways.
 	Sync SyncPolicy
-	// SnapshotEvery triggers an automatic snapshot once the WAL exceeds this
-	// many bytes (0 disables automatic snapshots).
-	SnapshotEvery int64
 	// CommitDelay adds a deterministic pause to every SyncAlways commit, on
 	// top of the real fsync, modeling the commit latency of the
 	// preservation-grade storage a deployment would sit on (network volumes,
@@ -28,7 +26,7 @@ type Options struct {
 	CommitDelay time.Duration
 }
 
-// DB is the embedded database: a set of tables, durable via WAL + snapshot.
+// DB is the embedded database: a set of tables, durable via its WAL.
 //
 // Concurrency: any number of readers OR one writer (guarded internally by an
 // RWMutex). All acknowledged writes are recoverable under the chosen sync
@@ -36,7 +34,6 @@ type Options struct {
 type DB struct {
 	mu     sync.RWMutex
 	dir    string
-	opts   Options
 	log    *wal
 	lock   *os.File // holds dir's flock until Close
 	tables map[string]*Table
@@ -50,14 +47,14 @@ type DB struct {
 // commitScratch is what one Apply works in: the batch's plan (each row op's
 // table and encoded primary key, written once at validation and used again at
 // apply) and its WAL record. Nothing in it outlives the commit: the WAL
-// copies the record into its write buffer, and what the tables keep is cut
-// from the commit's own allocations (Row.Clone, the key arena), never from
-// here and never from the caller's slices.
+// writes the record to its file before Apply returns, and what the tables
+// keep is cut from the commit's own allocations (Row.Clone, the key arena),
+// never from here and never from the caller's slices.
 type commitScratch struct {
-	payload []byte       // the WAL record being built
-	keys    []byte       // every row op's encoded primary key, back to back
-	plan    []plannedOp  // one entry per op
-	tables  []batchTable // the distinct tables the batch touches
+	record []byte       // the WAL record being built, frame header first
+	keys   []byte       // every row op's encoded primary key, back to back
+	plan   []plannedOp  // one entry per op
+	tables []batchTable // the distinct tables the batch touches
 	// slots is an open-addressing set over (table, primary key) holding, per
 	// key, the index+1 of the latest op seen on it: how a later op of the
 	// batch learns whether an earlier one inserted or deleted its row.
@@ -79,11 +76,18 @@ type batchTable struct {
 }
 
 const (
-	walFile      = "wal.log"
+	walFile = "wal.log"
+	// snapshotFile is where a full dump of the tables once went, after which
+	// the WAL was truncated. Open refuses a directory that holds one.
 	snapshotFile = "snapshot.db"
 )
 
-// Operation codes in WAL/snapshot payloads.
+// ErrSnapshot is what Open returns for a directory that holds a snapshot
+// file. Its WAL may have been truncated when the snapshot was taken, so
+// replaying the WAL alone would silently drop the rows the snapshot holds.
+var ErrSnapshot = errors.New("storage: directory holds a " + snapshotFile + ", which this version does not read")
+
+// Operation codes in WAL payloads.
 const (
 	opCreateTable byte = 1
 	opCreateIndex byte = 2
@@ -92,10 +96,11 @@ const (
 	opDelete      byte = 5
 )
 
-// Open opens (or creates) a database in dir, recovering state from the
-// snapshot and WAL if present. It locks dir first and holds the lock until
-// Close: while one DB has dir open, every other Open of it fails with
-// ErrLocked, and a failed Open leaves it unlocked.
+// Open opens (or creates) a database in dir, recovering state from its WAL
+// if present, and refuses a dir that holds a snapshot file (ErrSnapshot). It
+// locks dir first and holds the lock until Close: while one DB has dir open,
+// every other Open of it fails with ErrLocked, and a failed Open leaves it
+// unlocked.
 func Open(dir string, opts Options) (_ *DB, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: mkdir %q: %w", dir, err)
@@ -109,22 +114,18 @@ func Open(dir string, opts Options) (_ *DB, err error) {
 			lock.Close()
 		}
 	}()
-	db := &DB{dir: dir, opts: opts, lock: lock, tables: make(map[string]*Table)}
+	db := &DB{dir: dir, lock: lock, tables: make(map[string]*Table)}
 
-	// 1. Load snapshot (same framed-op format as the WAL). It was fsync'd
-	// and renamed into place whole, so anything short of its end is damage.
 	snapPath := filepath.Join(dir, snapshotFile)
-	stop, err := readWAL(snapPath, db.applyPayload)
-	if err != nil {
-		return nil, fmt.Errorf("storage: snapshot replay: %w", err)
-	}
-	if size := fileSize(snapPath); stop.intact != size {
-		return nil, fmt.Errorf("%w: snapshot %s replays %d of its %d bytes", ErrCorrupt, snapPath, stop.intact, size)
+	if _, err := os.Stat(snapPath); err == nil {
+		return nil, fmt.Errorf("%w: %s", ErrSnapshot, snapPath)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("storage: stat %s: %w", snapPath, err)
 	}
 
-	// 2. Replay the WAL, truncating a torn tail.
+	// Replay the WAL, truncating a torn tail.
 	walPath := filepath.Join(dir, walFile)
-	stop, err = readWAL(walPath, db.applyPayload)
+	stop, err := readWAL(walPath, db.applyPayload)
 	if err != nil {
 		return nil, fmt.Errorf("storage: wal replay: %w", err)
 	}
@@ -240,11 +241,11 @@ func readString(buf []byte) ([]byte, int, error) {
 	return buf[sz : sz+int(l)], sz + int(l), nil
 }
 
-// applyPayload decodes one WAL or snapshot record (a batch of ops) and
-// applies it to the in-memory state. Only Open's replay comes here: a live
-// commit applies the ops it validated (applyPlanned) and never re-reads its
-// own record. Everything kept is copied out of payload (DecodeRow, the
-// schema JSON, the index column name), so the caller may reuse the buffer.
+// applyPayload decodes one WAL record (a batch of ops) and applies it to the
+// in-memory state. Only Open's replay comes here: a live commit applies the
+// ops it validated (applyPlanned) and never re-reads its own record.
+// Everything kept is copied out of payload (DecodeRow, the schema JSON, the
+// index column name), so the caller may reuse the buffer.
 func (db *DB) applyPayload(payload []byte) error {
 	n, sz := binary.Uvarint(payload)
 	if sz <= 0 {
@@ -533,12 +534,12 @@ func (db *DB) Apply(ops ...Op) error {
 	if err != nil {
 		return err
 	}
-	payload, err := encodeBatch(db.commit.payload[:0], ops)
+	rec, err := encodeBatch(db.commit.record[:0], ops)
 	if err != nil {
 		return err
 	}
-	db.commit.payload = payload
-	if err := db.log.Append(payload); err != nil {
+	db.commit.record = rec
+	if err := db.log.Append(rec); err != nil {
 		return err
 	}
 	var keys keyArena
@@ -546,14 +547,13 @@ func (db *DB) Apply(ops ...Op) error {
 		keys.buf = make([]byte, 0, keyBytes)
 	}
 	db.applyPlanned(ops, &keys)
-	if db.opts.SnapshotEvery > 0 && db.log.size >= db.opts.SnapshotEvery {
-		return db.snapshotLocked()
-	}
 	return nil
 }
 
-// encodeBatch appends the WAL record of ops to dst.
+// encodeBatch appends the WAL record of ops to dst: walHeader bytes that
+// wal.Append fills with the frame header, then the payload.
 func encodeBatch(dst []byte, ops []Op) ([]byte, error) {
+	dst = append(dst, make([]byte, walHeader)...)
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
 	var err error
 	for i := range ops {
@@ -599,10 +599,11 @@ func (db *DB) Tables() []string {
 	return names
 }
 
-// Sync flushes the WAL's buffered writes to disk and fsyncs, regardless of
-// the configured sync policy (except SyncNever, which only flushes buffers).
-// Group-committing writers call it to make a run's tail durable — e.g. the
-// provenance BatchWriter's final flush — without paying fsync-per-Apply.
+// Sync fsyncs the WAL, regardless of the configured sync policy (except
+// SyncNever). Every acknowledged commit is already in the file; Sync makes
+// them survive power loss too. Group-committing writers call it to make a
+// run's tail durable — e.g. the provenance BatchWriter's final flush —
+// without paying fsync-per-Apply.
 func (db *DB) Sync() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -612,63 +613,7 @@ func (db *DB) Sync() error {
 	return db.log.Sync()
 }
 
-// Snapshot persists the full in-memory state and truncates the WAL.
-func (db *DB) Snapshot() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.snapshotLocked()
-}
-
-func (db *DB) snapshotLocked() (err error) {
-	tmp := filepath.Join(db.dir, snapshotFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("storage: create snapshot: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			f.Close() // a no-op error after snap.Close; the handle must not leak before it
-			os.Remove(tmp)
-		}
-	}()
-	// The snapshot reuses the WAL record format, one record per op.
-	snap := &wal{f: f, w: newBufWriter(f), policy: SyncOnClose, crcTab: Castagnoli}
-	writeOp := func(op Op) error {
-		payload, err := encodeBatch(db.commit.payload[:0], []Op{op})
-		if err != nil {
-			return err
-		}
-		db.commit.payload = payload
-		return snap.Append(payload)
-	}
-	for name, t := range db.tables {
-		if err := writeOp(CreateTableOp(t.schema)); err != nil {
-			return err
-		}
-		var failed error
-		t.scanLocked(func(r Row) bool {
-			failed = writeOp(InsertOp(name, r))
-			return failed == nil
-		})
-		if failed != nil {
-			return failed
-		}
-		for _, idx := range t.secondary {
-			if err := writeOp(CreateIndexOp(name, idx.col)); err != nil {
-				return err
-			}
-		}
-	}
-	if err := snap.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(db.dir, snapshotFile)); err != nil {
-		return fmt.Errorf("storage: publish snapshot: %w", err)
-	}
-	return db.log.Truncate()
-}
-
-// Close flushes and closes the database.
+// Close fsyncs (except under SyncNever) and closes the database.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -683,5 +628,5 @@ func (db *DB) Close() error {
 	return err
 }
 
-// WALSize reports the current WAL length (for snapshot policies and tests).
+// WALSize reports the current WAL length in bytes.
 func (db *DB) WALSize() int64 { return db.log.Size() }

@@ -389,8 +389,14 @@ func TestReplayStopsAtOversizedRecord(t *testing.T) {
 	}
 }
 
-func TestDBSnapshotAndRecovery(t *testing.T) {
+// TestSyncOnCloseWritesThrough: under SyncOnClose every acknowledged commit
+// is in the WAL file when Apply returns — no Sync or Close in between — so a
+// process killed there loses nothing it acknowledged. Replaying the file
+// while the database is still open rebuilds its rows and index, and so does a
+// reopen after Close.
+func TestSyncOnCloseWritesThrough(t *testing.T) {
 	dir := t.TempDir()
+	walPath := filepath.Join(dir, walFile)
 	db, err := Open(dir, Options{Sync: SyncOnClose})
 	if err != nil {
 		t.Fatal(err)
@@ -401,68 +407,93 @@ func TestDBSnapshotAndRecovery(t *testing.T) {
 	if err := db.CreateIndex("recordings", "species"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 201; i++ {
 		if err := db.Insert("recordings", Row{S(fmt.Sprintf("r%03d", i)), S(fmt.Sprintf("sp%d", i%7)), I(int64(i)), Null()}); err != nil {
 			t.Fatal(err)
 		}
+		records := 0
+		intact, err := replayWAL(walPath, func([]byte) error { records++; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 3 + i; records != want || intact != db.WALSize() {
+			t.Fatalf("after insert %d the file holds %d records in %d bytes, want %d in %d", i, records, intact, want, db.WALSize())
+		}
 	}
-	if err := db.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	check := func(db *DB, what string) {
+		t.Helper()
+		if got := db.Table("recordings").Len(); got != 201 {
+			t.Fatalf("%s: %d rows, want 201", what, got)
+		}
+		rows, err := db.Table("recordings").Lookup("species", S("sp0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 29 {
+			t.Fatalf("%s: index holds %d rows of sp0, want 29", what, len(rows))
+		}
 	}
-	if db.WALSize() != 0 {
-		t.Fatalf("WAL not truncated after snapshot: %d bytes", db.WALSize())
-	}
-	// Post-snapshot writes land in the fresh WAL.
-	if err := db.Insert("recordings", Row{S("r999"), S("sp0"), I(999), Null()}); err != nil {
+	replayed := &DB{tables: make(map[string]*Table)}
+	if _, err := replayWAL(walPath, replayed.applyPayload); err != nil {
 		t.Fatal(err)
 	}
-	db.Close()
+	check(replayed, "the file of the open database")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	db2, err := Open(dir, Options{Sync: SyncOnClose})
 	if err != nil {
-		t.Fatalf("reopen after snapshot: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
-	if got := db2.Table("recordings").Len(); got != 201 {
-		t.Fatalf("recovered %d rows, want 201", got)
-	}
-	rows, err := db2.Table("recordings").Lookup("species", S("sp0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 29+1 {
-		t.Fatalf("index after snapshot recovery: %d rows, want 30", len(rows))
-	}
+	check(db2, "reopened")
 }
 
-func TestDBAutoSnapshot(t *testing.T) {
+// TestFailedAppendIsSticky: once a WAL write has failed, what the file holds
+// past the last acknowledged record is unknown, so every later commit fails
+// too, even when the file would take it, and none of them is applied. A
+// reopen recovers exactly what was acknowledged.
+func TestFailedAppendIsSticky(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{Sync: SyncNever, SnapshotEvery: 1024})
+	db, err := Open(dir, Options{Sync: SyncOnClose})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CreateTable(testSchema(t)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		if err := db.Insert("recordings", Row{S(fmt.Sprintf("r%04d", i)), S("some species name payload"), I(int64(i)), F(1)}); err != nil {
-			t.Fatal(err)
-		}
+	row := func(id string) Row { return Row{S(id), S("sp"), I(1), Null()} }
+	if err := db.Insert("recordings", row("acked")); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
-		t.Fatalf("auto snapshot not created: %v", err)
-	}
-	if db.WALSize() >= 1024*4 {
-		t.Fatalf("WAL grew to %d despite auto snapshots", db.WALSize())
-	}
-	db.Close()
-	db2, err := Open(dir, Options{Sync: SyncNever})
+	readOnly, err := os.Open(filepath.Join(dir, walFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	if db2.Table("recordings").Len() != 500 {
-		t.Fatalf("recovered %d rows, want 500", db2.Table("recordings").Len())
+	defer readOnly.Close()
+	writable := db.log.f
+	db.log.f = readOnly
+	if err := db.Insert("recordings", row("failed")); err == nil {
+		t.Fatal("a write to a read-only WAL succeeded")
+	}
+	db.log.f = writable
+	if err := db.Insert("recordings", row("after")); err == nil {
+		t.Fatal("a commit after a failed WAL write succeeded")
+	}
+	if tab := db.Table("recordings"); tab.Len() != 1 || !tab.Has(S("acked")) {
+		t.Fatalf("live table holds %d rows, want only the acknowledged one", tab.Len())
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{Sync: SyncOnClose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if tab := db.Table("recordings"); tab.Len() != 1 || !tab.Has(S("acked")) {
+		t.Fatalf("reopened table holds %d rows, want only the acknowledged one", tab.Len())
 	}
 }
 

@@ -31,18 +31,22 @@ func flipByte(t *testing.T, path string, at int64) {
 	}
 }
 
-// assertOpenCorrupt opens dir, expecting ErrCorrupt, and checks that the open
-// left the snapshot and the WAL byte for byte as they were, and dir unlocked.
-func assertOpenCorrupt(t *testing.T, dir string) {
+// assertOpenFails opens dir, expecting an error that is want, and checks
+// that the open left the files named byte for byte as they were, and dir
+// unlocked.
+func assertOpenFails(t *testing.T, dir string, want error, files ...string) {
 	t.Helper()
 	read := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil && !os.IsNotExist(err) {
+		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-	snap, wal := read(snapshotFile), read(walFile)
+	before := make([][]byte, len(files))
+	for i, name := range files {
+		before[i] = read(name)
+	}
 	db, err := Open(dir, Options{Sync: SyncAlways})
 	if err == nil {
 		n := 0
@@ -50,16 +54,18 @@ func assertOpenCorrupt(t *testing.T, dir string) {
 			n = tab.Len()
 		}
 		db.Close()
-		t.Fatalf("Open of a damaged database succeeded with %d rows", n)
+		t.Fatalf("Open succeeded with %d rows, want %v", n, want)
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	if !errors.Is(err, want) {
+		t.Fatalf("Open = %v, want %v", err, want)
 	}
-	if !bytes.Equal(read(snapshotFile), snap) || !bytes.Equal(read(walFile), wal) {
-		t.Fatal("Open of a damaged database changed its files")
+	for i, name := range files {
+		if !bytes.Equal(read(name), before[i]) {
+			t.Fatalf("the failed Open changed %s", name)
+		}
 	}
 	// The failed Open released the directory: the next opener meets the
-	// damage again, not the lock.
+	// same refusal again, not the lock.
 	lock, err := lockDir(dir)
 	if err != nil {
 		t.Fatalf("failed Open left the directory locked: %v", err)
@@ -67,34 +73,36 @@ func assertOpenCorrupt(t *testing.T, dir string) {
 	lock.Close()
 }
 
-// TestOpenRejectsDamagedSnapshot: the snapshot is fsync'd and renamed into
-// place whole, so one damaged byte in its middle is damage, not a torn tail —
-// Open must refuse it rather than come up with the rows before the damage.
-func TestOpenRejectsDamagedSnapshot(t *testing.T) {
+// assertOpenCorrupt checks that Open refuses dir's WAL as damaged and
+// leaves it as it was.
+func assertOpenCorrupt(t *testing.T, dir string) {
+	t.Helper()
+	assertOpenFails(t, dir, ErrCorrupt, walFile)
+}
+
+// TestOpenRefusesSnapshotFile: a directory with a snapshot.db may hold a WAL
+// the snapshot truncated, so replaying the WAL alone would drop the
+// snapshot's rows. Open refuses it with ErrSnapshot and leaves both files
+// and the lock as they were.
+func TestOpenRefusesSnapshotFile(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{Sync: SyncOnClose})
+	db, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CreateTable(testSchema(t)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1010; i++ {
-		if i == 1000 {
-			if err := db.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Insert("recordings", Row{S(fmt.Sprintf("r%04d", i)), S("sp"), I(int64(i)), Null()}); err != nil {
-			t.Fatal(err)
-		}
+	if err := db.Insert("recordings", Row{S("r1"), S("sp"), I(1), Null()}); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snapPath := filepath.Join(dir, snapshotFile)
-	flipByte(t, snapPath, fileSize(snapPath)/2)
-	assertOpenCorrupt(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("rows the WAL no longer holds"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertOpenFails(t, dir, ErrSnapshot, walFile, snapshotFile)
 }
 
 // TestOpenRejectsDamagedWALRecord: in a SyncAlways log only the final record

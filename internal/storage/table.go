@@ -225,7 +225,9 @@ func (t *Table) HasIndex(col string) bool {
 // the scan.
 func (t *Table) Scan(fn func(Row) bool) {
 	defer t.rlock()()
-	t.scanLocked(fn)
+	t.primary.Ascend(nil, nil, func(_ []byte, row Row) bool {
+		return fn(row)
+	})
 }
 
 // ScanFrom walks rows in primary-key order starting at the first key >= from
@@ -238,12 +240,6 @@ func (t *Table) ScanFrom(from Value, fn func(Row) bool) {
 	kb := getKeyBuf()
 	defer putKeyBuf(kb)
 	t.primary.Ascend(EncodeKey((*kb)[:0], from), nil, func(_ []byte, row Row) bool {
-		return fn(row)
-	})
-}
-
-func (t *Table) scanLocked(fn func(Row) bool) {
-	t.primary.Ascend(nil, nil, func(_ []byte, row Row) bool {
 		return fn(row)
 	})
 }

@@ -4,8 +4,8 @@
 //
 // The engine is deliberately small but complete: typed schemas, a binary row
 // codec, an in-memory B-tree primary index with optional secondary indexes,
-// a write-ahead log with CRC-framed records and group commit, snapshots, and
-// crash recovery (snapshot load + WAL replay). It is single-process and
+// a write-ahead log with CRC-framed records, written through on every commit,
+// and crash recovery by WAL replay. It is single-process and
 // single-writer, which matches the paper's deployment (one curation service
 // in front of the collection database).
 package storage

@@ -12,28 +12,32 @@ import (
 	"time"
 )
 
-// SyncPolicy controls when the WAL calls fsync.
+// SyncPolicy controls when the WAL calls fsync. Under every policy Apply
+// writes its commit's record to the file before it returns, so a commit is
+// never held back in the process: what a policy chooses is which deaths an
+// acknowledged commit survives.
 type SyncPolicy uint8
 
 const (
-	// SyncAlways fsyncs on every commit (durable, slowest).
+	// SyncAlways fsyncs every commit before Apply returns: an acknowledged
+	// commit survives power loss (durable, slowest).
 	SyncAlways SyncPolicy = iota
-	// SyncOnClose fsyncs only on Close and Snapshot (fast, loses the tail on crash).
+	// SyncOnClose fsyncs only at Sync and Close: an acknowledged commit
+	// survives the process's death (kill -9, OOM) but not power loss.
 	SyncOnClose
-	// SyncNever never fsyncs (benchmarking only).
+	// SyncNever never fsyncs, not even at Sync or Close (benchmarking only).
 	SyncNever
 )
 
 // ErrCorrupt is what Open returns, wrapped, for damage it must not repair by
-// dropping data: a snapshot that does not replay to its end, or a WAL record
-// that fails its CRC with more log after it. Open then leaves both files as
-// they are.
+// dropping data: a WAL record that fails its CRC with more log after it.
+// Open then leaves the WAL as it is.
 var ErrCorrupt = errors.New("storage: corrupt record")
 
-// Castagnoli is the package's single CRC32-C table, shared by the WAL, the
-// snapshot codec, and external consumers that frame records the same way
-// (the archive AIP codec). crc32.MakeTable memoizes internally, but a single
-// package-level table makes the shared polynomial explicit.
+// Castagnoli is the package's single CRC32-C table, shared by the WAL and
+// external consumers that frame records the same way (the archive AIP
+// codec). crc32.MakeTable memoizes internally, but a single package-level
+// table makes the shared polynomial explicit.
 var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // wal record framing:
@@ -44,12 +48,18 @@ var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type wal struct {
 	mu     sync.Mutex
 	f      *os.File
-	w      *bufio.Writer
 	policy SyncPolicy
 	delay  time.Duration
 	size   int64
-	crcTab *crc32.Table
+	// err is the first failed Append's error, returned by every later one:
+	// once a write or fsync has failed, what the file holds past the last
+	// acknowledged record is unknown, and no record may follow it.
+	err error
 }
+
+// walHeader is the size of a record's frame header: the bytes encodeBatch
+// leaves free at the front of a record for Append to fill.
+const walHeader = 8
 
 func openWAL(path string, policy SyncPolicy) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
@@ -61,35 +71,31 @@ func openWAL(path string, policy SyncPolicy) (*wal, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: stat wal: %w", err)
 	}
-	return &wal{
-		f:      f,
-		w:      bufio.NewWriterSize(f, 1<<16),
-		policy: policy,
-		size:   st.Size(),
-		crcTab: Castagnoli,
-	}, nil
+	return &wal{f: f, policy: policy, size: st.Size()}, nil
 }
 
-// Append writes one framed record and applies the sync policy.
-func (l *wal) Append(payload []byte) error {
+// Append frames one record, writes it to the file with one write and applies
+// the sync policy. rec is the record with walHeader free bytes in front of
+// its payload, which Append fills with the frame header, so the payload is
+// written where it was encoded, not copied.
+func (l *wal) Append(rec []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, l.crcTab))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("storage: wal append: %w", err)
+	if l.err != nil {
+		return l.err
 	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("storage: wal append: %w", err)
+	payload := rec[walHeader:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, Castagnoli))
+	if _, err := l.f.Write(rec); err != nil {
+		l.err = fmt.Errorf("storage: wal append: %w", err)
+		return l.err
 	}
-	l.size += int64(8 + len(payload))
+	l.size += int64(len(rec))
 	if l.policy == SyncAlways {
-		if err := l.w.Flush(); err != nil {
-			return fmt.Errorf("storage: wal flush: %w", err)
-		}
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("storage: wal sync: %w", err)
+			l.err = fmt.Errorf("storage: wal sync: %w", err)
+			return l.err
 		}
 		if l.delay > 0 {
 			// Simulated device commit latency: occupies this WAL's commit
@@ -108,55 +114,29 @@ func (l *wal) Size() int64 {
 	return l.size
 }
 
-// Sync flushes buffers and fsyncs regardless of policy.
+// Sync fsyncs regardless of policy, except under SyncNever.
 func (l *wal) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
 	if l.policy == SyncNever {
 		return nil
 	}
 	return l.f.Sync()
 }
 
-// Truncate discards all WAL contents (called after a snapshot).
-func (l *wal) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("storage: wal truncate: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	l.w.Reset(l.f)
-	l.size = 0
-	return nil
-}
-
-// Close flushes, optionally fsyncs, and closes the file.
+// Close fsyncs, except under SyncNever, and closes the file.
 func (l *wal) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return err
-	}
+	var err error
 	if l.policy != SyncNever {
-		if err := l.f.Sync(); err != nil {
-			l.f.Close()
-			return err
-		}
+		err = l.f.Sync()
 	}
-	return l.f.Close()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
-
-func newBufWriter(f *os.File) *bufio.Writer { return bufio.NewWriterSize(f, 1<<16) }
 
 // walStop is where and how a log replay ended.
 type walStop struct {

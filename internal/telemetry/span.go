@@ -122,9 +122,6 @@ func (t *Tracer) Since(n int) []Span {
 	return append([]Span(nil), t.spans[n:]...)
 }
 
-// Spans returns a copy of every finished span in end order.
-func (t *Tracer) Spans() []Span { return t.Since(0) }
-
 // SetAttr annotates the span. Safe on a nil span (no-op); call from the
 // goroutine that owns the span, before End.
 func (s *Span) SetAttr(key, value string) {
@@ -184,36 +181,4 @@ func StartSpan(ctx context.Context, name, kind string) (context.Context, *Span) 
 		return ctx, nil
 	}
 	return t.StartSpan(ctx, name, kind)
-}
-
-// Ring is a bounded, concurrency-safe buffer of recent finished spans — the
-// process-wide "what just happened" view served by the web layer. Old spans
-// are overwritten once capacity is reached.
-type Ring struct {
-	mu   sync.Mutex
-	buf  []Span
-	next int
-}
-
-// NewRing builds a ring holding up to capacity spans (<= 0 defaults to 4096).
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return &Ring{buf: make([]Span, 0, capacity)}
-}
-
-// Add appends spans, overwriting the oldest beyond capacity.
-func (r *Ring) Add(spans ...Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, sp := range spans {
-		sp.tracer = nil
-		if len(r.buf) < cap(r.buf) {
-			r.buf = append(r.buf, sp)
-		} else {
-			r.buf[r.next] = sp
-			r.next = (r.next + 1) % cap(r.buf)
-		}
-	}
 }

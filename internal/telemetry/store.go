@@ -259,22 +259,20 @@ func encodeAttrs(m map[string]string) ([]byte, error) {
 	return storage.EncodeRow(nil, row), nil
 }
 
+// decodeAttrs reads exactly what encodeAttrs writes: no bytes for no
+// attributes, otherwise a non-empty string map.
 func decodeAttrs(blob []byte) (map[string]string, error) {
 	if len(blob) == 0 {
 		return nil, nil
 	}
-	row, _, err := storage.DecodeRow(blob)
+	m, err := storage.DecodeStringMap(blob)
+	if err == nil && len(m) == 0 {
+		err = errors.New("no attributes are stored as no bytes")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: decode attrs: %w", err)
 	}
-	if len(row)%2 != 0 {
-		return nil, fmt.Errorf("telemetry: odd attr list")
-	}
-	out := make(map[string]string, len(row)/2)
-	for i := 0; i < len(row); i += 2 {
-		out[row[i].Str()] = row[i+1].Str()
-	}
-	return out, nil
+	return m, nil
 }
 
 // StampTrace sets TraceID on every span — used once the run ID is known

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -105,7 +106,7 @@ func TestTracerParenting(t *testing.T) {
 	root.Finish()
 	root.Finish() // double-finish records once
 
-	spans := tr.Spans()
+	spans := tr.Since(0)
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
@@ -158,28 +159,32 @@ func TestTracerCapAndSince(t *testing.T) {
 	}
 }
 
-// Snapshot, which only the tests read, returns the retained spans, oldest first.
-func (r *Ring) Snapshot() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-func TestRing(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 5; i++ {
-		r.Add(Span{SpanID: fmt.Sprintf("s%d", i)})
+// FuzzDecodeAttrs: arbitrary bytes never panic decodeAttrs, and whatever it
+// decodes encodeAttrs writes back byte for byte — it accepts only what the
+// encoder can have written.
+func FuzzDecodeAttrs(f *testing.F) {
+	seed, err := encodeAttrs(map[string]string{"name": "Hyla faber", "cache": "hit", "": ""})
+	if err != nil {
+		f.Fatal(err)
 	}
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(snap))
-	}
-	if snap[0].SpanID != "s2" || snap[2].SpanID != "s4" {
-		t.Fatalf("ring order wrong: %v %v %v", snap[0].SpanID, snap[1].SpanID, snap[2].SpanID)
-	}
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add(seed)
+	f.Add(storage.EncodeRow(nil, storage.Row{storage.I(1), storage.I(2), storage.S("k"), storage.Null()}))
+	f.Add(storage.EncodeRow(nil, storage.Row{storage.S("k"), storage.S("1"), storage.S("k"), storage.S("2")}))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		m, err := decodeAttrs(blob)
+		if err != nil {
+			return
+		}
+		got, err := encodeAttrs(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, blob) {
+			t.Fatalf("%x decodes to %q, which encodes to %x", blob, m, got)
+		}
+	})
 }
 
 func TestBuildTreeOrphans(t *testing.T) {

@@ -172,9 +172,8 @@ func (s *Server) registerAPI() {
 	}
 }
 
-// traced mints a per-request tracer — the trace context of anything the
-// handler triggers (a detection run, a scrub) starts at the API boundary —
-// and drains the finished spans into the system's ring afterwards.
+// traced mints a per-request tracer: the trace context of anything the
+// handler triggers (a detection run, a scrub) starts at the API boundary.
 func (s *Server) traced(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := telemetry.NewTracer(0)
@@ -182,9 +181,6 @@ func (s *Server) traced(h http.HandlerFunc) http.HandlerFunc {
 		ctx, sp := telemetry.StartSpan(ctx, r.Method+" "+r.URL.Path, "api")
 		h(w, r.WithContext(ctx))
 		sp.Finish()
-		if ring := s.System.Core.TraceRing; ring != nil {
-			ring.Add(tr.Spans()...)
-		}
 	}
 }
 

@@ -189,10 +189,11 @@ func (q *AdmissionQueue) Remove(runID string) error {
 	return nil
 }
 
-// Sync makes every admission added so far durable, whatever the store's
-// sync policy: under SyncOnClose an Add is buffered in the process, and a
-// kill would lose an admission the caller was already told about. The
-// scheduler backend syncs before it executes an admission.
+// Sync fsyncs every admission added so far, whatever the store's sync
+// policy: an Add is in the file once it returns and survives the process's
+// death, but under SyncOnClose not a power loss. The scheduler backend syncs
+// before it executes an admission, so a run that was started survives power
+// loss too.
 func (q *AdmissionQueue) Sync() error { return q.db.Sync() }
 
 // Depth is the number of pending admissions.

@@ -27,7 +27,6 @@ var reachAllowlist = map[string]string{
 	"audio.ReadWAV":           "decodes the WAV a preserved package carries; FuzzReadWAV and the encoder's tests use it",
 	"linkeddata.ReadNTriples": "decodes the N-Triples the exporter writes; the exporter's tests use it as their oracle",
 	"storage.DB.Tables":       "the table listing core's TestOrchestratedRunLeavesNoQueueState compares before and after a run",
-	"storage.DB.Snapshot":     "compacts the WAL into a snapshot; no program compacts yet, and whether one should is the open store-aging decision",
 
 	// The benchmark module's tracing decorators (benchmark/trace.go) call
 	// these through the interface, from methods only these calls would
