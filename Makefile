@@ -53,7 +53,7 @@ race:
 ## outputs and mark those rebuilt from the elements, and TestDeciderIsPure —
 ## no clock, lock, context, randomness, telemetry, goroutine or channel in
 ## decider.go; the provenance package's carry the upgrade guard,
-## TestOpensPreviousVersionDirectory), sixteen
+## TestOpensPreviousVersionDirectory), seventeen
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
 ## events must never panic or wedge the engine), the history-row payload
@@ -86,10 +86,13 @@ race:
 ## multi-kilobyte XML input takes the whole 10s otherwise), the admission-row
 ## options decoder (arbitrary bytes never panic decodeRunOptions, every
 ## admitted field round-trips, and a row that still carries the dropped
-## lease_ttl_ms decodes to the same options), the N-Triples reader (whatever
-## parses writes back and re-parses to as many triples), the species-name
-## parser (a parse's canonical form re-parses to itself) and the bounded
-## edit distance (in bound, it equals the full distance) — the chaos smoke
+## lease_ttl_ms and measured_availability decodes to the same options), the
+## N-Triples exporter against its test-file reader (whatever parses writes
+## back and re-parses to as many triples), the species-name
+## parser (a parse's canonical form re-parses to itself), the bounded
+## edit distance (in bound, it equals the full distance) and the checklist
+## decoder colserver -load reads (arbitrary bytes never panic ReadJSON, and
+## whatever decodes dumps and decodes back to an equal checklist) — the chaos smoke
 ## (randomized kill/resume trials, degraded-authority assessment runs,
 ## shard-loss traffic, and the scheduler-pool trial: one member drains an
 ## admission queue in which some runs crash at random history cuts, and every
@@ -127,7 +130,7 @@ race:
 ## throughput gate runs only in the full non-short experiment), and vet +
 ## tests of the nested benchmark/ module (root `go test ./...` does not enter
 ## it, and it compiles against core/web/cluster/provenance surfaces a
-## refactor here can break).
+## refactor here can break), and the executed-code gate (make uncovered).
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -151,6 +154,7 @@ ci:
 	$(GO) test ./internal/linkeddata/ -run='^$$' -fuzz=FuzzReadNTriples -fuzztime=10s
 	$(GO) test ./internal/taxonomy/ -run='^$$' -fuzz=FuzzParseName -fuzztime=10s
 	$(GO) test ./internal/taxonomy/ -run='^$$' -fuzz=FuzzDistance -fuzztime=10s
+	$(GO) test ./internal/taxonomy/ -run='^$$' -fuzz=FuzzReadJSON -fuzztime=10s
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run 'TestTracingOverhead|TestDocReferencesResolve|TestInternalDeclarationsReachable|TestReachDispatchIsPrecise' .
@@ -159,6 +163,7 @@ ci:
 	$(GO) run ./cmd/bench -compare $(BENCH_NEWEST)
 	$(GO) run ./cmd/experiments -run load -short
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) uncovered
 
 ## verify: the gate for engine/concurrency/persistence changes — the ci
 ## hygiene pass (gofmt, vet, race suite) plus the full test suite.
@@ -178,24 +183,15 @@ bench:
 experiments:
 	$(GO) run ./cmd/experiments
 
-## uncovered: list the internal/ functions no program executes (it lists, it
-## does not gate). Builds cmd/experiments, the six examples and the benchmark
-## ledger driver with coverage — -coverpkg=repro/..., since with
-## repro/internal/... alone the binaries write no counters — runs experiments
-## -short, every example and the ledger -smoke at -trace 0 and 1 into one
-## GOCOVERDIR in a temporary directory, and prints each internal/ function
-## that ran none of its statements, per `go tool covdata func`, then the count.
+## uncovered: the executed-code gate (scripts/uncovered.sh). Builds every
+## cmd/ program, the examples and the benchmark ledger driver with coverage
+## (-cover -coverpkg=repro/...), runs experiments -short, every example, the
+## ledger -smoke at -trace 0 and 1, and colserver, curate, fnjvweb and
+## orchestrator on loopback driven by curl (each server must exit 0 on
+## SIGTERM), all into one GOCOVERDIR in a temporary directory; prints each
+## internal/ function that ran none of its statements, per
+## `go tool covdata func`, and fails on any that scripts/uncovered.allow
+## (at most 15 entries, each with its reason) does not match, or on an entry
+## that matches none.
 uncovered:
-	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	mkdir -p "$$dir/bin" "$$dir/cov" "$$dir/out"; \
-	cover="-cover -coverpkg=repro/..."; \
-	$(GO) build $$cover -o "$$dir/bin/experiments" ./cmd/experiments; \
-	for ex in examples/*/; do $(GO) build $$cover -o "$$dir/bin/example-$$(basename $$ex)" ./$$ex; done; \
-	(cd benchmark && $(GO) build $$cover -o "$$dir/bin/ledger" .); \
-	cd "$$dir"; export GOCOVERDIR="$$dir/cov"; \
-	bin/experiments -short > /dev/null; \
-	for ex in bin/example-*; do $$ex > /dev/null; done; \
-	bin/ledger -smoke -trace 0 -out out > /dev/null; \
-	bin/ledger -smoke -trace 1 -out out > /dev/null; \
-	$(GO) tool covdata func -i cov | awk '$$1 ~ /^repro\/internal\// && $$NF == "0.0%"' > zero.txt; \
-	cat zero.txt; echo "$$(wc -l < zero.txt) internal/ functions at 0%"
+	GO=$(GO) bash scripts/uncovered.sh

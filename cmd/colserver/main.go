@@ -4,7 +4,11 @@
 //
 // Usage:
 //
-//	colserver [-addr :9090] [-species 1929] [-outdated 0.0695] [-availability 0.9] [-fuzzy 2] [-seed 2014]
+//	colserver [-addr :9090] [-species 1929] [-outdated 0.0695] [-provisional 0.05]
+//	          [-availability 0.9] [-fuzzy 2] [-seed 2014] [-load FILE] [-dump FILE] [-pprof ADDR]
+//
+// The server logs the address it listens on, so -addr 127.0.0.1:0 picks a
+// free port; SIGINT or SIGTERM stops it with exit status 0.
 //
 // Endpoints:
 //
@@ -14,11 +18,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // profiling endpoints, served only on -pprof
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro/internal/taxonomy"
 )
@@ -86,13 +95,38 @@ func main() {
 		opts = append(opts, taxonomy.WithFuzzy(*fuzzy))
 	}
 	if *pprofAddr != "" {
-		go func() {
-			log.Printf("pprof listening on %s", *pprofAddr)
-			log.Fatal(http.ListenAndServe(*pprofAddr, nil))
-		}()
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("pprof listening on %s", pln.Addr())
+		go http.Serve(pln, nil)
 	}
-	svc := taxonomy.NewService(checklist, opts...)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	log.Printf("catalogue of life simulator: %d name records (%d non-accepted), availability %.2f, listening on %s",
-		checklist.Len(), outdatedCount, *availability, *addr)
-	log.Fatal(http.ListenAndServe(*addr, svc))
+		checklist.Len(), outdatedCount, *availability, ln.Addr())
+	if err := serve(&http.Server{Handler: taxonomy.NewService(checklist, opts...)}, ln); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// serve serves srv on ln until SIGINT or SIGTERM, then shuts it down —
+// in-flight requests finish — and returns.
+func serve(srv *http.Server, ln net.Listener) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	log.Printf("shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return srv.Shutdown(ctx)
 }

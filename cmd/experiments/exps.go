@@ -105,11 +105,10 @@ func runFigure3(e *environment) error {
 	cache := taxonomy.NewCachingResolver(perName{client}, 0)
 
 	outcome, err := e.sys.RunDetection(context.Background(), cache, core.RunOptions{
-		Reputation:           "1",
-		Availability:         "0.9",
-		Author:               "expert",
-		MeasuredAvailability: -1, // patched below after the run
-		Parallel:             e.parallel,
+		Reputation:   "1",
+		Availability: "0.9",
+		Author:       "expert",
+		Parallel:     e.parallel,
 	})
 	if err != nil {
 		return err

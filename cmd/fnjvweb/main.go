@@ -5,17 +5,27 @@
 //
 // Usage:
 //
-//	fnjvweb [-addr :8080] [-data ./fnjv-data] [-records 11898] [-species 1929] [-authority URL]
+//	fnjvweb [-addr :8080] [-data ./fnjv-data] [-records 11898] [-species 1929]
+//	        [-authority URL] [-seed 2014] [-pprof ADDR] [-orchestrator NAME] [-no-scheduler]
+//
+// The server logs the address it listens on, so -addr 127.0.0.1:0 picks a
+// free port. SIGINT or SIGTERM stops it: in-flight requests finish, the
+// scheduler stops and the database closes (its final fsync) before the
+// process exits with status 0.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // profiling endpoints, served only on -pprof
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -30,6 +40,15 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run opens the data directory, starts the scheduler and serves until a
+// signal; its deferred scheduler stop and database close run on every return.
+func run() (err error) {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		data      = flag.String("data", "./fnjv-data", "database directory")
@@ -42,13 +61,18 @@ func main() {
 		noSched   = flag.Bool("no-scheduler", false, "disable the in-process scheduler: POST /api/v1/detect runs synchronously")
 	)
 	flag.Parse()
-	log.SetFlags(0)
 
 	sys, err := core.Open(*data, core.Options{Sync: storage.SyncOnClose})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer sys.Close()
+	defer func() {
+		if cerr := sys.Close(); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("closing %s: %w", *data, cerr))
+			return
+		}
+		log.Printf("closed %s", *data)
+	}()
 
 	taxa, err := taxonomy.Generate(taxonomy.GeneratorSpec{
 		Species:             *species,
@@ -57,16 +81,16 @@ func main() {
 		Seed:                *seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if sys.Records.Len() == 0 {
 		col, err := fnjv.Generate(fnjv.CollectionSpec{Records: *records, Seed: *seed + 2, SyntaxErrorRate: 1e-12},
 			taxa, geo.SyntheticGazetteer(40, *seed+1), envsource.NewSimulator())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := sys.Records.PutAll(col.Records); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("seeded collection: %d records over %d species", len(col.Records), col.DistinctSpecies)
 	}
@@ -101,7 +125,7 @@ func main() {
 	// executor died with the process that held the lock before.
 	sweep, err := sys.SweepUnfinishedRuns(context.Background(), resolver, core.RunOptions{Orchestrator: name})
 	if err != nil {
-		log.Fatalf("sweeping unfinished runs: %v", err)
+		return fmt.Errorf("sweeping unfinished runs: %w", err)
 	}
 	if sweep.Found > 0 {
 		log.Printf("startup sweep: %d unfinished runs, %d resumed, %d abandoned",
@@ -114,10 +138,12 @@ func main() {
 	// Profiling lives on its own listener so the public mux never exposes
 	// it; the flag keeps it off entirely by default.
 	if *pprofAddr != "" {
-		go func() {
-			log.Printf("pprof listening on %s", *pprofAddr)
-			log.Fatal(http.ListenAndServe(*pprofAddr, nil))
-		}()
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			return err
+		}
+		log.Printf("pprof listening on %s", pln.Addr())
+		go http.Serve(pln, nil)
 	}
 
 	wsys := &web.System{Core: sys, Resolver: resolver, Checklist: taxa.Checklist, Resilient: resilient}
@@ -131,14 +157,35 @@ func main() {
 		backend := sys.SchedulerBackend(resolver, core.RunOptions{Orchestrator: name}, wsys.RecordOutcome)
 		sched := &cluster.Scheduler{Name: name, Leases: sys.Leases, Backend: backend, Seed: *seed}
 		if err := sched.Start(); err != nil {
-			log.Fatalf("starting scheduler %s: %v", name, err)
+			return fmt.Errorf("starting scheduler %s: %w", name, err)
 		}
 		defer sched.Stop()
 		wsys.Scheduler = sched
 		log.Printf("scheduler %s started", name)
 	}
 
-	srv := web.NewServer(wsys)
-	log.Printf("FNJV prototype listening on %s (collection: %d records)", *addr, sys.Records.Len())
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("FNJV prototype listening on %s (collection: %d records)", ln.Addr(), sys.Records.Len())
+	return serve(&http.Server{Handler: web.NewServer(wsys)}, ln)
+}
+
+// serve serves srv on ln until SIGINT or SIGTERM, then shuts it down —
+// in-flight requests finish — and returns, so run's deferred cleanup runs.
+func serve(srv *http.Server, ln net.Listener) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	log.Printf("shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return srv.Shutdown(ctx)
 }

@@ -86,9 +86,7 @@ func main() {
 	client.Retries = 6
 	client.Backoff = 0
 
-	outcome, err := sys.RunDetection(context.Background(), client, core.RunOptions{
-		MeasuredAvailability: -1,
-	})
+	outcome, err := sys.RunDetection(context.Background(), client, core.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

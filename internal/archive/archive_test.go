@@ -10,6 +10,9 @@ import (
 	"time"
 )
 
+// Volumes returns the replica volume paths in configuration order.
+func (s *Store) Volumes() []string { return append([]string(nil), s.volumes...) }
+
 func testVolumes(t *testing.T, n int) []string {
 	t.Helper()
 	root := t.TempDir()

@@ -72,9 +72,6 @@ func OpenStore(volumes []string) (*Store, error) {
 	return &Store{volumes: append([]string(nil), volumes...), now: time.Now}, nil
 }
 
-// Volumes returns the replica volume paths in configuration order.
-func (s *Store) Volumes() []string { return append([]string(nil), s.volumes...) }
-
 func replicaPath(volume, id string) string {
 	return filepath.Join(volume, objectsDir, id+aipExt)
 }

@@ -25,29 +25,27 @@ import (
 // admittedOptions is the serializable subset of RunOptions an admission
 // round-trips through the durable queue. Chaos knobs travel too: a chaos
 // harness admits crashing runs exactly like real ones. Rows written before a
-// field was dropped (worker_kills, lease_ttl_ms) still decode: JSON ignores
-// the unknown key.
+// field was dropped (worker_kills, lease_ttl_ms, measured_availability) still
+// decode: JSON ignores the unknown key.
 type admittedOptions struct {
-	Reputation           string  `json:"reputation,omitempty"`
-	Availability         string  `json:"availability,omitempty"`
-	Author               string  `json:"author,omitempty"`
-	MeasuredAvailability float64 `json:"measured_availability,omitempty"`
-	SkipLedger           bool    `json:"skip_ledger,omitempty"`
-	Parallel             int     `json:"parallel,omitempty"`
-	CrashAfterDeltas     int     `json:"crash_after_deltas,omitempty"`
-	Untraced             bool    `json:"untraced,omitempty"`
+	Reputation       string `json:"reputation,omitempty"`
+	Availability     string `json:"availability,omitempty"`
+	Author           string `json:"author,omitempty"`
+	SkipLedger       bool   `json:"skip_ledger,omitempty"`
+	Parallel         int    `json:"parallel,omitempty"`
+	CrashAfterDeltas int    `json:"crash_after_deltas,omitempty"`
+	Untraced         bool   `json:"untraced,omitempty"`
 }
 
 func encodeRunOptions(opts RunOptions) string {
 	blob, _ := json.Marshal(admittedOptions{
-		Reputation:           opts.Reputation,
-		Availability:         opts.Availability,
-		Author:               opts.Author,
-		MeasuredAvailability: opts.MeasuredAvailability,
-		SkipLedger:           opts.SkipLedger,
-		Parallel:             opts.Parallel,
-		CrashAfterDeltas:     opts.CrashAfterDeltas,
-		Untraced:             opts.Untraced,
+		Reputation:       opts.Reputation,
+		Availability:     opts.Availability,
+		Author:           opts.Author,
+		SkipLedger:       opts.SkipLedger,
+		Parallel:         opts.Parallel,
+		CrashAfterDeltas: opts.CrashAfterDeltas,
+		Untraced:         opts.Untraced,
 	})
 	return string(blob)
 }
@@ -56,14 +54,13 @@ func decodeRunOptions(blob string) RunOptions {
 	var a admittedOptions
 	_ = json.Unmarshal([]byte(blob), &a) // zero value = defaults
 	return RunOptions{
-		Reputation:           a.Reputation,
-		Availability:         a.Availability,
-		Author:               a.Author,
-		MeasuredAvailability: a.MeasuredAvailability,
-		SkipLedger:           a.SkipLedger,
-		Parallel:             a.Parallel,
-		CrashAfterDeltas:     a.CrashAfterDeltas,
-		Untraced:             a.Untraced,
+		Reputation:       a.Reputation,
+		Availability:     a.Availability,
+		Author:           a.Author,
+		SkipLedger:       a.SkipLedger,
+		Parallel:         a.Parallel,
+		CrashAfterDeltas: a.CrashAfterDeltas,
+		Untraced:         a.Untraced,
 	}
 }
 

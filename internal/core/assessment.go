@@ -63,10 +63,6 @@ type RunOptions struct {
 	Availability string
 	// Author identifies the annotating expert.
 	Author string
-	// MeasuredAvailability, when ≥0, is fed to the quality manager as the
-	// *observed* authority availability (e.g. Client.ObservedAvailability).
-	// Negative means unavailable.
-	MeasuredAvailability float64
 	// SkipLedger skips persisting per-record updates (benchmarks).
 	SkipLedger bool
 	// Parallel is the event engine's worker-pool size for the run: that many
@@ -118,9 +114,6 @@ func (o *RunOptions) defaults() {
 	}
 	if o.Author == "" {
 		o.Author = "expert"
-	}
-	if o.MeasuredAvailability == 0 {
-		o.MeasuredAvailability = -1
 	}
 }
 
@@ -407,7 +400,7 @@ func (s *System) finishDetection(result *workflow.RunResult, version int, start 
 	outcome.UpdatesCreated = len(updates)
 
 	// §IV.C quality assessment.
-	assessment, err := s.assessDetection(result.RunID, sum, opts)
+	assessment, err := s.assessDetection(result.RunID, sum)
 	if err != nil {
 		return nil, err
 	}
@@ -418,9 +411,8 @@ func (s *System) finishDetection(result *workflow.RunResult, version int, start 
 
 // assessDetection runs the §IV.C quality computation for a finished run:
 // species-name accuracy from the detection counts, reputation and
-// availability from the provenance annotations, and — when supplied — the
-// measured availability observed at the authority client.
-func (s *System) assessDetection(runID string, sum detectionSummary, opts RunOptions) (*quality.Assessment, error) {
+// availability from the provenance annotations.
+func (s *System) assessDetection(runID string, sum detectionSummary) (*quality.Assessment, error) {
 	annotations, err := s.Provenance.QualityOfProcess(runID, "Catalog_of_life")
 	if err != nil {
 		return nil, err
@@ -457,15 +449,6 @@ func (s *System) assessDetection(runID string, sum detectionSummary, opts RunOpt
 			return nil, err
 		}
 	}
-	ctxValues := map[string]any{}
-	if opts.MeasuredAvailability >= 0 {
-		ctxValues["authority.observed_availability"] = opts.MeasuredAvailability
-		if err := manager.Register(quality.ObservedMetric(
-			"measured-availability", quality.DimAvailability,
-			"authority.observed_availability")); err != nil {
-			return nil, err
-		}
-	}
 	goal := quality.Goal{
 		Name: "long-term-preservation",
 		Weights: map[string]float64{
@@ -476,7 +459,6 @@ func (s *System) assessDetection(runID string, sum detectionSummary, opts RunOpt
 	}
 	return manager.Assess(goal, &quality.Context{
 		Subject:     "FNJV species-name metadata",
-		Values:      ctxValues,
 		Annotations: annotations,
 	})
 }

@@ -256,21 +256,6 @@ func TestRunDetectionCountsDirtyNamesUnknown(t *testing.T) {
 	assertDirectClassification(t, sys, taxa.Checklist, outcome)
 }
 
-func TestRunDetectionWithMeasuredAvailability(t *testing.T) {
-	sys, taxa, _ := testSystem(t, 300, 80)
-	outcome, err := sys.RunDetection(context.Background(), taxa.Checklist, RunOptions{
-		MeasuredAvailability: 0.85,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Availability dimension mixes asserted 0.9 and measured 0.85.
-	av := outcome.Assessment.Dimensions[quality.DimAvailability]
-	if av < 0.874 || av > 0.876 {
-		t.Fatalf("availability = %.4f, want 0.875", av)
-	}
-}
-
 func TestRunDetectionRepeatRunsAccumulate(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 300, 80)
 	o1, err := sys.RunDetection(context.Background(), taxa.Checklist, RunOptions{})

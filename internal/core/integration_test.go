@@ -59,9 +59,7 @@ func TestPaperScaleEndToEnd(t *testing.T) {
 	client.Backoff = 0
 	resolver := taxonomy.NewCachingResolver(client, 0)
 
-	outcome, err := sys.RunDetection(context.Background(), resolver, RunOptions{
-		MeasuredAvailability: -1,
-	})
+	outcome, err := sys.RunDetection(context.Background(), resolver, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // be a continuous task, as long as users deem the data to be useful" — as a
 // reassessment its caller repeats: each ReassessOnce re-runs the detection
 // workflow, persists a quality sample, and raises alerts when quality
-// degrades (new knowledge invalidated names) or the authority misbehaves.
+// degrades (new knowledge invalidated names) or the assessment is rejected.
 //
 // Each reassessment re-pays the full n-names authority sweep, so Opts.Parallel
 // (the engine's unified concurrency budget) applies to every one: set it so
@@ -30,10 +30,6 @@ type Monitor struct {
 	// DegradationDelta raises an alert when accuracy drops by more than this
 	// amount between consecutive samples (default 0.01).
 	DegradationDelta float64
-	// MinAvailability raises an alert when the authority's measured
-	// availability falls below it (default 0.5; only checked when the run
-	// options carry a measured availability).
-	MinAvailability float64
 
 	mu      sync.Mutex
 	history []QualitySample
@@ -54,9 +50,8 @@ type AlertKind string
 
 // Alert kinds.
 const (
-	AlertDegraded      AlertKind = "quality-degraded"
-	AlertAuthorityDown AlertKind = "authority-unreliable"
-	AlertRejected      AlertKind = "assessment-rejected"
+	AlertDegraded AlertKind = "quality-degraded"
+	AlertRejected AlertKind = "assessment-rejected"
 )
 
 // Alert is one raised condition.
@@ -86,13 +81,11 @@ func NewMonitor(sys *System, resolver taxonomy.Resolver, opts RunOptions) (*Moni
 			return nil, err
 		}
 	}
-	opts.defaults() // normalize sentinel values (0 availability means unset)
 	m := &Monitor{
 		System:           sys,
 		Resolver:         resolver,
 		Opts:             opts,
 		DegradationDelta: 0.01,
-		MinAvailability:  0.5,
 	}
 	sys.DB.Table(samplesTable).Scan(func(row storage.Row) bool {
 		m.history = append(m.history, QualitySample{
@@ -155,13 +148,6 @@ func (m *Monitor) ReassessOnce(ctx context.Context) (QualitySample, []Alert, err
 			Kind: AlertDegraded,
 			Detail: fmt.Sprintf("accuracy fell %.3f -> %.3f (%d newly outdated names): knowledge evolved, curation needed",
 				prev.Accuracy, sample.Accuracy, sample.Outdated-prev.Outdated),
-			Sample: sample,
-		})
-	}
-	if m.Opts.MeasuredAvailability >= 0 && m.Opts.MeasuredAvailability < m.MinAvailability {
-		alerts = append(alerts, Alert{
-			Kind:   AlertAuthorityDown,
-			Detail: fmt.Sprintf("authority availability %.2f below %.2f", m.Opts.MeasuredAvailability, m.MinAvailability),
 			Sample: sample,
 		})
 	}

@@ -113,30 +113,6 @@ func TestMonitorHistoryPersists(t *testing.T) {
 	}
 }
 
-func TestMonitorAuthorityAlert(t *testing.T) {
-	sys, taxa, _ := testSystem(t, 300, 80)
-	mon, err := NewMonitor(sys, taxa.Checklist, RunOptions{
-		SkipLedger:           true,
-		MeasuredAvailability: 0.3, // below the 0.5 floor
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, alerts, err := mon.ReassessOnce(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var found bool
-	for _, a := range alerts {
-		if a.Kind == AlertAuthorityDown {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no authority alert in %+v", alerts)
-	}
-}
-
 // seedCollection loads a generated collection into an already-open system.
 func seedCollection(t *testing.T, sys *System, taxa *taxonomy.Generated, records int) {
 	t.Helper()

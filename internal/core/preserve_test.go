@@ -14,7 +14,8 @@ import (
 	"repro/internal/opm"
 )
 
-func testArchiveStore(t *testing.T, n int) *archive.Store {
+// testArchiveStore opens a store over n fresh volumes, returned beside it.
+func testArchiveStore(t *testing.T, n int) (*archive.Store, []string) {
 	t.Helper()
 	root := t.TempDir()
 	vols := make([]string, n)
@@ -25,12 +26,12 @@ func testArchiveStore(t *testing.T, n int) *archive.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return store
+	return store, vols
 }
 
 func TestPreservationManagerLevelGatesAudio(t *testing.T) {
 	sys, _, col := testSystem(t, 50, 20)
-	store := testArchiveStore(t, 2)
+	store, _ := testArchiveStore(t, 2)
 
 	pm, err := sys.NewPreservationManager(store, LevelDocumentation)
 	if err != nil {
@@ -103,7 +104,7 @@ func TestArchiveDetectionRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := testArchiveStore(t, 3)
+	store, vols := testArchiveStore(t, 3)
 	pm, err := sys.NewPreservationManager(store, LevelSimplifiedFormat)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +136,7 @@ func TestArchiveDetectionRunEndToEnd(t *testing.T) {
 		t.Fatal("short archive loop")
 	}
 
-	if err := archive.CorruptReplica(store.Volumes()[1], gm.ID, -2); err != nil {
+	if err := archive.CorruptReplica(vols[1], gm.ID, -2); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := pm.VerifyArchive(context.Background())

@@ -30,9 +30,6 @@ func IRI(iri string) Term { return Term{value: iri} }
 // Literal builds a literal term.
 func Literal(v string) Term { return Term{value: v, literal: true} }
 
-// Value returns the raw IRI or literal text.
-func (t Term) Value() string { return t.value }
-
 // Zero reports whether the term is unset.
 func (t Term) Zero() bool { return t.value == "" && !t.literal }
 
@@ -176,81 +173,4 @@ func (s *Store) WriteNTriples(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadNTriples parses a (subset of) N-Triples document produced by
-// WriteNTriples into a new store.
-func ReadNTriples(r io.Reader) (*Store, error) {
-	s := NewStore()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		t, err := parseNTriple(line)
-		if err != nil {
-			return nil, fmt.Errorf("linkeddata: line %d: %w", lineNo, err)
-		}
-		if err := s.Add(t); err != nil {
-			return nil, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func parseNTriple(line string) (Triple, error) {
-	if !strings.HasSuffix(line, ".") {
-		return Triple{}, fmt.Errorf("missing terminating dot in %q", line)
-	}
-	body := strings.TrimSpace(strings.TrimSuffix(line, "."))
-	subj, rest, err := parseIRI(body)
-	if err != nil {
-		return Triple{}, err
-	}
-	pred, rest, err := parseIRI(rest)
-	if err != nil {
-		return Triple{}, err
-	}
-	rest = strings.TrimSpace(rest)
-	var obj Term
-	switch {
-	case strings.HasPrefix(rest, "<"):
-		v, tail, err := parseIRI(rest)
-		if err != nil {
-			return Triple{}, err
-		}
-		if strings.TrimSpace(tail) != "" {
-			return Triple{}, fmt.Errorf("trailing content %q", tail)
-		}
-		obj = IRI(v)
-	case strings.HasPrefix(rest, `"`) && strings.HasSuffix(rest, `"`) && len(rest) >= 2:
-		obj = Literal(unescapeLiteral(rest[1 : len(rest)-1]))
-	default:
-		return Triple{}, fmt.Errorf("bad object %q", rest)
-	}
-	return Triple{Subject: subj, Predicate: pred, Object: obj}, nil
-}
-
-func parseIRI(s string) (string, string, error) {
-	s = strings.TrimSpace(s)
-	if !strings.HasPrefix(s, "<") {
-		return "", "", fmt.Errorf("expected IRI in %q", s)
-	}
-	end := strings.Index(s, ">")
-	if end < 0 {
-		return "", "", fmt.Errorf("unterminated IRI in %q", s)
-	}
-	return s[1:end], s[end+1:], nil
-}
-
-func unescapeLiteral(s string) string {
-	r := strings.NewReplacer(`\n`, "\n", `\r`, "\r", `\t`, "\t", `\"`, `"`, `\\`, `\`)
-	return r.Replace(s)
 }

@@ -27,12 +27,10 @@ type Entity struct {
 // ValueKind types a measurement value.
 type ValueKind uint8
 
-// Measurement value kinds.
-const (
-	ValueFloat ValueKind = iota
-	ValueString
-	ValueBool
-)
+// ValueFloat is the kind of a numeric measurement, the only kind a program
+// records; a stored row's kind column also admits a string (1) and a
+// boolean (2).
+const ValueFloat ValueKind = 0
 
 // Measurement is one recorded characteristic of an observation.
 type Measurement struct {
@@ -47,24 +45,6 @@ type Measurement struct {
 // Float builds a numeric measurement.
 func Float(characteristic string, v float64, unit string) Measurement {
 	return Measurement{Characteristic: characteristic, Kind: ValueFloat, Number: v, Unit: unit}
-}
-
-// Value renders the measurement value for display.
-func (m Measurement) Value() string {
-	switch m.Kind {
-	case ValueFloat:
-		s := fmt.Sprintf("%g", m.Number)
-		if m.Unit != "" {
-			s += " " + m.Unit
-		}
-		return s
-	case ValueString:
-		return m.Text
-	case ValueBool:
-		return fmt.Sprintf("%t", m.Flag)
-	default:
-		return "?"
-	}
 }
 
 // Observation asserts that Entity was observed with Measurements, in a

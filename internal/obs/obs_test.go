@@ -191,3 +191,27 @@ func TestFromRuntimeMetrics(t *testing.T) {
 		t.Fatalf("stored runtime observation: %+v %v", got, err)
 	}
 }
+
+// The string and boolean measurement kinds, which only the tests write.
+const (
+	ValueString ValueKind = 1
+	ValueBool   ValueKind = 2
+)
+
+// Value renders the measurement value for display; only the tests read it.
+func (m Measurement) Value() string {
+	switch m.Kind {
+	case ValueFloat:
+		s := fmt.Sprintf("%g", m.Number)
+		if m.Unit != "" {
+			s += " " + m.Unit
+		}
+		return s
+	case ValueString:
+		return m.Text
+	case ValueBool:
+		return fmt.Sprintf("%t", m.Flag)
+	default:
+		return "?"
+	}
+}

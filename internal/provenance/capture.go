@@ -110,13 +110,6 @@ func (c *Collector) Graph() *opm.Graph {
 	return c.graph.Clone()
 }
 
-// Info returns the run summary.
-func (c *Collector) Info() RunInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.info
-}
-
 // artifactID derives a content-addressed artifact ID so the same datum
 // flowing through several processors maps to one artifact node.
 func artifactID(d workflow.Data) string {

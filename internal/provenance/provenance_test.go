@@ -14,6 +14,14 @@ import (
 	"repro/internal/workflow"
 )
 
+// Info returns the run summary. Programs read a run's summary from the
+// deltas a Collector emits; the tests read it here.
+func (c *Collector) Info() RunInfo {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.info
+}
+
 // detectionDef builds a two-step pipeline shaped like the case study:
 // metadata -> normalize -> resolve -> summary.
 func detectionDef() *workflow.Definition {

@@ -251,30 +251,6 @@ func AnnotationMetric(name, dimension string) Metric {
 	}
 }
 
-// ObservedMetric reads a numeric value from the context's value bag, for
-// measurements produced elsewhere (e.g. the authority client's observed
-// availability — source (c), external data sources).
-func ObservedMetric(name, dimension, valueKey string) Metric {
-	return Metric{
-		Name: name, Dimension: dimension,
-		Description: "measured " + dimension + " from " + valueKey,
-		Compute: func(ctx *Context) (Score, error) {
-			raw, ok := ctx.Value(valueKey)
-			if !ok {
-				return Score{}, fmt.Errorf("quality: context has no %q", valueKey)
-			}
-			switch v := raw.(type) {
-			case float64:
-				return Score{Value: v, Detail: fmt.Sprintf("observed %s=%.3f", dimension, v)}, nil
-			case int:
-				return Score{Value: float64(v), Detail: fmt.Sprintf("observed %s=%d", dimension, v)}, nil
-			default:
-				return Score{}, fmt.Errorf("quality: context %q has non-numeric type %T", valueKey, raw)
-			}
-		},
-	}
-}
-
 // TimelinessMetric scores freshness: 1 at age 0 decaying linearly to 0 at
 // maxAge — "curated (meta)data that in the past was reliable may have its
 // content degraded with time".

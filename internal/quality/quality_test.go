@@ -220,24 +220,6 @@ func TestAnnotationMetricErrors(t *testing.T) {
 	}
 }
 
-func TestObservedMetric(t *testing.T) {
-	m := ObservedMetric("obs", DimAvailability, "client.availability")
-	s, err := m.Compute(&Context{Values: map[string]any{"client.availability": 0.87}})
-	if err != nil || s.Value != 0.87 {
-		t.Fatalf("observed = %+v, %v", s, err)
-	}
-	if _, err := m.Compute(&Context{Values: map[string]any{}}); err == nil {
-		t.Fatal("missing key accepted")
-	}
-	if _, err := m.Compute(&Context{Values: map[string]any{"client.availability": "x"}}); err == nil {
-		t.Fatal("non-numeric value accepted")
-	}
-	s, err = m.Compute(&Context{Values: map[string]any{"client.availability": 1}})
-	if err != nil || s.Value != 1 {
-		t.Fatalf("int value = %+v, %v", s, err)
-	}
-}
-
 func TestTimelinessMetric(t *testing.T) {
 	now := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
 	m := TimelinessMetric("t", "last", 100*24*time.Hour)
@@ -267,7 +249,10 @@ func TestTimelinessMetric(t *testing.T) {
 
 func TestRank(t *testing.T) {
 	m := NewManager()
-	m.Register(ObservedMetric("score", DimAccuracy, "v"))
+	m.Register(Metric{Name: "score", Dimension: DimAccuracy, Compute: func(ctx *Context) (Score, error) {
+		v, _ := ctx.Value("v")
+		return Score{Value: v.(float64)}, nil
+	}})
 	goal := Goal{Name: "g", Weights: map[string]float64{DimAccuracy: 1}, AcceptThreshold: 0.6}
 	ctxs := []*Context{
 		{Subject: "low", Values: map[string]any{"v": 0.2}},

@@ -267,6 +267,17 @@ func sameRows(t testing.TB, what string, got, want []Row) {
 	}
 }
 
+// Tables returns the names of all tables, in no particular order.
+func (db *DB) Tables() []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	names := make([]string, 0, len(db.tables))
+	for n := range db.tables {
+		names = append(names, n)
+	}
+	return names
+}
+
 func scanAll(tbl *Table) []Row {
 	var rows []Row
 	tbl.Scan(func(r Row) bool { rows = append(rows, r); return true })

@@ -588,17 +588,6 @@ func (db *DB) Table(name string) *Table {
 	return db.tables[name]
 }
 
-// Tables returns the names of all tables, in no particular order.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	return names
-}
-
 // Sync fsyncs the WAL, regardless of the configured sync policy (except
 // SyncNever). Every acknowledged commit is already in the file; Sync makes
 // them survive power loss too. Group-committing writers call it to make a

@@ -1,7 +1,7 @@
 // The versioned JSON API (/api/v1/): machine access to everything the HTML
-// pages show — records, runs, span trees, provenance nodes/edges, archive
-// holdings and fixity, quality assessments, runtime metrics. All responses
-// are JSON; errors use one envelope shape:
+// pages show — records, runs, span trees, provenance nodes/edges, quality
+// assessments, runtime metrics. All responses are JSON; errors use one
+// envelope shape:
 //
 //	{"error": {"code": "...", "message": "..."}}
 //
@@ -9,8 +9,8 @@
 // Cursor pagination mirrors the repositories: string cursors for runs and
 // nodes, integer sequence cursors for edges and spans; next_cursor is
 // omitted on the last page. Immutable resources — the provenance graph and
-// span tree of a finished run, AIP manifests — carry a content-hash ETag
-// and honor If-None-Match with 304.
+// span tree of a finished run — carry a content-hash ETag and honor
+// If-None-Match with 304.
 package web
 
 import (
@@ -148,16 +148,13 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// registerAPI mounts the /api/v1 routes. Every handler runs under the
-// tracing middleware, so API latency is observable in the span ring.
+// registerAPI mounts the /api/v1 routes behind the tenant gate.
 func (s *Server) registerAPI() {
 	routes := map[string]http.HandlerFunc{
 		"/api/v1/records":  s.requireGet(s.apiRecords),
 		"/api/v1/records/": s.requireGet(s.apiRecord),
 		"/api/v1/runs":     s.requireGet(s.apiRuns),
 		"/api/v1/runs/":    s.requireGet(s.apiRun),
-		"/api/v1/archive":  s.requireGet(s.apiArchive),
-		"/api/v1/archive/": s.requireGet(s.apiArchiveObject),
 		"/api/v1/quality":  s.requireGet(s.apiQuality),
 		"/api/v1/metrics":  s.requireGet(s.apiMetrics),
 		"/api/v1/cluster":  s.requireGet(s.apiCluster),
@@ -168,19 +165,7 @@ func (s *Server) registerAPI() {
 		},
 	}
 	for pattern, h := range routes {
-		s.mux.HandleFunc(pattern, s.traced(s.tenantGate(h)))
-	}
-}
-
-// traced mints a per-request tracer: the trace context of anything the
-// handler triggers (a detection run, a scrub) starts at the API boundary.
-func (s *Server) traced(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tr := telemetry.NewTracer(0)
-		ctx := telemetry.WithTracer(r.Context(), tr)
-		ctx, sp := telemetry.StartSpan(ctx, r.Method+" "+r.URL.Path, "api")
-		h(w, r.WithContext(ctx))
-		sp.Finish()
+		s.mux.HandleFunc(pattern, s.tenantGate(h))
 	}
 }
 
@@ -451,15 +436,13 @@ func (s *Server) apiDetect(w http.ResponseWriter, r *http.Request) {
 		}})
 		return
 	}
-	// The run must survive a client disconnect: keep the request's tracer
-	// (the API boundary context) but not its cancelation.
-	ctx := r.Context()
-	if tr := telemetry.TracerFrom(ctx); tr != nil {
-		ctx = telemetry.WithTracer(context.Background(), tr)
-	} else {
-		ctx = context.Background()
-	}
+	// The run must survive a client disconnect: keep the request's values
+	// (the tenant) but not its cancelation. The run's trace starts at this
+	// request's boundary span.
+	ctx := telemetry.WithTracer(context.WithoutCancel(r.Context()), telemetry.NewTracer(0))
+	ctx, sp := telemetry.StartSpan(ctx, r.Method+" "+r.URL.Path, "api")
 	outcome, err := s.svc.Detect(ctx)
+	sp.Finish()
 	if err != nil {
 		fail(w, err)
 		return
@@ -580,72 +563,6 @@ func (s *Server) apiRecord(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, body)
 }
 
-// ---- archive ----
-
-type replicaJSON struct {
-	Volume string `json:"volume"`
-	State  string `json:"state"`
-	Detail string `json:"detail,omitempty"`
-}
-
-func (s *Server) apiArchive(w http.ResponseWriter, r *http.Request) {
-	limit, err := parsePageLimit(r.URL.Query().Get("limit"), 100)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	ov, err := s.svc.ArchiveOverview(limit)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	type holdingJSON struct {
-		ID          string `json:"id"`
-		Label       string `json:"label,omitempty"`
-		MediaType   string `json:"media_type,omitempty"`
-		Size        int64  `json:"size"`
-		Replicas    int    `json:"replicas"`
-		Healthy     int    `json:"healthy"`
-		Quarantined bool   `json:"quarantined,omitempty"`
-	}
-	holdings := make([]holdingJSON, 0, len(ov.Objects))
-	for _, st := range ov.Objects {
-		holdings = append(holdings, holdingJSON{
-			ID: st.ID, Label: st.Manifest.Label, MediaType: st.Manifest.MediaType,
-			Size: st.Manifest.Size, Replicas: len(st.Replicas), Healthy: st.Healthy(),
-			Quarantined: st.Quarantined,
-		})
-	}
-	writeJSON(w, struct {
-		Volumes     int           `json:"volumes"`
-		Total       int           `json:"total"`
-		Holdings    []holdingJSON `json:"holdings"`
-		Quarantined []string      `json:"quarantined,omitempty"`
-		Truncated   int           `json:"truncated,omitempty"`
-	}{ov.Volumes, ov.Total, holdings, ov.Quarantined, ov.Truncated})
-}
-
-func (s *Server) apiArchiveObject(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/api/v1/archive/")
-	st, err := s.svc.ArchiveObject(id)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	replicas := make([]replicaJSON, 0, len(st.Replicas))
-	for _, rep := range st.Replicas {
-		replicas = append(replicas, replicaJSON{Volume: rep.Volume, State: string(rep.State), Detail: rep.Detail})
-	}
-	// The manifest is content-addressed — immutable by construction — and
-	// replica states only change when fixity changes, which a content-hash
-	// ETag captures exactly.
-	writeCacheableJSON(w, r, struct {
-		Manifest    any           `json:"manifest"`
-		Quarantined bool          `json:"quarantined"`
-		Replicas    []replicaJSON `json:"replicas"`
-	}{st.Manifest, st.Quarantined, replicas})
-}
-
 // ---- quality + metrics ----
 
 func (s *Server) apiQuality(w http.ResponseWriter, r *http.Request) {
@@ -683,7 +600,7 @@ func (s *Server) apiQuality(w http.ResponseWriter, r *http.Request) {
 
 // apiMetrics snapshots the runtime counters of every instrumented subsystem
 // — workflow engine (with queue-wait/exec latency quantiles), streaming
-// provenance writer, archive scrubber — as obs.FromRuntimeMetrics
+// provenance writer, scheduler — as obs.FromRuntimeMetrics
 // observations, so audits and load are observable without reading experiment
 // output. Serves /api/v1/metrics and the legacy /metrics.
 func (s *Server) apiMetrics(w http.ResponseWriter, r *http.Request) {

@@ -44,9 +44,6 @@ type System struct {
 	// Checklist enables the Linked-Data shadow extraction endpoints; may be
 	// nil.
 	Checklist *taxonomy.Checklist
-	// Preservation enables the /archive fixity views and the scrubber rows
-	// of /metrics; may be nil when no archival store is configured.
-	Preservation *core.PreservationManager
 	// Resilient, when the Resolver is a taxonomy.ResilientResolver, exposes
 	// its breaker/bulkhead/fallback counters on /metrics; may be nil.
 	Resilient *taxonomy.ResilientResolver
@@ -87,8 +84,6 @@ func NewServer(sys *System) *Server {
 	s.mux.HandleFunc("/review/act", s.handleReviewAct)
 	s.mux.HandleFunc("/health", s.handleCollectionHealth)
 	s.mux.HandleFunc("/provenance/", s.handleProvenance)
-	s.mux.HandleFunc("/archive", s.handleArchive)
-	s.mux.HandleFunc("/archive/", s.handleArchiveObject)
 	s.mux.HandleFunc("/metrics", s.apiMetrics) // legacy path, same payload as /api/v1/metrics
 	s.mux.HandleFunc("/export/ntriples", s.handleNTriples)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -111,7 +106,7 @@ nav a{margin-right:1em}
 .flag{color:#a40000}
 </style></head>
 <body>
-<nav><a href="/">dashboard</a><a href="/detect">detect outdated names</a><a href="/records">search records</a><a href="/quality">quality</a><a href="/archive">archive</a><a href="/export/ntriples">linked data</a></nav>
+<nav><a href="/">dashboard</a><a href="/detect">detect outdated names</a><a href="/records">search records</a><a href="/quality">quality</a><a href="/export/ntriples">linked data</a></nav>
 <h1>{{.Title}}</h1>
 {{.Body}}
 </body></html>`))
@@ -447,114 +442,6 @@ func (s *Server) handleProvenanceEdges(w http.ResponseWriter, r *http.Request, r
 	}
 	s.render(w, "Provenance edges", b.String())
 }
-
-// handleArchive renders the archival store's fixity dashboard: every AIP
-// with its per-replica state, the quarantine list, and a scrub trigger
-// (?scrub=1 / POST) that runs one audit pass inline.
-func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	if r.Method == http.MethodPost || r.URL.Query().Get("scrub") == "1" {
-		rep, err := s.svc.Scrub(r.Context())
-		if errors.Is(err, errNotFound) {
-			s.render(w, "Archival store", "<p>No archival store configured.</p>")
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		fmt.Fprintf(&b, `<p>scrub pass: <b>%d</b> objects, %d replicas re-hashed, %d corrupt, %d missing, <b>%d repaired</b>, %d unrecoverable (%.0f ms)</p>`,
-			rep.Objects, rep.ReplicasChecked, rep.CorruptFound, rep.MissingFound,
-			rep.Repaired, rep.Unrecoverable,
-			float64(rep.FinishedAt.Sub(rep.StartedAt).Microseconds())/1000)
-	} else {
-		b.WriteString(`<p><a href="/archive?scrub=1">Run a scrub pass now</a></p>`)
-	}
-	limit, err := parsePageLimit(r.URL.Query().Get("limit"), 100)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ov, err := s.svc.ArchiveOverview(limit)
-	if errors.Is(err, errNotFound) {
-		s.render(w, "Archival store", "<p>No archival store configured.</p>")
-		return
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	fmt.Fprintf(&b, "<p>%d archived objects across %d replica volumes</p>", ov.Total, ov.Volumes)
-	b.WriteString("<table><tr><th>package</th><th>label</th><th>media</th><th>size</th><th>replicas</th><th>fixity</th></tr>")
-	for _, st := range ov.Objects {
-		fixity := "healthy"
-		if st.Damaged() {
-			fixity = fmt.Sprintf(`<span class=flag>%d/%d healthy</span>`, st.Healthy(), len(st.Replicas))
-		}
-		fmt.Fprintf(&b, `<tr><td><a href="/archive/%s">%s</a></td><td>%s</td><td>%s</td><td class=num>%d</td><td class=num>%d</td><td>%s</td></tr>`,
-			esc(st.ID), esc(shortID(st.ID)), esc(st.Manifest.Label), esc(st.Manifest.MediaType),
-			st.Manifest.Size, len(st.Replicas), fixity)
-	}
-	if ov.Truncated > 0 {
-		fmt.Fprintf(&b, "<tr><td colspan=6>... and %d more</td></tr>", ov.Truncated)
-	}
-	b.WriteString("</table>")
-	if len(ov.Quarantined) > 0 {
-		fmt.Fprintf(&b, `<h2>quarantined (unrecoverable)</h2><p class=flag>%d objects lost every healthy replica; damaged bytes are preserved for forensics</p><table><tr><th>package</th></tr>`, len(ov.Quarantined))
-		for _, id := range ov.Quarantined {
-			fmt.Fprintf(&b, `<tr><td><a href="/archive/%s">%s</a></td></tr>`, esc(id), esc(id))
-		}
-		b.WriteString("</table>")
-	}
-	s.render(w, "Archival store", b.String())
-}
-
-// handleArchiveObject renders one AIP: its manifest, provenance links and
-// per-volume replica fixity.
-func (s *Server) handleArchiveObject(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/archive/")
-	st, err := s.svc.ArchiveObject(id)
-	if err != nil {
-		http.NotFound(w, r)
-		return
-	}
-	var b strings.Builder
-	m := st.Manifest
-	provLink := esc(m.RunID)
-	if m.RunID != "" {
-		provLink = fmt.Sprintf(`<a href="/provenance/%s">%s</a>`, esc(m.RunID), esc(m.RunID))
-	}
-	recLink := esc(m.SourceID)
-	if m.SourceID != "" {
-		recLink = fmt.Sprintf(`<a href="/record/%s">%s</a>`, esc(m.SourceID), esc(m.SourceID))
-	}
-	fmt.Fprintf(&b, `<table>
-<tr><th>label</th><td>%s</td></tr>
-<tr><th>media type</th><td>%s</td></tr>
-<tr><th>size</th><td class=num>%d bytes</td></tr>
-<tr><th>sha256</th><td><code>%s</code></td></tr>
-<tr><th>source record</th><td>%s</td></tr>
-<tr><th>provenance run</th><td>%s</td></tr>
-<tr><th>archived at</th><td>%s</td></tr>
-<tr><th>quarantined</th><td>%v</td></tr>
-</table><h2>replicas</h2><table><tr><th>volume</th><th>state</th><th>detail</th></tr>`,
-		esc(m.Label), esc(m.MediaType), m.Size, esc(m.SHA256),
-		recLink, provLink, m.CreatedAt.Format(time.RFC3339), st.Quarantined)
-	for _, rep := range st.Replicas {
-		cls := ""
-		if rep.State != "healthy" {
-			cls = " class=flag"
-		}
-		fmt.Fprintf(&b, "<tr><td>%s</td><td%s>%s</td><td>%s</td></tr>",
-			esc(rep.Volume), cls, esc(string(rep.State)), esc(rep.Detail))
-	}
-	b.WriteString("</table>")
-	s.render(w, "Archived package "+shortID(id), b.String())
-}
-
-// shortID abbreviates an AIP ID for display. IDs come from file names on a
-// volume, so a stray short one must not be sliced past its end.
-func shortID(id string) string { return id[:min(12, len(id))] }
 
 func (s *Server) handleNTriples(w http.ResponseWriter, r *http.Request) {
 	// Two-phase: collect records first, then consult the ledger — nesting

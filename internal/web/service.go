@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/curation"
 	"repro/internal/fnjv"
@@ -24,7 +23,7 @@ var errNotFound = errors.New("web: not found")
 
 // Service is the read/command layer both front ends consume: the HTML pages
 // and the /api/v1 JSON handlers are thin renderers over these methods, so
-// the two can never drift apart on what a "run", "trace" or "holding" is.
+// the two can never drift apart on what a "run" or "trace" is.
 type Service struct {
 	sys *System
 }
@@ -228,72 +227,6 @@ func (v *Service) Record(id string) (*RecordDetail, error) {
 	return d, nil
 }
 
-// ArchiveOverview is the holdings-and-fixity view of the archival store.
-type ArchiveOverview struct {
-	Volumes     int
-	Total       int
-	Objects     []archive.ObjectStatus
-	Quarantined []string
-	// Truncated is how many holdings the limit cut off.
-	Truncated int
-}
-
-// ArchiveOverview stats up to limit holdings. errNotFound when no archival
-// store is configured.
-func (v *Service) ArchiveOverview(limit int) (*ArchiveOverview, error) {
-	pm := v.sys.Preservation
-	if pm == nil {
-		return nil, fmt.Errorf("%w: no archival store configured", errNotFound)
-	}
-	ids, err := pm.Store.List()
-	if err != nil {
-		return nil, err
-	}
-	ov := &ArchiveOverview{Volumes: len(pm.Store.Volumes()), Total: len(ids)}
-	for _, id := range ids {
-		if limit > 0 && len(ov.Objects) == limit {
-			ov.Truncated = len(ids) - limit
-			break
-		}
-		ov.Objects = append(ov.Objects, pm.Store.Stat(id))
-	}
-	if q, err := pm.Store.ListQuarantined(); err == nil {
-		ov.Quarantined = q
-	}
-	return ov, nil
-}
-
-// ArchiveObject stats one AIP across all replica volumes. errNotFound when
-// no store is configured or no volume holds any trace of the ID.
-func (v *Service) ArchiveObject(id string) (archive.ObjectStatus, error) {
-	pm := v.sys.Preservation
-	if pm == nil {
-		return archive.ObjectStatus{}, fmt.Errorf("%w: no archival store configured", errNotFound)
-	}
-	st := pm.Store.Stat(id)
-	if st.Healthy() == 0 && !st.Quarantined {
-		found := false
-		for _, rep := range st.Replicas {
-			if rep.State != archive.ReplicaMissing {
-				found = true
-			}
-		}
-		if !found {
-			return archive.ObjectStatus{}, fmt.Errorf("%w: package %q", errNotFound, id)
-		}
-	}
-	return st, nil
-}
-
-// Scrub runs one fixity audit pass inline.
-func (v *Service) Scrub(ctx context.Context) (archive.ScrubReport, error) {
-	pm := v.sys.Preservation
-	if pm == nil {
-		return archive.ScrubReport{}, fmt.Errorf("%w: no archival store configured", errNotFound)
-	}
-	return pm.VerifyArchive(ctx)
-}
-
 // MetricsEntry is one subsystem's runtime counters as an observation — the
 // shape both /metrics and /api/v1/metrics serve.
 type MetricsEntry struct {
@@ -306,7 +239,7 @@ type MetricsEntry struct {
 
 // Metrics snapshots every instrumented subsystem — workflow engine (with its
 // queue-wait/exec latency quantiles), crash recovery, streaming provenance
-// writer, archive scrubber, resolution resilience — as observations, sorted
+// writer, scheduler, resolution resilience — as observations, sorted
 // by subsystem name.
 func (v *Service) Metrics(at time.Time) []MetricsEntry {
 	subsystems := map[string]map[string]float64{
@@ -324,9 +257,6 @@ func (v *Service) Metrics(at time.Time) []MetricsEntry {
 		subsystems["provenance-writer"] = o.ProvenanceWriter.Counters()
 	}
 	v.sys.mu.Unlock()
-	if pm := v.sys.Preservation; pm != nil {
-		subsystems["archive-scrubber"] = pm.Scrubber.Counters()
-	}
 	if c := v.sys.Core.Cluster; c != nil {
 		subsystems["shard-router"] = c.Counters()
 	}

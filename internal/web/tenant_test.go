@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/fnjv"
 	"repro/internal/shard"
 )
 
@@ -84,4 +85,45 @@ func TestAPINoQuotasConfigured(t *testing.T) {
 		t.Fatalf("rate headers emitted without quotas: %q", got)
 	}
 	resp.Body.Close()
+}
+
+// TestSyncDetectKeepsTenant: a synchronous detect runs for the X-Tenant
+// tenant — a tenant-qualified run ID over that tenant's distinct names only —
+// even though the run is detached from the request's cancelation.
+func TestSyncDetectKeepsTenant(t *testing.T) {
+	srv, wsys, _ := testServer(t)
+	var owned []*fnjv.Record
+	names := map[string]bool{}
+	wsys.Core.Records.Scan(func(rec *fnjv.Record) bool {
+		r := *rec
+		r.ID = shard.Qualify("acme", rec.ID)
+		owned = append(owned, &r)
+		if r.Species != "" {
+			names[r.Species] = true
+		}
+		return len(owned) < 40
+	})
+	if err := wsys.Core.Records.PutAll(owned); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/api/v1/detect?wait=true", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(TenantHeader, "acme")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		RunID         string `json:"run_id"`
+		DistinctNames int    `json:"distinct_names"`
+	}
+	decodeJSON(t, resp, http.StatusOK, &out)
+	if tenant, _ := shard.Split(out.RunID); tenant != "acme" {
+		t.Fatalf("run ID %q is not acme-qualified", out.RunID)
+	}
+	if out.DistinctNames != len(names) {
+		t.Fatalf("acme's run checked %d distinct names, want the tenant's %d", out.DistinctNames, len(names))
+	}
 }

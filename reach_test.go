@@ -23,10 +23,8 @@ import (
 // An allowlisted interface method counts as called, so the methods it
 // dispatches to stay with it.
 var reachAllowlist = map[string]string{
-	"opm.UnmarshalXML":        "decodes the OPM XML a preserved package carries; the encoder's tests use it as their oracle",
-	"audio.ReadWAV":           "decodes the WAV a preserved package carries; FuzzReadWAV and the encoder's tests use it",
-	"linkeddata.ReadNTriples": "decodes the N-Triples the exporter writes; the exporter's tests use it as their oracle",
-	"storage.DB.Tables":       "the table listing core's TestOrchestratedRunLeavesNoQueueState compares before and after a run",
+	"opm.UnmarshalXML": "decodes the OPM XML a preserved package carries; the encoder's tests use it as their oracle",
+	"audio.ReadWAV":    "decodes the WAV a preserved package carries; FuzzReadWAV and the encoder's tests use it",
 
 	// The benchmark module's tracing decorators (benchmark/trace.go) call
 	// these through the interface, from methods only these calls would
