@@ -53,7 +53,7 @@ race:
 ## outputs and mark those rebuilt from the elements, and TestDeciderIsPure —
 ## no clock, lock, context, randomness, telemetry, goroutine or channel in
 ## decider.go; the provenance package's carry the upgrade guard,
-## TestOpensPreviousVersionDirectory), seventeen
+## TestOpensPreviousVersionDirectory), eighteen
 ## short fuzz smokes — the archival WAV decoder (arbitrary bytes must never
 ## panic the archive read path), the history prefix resume replays (arbitrary
 ## events must never panic or wedge the engine), the history-row payload
@@ -79,7 +79,10 @@ race:
 ## bytes are a torn tail, never a panic or an error), the /api/v1 sequence
 ## cursors (any ?after=&limit= on a run's edges and spans is a 400 or the
 ## suffix of the run's list after the cursor — MaxInt64 included — and
-## walking by next cursor visits every row once) and the OPM XML codec
+## walking by next cursor visits every row once), the /api/v1 string cursors
+## (any ?after=&limit= on the runs list and a run's nodes is a 400 or exactly
+## the items whose key sorts after the cursor, cut to the limit, with a next
+## cursor exactly when more remain) and the OPM XML codec
 ## (arbitrary bytes never panic UnmarshalXML; whatever decodes, MarshalXML
 ## writes exactly the encoding/xml oracle's bytes for, and those bytes decode
 ## to the same graph; minimizing is capped at 1s, because minimizing a
@@ -149,6 +152,7 @@ ci:
 	$(GO) test ./internal/provenance/ -run='^$$' -fuzz=FuzzDecodeAnnotations -fuzztime=10s
 	$(GO) test ./internal/telemetry/ -run='^$$' -fuzz=FuzzDecodeAttrs -fuzztime=10s
 	$(GO) test ./internal/web/ -run='^$$' -fuzz=FuzzSeqCursorPages -fuzztime=10s
+	$(GO) test ./internal/web/ -run='^$$' -fuzz=FuzzStringCursorPages -fuzztime=10s
 	$(GO) test ./internal/opm/ -run='^$$' -fuzz=FuzzOPMXML -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzRunOptions -fuzztime=10s
 	$(GO) test ./internal/linkeddata/ -run='^$$' -fuzz=FuzzReadNTriples -fuzztime=10s

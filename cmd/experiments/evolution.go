@@ -46,10 +46,7 @@ func runEvolution(e *environment) error {
 		return err
 	}
 
-	mon, err := core.NewMonitor(sys, e.taxa.Checklist, core.RunOptions{Parallel: e.parallel})
-	if err != nil {
-		return err
-	}
+	mon := core.NewMonitor(sys, e.taxa.Checklist, core.RunOptions{Parallel: e.parallel})
 
 	const epochs = 8
 	perEpoch := e.species / 60 // a steady trickle of revisions
@@ -110,7 +107,10 @@ func runEvolution(e *environment) error {
 				float64(healed)/float64(total), healed, total)
 		}
 	}
-	first, last, delta, n := mon.Trend()
+	first, last, delta, n, err := mon.Trend()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("\ntrend over %d samples: raw accuracy %.4f -> %.4f (Δ %+.4f)\n", n, first, last, delta)
 	fmt.Printf("deprecations injected: %d — raw metadata decays while the curated view heals:\n", deprecatedTotal)
 	fmt.Printf("the paper's argument that curation must be periodic, made measurable.\n")

@@ -147,14 +147,13 @@ func run() (err error) {
 	}
 
 	wsys := &web.System{Core: sys, Resolver: resolver, Checklist: taxa.Checklist, Resilient: resilient}
-	wsys.RecordOutcome(sweep.Last)
 
 	// Scheduler: this process runs a pool member that drains the admission
 	// queue (POST /api/v1/detect turns asynchronous — 202 plus the run URL)
 	// and resumes admitted runs a crash interrupted. The directory is this
 	// process's alone: a cmd/orchestrator over it fails with storage.ErrLocked.
 	if !*noSched {
-		backend := sys.SchedulerBackend(resolver, core.RunOptions{Orchestrator: name}, wsys.RecordOutcome)
+		backend := sys.SchedulerBackend(resolver, core.RunOptions{Orchestrator: name}, nil)
 		sched := &cluster.Scheduler{Name: name, Leases: sys.Leases, Backend: backend, Seed: *seed}
 		if err := sched.Start(); err != nil {
 			return fmt.Errorf("starting scheduler %s: %w", name, err)

@@ -52,13 +52,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	mon, err := core.NewMonitor(sys, taxa.Checklist, core.RunOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	mon := core.NewMonitor(sys, taxa.Checklist, core.RunOptions{})
 
 	fmt.Println("epoch  accuracy  outdated  alerts")
-	var lastOutcome *core.DetectionOutcome
 	for epoch := 0; epoch < 5; epoch++ {
 		if epoch > 0 {
 			// Taxonomy evolves: 8 revisions per epoch.
@@ -102,8 +98,19 @@ func main() {
 	}
 	fmt.Printf("\ncuration pass: %d approved, %d deferred\n", rr.Approved, rr.Deferred)
 
+	// The monitor's series is every completed detection run, so read it
+	// before the report's own detection adds one.
+	history, err := mon.History()
+	if err != nil {
+		log.Fatal(err)
+	}
+	first, last, delta, n, err := mon.Trend()
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Final detection for the report.
-	lastOutcome, err = sys.RunDetection(context.Background(), taxa.Checklist, core.RunOptions{SkipLedger: true})
+	lastOutcome, err := sys.RunDetection(context.Background(), taxa.Checklist, core.RunOptions{SkipLedger: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +121,7 @@ func main() {
 	}
 	md := report.New("FNJV preservation monitoring report", now).
 		AddFacts(facts).
-		AddTrend(mon.History()).
+		AddTrend(history).
 		AddDetection(lastOutcome).
 		AddAssessment("Species-name quality", lastOutcome.Assessment).
 		AddAssessment("Collection health", health).
@@ -123,7 +130,6 @@ func main() {
 	if err := os.WriteFile(out, []byte(md), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	first, last, delta, n := mon.Trend()
 	fmt.Printf("trend: %.4f -> %.4f (Δ %+.4f over %d samples)\n", first, last, delta, n)
 	fmt.Printf("markdown report written to %s (%d bytes)\n", out, len(md))
 }

@@ -339,34 +339,26 @@ func (s *System) detectionEngine(reg *workflow.Registry, opts RunOptions) *workf
 }
 
 // finishDetection turns a completed detection run into a DetectionOutcome:
-// parses the summary datum, persists per-record updates, and assesses
-// quality. Shared by fresh and resumed runs.
+// derives the counts and the §IV.C assessment as StoredOutcome does, and
+// persists per-record updates. Shared by fresh and resumed runs.
 func (s *System) finishDetection(result *workflow.RunResult, version int, start time.Time, opts RunOptions, em workflow.MetricsSnapshot, wm provenance.WriterMetrics) (*DetectionOutcome, error) {
-	// Step 5: parse the summary.
-	var sum detectionSummary
-	if err := json.Unmarshal([]byte(result.Outputs["summary"].String()), &sum); err != nil {
-		return nil, fmt.Errorf("core: bad summary datum: %w", err)
+	annotations, err := s.Provenance.QualityOfProcess(result.RunID, "Catalog_of_life")
+	if err != nil {
+		return nil, err
 	}
-
-	outcome := &DetectionOutcome{
-		RunID:            result.RunID,
-		WorkflowVersion:  version,
-		DistinctNames:    sum.DistinctNames,
-		Outdated:         sum.Outdated,
-		Unknown:          sum.Unknown,
-		Unavailable:      sum.Unavailable,
-		Degraded:         sum.Degraded,
-		Renames:          sum.Renames,
-		EngineMetrics:    em,
-		ProvenanceWriter: wm,
-		Replayed:         result.Replayed,
+	outcome, sum, err := assessDetection(result.RunID, result.Outputs["summary"].String(), annotations, result.FinishedAt)
+	if err != nil {
+		return nil, err
 	}
+	outcome.WorkflowVersion = version
+	outcome.EngineMetrics, outcome.ProvenanceWriter = em, wm
+	outcome.Replayed = result.Replayed
 
 	// Persist per-record updates referencing (not modifying) the originals,
 	// scoped to the run's tenant: a tenant run reads only the tenant's shard,
 	// the same fault-isolation contract as TenantDistinctNames.
 	var updates []*curation.NameUpdate
-	err := s.Records.ScanSpecies(opts.Tenant, func(id, species string) bool {
+	err = s.Records.ScanSpecies(opts.Tenant, func(id, species string) bool {
 		outcome.RecordsProcessed++
 		updated, bad := sum.Renames[species]
 		if !bad {
@@ -398,24 +390,75 @@ func (s *System) finishDetection(result *workflow.RunResult, version int, start 
 		}
 	}
 	outcome.UpdatesCreated = len(updates)
-
-	// §IV.C quality assessment.
-	assessment, err := s.assessDetection(result.RunID, sum)
-	if err != nil {
-		return nil, err
-	}
-	outcome.Assessment = assessment
 	outcome.Elapsed = time.Since(start)
 	return outcome, nil
 }
 
-// assessDetection runs the §IV.C quality computation for a finished run:
-// species-name accuracy from the detection counts, reputation and
-// availability from the provenance annotations.
-func (s *System) assessDetection(runID string, sum detectionSummary) (*quality.Assessment, error) {
+// ErrNoOutcome is wrapped by StoredOutcome when the run is unknown, is not a
+// detection run, or has not completed.
+var ErrNoOutcome = errors.New("core: no completed detection run")
+
+// StoredOutcome reads a completed detection run's outcome back from the
+// provenance repository: the summary datum its run-finished event stored,
+// and the quality annotations on its Catalog_of_life processor. RunID, the
+// summary counts, Renames and Assessment are filled exactly as the live run
+// filled them. What the store does not hold stays zero: RecordsProcessed,
+// UpdatesCreated, Elapsed, WorkflowVersion, EngineMetrics, ProvenanceWriter
+// and Replayed.
+func (s *System) StoredOutcome(runID string) (*DetectionOutcome, error) {
+	info, err := s.Provenance.Run(runID)
+	switch {
+	case errors.Is(err, provenance.ErrRunNotFound):
+		return nil, fmt.Errorf("%w: %v", ErrNoOutcome, err)
+	case err != nil:
+		return nil, err
+	case info.WorkflowID != DetectionWorkflowID || info.Status != provenance.RunCompleted:
+		return nil, fmt.Errorf("%w: run %s of workflow %q is %s", ErrNoOutcome, runID, info.WorkflowID, info.Status)
+	}
+	history, err := s.Provenance.History(runID)
+	if err != nil {
+		return nil, err
+	}
+	if len(history) == 0 || history[len(history)-1].Type != workflow.HistoryRunFinished {
+		return nil, fmt.Errorf("core: completed run %s stored no run-finished event", runID)
+	}
+	finished := history[len(history)-1]
 	annotations, err := s.Provenance.QualityOfProcess(runID, "Catalog_of_life")
 	if err != nil {
 		return nil, err
+	}
+	outcome, _, err := assessDetection(runID, finished.Outputs["summary"].String(), annotations, finished.Time)
+	return outcome, err
+}
+
+// CompletedDetections lists the tenant's completed detection runs in run-ID
+// order, which within a tenant is the order they were minted in: the last
+// entry is the tenant's latest run. It reads the row of every detection run
+// the store holds, so its cost grows with the store's age (ROADMAP item 3);
+// the quality views and the monitor call it, the detect path does not.
+func (s *System) CompletedDetections(tenant string) ([]provenance.RunInfo, error) {
+	runs, err := s.Provenance.Runs(DetectionWorkflowID)
+	if err != nil {
+		return nil, err
+	}
+	out := runs[:0]
+	for _, info := range runs {
+		if t, _ := shard.Split(info.RunID); t == tenant && info.Status == provenance.RunCompleted {
+			out = append(out, info)
+		}
+	}
+	return out, nil
+}
+
+// assessDetection is the one derivation of a detection run's outcome and its
+// §IV.C assessment, live or read back: counts and renames from the summary
+// datum, species-name accuracy from those counts, reputation and
+// availability from the provenance annotations, stamped with the run's
+// finish time. It also returns the parsed summary.
+func assessDetection(runID, summary string, annotations map[string]string, finished time.Time) (*DetectionOutcome, detectionSummary, error) {
+	var sum detectionSummary
+	if err := json.Unmarshal([]byte(summary), &sum); err != nil {
+		return nil, sum, fmt.Errorf("core: bad summary datum: %w", err)
 	}
 	manager := quality.NewManager()
 	if err := manager.Register(quality.RatioMetric(
@@ -426,13 +469,13 @@ func (s *System) assessDetection(runID string, sum detectionSummary) (*quality.A
 			checked := sum.DistinctNames - sum.Unavailable
 			return correct, checked, nil
 		})); err != nil {
-		return nil, err
+		return nil, sum, err
 	}
 	if err := manager.Register(quality.AnnotationMetric("authority-reputation", quality.DimReputation)); err != nil {
-		return nil, err
+		return nil, sum, err
 	}
 	if err := manager.Register(quality.AnnotationMetric("asserted-availability", quality.DimAvailability)); err != nil {
-		return nil, err
+		return nil, sum, err
 	}
 	if sum.Degraded > 0 {
 		// Degraded-mode visibility: answers served from a stale cache while
@@ -446,7 +489,7 @@ func (s *System) assessDetection(runID string, sum detectionSummary) (*quality.A
 				checked := sum.DistinctNames - sum.Unavailable
 				return checked - sum.Degraded, checked, nil
 			})); err != nil {
-			return nil, err
+			return nil, sum, err
 		}
 	}
 	goal := quality.Goal{
@@ -457,8 +500,22 @@ func (s *System) assessDetection(runID string, sum detectionSummary) (*quality.A
 			quality.DimAvailability: 1,
 		},
 	}
-	return manager.Assess(goal, &quality.Context{
+	assessment, err := manager.Assess(goal, &quality.Context{
 		Subject:     "FNJV species-name metadata",
 		Annotations: annotations,
+		Now:         finished,
 	})
+	if err != nil {
+		return nil, sum, err
+	}
+	return &DetectionOutcome{
+		RunID:         runID,
+		DistinctNames: sum.DistinctNames,
+		Outdated:      sum.Outdated,
+		Unknown:       sum.Unknown,
+		Unavailable:   sum.Unavailable,
+		Degraded:      sum.Degraded,
+		Renames:       sum.Renames,
+		Assessment:    assessment,
+	}, sum, nil
 }

@@ -235,9 +235,9 @@ func TestInProcessDetectionIsOneBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := outcome.EngineMetrics.Counters(); m["engine.batches"] != 1 || m["engine.batched_elements"] != float64(outcome.DistinctNames) {
-		t.Errorf("engine.batches = %v carrying %v elements, want 1 carrying all %d names",
-			m["engine.batches"], m["engine.batched_elements"], outcome.DistinctNames)
+	if m := outcome.EngineMetrics; m.Batches != 1 || m.BatchedElements != int64(outcome.DistinctNames) {
+		t.Errorf("engine batches = %d carrying %d elements, want 1 carrying all %d names",
+			m.Batches, m.BatchedElements, outcome.DistinctNames)
 	}
 	spans, err := sys.Traces.Spans(outcome.RunID)
 	if err != nil {

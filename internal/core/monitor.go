@@ -3,19 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/quality"
-	"repro/internal/storage"
 	"repro/internal/taxonomy"
 )
 
 // Monitor implements the paper's closing argument — "quality assessment must
 // be a continuous task, as long as users deem the data to be useful" — as a
 // reassessment its caller repeats: each ReassessOnce re-runs the detection
-// workflow, persists a quality sample, and raises alerts when quality
-// degrades (new knowledge invalidated names) or the assessment is rejected.
+// workflow, whose stored run is the series' new sample, and raises alerts
+// when quality degrades (new knowledge invalidated names) or the assessment
+// is rejected.
 //
 // Each reassessment re-pays the full n-names authority sweep, so Opts.Parallel
 // (the engine's unified concurrency budget) applies to every one: set it so
@@ -30,9 +29,6 @@ type Monitor struct {
 	// DegradationDelta raises an alert when accuracy drops by more than this
 	// amount between consecutive samples (default 0.01).
 	DegradationDelta float64
-
-	mu      sync.Mutex
-	history []QualitySample
 }
 
 // QualitySample is one point of the quality time series.
@@ -61,86 +57,65 @@ type Alert struct {
 	Sample QualitySample
 }
 
-const samplesTable = "quality_samples"
+// NewMonitor builds a monitor over an open system. It keeps no series of
+// its own: the series is the tenant's completed detection runs, read back
+// from the provenance repository, so it survives restarts and includes runs
+// the monitor did not start.
+func NewMonitor(sys *System, resolver taxonomy.Resolver, opts RunOptions) *Monitor {
+	return &Monitor{System: sys, Resolver: resolver, Opts: opts, DegradationDelta: 0.01}
+}
 
-var samplesSchema = storage.MustSchema(samplesTable,
-	storage.Column{Name: "run_id", Kind: storage.KindString},
-	storage.Column{Name: "at", Kind: storage.KindTime},
-	storage.Column{Name: "accuracy", Kind: storage.KindFloat},
-	storage.Column{Name: "utility", Kind: storage.KindFloat},
-	storage.Column{Name: "outdated", Kind: storage.KindInt},
-	storage.Column{Name: "distinct_names", Kind: storage.KindInt},
-)
+// sampleOf is a run's point of the quality series.
+func sampleOf(o *DetectionOutcome) QualitySample {
+	return QualitySample{
+		At:       o.Assessment.At,
+		RunID:    o.RunID,
+		Accuracy: o.Assessment.Dimensions[quality.DimAccuracy],
+		Utility:  o.Assessment.Utility,
+		Outdated: o.Outdated,
+		Distinct: o.DistinctNames,
+	}
+}
 
-// NewMonitor builds a monitor over an open system, creating the persistent
-// sample table if needed and loading prior samples so degradation detection
-// survives restarts.
-func NewMonitor(sys *System, resolver taxonomy.Resolver, opts RunOptions) (*Monitor, error) {
-	if sys.DB.Table(samplesTable) == nil {
-		if err := sys.DB.CreateTable(samplesSchema); err != nil {
+// History returns the sample series in run order: one sample per completed
+// detection run of the monitor's tenant, each read through StoredOutcome.
+func (m *Monitor) History() ([]QualitySample, error) {
+	runs, err := m.System.CompletedDetections(m.Opts.Tenant)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]QualitySample, 0, len(runs))
+	for _, info := range runs {
+		o, err := m.System.StoredOutcome(info.RunID)
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, sampleOf(o))
 	}
-	m := &Monitor{
-		System:           sys,
-		Resolver:         resolver,
-		Opts:             opts,
-		DegradationDelta: 0.01,
-	}
-	sys.DB.Table(samplesTable).Scan(func(row storage.Row) bool {
-		m.history = append(m.history, QualitySample{
-			RunID:    row.Get(samplesSchema, "run_id").Str(),
-			At:       row.Get(samplesSchema, "at").Time(),
-			Accuracy: row.Get(samplesSchema, "accuracy").Float(),
-			Utility:  row.Get(samplesSchema, "utility").Float(),
-			Outdated: int(row.Get(samplesSchema, "outdated").Int()),
-			Distinct: int(row.Get(samplesSchema, "distinct_names").Int()),
-		})
-		return true
-	})
-	// Scan order is run-ID order, which matches chronological order for the
-	// engine's monotonic run IDs.
-	return m, nil
+	return out, nil
 }
 
-// History returns a copy of the sample series in chronological order.
-func (m *Monitor) History() []QualitySample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]QualitySample(nil), m.history...)
-}
-
-// ReassessOnce runs one detection + assessment tick, persists the sample and
-// returns any alerts.
+// ReassessOnce runs one detection + assessment tick and returns its sample
+// and any alerts, comparing against the tenant's last stored run.
 func (m *Monitor) ReassessOnce(ctx context.Context) (QualitySample, []Alert, error) {
+	runs, err := m.System.CompletedDetections(m.Opts.Tenant)
+	if err != nil {
+		return QualitySample{}, nil, err
+	}
+	var prev *QualitySample
+	if len(runs) > 0 {
+		o, err := m.System.StoredOutcome(runs[len(runs)-1].RunID)
+		if err != nil {
+			return QualitySample{}, nil, err
+		}
+		p := sampleOf(o)
+		prev = &p
+	}
 	outcome, err := m.System.RunDetection(ctx, m.Resolver, m.Opts)
 	if err != nil {
 		return QualitySample{}, nil, err
 	}
-	sample := QualitySample{
-		At:       outcome.Assessment.At,
-		RunID:    outcome.RunID,
-		Accuracy: outcome.Assessment.Dimensions[quality.DimAccuracy],
-		Utility:  outcome.Assessment.Utility,
-		Outdated: outcome.Outdated,
-		Distinct: outcome.DistinctNames,
-	}
-	if err := m.System.DB.Insert(samplesTable, storage.Row{
-		storage.S(sample.RunID), storage.T(sample.At),
-		storage.F(sample.Accuracy), storage.F(sample.Utility),
-		storage.I(int64(sample.Outdated)), storage.I(int64(sample.Distinct)),
-	}); err != nil {
-		return QualitySample{}, nil, err
-	}
-
-	m.mu.Lock()
-	var prev *QualitySample
-	if len(m.history) > 0 {
-		p := m.history[len(m.history)-1]
-		prev = &p
-	}
-	m.history = append(m.history, sample)
-	m.mu.Unlock()
+	sample := sampleOf(outcome)
 
 	var alerts []Alert
 	if prev != nil && prev.Accuracy-sample.Accuracy > m.DegradationDelta {
@@ -161,14 +136,12 @@ func (m *Monitor) ReassessOnce(ctx context.Context) (QualitySample, []Alert, err
 	return sample, alerts, nil
 }
 
-// Trend summarizes the series: first and last accuracy and the net change.
-func (m *Monitor) Trend() (first, last, delta float64, samples int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.history) == 0 {
-		return 0, 0, 0, 0
+// Trend summarizes History: first and last accuracy and the net change.
+func (m *Monitor) Trend() (first, last, delta float64, samples int, err error) {
+	h, err := m.History()
+	if err != nil || len(h) == 0 {
+		return 0, 0, 0, 0, err
 	}
-	first = m.history[0].Accuracy
-	last = m.history[len(m.history)-1].Accuracy
-	return first, last, last - first, len(m.history)
+	first, last = h[0].Accuracy, h[len(h)-1].Accuracy
+	return first, last, last - first, len(h), nil
 }

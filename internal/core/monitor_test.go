@@ -10,10 +10,7 @@ import (
 
 func TestMonitorSamplesAndDegradationAlert(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 400, 100)
-	mon, err := NewMonitor(sys, taxa.Checklist, RunOptions{SkipLedger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := NewMonitor(sys, taxa.Checklist, RunOptions{SkipLedger: true})
 	s1, alerts, err := mon.ReassessOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +60,19 @@ func TestMonitorSamplesAndDegradationAlert(t *testing.T) {
 		t.Fatalf("accuracy did not fall: %.3f -> %.3f", s1.Accuracy, s3.Accuracy)
 	}
 	// Trend over three samples.
-	first, last, delta, count := mon.Trend()
-	if count != 3 || first <= last || delta >= 0 {
-		t.Fatalf("trend = %.3f %.3f %.3f %d", first, last, delta, count)
+	first, last, delta, count, err := mon.Trend()
+	if err != nil || count != 3 || first <= last || delta >= 0 {
+		t.Fatalf("trend = %.3f %.3f %.3f %d (%v)", first, last, delta, count, err)
 	}
-	if len(mon.History()) != 3 {
-		t.Fatalf("history = %d", len(mon.History()))
+	history, err := mon.History()
+	if err != nil || len(history) != 3 {
+		t.Fatalf("history = %d (%v)", len(history), err)
+	}
+	for i, want := range []QualitySample{s1, s3} {
+		got := history[2*i]
+		if got.RunID != want.RunID || got.Accuracy != want.Accuracy || got.Utility != want.Utility || !got.At.Equal(want.At) {
+			t.Fatalf("stored sample %+v, want the tick's %+v", got, want)
+		}
 	}
 }
 
@@ -83,10 +87,7 @@ func TestMonitorHistoryPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedCollection(t, sys, taxa, 200)
-	mon, err := NewMonitor(sys, taxa.Checklist, RunOptions{SkipLedger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := NewMonitor(sys, taxa.Checklist, RunOptions{SkipLedger: true})
 	if _, _, err := mon.ReassessOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -97,19 +98,16 @@ func TestMonitorHistoryPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys2.Close()
-	mon2, err := NewMonitor(sys2, taxa.Checklist, RunOptions{SkipLedger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mon2.History()) != 1 {
-		t.Fatalf("persisted history = %d", len(mon2.History()))
+	mon2 := NewMonitor(sys2, taxa.Checklist, RunOptions{SkipLedger: true})
+	if h, err := mon2.History(); err != nil || len(h) != 1 {
+		t.Fatalf("persisted history = %d (%v)", len(h), err)
 	}
 	// A fresh tick appends to the reloaded series.
 	if _, _, err := mon2.ReassessOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(mon2.History()) != 2 {
-		t.Fatalf("history after reload+tick = %d", len(mon2.History()))
+	if h, err := mon2.History(); err != nil || len(h) != 2 {
+		t.Fatalf("history after reload+tick = %d (%v)", len(h), err)
 	}
 }
 

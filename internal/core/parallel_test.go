@@ -160,10 +160,7 @@ func TestMonitorParallelTick(t *testing.T) {
 	defer srv.Close()
 	cache := taxonomy.NewCachingResolver(taxonomy.NewClient(srv.URL), time.Hour)
 
-	mon, err := NewMonitor(sys, cache, RunOptions{Parallel: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := NewMonitor(sys, cache, RunOptions{Parallel: 8})
 	first, _, err := mon.ReassessOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)

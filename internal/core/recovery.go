@@ -75,8 +75,6 @@ type SweepReport struct {
 	Found int
 	// Resumed lists run IDs carried to completion.
 	Resumed []string
-	// Last is the outcome of the last run resumed, nil when none was.
-	Last *DetectionOutcome
 	// Abandoned maps run IDs finalized as abandoned to the reason.
 	Abandoned map[string]string
 	// Skipped lists runs left alone because another executor in this process
@@ -131,8 +129,7 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 				return report, err
 			}
 		default:
-			out, rerr := s.ResumeDetection(ctx, resolver, info.RunID, opts)
-			if rerr != nil {
+			if _, rerr := s.ResumeDetection(ctx, resolver, info.RunID, opts); rerr != nil {
 				if errors.Is(rerr, cluster.ErrRunOwned) {
 					// Lost the claim: a scheduler member is executing the run
 					// right now. Its run, not ours — abandoning it here would
@@ -153,7 +150,6 @@ func (s *System) SweepUnfinishedRuns(ctx context.Context, resolver taxonomy.Reso
 				continue
 			}
 			report.Resumed = append(report.Resumed, info.RunID)
-			report.Last = out
 			_ = s.Admissions.Remove(info.RunID)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/curation"
 	"repro/internal/fnjv"
 	"repro/internal/provenance"
-	"repro/internal/quality"
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/taxonomy"
@@ -44,7 +43,6 @@ type System struct {
 	Dispatch   workflow.DispatchGauges
 	Provenance provenance.Repo
 	Ledger     *curation.Ledger
-	Quality    *quality.Manager
 	// Leases is the set of run IDs executing in this process (package
 	// cluster): every run is claimed here before any of its state is read and
 	// released when its execution returns. It lives in memory: the directory
@@ -164,7 +162,6 @@ func (s *System) openGlobal() (err error) {
 		return err
 	}
 	s.Leases = &cluster.Owners{}
-	s.Quality = quality.NewManager()
 	return s.seedRunCounter()
 }
 

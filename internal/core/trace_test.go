@@ -138,9 +138,9 @@ func TestTraceUntraced(t *testing.T) {
 	if _, err := sys.Traces.Spans(outcome.RunID); !errors.Is(err, telemetry.ErrTraceNotFound) {
 		t.Fatalf("untraced run persisted spans: %v", err)
 	}
-	// Histograms observe regardless of tracing.
-	if outcome.EngineMetrics.Exec.Count == 0 {
-		t.Fatal("exec histogram empty on untraced run")
+	// The engine counts regardless of tracing.
+	if outcome.EngineMetrics.Invocations == 0 {
+		t.Fatal("engine counted no invocation on an untraced run")
 	}
 }
 

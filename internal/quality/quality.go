@@ -174,8 +174,16 @@ func (m *Manager) Assess(goal Goal, ctx *Context) (*Assessment, error) {
 	if len(perDim) == 0 {
 		return nil, fmt.Errorf("%w: goal %q", ErrNoMetrics, goal.Name)
 	}
+	// Sum in dimension-name order: float addition is not associative, and
+	// map order would let one input assess to more than one utility.
+	dims := make([]string, 0, len(goal.Weights))
+	for dim := range goal.Weights {
+		dims = append(dims, dim)
+	}
+	sort.Strings(dims)
 	var weightSum, weighted float64
-	for dim, weight := range goal.Weights {
+	for _, dim := range dims {
+		weight := goal.Weights[dim]
 		vals, ok := perDim[dim]
 		if !ok {
 			a.Missing = append(a.Missing, dim)
@@ -190,7 +198,6 @@ func (m *Manager) Assess(goal Goal, ctx *Context) (*Assessment, error) {
 		weighted += weight * mean
 		weightSum += weight
 	}
-	sort.Strings(a.Missing)
 	if weightSum > 0 {
 		a.Utility = weighted / weightSum
 	}

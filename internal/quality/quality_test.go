@@ -86,6 +86,28 @@ func TestAssessPaperNumbers(t *testing.T) {
 	}
 }
 
+// TestAssessIsDeterministic assesses each input many times and requires one
+// utility: the weighted sum must not follow map iteration order, or a run's
+// stored assessment could differ from the one it returned live.
+func TestAssessIsDeterministic(t *testing.T) {
+	m := paperManager(t)
+	for correct := 150; correct <= 200; correct++ {
+		ctx := paperContext()
+		ctx.Values["names.correct"], ctx.Values["names.total"] = correct, 200
+		seen := map[float64]bool{}
+		for range 200 {
+			a, err := m.Assess(paperGoal(), ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[a.Utility] = true
+		}
+		if len(seen) != 1 {
+			t.Fatalf("%d of 200 correct assessed to %d utilities: %v", correct, len(seen), seen)
+		}
+	}
+}
+
 func TestAssessMissingDimension(t *testing.T) {
 	m := paperManager(t)
 	goal := paperGoal()

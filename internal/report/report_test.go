@@ -45,10 +45,7 @@ func buildEverything(t *testing.T) (*core.System, *taxonomy.Generated, *core.Det
 	if _, err := (&curation.GapFiller{Source: env, Ledger: sys.Ledger}).Fill(sys.Records); err != nil {
 		t.Fatal(err)
 	}
-	mon, err := core.NewMonitor(sys, taxa.Checklist, core.RunOptions{SkipLedger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon := core.NewMonitor(sys, taxa.Checklist, core.RunOptions{SkipLedger: true})
 	if _, _, err := mon.ReassessOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +53,11 @@ func buildEverything(t *testing.T) (*core.System, *taxonomy.Generated, *core.Det
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, taxa, outcome, mon.History()
+	samples, err := mon.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, taxa, outcome, samples
 }
 
 func TestFullReport(t *testing.T) {

@@ -155,7 +155,7 @@ func (s *Server) registerAPI() {
 		"/api/v1/records/": s.requireGet(s.apiRecord),
 		"/api/v1/runs":     s.requireGet(s.apiRuns),
 		"/api/v1/runs/":    s.requireGet(s.apiRun),
-		"/api/v1/quality":  s.requireGet(s.apiQuality),
+		"/api/v1/quality":  s.requireGet(func(w http.ResponseWriter, r *http.Request) { s.apiQuality(w, r, "") }),
 		"/api/v1/metrics":  s.requireGet(s.apiMetrics),
 		"/api/v1/cluster":  s.requireGet(s.apiCluster),
 		"/api/v1/cluster/": s.requireGet(s.apiCluster),
@@ -264,6 +264,8 @@ func (s *Server) apiRun(w http.ResponseWriter, r *http.Request) {
 		s.apiRunEdges(w, r, runID)
 	case "graph":
 		s.apiRunGraph(w, r, runID)
+	case "quality":
+		s.apiQuality(w, r, runID)
 	default:
 		writeAPIError(w, http.StatusNotFound, "not_found", "no such run resource: "+sub)
 	}
@@ -565,10 +567,12 @@ func (s *Server) apiRecord(w http.ResponseWriter, r *http.Request) {
 
 // ---- quality + metrics ----
 
-func (s *Server) apiQuality(w http.ResponseWriter, r *http.Request) {
-	outcome := s.svc.LastOutcome()
-	if outcome == nil || outcome.Assessment == nil {
-		writeAPIError(w, http.StatusNotFound, "not_found", "no assessment yet: run detection first")
+// apiQuality serves runID's stored §IV.C assessment; for /api/v1/quality
+// (runID "") the caller tenant's latest completed detection run's.
+func (s *Server) apiQuality(w http.ResponseWriter, r *http.Request, runID string) {
+	outcome, err := s.svc.Outcome(TenantFrom(r.Context()), runID)
+	if err != nil {
+		fail(w, err)
 		return
 	}
 	a := outcome.Assessment
@@ -599,10 +603,9 @@ func (s *Server) apiQuality(w http.ResponseWriter, r *http.Request) {
 }
 
 // apiMetrics snapshots the runtime counters of every instrumented subsystem
-// — workflow engine (with queue-wait/exec latency quantiles), streaming
-// provenance writer, scheduler — as obs.FromRuntimeMetrics
-// observations, so audits and load are observable without reading experiment
-// output. Serves /api/v1/metrics and the legacy /metrics.
+// (Service.Metrics) as obs.FromRuntimeMetrics observations, so audits and
+// load are observable without reading experiment output. Serves
+// /api/v1/metrics and the legacy /metrics.
 func (s *Server) apiMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.svc.Metrics(timeNow()))
+	writeJSON(w, s.svc.Metrics(time.Now()))
 }

@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"slices"
@@ -21,8 +23,12 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/core"
+	"repro/internal/envsource"
 	"repro/internal/fnjv"
+	"repro/internal/geo"
 	"repro/internal/opm"
+	"repro/internal/shard"
+	"repro/internal/storage"
 	"repro/internal/taxonomy"
 	"repro/internal/telemetry"
 )
@@ -553,30 +559,152 @@ func TestAPIQualityAndMetrics(t *testing.T) {
 		t.Fatalf("quality: %+v", q)
 	}
 
-	// /api/v1/metrics reports the engine's latency quantiles per subsystem.
+	// /api/v1/metrics has no per-run rows: the engine and provenance-writer
+	// subsystems showed whichever run finished last.
 	var ms []MetricsEntry
 	decodeJSON(t, getResp(t, srv.URL+"/api/v1/metrics", nil), 200, &ms)
-	byEntity := map[string]map[string]float64{}
 	for _, m := range ms {
-		byEntity[m.Entity] = m.Measurements
-	}
-	eng, ok := byEntity["subsystem:engine"]
-	if !ok {
-		t.Fatalf("no engine entry in %v", byEntity)
-	}
-	for _, k := range []string{"engine.exec.p50_us", "engine.exec.p95_us", "engine.exec.p99_us",
-		"engine.queue_wait.p50_us", "engine.queue_wait.p95_us", "engine.queue_wait.p99_us"} {
-		if _, ok := eng[k]; !ok {
-			t.Errorf("engine metrics missing %s", k)
+		if m.Entity == "subsystem:engine" || m.Entity == "subsystem:provenance-writer" {
+			t.Errorf("metrics still serve %s", m.Entity)
 		}
 	}
-	if eng["engine.exec.p95_us"] < eng["engine.exec.p50_us"] {
-		t.Error("p95 below p50")
+}
+
+// qualityBody is the JSON of /api/v1/quality and /api/v1/runs/{id}/quality.
+type qualityBody struct {
+	Goal       string             `json:"goal"`
+	Subject    string             `json:"subject"`
+	At         time.Time          `json:"at"`
+	Utility    float64            `json:"utility"`
+	Accepted   bool               `json:"accepted"`
+	Dimensions map[string]float64 `json:"dimensions"`
+	Results    []struct {
+		Metric string  `json:"metric"`
+		Score  float64 `json:"score"`
+	} `json:"results"`
+	RunID string `json:"run_id"`
+}
+
+// wantLiveQuality asserts that a quality body is the live outcome's
+// assessment.
+func wantLiveQuality(t *testing.T, got qualityBody, live *core.DetectionOutcome) {
+	t.Helper()
+	a := live.Assessment
+	if got.RunID != live.RunID || got.Goal != a.Goal || got.Subject != a.Subject || !got.At.Equal(a.At) ||
+		got.Utility != a.Utility || got.Accepted != a.Accepted || !maps.Equal(got.Dimensions, a.Dimensions) ||
+		len(got.Results) != len(a.Results) {
+		t.Fatalf("quality %+v, want run %s's live assessment %+v", got, live.RunID, a)
 	}
-	if pw, ok := byEntity["subsystem:provenance-writer"]; !ok {
-		t.Error("no provenance-writer entry")
-	} else if _, ok := pw["provenance.writer.flush.p99_us"]; !ok {
-		t.Error("provenance-writer metrics missing flush p99")
+	for i, res := range got.Results {
+		if res.Metric != a.Results[i].Metric || res.Score != a.Results[i].Score.Value {
+			t.Fatalf("result %d = %+v, want %+v", i, res, a.Results[i])
+		}
+	}
+}
+
+// TestAPIRunQuality: /api/v1/runs/{id}/quality serves that run's live
+// assessment, read back from storage, whichever run is the latest; an
+// unknown run is not_found.
+func TestAPIRunQuality(t *testing.T) {
+	srv, wsys, taxa := testServer(t)
+	ctx := context.Background()
+	first, err := wsys.Core.RunDetection(ctx, taxa.Checklist, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest, err := wsys.Core.RunDetection(ctx, taxa.Checklist, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, live := range []*core.DetectionOutcome{first, latest} {
+		var q qualityBody
+		decodeJSON(t, getResp(t, srv.URL+"/api/v1/runs/"+live.RunID+"/quality", nil), 200, &q)
+		wantLiveQuality(t, q, live)
+	}
+	var q qualityBody
+	decodeJSON(t, getResp(t, srv.URL+"/api/v1/quality", nil), 200, &q)
+	wantLiveQuality(t, q, latest)
+	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/runs/run-999999/quality", nil), http.StatusNotFound, "not_found")
+}
+
+// TestAPIQualityIsPerTenant: /api/v1/quality answers for the caller's
+// tenant. After acme's detection, umbrella — and the default tenant — have
+// no assessment, and acme's is acme's run.
+func TestAPIQualityIsPerTenant(t *testing.T) {
+	srv, wsys, _ := testServer(t)
+	var owned []*fnjv.Record
+	wsys.Core.Records.Scan(func(rec *fnjv.Record) bool {
+		r := *rec
+		r.ID = shard.Qualify("acme", rec.ID)
+		owned = append(owned, &r)
+		return len(owned) < 40
+	})
+	if err := wsys.Core.Records.PutAll(owned); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/api/v1/detect?wait=true", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(TenantHeader, "acme")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run struct {
+		RunID string `json:"run_id"`
+	}
+	decodeJSON(t, resp, http.StatusOK, &run)
+
+	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/quality", map[string]string{TenantHeader: "umbrella"}), http.StatusNotFound, "not_found")
+	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/quality", nil), http.StatusNotFound, "not_found")
+	var q qualityBody
+	decodeJSON(t, getResp(t, srv.URL+"/api/v1/quality", map[string]string{TenantHeader: "acme"}), 200, &q)
+	if q.RunID != run.RunID {
+		t.Fatalf("acme's quality is run %q, want %q", q.RunID, run.RunID)
+	}
+}
+
+// TestAPIQualityAfterReopen: the assessment outlives the process that ran
+// it. A server over a reopened directory answers /api/v1/quality from the
+// stored run, equal to what the run returned live.
+func TestAPIQualityAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := core.Open(dir, core.Options{Sync: storage.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	taxa, err := taxonomy.Generate(taxonomy.GeneratorSpec{Species: 20, OutdatedFraction: 0.2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := fnjv.Generate(fnjv.CollectionSpec{Records: 60, Seed: 6, SyntaxErrorRate: 1e-12},
+		taxa, geo.SyntheticGazetteer(4, 6), envsource.NewSimulator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Records.PutAll(col.Records); err != nil {
+		t.Fatal(err)
+	}
+	live, err := sys.RunDetection(context.Background(), taxa.Checklist, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if sys, err = core.Open(dir, core.Options{Sync: storage.SyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := httptest.NewServer(NewServer(&System{Core: sys, Resolver: taxa.Checklist}))
+	defer srv.Close()
+	var q qualityBody
+	decodeJSON(t, getResp(t, srv.URL+"/api/v1/quality", nil), 200, &q)
+	wantLiveQuality(t, q, live)
+	if code, body := get(t, srv.URL+"/quality"); code != 200 || !strings.Contains(body, "utility index") {
+		t.Fatalf("quality page after reopen: %d\n%s", code, body)
 	}
 }
 

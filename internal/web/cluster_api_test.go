@@ -235,7 +235,7 @@ func TestAsyncDetectWakesPool(t *testing.T) {
 	sys := wsys.Core
 	sched := &cluster.Scheduler{
 		Name: "orch-web", Leases: sys.Leases, Poll: time.Hour,
-		Backend: sys.SchedulerBackend(taxa.Checklist, core.RunOptions{}, wsys.RecordOutcome),
+		Backend: sys.SchedulerBackend(taxa.Checklist, core.RunOptions{}, nil),
 	}
 	if err := sched.Start(); err != nil {
 		t.Fatal(err)

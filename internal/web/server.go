@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -26,8 +25,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/taxonomy"
 )
-
-func timeNow() time.Time { return time.Now() }
 
 // Server serves the FNJV prototype UI and APIs. The HTML handlers and the
 // /api/v1 JSON handlers are both thin renderers over the same Service.
@@ -55,22 +52,11 @@ type System struct {
 	// of executing in-request, and the scheduler's claim counters show on
 	// /api/v1/metrics. Nil keeps the synchronous single-process behaviour.
 	Scheduler *cluster.Scheduler
-
-	mu          sync.Mutex
-	lastOutcome *core.DetectionOutcome
 }
 
-// RecordOutcome publishes a detection outcome produced outside the request
-// path — the scheduler draining admitted runs — so the quality and detect
-// views reflect it exactly as a synchronous run's outcome would.
-func (sys *System) RecordOutcome(out *core.DetectionOutcome) {
-	if out == nil {
-		return
-	}
-	sys.mu.Lock()
-	sys.lastOutcome = out
-	sys.mu.Unlock()
-}
+// RecordOutcome does nothing. It is kept only because benchmark/stack.go
+// calls it; the next change to benchmark/ drops that call and this method.
+func (sys *System) RecordOutcome(*core.DetectionOutcome) {}
 
 // NewServer builds the HTTP server.
 func NewServer(sys *System) *Server {
@@ -170,37 +156,40 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	s.render(w, "Collection dashboard", b.String())
 }
 
-// handleDetect runs the detection workflow (GET shows the last result;
-// POST or ?run=1 triggers a new run) and renders the Fig. 2 progress block.
+const runDetectionForm = `<form method="post" action="/detect"><button>run detection</button></form>`
+
+// handleDetect renders the Fig. 2 progress block of the default tenant's
+// latest stored detection run. Only a POST (runDetectionForm) runs a
+// detection, then answers 303 to GET /detect: no link, prefetch or crawler
+// writes runs into the store.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost || r.URL.Query().Get("run") == "1" {
+	if r.Method == http.MethodPost {
 		if _, err := s.svc.Detect(context.Background()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		http.Redirect(w, r, "/detect", http.StatusSeeOther)
+		return
 	}
-	outcome := s.svc.LastOutcome()
+	const title = "Detection of outdated species names"
+	outcome := s.latestOutcome(w, title, "<p>No run yet.</p>")
 	if outcome == nil {
-		s.render(w, "Detection of outdated species names",
-			`<p>No run yet. <a href="/detect?run=1">Run detection now</a>.</p>`)
 		return
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, `<p><a href="/detect?run=1">Run again</a></p>
+	fmt.Fprintf(&b, `<p>run <a href="/provenance/%s">%s</a>; its per-record updates wait in the <a href="/review">review queue</a>.</p>%s
 <table>
 <tr><th>distinct species names in the database</th><td class=num>%d</td></tr>
-<tr><th>records processed</th><td class=num>%d</td></tr>
 <tr><th>species names detected as outdated</th><td class=num>%d (%.0f%%)</td></tr>
 <tr><th>names unknown to the authority</th><td class=num>%d</td></tr>
 <tr><th>authority unavailable for</th><td class=num>%d</td></tr>
 <tr><th>answered from stale cache (degraded)</th><td class=num>%d</td></tr>
-<tr><th>per-record updates flagged for biologists</th><td class="num flag">%d</td></tr>
 </table>
 <h2>updated species names</h2>
 <table><tr><th>outdated name</th><th>current name</th></tr>`,
-		outcome.DistinctNames, outcome.RecordsProcessed, outcome.Outdated,
-		100*outcome.OutdatedFraction(), outcome.Unknown, outcome.Unavailable,
-		outcome.Degraded, outcome.UpdatesCreated)
+		esc(outcome.RunID), esc(outcome.RunID), runDetectionForm,
+		outcome.DistinctNames, outcome.Outdated, 100*outcome.OutdatedFraction(),
+		outcome.Unknown, outcome.Unavailable, outcome.Degraded)
 	names := make([]string, 0, len(outcome.Renames))
 	for n := range outcome.Renames {
 		names = append(names, n)
@@ -210,7 +199,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "<tr><td><i>%s</i></td><td><i>%s</i></td></tr>", esc(n), esc(outcome.Renames[n]))
 	}
 	b.WriteString("</table>")
-	s.render(w, "Detection of outdated species names", b.String())
+	s.render(w, title, b.String())
 }
 
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
@@ -288,19 +277,30 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	s.render(w, "Record "+id, b.String())
 }
 
+// handleQuality renders the default tenant's latest stored §IV.C report.
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	outcome := s.svc.LastOutcome()
-	if outcome == nil {
-		s.render(w, "Quality assessment", `<p>No assessment yet — <a href="/detect?run=1">run detection first</a>.</p>`)
-		return
+	if outcome := s.latestOutcome(w, "Quality assessment", "<p>No assessment yet: run detection first.</p>"); outcome != nil {
+		s.render(w, "Quality assessment", "<pre>"+esc(quality.Report(outcome.Assessment))+"</pre>")
 	}
-	s.render(w, "Quality assessment", "<pre>"+esc(quality.Report(outcome.Assessment))+"</pre>")
+}
+
+// latestOutcome reads the default tenant's latest stored detection run, or
+// renders the view's empty page (or a 500) and returns nil.
+func (s *Server) latestOutcome(w http.ResponseWriter, title, empty string) *core.DetectionOutcome {
+	outcome, err := s.svc.Outcome("", "")
+	switch {
+	case errors.Is(err, errNotFound):
+		s.render(w, title, empty+runDetectionForm)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+	return outcome
 }
 
 // handleCollectionHealth renders the collection-level quality assessment
 // (completeness/consistency) — where should the next curation pass go?
 func (s *Server) handleCollectionHealth(w http.ResponseWriter, r *http.Request) {
-	a, facts, err := s.System.Core.AssessCollection(s.System.Checklist, time.Time{}, timeNow())
+	a, facts, err := s.System.Core.AssessCollection(s.System.Checklist, time.Time{}, time.Now())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -369,7 +369,7 @@ func (s *Server) handleReviewAct(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	if err := led.Resolve(id, verdict, "web-curator", timeNow()); err != nil {
+	if err := led.Resolve(id, verdict, "web-curator", time.Now()); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -378,7 +378,7 @@ func (s *Server) handleReviewAct(w http.ResponseWriter, r *http.Request) {
 			RecordID: u.RecordID, Field: "species",
 			OldValue: u.OriginalName, NewValue: u.UpdatedName,
 			Reason: fmt.Sprintf("name-update:%s (%s)", u.Status, u.Reference),
-			Actor:  "web-curator", At: timeNow(),
+			Actor:  "web-curator", At: time.Now(),
 		}); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

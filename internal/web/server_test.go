@@ -163,25 +163,39 @@ func TestProvenanceEdgesPage(t *testing.T) {
 	}
 }
 
+// postDetect runs a detection through the detect page's form: POST /detect,
+// whose 303 the client follows to the page.
+func postDetect(t *testing.T, srv *httptest.Server) (int, string) {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/detect", "application/x-www-form-urlencoded", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
 func TestDetectPage(t *testing.T) {
 	srv, _, _ := testServer(t)
 	// Before any run.
 	code, body := get(t, srv.URL+"/detect")
-	if code != 200 || !strings.Contains(body, "No run yet") {
-		t.Fatalf("pre-run page: %d", code)
+	if code != 200 || !strings.Contains(body, "No run yet") || !strings.Contains(body, `<form method="post" action="/detect">`) {
+		t.Fatalf("pre-run page: %d\n%s", code, body)
 	}
 	// Trigger a run (the Fig. 2 page).
-	code, body = get(t, srv.URL+"/detect?run=1")
+	code, body = postDetect(t, srv)
 	if code != 200 {
 		t.Fatalf("run status %d", code)
 	}
 	for _, want := range []string{
 		"distinct species names in the database",
-		"records processed",
 		"detected as outdated",
 		"updated species names",
-		"flagged for biologists",
-		"<td class=num>400</td>", // records processed
+		`<a href="/review">review queue</a>`,
 		"<td class=num>100</td>", // distinct names
 	} {
 		if !strings.Contains(body, want) {
@@ -230,7 +244,7 @@ func TestRecordsSearchAndDetail(t *testing.T) {
 func TestRecordPageShowsUpdates(t *testing.T) {
 	srv, wsys, taxa := testServer(t)
 	// Run detection so updates exist.
-	if code, _ := get(t, srv.URL+"/detect?run=1"); code != 200 {
+	if code, _ := postDetect(t, srv); code != 200 {
 		t.Fatal("run failed")
 	}
 	// Find a record with an outdated name.
@@ -262,7 +276,7 @@ func TestReviewQueueUI(t *testing.T) {
 		t.Fatalf("empty queue: %d", code)
 	}
 	// After detection there are pending updates.
-	get(t, srv.URL+"/detect?run=1")
+	postDetect(t, srv)
 	code, body = get(t, srv.URL+"/review")
 	if code != 200 || strings.Contains(body, "0 updates pending") {
 		t.Fatalf("queue after run: %d", code)
@@ -322,7 +336,7 @@ func TestReviewQueueUI(t *testing.T) {
 
 func TestProvenanceExport(t *testing.T) {
 	srv, wsys, _ := testServer(t)
-	get(t, srv.URL+"/detect?run=1")
+	postDetect(t, srv)
 	runs, err := wsys.Core.Provenance.AllRuns()
 	if err != nil || len(runs) == 0 {
 		t.Fatal("no runs")
@@ -383,10 +397,8 @@ type metricsObs struct {
 
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _, _ := testServer(t)
-	// /detect?run=1 records the outcome whose writer metrics the
-	// provenance-writer row snapshots.
-	if code, _ := get(t, srv.URL+"/detect?run=1"); code != 200 {
-		t.Fatal("GET /detect?run=1 failed")
+	if code, _ := postDetect(t, srv); code != 200 {
+		t.Fatal("POST /detect failed")
 	}
 
 	code, body := get(t, srv.URL+"/metrics")
@@ -401,21 +413,45 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, o := range out {
 		got[strings.TrimPrefix(o.Entity, "subsystem:")] = o
 	}
-	for _, want := range []string{"engine", "provenance-writer"} {
+	for _, want := range []string{"recovery", "workers", "admission-queue"} {
 		if _, ok := got[want]; !ok {
 			t.Fatalf("metrics missing subsystem %q; have %v", want, body)
 		}
 	}
-	if _, ok := got["archive-scrubber"]; ok {
-		t.Fatalf("metrics still has an archive-scrubber row: %v", body)
+	// The engine and provenance-writer rows showed whichever run finished
+	// last; they are gone, as is the archive scrubber's.
+	for _, gone := range []string{"engine", "provenance-writer", "archive-scrubber"} {
+		if _, ok := got[gone]; ok {
+			t.Fatalf("metrics still has a %s row: %v", gone, body)
+		}
 	}
-	if got["engine"].Measurements["engine.invocations"] < 1 {
-		t.Fatalf("engine counters empty: %+v", got["engine"])
+	if w := got["workers"]; w.Protocol == "" || w.ID == "" || len(w.Measurements) == 0 {
+		t.Fatalf("observation shape: %+v", w)
 	}
-	if got["provenance-writer"].Measurements["provenance.writer.flushed"] < 1 {
-		t.Fatalf("provenance-writer counters: %+v", got["provenance-writer"])
+}
+
+// TestDetectGetStartsNoRun: only a POST starts a detection. GET
+// /detect?run=1 — what the pages once linked to, and what a prefetcher or
+// crawler follows — renders the page and writes nothing; POST /detect runs
+// one detection and answers 303 to GET /detect.
+func TestDetectGetStartsNoRun(t *testing.T) {
+	srv, wsys, _ := testServer(t)
+	if code, _ := get(t, srv.URL+"/detect?run=1"); code != 200 {
+		t.Fatalf("GET /detect?run=1 = %d", code)
 	}
-	if got["engine"].Protocol == "" || got["engine"].ID == "" {
-		t.Fatalf("observation shape: %+v", got["engine"])
+	if runs, err := wsys.Core.Provenance.AllRuns(); err != nil || len(runs) != 0 {
+		t.Fatalf("GET /detect?run=1 stored runs %+v (%v), want none", runs, err)
+	}
+	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	resp, err := noFollow.Post(srv.URL+"/detect", "application/x-www-form-urlencoded", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusSeeOther || resp.Header.Get("Location") != "/detect" {
+		t.Fatalf("POST /detect = %d to %q, want 303 to /detect", resp.StatusCode, resp.Header.Get("Location"))
+	}
+	if runs, err := wsys.Core.CompletedDetections(""); err != nil || len(runs) != 1 {
+		t.Fatalf("POST /detect completed %+v (%v), want one run", runs, err)
 	}
 }

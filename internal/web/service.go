@@ -31,25 +31,30 @@ type Service struct {
 // NewService wraps the shared system state.
 func NewService(sys *System) *Service { return &Service{sys: sys} }
 
-// Detect executes the detection workflow and caches the outcome for the
-// quality and detect views. The supplied context carries any request-minted
-// tracer, so API-triggered runs trace from the HTTP boundary down.
+// Detect executes the detection workflow for the context's tenant, traced
+// from the HTTP boundary down when the context carries a request's tracer.
 func (v *Service) Detect(ctx context.Context) (*core.DetectionOutcome, error) {
-	outcome, err := v.sys.Core.RunDetection(ctx, v.sys.Resolver, core.RunOptions{Tenant: TenantFrom(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	v.sys.mu.Lock()
-	v.sys.lastOutcome = outcome
-	v.sys.mu.Unlock()
-	return outcome, nil
+	return v.sys.Core.RunDetection(ctx, v.sys.Resolver, core.RunOptions{Tenant: TenantFrom(ctx)})
 }
 
-// LastOutcome returns the most recent detection outcome, nil before any run.
-func (v *Service) LastOutcome() *core.DetectionOutcome {
-	v.sys.mu.Lock()
-	defer v.sys.mu.Unlock()
-	return v.sys.lastOutcome
+// Outcome reads a completed detection run back from storage: runID's, or
+// with runID "" the tenant's latest. errNotFound when there is none.
+func (v *Service) Outcome(tenant, runID string) (*core.DetectionOutcome, error) {
+	if runID == "" {
+		runs, err := v.sys.Core.CompletedDetections(tenant)
+		if err != nil {
+			return nil, err
+		}
+		if len(runs) == 0 {
+			return nil, fmt.Errorf("%w: tenant %q has no completed detection run", errNotFound, tenant)
+		}
+		runID = runs[len(runs)-1].RunID
+	}
+	outcome, err := v.sys.Core.StoredOutcome(runID)
+	if errors.Is(err, core.ErrNoOutcome) {
+		return nil, fmt.Errorf("%w: %v", errNotFound, err)
+	}
+	return outcome, err
 }
 
 // Dispatch returns the dispatch gauges live across every run: tasks ready,
@@ -237,26 +242,16 @@ type MetricsEntry struct {
 	Measurements map[string]float64 `json:"measurements"`
 }
 
-// Metrics snapshots every instrumented subsystem — workflow engine (with its
-// queue-wait/exec latency quantiles), crash recovery, streaming provenance
-// writer, scheduler, resolution resilience — as observations, sorted
-// by subsystem name.
+// Metrics snapshots every instrumented subsystem — crash recovery, dispatch
+// gauges, scheduler, admission queue, resolution resilience — as
+// observations, sorted by subsystem name.
 func (v *Service) Metrics(at time.Time) []MetricsEntry {
 	subsystems := map[string]map[string]float64{
-		// Zero until a detection run replaces it below: each run executes on
-		// its own engine and reports that engine's snapshot in the outcome.
-		"engine": workflow.MetricsSnapshot{}.Counters(),
 		// Crash-recovery activity: runs resumed, runs abandoned, sweeps.
 		"recovery": core.RecoveryCounters(),
 		// Dispatch gauges, live across runs.
 		"workers": v.Dispatch(),
 	}
-	v.sys.mu.Lock()
-	if o := v.sys.lastOutcome; o != nil {
-		subsystems["engine"] = o.EngineMetrics.Counters()
-		subsystems["provenance-writer"] = o.ProvenanceWriter.Counters()
-	}
-	v.sys.mu.Unlock()
 	if c := v.sys.Core.Cluster; c != nil {
 		subsystems["shard-router"] = c.Counters()
 	}

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Call is one service invocation: the bound inputs plus the processor's
@@ -132,12 +130,6 @@ type engineMetrics struct {
 	batchedElements    atomic.Int64 // elements those batches carried
 	inFlight           atomic.Int64 // service calls currently executing
 	peakInFlight       atomic.Int64 // high-water mark of inFlight
-
-	// Latency distributions, split at the dispatch queue: queueWait is time a
-	// task spent enqueued before a worker picked it up, exec is the service
-	// call itself. Each attempt is one sample of each, and so is a batch.
-	queueWait telemetry.Histogram
-	exec      telemetry.Histogram
 }
 
 // MetricsSnapshot is a point-in-time reading of the engine's counters,
@@ -149,27 +141,6 @@ type MetricsSnapshot struct {
 	BatchedElements    int64 // iteration elements those batch calls carried
 	InFlight           int64 // service calls executing right now
 	PeakInFlight       int64 // high-water mark of concurrent calls
-	// QueueWait and Exec are the latency distributions of the dispatch queue
-	// and the service calls themselves (p50/p95/p99 via Counters).
-	QueueWait telemetry.HistogramSnapshot
-	Exec      telemetry.HistogramSnapshot
-}
-
-// Counters renders the snapshot as named readings for
-// obs.FromRuntimeMetrics, matching the provenance writer's and archive
-// scrubber's counter surfaces. Histogram quantiles appear under
-// engine.exec.* and engine.queue_wait.*.
-func (m MetricsSnapshot) Counters() map[string]float64 {
-	c := map[string]float64{
-		"engine.invocations":         float64(m.Invocations),
-		"engine.elements_dispatched": float64(m.ElementsDispatched),
-		"engine.batches":             float64(m.Batches),
-		"engine.batched_elements":    float64(m.BatchedElements),
-		"engine.in_flight":           float64(m.InFlight),
-		"engine.peak_in_flight":      float64(m.PeakInFlight),
-	}
-	c = telemetry.MergeCounters(c, m.Exec.Counters("engine.exec"))
-	return telemetry.MergeCounters(c, m.QueueWait.Counters("engine.queue_wait"))
 }
 
 var runCounter int64

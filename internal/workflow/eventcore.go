@@ -78,8 +78,6 @@ func (e *EventEngine) Metrics() MetricsSnapshot {
 		BatchedElements:    e.metrics.batchedElements.Load(),
 		InFlight:           e.metrics.inFlight.Load(),
 		PeakInFlight:       e.metrics.peakInFlight.Load(),
-		QueueWait:          e.metrics.queueWait.Snapshot(),
-		Exec:               e.metrics.exec.Snapshot(),
 	}
 }
 
@@ -246,8 +244,11 @@ func handPrefix(listeners []HistoryListener, prefix []HistoryEvent) {
 	}
 }
 
+// runResult stamps the run's result: FinishedAt is the time of its
+// run-finished event, so the result and the stored history agree on when the
+// run ended.
 func runResult(d *decider, startedAt time.Time) (*RunResult, error) {
-	d.res.StartedAt, d.res.FinishedAt = startedAt, time.Now()
+	d.res.StartedAt, d.res.FinishedAt = startedAt, d.fold.Finished.Time
 	return d.res, d.err
 }
 
@@ -420,17 +421,15 @@ type flight struct {
 func (r *eventRun) begin(a *running, name string, t Task) flight {
 	ctx, sp := telemetry.StartSpan(a.ctx, name, "engine")
 	f := flight{ctx: ctx, span: sp, wait: time.Since(t.EnqueuedAt)}
-	r.e.metrics.queueWait.Observe(f.wait)
 	r.e.metrics.enterFlight()
 	f.start = time.Now()
 	return f
 }
 
-// end records the invocation's exec time and closes its span with the
-// attributes the ledger attributes engine time from.
+// end closes the invocation's span with the attributes the ledger
+// attributes engine time from.
 func (r *eventRun) end(f flight, id string, a *running, err error) {
 	exec := time.Since(f.start)
-	r.e.metrics.exec.Observe(exec)
 	r.e.metrics.inFlight.Add(-1)
 	if sp := f.span; sp != nil {
 		sp.SetAttr("service", a.p.Service)

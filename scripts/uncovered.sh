@@ -9,10 +9,10 @@
 #   - cmd/colserver: -dump, then -load with -fuzzy 2 on a loopback port,
 #     driven through /resolve, /stats and /healthz;
 #   - cmd/curate -step all on 300 records against that colserver;
-#   - cmd/fnjvweb on curate's directory against that colserver: every HTML
-#     route and every /api/v1 route, the not-found and bad-request answers,
-#     an asynchronous and a synchronous detect, a curator verdict, then
-#     SIGTERM;
+#   - cmd/fnjvweb on curate's directory against that colserver: the quality
+#     of curate's stored run, every HTML route and every /api/v1 route, the
+#     not-found and bad-request answers, an asynchronous, a synchronous and
+#     a form (POST /detect) detect, a curator verdict, then SIGTERM;
 #   - cmd/orchestrator on the same directory, then SIGTERM;
 #   - SIGTERM to colserver.
 # A server that does not exit with status 0 fails the run. Then it prints
@@ -106,7 +106,9 @@ bin/curate -data data -records 300 -species 100 -authority "$col" -step all -rep
 start fnjvweb.log 'listening on' bin/fnjvweb -addr 127.0.0.1:0 -data data -records 300 -species 100 -authority "$col"
 fnjvweb=$pid
 web=http://$(listening fnjvweb.log)
-want 404 "$web/api/v1/quality"
+# curate's detection is stored: its assessment survives the restart.
+want 200 "$web/api/v1/quality"
+want 404 "$web/api/v1/quality" -H 'X-Tenant: nobody'
 want 200 "$web/detect"
 # Asynchronous: 202 and the run URL, polled until the run completes.
 loc=$(curl -s -D - -o /dev/null -X POST "$web/api/v1/detect" | sed -n 's/^Location: *\([^[:space:]]*\).*/\1/p')
@@ -123,7 +125,8 @@ rec=$(curl -s "$web/api/v1/records?limit=1" | sed -n 's/.*"id": "\([^"]*\)".*/\1
 update=$(curl -s "$web/review" | sed -n 's/.*name="id" value="\([^"]*\)".*/\1/p' | head -1)
 [ -n "$rec" ] && [ -n "$update" ] || fail "no record ($rec) or pending update ($update) to act on"
 
-for path in / /detect "/detect?run=1" "/records?species=$name&state=S%C3%A3o+Paulo&taxon=Anura" \
+want 303 -X POST "$web/detect"
+for path in / /detect "/records?species=$name&state=S%C3%A3o+Paulo&taxon=Anura" \
 	"/record/$rec" /quality /review /health "/provenance/$run" "/provenance/$run/edges" /metrics \
 	/export/ntriples /healthz; do
 	want 200 "$web$path"
@@ -133,12 +136,13 @@ want 404 "$web/record/no-such-record"
 want 303 -X POST -d "id=$update&verdict=approved" "$web/review/act"
 for path in "/api/v1/records?species=%C3%A9lachistocleis+ovalis" "/api/v1/records?state=S%C3%A3o+Paulo" \
 	"/api/v1/records/$rec" /api/v1/runs "/api/v1/runs/$run" "/api/v1/runs/$run/trace" "/api/v1/runs/$run/spans" \
-	"/api/v1/runs/$run/nodes" "/api/v1/runs/$run/edges" "/api/v1/runs/$run/graph" /api/v1/quality \
+	"/api/v1/runs/$run/nodes" "/api/v1/runs/$run/edges" "/api/v1/runs/$run/graph" "/api/v1/runs/$run/quality" /api/v1/quality \
 	/api/v1/metrics /api/v1/cluster /api/v1/cluster/queues; do
 	want 200 "$web$path"
 done
 want 400 "$web/api/v1/records?limit=0"
 want 404 "$web/api/v1/runs/run-999999"
+want 404 "$web/api/v1/runs/run-999999/quality"
 want 404 "$web/api/v1/archive"
 want 405 -X POST "$web/api/v1/runs"
 stop "$fnjvweb" fnjvweb
